@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke chaos crashtest baseline bench-compare profile serve load
+.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke benchmark-smoke chaos crashtest baseline bench-compare profile serve load
 
 all: build vet fmt-check test
 
@@ -69,6 +69,12 @@ bench-smoke:
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B8 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B10 -benchtime=1x -run='^$$' .
+
+# Vet and test the benchmark harness, a module of its own that the
+# root module's build and test never compile, as in CI.
+benchmark-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # Regenerate the machine-readable benchmark baseline for this PR:
 # three full runs min-merged per timing metric, so a scheduler or GC

@@ -30,7 +30,7 @@ import (
 //
 // Reads and mutations stay live across membership changes: Attach and
 // Detach apply under the engine's write lock and publish exactly one
-// snapshot, so concurrent Run/Validate*/Ship* callers observe whole
+// snapshot, so concurrent Run/Validate/Ship callers observe whole
 // pre- or post-membership states, never a torn mix.
 //
 // The first Attach seeds the federation (no integration spec); every
@@ -70,8 +70,8 @@ type FederationMember struct {
 	Base string
 }
 
-// StoreRegistry is the federation's member-store registry, used by the
-// engine's routed shipping (ShipTxRouted).
+// StoreRegistry is the federation's member-store registry; the engine's
+// Ship routes through it.
 type StoreRegistry = store.Registry
 
 // NewFederation creates an empty federation. seed drives the
@@ -358,7 +358,7 @@ func (f *Federation) Member(name string) (*FederationMember, bool) {
 }
 
 // Stores returns the federation's member-store registry (live: Attach
-// and Detach update it), for use with the engine's ShipTxRouted.
+// and Detach update it) — the one the engine's Ship routes through.
 func (f *Federation) Stores() *StoreRegistry { return f.stores }
 
 // Engine returns the query engine serving the federation's integrated

@@ -1,6 +1,7 @@
 package interopdb
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,8 +9,8 @@ import (
 )
 
 // TestFederationConcurrentMembership exercises Attach and Detach under
-// live traffic (run with -race in CI): concurrent Run, ValidateInsert
-// and ShipTx callers proceed throughout repeated membership changes,
+// live traffic (run with -race in CI): concurrent Run, Validate
+// and Ship callers proceed throughout repeated membership changes,
 // and readers never observe a torn membership — the archive's Record
 // extension is either fully absent or fully present, and extents the
 // membership change does not touch keep their cardinality.
@@ -17,10 +18,6 @@ func TestFederationConcurrentMembership(t *testing.T) {
 	const scale = 2
 	fed := buildFigure1Federation(t, scale, false)
 	e := fed.Engine()
-	bookseller, _ := fed.Stores().Get("Bookseller")
-	if bookseller == nil {
-		t.Fatal("bookseller store not registered")
-	}
 
 	// Learn the two legal cardinalities quiescently.
 	archive := ArchiveStore(FixtureOptions{Scale: scale})
@@ -85,7 +82,7 @@ func TestFederationConcurrentMembership(t *testing.T) {
 				"shopprice": Real(30), "libprice": Real(25),
 				"ref?": Bool(true), "rating": Int(8),
 			}
-			_ = e.ValidateInsert("Proceedings", attrs)
+			_, _, _ = e.Validate(context.Background(), []Mutation{{Kind: MutInsert, Class: "Proceedings", Attrs: attrs}})
 		}
 	}()
 	wg.Add(1)
@@ -99,8 +96,8 @@ func TestFederationConcurrentMembership(t *testing.T) {
 				"shopprice": Real(45), "libprice": Real(40),
 				"ref?": Bool(true), "rating": Int(9),
 			}
-			if err := e.ShipTx(bookseller.(*Store), []Mutation{{Kind: MutInsert, Class: "Proceedings", Attrs: attrs}}); err != nil {
-				errs <- fmt.Errorf("ShipTx: %w", err)
+			if err := e.Ship(context.Background(), []Mutation{{Kind: MutInsert, Class: "Proceedings", Attrs: attrs}}); err != nil {
+				errs <- fmt.Errorf("Ship: %w", err)
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package interopdb
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -231,13 +232,13 @@ func TestFederationDetachRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFederationShipTxRouted pins per-member transaction routing: one
+// TestFederationShipRouted pins per-member transaction routing: one
 // mixed batch whose operations land in three different member stores —
 // an insert routed to its origin member, an update fanned to every
 // store holding a constituent of a three-way merged object, a delete of
 // an archive-only object — committed one deferred-validation
 // transaction per member and applied to the view atomically.
-func TestFederationShipTxRouted(t *testing.T) {
+func TestFederationShipRouted(t *testing.T) {
 	fed := buildFigure1Federation(t, 0, true)
 	e := fed.Engine()
 	res := fed.Result()
@@ -276,12 +277,12 @@ func TestFederationShipTxRouted(t *testing.T) {
 		}},
 		{Kind: MutDelete, Class: "ThesisRecord", ID: thesis.ID},
 	}
-	if rejs, _, err := e.ValidateTx(ops); err != nil {
+	if rejs, _, err := e.Validate(context.Background(), ops); err != nil {
 		t.Fatal(err)
 	} else if len(rejs) != 0 {
 		t.Fatalf("validation rejected the batch: %v", rejs)
 	}
-	if err := e.ShipTxRouted(fed.Stores(), ops); err != nil {
+	if err := e.Ship(context.Background(), ops); err != nil {
 		t.Fatal(err)
 	}
 
@@ -328,7 +329,7 @@ func TestFederationShipTxRouted(t *testing.T) {
 	}
 	// Routing error: a member store missing from the registry.
 	fed.Stores().Remove("UnivArchive")
-	err = e.ShipTxRouted(fed.Stores(), []Mutation{{Kind: MutInsert, Class: "Record", Attrs: map[string]Value{
+	err = e.Ship(context.Background(), []Mutation{{Kind: MutInsert, Class: "Record", Attrs: map[string]Value{
 		"title": Str("x"), "isbn": Str("x1"), "keeper": Str("k"), "price": Real(1), "pages": Int(1),
 	}}})
 	if err == nil || !strings.Contains(err.Error(), "no store registered for member UnivArchive") {

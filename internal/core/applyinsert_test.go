@@ -8,7 +8,7 @@ import (
 	"interopdb/internal/tm"
 )
 
-// TestApplyInsert covers the incremental view-growth path ShipInsert
+// TestApplyInsert covers the incremental view-growth path view.Engine.Ship
 // uses: classification along the origin chain, extent growth, reference
 // registration, and the error case.
 func TestApplyInsert(t *testing.T) {

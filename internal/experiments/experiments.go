@@ -570,6 +570,9 @@ func B2(attempts int, rates []float64) ([]B2Row, error) {
 			return nil, err
 		}
 		e := view.New(res)
+		if err := bindMembers(e, local, remote); err != nil {
+			return nil, err
+		}
 		row := B2Row{ViolationRate: rate, Attempts: attempts}
 		for i := 0; i < attempts; i++ {
 			doomed := float64(i%20)/20 < rate
@@ -585,11 +588,16 @@ func B2(attempts int, rates []float64) ([]B2Row, error) {
 				"shopprice": object.Real(30), "libprice": object.Real(25),
 				"ref?": object.Bool(ref), "rating": object.Int(8),
 			}
-			if rejs := e.ValidateInsert("Proceedings", attrs); len(rejs) > 0 {
+			ops := []view.Mutation{{Kind: view.MutInsert, Class: "Proceedings", Attrs: attrs}}
+			rejs, _, err := e.Validate(context.Background(), ops)
+			if err != nil {
+				return nil, err
+			}
+			if len(rejs) > 0 {
 				row.RejectedEarly++
 				continue
 			}
-			if err := e.ShipInsert(remote, "Proceedings", attrs); err != nil {
+			if err := e.Ship(context.Background(), ops); err != nil {
 				row.LocalRejects++
 			}
 		}
@@ -902,25 +910,35 @@ func B7(scales []int, iters int) ([]B7Row, error) {
 				Rows: len(fastRows), Scanned: fastStats.Scanned, IndexHits: fastStats.IndexHits,
 			})
 		}
-		// Insert validation: O(1) key-index probe vs full extent copy.
-		attrs := map[string]object.Value{
-			"title": object.Str("B7 probe"), "isbn": object.Str("vldb96"), // duplicate key
+		// Insert validation through Validate, the path requests take. The
+		// key is fresh — the insert that goes on to ship — which is where
+		// the key index answers "no holder" without the extent scan.
+		probe := []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: map[string]object.Value{
+			"title": object.Str("B7 probe"), "isbn": object.Str("b7-fresh-key"),
 			"shopprice": object.Real(10), "libprice": object.Real(5),
-		}
-		timeVal := func(useIdx bool) time.Duration {
+		}}}
+		timeVal := func(useIdx bool) (time.Duration, error) {
 			e.UseIndexes = useIdx
 			t0 := time.Now()
 			for i := 0; i < iters; i++ {
-				e.ValidateInsert("Item", attrs)
+				if rejs, _, err := e.Validate(context.Background(), probe); err != nil || len(rejs) != 0 {
+					return 0, fmt.Errorf("B7 scale=%d validate-insert: rejections=%v err=%v", scale, rejs, err)
+				}
 			}
-			return time.Since(t0) / time.Duration(iters)
+			return time.Since(t0) / time.Duration(iters), nil
 		}
-		scanT := timeVal(false)
-		fastT := timeVal(true)
+		scanT, err := timeVal(false)
+		if err != nil {
+			return nil, err
+		}
+		fastT, err := timeVal(true)
+		if err != nil {
+			return nil, err
+		}
 		e.UseIndexes = true
 		rows = append(rows, B7Row{
 			Scale: scale, Extent: len(res.View.Extent("Item")),
-			Kind: "validate-insert", Detail: "duplicate-key probe on Item",
+			Kind: "validate-insert", Detail: "fresh-key insert into Item via Validate",
 			ScanTime: scanT, FastTime: fastT,
 		})
 	}
@@ -928,10 +946,11 @@ func B7(scales []int, iters int) ([]B7Row, error) {
 }
 
 // B8Row is one mutation-throughput measurement over the scaled Figure 1
-// fixture (DESIGN.md §7): shipping N singleton insert transactions versus
-// one batched ShipTx (the local manager validates once per commit, so
-// batching amortises the deferred CheckAll), and the constraint×row work
-// of a delta-restricted ValidateUpdate versus exhaustive re-validation.
+// fixture (DESIGN.md §7): shipping N one-element batches versus one
+// N-element batch through the same Ship (the local manager validates once
+// per commit, so batching amortises the deferred CheckAll), and the
+// constraint×row work of a delta-restricted Validate versus exhaustive
+// re-validation.
 type B8Row struct {
 	Scale int
 	Mode  string // "singleton-inserts", "batched-tx", "validate-delta"
@@ -963,7 +982,8 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return view.New(res), remote, nil
+			e := view.New(res)
+			return e, remote, bindMembers(e, local, remote)
 		}
 		mkAttrs := func(remote *store.Store, i int) map[string]object.Value {
 			pub := remote.Extent("Publisher")[0]
@@ -974,31 +994,37 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 			}
 		}
 
-		// Mode 1: N singleton transactions, one local commit (and one
+		mkOps := func(remote *store.Store) []view.Mutation {
+			ops := make([]view.Mutation, batch)
+			for i := range ops {
+				ops[i] = view.Mutation{Kind: view.MutInsert, Class: "Item", Attrs: mkAttrs(remote, i)}
+			}
+			return ops
+		}
+
+		// Mode 1: N one-element batches, one local commit (and one
 		// deferred local validation) each.
 		eS, remoteS, err := build()
 		if err != nil {
 			return nil, err
 		}
+		ops := mkOps(remoteS)
 		t0 := time.Now()
-		for i := 0; i < batch; i++ {
-			if err := eS.ShipInsert(remoteS, "Item", mkAttrs(remoteS, i)); err != nil {
+		for i := range ops {
+			if err := eS.Ship(context.Background(), ops[i:i+1]); err != nil {
 				return nil, fmt.Errorf("B8 scale=%d singleton insert %d: %w", scale, i, err)
 			}
 		}
 		singleton := time.Since(t0)
 
-		// Mode 2: one batched transaction, one local commit total.
+		// Mode 2: one N-element batch, one local commit total.
 		eB, remoteB, err := build()
 		if err != nil {
 			return nil, err
 		}
-		ops := make([]view.Mutation, batch)
-		for i := range ops {
-			ops[i] = view.Mutation{Kind: view.MutInsert, Class: "Item", Attrs: mkAttrs(remoteB, i)}
-		}
+		ops = mkOps(remoteB)
 		t0 = time.Now()
-		if err := eB.ShipTx(remoteB, ops); err != nil {
+		if err := eB.Ship(context.Background(), ops); err != nil {
 			return nil, fmt.Errorf("B8 scale=%d batched tx: %w", scale, err)
 		}
 		batched := time.Since(t0)
@@ -1035,7 +1061,9 @@ func B8(scales []int, batch int) ([]B8Row, error) {
 		var delta, full view.ValidateStats
 		t0 = time.Now()
 		for i := 0; i < deltaIters; i++ {
-			_, delta, err = eB.ValidateUpdate("Proceedings", target, map[string]object.Value{"ref?": object.Bool(true)})
+			_, delta, err = eB.Validate(context.Background(), []view.Mutation{{
+				Kind: view.MutUpdate, Class: "Proceedings", ID: target, Attrs: map[string]object.Value{"ref?": object.Bool(true)},
+			}})
 			if err != nil {
 				return nil, fmt.Errorf("B8 scale=%d validate: %w", scale, err)
 			}
@@ -1068,7 +1096,7 @@ type B9Row struct {
 	Ops           int           // total queries served
 	Total         time.Duration // wall time for the reader pool
 	PerOp         time.Duration // wall time × readers / ops (per-query cost)
-	Mutations     int           // ShipTx batches committed during the run
+	Mutations     int           // Ship batches committed during the run
 	PlanHitRate   float64
 	SolverQueries int64 // planner solver calls during the reader phase
 }
@@ -1083,7 +1111,7 @@ func (r B9Row) Throughput() float64 {
 
 // B9 measures concurrent-reader serving over the scaled Figure 1
 // fixture: reader goroutines run a fixed query mix against the
-// published snapshot (Run takes no lock) while one writer ships ShipTx
+// published snapshot (Run takes no lock) while one writer ships
 // batches that republish it. Row answers are cross-checked against the
 // single-threaded engine before timing; on a multi-core host the
 // aggregate throughput scales with the reader count (CI is single-core,
@@ -1097,6 +1125,9 @@ func B9(scale, readers, opsPerReader int) (B9Row, error) {
 		return row, err
 	}
 	e := view.New(res)
+	if err := bindMembers(e, local, remote); err != nil {
+		return row, err
+	}
 	queries := []view.Query{
 		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
 		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
@@ -1138,7 +1169,7 @@ func B9(scale, readers, opsPerReader int) (B9Row, error) {
 				"publisher": object.Ref{DB: remote.Name(), OID: 2},
 				"shopprice": object.Real(50), "libprice": object.Real(40),
 			}}}
-			if err := e.ShipTx(remote, ops); err != nil {
+			if err := e.Ship(context.Background(), ops); err != nil {
 				errs <- fmt.Errorf("B9 writer batch %d: %w", i, err)
 				return
 			}
@@ -1243,6 +1274,9 @@ func B9V(scale, readers, opsPerReader int, writeInterval time.Duration) (B9VRow,
 		return row, err
 	}
 	e := view.New(res)
+	if err := bindMembers(e, local, remote); err != nil {
+		return row, err
+	}
 	queries := []view.Query{
 		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
 		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
@@ -1285,7 +1319,7 @@ func B9V(scale, readers, opsPerReader int, writeInterval time.Duration) (B9VRow,
 				"publisher": object.Ref{DB: remote.Name(), OID: 2},
 				"shopprice": object.Real(50), "libprice": object.Real(40),
 			}
-			if err := e.ShipInsert(remote, "Item", attrs); err != nil {
+			if err := e.Ship(context.Background(), []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: attrs}}); err != nil {
 				errs <- fmt.Errorf("B9V writer insert %d: %w", i, err)
 				return
 			}
@@ -1560,6 +1594,20 @@ func (r B12Result) Overhead() float64 {
 	return float64(r.FaultyTotal) / float64(r.FaultFreeTotal)
 }
 
+// bindMembers binds the member backends to the engine as its store
+// registry — what a Federation does for the engine it owns — so Ship
+// routes to them.
+func bindMembers(e *view.Engine, members ...store.Backend) error {
+	reg := store.NewRegistry()
+	for _, m := range members {
+		if err := reg.Add(m); err != nil {
+			return err
+		}
+	}
+	e.BindStores(reg)
+	return nil
+}
+
 // b12Engine builds a two-member federation with the library member
 // wrapped in a chaos backend, routed shipping bound, and retries that
 // keep their capped-exponential shape but take no wall clock.
@@ -1571,14 +1619,9 @@ func b12Engine(scale int, libOpts chaos.Options) (*view.Engine, *chaos.Backend, 
 	}
 	e := view.New(res)
 	cb := chaos.Wrap(lib, libOpts)
-	reg := store.NewRegistry()
-	if err := reg.Add(cb); err != nil {
+	if err := bindMembers(e, cb, bs); err != nil {
 		return nil, nil, "", 0, err
 	}
-	if err := reg.Add(bs); err != nil {
-		return nil, nil, "", 0, err
-	}
-	e.BindStores(reg)
 	e.Retry = view.RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond, Sleep: func(time.Duration) {}}
 	vldbID := -1
 	for _, g := range res.View.Objects {
@@ -1801,14 +1844,9 @@ func b13Bare(scale int) (*view.Engine, string, int, error) {
 		return nil, "", 0, err
 	}
 	e := view.New(res)
-	reg := store.NewRegistry()
-	if err := reg.Add(lib); err != nil {
+	if err := bindMembers(e, lib, bs); err != nil {
 		return nil, "", 0, err
 	}
-	if err := reg.Add(bs); err != nil {
-		return nil, "", 0, err
-	}
-	e.BindStores(reg)
 	id, err := b13VLDB(res)
 	return e, bs.Name(), id, err
 }

@@ -5,7 +5,8 @@
 // context-aware API — every request's context flows into RunContext/
 // Validate/AttachContext, so a disconnected client stops burning CPU at
 // the next scan-loop or solver-call boundary, and the typed sentinels
-// (ErrRejected, ErrUnknownClass, ErrUnknownObject, ErrUnknownTenant)
+// (ErrRejected, ErrUnknownClass, ErrUnknownObject, ErrUnknownTenant,
+// ErrNoStores, ...)
 // map failures to status codes without string matching.
 package server
 
@@ -248,6 +249,10 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, name string,
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterForOutage(DefaultReconcileInterval)))
 		writeJSON(w, http.StatusServiceUnavailable, body)
+	case errors.Is(err, view.ErrNoStores):
+		// The tenant's engine has no member stores bound: it serves
+		// reads but has nowhere to ship a write. Waiting will not help.
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error(), "retryable": false})
 	case r.Context().Err() != nil:
 		// The client is gone; the status is for the log only.
 		s.logf("%s: client cancelled: %v", name, err)

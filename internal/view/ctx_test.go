@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"interopdb/internal/core"
@@ -128,15 +129,7 @@ func TestValidateCancelled(t *testing.T) {
 // cancelled before any member commit rolls back everywhere — the
 // component stores and the integrated view are untouched.
 func TestShipCancelledLeavesViewUnchanged(t *testing.T) {
-	e, local, remote := engineWithStores(t, 2)
-	reg := store.NewRegistry()
-	if err := reg.Add(local); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Add(remote); err != nil {
-		t.Fatal(err)
-	}
-	e.BindStores(reg)
+	e, _, remote := scaledEngineStores(t, 2)
 
 	extent := func() int {
 		rows, _, err := e.Run(Query{Class: "Item"})
@@ -170,12 +163,29 @@ func TestShipCancelledLeavesViewUnchanged(t *testing.T) {
 	}
 }
 
-// TestShipWithoutBoundStores pins the unified Ship's precondition.
+// TestShipWithoutBoundStores pins Ship's precondition: no registry, no
+// write — reported by sentinel so the transports can map it.
 func TestShipWithoutBoundStores(t *testing.T) {
 	e := scaledEngine(t, 0)
 	err := e.Ship(context.Background(), []Mutation{{Kind: MutDelete, Class: "Item", ID: 1}})
-	if err == nil {
-		t.Fatal("Ship without BindStores succeeded")
+	if !errors.Is(err, ErrNoStores) {
+		t.Fatalf("Ship without BindStores: err = %v, want ErrNoStores", err)
+	}
+}
+
+// TestEngineWriteSurface pins the one-write-path contract: Validate and
+// Ship are the engine's only exported mutation entrypoints, so a
+// per-kind or per-store variant cannot come back unnoticed.
+func TestEngineWriteSurface(t *testing.T) {
+	var got []string
+	typ := reflect.TypeOf(&Engine{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; strings.HasPrefix(name, "Ship") || strings.HasPrefix(name, "Validate") {
+			got = append(got, name)
+		}
+	}
+	if want := []string{"Ship", "Validate"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("exported Ship*/Validate* methods of *Engine = %v, want %v", got, want)
 	}
 }
 

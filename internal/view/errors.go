@@ -43,6 +43,10 @@ var (
 	// committed anything: the batch is safe to retry wholesale after the
 	// hinted backoff. errors.As recovers the *MemberUnavailableError.
 	ErrMemberUnavailable = errors.New("member database unavailable")
+	// ErrNoStores marks a Ship call on an engine no member-store registry
+	// was bound to (BindStores): the engine can validate but has nowhere
+	// to send subtransactions. Nothing was staged.
+	ErrNoStores = errors.New("no member stores bound to the engine")
 )
 
 // MemberUnavailableError reports a write refused — before any peer

@@ -12,8 +12,8 @@ import (
 
 // The extent-index subsystem: per-class hash indexes on
 // equality-restricted attributes, ordered (sorted-slice) indexes on
-// range-restricted attributes, and composite-key uniqueness indexes for
-// insert validation. Indexes are chosen automatically from the sargable
+// range-restricted attributes, and composite-key indexes for mutation
+// validation. Indexes are chosen automatically from the sargable
 // fragment logic.ExtractRestriction recognises and built lazily on
 // first use — inside the published snapshot's classState, over its
 // frozen extent. They double as the planner's per-class statistics:
@@ -125,26 +125,10 @@ type ordIndex struct {
 	entries []ordEntry
 }
 
-// keyIndex is the composite-key uniqueness index consumed by
-// ValidateInsert: a multiplicity count per KeyString encoding present
-// in the frozen extent, plus the number of keys held by more than one
-// object. preDup() reports a duplicate already in the extent (then
-// every insert is rejected, matching expr.EvalKey over the combined
-// extension).
-type keyIndex struct {
-	count map[string]int
-	dups  int
-}
-
-func (ix *keyIndex) preDup() bool { return ix.dups > 0 }
-
-// add registers one object's key encoding at build time.
-func (ix *keyIndex) add(k string) {
-	ix.count[k]++
-	if ix.count[k] == 2 {
-		ix.dups++
-	}
-}
+// keyIndex is the composite-key index behind Validate's negative
+// filter (txState.noLiveHolder): the set of KeyString encodings held by
+// the frozen extent. A key it lacks has no holder there.
+type keyIndex map[string]bool
 
 // eqFor returns (building on first use) the class's hash index on the
 // attribute. Concurrent first probes may both build; LoadOrStore keeps
@@ -174,15 +158,15 @@ func (e *Engine) ordFor(s *snapshot, cs *classState, attr string) *ordIndex {
 }
 
 // keyFor returns (building on first use) the class's composite-key
-// uniqueness index.
-func (e *Engine) keyFor(cs *classState, attrs []string) *keyIndex {
+// index.
+func (e *Engine) keyFor(cs *classState, attrs []string) keyIndex {
 	sig := strings.Join(attrs, "\x00")
 	if v, ok := cs.key.Load(sig); ok {
-		return v.(*keyIndex)
+		return v.(keyIndex)
 	}
 	ix := buildKey(cs.ext, attrs)
 	if v, loaded := cs.key.LoadOrStore(sig, ix); loaded {
-		return v.(*keyIndex)
+		return v.(keyIndex)
 	}
 	return ix
 }
@@ -239,14 +223,12 @@ func buildOrd(s *snapshot, ext []*core.GObj, attr string) *ordIndex {
 	return ix
 }
 
-func buildKey(ext []*core.GObj, attrs []string) *keyIndex {
-	ix := &keyIndex{count: make(map[string]int, len(ext))}
+func buildKey(ext []*core.GObj, attrs []string) keyIndex {
+	ix := make(keyIndex, len(ext))
 	for _, g := range ext {
-		k, ok := expr.KeyString(g, attrs)
-		if !ok {
-			continue
+		if k, ok := expr.KeyString(g, attrs); ok {
+			ix[k] = true
 		}
-		ix.add(k)
 	}
 	return ix
 }
@@ -367,21 +349,6 @@ func rangeProbe(ix *ordIndex, op expr.Op, c object.Value) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// keyViolated probes the composite-key uniqueness index of the current
-// snapshot with the proposed object. Caller must hold e.mu (read) AND
-// have checked e.pending == nil: only then is the published snapshot
-// guaranteed current with the live view (a staged-but-unflushed
-// publication means the snapshot lags the live extension), so the probe
-// answers over exactly the live extension.
-func (e *Engine) keyViolated(class string, attrs []string, obj expr.Object) bool {
-	ix := e.keyFor(e.snap.Load().class(class), attrs)
-	if ix.preDup() {
-		return true
-	}
-	k, ok := expr.KeyString(obj, attrs)
-	return ok && ix.count[k] > 0
 }
 
 func dedupSorted(in []int) []int {

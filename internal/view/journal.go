@@ -12,7 +12,7 @@ import (
 // member databases cannot commit atomically (the paper's premise), so a
 // routed batch that spans members can always strand: member A commits,
 // member B refuses or vanishes. Before the first member commit,
-// ShipTxRoutedContext records an intent entry here — the commit order,
+// Ship records an intent entry here — the commit order,
 // the retained member transactions, and a per-member effect list
 // precise enough to replay OR undo every local change. Each member
 // commit is marked as it lands; a fully committed batch removes its

@@ -9,7 +9,6 @@ import (
 	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
-	"interopdb/internal/store"
 )
 
 // This file implements the full mutation lifecycle at the integrated
@@ -32,10 +31,11 @@ import (
 //
 // ValidateStats counts the constraint×row work so the saving over a full
 // CheckAll is measurable. Rejections carry minimal-change repair
-// proposals (repair.go). The Ship* methods decompose accepted mutations
-// into component-store transactions, and on local commit apply them to
-// the integrated view (core.ApplyUpdate/ApplyDelete, including
-// membership reclassification) and maintain the extent indexes.
+// proposals (repair.go). Ship (route.go) decomposes an accepted batch
+// into one component-store transaction per member, and on commit
+// applyShipped below applies it to the integrated view
+// (core.ApplyInsert/ApplyUpdate/ApplyDelete, including membership
+// reclassification) and stages one publication.
 
 // MutationKind enumerates the staged mutation kinds.
 type MutationKind int
@@ -303,7 +303,7 @@ func (e *Engine) selfAttrsFor(g *core.GObj, touched map[string]object.Value) map
 
 // insertSelfAttrs collects the known-attribute set for a proposed insert
 // into a class (the proposed attributes plus the origin class's
-// declarations) — the same resolution ValidateInsert uses.
+// declarations).
 func (e *Engine) insertSelfAttrs(class string, attrs map[string]object.Value) map[string]bool {
 	selfAttrs := map[string]bool{}
 	for k := range attrs {
@@ -332,38 +332,11 @@ func (e *Engine) insertChainClasses(class string) []string {
 	return out
 }
 
-// ValidateUpdate checks an intended partial update of a global object
-// against the named class's scope-all constraints, delta-restricted to
-// the fragment the touched attributes can violate. It returns the
-// violated constraints with repair proposals (empty means the update may
-// proceed to the local managers), and the checking-work statistics.
-// Extent-reading constraints are evaluated against the live extents with
-// the post-state overlaid — like all of §5.2's validation this is a
-// prediction; the authoritative check is the local manager's at commit.
-func (e *Engine) ValidateUpdate(class string, id int, attrs map[string]object.Value) ([]Rejection, ValidateStats, error) {
-	return e.ValidateTx([]Mutation{{Kind: MutUpdate, Class: class, ID: id, Attrs: attrs}})
-}
-
-// ValidateDelete checks an intended deletion of a global object. A
-// removed object cannot violate its own constraints and cannot create a
-// key duplicate, so only extent-reading constraints are re-checked, over
-// the remaining members of the class.
-func (e *Engine) ValidateDelete(class string, id int) ([]Rejection, ValidateStats, error) {
-	return e.ValidateTx([]Mutation{{Kind: MutDelete, Class: class, ID: id}})
-}
-
-// ValidateTx is Validate with context.Background(): never cancelled,
-// kept so pre-unification call sites migrate incrementally.
-//
-// Deprecated: new code should call Validate, the unified context-aware
-// entrypoint (singletons are one-element batches).
-func (e *Engine) ValidateTx(ops []Mutation) ([]Rejection, ValidateStats, error) {
-	return e.Validate(context.Background(), ops)
-}
-
-// Validate is the unified validation entrypoint: it stages a mixed
-// insert/update/delete batch (mirroring store.Tx's deferred validation)
-// and checks it atomically against the conformed global constraints:
+// Validate is the one validation entrypoint — the paper's §5.2
+// prediction of the local managers' verdict, made before any
+// subtransaction is shipped. It stages a mixed insert/update/delete
+// batch (mirroring store.Tx's deferred validation) and checks it
+// atomically against the conformed global constraints:
 // each operation is validated against the view state with all preceding
 // operations of the batch applied, so intra-batch interactions — two
 // inserts claiming one key, an update freeing a key an insert then
@@ -371,8 +344,9 @@ func (e *Engine) ValidateTx(ops []Mutation) ([]Rejection, ValidateStats, error) 
 // exactly as a deferred local commit would resolve them. Checking is
 // delta-restricted per operation (see the package comment); the
 // returned stats make the saving observable. A singleton mutation is a
-// one-element batch; the ValidateInsert/ValidateUpdate/ValidateDelete/
-// ValidateTx names predate this entrypoint and remain as wrappers.
+// one-element batch. An empty result means the batch may proceed to the
+// local managers; like all of §5.2's validation this is a prediction —
+// the authoritative check is the local manager's at commit.
 //
 // The context is checked between operations and inside the extent
 // sweeps: cancellation aborts validation with ctx.Err(). Validation
@@ -401,7 +375,7 @@ func (e *Engine) Validate(ctx context.Context, ops []Mutation) ([]Rejection, Val
 				st.inserts[cls] = append(st.inserts[cls], obj)
 			}
 		case MutUpdate:
-			g, err := e.targetOf(st, op)
+			g, err := e.targetOf(op, st.deleted)
 			if err != nil {
 				return nil, stats, fmt.Errorf("op %d: %w", i, err)
 			}
@@ -420,7 +394,7 @@ func (e *Engine) Validate(ctx context.Context, ops []Mutation) ([]Rejection, Val
 				set[k] = v
 			}
 		case MutDelete:
-			g, err := e.targetOf(st, op)
+			g, err := e.targetOf(op, st.deleted)
 			if err != nil {
 				return nil, stats, fmt.Errorf("op %d: %w", i, err)
 			}
@@ -438,12 +412,14 @@ func (e *Engine) Validate(ctx context.Context, ops []Mutation) ([]Rejection, Val
 	return out, stats, nil
 }
 
-// targetOf resolves the object an update/delete names, as the batch sees
-// it (staged deletes hide it; staged inserts are not addressable — they
-// have no view ID until shipped).
-func (e *Engine) targetOf(st *txState, op Mutation) (*core.GObj, error) {
+// targetOf resolves the object an update/delete names. Validate passes
+// its staged deletes, which hide their targets from later operations of
+// the batch; Ship passes nil and lets the member manager refuse a write
+// to an object the same batch deleted. Staged inserts are not
+// addressable — they have no view ID until shipped. Caller holds e.mu.
+func (e *Engine) targetOf(op Mutation, deleted map[int]bool) (*core.GObj, error) {
 	g, ok := e.res.View.ByID(op.ID)
-	if !ok || st.deleted[op.ID] {
+	if !ok || deleted[op.ID] {
 		return nil, fmt.Errorf("%s: no object g%d in the integrated view: %w", op.Kind, op.ID, ErrUnknownObject)
 	}
 	if !g.Classes[op.Class] {
@@ -618,24 +594,26 @@ func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, d
 	return nil
 }
 
-// findKeyHolder scans the overlaid extent for another object holding the
-// proposed object's key (exclude skips the object being updated, whose
-// old key is irrelevant). It returns the conflicting object's view ID
-// (0 for a staged insert) and whether a conflict exists.
+// findKeyHolder looks for another object holding the proposed object's
+// key in the overlaid extent (exclude skips the object being updated,
+// whose old key is irrelevant). It returns the conflicting object's view
+// ID (0 for a staged insert) and whether a conflict exists.
 func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, exclude *core.GObj) (int, bool) {
 	key, ok := expr.KeyString(obj, attrs)
 	if !ok {
 		return 0, false // null/absent key attributes never conflict (EvalKey skips them)
 	}
-	for _, g := range s.e.res.View.Extent(class) {
-		if g == exclude || s.deleted[g.ID] {
-			continue
-		}
-		if k, ok := expr.KeyString(s.view(g), attrs); ok && k == key {
-			return g.ID, true
+	if !s.noLiveHolder(class, attrs, key) {
+		for _, g := range s.e.res.View.Extent(class) {
+			if g == exclude || s.deleted[g.ID] {
+				continue
+			}
+			if k, ok := expr.KeyString(s.view(g), attrs); ok && k == key {
+				return g.ID, true
+			}
 		}
 	}
-	// The operation under validation is not yet staged (ValidateTx stages
+	// The operation under validation is not yet staged (Validate stages
 	// it only after this check), so every staged insert here is a
 	// *previous* batch operation.
 	for _, staged := range s.inserts[class] {
@@ -644,6 +622,23 @@ func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, e
 		}
 	}
 	return 0, false
+}
+
+// noLiveHolder is the key index's negative filter: it reports that no
+// live member of the class can hold the key, so findKeyHolder may skip
+// its extent scan. The snapshot's composite-key index answers for the
+// live extent only while the snapshot is current (pending == nil — a
+// publication staged by Ship but not yet flushed means it lags) and no
+// staged update has re-assigned a member's attributes; staged deletes
+// only remove holders, so they cannot falsify a "none". In every other
+// case — and whenever the index does list the key — the scan decides,
+// which keeps verdicts and details identical with UseIndexes off.
+func (s *txState) noLiveHolder(class string, attrs []string, key string) bool {
+	e := s.e
+	if !e.UseIndexes || e.pending != nil || len(s.post) > 0 {
+		return false
+	}
+	return !e.keyFor(e.snap.Load().class(class), attrs)[key]
 }
 
 // footprintTouched reports whether a constraint's attribute footprint
@@ -677,7 +672,7 @@ func copyAttrs(m map[string]object.Value) map[string]object.Value {
 
 // CheckAll exhaustively validates the integrated view: every scope-all
 // object constraint against every member of every class, and every key
-// constraint over every extent. It is the reference ValidateUpdate's
+// constraint over every extent. It is the reference Validate's
 // delta restriction is measured against (and a consistency check in its
 // own right, mirroring store.CheckAll at the federated level).
 func (e *Engine) CheckAll() ([]Rejection, ValidateStats) {
@@ -729,256 +724,6 @@ func (e *Engine) CheckAll() ([]Rejection, ValidateStats) {
 	return out, stats
 }
 
-// ShipUpdate is ShipUpdateContext with context.Background() — a
-// documented wrapper kept for in-process callers with no deadline to
-// propagate.
-func (e *Engine) ShipUpdate(st *store.Store, class string, id int, attrs map[string]object.Value) error {
-	return e.ShipUpdateContext(context.Background(), st, class, id, attrs)
-}
-
-// ShipUpdateContext decomposes a validated update into component-store
-// updates of the object's constituents held by st and executes them in
-// one local transaction, reporting whether the local manager accepted
-// the batch. On success the update is applied to the integrated view —
-// including reclassification across Sim-derived memberships — and the
-// next snapshot is published. The live object is detached (cloned)
-// before mutation, so readers of the previous snapshot keep serving its
-// frozen pre-update state. attrs must be in the conformed (global)
-// domain, like ShipInsert's. Cancellation before the local commit rolls
-// back and leaves the view untouched; after commit, view application
-// always completes.
-func (e *Engine) ShipUpdateContext(ctx context.Context, st *store.Store, class string, id int, attrs map[string]object.Value) error {
-	e.mu.Lock()
-	defer e.ensurePublished()
-	defer e.mu.Unlock()
-	g, err := e.lockedTarget(class, id)
-	if err != nil {
-		return err
-	}
-	parts := e.partsIn(g, st)
-	if len(parts) == 0 {
-		return fmt.Errorf("object g%d has no constituent in store %s", id, st.Name())
-	}
-	tx := st.Begin()
-	for _, src := range parts {
-		if err := tx.Update(src.OID, attrs); err != nil {
-			tx.Rollback()
-			return err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		tx.Rollback()
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	clone := e.res.View.DetachForUpdate(g)
-	_, changed, err := e.res.View.ApplyUpdate(clone, attrs)
-	if err != nil {
-		// The view's attribute state is updated but reclassification
-		// failed partway; stage a full rebuild so nothing serves stale
-		// memberships.
-		e.stagePublishAll()
-		return fmt.Errorf("update committed locally but not fully applied to the view: %w", err)
-	}
-	// Every extent of the object changed (the detach swapped its
-	// pointer) plus the memberships reclassification moved.
-	e.stagePublication(append(classNames(clone), changed...), nil, true)
-	return nil
-}
-
-// ShipDelete is ShipDeleteContext with context.Background() — a
-// documented wrapper kept for in-process callers with no deadline to
-// propagate.
-func (e *Engine) ShipDelete(class string, id int, stores ...*store.Store) error {
-	return e.ShipDeleteContext(context.Background(), class, id, stores...)
-}
-
-// ShipDeleteContext decomposes a validated deletion into component-store
-// deletions of every constituent of the object — a merged object spans
-// several databases, so a store must be supplied for each Name() that
-// holds a constituent. Local transactions commit store by store: a later
-// rejection leaves earlier deletions committed (the federation cannot
-// atomically commit across autonomous databases — which is exactly why
-// ValidateDelete's prediction runs first). On full success the object is
-// removed from the integrated view and the next snapshot is published
-// (the removed object itself stays frozen, so readers of the previous
-// snapshot keep serving its pre-delete state).
-//
-// The context is honoured only until the first local commit: once any
-// member database has committed, the remaining commits and the view
-// application run to completion regardless of cancellation — aborting
-// midway would strand committed deletions outside the view.
-func (e *Engine) ShipDeleteContext(ctx context.Context, class string, id int, stores ...*store.Store) error {
-	e.mu.Lock()
-	defer e.ensurePublished()
-	defer e.mu.Unlock()
-	g, err := e.lockedTarget(class, id)
-	if err != nil {
-		return err
-	}
-	byName := map[string]*store.Store{}
-	for _, st := range stores {
-		byName[st.Name()] = st
-	}
-	refsByDB := map[string][]object.Ref{}
-	for _, ms := range g.Parts {
-		for _, m := range ms {
-			if m.Virtual {
-				continue // synthetic constituent: exists only in the view
-			}
-			if _, ok := byName[m.Src.DB]; !ok {
-				return fmt.Errorf("object g%d has a constituent in %s but no store for it was supplied", id, m.Src.DB)
-			}
-			refsByDB[m.Src.DB] = append(refsByDB[m.Src.DB], m.Src)
-		}
-	}
-	// Commit in the order the caller supplied the stores, so a partial
-	// failure (a later store rejecting after earlier ones committed) is
-	// deterministic and reproducible.
-	committed := 0
-	seen := map[string]bool{}
-	for _, st := range stores {
-		refs := refsByDB[st.Name()]
-		if len(refs) == 0 || seen[st.Name()] {
-			continue
-		}
-		seen[st.Name()] = true
-		tx := st.Begin()
-		for _, r := range refs {
-			if err := tx.Delete(r.OID); err != nil {
-				tx.Rollback()
-				return shipDeleteErr(id, committed, err)
-			}
-		}
-		if committed == 0 {
-			// Last cancellation point: nothing has committed yet, so
-			// aborting here leaves the federation untouched.
-			if err := ctx.Err(); err != nil {
-				tx.Rollback()
-				return err
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return shipDeleteErr(id, committed, err)
-		}
-		committed++
-	}
-	classes, err := e.res.View.ApplyDelete(g)
-	if err != nil {
-		return fmt.Errorf("delete committed locally but not applied to the view: %w", err)
-	}
-	e.stagePublication(classes, nil, true)
-	return nil
-}
-
-func shipDeleteErr(id, committed int, err error) error {
-	if committed > 0 {
-		return fmt.Errorf("delete of g%d rejected after %d component database(s) already committed — view not updated, federation state needs repair (%w): %w", id, committed, ErrPartialCommit, err)
-	}
-	return err
-}
-
-// ShipTx is ShipTxContext with context.Background() — a documented
-// wrapper kept for in-process callers with no deadline to propagate.
-// New code routing batches across federation members should prefer the
-// unified Ship (route.go), which resolves each operation's member
-// stores itself.
-func (e *Engine) ShipTx(st *store.Store, ops []Mutation) error {
-	return e.ShipTxContext(context.Background(), st, ops)
-}
-
-// ShipTxContext stages a mixed insert/update/delete batch as ONE
-// deferred-validation transaction on a component store and commits it
-// atomically (the local manager validates the final state once — the
-// throughput win over shipping N singleton transactions, measured by
-// B8). All operations must resolve within st: inserts go to the origin
-// class of their global class, updates touch the constituents st holds,
-// deletes require every non-virtual constituent to live in st. On local
-// commit every operation is applied to the integrated view in batch
-// order and ONE snapshot is published for the whole batch — concurrent
-// readers observe the batch atomically (all of it or none of it), and
-// the copy-on-write publication cost is amortised across the batch.
-//
-// The context is checked between staged operations and once more before
-// the local commit: cancellation rolls the component transaction back
-// and leaves the view untouched. After the local manager commits, view
-// application always completes.
-func (e *Engine) ShipTxContext(ctx context.Context, st *store.Store, ops []Mutation) error {
-	e.mu.Lock()
-	defer e.ensurePublished()
-	defer e.mu.Unlock()
-
-	applies := make([]shippedOp, 0, len(ops))
-
-	tx := st.Begin()
-	abort := func(err error) error {
-		tx.Rollback()
-		return err
-	}
-	for i, op := range ops {
-		if err := ctx.Err(); err != nil {
-			return abort(err)
-		}
-		switch op.Kind {
-		case MutInsert:
-			org, ok := e.res.View.Origin[op.Class]
-			if !ok {
-				return abort(fmt.Errorf("op %d: no origin class for global class %s: %w", i, op.Class, ErrUnknownClass))
-			}
-			oid, err := tx.Insert(org.Class, op.Attrs)
-			if err != nil {
-				return abort(fmt.Errorf("op %d: %w", i, err))
-			}
-			applies = append(applies, shippedOp{op: op, oid: oid, db: st.Name()})
-		case MutUpdate:
-			g, err := e.lockedTarget(op.Class, op.ID)
-			if err != nil {
-				return abort(fmt.Errorf("op %d: %w", i, err))
-			}
-			parts := e.partsIn(g, st)
-			if len(parts) == 0 {
-				return abort(fmt.Errorf("op %d: object g%d has no constituent in store %s", i, op.ID, st.Name()))
-			}
-			for _, src := range parts {
-				if err := tx.Update(src.OID, op.Attrs); err != nil {
-					return abort(fmt.Errorf("op %d: %w", i, err))
-				}
-			}
-			applies = append(applies, shippedOp{op: op, g: g})
-		case MutDelete:
-			g, err := e.lockedTarget(op.Class, op.ID)
-			if err != nil {
-				return abort(fmt.Errorf("op %d: %w", i, err))
-			}
-			for _, ms := range g.Parts {
-				for _, m := range ms {
-					if m.Virtual {
-						continue
-					}
-					if m.Src.DB != st.Name() {
-						return abort(fmt.Errorf("op %d: object g%d has a constituent in %s; a batch ships to one store — use ShipDelete", i, op.ID, m.Src.DB))
-					}
-					if err := tx.Delete(m.Src.OID); err != nil {
-						return abort(fmt.Errorf("op %d: %w", i, err))
-					}
-				}
-			}
-			applies = append(applies, shippedOp{op: op, g: g})
-		default:
-			return abort(fmt.Errorf("op %d: unknown mutation kind %d", i, int(op.Kind)))
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return abort(err)
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return e.applyShipped(applies)
-}
-
 // shippedOp is one locally committed batch operation awaiting
 // application to the integrated view: the staged mutation, its
 // update/delete target, and (for inserts) the reserved OID and the
@@ -994,8 +739,7 @@ type shippedOp struct {
 // in batch order, collecting the affected classes and fresh objects for
 // ONE staged publication at the end — concurrent readers observe the
 // batch atomically (whole batches are staged and flushed, never a torn
-// prefix). Shared by ShipTx (single-store batches), ShipTxRouted
-// (per-member routed batches) and Reconcile. Caller holds e.mu (write)
+// prefix). Shared by Ship and Reconcile. Caller holds e.mu (write)
 // and must arrange for ensurePublished to run after releasing it.
 func (e *Engine) applyShipped(applies []shippedOp) error {
 	var affected []string
@@ -1043,32 +787,6 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 	}
 	e.stagePublication(affected, inserted, fork)
 	return nil
-}
-
-// lockedTarget resolves an update/delete target under e.mu.
-func (e *Engine) lockedTarget(class string, id int) (*core.GObj, error) {
-	g, ok := e.res.View.ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("no object g%d in the integrated view: %w", id, ErrUnknownObject)
-	}
-	if !g.Classes[class] {
-		return nil, fmt.Errorf("object g%d is not a member of class %s: %w", id, class, ErrUnknownClass)
-	}
-	return g, nil
-}
-
-// partsIn lists the source refs of the object's non-virtual constituents
-// held by the store.
-func (e *Engine) partsIn(g *core.GObj, st *store.Store) []object.Ref {
-	var out []object.Ref
-	for _, ms := range g.Parts {
-		for _, m := range ms {
-			if !m.Virtual && m.Src.DB == st.Name() {
-				out = append(out, m.Src)
-			}
-		}
-	}
-	return out
 }
 
 func classNames(g *core.GObj) []string {

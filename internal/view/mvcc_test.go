@@ -22,7 +22,7 @@ import (
 //
 //   - prefix consistency: a reader's pinned sequence never runs
 //     backwards, and two pins at the same sequence serve the same state;
-//   - batch atomicity: a ShipTx batch is visible in full or not at all —
+//   - batch atomicity: a Ship batch is visible in full or not at all —
 //     never a prefix of its inserts;
 //   - no torn cross-class reads: an object updated through one Ship call
 //     shows the same attribute values from every class extent of one
@@ -80,9 +80,9 @@ func TestMVCCPrefixConsistentReaders(t *testing.T) {
 }
 
 func mvccStress(t *testing.T, scale int) {
-	e, _, remote := scaledEngineStores(t, scale)
+	e, _, _ := scaledEngineStores(t, scale)
 	// The stamp object: bookseller-only (single-constituent), so rating
-	// updates route through the one store ShipTx is given.
+	// updates ship to the Bookseller alone.
 	target := findByISBN(t, e, "caise96")
 	probeClasses := stampedClasses(t, e, target)
 	titlePrefix := fmt.Sprintf("mvcc-%d-", scale)
@@ -119,7 +119,7 @@ func mvccStress(t *testing.T, scale int) {
 				ops = append(ops, Mutation{Kind: MutUpdate, Class: "Proceedings", ID: target.ID,
 					Attrs: map[string]object.Value{"rating": object.Int(int64(7 + b%3))}})
 			}
-			if err := e.ShipTx(remote, ops); err != nil {
+			if err := ship(e, ops); err != nil {
 				writerErr <- fmt.Errorf("batch %d: %w", b, err)
 				return
 			}
@@ -241,7 +241,7 @@ func mvccStress(t *testing.T, scale int) {
 // through whichever peer's flush covered it), and the ring must be
 // fully reclaimed once the last reader unpins.
 func TestConcurrentWritersCoalesce(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e, _, _ := scaledEngineStores(t, 1)
 	const writers, each = 4, 25
 
 	var wg sync.WaitGroup
@@ -257,11 +257,11 @@ func TestConcurrentWritersCoalesce(t *testing.T) {
 					"shopprice": object.Real(30),
 					"libprice":  object.Real(10),
 				}
-				if err := e.ShipInsert(remote, "Item", attrs); err != nil {
+				if err := ship(e, insertOf("Item", attrs)); err != nil {
 					t.Errorf("writer %d insert %d: %v", w, i, err)
 					return
 				}
-				// Read-your-writes: by the time ShipInsert returns, a flush
+				// Read-your-writes: by the time Ship returns, a flush
 				// covering the insert has been installed — own or coalesced.
 				s, slot := e.pin()
 				_, found := func() (*core.GObj, bool) {
@@ -335,7 +335,7 @@ func TestPublicationCoalescing(t *testing.T) {
 // the leak test: before epoch reclamation an unbounded chain (or a
 // never-truncated ring) would grow linearly with the mutation count.
 func TestEpochReclamationBounded(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e, _, _ := scaledEngineStores(t, 1)
 	target := findByISBN(t, e, "caise96")
 	const (
 		mutations = 150
@@ -372,16 +372,16 @@ func TestEpochReclamationBounded(t *testing.T) {
 		var err error
 		if i%3 == 0 {
 			// Fork path: full per-class copies, the expensive retention case.
-			err = e.ShipUpdate(remote, "Proceedings", target.ID,
-				map[string]object.Value{"rating": object.Int(int64(7 + i%3))})
+			err = ship(e, updateOf("Proceedings", target.ID,
+				map[string]object.Value{"rating": object.Int(int64(7 + i%3))}))
 		} else {
-			err = e.ShipInsert(remote, "Item", map[string]object.Value{
+			err = ship(e, insertOf("Item", map[string]object.Value{
 				"title":     object.Str("reclaim"),
 				"isbn":      object.Str(fmt.Sprintf("reclaim-%d", i)),
 				"publisher": object.Ref{DB: "Bookseller", OID: 2},
 				"shopprice": object.Real(30),
 				"libprice":  object.Real(10),
-			})
+			}))
 		}
 		if err != nil {
 			t.Fatalf("mutation %d: %v", i, err)
@@ -404,8 +404,8 @@ func TestEpochReclamationBounded(t *testing.T) {
 
 	// Quiesce: with no pinned epochs, the next flush truncates every
 	// chain back to its head.
-	if err := e.ShipUpdate(remote, "Proceedings", target.ID,
-		map[string]object.Value{"rating": object.Int(8)}); err != nil {
+	if err := ship(e, updateOf("Proceedings", target.ID,
+		map[string]object.Value{"rating": object.Int(8)})); err != nil {
 		t.Fatal(err)
 	}
 	st := e.RingStats()
@@ -426,7 +426,7 @@ func TestEpochReclamationBounded(t *testing.T) {
 // per class — not the whole ring behind it — while still serving its
 // frozen state, and releases everything on unpin.
 func TestStalledReaderPinsOnlyItsVersion(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e, _, _ := scaledEngineStores(t, 1)
 	target := findByISBN(t, e, "caise96")
 	probeClasses := stampedClasses(t, e, target)
 
@@ -439,8 +439,8 @@ func TestStalledReaderPinsOnlyItsVersion(t *testing.T) {
 
 	const updates = 120
 	for i := 0; i < updates; i++ {
-		if err := e.ShipUpdate(remote, "Proceedings", target.ID,
-			map[string]object.Value{"rating": object.Int(int64(7 + i%3))}); err != nil {
+		if err := ship(e, updateOf("Proceedings", target.ID,
+			map[string]object.Value{"rating": object.Int(int64(7 + i%3))})); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}
@@ -474,8 +474,8 @@ func TestStalledReaderPinsOnlyItsVersion(t *testing.T) {
 	}
 
 	e.unpin(slot)
-	if err := e.ShipUpdate(remote, "Proceedings", target.ID,
-		map[string]object.Value{"rating": object.Int(8)}); err != nil {
+	if err := ship(e, updateOf("Proceedings", target.ID,
+		map[string]object.Value{"rating": object.Int(8)})); err != nil {
 		t.Fatal(err)
 	}
 	st = e.RingStats()
@@ -489,7 +489,7 @@ func TestStalledReaderPinsOnlyItsVersion(t *testing.T) {
 // is truncated past it and the pin released — no hidden reference from
 // the engine, the epoch table or a newer snapshot keeps it alive.
 func TestRetiredClassStateIsCollectable(t *testing.T) {
-	e, _, remote := scaledEngineStores(t, 1)
+	e, _, _ := scaledEngineStores(t, 1)
 	target := findByISBN(t, e, "caise96")
 
 	collected := make(chan struct{})
@@ -507,8 +507,8 @@ func TestRetiredClassStateIsCollectable(t *testing.T) {
 	// Two fork publications: the first retires the finalized state, the
 	// second's reclaim (no pins) excises it from the chain.
 	for i := 0; i < 2; i++ {
-		if err := e.ShipUpdate(remote, "Proceedings", target.ID,
-			map[string]object.Value{"rating": object.Int(int64(8 + i))}); err != nil {
+		if err := ship(e, updateOf("Proceedings", target.ID,
+			map[string]object.Value{"rating": object.Int(int64(8 + i))})); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
 	}

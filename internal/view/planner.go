@@ -279,7 +279,7 @@ func (e *Engine) runReference(q Query) ([]Row, Stats, error) {
 	if e.UseConstraints && pred != nil {
 		cons := e.consFor(q.Class).object
 		if len(cons) > 0 {
-			// Under the read lock, and with every prior Ship* returned
+			// Under the read lock, and with every prior Ship returned
 			// (so its staged publication has flushed), the published
 			// snapshot is current and the gate sees the same statistics
 			// the planner sees. The differential tests drive Run and

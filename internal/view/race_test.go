@@ -5,25 +5,17 @@ import (
 	"sync"
 	"testing"
 
-	"interopdb/internal/core"
 	"interopdb/internal/expr"
-	"interopdb/internal/fixture"
 	"interopdb/internal/object"
-	"interopdb/internal/tm"
 )
 
 // TestConcurrentServe exercises the fresh data-race surface of the
 // serving fast path under the race detector: the shared entailment memo,
 // the lazily-built extent indexes (hash, ordered and key), the per-class
-// constraint cache, and view growth through ShipInsert — all from
-// concurrent Run, ValidateInsert and ShipInsert callers.
+// constraint cache, and view growth through Ship — all from
+// concurrent Run, Validate and Ship callers.
 func TestConcurrentServe(t *testing.T) {
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: 10})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(res)
+	e, _, _ := scaledEngineStores(t, 10)
 
 	queries := []Query{
 		{Class: "Proceedings", Where: expr.MustParse("rating >= 7")},
@@ -67,7 +59,7 @@ func TestConcurrentServe(t *testing.T) {
 				if i%2 == 0 {
 					a["isbn"] = object.Str("vldb96") // duplicate key
 				}
-				e.ValidateInsert("Item", a)
+				rejectionsOf(t, e, insertOf("Item", a))
 			}
 		}(w)
 	}
@@ -76,8 +68,8 @@ func TestConcurrentServe(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			a := attrsFor(fmt.Sprintf("shipped-%d", i))
-			if err := e.ShipInsert(remote, "Proceedings", a); err != nil {
-				errs <- fmt.Errorf("ShipInsert %d: %w", i, err)
+			if err := ship(e, insertOf("Proceedings", a)); err != nil {
+				errs <- fmt.Errorf("Ship %d: %w", i, err)
 				return
 			}
 		}
@@ -99,16 +91,11 @@ func TestConcurrentServe(t *testing.T) {
 }
 
 // TestConcurrentMutate exercises the mutation lifecycle's concurrency
-// contract under the race detector: Run and ValidateTx share the read
-// lock while ShipUpdate/ShipDelete/ShipTx serialise view growth, index
+// contract under the race detector: Run and Validate share the read
+// lock while Ship calls serialise view growth, index
 // maintenance and reclassification behind the write lock.
 func TestConcurrentMutate(t *testing.T) {
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: 10})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(res)
+	e, _, _ := scaledEngineStores(t, 10)
 
 	queries := []Query{
 		{Class: "Proceedings", Where: expr.MustParse("rating >= 7")},
@@ -117,7 +104,7 @@ func TestConcurrentMutate(t *testing.T) {
 		{Class: "Item", Select: []string{"title", "isbn"}},
 	}
 	var ids []int
-	for _, g := range res.View.Extent("Item") {
+	for _, g := range e.res.View.Extent("Item") {
 		ids = append(ids, g.ID)
 	}
 
@@ -144,9 +131,9 @@ func TestConcurrentMutate(t *testing.T) {
 				id := ids[(w*17+i)%len(ids)]
 				// Both validation reads and shipped writes; local
 				// rejections and vanished objects are expected outcomes.
-				if _, _, err := e.ValidateUpdate("Item", id, map[string]object.Value{
+				if _, _, err := e.Validate(bg, updateOf("Item", id, map[string]object.Value{
 					"shopprice": object.Real(float64(20 + i)),
-				}); err != nil {
+				})); err != nil {
 					continue // object deleted by the mutator goroutine
 				}
 			}
@@ -159,13 +146,13 @@ func TestConcurrentMutate(t *testing.T) {
 			id := ids[(i*13)%len(ids)]
 			switch i % 3 {
 			case 0:
-				_ = e.ShipUpdate(remote, "Item", id, map[string]object.Value{
+				_ = ship(e, updateOf("Item", id, map[string]object.Value{
 					"shopprice": object.Real(float64(25 + i)), "libprice": object.Real(10),
-				})
+				}))
 			case 1:
-				_ = e.ShipDelete("Item", id, local, remote)
+				_ = ship(e, deleteOf("Item", id))
 			case 2:
-				_ = e.ShipTx(remote, []Mutation{
+				_ = ship(e, []Mutation{
 					{Kind: MutInsert, Class: "Item", Attrs: map[string]object.Value{
 						"title": object.Str(fmt.Sprintf("race-%d", i)), "isbn": object.Str(fmt.Sprintf("race-%d", i)),
 						"publisher": object.Ref{DB: "Bookseller", OID: 3},
@@ -189,22 +176,17 @@ func TestConcurrentMutate(t *testing.T) {
 
 // TestSnapshotIsolationUnderMutation is the snapshot-isolation proof for
 // the lock-free serving path: randomized concurrent readers during
-// ShipUpdate/ShipTx must observe only pre- or post-images, never a torn
+// Ship calls must observe only pre- or post-images, never a torn
 // mix. A writer flips probe objects between two internally consistent
 // whole images; readers assert every observed row is one of the two
 // images, and — for the PAIR flipped atomically by a single two-update
-// ShipTx — that one snapshot never mixes versions across the pair. A
-// third probe is flipped by plain ShipUpdate, where only the per-row
+// Ship — that one snapshot never mixes versions across the pair. A
+// third probe is flipped by singleton updates, where only the per-row
 // wholeness claim holds (two sequential updates legitimately publish an
 // intermediate snapshot). Run under -race in CI, this also proves Run
 // touches nothing the mutators write.
 func TestSnapshotIsolationUnderMutation(t *testing.T) {
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: 10})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(res)
+	e, _, _ := scaledEngineStores(t, 10)
 
 	// Probe objects, version-stamped through their title: state A is
 	// (shopprice 30, libprice 10, title vA), state B is (shopprice 80,
@@ -228,7 +210,7 @@ func TestSnapshotIsolationUnderMutation(t *testing.T) {
 		a := attrsOf(imgA)
 		a["isbn"] = object.Str(isbn)
 		a["publisher"] = object.Ref{DB: "Bookseller", OID: 2}
-		if err := e.ShipInsert(remote, "Item", a); err != nil {
+		if err := ship(e, insertOf("Item", a)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +239,7 @@ func TestSnapshotIsolationUnderMutation(t *testing.T) {
 
 	// Pair readers: every row a whole image, AND one snapshot shows one
 	// version across the pair (the pair only ever flips through ONE
-	// atomic ShipTx batch → one publication).
+	// atomic Ship batch → one publication).
 	pairQ := Query{Class: "Item", Where: expr.MustParse("isbn in {'iso-0', 'iso-1'}")}
 	soloQ := Query{Class: "Item", Where: expr.MustParse("isbn = 'iso-solo'")}
 	for w := 0; w < 4; w++ {
@@ -311,7 +293,7 @@ func TestSnapshotIsolationUnderMutation(t *testing.T) {
 	}
 
 	// Writer: the pair flips only through atomic two-update batches; the
-	// solo probe flips through plain ShipUpdate in between.
+	// solo probe flips through singleton updates in between.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -326,11 +308,11 @@ func TestSnapshotIsolationUnderMutation(t *testing.T) {
 				{Kind: MutUpdate, Class: "Item", ID: idByISBN["iso-0"], Attrs: attrsOf(next)},
 				{Kind: MutUpdate, Class: "Item", ID: idByISBN["iso-1"], Attrs: attrsOf(next)},
 			}
-			if err := e.ShipTx(remote, ops); err != nil {
+			if err := ship(e, ops); err != nil {
 				errs <- fmt.Errorf("writer tx %d: %w", i, err)
 				return
 			}
-			if err := e.ShipUpdate(remote, "Item", idByISBN["iso-solo"], attrsOf(next)); err != nil {
+			if err := ship(e, updateOf("Item", idByISBN["iso-solo"], attrsOf(next))); err != nil {
 				errs <- fmt.Errorf("writer update %d: %w", i, err)
 				return
 			}
@@ -348,21 +330,16 @@ func TestSnapshotIsolationUnderMutation(t *testing.T) {
 // TestSnapshotIsolationDeleteReinsert drives delete + reinsert batches
 // under concurrent readers: a reader sees the probe object fully present
 // (one whole image) or fully absent — and with the delete and reinsert
-// shipped as ONE ShipTx batch, never absent at all.
+// shipped as ONE Ship batch, never absent at all.
 func TestSnapshotIsolationDeleteReinsert(t *testing.T) {
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: 5})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(res)
+	e, _, _ := scaledEngineStores(t, 5)
 
 	attrs := map[string]object.Value{
 		"title": object.Str("delete-probe"), "isbn": object.Str("del-probe"),
 		"publisher": object.Ref{DB: "Bookseller", OID: 2},
 		"shopprice": object.Real(25), "libprice": object.Real(15),
 	}
-	if err := e.ShipInsert(remote, "Item", attrs); err != nil {
+	if err := ship(e, insertOf("Item", attrs)); err != nil {
 		t.Fatal(err)
 	}
 	findID := func() int {
@@ -427,7 +404,7 @@ func TestSnapshotIsolationDeleteReinsert(t *testing.T) {
 				{Kind: MutDelete, Class: "Item", ID: id},
 				{Kind: MutInsert, Class: "Item", Attrs: attrs},
 			}
-			if err := e.ShipTx(remote, ops); err != nil {
+			if err := ship(e, ops); err != nil {
 				errs <- fmt.Errorf("writer batch %d: %w", i, err)
 				return
 			}

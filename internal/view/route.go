@@ -11,50 +11,31 @@ import (
 // Routed shipping: in an N-member federation a batch's operations land
 // in different component databases — an insert goes to its global
 // class's origin member, an update to every member holding a
-// constituent of the target, a delete to all of them. ShipTxRouted
-// resolves each operation's member backends through the federation's
-// store.Registry and stages ONE deferred-validation transaction per
-// member, so each local manager validates its final state once
-// (preserving ShipTx's batching win) while the caller stays member-
-// agnostic.
+// constituent of the target, a delete to all of them. Ship resolves each
+// operation's member backends through the federation's store.Registry
+// and stages ONE deferred-validation transaction per member, so each
+// local manager validates its final state once while the caller stays
+// member-agnostic.
 
 // BindStores binds the federation's member-store registry to the
-// engine, enabling the unified Ship entrypoint. The federation that
-// owns the engine calls it at construction and after every membership
-// change; passing nil unbinds.
+// engine; Ship routes through it. The federation that owns the engine
+// calls it at construction and after every membership change; passing
+// nil unbinds.
 func (e *Engine) BindStores(reg *store.Registry) {
 	e.stores.Store(reg)
 }
 
-// Ship is the unified shipping entrypoint: it routes a validated mixed
-// insert/update/delete batch across the member stores the federation
-// bound with BindStores, one deferred-validation transaction per member
-// (see ShipTxRoutedContext for the routing and commit-order contract).
-// A singleton mutation is a one-element batch; the ShipInsert/
-// ShipUpdate/ShipDelete/ShipTx/ShipTxRouted names predate this
-// entrypoint and remain as documented wrappers for callers that manage
-// their own stores.
-func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
-	reg := e.stores.Load()
-	if reg == nil {
-		return fmt.Errorf("no store registry bound to the engine (BindStores was never called)")
-	}
-	return e.ShipTxRoutedContext(ctx, reg, ops)
-}
-
-// ShipTxRouted is ShipTxRoutedContext with context.Background() — a
-// documented wrapper kept for in-process callers with no deadline to
-// propagate.
-func (e *Engine) ShipTxRouted(reg *store.Registry, ops []Mutation) error {
-	return e.ShipTxRoutedContext(context.Background(), reg, ops)
-}
-
-// ShipTxRoutedContext stages a mixed insert/update/delete batch across
-// the member backends of the registry: every operation is routed to the
-// member database(s) that own it, one deferred-validation transaction
-// per member. Transactions commit in first-use order (deterministic);
-// because autonomous databases cannot commit atomically across members,
-// the commit phase is fault-tolerant end to end:
+// Ship is the one shipping entrypoint — the paper's §5.2 "send the
+// subtransactions" step, run after Validate accepted the batch. It
+// stages a mixed insert/update/delete batch across the member backends
+// bound with BindStores (ErrNoStores when none are): every operation is
+// routed to the member database(s) that own it, one deferred-validation
+// transaction per member; a singleton mutation is a one-element batch.
+// Attribute values must be in the conformed (global) domain Validate
+// evaluates — they reach the member managers as given. Transactions
+// commit in first-use order (deterministic); because autonomous
+// databases cannot commit atomically across members, the commit phase
+// is fault-tolerant end to end:
 //
 //   - A member quarantined by its circuit breaker — or one with batches
 //     still pending in the commit journal — fast-fails the whole batch
@@ -87,7 +68,11 @@ func (e *Engine) ShipTxRouted(reg *store.Registry, ops []Mutation) error {
 // has committed, the remaining commits and the view application run to
 // completion regardless of cancellation — aborting midway would strand
 // committed subtransactions outside the view.
-func (e *Engine) ShipTxRoutedContext(ctx context.Context, reg *store.Registry, ops []Mutation) error {
+func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
+	reg := e.stores.Load()
+	if reg == nil {
+		return ErrNoStores
+	}
 	e.mu.Lock()
 	defer e.ensurePublished()
 	defer e.mu.Unlock()
@@ -157,7 +142,7 @@ func (e *Engine) ShipTxRoutedContext(ctx context.Context, reg *store.Registry, o
 			})
 			applies = append(applies, shippedOp{op: op, oid: oid, db: member})
 		case MutUpdate:
-			g, err := e.lockedTarget(op.Class, op.ID)
+			g, err := e.targetOf(op, nil)
 			if err != nil {
 				return abort(fmt.Errorf("op %d: %w", i, err))
 			}
@@ -186,7 +171,7 @@ func (e *Engine) ShipTxRoutedContext(ctx context.Context, reg *store.Registry, o
 			}
 			applies = append(applies, shippedOp{op: op, g: g})
 		case MutDelete:
-			g, err := e.lockedTarget(op.Class, op.ID)
+			g, err := e.targetOf(op, nil)
 			if err != nil {
 				return abort(fmt.Errorf("op %d: %w", i, err))
 			}

@@ -185,15 +185,9 @@ func TestNullConstantStaysResidual(t *testing.T) {
 
 // TestKeyIndexValidate pins the O(1) key-uniqueness index to the full
 // extent probe, including across shipped inserts (which both paths now
-// observe, since ShipInsert applies committed inserts to the view).
+// observe, since Ship applies committed inserts to the view).
 func TestKeyIndexValidate(t *testing.T) {
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: 3})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = local
-	e := New(res)
+	e, _, _ := scaledEngineStores(t, 3)
 	dupOf := func(isbn string) map[string]object.Value {
 		return map[string]object.Value{
 			"title": object.Str("T"), "isbn": object.Str(isbn),
@@ -218,9 +212,9 @@ func TestKeyIndexValidate(t *testing.T) {
 	}
 	for _, c := range cases {
 		e.UseIndexes = true
-		fast := hasDupRej(e.ValidateInsert("Item", dupOf(c.isbn)))
+		fast := hasDupRej(rejectionsOf(t, e, insertOf("Item", dupOf(c.isbn))))
 		e.UseIndexes = false
-		scan := hasDupRej(e.ValidateInsert("Item", dupOf(c.isbn)))
+		scan := hasDupRej(rejectionsOf(t, e, insertOf("Item", dupOf(c.isbn))))
 		e.UseIndexes = true
 		if fast != scan || fast != c.dup {
 			t.Errorf("isbn %s: indexed=%v scan=%v want=%v", c.isbn, fast, scan, c.dup)
@@ -230,17 +224,17 @@ func TestKeyIndexValidate(t *testing.T) {
 	// Ship a fresh insert; the key index (and the view) must see it. The
 	// key constraint lives on Item; the shipped Proceedings object joins
 	// the Item extent through its origin chain.
-	if rejs := e.ValidateInsert("Item", dupOf("shipped-1")); len(rejs) != 0 {
+	if rejs := rejectionsOf(t, e, insertOf("Item", dupOf("shipped-1"))); len(rejs) != 0 {
 		t.Fatalf("fresh insert rejected: %v", rejs)
 	}
-	if err := e.ShipInsert(remote, "Proceedings", dupOf("shipped-1")); err != nil {
-		t.Fatalf("ShipInsert: %v", err)
+	if err := ship(e, insertOf("Proceedings", dupOf("shipped-1"))); err != nil {
+		t.Fatalf("Ship: %v", err)
 	}
-	if !hasDupRej(e.ValidateInsert("Item", dupOf("shipped-1"))) {
+	if !hasDupRej(rejectionsOf(t, e, insertOf("Item", dupOf("shipped-1")))) {
 		t.Error("duplicate of a shipped insert not caught by the key index")
 	}
 	e.UseIndexes = false
-	if !hasDupRej(e.ValidateInsert("Item", dupOf("shipped-1"))) {
+	if !hasDupRej(rejectionsOf(t, e, insertOf("Item", dupOf("shipped-1")))) {
 		t.Error("duplicate of a shipped insert not caught by the extent probe")
 	}
 	e.UseIndexes = true

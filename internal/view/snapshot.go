@@ -15,9 +15,9 @@ import (
 // slices, a frozen deref map, lazily built extent indexes, and the
 // per-class plan cache — through an atomic pointer. Run pins the
 // current snapshot in an epoch slot (epoch.go) and serves entirely from
-// it, so reads never take e.mu and never touch the live view; the Ship*
-// methods mutate the live view under the write lock, STAGE a
-// publication, and flush it after releasing the lock — back-to-back
+// it, so reads never take e.mu and never touch the live view; Ship
+// mutates the live view under the write lock, STAGEs a
+// publication, and flushes it after releasing the lock — back-to-back
 // singleton publications staged while a flush is in flight coalesce
 // into one version bump.
 //
@@ -100,7 +100,7 @@ type classState struct {
 
 	eq    sync.Map // attr → *eqIndex
 	ord   sync.Map // attr → *ordIndex
-	key   sync.Map // joined key attrs → *keyIndex
+	key   sync.Map // joined key attrs → keyIndex
 	plans sync.Map // planKey → *plan
 	// selfAttrs caches each member's known-attribute set (stored ∪
 	// declared). Living inside the classState bounds it: an update or
@@ -289,7 +289,7 @@ func newSlot(seq uint64, state *classState) *classSlot {
 	return sl
 }
 
-// pendingPub accumulates the publications the Ship* paths staged under
+// pendingPub accumulates the publications Ship calls staged under
 // e.mu but have not flushed yet. Every staged batch is FULLY applied to
 // the live view before it is staged (staging happens under the same
 // write-lock hold as the application), so a flush — whichever writer
@@ -303,7 +303,7 @@ type pendingPub struct {
 	fork     bool
 	changed  map[string]bool
 	inserted []*core.GObj
-	// batches counts the staged Ship* publications; a flush covering
+	// batches counts the staged Ship publications; a flush covering
 	// more than one has coalesced the rest.
 	batches int
 }
@@ -342,11 +342,11 @@ func (e *Engine) stagePublishAll() {
 	p.batches++
 }
 
-// ensurePublished flushes any staged publication. The Ship* paths defer
+// ensurePublished flushes any staged publication. Ship defers
 // it to run AFTER e.mu is released (defer LIFO order): publications
 // staged by other writers while this one waited re-acquire the lock
 // coalesce into the first flush, and the later writers' flushes find
-// nothing pending. A Ship* call never returns before a publication
+// nothing pending. A Ship call never returns before a publication
 // covering its batch is installed — its own flush or a coalescing
 // peer's.
 func (e *Engine) ensurePublished() {

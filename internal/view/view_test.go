@@ -126,7 +126,7 @@ func TestQueryDropsImpliedConjuncts(t *testing.T) {
 	}
 }
 
-func TestValidateInsert(t *testing.T) {
+func TestValidateInsertVerdicts(t *testing.T) {
 	e := fig1Engine(t)
 	// Violates the objective oc1: IEEE but not refereed.
 	bad := map[string]object.Value{
@@ -135,7 +135,7 @@ func TestValidateInsert(t *testing.T) {
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 		"ref?": object.Bool(false), "rating": object.Int(5),
 	}
-	rejs := e.ValidateInsert("Proceedings", bad)
+	rejs := rejectionsOf(t, e, insertOf("Proceedings", bad))
 	if len(rejs) == 0 {
 		t.Fatal("doomed insert should be rejected before shipping")
 	}
@@ -147,7 +147,7 @@ func TestValidateInsert(t *testing.T) {
 		"title": object.Str("Dup"), "isbn": object.Str("vldb96"),
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 	}
-	rejs = e.ValidateInsert("Item", dup)
+	rejs = rejectionsOf(t, e, insertOf("Item", dup))
 	found := false
 	for _, r := range rejs {
 		if strings.Contains(r.Detail, "duplicate key") {
@@ -164,7 +164,7 @@ func TestValidateInsert(t *testing.T) {
 		"shopprice": object.Real(10), "libprice": object.Real(5),
 		"ref?": object.Bool(true), "rating": object.Int(8),
 	}
-	if rejs := e.ValidateInsert("Proceedings", good); len(rejs) != 0 {
+	if rejs := rejectionsOf(t, e, insertOf("Proceedings", good)); len(rejs) != 0 {
 		t.Fatalf("valid insert rejected: %v", rejs)
 	}
 }
@@ -179,6 +179,7 @@ func TestValidationPredictsLocalRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(res)
+	bindStores(t, e, local, remote)
 	cases := []map[string]object.Value{
 		{ // violates oc2 (refereed, rating 5)
 			"title": object.Str("A"), "isbn": object.Str("n1"),
@@ -201,8 +202,8 @@ func TestValidationPredictsLocalRejection(t *testing.T) {
 		},
 	}
 	for i, attrs := range cases {
-		rejected := len(e.ValidateInsert("Proceedings", attrs)) > 0
-		err := e.ShipInsert(remote, "Proceedings", attrs)
+		rejected := len(rejectionsOf(t, e, insertOf("Proceedings", attrs))) > 0
+		err := ship(e, insertOf("Proceedings", attrs))
 		if rejected && err == nil {
 			t.Errorf("case %d: validator rejected but local manager accepted", i)
 		}

@@ -273,6 +273,8 @@ func TestErrorMapping(t *testing.T) {
 			return nil, view.Stats{}, fmt.Errorf("class %q: %w", "X", view.ErrUnknownClass)
 		case "down":
 			return nil, view.Stats{}, view.ErrMemberUnavailable
+		case "nostores":
+			return nil, view.Stats{}, view.ErrNoStores
 		case "reject":
 			return nil, view.Stats{}, view.Rejections{{Detail: "floor"}}
 		default:
@@ -282,10 +284,11 @@ func TestErrorMapping(t *testing.T) {
 	c := startWire(t, fb, ServerConfig{})
 	ctx := context.Background()
 	for src, want := range map[string]byte{
-		"noclass": CodeNotFound,
-		"down":    CodeUnavailable,
-		"reject":  CodeRejected,
-		"other":   CodeInternal,
+		"noclass":  CodeNotFound,
+		"down":     CodeUnavailable,
+		"nostores": CodeUnavailable,
+		"reject":   CodeRejected,
+		"other":    CodeInternal,
 	} {
 		_, _, err := c.Query(ctx, "main", src)
 		var we *Error

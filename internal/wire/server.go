@@ -435,7 +435,7 @@ func appendErr(dst []byte, err error) []byte {
 		return appendErrBody(dst, CodeNotFound, 0, err.Error(), nil)
 	case errors.Is(err, view.ErrMemberUnavailable):
 		return appendErrBody(dst, CodeUnavailable, 1, err.Error(), nil)
-	case errors.Is(err, view.ErrPartialCommit):
+	case errors.Is(err, view.ErrPartialCommit), errors.Is(err, view.ErrNoStores):
 		return appendErrBody(dst, CodeUnavailable, 0, err.Error(), nil)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return appendErrBody(dst, CodeCancelled, 0, err.Error(), nil)

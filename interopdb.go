@@ -313,9 +313,9 @@ type Rejection = view.Rejection
 type Rejections = view.Rejections
 
 // Typed failure sentinels for the serving API (errors.Is). The engine's
-// context-aware entrypoints — RunContext, Validate, Ship and the
-// *Context variants of the legacy names — wrap their failures so
-// transport layers map them to responses without string matching.
+// context-aware entrypoints — RunContext, Validate and Ship — wrap
+// their failures so transport layers map them to responses without
+// string matching.
 var (
 	// ErrRejected marks mutations refused by the derived global
 	// constraints.
@@ -337,6 +337,9 @@ var (
 	// circuit breaker. Retry wholesale after the hinted backoff
 	// (errors.As recovers *MemberUnavailableError).
 	ErrMemberUnavailable = view.ErrMemberUnavailable
+	// ErrNoStores marks a Ship call on an engine with no member stores
+	// bound — one built by NewQueryEngine rather than by a Federation.
+	ErrNoStores = view.ErrNoStores
 )
 
 // MemberUnavailableError carries the quarantined member and the
@@ -379,9 +382,9 @@ const (
 )
 
 // Mutation is one staged operation of a batch transaction against the
-// integrated view, validated by Engine.Validate and shipped by
-// Engine.Ship (the ValidateTx/ShipTx/ShipTxRouted names remain as
-// wrappers).
+// integrated view. QueryEngine.Validate and QueryEngine.Ship take
+// batches of them and are the only mutation entrypoints: a singleton
+// insert, update or delete is a one-element batch.
 type Mutation = view.Mutation
 
 // MutationKind discriminates Mutation operations.

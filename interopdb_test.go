@@ -1,6 +1,7 @@
 package interopdb
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -174,26 +175,30 @@ func TestPublicAPIConflictConstants(t *testing.T) {
 // delta-restricted validation with repairs, batched shipping, and the
 // updated view being served.
 func TestPublicAPIMutationLifecycle(t *testing.T) {
-	local, remote := Figure1Stores(FixtureOptions{})
-	res, err := Integrate(Figure1Library(), Figure1Bookseller(), Figure1IntegrationRepaired(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewQueryEngine(res)
+	fed := buildFigure1Federation(t, 0, false)
+	e := fed.Engine()
+	ctx := context.Background()
 
-	// Find the IEEE-published VLDB proceedings.
-	var id int
-	for _, g := range res.View.Extent("Proceedings") {
-		if v, ok := g.Get("isbn"); ok && v.Equal(Str("vldb96")) {
+	// Find the IEEE-published VLDB proceedings (merged across both
+	// members) and the Bookseller-only CAiSE proceedings.
+	var id, caise int
+	for _, g := range fed.Result().View.Extent("Proceedings") {
+		switch v, _ := g.Get("isbn"); {
+		case v == nil:
+		case v.Equal(Str("vldb96")):
 			id = g.ID
+		case v.Equal(Str("caise96")):
+			caise = g.ID
 		}
 	}
-	if id == 0 {
-		t.Fatal("vldb96 not found")
+	if id == 0 || caise == 0 {
+		t.Fatal("vldb96 or caise96 not found")
 	}
 
 	// A doomed update is rejected with a repair proposal.
-	rejs, stats, err := e.ValidateUpdate("Proceedings", id, map[string]Value{"ref?": Bool(false)})
+	rejs, stats, err := e.Validate(ctx, []Mutation{
+		{Kind: MutUpdate, Class: "Proceedings", ID: id, Attrs: map[string]Value{"ref?": Bool(false)}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +209,17 @@ func TestPublicAPIMutationLifecycle(t *testing.T) {
 		t.Error("validation did no work")
 	}
 
-	// A clean batch ships and is served.
-	err = e.ShipTx(remote, []Mutation{
+	// A clean batch ships and is served. (The rating update targets the
+	// single-member object: Ship sends an update to every member holding
+	// a constituent, and the library's 1..5 rating scale is not the
+	// Bookseller's.)
+	err = e.Ship(ctx, []Mutation{
 		{Kind: MutInsert, Class: "Item", Attrs: map[string]Value{
 			"title": Str("API batch"), "isbn": Str("api-batch-1"),
 			"publisher": Ref{DB: "Bookseller", OID: 3},
 			"shopprice": Real(20), "libprice": Real(15),
 		}},
-		{Kind: MutUpdate, Class: "Proceedings", ID: id, Attrs: map[string]Value{"rating": Int(9)}},
+		{Kind: MutUpdate, Class: "Proceedings", ID: caise, Attrs: map[string]Value{"rating": Int(9)}},
 	})
 	if err != nil {
 		t.Fatal(err)
