@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke benchmark-smoke chaos crashtest baseline bench-compare profile serve load
+.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke bench-planmiss benchmark-smoke chaos crashtest baseline bench-compare profile serve load
 
 all: build vet fmt-check test
 
@@ -24,9 +24,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # Race-test the concurrent pipeline paths (worker-pool derivation and
-# conformation, shared entailment cache, query engine).
+# conformation, shared entailment cache, query engine, both transports'
+# request paths against membership changes).
 race:
-	$(GO) test -race ./internal/core/... ./internal/logic/... ./internal/view/... ./internal/wire/...
+	$(GO) test -race ./internal/core/... ./internal/logic/... ./internal/view/... ./internal/wire/... ./internal/server/...
 	$(GO) test -race -run Federation .
 
 # Fixed-seed fault-injection suite under the race detector: the chaos
@@ -69,6 +70,13 @@ bench-smoke:
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B8 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B10 -benchtime=1x -run='^$$' .
+	$(GO) test -bench=PlanMiss -benchtime=1x -run='^$$' ./internal/view/
+
+# The planner's plan-miss cost (µs and B per plan build, every op a
+# miss) on a 4 000-row Figure 1 extent: point + broad range, two-sided
+# range, in + range. TestPlanMissAllocBound guards the bytes in `test`.
+bench-planmiss:
+	$(GO) test -bench=PlanMiss -benchmem -run='^$$' ./internal/view/
 
 # Vet and test the benchmark harness, a module of its own that the
 # root module's build and test never compile, as in CI.

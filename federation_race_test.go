@@ -3,14 +3,15 @@ package interopdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestFederationConcurrentMembership exercises Attach and Detach under
-// live traffic (run with -race in CI): concurrent Run, Validate
-// and Ship callers proceed throughout repeated membership changes,
+// live traffic (run with -race in CI): concurrent Run, HasClass/Classes,
+// Validate and Ship callers proceed throughout repeated membership changes,
 // and readers never observe a torn membership — the archive's Record
 // extension is either fully absent or fully present, and extents the
 // membership change does not touch keep their cardinality.
@@ -67,6 +68,14 @@ func TestFederationConcurrentMembership(t *testing.T) {
 				}
 				if len(rows) != sciCount {
 					errs <- fmt.Errorf("untouched extent moved: ScientificPubl %d, want %d", len(rows), sciCount)
+					return
+				}
+				// The class checks of the request paths: HasClass reads the
+				// published snapshot, Classes the live list under the read
+				// lock — neither may race the membership change rewriting
+				// that list (the -race half of this test).
+				if !e.HasClass("ScientificPubl") || !slices.Contains(e.Classes(), "ScientificPubl") {
+					errs <- fmt.Errorf("ScientificPubl vanished from the class list mid-membership-change")
 					return
 				}
 			}

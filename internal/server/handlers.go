@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"time"
 
@@ -138,7 +137,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if !slices.Contains(e.Classes(), q.Class) {
+	if !e.HasClass(q.Class) {
 		return fmt.Errorf("class %q: %w", q.Class, view.ErrUnknownClass)
 	}
 	rows, stats, err := e.RunContext(r.Context(), q)

@@ -439,3 +439,73 @@ func BenchmarkHTTPQuery(b *testing.B) {
 		}
 	}
 }
+
+// TestClassCheckDuringMembershipChange runs ad-hoc Query, prepared Exec
+// and the HTTP query handler — each answers "does this class exist"
+// (Engine.HasClass) before serving — against a tenant while a member is
+// attached and detached: every read must keep succeeding throughout,
+// and under -race the three request paths must be clean end to end. (A
+// request resolves its engine through the federation's mutex, which
+// orders it against most of a membership change; the engine-level race
+// on the live class list is caught by the root package's
+// TestFederationConcurrentMembership, which holds the engine across.)
+func TestClassCheckDuringMembershipChange(t *testing.T) {
+	_, baseURL, c := wireTestServer(t)
+	ctx := context.Background()
+	p, err := c.Prepare(ctx, "figure1", "select title from Item where isbn = 'vldb96'")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errc := make(chan error, 3)
+	reader := func(read func() error) {
+		for {
+			select {
+			case <-stop:
+				errc <- nil
+				return
+			default:
+			}
+			if err := read(); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}
+	go reader(func() error {
+		_, _, err := c.Query(ctx, "figure1", "select title from Item where shopprice < 50")
+		return err
+	})
+	go reader(func() error {
+		_, _, err := p.Exec(ctx)
+		return err
+	})
+	go reader(func() error {
+		b, _ := json.Marshal(queryRequest{Q: "select title from Proceedings where rating >= 7"})
+		resp, err := http.Post(baseURL+"/v1/figure1/query", "application/json", bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("http query: status %d body %s", resp.StatusCode, body)
+		}
+		return nil
+	})
+
+	for i := 0; i < 3; i++ {
+		if code, body := postJSON(t, baseURL+"/v1/figure1/attach", attachRequest{FixtureMember: "univarchive"}); code != http.StatusOK {
+			t.Fatalf("attach %d: status %d body %s", i, code, body)
+		}
+		if code, body := postJSON(t, baseURL+"/v1/figure1/detach", detachRequest{Member: "UnivArchive"}); code != http.StatusOK {
+			t.Fatalf("detach %d: status %d body %s", i, code, body)
+		}
+	}
+	close(stop)
+	for i := 0; i < 3; i++ {
+		if err := <-errc; err != nil {
+			t.Errorf("read during membership change: %v", err)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"interopdb/internal/view"
@@ -78,7 +77,7 @@ func parseChecked(e *view.Engine, src string) (view.Query, error) {
 	if err != nil {
 		return view.Query{}, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("parsing query: %v", err)}
 	}
-	if !slices.Contains(e.Classes(), q.Class) {
+	if !e.HasClass(q.Class) {
 		return view.Query{}, fmt.Errorf("class %q: %w", q.Class, view.ErrUnknownClass)
 	}
 	return q, nil
@@ -133,7 +132,7 @@ func (b wireBackend) Exec(ctx context.Context, tenantName string, q view.Query) 
 	if err != nil {
 		return nil, stats, err
 	}
-	if !slices.Contains(e.Classes(), q.Class) {
+	if !e.HasClass(q.Class) {
 		return nil, stats, fmt.Errorf("class %q: %w", q.Class, view.ErrUnknownClass)
 	}
 	return e.RunContext(ctx, q)

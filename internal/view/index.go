@@ -1,6 +1,7 @@
 package view
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,12 +25,19 @@ import (
 //
 // Index answers are exact mirrors of the scan semantics: only non-null
 // stored values are indexed (the interpreter evaluates comparisons and
-// membership against null/missing attributes to false), hash probes
-// re-check candidate values with Equal to discard collisions, and an
-// ordered index declines to serve a probe whose constant is not
+// membership against null/missing attributes to false), hash buckets
+// are re-checked row by row with probe.matches to discard collisions,
+// and an ordered index declines to serve a probe whose constant is not
 // order-comparable with every indexed value — the conjunct then falls
 // back to the residual scan, which surfaces the same evaluation error
 // the pure scan path would.
+//
+// A probe is resolved in two steps so a plan costs what its answer
+// costs: resolve binds it to its index and computes a count (and, for a
+// range, a [lo, hi) window of the sorted slice) by hash lookup or binary
+// search, touching no row; positions materialises the rows — only ever
+// called on the served prefix's smallest probe, the others filtering
+// its rows through the same matches (planner.go servedPrefix).
 
 // probeKind classifies a sargable conjunct.
 type probeKind int
@@ -40,14 +48,53 @@ const (
 	probeIn
 )
 
-// probe is one index-answerable conjunct of a query predicate.
+// bound is one side of a range probe: value ⊙ val for an ordering
+// comparison ⊙. The zero bound is open.
+type bound struct {
+	op  expr.Op
+	val object.Value
+}
+
+// admits reports whether a stored value of the bound's kind class (the
+// only kind an accepting ordered index holds) lies inside the bound.
+func (b bound) admits(v object.Value) bool {
+	if b.val == nil {
+		return true
+	}
+	c, _ := object.Compare(v, b.val)
+	switch b.op {
+	case expr.OpLt:
+		return c < 0
+	case expr.OpLe:
+		return c <= 0
+	case expr.OpGt:
+		return c > 0
+	default: // OpGe
+		return c >= 0
+	}
+}
+
+// probe is one index-answerable restriction of a query predicate: a
+// sargable conjunct, or — for probeRange — every range conjunct the
+// served prefix places on one attribute, merged (planner.go). resolve
+// fills the second half against one snapshot's indexes.
 type probe struct {
-	conj expr.Node
-	attr string
-	kind probeKind
-	op   expr.Op      // for probeRange
-	val  object.Value // for probeEq and probeRange
-	set  *object.Set  // for probeIn
+	attr         string
+	kind         probeKind
+	val          object.Value // probeEq
+	set          *object.Set  // probeIn
+	lower, upper bound        // probeRange: a conjunct sets one side, merging may set both
+
+	eq     *eqIndex  // probeEq, probeIn
+	ord    *ordIndex // probeRange
+	lo, hi int       // probeRange: the [lo, hi) entry window; lo >= hi selects nothing
+	// n is how many extent positions the probe yields, known without
+	// materialising them: the planner's selectivity statistic. Range
+	// counts are exact for this snapshot; equality and set-membership
+	// counts are upper bounds (hash-bucket collisions inflate them —
+	// positions' matches re-check discards those), which only ever nudges
+	// the cost gate toward running the constraint phase.
+	n int
 }
 
 // sargableProbe recognises a conjunct the extent indexes can answer: an
@@ -62,18 +109,40 @@ func sargableProbe(c expr.Node) (probe, bool) {
 		return probe{}, false
 	}
 	if r.IsSet() {
-		return probe{conj: c, attr: r.Path, kind: probeIn, set: r.Set}, true
+		return probe{attr: r.Path, kind: probeIn, set: r.Set}, true
 	}
 	if r.Val == nil || r.Val.Kind() == object.KindNull {
 		return probe{}, false
 	}
 	switch r.Op {
 	case expr.OpEq:
-		return probe{conj: c, attr: r.Path, kind: probeEq, val: r.Val}, true
-	case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-		return probe{conj: c, attr: r.Path, kind: probeRange, op: r.Op, val: r.Val}, true
+		return probe{attr: r.Path, kind: probeEq, val: r.Val}, true
+	case expr.OpLt, expr.OpLe:
+		return probe{attr: r.Path, kind: probeRange, upper: bound{r.Op, r.Val}}, true
+	case expr.OpGt, expr.OpGe:
+		return probe{attr: r.Path, kind: probeRange, lower: bound{r.Op, r.Val}}, true
 	default:
 		return probe{}, false
+	}
+}
+
+// matches evaluates the probe on one row directly, exactly as the
+// interpreter evaluates its conjuncts on a row the index accepted
+// (null and absent values satisfy nothing). It is both the hash
+// buckets' collision re-check and the planner's candidate filter, so an
+// index answer and a filter answer cannot drift apart.
+func (pr *probe) matches(g *core.GObj) bool {
+	v, ok := g.Get(pr.attr)
+	if !ok || v.Kind() == object.KindNull {
+		return false
+	}
+	switch pr.kind {
+	case probeEq:
+		return v.Equal(pr.val)
+	case probeIn:
+		return pr.set.Contains(v)
+	default: // probeRange
+		return pr.lower.admits(v) && pr.upper.admits(v)
 	}
 }
 
@@ -216,9 +285,9 @@ func buildOrd(s *snapshot, ext []*core.GObj, attr string) *ordIndex {
 		ix.class = kc
 		ix.entries = append(ix.entries, ordEntry{val: v, pos: p})
 	}
-	sort.SliceStable(ix.entries, func(i, j int) bool {
-		c, ok := object.Compare(ix.entries[i].val, ix.entries[j].val)
-		return ok && c < 0
+	slices.SortStableFunc(ix.entries, func(a, b ordEntry) int {
+		c, _ := object.Compare(a.val, b.val) // one kind class: always ordered
+		return c
 	})
 	return ix
 }
@@ -233,81 +302,77 @@ func buildKey(ext []*core.GObj, attrs []string) keyIndex {
 	return ix
 }
 
-// serveProbe answers one probe from the snapshot's class indexes, or
-// declines (ok=false) when the index cannot mirror the interpreter's
-// semantics for it. Probe results are freshly allocated slices.
-func (e *Engine) serveProbe(s *snapshot, cs *classState, pr probe) (list []int, ok bool) {
-	switch pr.kind {
-	case probeEq, probeIn:
-		ix := e.eqFor(s, cs, pr.attr)
-		if !ix.ok {
-			return nil, false
+// resolve binds the probe to the snapshot's class indexes (built on
+// first use) and computes its window and count without materialising a
+// position. It declines (false) when the index cannot mirror the
+// interpreter's semantics for the probe: the conjunct then stays in the
+// residual scan.
+func (e *Engine) resolve(s *snapshot, cs *classState, pr *probe) bool {
+	if pr.kind == probeRange {
+		c := pr.lower // a conjunct's probe has exactly one side set
+		if c.val == nil {
+			c = pr.upper
 		}
-		if pr.kind == probeEq {
-			return eqProbe(ix, cs.ext, pr.attr, pr.val), true
-		}
-		var union []int
-		for _, elem := range pr.set.Elems() {
-			if elem.Kind() == object.KindNull {
-				continue // null never matches a stored value
-			}
-			union = append(union, eqProbe(ix, cs.ext, pr.attr, elem)...)
-		}
-		sort.Ints(union)
-		return dedupSorted(union), true
-	default: // probeRange
 		ix := e.ordFor(s, cs, pr.attr)
-		if !ix.ok || (len(ix.entries) > 0 && kindClass(pr.val) != ix.class) {
+		if !ix.ok || (len(ix.entries) > 0 && kindClass(c.val) != ix.class) {
 			// No total order with this constant: the residual scan
 			// reproduces the interpreter's comparison semantics
 			// (including errors on incomparable values).
-			return nil, false
+			return false
 		}
-		return rangeProbe(ix, pr.op, pr.val), true
+		pr.ord = ix
+		pr.lo, pr.hi = rangeWindow(ix, c)
+		pr.n = pr.hi - pr.lo
+		return true
 	}
+	ix := e.eqFor(s, cs, pr.attr)
+	if !ix.ok {
+		return false
+	}
+	pr.eq = ix
+	if pr.kind == probeEq {
+		pr.n = len(ix.pos[object.Hash(pr.val)])
+		return true
+	}
+	for _, elem := range pr.set.Elems() {
+		if elem.Kind() != object.KindNull { // null never matches a stored value
+			pr.n += len(ix.pos[object.Hash(elem)])
+		}
+	}
+	return true
 }
 
-// probeCount estimates how many extent positions a probe would yield,
-// without materialising them: the planner's selectivity statistic.
-// Range counts are exact for this snapshot; equality and set-membership
-// counts are upper bounds (hash-bucket collisions and duplicate set
-// elements inflate them — serveProbe's Equal re-check and dedup would
-// discard those), which only ever nudges the cost gate toward running
-// the constraint phase. ok=false when the index declines.
-func (e *Engine) probeCount(s *snapshot, cs *classState, pr probe) (int, bool) {
+// positions materialises a resolved probe: the ascending extent
+// positions of the rows it matches, freshly allocated.
+func (pr *probe) positions(ext []*core.GObj) []int {
 	switch pr.kind {
-	case probeEq, probeIn:
-		ix := e.eqFor(s, cs, pr.attr)
-		if !ix.ok {
-			return 0, false
-		}
-		if pr.kind == probeEq {
-			return len(ix.pos[object.Hash(pr.val)]), true
-		}
-		n := 0
+	case probeEq:
+		return pr.eqProbe(nil, ext, pr.val)
+	case probeIn:
+		var union []int
 		for _, elem := range pr.set.Elems() {
-			if elem.Kind() == object.KindNull {
-				continue
-			}
-			n += len(ix.pos[object.Hash(elem)])
+			union = pr.eqProbe(union, ext, elem)
 		}
-		return n, true
-	default:
-		ix := e.ordFor(s, cs, pr.attr)
-		if !ix.ok || (len(ix.entries) > 0 && kindClass(pr.val) != ix.class) {
-			return 0, false
+		slices.Sort(union)
+		return slices.Compact(union)
+	default: // probeRange
+		if pr.n == 0 {
+			return nil // empty or inverted window
 		}
-		lo, hi := rangeWindow(ix, pr.op, pr.val)
-		return hi - lo, true
+		out := make([]int, 0, pr.n)
+		for _, en := range pr.ord.entries[pr.lo:pr.hi] {
+			out = append(out, en.pos)
+		}
+		slices.Sort(out)
+		return out
 	}
 }
 
-// eqProbe returns the ascending positions whose stored value equals val
-// (hash collisions are discarded by re-checking Equal).
-func eqProbe(ix *eqIndex, ext []*core.GObj, attr string, val object.Value) []int {
-	var out []int
-	for _, p := range ix.pos[object.Hash(val)] {
-		if v, ok := ext[p].Get(attr); ok && v.Equal(val) {
+// eqProbe appends the positions of val's hash bucket (ascending) whose
+// row the probe matches: collisions are discarded by the re-check.
+func (pr *probe) eqProbe(out []int, ext []*core.GObj, val object.Value) []int {
+	for _, p := range pr.eq.pos[object.Hash(val)] {
+		if pr.matches(ext[p]) {
 			out = append(out, p)
 		}
 	}
@@ -315,66 +380,16 @@ func eqProbe(ix *eqIndex, ext []*core.GObj, attr string, val object.Value) []int
 }
 
 // rangeWindow locates the [lo, hi) entry window satisfying value ⊙ c.
-func rangeWindow(ix *ordIndex, op expr.Op, c object.Value) (int, int) {
-	n := len(ix.entries)
-	// lower = first entry with val >= c; upper = first entry with val > c.
-	lower := sort.Search(n, func(i int) bool {
-		cmp, _ := object.Compare(ix.entries[i].val, c)
-		return cmp >= 0
+func rangeWindow(ix *ordIndex, b bound) (lo, hi int) {
+	// cut is the first entry above the constant: strictly above for
+	// <= and >, at-or-above for < and >=.
+	strict := b.op == expr.OpLe || b.op == expr.OpGt
+	cut := sort.Search(len(ix.entries), func(i int) bool {
+		cmp, _ := object.Compare(ix.entries[i].val, b.val)
+		return cmp > 0 || (cmp == 0 && !strict)
 	})
-	upper := sort.Search(n, func(i int) bool {
-		cmp, _ := object.Compare(ix.entries[i].val, c)
-		return cmp > 0
-	})
-	switch op {
-	case expr.OpLt:
-		return 0, lower
-	case expr.OpLe:
-		return 0, upper
-	case expr.OpGt:
-		return upper, n
-	case expr.OpGe:
-		return lower, n
+	if b.op == expr.OpLt || b.op == expr.OpLe {
+		return 0, cut
 	}
-	return 0, 0
-}
-
-// rangeProbe returns the ascending positions whose stored value
-// satisfies value ⊙ c for an ordering comparison.
-func rangeProbe(ix *ordIndex, op expr.Op, c object.Value) []int {
-	lo, hi := rangeWindow(ix, op, c)
-	out := make([]int, 0, hi-lo)
-	for _, en := range ix.entries[lo:hi] {
-		out = append(out, en.pos)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func dedupSorted(in []int) []int {
-	out := in[:0]
-	for i, x := range in {
-		if i == 0 || x != in[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func intersectSorted(a, b []int) []int {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
+	return cut, len(ix.entries)
 }

@@ -37,7 +37,7 @@ func (e *Engine) ExportPlans() ([]byte, error) {
 		hi, lo uint64
 	}
 	var all []keyed
-	for _, class := range e.Classes() {
+	for class := range s.slots { // any order: all is sorted below
 		cs := s.class(class)
 		var rangeErr error
 		cs.plans.Range(func(k, v any) bool {
@@ -96,14 +96,10 @@ func (e *Engine) WarmPlans(ctx context.Context, data []byte) (warmed, skipped in
 	if err := json.Unmarshal(data, &exports); err != nil {
 		return 0, 0, fmt.Errorf("plan warm: decode: %w", err)
 	}
-	known := map[string]bool{}
-	for _, c := range e.Classes() {
-		known[c] = true
-	}
 	s, slot := e.pin()
 	defer e.unpin(slot)
 	for i, ex := range exports {
-		if ex.Gate != e.CostGate || !known[ex.Class] {
+		if ex.Gate != e.CostGate || !s.hasClass(ex.Class) {
 			skipped++
 			continue
 		}

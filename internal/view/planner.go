@@ -3,8 +3,8 @@ package view
 import (
 	"context"
 	"fmt"
-	"sort"
 
+	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/logic"
 )
@@ -28,10 +28,13 @@ import (
 //     drop conjuncts the global constraints imply. When nothing is
 //     dropped the original predicate node is reused as the residual —
 //     no rebuild, no allocation.
-//  3. Access path: serve the maximal index-answerable prefix of the
-//     remaining conjuncts and resolve the candidate positions once (the
-//     snapshot's extent is frozen, so the probe results hold for the
-//     plan's whole lifetime); compile the residual once.
+//  3. Access path: resolve the maximal index-answerable prefix of the
+//     remaining conjuncts (servedPrefix — the resolver the gate uses
+//     too), materialise only its smallest probe and keep the positions
+//     every other served probe matches row by row, once (the snapshot's
+//     extent is frozen, so the result holds for the plan's whole
+//     lifetime) — a miss costs what its answer costs, not what its
+//     widest probe spans; compile the residual once.
 //
 // The worst case is therefore bounded by the plain scan: a plan that
 // gates the constraint phase and finds no usable index degenerates to
@@ -84,28 +87,17 @@ func estRowCost(conjs []expr.Node) float64 {
 }
 
 // estServeCost estimates the cost (ns) of serving the conjuncts without
-// any constraint help: the candidate count surviving the sargable
-// prefix (exact per-conjunct counts from the extent indexes — built on
+// any constraint help: the candidate count surviving the served prefix
+// (its smallest probe's count, from the extent indexes — built on
 // demand; they are the per-class statistics) times the per-row cost of
 // the remaining conjuncts. The estimate deliberately ignores whether
 // the caller will execute with indexes on or off, so every serving mode
 // reaches the same gate decision.
 func (e *Engine) estServeCost(s *snapshot, cs *classState, conjs []expr.Node) float64 {
 	candidates := len(cs.ext)
-	served := 0
-	for _, c := range conjs {
-		pr, sarg := sargableProbe(c)
-		if !sarg {
-			break
-		}
-		n, ok := e.probeCount(s, cs, pr)
-		if !ok {
-			break
-		}
-		if n < candidates {
-			candidates = n
-		}
-		served++
+	probes, served := e.servedPrefix(s, cs, conjs)
+	if served > 0 && probes[0].n < candidates {
+		candidates = probes[0].n
 	}
 	return float64(candidates) * (costEnvPerRow + estRowCost(conjs[served:]))
 }
@@ -197,11 +189,10 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 	}
 
 	if useIdx && residual != nil {
-		lists, served, rest := e.probePrefix(s, cs, conjs)
-		if served > 0 {
+		if probes, served := e.servedPrefix(s, cs, conjs); served > 0 {
 			p.served = served
-			p.positions = intersectLists(lists)
-			residual = conjoinNodes(rest)
+			p.positions = candidatePositions(probes, cs.ext)
+			residual = conjoinNodes(conjs[served:])
 		}
 	}
 
@@ -220,10 +211,14 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 	return p, nil
 }
 
-// probePrefix answers the maximal index-answerable prefix of the
-// conjuncts against the snapshot, returning the per-conjunct candidate
-// position lists, the number of conjuncts served, and the residual
-// conjuncts in their original order.
+// servedPrefix resolves the maximal index-answerable prefix of the
+// conjuncts against the snapshot's indexes, materialising nothing: the
+// number of conjuncts served and their probes, smallest count first
+// (probes[0] is the driver). Range conjuncts on one attribute merge into
+// a single probe whose [lo, hi) window is the intersection of theirs —
+// every single window is [0, x) or [x, n), so the tighter side wins by
+// comparing ints, and an inverted window means zero candidates. Both the
+// cost gate and the access path call it, so they see the same prefix.
 //
 // Only a prefix may be served: the scan evaluates conjuncts left to
 // right with short-circuiting, so a row pruned by a served conjunct is a
@@ -233,34 +228,56 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 // error on a row the index prunes, and that error must surface exactly
 // as it does on the scan path). Serving stops at the first conjunct
 // that is not sargable or whose index declines.
-func (e *Engine) probePrefix(s *snapshot, cs *classState, conjs []expr.Node) (lists [][]int, served int, rest []expr.Node) {
-	i := 0
-	for ; i < len(conjs); i++ {
-		pr, sarg := sargableProbe(conjs[i])
-		if !sarg {
+func (e *Engine) servedPrefix(s *snapshot, cs *classState, conjs []expr.Node) (probes []probe, served int) {
+next:
+	for _, c := range conjs {
+		pr, sarg := sargableProbe(c)
+		if !sarg || !e.resolve(s, cs, &pr) {
 			break
 		}
-		list, ok := e.serveProbe(s, cs, pr)
-		if !ok {
-			break
-		}
-		lists = append(lists, list)
 		served++
+		if pr.kind == probeRange {
+			for i := range probes {
+				m := &probes[i]
+				if m.kind != probeRange || m.attr != pr.attr {
+					continue
+				}
+				if pr.lo > m.lo {
+					m.lo, m.lower = pr.lo, pr.lower
+				}
+				if pr.hi < m.hi {
+					m.hi, m.upper = pr.hi, pr.upper
+				}
+				m.n = max(0, m.hi-m.lo)
+				continue next
+			}
+		}
+		probes = append(probes, pr)
 	}
-	return lists, served, conjs[i:]
+	for i := range probes {
+		if probes[i].n < probes[0].n {
+			probes[0], probes[i] = probes[i], probes[0]
+		}
+	}
+	return probes, served
 }
 
-// intersectLists intersects the candidate lists smallest-first.
-func intersectLists(lists [][]int) []int {
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	pos := append([]int{}, lists[0]...)
-	for _, l := range lists[1:] {
-		pos = intersectSorted(pos, l)
-		if len(pos) == 0 {
-			break
+// candidatePositions answers the served prefix: the driver's positions
+// (ascending) that every other probe matches. An empty driver filters
+// nothing.
+func candidatePositions(probes []probe, ext []*core.GObj) []int {
+	pos := probes[0].positions(ext)
+	out := pos[:0]
+next:
+	for _, p := range pos {
+		for i := 1; i < len(probes); i++ {
+			if !probes[i].matches(ext[p]) {
+				continue next
+			}
 		}
+		out = append(out, p)
 	}
-	return pos
+	return out
 }
 
 // runReference is the mutex+scan reference implementation the snapshot

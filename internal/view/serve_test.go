@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/fixture"
+	"interopdb/internal/logic"
 	"interopdb/internal/object"
 	"interopdb/internal/tm"
 	"interopdb/internal/workload"
@@ -56,6 +58,166 @@ func runBoth(t *testing.T, e *Engine, q Query) (Stats, Stats) {
 			q.Where, fastStats.Scanned, scanStats.Scanned)
 	}
 	return fastStats, scanStats
+}
+
+// wantServed is the brute-force oracle for the served prefix of a
+// predicate none of whose conjuncts the constraint phase dropped: a
+// conjunct is index-answerable iff it is an unguarded =, ordering or
+// membership restriction of a stored attribute by a non-null constant,
+// every extent member holds or declares the attribute, and — for an
+// ordering — every stored non-null value shares the constant's kind
+// class. The prefix ends at the first conjunct that is not.
+func wantServed(e *Engine, class string, pred expr.Node) int {
+	s := e.snap.Load()
+	ext := s.class(class).ext
+	served := 0
+	for _, c := range conjuncts(pred) {
+		r, ok := logic.ExtractRestriction(c)
+		if !ok || r.Guard != nil || strings.Contains(r.Path, ".") || r.Op == expr.OpNe {
+			break
+		}
+		if !r.IsSet() && r.Val.Kind() == object.KindNull {
+			break
+		}
+		ordering := !r.IsSet() && r.Op != expr.OpEq
+		for _, g := range ext {
+			v, held := g.Get(r.Path)
+			if !held && !s.declaresAttr(g, r.Path) {
+				return served
+			}
+			if ordering && held && v.Kind() != object.KindNull && kindClass(v) != kindClass(r.Val) {
+				return served
+			}
+		}
+		served++
+	}
+	return served
+}
+
+// runThreeModes runs the query on the indexed+compiled path, the
+// pure-scan path and the mutex+scan reference and checks they agree on
+// rows, row order, error text and the gate verdict, and that the
+// indexed path's access statistics are the ones the served prefix
+// dictates: IndexHits conjuncts served, and exactly the rows satisfying
+// them considered and evaluated.
+func runThreeModes(t *testing.T, e *Engine, q Query) Stats {
+	t.Helper()
+	e.UseIndexes = true
+	fastRows, fast, fastErr := e.Run(q)
+	e.UseIndexes = false
+	scanRows, scan, scanErr := e.Run(q)
+	e.UseIndexes = true
+	refRows, ref, refErr := e.runReference(q)
+
+	if (fastErr == nil) != (scanErr == nil) || (fastErr == nil) != (refErr == nil) {
+		t.Fatalf("query %v: error divergence: indexed=%v scan=%v reference=%v", q.Where, fastErr, scanErr, refErr)
+	}
+	if fastErr != nil && (fastErr.Error() != scanErr.Error() || fastErr.Error() != refErr.Error()) {
+		t.Errorf("query %v: error text divergence: %q vs %q vs %q", q.Where, fastErr, scanErr, refErr)
+	}
+	if !reflect.DeepEqual(fastRows, scanRows) || !reflect.DeepEqual(fastRows, refRows) {
+		t.Errorf("query %v: rows diverge:\nindexed:   %v\nscan:      %v\nreference: %v", q.Where, fastRows, scanRows, refRows)
+	}
+	verdict := func(s Stats) [3]any { return [3]any{s.ConstraintGated, s.PrunedEmpty, s.DroppedConjuncts} }
+	if verdict(fast) != verdict(scan) || verdict(fast) != verdict(ref) {
+		t.Errorf("query %v: gate verdicts diverge: indexed=%+v scan=%+v reference=%+v", q.Where, fast, scan, ref)
+	}
+	if fast.PrunedEmpty || fast.DroppedConjuncts > 0 {
+		return fast
+	}
+	if want := wantServed(e, q.Class, q.Where); fast.IndexHits != want || scan.IndexHits != 0 {
+		t.Errorf("query %v: IndexHits indexed=%d (want %d) scan=%d (want 0)", q.Where, fast.IndexHits, want, scan.IndexHits)
+	}
+	if fastErr != nil {
+		return fast
+	}
+	ext := len(e.snap.Load().class(q.Class).ext)
+	for _, s := range []Stats{scan, ref} {
+		if s.CandidateRows != ext || s.Scanned != ext {
+			t.Errorf("query %v: scan considered %d / evaluated %d rows, want the extent's %d", q.Where, s.CandidateRows, s.Scanned, ext)
+		}
+	}
+	wantCand := ext
+	if fast.IndexHits > 0 {
+		e.UseIndexes = false
+		prefixRows, _, err := e.Run(Query{Class: q.Class, Where: conjoinNodes(conjuncts(q.Where)[:fast.IndexHits])})
+		e.UseIndexes = true
+		if err != nil {
+			t.Fatalf("query %v: served prefix errors on the scan path: %v", q.Where, err)
+		}
+		wantCand = len(prefixRows)
+	}
+	if fast.CandidateRows != wantCand || fast.Scanned != wantCand {
+		t.Errorf("query %v: indexed path considered %d / evaluated %d rows, want %d (the rows satisfying its %d served conjuncts)",
+			q.Where, fast.CandidateRows, fast.Scanned, wantCand, fast.IndexHits)
+	}
+	return fast
+}
+
+// inSet builds `attr in {elems…}` programmatically: null elements have
+// no parser syntax.
+func inSet(attr string, elems ...object.Value) expr.Node {
+	lits := make([]expr.Node, len(elems))
+	for i, v := range elems {
+		lits[i] = expr.Lit{Val: v}
+	}
+	return expr.In{X: expr.Ident{Name: attr}, Set: expr.SetLit{Elems: lits}}
+}
+
+// resolverPredicate generates one predicate aimed at the planner's
+// prefix resolver: a served prefix mixing eq / range / in probes over
+// Int and Real constants, attributes that are null or declared-but-
+// absent on part of the extent, in-sets with null and duplicate
+// elements, a constant of the wrong kind class mid-prefix, same-
+// attribute range pairs (nested, disjoint, touching) and an eq + range
+// on one attribute. isbn draws a key of the fixture.
+func resolverPredicate(rng *rand.Rand, isbn func() string) expr.Node {
+	num := func(lo, n int) string { // an Int or a Real constant
+		if rng.Intn(2) == 0 {
+			return fmt.Sprint(lo + rng.Intn(n))
+		}
+		return fmt.Sprintf("%d.%d", lo+rng.Intn(n), rng.Intn(10))
+	}
+	ops := []string{"<", "<=", ">", ">="}
+	mkConj := func() expr.Node {
+		var src string
+		switch rng.Intn(12) {
+		case 0:
+			src = fmt.Sprintf("rating %s %s", ops[rng.Intn(4)], num(1, 10))
+		case 1:
+			src = fmt.Sprintf("rating = %s", num(1, 10))
+		case 2:
+			src = fmt.Sprintf("shopprice %s %s", ops[rng.Intn(4)], num(20, 80))
+		case 3: // a same-attribute pair: nested in, disjoint from or touching its neighbours
+			a, b := 20+rng.Intn(80), 20+rng.Intn(80)
+			if rng.Intn(3) == 0 {
+				b = a
+			}
+			src = fmt.Sprintf("shopprice >= %d and shopprice <= %d", a, b)
+		case 4:
+			src = fmt.Sprintf("isbn = '%s'", isbn())
+		case 5:
+			return inSet("rating", object.Int(rng.Intn(10)+1), object.Null{}, object.Real(rng.Intn(10)+1), object.Int(rng.Intn(10)+1))
+		case 6:
+			src = fmt.Sprintf("isbn in {'%s', '%s', 'no-such-isbn'}", isbn(), isbn())
+		case 7:
+			src = fmt.Sprintf("ref? = %v", rng.Intn(2) == 0)
+		case 8: // eq + range on one attribute
+			src = fmt.Sprintf("rating = %d and rating >= %d", rng.Intn(10)+1, rng.Intn(10)+1)
+		case 9: // null on remote-only members, absent-but-declared or undeclared by class
+			src = []string{"avgAccRate >= 0.2", "avgAccRate in {0.18, 0.2}", "authAffil = 'x'", "libprice > 30"}[rng.Intn(4)]
+		case 10: // wrong kind class: the ordered index declines, the scan errors
+			src = []string{"shopprice < 'abc'", "rating >= 'x'", "isbn > 5", "ref? < 1"}[rng.Intn(4)]
+		default:
+			src = fmt.Sprintf("libprice %s %s", ops[rng.Intn(4)], num(20, 80))
+		}
+		return expr.MustParse(src)
+	}
+	conjs := []expr.Node{mkConj()}
+	for k := rng.Intn(4); k > 0; k-- {
+		conjs = append(conjs, mkConj())
+	}
+	return conjoinNodes(conjs)
 }
 
 // TestServeDifferentialFigure1 pins the indexed+compiled serving path to
@@ -161,6 +323,13 @@ func TestServeDifferentialRandomized(t *testing.T) {
 		}
 		q := Query{Class: classes[rng.Intn(len(classes))], Where: expr.MustParse(src)}
 		runBoth(t, e, q)
+	}
+
+	// The prefix resolver's corpus, across all three serving modes.
+	classes = append(classes, "RefereedPubl", "ScientificPubl")
+	isbn := func() string { return fmt.Sprintf("isbn-%07d", rng.Intn(400)) }
+	for i := 0; i < 600; i++ {
+		runThreeModes(t, e, Query{Class: classes[rng.Intn(len(classes))], Where: resolverPredicate(rng, isbn)})
 	}
 }
 

@@ -166,6 +166,12 @@ func (s *snapshot) deref(r object.Ref) (expr.Object, bool) {
 	return s.refs.derefAt(s.seq, r)
 }
 
+// hasClass reports whether the snapshot serves the class.
+func (s *snapshot) hasClass(name string) bool {
+	_, ok := s.slots[name]
+	return ok
+}
+
 // class resolves the class's serving state as of this snapshot: the
 // newest chained version at or below the snapshot's sequence. A class
 // the snapshot does not know yields an ephemeral empty state (same

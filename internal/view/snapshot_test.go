@@ -157,10 +157,62 @@ func TestSnapshotDifferentialReference(t *testing.T) {
 				runVsReference(t, e, q)
 				runVsReference(t, e, q) // second pass: plan-cache hit
 			}
+
+			// The prefix resolver's shapes (planner.go servedPrefix), on
+			// the indexed, scan and reference modes at once; IndexHits and
+			// CandidateRows are checked against runThreeModes' oracles.
+			resolver := []Query{
+				// Same-attribute range pairs: nested, disjoint (inverted
+				// window), touching, and three deep.
+				{Class: "Item", Where: expr.MustParse("shopprice >= 20 and shopprice <= 90 and shopprice > 30 and shopprice < 75")},
+				{Class: "Item", Where: expr.MustParse("shopprice > 75 and shopprice < 30")},
+				{Class: "Item", Where: expr.MustParse("shopprice >= 80 and shopprice <= 80")},
+				{Class: "Item", Where: expr.MustParse("shopprice > 80 and shopprice <= 80")},
+				{Class: "Proceedings", Where: expr.MustParse("rating >= 7 and libprice > 20 and rating < 9.5 and libprice <= 78")},
+				// Eq + range and eq + in on one attribute; Int vs Real constants.
+				{Class: "Proceedings", Where: expr.MustParse("rating = 8.0 and rating >= 7 and rating in {8, 9}")},
+				{Class: "Proceedings", Where: expr.MustParse("rating = 8 and rating > 8")},
+				{Class: "Item", Where: expr.MustParse(fmt.Sprintf("isbn = 'vldb96-c%d' and shopprice > 0.5", scale))},
+				{Class: "Item", Where: expr.MustParse(fmt.Sprintf("shopprice > 0.5 and isbn in {'vldb96-c%d', 'vldb96', 'nope'}", scale))},
+				// In-sets with null and duplicate elements.
+				{Class: "Proceedings", Where: inSet("rating", object.Null{}, object.Int(8), object.Real(8), object.Int(8), object.Int(5))},
+				{Class: "Proceedings", Where: expr.Binary{Op: expr.OpAnd, L: expr.MustParse("shopprice < 100"), R: inSet("rating", object.Null{})}},
+				// Null and declared-but-absent attributes (remote-only
+				// members carry no avgAccRate); undeclared on part of the
+				// extent (the index declines, the prefix stops there).
+				{Class: "RefereedPubl", Where: expr.MustParse("avgAccRate >= 0.1 and avgAccRate < 0.19 and rating >= 1")},
+				{Class: "Publication", Where: expr.MustParse("shopprice > 10 and avgAccRate >= 0.1 and shopprice < 75")},
+				// A constant of the wrong kind class mid-prefix: the ordered
+				// index declines, the residual surfaces the scan's error.
+				{Class: "Proceedings", Where: expr.MustParse("rating >= 7 and shopprice < 'abc' and isbn = 'vldb96'")},
+				{Class: "Proceedings", Where: expr.MustParse("rating >= 100 and shopprice < 'abc'")},
+				{Class: "Item", Where: expr.MustParse("shopprice >= 20 and isbn > 5 and shopprice <= 90")},
+			}
+			for _, q := range resolver {
+				first := runThreeModes(t, e, q)
+				if again := runThreeModes(t, e, q); !again.PlanCached || again.CandidateRows != first.CandidateRows {
+					t.Errorf("query %v: plan-cache hit diverges from the build: %+v vs %+v", q.Where, again, first)
+				}
+			}
+			// The window merge is by position, not by constant: four
+			// range conjuncts on one attribute, two probes' worth of rows.
+			if st := runThreeModes(t, e, resolver[0]); st.IndexHits != 4 {
+				t.Errorf("nested ranges: IndexHits = %d, want 4", st.IndexHits)
+			}
+			if st := runThreeModes(t, e, resolver[1]); st.IndexHits != 2 || st.CandidateRows != 0 {
+				t.Errorf("disjoint ranges: %+v, want 2 served conjuncts and no candidate", st)
+			}
+			if st := runThreeModes(t, e, resolver[13]); st.IndexHits != 1 {
+				t.Errorf("wrong-kind constant mid-prefix: IndexHits = %d, want 1", st.IndexHits)
+			}
+
 			// And with the gate off (unconditioned constraint phase).
 			e.CostGate = false
 			for _, q := range queries {
 				runVsReference(t, e, q)
+			}
+			for _, q := range resolver {
+				runThreeModes(t, e, q)
 			}
 		})
 	}

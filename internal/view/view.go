@@ -477,9 +477,21 @@ func (e *Engine) ReadLocked(fn func()) {
 	fn()
 }
 
-// Classes lists the queryable global classes in sorted order.
+// Classes lists the queryable global classes in sorted order. It reads
+// the live view under the engine's read lock (a membership change
+// rewrites the class list under the write lock): call it for listings,
+// and HasClass on a request path.
 func (e *Engine) Classes() []string {
+	e.mu.RLock()
 	out := append([]string{}, e.res.View.ClassNames...)
+	e.mu.RUnlock()
 	sort.Strings(out)
 	return out
+}
+
+// HasClass reports whether the published snapshot serves the class —
+// what RunContext would read. Lock-free and allocation-free: the
+// snapshot's class map is immutable.
+func (e *Engine) HasClass(name string) bool {
+	return e.snap.Load().hasClass(name)
 }

@@ -226,6 +226,19 @@ func TestClassesListing(t *testing.T) {
 			t.Errorf("Classes missing %s: %v", w, cs)
 		}
 	}
+	// HasClass is the request paths' form of the same answer, from the
+	// published snapshot, without allocating.
+	for _, c := range cs {
+		if !e.HasClass(c) {
+			t.Errorf("HasClass(%s) = false for a listed class", c)
+		}
+	}
+	if e.HasClass("NoSuchClass") {
+		t.Error("HasClass(NoSuchClass) = true")
+	}
+	if n := testing.AllocsPerRun(100, func() { e.HasClass("Item") }); n != 0 {
+		t.Errorf("HasClass allocates %v times per call, want 0", n)
+	}
 }
 
 func TestQueryErrorPropagates(t *testing.T) {
