@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke bench-planmiss benchmark-smoke chaos crashtest baseline bench-compare profile serve load
+.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke chaos crashtest baseline bench-compare profile serve load
 
 all: build vet fmt-check test
 
@@ -71,12 +71,22 @@ bench-smoke:
 	$(GO) test -bench=B8 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=B10 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=PlanMiss -benchtime=1x -run='^$$' ./internal/view/
+	$(GO) test -bench=FederationMembership -benchtime=1x -run='^$$' .
 
 # The planner's plan-miss cost (µs and B per plan build, every op a
 # miss) on a 4 000-row Figure 1 extent: point + broad range, two-sided
 # range, in + range. TestPlanMissAllocBound guards the bytes in `test`.
 bench-planmiss:
 	$(GO) test -bench=PlanMiss -benchmem -run='^$$' ./internal/view/
+
+# One membership change at Scale 1000 (ns, B and allocations per op):
+# the whole cycle — founding pair, incremental attach, Report, detach,
+# Report — and its stages Conform, Merge, AttachPair and DetachMember on
+# the same inputs. TestMembershipCycleAllocBound and
+# TestMembershipChangeScalesLinearly (./internal/core) guard the
+# allocations and the linear scaling in `test`.
+bench-membership:
+	$(GO) test -bench=FederationMembership -benchmem -run='^$$' .
 
 # Vet and test the benchmark harness, a module of its own that the
 # root module's build and test never compile, as in CI.

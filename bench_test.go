@@ -478,3 +478,106 @@ func BenchmarkB10_FederationAttach(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFederationMembership is one membership change end to end at
+// Scale 1000 (≈ 2 000 objects per member): Cycle is the iteration the
+// repo benchmark's federate-attach workload times — seed, founding
+// pair, incremental attach of the archive, Report, detach, Report — and
+// the other four are its stages on the same inputs, set-up untimed.
+func BenchmarkFederationMembership(b *testing.B) {
+	opt := FixtureOptions{Scale: 1000}
+	lib, bs := Figure1Stores(opt)
+	arch := ArchiveStore(opt)
+	libSpec, bsSpec, archSpec := Figure1Library(), Figure1Bookseller(), Figure1UnivArchive()
+	is, ais := Figure1IntegrationRepaired(), Figure1ArchiveIntegration()
+
+	// founding integrates the founding pair; pair integrates the archive
+	// against the seed, as Federation.Attach does for a third member.
+	founding := func(b *testing.B) *core.FedState {
+		memo := logic.NewMemo()
+		opts := core.Options{Memo: memo}
+		res, err := core.IntegrateOptions(libSpec, bsSpec, is, lib, bs, 1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return core.NewFedState(res, libSpec.Schema.Name, opts, memo)
+	}
+	pair := func(b *testing.B, fs *core.FedState) *core.Result {
+		res, err := core.IntegrateOptions(libSpec, archSpec, ais, lib, arch, 1, fs.Opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+
+	b.Run("Cycle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fed := NewFederation(1, PipelineOptions{})
+			if err := fed.Attach(libSpec, lib, nil); err != nil {
+				b.Fatal(err)
+			}
+			if err := fed.Attach(bsSpec, bs, is); err != nil {
+				b.Fatal(err)
+			}
+			if err := fed.Attach(archSpec, arch, ais); err != nil {
+				b.Fatal(err)
+			}
+			with := fed.Report()
+			if err := fed.Detach(archSpec.Schema.Name); err != nil {
+				b.Fatal(err)
+			}
+			if without := fed.Report(); with == without {
+				b.Fatal("detach left the report unchanged")
+			}
+		}
+	})
+	spec := core.MustCompile(libSpec, bsSpec, is)
+	b.Run("Conform", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Conform(spec, lib, bs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Merge", func(b *testing.B) {
+		conf, err := core.Conform(spec, lib, bs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Merge(conf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("AttachPair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fs := founding(b)
+			p := pair(b, fs)
+			b.StartTimer()
+			if _, err := fs.AttachPair(p, archSpec.Schema.Name, libSpec.Schema.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("DetachMember", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fs := founding(b)
+			if _, err := fs.AttachPair(pair(b, fs), archSpec.Schema.Name, libSpec.Schema.Name); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, _, err := fs.DetachMember(archSpec.Schema.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

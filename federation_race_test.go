@@ -20,6 +20,20 @@ func TestFederationConcurrentMembership(t *testing.T) {
 	fed := buildFigure1Federation(t, scale, false)
 	e := fed.Engine()
 
+	// A reader that ran its query before any membership change re-runs
+	// it after every detach and must get the rows it got then — same
+	// objects, same values, same order: the graft swaps clones into the
+	// extents in place, the retraction filters them in order, and the
+	// writers below only ever add Proceedings, which no Publication is.
+	publications := func() string {
+		rows, _, err := e.Run(Query{Class: "Publication"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	pinned := publications()
+
 	// Learn the two legal cardinalities quiescently.
 	archive := ArchiveStore(FixtureOptions{Scale: scale})
 	aspec, ais := Figure1UnivArchive(), Figure1ArchiveIntegration()
@@ -39,8 +53,14 @@ func TestFederationConcurrentMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	sciCount := len(sciRows)
+	if got := publications(); got == pinned {
+		t.Fatal("attaching the archive left the Publication rows untouched: the pinned reader checks nothing")
+	}
 	if err := fed.Detach("UnivArchive"); err != nil {
 		t.Fatal(err)
+	}
+	if got := publications(); got != pinned {
+		t.Fatalf("Publication rows after attach+detach differ from before:\n%s\nvs\n%s", got, pinned)
 	}
 
 	var stop atomic.Bool
@@ -118,6 +138,9 @@ func TestFederationConcurrentMembership(t *testing.T) {
 		}
 		if err := fed.Detach("UnivArchive"); err != nil {
 			t.Fatalf("cycle %d detach: %v", cycle, err)
+		}
+		if got := publications(); got != pinned {
+			t.Fatalf("cycle %d: Publication rows after the detach differ from before the first attach:\n%s\nvs\n%s", cycle, got, pinned)
 		}
 	}
 	stop.Store(true)

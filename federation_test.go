@@ -342,9 +342,17 @@ func TestFederationShipRouted(t *testing.T) {
 // serving an integrated pair.
 func TestFederationDetachGuards(t *testing.T) {
 	fed := buildFigure1Federation(t, 0, true)
-	if err := fed.Detach("CSLibrary"); err == nil {
-		t.Fatal("detaching the seed (base of both pairs) succeeded")
+	if err := fed.Detach("CSLibrary"); err == nil || !strings.Contains(err.Error(), "member is the federation seed and cannot be detached") {
+		t.Fatalf("detaching the seed (base of both pairs) = %v", err)
 	}
+	// A non-seed member whose pair record is missing is refused for what
+	// is true of it, not as the seed.
+	contribs := fed.state.Contribs
+	fed.state.Contribs = contribs[:1]
+	if err := fed.Detach("UnivArchive"); err == nil || !strings.Contains(err.Error(), "no pair contribution recorded for member") {
+		t.Fatalf("detaching a member without a pair record = %v", err)
+	}
+	fed.state.Contribs = contribs
 	if err := fed.Detach("NoSuchDB"); err == nil {
 		t.Fatal("detaching a non-member succeeded")
 	}

@@ -26,7 +26,7 @@ func (v *GlobalView) ByID(id int) (*GObj, bool) {
 }
 
 // ensureNextID initialises the ID counter past the current maximum.
-// Deletes call it before splicing an object out, so the deleted ID is
+// retract calls it before objects leave the list, so a deleted ID is
 // counted and stays burned.
 func (v *GlobalView) ensureNextID() {
 	if v.nextID != 0 {
@@ -76,82 +76,136 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 			}
 		}
 	}
-	changed, err = v.reclassify(g)
+	var r retraction
+	changed, err = v.reclassify(g, &r)
+	v.retract(&r)
 	return old, changed, err
 }
 
 // ApplyDelete removes a global object from the integrated view: every
-// class extent it belongs to, the object list, and the reference table
-// (both its global identity and its constituents' source refs). It
-// returns the names of the classes whose extents shrank. The removed
-// object itself is left untouched — its Classes map still names the
-// extents it belonged to — so readers of a frozen snapshot that still
-// holds it can keep serving its pre-delete state.
+// class extent it belongs to, the object list, the derived-class member
+// reports and the reference table (both its global identity and its
+// constituents' source refs). It returns the names of the classes whose
+// extents shrank. The removed object itself is left untouched — its
+// Classes map still names the extents it belonged to — so readers of a
+// frozen snapshot that still holds it can keep serving its pre-delete
+// state.
 func (v *GlobalView) ApplyDelete(g *GObj) ([]string, error) {
 	if _, ok := v.byRef[g.Identity()]; !ok {
 		return nil, fmt.Errorf("object g%d is not part of the integrated view", g.ID)
 	}
-	v.ensureNextID() // count the doomed ID before it vanishes: never reused
-	var classes []string
+	var r retraction
+	r.doom(g)
+	v.retract(&r)
+	classes := make([]string, 0, len(g.Classes))
 	for cls := range g.Classes {
-		v.spliceFromExtent(g, cls)
 		classes = append(classes, cls)
 	}
-	for i, o := range v.Objects {
-		if o == g {
-			v.Objects = append(v.Objects[:i], v.Objects[i+1:]...)
-			break
-		}
-	}
-	delete(v.byRef, g.Identity())
-	for _, ms := range g.Parts {
-		for _, m := range ms {
-			if cur, ok := v.byRef[m.Src]; ok && cur == g {
-				delete(v.byRef, m.Src)
-			}
-		}
-	}
-	v.pruneMemberID(g.ID)
 	return classes, nil
 }
 
-// removeFromClass splices the object out of one class extent and drops
-// the membership from the object (reclassification's path: the object is
-// a fresh detached clone there, so mutating it is safe).
-func (v *GlobalView) removeFromClass(g *GObj, class string) {
-	delete(g.Classes, class)
-	v.spliceFromExtent(g, class)
+// retraction collects what a batch of changes takes out of the view —
+// one deleted object, one reclassified object's lost memberships, or
+// everything a departing member leaves behind — so that retract removes
+// it in one pass per affected list instead of one scan per object.
+type retraction struct {
+	// doomed are the objects leaving the view altogether.
+	doomed map[*GObj]bool
+	// lost maps a class to the objects leaving its extent, the doomed
+	// members included.
+	lost map[string]map[*GObj]bool
 }
 
-// spliceFromExtent removes the object from one class extent without
-// touching the object itself.
-func (v *GlobalView) spliceFromExtent(g *GObj, class string) {
-	ext := v.classExt[class]
-	for i, o := range ext {
-		if o == g {
-			v.classExt[class] = append(ext[:i], ext[i+1:]...)
+// lose records that the object leaves one class extent. The caller owns
+// the object's Classes map (reclassification drops the membership from
+// its fresh clone; a doomed object keeps its map, see ApplyDelete).
+func (r *retraction) lose(g *GObj, class string) {
+	if r.lost == nil {
+		r.lost = map[string]map[*GObj]bool{}
+	}
+	if r.lost[class] == nil {
+		r.lost[class] = map[*GObj]bool{}
+	}
+	r.lost[class][g] = true
+}
+
+// doom records that the object leaves the view.
+func (r *retraction) doom(g *GObj) {
+	if r.doomed == nil {
+		r.doomed = map[*GObj]bool{}
+	}
+	r.doomed[g] = true
+	for cls := range g.Classes {
+		r.lose(g, cls)
+	}
+}
+
+// retract applies a retraction: ONE order-preserving filtering pass
+// over each extent that loses members, over the member report of each
+// derived class among them, and — when objects leave the view — over
+// the object list; the doomed objects' identities and constituent
+// sources leave the reference table, and their IDs stay burned.
+func (v *GlobalView) retract(r *retraction) {
+	for cls, gone := range r.lost {
+		if ext, ok := v.classExt[cls]; ok {
+			v.classExt[cls] = filterOut(ext, gone)
+		}
+	}
+	v.eachMemberReport(func(name string, ids *[]int) {
+		gone := r.lost[name]
+		if len(gone) == 0 {
 			return
 		}
+		drop := make(map[int]bool, len(gone))
+		for g := range gone {
+			drop[g.ID] = true
+		}
+		*ids = filterOut(*ids, drop)
+	})
+	if len(r.doomed) == 0 {
+		return
+	}
+	v.ensureNextID() // count the doomed IDs before they vanish: never reused
+	v.Objects = filterOut(v.Objects, r.doomed)
+	for g := range r.doomed {
+		delete(v.byRef, g.Identity())
+		for _, ms := range g.Parts {
+			for _, m := range ms {
+				if cur, ok := v.byRef[m.Src]; ok && cur == g {
+					delete(v.byRef, m.Src)
+				}
+			}
+		}
 	}
 }
 
-// pruneMemberID drops a deleted object's ID from the derived-class
-// member reports.
-func (v *GlobalView) pruneMemberID(id int) {
-	drop := func(ids []int) []int {
-		for i, x := range ids {
-			if x == id {
-				return append(ids[:i], ids[i+1:]...)
-			}
-		}
-		return ids
-	}
+// eachMemberReport visits the member list of every derived class: the
+// virtual intersection subclasses, then the approximate superclasses.
+func (v *GlobalView) eachMemberReport(visit func(name string, ids *[]int)) {
 	for i := range v.VirtualSubclasses {
-		v.VirtualSubclasses[i].MemberIDs = drop(v.VirtualSubclasses[i].MemberIDs)
+		visit(v.VirtualSubclasses[i].Name, &v.VirtualSubclasses[i].MemberIDs)
 	}
 	for i := range v.ApproxSupers {
-		v.ApproxSupers[i].MemberIDs = drop(v.ApproxSupers[i].MemberIDs)
+		visit(v.ApproxSupers[i].Name, &v.ApproxSupers[i].MemberIDs)
 	}
+}
+
+// filterOut removes the elements in drop from the list in place,
+// keeping the order of the rest; the scan stops comparing once every
+// element of drop has gone.
+func filterOut[T comparable](list []T, drop map[T]bool) []T {
+	out, left := list[:0], len(drop)
+	for i, x := range list {
+		if left == 0 {
+			return append(out, list[i:]...)
+		}
+		if drop[x] {
+			left--
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
 }
 
 // simConds returns the conformed intraobject conjuncts of a Sim rule,
@@ -176,14 +230,14 @@ func (v *GlobalView) simConds(r *SimRule) []expr.Node {
 // intersection subclasses are re-derived from the new attribute values.
 // It returns the classes whose extents changed. Lattice edges (ISA) are
 // integration-time artifacts and are not recomputed.
-func (v *GlobalView) reclassify(g *GObj) ([]string, error) {
+func (v *GlobalView) reclassify(g *GObj, r *retraction) ([]string, error) {
 	c := v.Conformed
 
 	// Value-independent memberships: the constituents' conformed class
 	// chains (classifyConstituents's rule, per object), over every
 	// member side of the view.
 	desired := map[string]bool{}
-	for _, side := range v.sides() {
+	for side := Side(0); int(side) < v.memberSlots(); side++ {
 		db := c.SchemaOf(side)
 		for _, m := range g.Parts[side] {
 			for _, cn := range db.Supers(m.Class) {
@@ -231,11 +285,14 @@ func (v *GlobalView) reclassify(g *GObj) ([]string, error) {
 		}
 	}
 
-	// Diff against the current membership.
+	// Diff against the current membership. Gains join their extents (and
+	// member reports) at once; losses leave the object now and its
+	// extents and member reports when the caller retracts r.
 	var changed []string
 	for cls := range g.Classes {
 		if !desired[cls] {
-			v.removeFromClass(g, cls)
+			delete(g.Classes, cls)
+			r.lose(g, cls)
 			changed = append(changed, cls)
 		}
 	}
@@ -249,34 +306,11 @@ func (v *GlobalView) reclassify(g *GObj) ([]string, error) {
 		} else {
 			v.addVirtualMember(g, cls)
 		}
-	}
-
-	// Keep the derived-class member reports in step.
-	syncMembers := func(ids []int, name string) []int {
-		has := false
-		for _, id := range ids {
-			if id == g.ID {
-				has = true
-				break
+		v.eachMemberReport(func(name string, ids *[]int) {
+			if name == cls {
+				*ids = append(*ids, g.ID)
 			}
-		}
-		if g.Classes[name] && !has {
-			return append(ids, g.ID)
-		}
-		if !g.Classes[name] && has {
-			for i, id := range ids {
-				if id == g.ID {
-					return append(ids[:i], ids[i+1:]...)
-				}
-			}
-		}
-		return ids
-	}
-	for i := range v.VirtualSubclasses {
-		v.VirtualSubclasses[i].MemberIDs = syncMembers(v.VirtualSubclasses[i].MemberIDs, v.VirtualSubclasses[i].Name)
-	}
-	for i := range v.ApproxSupers {
-		v.ApproxSupers[i].MemberIDs = syncMembers(v.ApproxSupers[i].MemberIDs, v.ApproxSupers[i].Name)
+		})
 	}
 	return changed, nil
 }

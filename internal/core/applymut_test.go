@@ -32,7 +32,7 @@ func TestReclassifyIsFixpointOnUntouchedObjects(t *testing.T) {
 				for c := range g.Classes {
 					before[c] = true
 				}
-				changed, err := v.reclassify(g)
+				changed, err := v.reclassify(g, &retraction{})
 				if err != nil {
 					t.Fatalf("reclassify g%d: %v", g.ID, err)
 				}

@@ -467,59 +467,109 @@ func (c *Conformed) rewriteDescCond(side Side, class string, dr *DescRule) expr.
 	})
 }
 
+// attrConv is how one source attribute conforms: its conformed name and
+// the conversion into the common domain.
+type attrConv struct {
+	src, name string
+	conv      ConvFunc
+}
+
+// attrConvs resolves the named attributes as used on a class.
+func (c *Conformed) attrConvs(side Side, class string, attrs []string) []attrConv {
+	out := make([]attrConv, len(attrs))
+	for i, a := range attrs {
+		name, conv := c.conformedAttrName(side, class, a)
+		out[i] = attrConv{src: a, name: name, conv: conv}
+	}
+	return out
+}
+
+// attrPlan is how one declared attribute of a class conforms. It is a
+// fact of the class, not of the object, so conformObjects resolves it
+// once per class and the per-object loop only applies it. A covering
+// descriptivity rule (keyed by the attribute's DECLARING class) either
+// keeps the value (value view) or objectifies it, fields holding the
+// described attributes; a reference to a hidden class inlines as a
+// tuple of that class's fields; any other attribute is renamed and
+// converted.
+type attrPlan struct {
+	attrConv
+	desc   *DescRule
+	hidden string // hidden target class of a reference, "" otherwise
+	fields []attrConv
+}
+
+func (c *Conformed) attrPlans(side Side, class string, desc map[string]map[string]*DescRule) []attrPlan {
+	origDB := c.Spec.DB(side).Schema
+	attrs := origDB.AllAttrs(class)
+	plans := make([]attrPlan, len(attrs))
+	for i, a := range attrs {
+		p := &plans[i]
+		p.src = a.Name
+		if dr, ok := desc[clsOwning(origDB, class, a.Name)][a.Name]; ok {
+			p.desc = dr
+			if !dr.ValueView {
+				p.fields = c.attrConvs(side, class, dr.ValueAttrs)
+			}
+			continue
+		}
+		if ct, ok := a.Type.(object.ClassType); ok && c.Hidden[side][ct.Class] {
+			p.hidden = ct.Class
+			var names []string
+			for _, f := range origDB.AllAttrs(ct.Class) {
+				names = append(names, f.Name)
+			}
+			p.fields = c.attrConvs(side, ct.Class, names)
+			continue
+		}
+		p.name, p.conv = c.conformedAttrName(side, class, a.Name)
+	}
+	return plans
+}
+
 // conformObjects converts one side's store contents into conformed
 // objects, creating virtual objects for described values.
 func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]map[string]*DescRule) error {
-	origDB := c.Spec.DB(side).Schema
 	// Virtual object dedup per virtual class: canonical key → ref.
 	virt := map[string]map[string]object.Ref{}
 
-	for _, clsName := range origDB.ClassNames() {
+	for _, clsName := range c.Spec.DB(side).Schema.ClassNames() {
 		if c.Hidden[side][clsName] {
 			continue // value-view: the class's objects exist only as values
 		}
+		plans := c.attrPlans(side, clsName, desc)
 		for _, o := range st.DirectExtent(clsName) {
 			co := &CObj{
 				Src:   object.Ref{DB: st.Name(), OID: o.OID()},
 				Side:  side,
 				Class: clsName,
-				Attrs: map[string]object.Value{},
+				Attrs: make(map[string]object.Value, len(plans)),
 			}
-			for _, a := range origDB.AllAttrs(clsName) {
-				v, ok := o.Get(a.Name)
+			for i := range plans {
+				p := &plans[i]
+				v, ok := o.Get(p.src)
 				if !ok {
 					continue
 				}
-				owner := clsOwning(origDB, clsName, a.Name)
-				if byClass, ok := desc[owner]; ok {
-					if dr, ok := byClass[a.Name]; ok {
-						if dr.ValueView {
-							co.Attrs[a.Name] = v // value stays a value
-							continue
-						}
-						ref, err := c.virtualFor(side, clsName, dr, o, virt)
-						if err != nil {
-							return err
-						}
-						co.Attrs[a.Name] = ref
-						continue
+				var err error
+				switch {
+				case p.desc != nil && p.desc.ValueView:
+					co.Attrs[p.src] = v // value stays a value
+				case p.desc != nil:
+					// An objectification failure is reported bare, as
+					// virtualFor words it.
+					if co.Attrs[p.src], err = c.virtualFor(side, p.desc, p.fields, o, virt); err != nil {
+						return err
 					}
+				case p.hidden != "":
+					// References to hidden classes inline as tuple values.
+					co.Attrs[p.src], err = hideRef(st, p.hidden, p.fields, v)
+				default:
+					co.Attrs[p.name], err = p.conv.Apply(v)
 				}
-				// References to hidden classes inline as tuple values.
-				if ct, ok := a.Type.(object.ClassType); ok && c.Hidden[side][ct.Class] {
-					tup, err := c.hideRef(side, st, ct.Class, v)
-					if err != nil {
-						return fmt.Errorf("conforming %s.%s of %s: %w", clsName, a.Name, co.Src, err)
-					}
-					co.Attrs[a.Name] = tup
-					continue
-				}
-				name, conv := c.conformedAttrName(side, clsName, a.Name)
-				cv, err := conv.Apply(v)
 				if err != nil {
-					return fmt.Errorf("conforming %s.%s of %s: %w", clsName, a.Name, co.Src, err)
+					return fmt.Errorf("conforming %s.%s of %s: %w", clsName, p.src, co.Src, err)
 				}
-				co.Attrs[name] = cv
 			}
 			c.objs[side][clsName] = append(c.objs[side][clsName], co)
 			c.byRef[co.Src] = co
@@ -530,7 +580,7 @@ func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]m
 
 // hideRef converts a reference to a hidden class into the complex value
 // describing the referenced object (conformed field names and values).
-func (c *Conformed) hideRef(side Side, st *store.Store, class string, v object.Value) (object.Value, error) {
+func hideRef(st *store.Store, class string, fields []attrConv, v object.Value) (object.Value, error) {
 	ref, ok := v.(object.Ref)
 	if !ok {
 		if v.Kind() == object.KindNull {
@@ -542,43 +592,40 @@ func (c *Conformed) hideRef(side Side, st *store.Store, class string, v object.V
 	if !ok {
 		return object.Null{}, nil
 	}
-	origDB := c.Spec.DB(side).Schema
-	fields := map[string]object.Value{}
-	for _, a := range origDB.AllAttrs(class) {
-		fv, ok := target.Get(a.Name)
+	tup := make(map[string]object.Value, len(fields))
+	for _, f := range fields {
+		fv, ok := target.Get(f.src)
 		if !ok {
 			continue
 		}
-		name, conv := c.conformedAttrName(side, class, a.Name)
-		cv, err := conv.Apply(fv)
+		cv, err := f.conv.Apply(fv)
 		if err != nil {
 			return nil, err
 		}
-		fields[name] = cv
+		tup[f.name] = cv
 	}
-	return object.NewTuple(fields), nil
+	return object.NewTuple(tup), nil
 }
 
 // virtualFor returns (creating on first use) the virtual object for the
 // described value tuple of the given object.
-func (c *Conformed) virtualFor(side Side, class string, dr *DescRule, o *store.Obj, virt map[string]map[string]object.Ref) (object.Ref, error) {
+func (c *Conformed) virtualFor(side Side, dr *DescRule, described []attrConv, o *store.Obj, virt map[string]map[string]object.Ref) (object.Ref, error) {
 	vc := virtClassName(dr.ObjectClass)
 	if virt[vc] == nil {
 		virt[vc] = map[string]object.Ref{}
 	}
-	attrs := map[string]object.Value{}
+	attrs := make(map[string]object.Value, len(described))
 	var keyParts []string
-	for _, a := range dr.ValueAttrs {
-		v, ok := o.Get(a)
+	for _, a := range described {
+		v, ok := o.Get(a.src)
 		if !ok {
 			v = object.Null{}
 		}
-		name, conv := c.conformedAttrName(side, class, a)
-		cv, err := conv.Apply(v)
+		cv, err := a.conv.Apply(v)
 		if err != nil {
 			return object.Ref{}, err
 		}
-		attrs[name] = cv
+		attrs[a.name] = cv
 		keyParts = append(keyParts, fmt.Sprintf("%016x", object.Hash(cv)))
 	}
 	key := strings.Join(keyParts, "|")

@@ -285,3 +285,165 @@ func TestConsOnScoping(t *testing.T) {
 		t.Errorf("Item class constraints: %v", ccs)
 	}
 }
+
+// A purpose-built pair for the per-class attribute plan: Volume carries
+// an objectified attribute (pub → VirtPublisher) and a value-view one
+// (printer stays a value, Trade's Printer is hidden and Stock.printer
+// inlines as a tuple); RareVolume inherits both — their descriptivity
+// rules are keyed by the declaring class Volume — and overrides cost by
+// name under its own propeq.
+const (
+	planShelfSrc = `
+Database Shelf
+
+Class Volume
+  attributes
+    code : string
+    pub : string
+    printer : string
+    cost : real
+    label : string
+end Volume
+
+Class RareVolume isa Volume
+  attributes
+    cost : real
+    vault : string
+end RareVolume
+`
+	planTradeSrc = `
+Database Trade
+
+Class Publisher
+  attributes
+    name : string
+    city : string
+end Publisher
+
+Class Printer
+  attributes
+    pname : string
+    press : string
+end Printer
+
+Class Stock
+  attributes
+    code : string
+    publisher : Publisher
+    printer : Printer
+    price : real
+    label : string
+end Stock
+`
+	planIntegrationSrc = `
+integration Shelf imports Trade
+
+rule s1: Eq(V:Volume, S:Stock) <= V.code = S.code
+rule s2: Eq(V:Volume.{pub}, P:Publisher) <= V.pub = P.name
+rule s3: Eq(V:Volume.{printer}, Q:Printer) <= V.printer = Q.pname
+
+propeq(RareVolume.cost, Stock.price, multiply(3), id, any)
+propeq(Volume.cost, Stock.price, multiply(2), id, any)
+propeq(Volume.pub, Publisher.name, id, id, any)
+propeq(Volume.printer, Printer.pname, id, id, any)
+propeq(Volume.code, Stock.code, id, id, any)
+
+valueview s3
+`
+)
+
+// planStores populates the purpose-built pair: volumes with and without
+// a label, a rare volume, stock whose printer reference resolves, is
+// null, and dangles.
+func planStores(t testing.TB) (shelf, trade *tm.DatabaseSpec, ss, ts *store.Store) {
+	t.Helper()
+	shelf, trade = tm.MustParseDatabase(planShelfSrc), tm.MustParseDatabase(planTradeSrc)
+	ss, ts = store.New(shelf.Schema, shelf.Consts), store.New(trade.Schema, trade.Consts)
+	ss.Enforce, ts.Enforce = false, false
+	str := func(s string) object.Value { return object.Str(s) }
+	real := func(f float64) object.Value { return object.Real(f) }
+	ss.MustInsert("Volume", map[string]object.Value{"code": str("v1"), "pub": str("North"), "printer": str("Inkwell"), "cost": real(10)})
+	ss.MustInsert("Volume", map[string]object.Value{"code": str("v2"), "pub": str("South"), "printer": str("Inkwell"), "cost": real(12), "label": str("second")})
+	ss.MustInsert("RareVolume", map[string]object.Value{"code": str("r1"), "pub": str("North"), "printer": str("Quill"), "cost": real(100), "vault": str("B2"), "label": str("rare")})
+	north := ts.MustInsert("Publisher", map[string]object.Value{"name": str("North"), "city": str("Oslo")})
+	ink := ts.MustInsert("Printer", map[string]object.Value{"pname": str("Inkwell"), "press": str("offset")})
+	ref := func(oid object.OID) object.Ref { return object.Ref{DB: "Trade", OID: oid} }
+	ts.MustInsert("Stock", map[string]object.Value{"code": str("v1"), "publisher": ref(north), "printer": ref(ink), "price": real(21)})
+	ts.MustInsert("Stock", map[string]object.Value{"code": str("s2"), "publisher": ref(north), "printer": object.Null{}, "price": real(5), "label": str("loose")})
+	ts.MustInsert("Stock", map[string]object.Value{"code": str("s3"), "publisher": ref(north), "printer": ref(999), "price": real(7)})
+	return shelf, trade, ss, ts
+}
+
+// dumpConformed renders every conformed object of both sides in
+// AllObjects order — class, source, virtual mark, attribute names and
+// values — and the virtual-object counter.
+func dumpConformed(c *Conformed) string {
+	var b strings.Builder
+	for _, side := range []Side{LocalSide, RemoteSide} {
+		for _, o := range c.AllObjects(side) {
+			virt := ""
+			if o.Virtual {
+				virt = " virtual"
+			}
+			b.WriteString(side.String() + virt + " " + o.String() + "\n")
+		}
+	}
+	b.WriteString("virtSeq " + object.Int(int64(c.virtSeq)).String() + "\n")
+	return b.String()
+}
+
+// TestConformObjectsGolden is the differential for the per-class
+// attribute plan: on the committed fixtures and the purpose-built pair,
+// conformation produces the objects, attribute sets, values, order and
+// virtual-object numbering it produced when every attribute was
+// re-resolved per object.
+func TestConformObjectsGolden(t *testing.T) {
+	lib, bs := tm.Figure1Library(), tm.Figure1Bookseller()
+	shelf, trade, ss, ts := planStores(t)
+	l0, r0 := fixture.Figure1Stores(fixture.Options{})
+	l3, r3 := fixture.Figure1Stores(fixture.Options{Scale: 3})
+	d1, d2 := fixture.PersonnelStores()
+	cases := []struct {
+		name          string
+		local, remote *tm.DatabaseSpec
+		is            *tm.IntegrationSpec
+		ls, rs        *store.Store
+	}{
+		{"figure1", lib, bs, tm.Figure1Integration(), l0, r0},
+		{"figure1_repaired_scale3", lib, bs, tm.Figure1IntegrationRepaired(), l3, r3},
+		{"figure1_valueview", lib, bs, valueViewSpec(t), l0, r0},
+		{"archive_scale3", lib, tm.Figure1UnivArchive(), tm.Figure1ArchiveIntegration(), l3, fixture.ArchiveStore(fixture.Options{Scale: 3})},
+		{"personnel", tm.Personnel1(), tm.Personnel2(), tm.PersonnelIntegration(), d1, d2},
+		{"plan", shelf, trade, tm.MustParseIntegration(planIntegrationSrc), ss, ts},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := Compile(tc.local, tc.remote, tc.is)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Conform(spec, tc.ls, tc.rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "conform_"+tc.name+".golden", dumpConformed(c))
+		})
+	}
+}
+
+// TestConformConversionError pins the failure a conversion reports: the
+// text, and that it is the first object carrying the attribute (v1 has
+// no label, so Shelf#2 is the first to convert one).
+func TestConformConversionError(t *testing.T) {
+	shelf, trade, ss, ts := planStores(t)
+	is := tm.MustParseIntegration(planIntegrationSrc + "propeq(Volume.label, Stock.label, multiply(2), id, any)\n")
+	spec, err := Compile(shelf, trade, is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Conform(spec, ss, ts)
+	const want = "conforming Volume.label of Shelf#2: multiply(2): non-numeric value 'second'"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Conform error = %v, want %q", err, want)
+	}
+}

@@ -307,10 +307,37 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 	}
 
 	// --- Object graft -------------------------------------------------
-	pairToFed := map[int]*GObj{}
-	cloned := map[int]*GObj{}
-	fresh := map[int]bool{}
+	// The graft first determines everything it touches — the existing
+	// object hosting each pair object: the lowest-ID one holding any of
+	// its constituents — and detaches that set as ONE batch; only then
+	// does it write, and only to clones and to objects it creates.
+	hosts := make([]*GObj, len(pairRes.View.Objects))
+	var batch []*GObj
+	for i, pg := range pairRes.View.Objects {
+		for _, ps := range []Side{LocalSide, RemoteSide} {
+			for _, m := range pg.Parts[ps] {
+				if m.Virtual {
+					continue
+				}
+				if g, ok := v.byRef[m.Src]; ok && (hosts[i] == nil || g.ID < hosts[i].ID) {
+					hosts[i] = g
+				}
+			}
+		}
+		if hosts[i] != nil {
+			batch = append(batch, hosts[i])
+		}
+	}
+	clones := v.detachAll(batch)
+	// owned are the objects no published snapshot holds: this graft's
+	// clones and the objects it creates.
+	owned := make(map[*GObj]bool, len(pairRes.View.Objects))
 	var touched []*GObj
+	for _, g := range clones {
+		owned[g] = true
+		touched = append(touched, g)
+	}
+	pairToFed := map[int]*GObj{}
 	cloneCObj := func(m *CObj, side Side) *CObj {
 		attrs := make(map[string]object.Value, len(m.Attrs))
 		for k, val := range m.Attrs {
@@ -331,19 +358,8 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		}
 		return cm
 	}
-	for _, pg := range pairRes.View.Objects {
-		var host *GObj
-		for _, ps := range []Side{LocalSide, RemoteSide} {
-			for _, m := range pg.Parts[ps] {
-				if m.Virtual {
-					continue
-				}
-				if g, ok := v.byRef[m.Src]; ok && (host == nil || g.ID < host.ID) {
-					host = g
-				}
-			}
-		}
-		if host == nil {
+	for i, pg := range pairRes.View.Objects {
+		if hosts[i] == nil {
 			g := &GObj{
 				ID:      v.nextObjectID(),
 				Parts:   map[Side][]*CObj{},
@@ -373,15 +389,10 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 			v.Objects = append(v.Objects, g)
 			v.byRef[g.Identity()] = g
 			pairToFed[pg.ID] = g
-			fresh[g.ID] = true
+			owned[g] = true
 			continue
 		}
-		g, isCloned := cloned[host.ID]
-		if !isCloned {
-			g = v.DetachForUpdate(host)
-			cloned[host.ID] = g
-			touched = append(touched, g)
-		}
+		g := clones[hosts[i]]
 		pairToFed[pg.ID] = g
 		for _, m := range pg.Parts[pairNewSide] {
 			cm := cloneCObj(m, newSide)
@@ -498,31 +509,32 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 	// ext(Cv) ⊇ ext(C) holds on the COMBINED view: target-class members
 	// the pair integration could not see (sourced from other members,
 	// e.g. pair-1 Sim imports) join the approximate superclass too.
-	// Affected objects are cloned first — they are reachable from
-	// published snapshots and gain a class membership here.
+	// Affected objects are detached first, as one batch per rule — they
+	// are reachable from published snapshots and gain a class membership
+	// here.
 	for _, r := range contrib.simRules {
 		if !r.Approximate() {
 			continue
 		}
 		tgt := v.GlobalName(r.TargetSide(), r.Target)
+		var published []*GObj
+		for _, g := range v.classExt[tgt] {
+			if !g.Classes[r.Virtual] && !owned[g] {
+				published = append(published, g)
+			}
+		}
+		for _, g := range v.detachAll(published) {
+			owned[g] = true
+			touched = append(touched, g)
+		}
 		var extra []int
-		for _, g := range append([]*GObj{}, v.classExt[tgt]...) {
+		for _, g := range v.classExt[tgt] {
 			if g.Classes[r.Virtual] {
 				continue
 			}
-			gg := g
-			if !fresh[g.ID] {
-				if cl, ok := cloned[g.ID]; ok {
-					gg = cl
-				} else {
-					gg = v.DetachForUpdate(g)
-					cloned[g.ID] = gg
-					touched = append(touched, gg)
-				}
-			}
-			gg.Classes[r.Virtual] = true
-			v.classExt[r.Virtual] = append(v.classExt[r.Virtual], gg)
-			extra = append(extra, gg.ID)
+			g.Classes[r.Virtual] = true
+			v.classExt[r.Virtual] = append(v.classExt[r.Virtual], g)
+			extra = append(extra, g.ID)
 		}
 		if len(extra) == 0 {
 			continue
@@ -621,7 +633,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 		}
 	}
 	if idx < 0 {
-		return nil, nil, fmt.Errorf("detach %s: member is the federation seed and cannot be detached", name)
+		return nil, nil, fmt.Errorf("detach %s: no pair contribution recorded for member", name)
 	}
 	contrib := f.Contribs[idx]
 
@@ -689,8 +701,13 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			touched = append(touched, g)
 		}
 	}
+	// The touched set is detached as one batch; what the strip takes out
+	// of the view — emptied objects, memberships lost to the departed
+	// rules — is collected and retracted in one pass after the loop.
+	clones := v.detachAll(touched)
+	var gone retraction
 	for _, orig := range touched {
-		g := v.DetachForUpdate(orig)
+		g := clones[orig]
 		for cls := range g.Classes {
 			affected[cls] = true
 		}
@@ -718,17 +735,13 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			// Re-derive from the remaining constituents (deterministic:
 			// ascending side, declaration order), in case another member
 			// also carries the attribute.
-			for _, s := range v.sides() {
-				found := false
+		rederive:
+			for s := Side(0); int(s) < v.memberSlots(); s++ {
 				for _, m := range g.Parts[s] {
 					if val, ok := m.Attrs[a]; ok && val.Kind() != object.KindNull {
 						g.Attrs[a] = val
-						found = true
-						break
+						break rederive
 					}
-				}
-				if found {
-					break
 				}
 			}
 		}
@@ -737,18 +750,18 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			parts += len(ms)
 		}
 		if parts == 0 {
-			if _, err := v.ApplyDelete(g); err != nil {
-				return nil, nil, fmt.Errorf("detach %s: removing g%d: %w", name, g.ID, err)
-			}
+			gone.doom(g)
 			continue
 		}
-		if _, err := v.reclassify(g); err != nil {
+		if _, err := v.reclassify(g, &gone); err != nil {
+			v.retract(&gone)
 			return nil, nil, fmt.Errorf("detach %s: reclassifying g%d: %w", name, g.ID, err)
 		}
 		for cls := range g.Classes {
 			affected[cls] = true
 		}
 	}
+	v.retract(&gone)
 
 	// --- Deregister the pair's classes (only once empty: a class kept
 	// alive by surviving members stays, reclassified above) ------------

@@ -117,19 +117,15 @@ type GlobalView struct {
 	fedNames map[Side]map[string]string
 }
 
-// sides lists the Side values of the view's members: the attach-ordered
-// member slots of a federated view (detached slots included — their
-// Parts are empty, so iterating them is a no-op), the fixed local/remote
-// pair otherwise.
-func (v *GlobalView) sides() []Side {
+// memberSlots is the number of Side values the view's members occupy:
+// the attach-ordered member slots of a federated view (detached slots
+// included — their Parts are empty, so visiting them is a no-op), the
+// fixed local/remote pair otherwise.
+func (v *GlobalView) memberSlots() int {
 	if f := v.Conformed.Fed; f != nil {
-		out := make([]Side, len(f.Schemas))
-		for i := range out {
-			out[i] = Side(i)
-		}
-		return out
+		return len(f.Schemas)
 	}
-	return []Side{LocalSide, RemoteSide}
+	return 2
 }
 
 // Extent returns the members of a global class.

@@ -10,6 +10,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -151,29 +152,46 @@ func (d *Database) ClassNames() []string {
 }
 
 // Supers returns the inheritance chain of the class from itself up to the
-// root, e.g. RefereedPubl → ScientificPubl → Publication.
+// root, e.g. RefereedPubl → ScientificPubl → Publication. The chain stops
+// at an undeclared class and, on a cyclic hierarchy, at the first repeat
+// (Validate's cycle detection reads the cycle off that last link).
 func (d *Database) Supers(name string) []string {
-	var chain []string
-	seen := map[string]bool{}
-	for cur := name; cur != "" && !seen[cur]; {
-		seen[cur] = true
-		c, ok := d.classes[cur]
-		if !ok {
-			break
-		}
-		chain = append(chain, cur)
-		cur = c.Super
+	// A repeat-free chain has at most len(classes) links, which bounds
+	// the depth count that sizes the result.
+	depth := 0
+	for c, ok := d.classes[name]; ok && depth < len(d.classes); c, ok = d.super(c) {
+		depth++
+	}
+	if depth == 0 {
+		return nil
+	}
+	chain := make([]string, 0, depth)
+	for c, ok := d.classes[name]; ok && !slices.Contains(chain, c.Name); c, ok = d.super(c) {
+		chain = append(chain, c.Name)
 	}
 	return chain
 }
 
+// super steps to the declared superclass; false at a root and at an
+// undeclared superclass.
+func (d *Database) super(c *Class) (*Class, bool) {
+	if c.Super == "" {
+		return nil, false
+	}
+	s, ok := d.classes[c.Super]
+	return s, ok
+}
+
 // IsA reports whether sub is the same as, or a (transitive) subclass of,
-// super in the declared hierarchy.
+// super in the declared hierarchy. An undeclared sub is nothing's
+// subclass, not even its own.
 func (d *Database) IsA(sub, super string) bool {
-	for _, s := range d.Supers(sub) {
-		if s == super {
+	steps := 0
+	for c, ok := d.classes[sub]; ok && steps < len(d.classes); c, ok = d.super(c) {
+		if c.Name == super {
 			return true
 		}
+		steps++
 	}
 	return false
 }
@@ -209,12 +227,15 @@ func (d *Database) AllAttrs(name string) []Attribute {
 }
 
 // ResolveAttr finds the attribute as visible on the class (own or
-// inherited) together with the class that declares it.
+// inherited) together with the class that declares it: the nearest
+// declaration wins.
 func (d *Database) ResolveAttr(class, attr string) (Attribute, string, bool) {
-	for _, cn := range d.Supers(class) {
-		if a, ok := d.classes[cn].Attr(attr); ok {
-			return a, cn, true
+	steps := 0
+	for c, ok := d.classes[class]; ok && steps < len(d.classes); c, ok = d.super(c) {
+		if a, ok := c.Attr(attr); ok {
+			return a, c.Name, true
 		}
+		steps++
 	}
 	return Attribute{}, "", false
 }

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -253,5 +254,137 @@ func TestConstraintKindString(t *testing.T) {
 	}
 	if ConstraintKind(9).String() != "kind(9)" {
 		t.Error("unknown kind")
+	}
+}
+
+// walkSchema is the hierarchy-walk contract's fixture: a healthy chain
+// with an override by name (C isa B isa A), a self-cycle (S), a 2-cycle
+// (P, Q), a tail hanging off the 2-cycle (T), and a chain whose middle
+// class was never declared (X isa Ghost).
+func walkSchema() *Database {
+	d := NewDatabase("Walk")
+	oc := func(class, name string) Constraint {
+		return Constraint{Name: name, Kind: ObjectConstraint, Class: class}
+	}
+	for _, c := range []*Class{
+		{Name: "A", Attrs: []Attribute{{"x", object.TReal}, {"a", object.TString}},
+			Constraints: []Constraint{oc("A", "a1"), {Name: "ak", Kind: ClassConstraint, Class: "A"}}},
+		{Name: "B", Super: "A", Attrs: []Attribute{{"x", object.TInt}, {"b", object.TString}},
+			Constraints: []Constraint{oc("B", "b1")}},
+		{Name: "C", Super: "B", Attrs: []Attribute{{"c", object.TString}},
+			Constraints: []Constraint{oc("C", "c1"), oc("C", "c2")}},
+		{Name: "S", Super: "S", Attrs: []Attribute{{"s", object.TInt}}},
+		{Name: "P", Super: "Q", Attrs: []Attribute{{"p", object.TInt}}},
+		{Name: "Q", Super: "P", Attrs: []Attribute{{"q", object.TInt}}},
+		{Name: "T", Super: "P"},
+		{Name: "X", Super: "Ghost", Attrs: []Attribute{{"x", object.TInt}}},
+	} {
+		_ = d.AddClass(c)
+	}
+	return d
+}
+
+// TestHierarchyWalkContract pins what Supers, IsA, ResolveAttr, AllAttrs
+// and AllObjectConstraints answer on healthy, cyclic and dangling
+// hierarchies: a walk stops at the first repeat and at an undeclared
+// class, and everything inherited comes nearest declaration first.
+func TestHierarchyWalkContract(t *testing.T) {
+	d := walkSchema()
+	for _, tc := range []struct {
+		class string
+		want  []string
+	}{
+		{"C", []string{"C", "B", "A"}},
+		{"A", []string{"A"}},
+		{"S", []string{"S"}},
+		{"P", []string{"P", "Q"}},
+		{"Q", []string{"Q", "P"}},
+		{"T", []string{"T", "P", "Q"}},
+		{"X", []string{"X"}},
+		{"Ghost", nil},
+		{"", nil},
+	} {
+		if got := d.Supers(tc.class); len(got)+len(tc.want) > 0 && !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Supers(%q) = %v, want %v", tc.class, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		sub, super string
+		want       bool
+	}{
+		{"C", "A", true}, {"C", "C", true}, {"A", "C", false},
+		{"S", "S", true}, {"S", "A", false},
+		{"P", "Q", true}, {"Q", "P", true}, {"T", "Q", true}, {"P", "T", false},
+		{"X", "X", true}, {"X", "Ghost", false},
+		{"Ghost", "Ghost", false}, {"Ghost", "A", false}, {"", "", false},
+	} {
+		if got := d.IsA(tc.sub, tc.super); got != tc.want {
+			t.Errorf("IsA(%q, %q) = %v, want %v", tc.sub, tc.super, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		class, attr, owner string
+		typ                any
+		ok                 bool
+	}{
+		{"C", "x", "B", object.TInt, true}, // nearest override, not A's real
+		{"C", "a", "A", object.TString, true},
+		{"C", "c", "C", object.TString, true},
+		{"A", "b", "", nil, false},
+		{"T", "q", "Q", object.TInt, true},
+		{"S", "nope", "", nil, false},
+		{"P", "nope", "", nil, false},
+		{"X", "x", "X", object.TInt, true},
+		{"Ghost", "x", "", nil, false},
+	} {
+		a, owner, ok := d.ResolveAttr(tc.class, tc.attr)
+		if ok != tc.ok || owner != tc.owner || (ok && (a.Name != tc.attr || a.Type != tc.typ)) {
+			t.Errorf("ResolveAttr(%q, %q) = %v, %q, %v; want type %v, %q, %v", tc.class, tc.attr, a, owner, ok, tc.typ, tc.owner, tc.ok)
+		}
+	}
+	var attrs, cons []string
+	for _, a := range d.AllAttrs("C") {
+		attrs = append(attrs, a.Name)
+	}
+	if want := []string{"c", "x", "b", "a"}; !reflect.DeepEqual(attrs, want) {
+		t.Errorf("AllAttrs(C) = %v, want nearest first %v", attrs, want)
+	}
+	for _, c := range d.AllObjectConstraints("C") {
+		cons = append(cons, c.Name)
+	}
+	if want := []string{"c1", "c2", "b1", "a1"}; !reflect.DeepEqual(cons, want) {
+		t.Errorf("AllObjectConstraints(C) = %v, want nearest first %v", cons, want)
+	}
+	if got := d.AllAttrs("Ghost"); len(got) != 0 {
+		t.Errorf("AllAttrs(Ghost) = %v", got)
+	}
+	err := d.Validate()
+	for _, want := range []string{"class S: isa cycle through S", "class P: isa cycle through P",
+		"class Q: isa cycle through Q", "class T: isa cycle through P", "class X: unknown superclass Ghost"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate should report %q: %v", want, err)
+		}
+	}
+}
+
+// TestHierarchyWalkAllocs pins the walks' allocation cost: IsA and
+// ResolveAttr walk the declarations in place, Supers allocates its
+// result and nothing else — on a cyclic hierarchy too.
+func TestHierarchyWalkAllocs(t *testing.T) {
+	d := walkSchema()
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"IsA", 0, func() { d.IsA("C", "A"); d.IsA("C", "nope"); d.IsA("T", "nope") }},
+		{"ResolveAttr", 0, func() { d.ResolveAttr("C", "a"); d.ResolveAttr("T", "nope") }},
+		{"Supers", 1, func() { d.Supers("C") }},
+		{"Supers on a cycle", 1, func() { d.Supers("T") }},
+		{"Supers undeclared", 0, func() { d.Supers("Ghost") }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
+			t.Errorf("%s: %v allocations per run, want %v", tc.name, got, tc.want)
+		}
 	}
 }

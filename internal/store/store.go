@@ -169,11 +169,9 @@ func (s *Store) DirectExtent(class string) []*Obj {
 // validateAttrs checks that every provided attribute is declared on the
 // class (own or inherited) and type-correct.
 func (s *Store) validateAttrs(class string, attrs map[string]object.Value) error {
-	c, ok := s.db.Class(class)
-	if !ok {
+	if _, ok := s.db.Class(class); !ok {
 		return fmt.Errorf("store %s: unknown class %s", s.Name(), class)
 	}
-	_ = c
 	for name, v := range attrs {
 		a, _, ok := s.db.ResolveAttr(class, name)
 		if !ok {
