@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke chaos crashtest baseline bench-compare profile serve load
+.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke chaos crashtest profile serve
 
 all: build vet fmt-check test
 
@@ -20,6 +20,9 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Includes what CI also runs as steps of their own: the reproduction
+# (`go run ./cmd/interopbench` prints what ./internal/experiments
+# asserts) and the daemon smoke (-run DaemonSmoke ./cmd/interopd).
 test:
 	$(GO) test -shuffle=on ./...
 
@@ -59,17 +62,17 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=20s -run='^$$' ./internal/store/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s -run='^$$' ./internal/wire/
 
-# Full benchmark run (slow).
+# Every Go benchmark (slow). For measuring while you work: a
+# performance claim cites the repo benchmark (BENCHMARK.json,
+# `go run -C benchmark .`).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# One-iteration smoke of the full-pipeline, serving and mutation
-# benchmarks, as in CI.
+# One-iteration smoke of the full-pipeline, serving, plan-miss and
+# membership benchmarks, as in CI.
 bench-smoke:
 	$(GO) test -bench=E11 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
-	$(GO) test -bench=B8 -benchtime=1x -run='^$$' .
-	$(GO) test -bench=B10 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=PlanMiss -benchtime=1x -run='^$$' ./internal/view/
 	$(GO) test -bench=FederationMembership -benchtime=1x -run='^$$' .
 
@@ -94,39 +97,15 @@ benchmark-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# Regenerate the machine-readable benchmark baseline for this PR:
-# three full runs min-merged per timing metric, so a scheduler or GC
-# stall landing in one run's measurement window (the dominant noise on
-# a single-core host, especially for one-shot cold timings) cannot
-# poison the committed baseline.
-baseline:
-	$(GO) run ./cmd/interopbench -quick -json BENCH_10.r1.json
-	$(GO) run ./cmd/interopbench -quick -json BENCH_10.r2.json
-	$(GO) run ./cmd/interopbench -quick -json BENCH_10.r3.json
-	$(GO) run ./cmd/benchcompare -merge BENCH_10.json BENCH_10.r1.json BENCH_10.r2.json BENCH_10.r3.json
-	rm -f BENCH_10.r1.json BENCH_10.r2.json BENCH_10.r3.json
-
-# Diff the current baseline against the previous PR's and GATE: shared
-# timing metrics regressing beyond -max-regress fail (sub-10µs rows are
-# noise-floored; E-series pass→fail drift always fails).
-bench-compare:
-	$(GO) run ./cmd/benchcompare -max-regress 100 BENCH_9.json BENCH_10.json
-
 # Serve the federation: figure1 + personnel tenants, HTTP on :7070 and
 # the binary framed transport on :7071, with /metrics and pprof.
 # Ctrl-C drains gracefully.
 serve:
 	$(GO) run ./cmd/interopd -addr :7070 -wire-addr :7071
 
-# Drive a running `make serve` with the B11 wire workload over both
-# transports.
-load:
-	$(GO) run ./cmd/interopbench -only b11 -serve-url http://localhost:7070 -wire-addr localhost:7071
-
-# CPU/heap profiles of the full benchmark suite, so perf work starts
-# from a flame graph instead of a guess:
+# CPU/heap profiles of one membership change at Scale 1000, so perf
+# work starts from a flame graph instead of a guess:
 #   make profile
 #   go tool pprof -http=:8080 cpu.pprof
 profile:
-	$(GO) run ./cmd/interopbench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
+	$(GO) test -bench=FederationMembership -benchtime=20x -run='^$$' -cpuprofile cpu.pprof -memprofile mem.pprof .

@@ -1,14 +1,15 @@
 package interopdb
 
-// One benchmark per reproduced artifact (DESIGN.md §6): the E-series
-// regenerates every worked example and figure of the paper, the B-series
-// measures the motivating performance claims on synthetic workloads, and
-// the micro-benchmarks cover the substrates. Regenerate the numbers with:
+// Go benchmarks for measuring while you work (DESIGN.md §6): the
+// E-series regenerates every worked example and figure of the paper, the
+// B-series exercises the motivating claims on synthetic workloads, and
+// the micro-benchmarks cover the substrates.
 //
 //	go test -bench=. -benchmem .
 //
-// cmd/interopbench prints the same experiments with paper-vs-measured
-// annotations (the source of EXPERIMENTS.md).
+// A performance claim cites the repo benchmark (BENCHMARK.json,
+// benchmark/), not these; cmd/interopbench prints the E checks and the
+// count tables with paper-vs-measured annotations.
 
 import (
 	"context"
@@ -144,21 +145,6 @@ func BenchmarkB3_IntegrationScale(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// B4: global-constraint derivation cost against constraint count
-// (experiments.B4 itself times sequential and parallel runs and checks
-// their reports agree).
-func BenchmarkB4_DerivationCost(b *testing.B) {
-	for _, k := range []int{4, 16, 64} {
-		b.Run("constraints="+itoa(2*k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.B4([]int{k}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -453,29 +439,6 @@ func ftoa(f float64) string {
 		return "0.9"
 	default:
 		return "x"
-	}
-}
-
-// BenchmarkB8_MutationThroughput runs the mutation-lifecycle experiment
-// once per iteration (one N-element batch vs N singletons, delta vs full
-// validation) at the base fixture scale.
-func BenchmarkB8_MutationThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.B8([]int{1}, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkB10_FederationAttach runs the federation membership-change
-// experiment (incremental attach vs full re-integration) at scale 1,
-// cross-checking the incremental and from-scratch states each
-// iteration; CI smokes it at 1x.
-func BenchmarkB10_FederationAttach(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.B10([]int{1}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -100,33 +100,45 @@ func main() {
 		}
 	}
 
+	// The signal handler is installed and both listeners are bound
+	// before anything is announced, so a "listening" line names an
+	// address that is already accepting (-addr 127.0.0.1:0 is
+	// discoverable from the log) and a SIGTERM sent on reading it drains
+	// instead of killing.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "interopd: listen: %v\n", err)
+		os.Exit(1)
+	}
+	var wln net.Listener
+	if *wireAddr != "" {
+		if wln, err = net.Listen("tcp", *wireAddr); err != nil {
+			fmt.Fprintf(os.Stderr, "interopd: wire listen: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	// ReadHeaderTimeout bounds slowloris header dribble; IdleTimeout
 	// reclaims keep-alive connections parked between requests. (The
 	// binary listener enforces the analogous per-frame deadlines itself.)
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	errc := make(chan error, 2) // one send per listener goroutine
+	go func() { errc <- hs.Serve(ln) }()
 
 	var ws *wire.Server
-	if *wireAddr != "" {
-		ln, err := net.Listen("tcp", *wireAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "interopd: wire listen: %v\n", err)
-			os.Exit(1)
-		}
+	if wln != nil {
 		ws = srv.WireServer()
-		go func() { errc <- ws.Serve(ln) }()
-		logf("binary transport listening on %s", ln.Addr())
+		go func() { errc <- ws.Serve(wln) }()
+		logf("binary transport listening on %s", wln.Addr())
 	}
-	logf("interopd listening on %s (%d tenants, max %d in flight)", *addr, len(srv.Tenants()), *maxInFlight)
+	logf("interopd listening on %s (%d tenants, max %d in flight)", ln.Addr(), len(srv.Tenants()), *maxInFlight)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		fmt.Fprintf(os.Stderr, "interopd: %v\n", err)

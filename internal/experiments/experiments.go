@@ -1,21 +1,15 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment of DESIGN.md §6 (E1–E11 scenario reproductions, B1–B9
-// measurements). cmd/interopbench prints their results; the root-level
-// benchmarks wrap them with testing.B; EXPERIMENTS.md records their
-// outputs against the paper's claims.
+// per experiment of DESIGN.md §6 — the E1–E11 scenario reproductions and
+// the B1, B2, B5, B6 count tables. An experiment here counts what the
+// derived constraints decide; one that would read a clock belongs to
+// benchmark/. cmd/interopbench prints the results and go test asserts
+// them (All, Counts).
 package experiments
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"interopdb/internal/baseline"
 	"interopdb/internal/core"
@@ -24,7 +18,6 @@ import (
 	"interopdb/internal/logic"
 	"interopdb/internal/object"
 	"interopdb/internal/store"
-	"interopdb/internal/store/chaos"
 	"interopdb/internal/tm"
 	"interopdb/internal/view"
 	"interopdb/internal/workload"
@@ -39,11 +32,13 @@ type Check struct {
 	Pass     bool
 }
 
-// Result is the outcome of one experiment.
+// Result is the outcome of one experiment. Rows, set by the count
+// tables only, are the table's lines, rendered under the checks.
 type Result struct {
 	ID     string
 	Title  string
 	Checks []Check
+	Rows   []string
 }
 
 // Passed reports whether every check passed.
@@ -70,6 +65,9 @@ func (r Result) String() string {
 			mark = "FAIL"
 		}
 		fmt.Fprintf(&b, "  [%s] %-46s paper: %-34s measured: %s\n", mark, c.Name, c.Expected, c.Measured)
+	}
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "  %s\n", row)
 	}
 	return b.String()
 }
@@ -451,14 +449,13 @@ func All() ([]Result, error) {
 }
 
 // ---------------------------------------------------------------------------
-// B-series measurements
+// B-series count tables: what the derived global constraints decide on
+// generated workloads — objects scanned, subtransactions refused,
+// conflicts detected. Nothing in this package reads a clock; a timing
+// claim names a workload and a metric of benchmark/ (DESIGN.md §6).
 
-// B1Row is one query-optimisation measurement. Cold times cover the
-// first run of each mode — plan construction, index builds, and (for
-// the optimised mode, when the cost gate lets it through) the solver's
-// constraint phase. OptTime/BaseTime are steady-state per-operation
-// times over plan-cache hits, where the constraint reasoning is
-// amortised to zero.
+// B1Row is one query-optimisation count: the objects evaluated with and
+// without the derived global constraints, for the same answer.
 type B1Row struct {
 	Query       string
 	OptScanned  int
@@ -467,22 +464,13 @@ type B1Row struct {
 	// Gated reports that the cost gate skipped the constraint phase:
 	// the estimated serving cost could not pay for the solver, so the
 	// optimised plan degenerates to the base plan instead of losing to
-	// it (BENCH_3's B1 regression: 470µs "optimised" vs 82µs plain).
-	Gated        bool
-	OptTime      time.Duration // steady-state per op
-	BaseTime     time.Duration // steady-state per op
-	OptColdTime  time.Duration // first run (plan build)
-	BaseColdTime time.Duration
+	// it.
+	Gated bool
 }
 
-// b1SteadyIters is the steady-state averaging window per mode.
-const b1SteadyIters = 100
-
-// B1 measures constraint-based query optimisation on a generated
-// federation: cold (planning) and steady-state (plan-cached) times for
-// the optimised and drop-all modes. The base mode runs first so shared
-// index builds land in its cold time, making the optimised cold time a
-// pure measurement of the (cost-gated) constraint phase.
+// B1 counts constraint-based query optimisation on a generated
+// federation: each query runs in drop-all mode and then with the
+// derived constraints, and the two answers must have the same size.
 func B1(books int) ([]B1Row, error) {
 	p := workload.DefaultParams()
 	p.LocalBooks, p.RemoteBooks = books, books
@@ -503,47 +491,25 @@ func B1(books int) ([]B1Row, error) {
 	}
 	var rows []B1Row
 	for _, q := range queries {
-		runCold := func(useCons bool) (view.Stats, int, time.Duration, error) {
+		run := func(useCons bool) (view.Stats, int, error) {
 			e.UseConstraints = useCons
-			t0 := time.Now()
 			r, st, err := e.Run(q)
-			return st, len(r), time.Since(t0), err
+			return st, len(r), err
 		}
-		runSteady := func(useCons bool) (time.Duration, error) {
-			e.UseConstraints = useCons
-			t0 := time.Now()
-			for i := 0; i < b1SteadyIters; i++ {
-				if _, _, err := e.Run(q); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(t0) / b1SteadyIters, nil
-		}
-		baseStats, nBase, baseCold, err := runCold(false)
+		baseStats, nBase, err := run(false)
 		if err != nil {
 			return nil, err
 		}
-		optStats, nOpt, optCold, err := runCold(true)
+		optStats, nOpt, err := run(true)
 		if err != nil {
 			return nil, err
 		}
 		if nOpt != nBase {
 			return nil, fmt.Errorf("optimisation changed answers: %d vs %d", nOpt, nBase)
 		}
-		baseSteady, err := runSteady(false)
-		if err != nil {
-			return nil, err
-		}
-		optSteady, err := runSteady(true)
-		if err != nil {
-			return nil, err
-		}
-		e.UseConstraints = true
 		rows = append(rows, B1Row{
 			Query: q.Where.String(), OptScanned: optStats.Scanned, BaseScanned: baseStats.Scanned,
 			Pruned: optStats.PrunedEmpty, Gated: optStats.ConstraintGated,
-			OptTime: optSteady, BaseTime: baseSteady,
-			OptColdTime: optCold, BaseColdTime: baseCold,
 		})
 	}
 	return rows, nil
@@ -602,151 +568,6 @@ func B2(attempts int, rates []float64) ([]B2Row, error) {
 			}
 		}
 		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// B3Row is one integration-scale measurement. Duration is the fully
-// sequential, cache-free run; DurationPar the default run (GOMAXPROCS
-// worker pool + memoized entailment) over a fresh store pair.
-type B3Row struct {
-	Books        int
-	Overlap      float64
-	Objects      int
-	Merged       int
-	Duration     time.Duration
-	DurationPar  time.Duration
-	CacheHitRate float64
-}
-
-// Speedup is the sequential/parallel wall-time ratio.
-func (r B3Row) Speedup() float64 {
-	if r.DurationPar <= 0 {
-		return 0
-	}
-	return float64(r.Duration) / float64(r.DurationPar)
-}
-
-// B3 measures integration wall time across sizes and overlaps,
-// sequential vs parallel.
-func B3(sizes []int, overlaps []float64) ([]B3Row, error) {
-	var rows []B3Row
-	for _, n := range sizes {
-		for _, ov := range overlaps {
-			p := workload.DefaultParams()
-			p.LocalBooks, p.RemoteBooks = n, n
-			p.Overlap = ov
-			local, remote := workload.Bibliographic(p)
-			t0 := time.Now()
-			res, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1Integration(),
-				local, remote, 1, core.Options{Parallelism: 1, NoMemo: true})
-			if err != nil {
-				return nil, err
-			}
-			d := time.Since(t0)
-			merged := 0
-			for _, g := range res.View.Objects {
-				if g.Merged() {
-					merged++
-				}
-			}
-			localP, remoteP := workload.Bibliographic(p)
-			t0 = time.Now()
-			resP, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1Integration(),
-				localP, remoteP, 1, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			dPar := time.Since(t0)
-			if resP.Report() != res.Report() {
-				return nil, fmt.Errorf("B3 books=%d overlap=%v: parallel report diverged from sequential", n, ov)
-			}
-			rows = append(rows, B3Row{
-				Books: n, Overlap: ov, Objects: len(res.View.Objects), Merged: merged,
-				Duration: d, DurationPar: dPar,
-				CacheHitRate: resP.Derivation.CacheStats().HitRate(),
-			})
-		}
-	}
-	return rows, nil
-}
-
-// B4Row is one derivation-cost measurement. Duration is sequential and
-// cache-free; DurationPar the pooled, memoized run.
-type B4Row struct {
-	Constraints  int
-	Duration     time.Duration
-	DurationPar  time.Duration
-	CacheHitRate float64
-	Derived      int
-}
-
-// Speedup is the sequential/parallel wall-time ratio.
-func (r B4Row) Speedup() float64 {
-	if r.DurationPar <= 0 {
-		return 0
-	}
-	return float64(r.Duration) / float64(r.DurationPar)
-}
-
-// B4 measures global-constraint derivation cost against the number of
-// component constraints (synthetic single-class pair with k guarded
-// bounds per side, all avg-fused).
-func B4(counts []int) ([]B4Row, error) {
-	var rows []B4Row
-	for _, k := range counts {
-		localSrc := &strings.Builder{}
-		remoteSrc := &strings.Builder{}
-		fmt.Fprintf(localSrc, "Database L\nClass C\n  attributes\n    k : string\n")
-		fmt.Fprintf(remoteSrc, "Database R\nClass D\n  attributes\n    k : string\n")
-		for i := 0; i < k; i++ {
-			fmt.Fprintf(localSrc, "    p%d : int\n", i)
-			fmt.Fprintf(remoteSrc, "    p%d : int\n", i)
-		}
-		fmt.Fprintf(localSrc, "  object constraints\n")
-		fmt.Fprintf(remoteSrc, "  object constraints\n")
-		for i := 0; i < k; i++ {
-			fmt.Fprintf(localSrc, "    oc%d: p%d >= %d\n", i, i, i)
-			fmt.Fprintf(remoteSrc, "    oc%d: p%d >= %d\n", i, i, i+2)
-		}
-		fmt.Fprintf(localSrc, "end C\n")
-		fmt.Fprintf(remoteSrc, "end D\n")
-		ispecSrc := &strings.Builder{}
-		fmt.Fprintf(ispecSrc, "integration L imports R\nrule r1: Eq(A:C, B:D) <= A.k = B.k\npropeq(C.k, D.k, id, id, any)\n")
-		for i := 0; i < k; i++ {
-			fmt.Fprintf(ispecSrc, "propeq(C.p%d, D.p%d, id, id, avg)\n", i, i)
-		}
-		localSpec := tm.MustParseDatabase(localSrc.String())
-		remoteSpec := tm.MustParseDatabase(remoteSrc.String())
-		ispec := tm.MustParseIntegration(ispecSrc.String())
-		ls := store.New(localSpec.Schema, nil)
-		rs := store.New(remoteSpec.Schema, nil)
-		t0 := time.Now()
-		res, err := core.IntegrateOptions(localSpec, remoteSpec, ispec, ls, rs, 1,
-			core.Options{Parallelism: 1, NoMemo: true})
-		if err != nil {
-			return nil, err
-		}
-		d := time.Since(t0)
-		t0 = time.Now()
-		resP, err := core.IntegrateOptions(localSpec, remoteSpec, ispec, ls, rs, 1, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		dPar := time.Since(t0)
-		if resP.Report() != res.Report() {
-			return nil, fmt.Errorf("B4 k=%d: parallel report diverged from sequential", k)
-		}
-		derived := 0
-		for _, gc := range res.Derivation.Global {
-			if strings.HasPrefix(gc.Derivation, "derived(") {
-				derived++
-			}
-		}
-		rows = append(rows, B4Row{
-			Constraints: 2 * k, Duration: d, DurationPar: dPar,
-			CacheHitRate: resP.Derivation.CacheStats().HitRate(), Derived: derived,
-		})
 	}
 	return rows, nil
 }
@@ -823,775 +644,73 @@ func B6() ([]B6Row, error) {
 	return rows, nil
 }
 
-// B7Row is one query-serving measurement: the indexed+compiled fast
-// path (extent indexes answer sargable conjuncts, the residual is a
-// compiled predicate, key uniqueness probes an incremental index)
-// against the pure interpreter scan on the same engine and extent.
-type B7Row struct {
-	Scale     int
-	Extent    int           // extent size of the probed class
-	Kind      string        // equality | range | validate-insert
-	Detail    string        // query text or probe description
-	ScanTime  time.Duration // per operation, UseIndexes = false
-	FastTime  time.Duration // per operation, UseIndexes = true
-	Rows      int           // result rows (queries only)
-	Scanned   int           // objects evaluated on the fast path
-	IndexHits int
-}
-
-// Speedup is the scan/fast wall-time ratio.
-func (r B7Row) Speedup() float64 {
-	if r.FastTime <= 0 {
-		return 0
-	}
-	return float64(r.ScanTime) / float64(r.FastTime)
-}
-
-// B7 measures query serving and insert validation over the scaled
-// Figure 1 fixture. Each operation runs iters times per mode; answers
-// are cross-checked between modes before timing.
-func B7(scales []int, iters int) ([]B7Row, error) {
-	var rows []B7Row
-	for _, scale := range scales {
-		local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
-		res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-		if err != nil {
-			return nil, err
-		}
-		e := view.New(res)
-		eqIsbn := fmt.Sprintf("vldb96-c%d", max(1, scale/2))
-		if scale == 0 {
-			eqIsbn = "vldb96"
-		}
-		queries := []view.Query{
-			{Class: "Item", Where: expr.MustParse(fmt.Sprintf("isbn = '%s'", eqIsbn))},
-			{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
-			{Class: "Proceedings", Where: expr.MustParse("rating >= 7 and shopprice < 75")},
-		}
-		kinds := []string{"equality", "range", "range"}
-		for qi, q := range queries {
-			e.UseIndexes = true
-			fastRows, fastStats, err := e.Run(q)
-			if err != nil {
-				return nil, err
-			}
-			e.UseIndexes = false
-			scanRows, _, err := e.Run(q)
-			if err != nil {
-				return nil, err
-			}
-			if len(fastRows) != len(scanRows) {
-				return nil, fmt.Errorf("B7 scale=%d %q: indexed path changed answers: %d vs %d",
-					scale, q.Where, len(fastRows), len(scanRows))
-			}
-			timeOp := func(useIdx bool) (time.Duration, error) {
-				e.UseIndexes = useIdx
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
-					if _, _, err := e.Run(q); err != nil {
-						return 0, fmt.Errorf("B7 scale=%d %q: %w", scale, q.Where, err)
-					}
-				}
-				return time.Since(t0) / time.Duration(iters), nil
-			}
-			scanT, err := timeOp(false)
-			if err != nil {
-				return nil, err
-			}
-			fastT, err := timeOp(true)
-			if err != nil {
-				return nil, err
-			}
-			e.UseIndexes = true
-			rows = append(rows, B7Row{
-				Scale: scale, Extent: len(res.View.Extent(q.Class)),
-				Kind: kinds[qi], Detail: q.Where.String(),
-				ScanTime: scanT, FastTime: fastT,
-				Rows: len(fastRows), Scanned: fastStats.Scanned, IndexHits: fastStats.IndexHits,
-			})
-		}
-		// Insert validation through Validate, the path requests take. The
-		// key is fresh — the insert that goes on to ship — which is where
-		// the key index answers "no holder" without the extent scan.
-		probe := []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: map[string]object.Value{
-			"title": object.Str("B7 probe"), "isbn": object.Str("b7-fresh-key"),
-			"shopprice": object.Real(10), "libprice": object.Real(5),
-		}}}
-		timeVal := func(useIdx bool) (time.Duration, error) {
-			e.UseIndexes = useIdx
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if rejs, _, err := e.Validate(context.Background(), probe); err != nil || len(rejs) != 0 {
-					return 0, fmt.Errorf("B7 scale=%d validate-insert: rejections=%v err=%v", scale, rejs, err)
-				}
-			}
-			return time.Since(t0) / time.Duration(iters), nil
-		}
-		scanT, err := timeVal(false)
-		if err != nil {
-			return nil, err
-		}
-		fastT, err := timeVal(true)
-		if err != nil {
-			return nil, err
-		}
-		e.UseIndexes = true
-		rows = append(rows, B7Row{
-			Scale: scale, Extent: len(res.View.Extent("Item")),
-			Kind: "validate-insert", Detail: "fresh-key insert into Item via Validate",
-			ScanTime: scanT, FastTime: fastT,
-		})
-	}
-	return rows, nil
-}
-
-// B8Row is one mutation-throughput measurement over the scaled Figure 1
-// fixture (DESIGN.md §7): shipping N one-element batches versus one
-// N-element batch through the same Ship (the local manager validates once
-// per commit, so batching amortises the deferred CheckAll), and the
-// constraint×row work of a delta-restricted Validate versus exhaustive
-// re-validation.
-type B8Row struct {
-	Scale int
-	Mode  string // "singleton-inserts", "batched-tx", "validate-delta"
-	Ops   int
-	Total time.Duration
-	PerOp time.Duration
-	// Validation-work comparison, set on validate-delta rows only.
-	DeltaPairs int
-	FullPairs  int
-}
-
-// Throughput is the measured mutation rate in operations per second.
-func (r B8Row) Throughput() float64 {
-	if r.Total <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Total.Seconds()
-}
-
-// B8 measures the mutation lifecycle at each fixture scale. Both
-// shipping modes run against fresh, identical integrations; the final
-// extents are cross-checked before the timings are reported.
-func B8(scales []int, batch int) ([]B8Row, error) {
-	var rows []B8Row
-	for _, scale := range scales {
-		build := func() (*view.Engine, *store.Store, error) {
-			local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
-			res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
-			if err != nil {
-				return nil, nil, err
-			}
-			e := view.New(res)
-			return e, remote, bindMembers(e, local, remote)
-		}
-		mkAttrs := func(remote *store.Store, i int) map[string]object.Value {
-			pub := remote.Extent("Publisher")[0]
-			return map[string]object.Value{
-				"title": object.Str(fmt.Sprintf("B8 insert %d", i)), "isbn": object.Str(fmt.Sprintf("b8-%d-%d", scale, i)),
-				"publisher": object.Ref{DB: remote.Name(), OID: pub.OID()},
-				"shopprice": object.Real(20), "libprice": object.Real(15),
-			}
-		}
-
-		mkOps := func(remote *store.Store) []view.Mutation {
-			ops := make([]view.Mutation, batch)
-			for i := range ops {
-				ops[i] = view.Mutation{Kind: view.MutInsert, Class: "Item", Attrs: mkAttrs(remote, i)}
-			}
-			return ops
-		}
-
-		// Mode 1: N one-element batches, one local commit (and one
-		// deferred local validation) each.
-		eS, remoteS, err := build()
-		if err != nil {
-			return nil, err
-		}
-		ops := mkOps(remoteS)
-		t0 := time.Now()
-		for i := range ops {
-			if err := eS.Ship(context.Background(), ops[i:i+1]); err != nil {
-				return nil, fmt.Errorf("B8 scale=%d singleton insert %d: %w", scale, i, err)
-			}
-		}
-		singleton := time.Since(t0)
-
-		// Mode 2: one N-element batch, one local commit total.
-		eB, remoteB, err := build()
-		if err != nil {
-			return nil, err
-		}
-		ops = mkOps(remoteB)
-		t0 = time.Now()
-		if err := eB.Ship(context.Background(), ops); err != nil {
-			return nil, fmt.Errorf("B8 scale=%d batched tx: %w", scale, err)
-		}
-		batched := time.Since(t0)
-
-		// Both modes must converge to the same integrated state.
-		nS := len(eS.Classes())
-		nB := len(eB.Classes())
-		if nS != nB {
-			return nil, fmt.Errorf("B8 scale=%d: modes diverged: %d vs %d classes", scale, nS, nB)
-		}
-		sRows, _, err := eS.Run(view.Query{Class: "Item"})
-		if err != nil {
-			return nil, err
-		}
-		bRows, _, err := eB.Run(view.Query{Class: "Item"})
-		if err != nil {
-			return nil, err
-		}
-		if len(sRows) != len(bRows) {
-			return nil, fmt.Errorf("B8 scale=%d: modes diverged: %d vs %d Item rows", scale, len(sRows), len(bRows))
-		}
-
-		// Validation work: delta-restricted update check vs full sweep.
-		// Both are idempotent reads, so each is averaged over several
-		// iterations — a single ~30µs sample is too noisy for the
-		// benchcompare gate.
-		var target int
-		for _, g := range eB.Result().View.Extent("Proceedings") {
-			if v, ok := g.Get("isbn"); ok && v.Equal(object.Str("vldb96")) {
-				target = g.ID
-			}
-		}
-		const deltaIters, fullIters = 20, 3
-		var delta, full view.ValidateStats
-		t0 = time.Now()
-		for i := 0; i < deltaIters; i++ {
-			_, delta, err = eB.Validate(context.Background(), []view.Mutation{{
-				Kind: view.MutUpdate, Class: "Proceedings", ID: target, Attrs: map[string]object.Value{"ref?": object.Bool(true)},
-			}})
-			if err != nil {
-				return nil, fmt.Errorf("B8 scale=%d validate: %w", scale, err)
-			}
-		}
-		deltaT := time.Since(t0) / deltaIters
-		t0 = time.Now()
-		for i := 0; i < fullIters; i++ {
-			_, full = eB.CheckAll()
-		}
-		fullT := time.Since(t0) / fullIters
-
-		rows = append(rows,
-			B8Row{Scale: scale, Mode: "singleton-inserts", Ops: batch, Total: singleton, PerOp: singleton / time.Duration(batch)},
-			B8Row{Scale: scale, Mode: "batched-tx", Ops: batch, Total: batched, PerOp: batched / time.Duration(batch)},
-			B8Row{Scale: scale, Mode: "validate-delta", Ops: 1, Total: deltaT, PerOp: deltaT,
-				DeltaPairs: delta.PairsChecked, FullPairs: full.PairsChecked},
-			B8Row{Scale: scale, Mode: "validate-full", Ops: 1, Total: fullT, PerOp: fullT,
-				DeltaPairs: delta.PairsChecked, FullPairs: full.PairsChecked},
-		)
-	}
-	return rows, nil
-}
-
-// B9Row is one concurrent-serving measurement: aggregate query
-// throughput with N reader goroutines hammering the lock-free snapshot
-// path while a writer ships mutation batches, plus the plan-cache hit
-// rate and residual solver work the readers induced.
-type B9Row struct {
-	Readers       int
-	Ops           int           // total queries served
-	Total         time.Duration // wall time for the reader pool
-	PerOp         time.Duration // wall time × readers / ops (per-query cost)
-	Mutations     int           // Ship batches committed during the run
-	PlanHitRate   float64
-	SolverQueries int64 // planner solver calls during the reader phase
-}
-
-// Throughput is the aggregate serving rate in queries per second.
-func (r B9Row) Throughput() float64 {
-	if r.Total <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Total.Seconds()
-}
-
-// B9 measures concurrent-reader serving over the scaled Figure 1
-// fixture: reader goroutines run a fixed query mix against the
-// published snapshot (Run takes no lock) while one writer ships
-// batches that republish it. Row answers are cross-checked against the
-// single-threaded engine before timing; on a multi-core host the
-// aggregate throughput scales with the reader count (CI is single-core,
-// so only the correctness half is asserted there — wall-clock scaling
-// is reported, not gated).
-func B9(scale, readers, opsPerReader int) (B9Row, error) {
-	row := B9Row{Readers: readers}
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
+// Counts runs the four count tables at the sizes cmd/interopbench
+// prints: one Result per table (B1, B2, B5, B6) whose checks state the
+// claim the table carries and whose Rows are the table itself.
+func Counts() ([]Result, error) {
+	const books, attempts = 2000, 200
+	t1, err := B1(books)
 	if err != nil {
-		return row, err
+		return nil, fmt.Errorf("B1: %w", err)
 	}
-	e := view.New(res)
-	if err := bindMembers(e, local, remote); err != nil {
-		return row, err
-	}
-	queries := []view.Query{
-		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
-		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
-		{Class: "Proceedings", Where: expr.MustParse("rating >= 7 and shopprice < 75")},
-		{Class: "Proceedings", Where: expr.MustParse("rating in {5, 8}")},
-		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'IEEE' and ref? = false")},
-	}
-	// Warm plans and pin the expected answer sizes single-threaded.
-	want := make([]int, len(queries))
-	for i, q := range queries {
-		rows, _, err := e.Run(q)
-		if err != nil {
-			return row, err
-		}
-		want[i] = len(rows)
-	}
-
-	statsBefore := e.CacheStats()
-	var readerWG, writerWG sync.WaitGroup
-	errs := make(chan error, readers+1)
-	stop := make(chan struct{})
-	var mutations atomic.Int64
-
-	// Writer: ship small insert batches until the readers finish. The
-	// inserted items are priced outside every probed range, so the
-	// readers' expected answers stay fixed across republications.
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ops := []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: map[string]object.Value{
-				"title":     object.Str(fmt.Sprintf("b9-%d-%d", readers, i)),
-				"isbn":      object.Str(fmt.Sprintf("b9-%d-%d", readers, i)),
-				"publisher": object.Ref{DB: remote.Name(), OID: 2},
-				"shopprice": object.Real(50), "libprice": object.Real(40),
-			}}}
-			if err := e.Ship(context.Background(), ops); err != nil {
-				errs <- fmt.Errorf("B9 writer batch %d: %w", i, err)
-				return
-			}
-			mutations.Add(1)
-		}
-	}()
-
-	t0 := time.Now()
-	for w := 0; w < readers; w++ {
-		readerWG.Add(1)
-		go func(w int) {
-			defer readerWG.Done()
-			for i := 0; i < opsPerReader; i++ {
-				qi := (w + i) % len(queries)
-				rows, _, err := e.Run(queries[qi])
-				if err != nil {
-					errs <- fmt.Errorf("B9 reader %d: %w", w, err)
-					return
-				}
-				if len(rows) != want[qi] {
-					errs <- fmt.Errorf("B9 reader %d: query %d served %d rows, want %d",
-						w, qi, len(rows), want[qi])
-					return
-				}
-			}
-		}(w)
-	}
-	readerWG.Wait()
-	row.Total = time.Since(t0)
-	close(stop)
-	writerWG.Wait()
-
-	close(errs)
-	for err := range errs {
-		return row, err
-	}
-	row.Ops = readers * opsPerReader
-	row.Mutations = int(mutations.Load())
-	statsAfter := e.CacheStats()
-	hits := statsAfter.PlanHits - statsBefore.PlanHits
-	misses := statsAfter.PlanMisses - statsBefore.PlanMisses
-	if hits+misses > 0 {
-		row.PlanHitRate = float64(hits) / float64(hits+misses)
-	}
-	row.SolverQueries = statsAfter.SolverQueries - statsBefore.SolverQueries
-	if row.Ops > 0 {
-		row.PerOp = time.Duration(int64(row.Total) * int64(readers) / int64(row.Ops))
-	}
-	return row, nil
-}
-
-// B9VRow is one reader-scaling measurement over the multi-version
-// snapshot ring: aggregate read throughput with N readers against a
-// writer pinned to a FIXED write rate, plus the ring-health high-water
-// marks sampled during the run. B9 lets its writer free-run, so its
-// write pressure grows with the run length; B9V holds writes constant
-// across reader counts, isolating reader-side scaling — on a multi-core
-// host throughput grows near-linearly with the reader count, and the
-// sampled reclaim depth stays bounded regardless.
-type B9VRow struct {
-	Readers int
-	Ops     int           // total queries served
-	Total   time.Duration // wall time for the reader pool
-	PerOp   time.Duration // wall time × readers / ops (per-query cost)
-	// Mutations counts the writes the ticker shipped during the reader
-	// phase; WriteInterval is the fixed tick between them.
-	Mutations     int
-	WriteInterval time.Duration
-	PlanHitRate   float64
-	// MaxChainVersions is the sampled high-water mark of retired class
-	// versions still chained (the reclaim depth); MaxLag the worst
-	// sampled reader lag in versions. Both bounded by the epoch
-	// protocol, not by the mutation count.
-	MaxChainVersions int
-	MaxLag           uint64
-	// Coalesced / Truncated are the run's deltas of the ring's
-	// publication-coalescing and version-excision counters.
-	Coalesced int64
-	Truncated int64
-}
-
-// Throughput is the aggregate serving rate in queries per second.
-func (r B9VRow) Throughput() float64 {
-	if r.Total <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Total.Seconds()
-}
-
-// B9V measures reader scaling at a fixed write rate over the scaled
-// Figure 1 fixture: a ticker-driven writer ships one singleton insert
-// per interval (republishing through the per-class delta path) while N
-// reader goroutines run the B9 query mix against pinned snapshots; a
-// sampler tracks the ring's reclaim depth and reader lag throughout.
-// Row answers are cross-checked against the warmed single-threaded
-// answers before timing, exactly like B9.
-func B9V(scale, readers, opsPerReader int, writeInterval time.Duration) (B9VRow, error) {
-	row := B9VRow{Readers: readers, WriteInterval: writeInterval}
-	local, remote := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
+	t2, err := B2(attempts, []float64{0, 0.25, 0.5, 0.75})
 	if err != nil {
-		return row, err
+		return nil, fmt.Errorf("B2: %w", err)
 	}
-	e := view.New(res)
-	if err := bindMembers(e, local, remote); err != nil {
-		return row, err
-	}
-	queries := []view.Query{
-		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
-		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
-		{Class: "Proceedings", Where: expr.MustParse("rating >= 7 and shopprice < 75")},
-		{Class: "Proceedings", Where: expr.MustParse("rating in {5, 8}")},
-		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'IEEE' and ref? = false")},
-	}
-	want := make([]int, len(queries))
-	for i, q := range queries {
-		rows, _, err := e.Run(q)
-		if err != nil {
-			return row, err
-		}
-		want[i] = len(rows)
-	}
-
-	statsBefore := e.CacheStats()
-	ringBefore := e.RingStats()
-	var readerWG, auxWG sync.WaitGroup
-	errs := make(chan error, readers+1)
-	stop := make(chan struct{})
-	var mutations atomic.Int64
-
-	// Writer: one insert per tick, priced outside every probed range so
-	// the readers' expected answers stay fixed across republications.
-	auxWG.Add(1)
-	go func() {
-		defer auxWG.Done()
-		tick := time.NewTicker(writeInterval)
-		defer tick.Stop()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			attrs := map[string]object.Value{
-				"title":     object.Str(fmt.Sprintf("b9v-%d-%d", readers, i)),
-				"isbn":      object.Str(fmt.Sprintf("b9v-%d-%d", readers, i)),
-				"publisher": object.Ref{DB: remote.Name(), OID: 2},
-				"shopprice": object.Real(50), "libprice": object.Real(40),
-			}
-			if err := e.Ship(context.Background(), []view.Mutation{{Kind: view.MutInsert, Class: "Item", Attrs: attrs}}); err != nil {
-				errs <- fmt.Errorf("B9V writer insert %d: %w", i, err)
-				return
-			}
-			mutations.Add(1)
-		}
-	}()
-
-	// Sampler: ring-health high-water marks while the run is live.
-	auxWG.Add(1)
-	go func() {
-		defer auxWG.Done()
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			st := e.RingStats()
-			if st.ChainVersions > row.MaxChainVersions {
-				row.MaxChainVersions = st.ChainVersions
-			}
-			if st.MaxLag > row.MaxLag {
-				row.MaxLag = st.MaxLag
-			}
-		}
-	}()
-
-	t0 := time.Now()
-	for w := 0; w < readers; w++ {
-		readerWG.Add(1)
-		go func(w int) {
-			defer readerWG.Done()
-			for i := 0; i < opsPerReader; i++ {
-				qi := (w + i) % len(queries)
-				rows, _, err := e.Run(queries[qi])
-				if err != nil {
-					errs <- fmt.Errorf("B9V reader %d: %w", w, err)
-					return
-				}
-				if len(rows) != want[qi] {
-					errs <- fmt.Errorf("B9V reader %d: query %d served %d rows, want %d",
-						w, qi, len(rows), want[qi])
-					return
-				}
-			}
-		}(w)
-	}
-	readerWG.Wait()
-	row.Total = time.Since(t0)
-	close(stop)
-	auxWG.Wait()
-
-	close(errs)
-	for err := range errs {
-		return row, err
-	}
-	row.Ops = readers * opsPerReader
-	row.Mutations = int(mutations.Load())
-	statsAfter := e.CacheStats()
-	hits := statsAfter.PlanHits - statsBefore.PlanHits
-	misses := statsAfter.PlanMisses - statsBefore.PlanMisses
-	if hits+misses > 0 {
-		row.PlanHitRate = float64(hits) / float64(hits+misses)
-	}
-	ringAfter := e.RingStats()
-	row.Coalesced = ringAfter.Coalesced - ringBefore.Coalesced
-	row.Truncated = ringAfter.Truncated - ringBefore.Truncated
-	if row.Ops > 0 {
-		row.PerOp = time.Duration(int64(row.Total) * int64(readers) / int64(row.Ops))
-	}
-	return row, nil
-}
-
-// B10Row is one federation membership-change measurement.
-type B10Row struct {
-	Scale int
-	// Attach is the wall time of the incremental third-member attach:
-	// the new pair's integration plus the graft and the single scoped
-	// republication, against a live, warmed federation.
-	Attach time.Duration
-	// Reintegrate is the wall time of building the same three-member
-	// federation from scratch (both pair integrations, fresh memo,
-	// fresh engine).
-	Reintegrate time.Duration
-	// PlanSurvival is the fraction of warmed query shapes on classes
-	// untouched by the attach that are still served from the plan cache
-	// afterwards.
-	PlanSurvival float64
-	// AttachSolver counts the reasoning computations the incremental
-	// attach performed; FullSolver the total a from-scratch rebuild
-	// performs. Their gap is the derivation work membership scoping
-	// avoids.
-	AttachSolver int64
-	FullSolver   int64
-	// Publishes counts snapshots the membership change published
-	// (always 1: readers see whole pre- or post-membership states).
-	Publishes int64
-}
-
-// Speedup is the re-integration/attach wall-time ratio.
-func (r B10Row) Speedup() float64 {
-	if r.Attach <= 0 {
-		return 0
-	}
-	return float64(r.Reintegrate) / float64(r.Attach)
-}
-
-// b10AttachArchive mirrors interopdb.Federation's incremental attach on
-// internal state: integrate the CSLibrary/UnivArchive pair (sharing the
-// federation memo when the typings agree) and graft it under the
-// engine's Rebind. It returns the pair derivation's reasoning misses.
-func b10AttachArchive(fs *core.FedState, e *view.Engine, lib, arch *store.Store, memo *logic.Memo, opts core.Options) (int64, error) {
-	pspec, err := core.Compile(tm.Figure1Library(), tm.Figure1UnivArchive(), tm.Figure1ArchiveIntegration())
+	t5, err := B5()
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("B5: %w", err)
 	}
-	pspec.Seed = 1
-	conf, err := core.ConformOptions(pspec, lib, arch, opts)
+	t6, err := B6()
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("B6: %w", err)
 	}
-	pv, err := core.Merge(conf)
-	if err != nil {
-		return 0, err
+
+	refuted, open := t1[0], t1[len(t1)-1]
+	b1 := Result{ID: "B1", Title: fmt.Sprintf("query optimisation: objects scanned with and without the derived constraints (%d+%d books)", books, books)}
+	b1.Checks = append(b1.Checks,
+		check("refuted query answered without a scan", "pruned, 0 objects scanned",
+			fmt.Sprintf("pruned=%v, %d of %d scanned", refuted.Pruned, refuted.OptScanned, refuted.BaseScanned),
+			refuted.Pruned && refuted.OptScanned == 0),
+		check("unconstrained query left alone", "not pruned", fmt.Sprintf("pruned=%v", open.Pruned), !open.Pruned))
+	for _, r := range t1 {
+		fewer := "-"
+		if r.OptScanned < r.BaseScanned {
+			fewer = fmt.Sprintf("%.0fx fewer objects", float64(r.BaseScanned)/float64(max(1, r.OptScanned)))
+		}
+		b1.Rows = append(b1.Rows, fmt.Sprintf("%-62s scanned opt %5d / base %5d | pruned=%-5v gated=%-5v %s",
+			r.Query, r.OptScanned, r.BaseScanned, r.Pruned, r.Gated, fewer))
 	}
-	dopts := opts
-	dopts.Memo = nil
-	before := memo.Stats()
-	if ck := fs.Res.Derivation.Checker; ck != nil && core.TypesCompatible(ck.Types, conf.Types) {
-		dopts.Memo = memo
+
+	b2 := Result{ID: "B2", Title: "transaction validation: doomed subtransactions refused before shipping"}
+	exact := true
+	for _, r := range t2 {
+		exact = exact && r.RejectedEarly == int(r.ViolationRate*float64(r.Attempts)) && r.LocalRejects == 0
+		b2.Rows = append(b2.Rows, fmt.Sprintf("violation rate %.2f: %3d/%3d rejected early, %d reached the local manager and were rejected there",
+			r.ViolationRate, r.RejectedEarly, r.Attempts, r.LocalRejects))
 	}
-	pairRes := &core.Result{Spec: pspec, Conformed: conf, View: pv, Derivation: core.DeriveOptions(pv, dopts)}
-	solver := pairRes.Derivation.CacheStats().Misses
-	if dopts.Memo != nil {
-		solver -= before.Misses
+	b2.Checks = append(b2.Checks, check("every doomed insert stopped at the view, no valid one",
+		"rate × attempts early, 0 local rejects", fmt.Sprintf("exact on all %d rates: %v", len(t2), exact), exact))
+
+	b5 := Result{ID: "B5", Title: "baselines: class-based classification and union-all constraints"}
+	b5.Checks = append(b5.Checks,
+		check("class-based [BLN86-style] classification over-assigns", "precision < 1 (instance-based: 1/1)",
+			fmt.Sprintf("precision %.2f, recall %.2f", t5.ClassBasedPrecision, t5.ClassBasedRecall),
+			t5.ClassBasedPrecision > 0 && t5.ClassBasedPrecision < 1),
+		check("union-all [AQF95/RPG95-style] rejects valid merged states", "> 0 false rejects (derived: 0)",
+			fmt.Sprintf("%d/%d", t5.UnionAllFalseRej, t5.UnionAllTotal),
+			t5.UnionAllFalseRej > 0 && t5.UnionAllFalseRej <= t5.UnionAllTotal))
+
+	b6 := Result{ID: "B6", Title: "conflict detection under injected weakenings"}
+	repaired := true
+	for _, r := range t6 {
+		repaired = repaired && (r.Conflicts == 0 || r.Suggestions > 0)
+		b6.Rows = append(b6.Rows, fmt.Sprintf("%d weakened constraints → %2d conflicts, %2d repair suggestions",
+			r.WeakenedConstraints, r.Conflicts, r.Suggestions))
 	}
-	err = e.Rebind(func() (changed, removed []string, err error) {
-		changed, err = fs.AttachPair(pairRes, "UnivArchive", "CSLibrary")
-		return changed, nil, err
-	})
-	return solver, err
-}
-
-// B10 measures federation membership changes on the scaled Figure 1
-// fixture: incremental third-member attach against a live, warmed
-// two-member federation versus a full three-member re-integration from
-// scratch, the plan-cache survival rate for classes the attach does not
-// touch, and the snapshot-publication count (one per membership
-// change). The incremental and from-scratch federations are
-// cross-checked to identical federated reports before timing.
-func B10(scales []int) ([]B10Row, error) {
-	var out []B10Row
-	untouchedQs := []view.Query{
-		{Class: "Publisher", Where: expr.MustParse("location = 'Berlin'")},
-		{Class: "Publisher", Where: expr.MustParse("name = 'IEEE'")},
-		{Class: "Monograph", Where: expr.MustParse("shopprice < 95")},
-	}
-	for _, scale := range scales {
-		row := B10Row{Scale: scale}
-
-		// Live two-member federation, plans warmed.
-		memo := logic.NewMemo()
-		opts := core.Options{Memo: memo}
-		lib, bs := fixture.Figure1Stores(fixture.Options{Scale: scale})
-		res, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib, bs, 1, opts)
-		if err != nil {
-			return nil, err
-		}
-		pair1Solver := res.Derivation.CacheStats().Misses
-		fs := core.NewFedState(res, "CSLibrary", opts, memo)
-		e := view.New(res)
-		for _, q := range untouchedQs {
-			if _, _, err := e.Run(q); err != nil {
-				return nil, err
-			}
-		}
-
-		arch := fixture.ArchiveStore(fixture.Options{Scale: scale})
-		pubBefore := e.CacheStats().Publishes
-		t0 := time.Now()
-		attachSolver, err := b10AttachArchive(fs, e, lib, arch, memo, opts)
-		if err != nil {
-			return nil, err
-		}
-		row.Attach = time.Since(t0)
-		row.AttachSolver = attachSolver
-		row.Publishes = e.CacheStats().Publishes - pubBefore
-
-		surv := 0
-		for _, q := range untouchedQs {
-			_, st, err := e.Run(q)
-			if err != nil {
-				return nil, err
-			}
-			if st.PlanCached {
-				surv++
-			}
-		}
-		row.PlanSurvival = float64(surv) / float64(len(untouchedQs))
-
-		// Full re-integration from scratch. The component stores are
-		// built OUTSIDE the timed region — the incremental side starts
-		// from existing stores too, and the comparison must time
-		// integration work only.
-		memo2 := logic.NewMemo()
-		opts2 := core.Options{Memo: memo2}
-		lib2, bs2 := fixture.Figure1Stores(fixture.Options{Scale: scale})
-		arch2 := fixture.ArchiveStore(fixture.Options{Scale: scale})
-		t0 = time.Now()
-		res2, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib2, bs2, 1, opts2)
-		if err != nil {
-			return nil, err
-		}
-		fs2 := core.NewFedState(res2, "CSLibrary", opts2, memo2)
-		e2 := view.New(res2)
-		fullSolver, err := b10AttachArchive(fs2, e2, lib2, arch2, memo2, opts2)
-		if err != nil {
-			return nil, err
-		}
-		row.Reintegrate = time.Since(t0)
-		row.FullSolver = pair1Solver + fullSolver
-
-		if got, want := fs.Report(), fs2.Report(); got != want {
-			return nil, fmt.Errorf("B10 scale %d: incremental and from-scratch federations diverge", scale)
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// B12Result is the fault-tolerance serving measurement: a mixed
-// cross-member workload under seeded transient commit faults, a full
-// member outage with degraded serving, and the reconvergence cost once
-// the member heals. The acceptance property is that transient faults at
-// the configured rate are absorbed entirely by the retry layer — zero
-// partial commits surface to callers — and that an outage past the
-// retry budget degrades to fast-failing writes and snapshot reads
-// instead of errors.
-type B12Result struct {
-	Scale   int
-	Batches int
-	Rate    float64
-
-	// Faulty phase: seeded transient commit faults at Rate on the
-	// library member, absorbed by capped-backoff retries.
-	Injected        int           // faults the chaos wrapper injected
-	Retries         int64         // commit retries the engine burned
-	ClientErrors    int           // errors surfaced to callers, any kind
-	PartialSurfaced int           // ErrPartialCommit surfaced to callers — must stay 0
-	FaultyTotal     time.Duration // wall time of the faulted workload
-	FaultFreeTotal  time.Duration // same workload, no injection
-
-	// Outage phase: the library member stays down past the retry
-	// budget, stranding one batch in the commit journal.
-	DegradedReads  int // queries answered while the member was quarantined
-	WriteFastFails int // writes refused with ErrMemberUnavailable, no peer commit
-
-	// Reconvergence: the member heals and one reconcile pass completes
-	// the stranded batch into the served view.
-	Reconverge time.Duration
-	Completed  int // journal entries the reconcile pass completed
-}
-
-// Overhead is the faulted/fault-free wall-time ratio for the same
-// workload — the serving bill of absorbing the fault rate.
-func (r B12Result) Overhead() float64 {
-	if r.FaultFreeTotal <= 0 {
-		return 0
-	}
-	return float64(r.FaultyTotal) / float64(r.FaultFreeTotal)
+	b6.Checks = append(b6.Checks, check("every detected conflict carries a repair",
+		"suggestions > 0 wherever conflicts > 0", fmt.Sprintf("all %d specifications: %v", len(t6), repaired), repaired))
+	return []Result{b1, b2, b5, b6}, nil
 }
 
 // bindMembers binds the member backends to the engine as its store
@@ -1606,520 +725,6 @@ func bindMembers(e *view.Engine, members ...store.Backend) error {
 	}
 	e.BindStores(reg)
 	return nil
-}
-
-// b12Engine builds a two-member federation with the library member
-// wrapped in a chaos backend, routed shipping bound, and retries that
-// keep their capped-exponential shape but take no wall clock.
-func b12Engine(scale int, libOpts chaos.Options) (*view.Engine, *chaos.Backend, string, int, error) {
-	lib, bs := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib, bs, 1)
-	if err != nil {
-		return nil, nil, "", 0, err
-	}
-	e := view.New(res)
-	cb := chaos.Wrap(lib, libOpts)
-	if err := bindMembers(e, cb, bs); err != nil {
-		return nil, nil, "", 0, err
-	}
-	e.Retry = view.RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond, Sleep: func(time.Duration) {}}
-	vldbID := -1
-	for _, g := range res.View.Objects {
-		if v, ok := g.Get("isbn"); ok && v.Equal(object.Str("vldb96")) {
-			vldbID = g.ID
-			break
-		}
-	}
-	if vldbID < 0 {
-		return nil, nil, "", 0, fmt.Errorf("B12: vldb96 not in the integrated view")
-	}
-	return e, cb, bs.Name(), vldbID, nil
-}
-
-// b12Batch is one cross-member batch: a bookseller-routed insert plus a
-// title update of the merged vldb96 object, which fans to a constituent
-// in BOTH members — the partial-commit shape.
-func b12Batch(bsName string, vldbID int, prefix string, i int) []view.Mutation {
-	key := fmt.Sprintf("%s-%d", prefix, i)
-	return []view.Mutation{
-		{Kind: view.MutInsert, Class: "Item", Attrs: map[string]object.Value{
-			"title":     object.Str("B12 " + key),
-			"isbn":      object.Str(key),
-			"publisher": object.Ref{DB: bsName, OID: 2},
-			"shopprice": object.Real(50), "libprice": object.Real(40),
-		}},
-		{Kind: view.MutUpdate, Class: "Item", ID: vldbID, Attrs: map[string]object.Value{
-			"title": object.Str(fmt.Sprintf("VLDB 96 Proceedings %s", key)),
-		}},
-	}
-}
-
-// B12 measures serving under member faults on the scaled Figure 1
-// fixture. Phase one ships cross-member batches while the library
-// member's commits fail transiently at the seeded rate: the engine's
-// retry layer must absorb every fault (zero partial commits surfaced),
-// and the wall-time ratio against a fault-free run of the same workload
-// is the absorption bill. Phase two forces the member down past the
-// retry budget: the stranded batch is journaled, subsequent writes
-// fast-fail before any peer commits, and reads keep serving from the
-// last-good snapshot. Phase three heals the member and times the
-// reconcile pass that completes the stranded batch into the view.
-func B12(scale, batches int, rate float64) (B12Result, error) {
-	r := B12Result{Scale: scale, Batches: batches, Rate: rate}
-	ctx := context.Background()
-
-	// Fault-free control run first: same engine shape, no injection.
-	ce, _, cbs, cid, err := b12Engine(scale, chaos.Options{})
-	if err != nil {
-		return r, err
-	}
-	t0 := time.Now()
-	for i := 0; i < batches; i++ {
-		if err := ce.Ship(ctx, b12Batch(cbs, cid, "b12", i)); err != nil {
-			return r, fmt.Errorf("B12 fault-free batch %d: %w", i, err)
-		}
-	}
-	r.FaultFreeTotal = time.Since(t0)
-
-	// Faulted run: seeded transient faults on library commit attempts.
-	e, cb, bsName, vldbID, err := b12Engine(scale, chaos.Options{Seed: 12, TransientRate: rate})
-	if err != nil {
-		return r, err
-	}
-	fs0 := e.FaultStats()
-	t0 = time.Now()
-	for i := 0; i < batches; i++ {
-		err := e.Ship(ctx, b12Batch(bsName, vldbID, "b12", i))
-		if err != nil {
-			r.ClientErrors++
-			if errors.Is(err, view.ErrPartialCommit) {
-				r.PartialSurfaced++
-			}
-		}
-	}
-	r.FaultyTotal = time.Since(t0)
-	fs1 := e.FaultStats()
-	r.Injected = cb.Stats().Transient
-	r.Retries = fs1.Retries - fs0.Retries
-
-	// The faulted and fault-free federations must have converged to the
-	// same served extent — the faults were absorbed, not dropped.
-	count := func(e *view.Engine) (int, error) {
-		rows, _, err := e.Run(view.Query{Class: "Item"})
-		return len(rows), err
-	}
-	nFaulty, err := count(e)
-	if err != nil {
-		return r, err
-	}
-	nClean, err := count(ce)
-	if err != nil {
-		return r, err
-	}
-	if nFaulty != nClean {
-		return r, fmt.Errorf("B12: faulted run served %d items, fault-free %d — a fault was dropped", nFaulty, nClean)
-	}
-
-	// Outage: the next four library commit attempts fail, exhausting the
-	// retry budget after the bookseller committed — one stranded batch.
-	cb.ScheduleNext(chaos.FaultTransient, 4)
-	err = e.Ship(ctx, b12Batch(bsName, vldbID, "b12-stranded", 0))
-	if !errors.Is(err, view.ErrPartialCommit) {
-		return r, fmt.Errorf("B12 outage batch: err = %v, want ErrPartialCommit", err)
-	}
-	for i := 0; i < 20; i++ {
-		rows, st, err := e.Run(view.Query{Class: "Item"})
-		if err != nil {
-			return r, fmt.Errorf("B12 degraded read %d: %w", i, err)
-		}
-		if len(rows) != nFaulty {
-			return r, fmt.Errorf("B12 degraded read %d served %d items, want the pre-outage %d", i, len(rows), nFaulty)
-		}
-		if i == 0 && len(st.Degraded) == 0 {
-			return r, fmt.Errorf("B12: degraded read did not name the quarantined member")
-		}
-		r.DegradedReads++
-	}
-	for i := 0; i < 5; i++ {
-		err := e.Ship(ctx, b12Batch(bsName, vldbID, "b12-refused", i))
-		if !errors.Is(err, view.ErrMemberUnavailable) {
-			return r, fmt.Errorf("B12 quarantined write %d: err = %v, want ErrMemberUnavailable", i, err)
-		}
-		r.WriteFastFails++
-	}
-
-	// Heal (the schedule is exhausted) and time the reconcile pass.
-	t0 = time.Now()
-	rs, err := e.Reconcile(ctx)
-	if err != nil {
-		return r, err
-	}
-	r.Reconverge = time.Since(t0)
-	r.Completed = rs.Completed
-	rep := e.Health()
-	if !rep.Healthy || rep.JournalDepth != 0 {
-		return r, fmt.Errorf("B12 after reconcile: healthy=%v journal=%d, want a drained healthy federation", rep.Healthy, rep.JournalDepth)
-	}
-	n, err := count(e)
-	if err != nil {
-		return r, err
-	}
-	if n != nFaulty+1 {
-		return r, fmt.Errorf("B12 after reconcile: %d items served, want %d (stranded batch applied)", n, nFaulty+1)
-	}
-	return r, nil
-}
-
-// B13Result is the durability measurement: what logging every routed
-// commit to a checksummed WAL costs at ship time (no log, log without
-// fsync, log with an fsync per commit), and what the persisted derived
-// state buys back at boot time (a warm start — checkpoint restore, WAL
-// tail replay, memo import, plan re-warming — against a cold start that
-// re-runs the solver and re-plans from nothing). The acceptance
-// property is the warm-start contract: the recovered node serves the
-// same extent as the never-crashed control, and its first client
-// queries are plan-cache hits issuing zero solver queries.
-type B13Result struct {
-	Scale   int
-	Batches int
-
-	// Ship phase: the identical cross-member workload three ways.
-	ShipBare      time.Duration // routed registry, no WAL
-	ShipWALNoSync time.Duration // WAL append per commit, OS-buffered
-	ShipWALSync   time.Duration // WAL append + fsync per commit
-
-	// Boot phase, after the synced node "crashes" (no final checkpoint).
-	ColdBoot time.Duration // fresh integration + first queries, cold caches
-	WarmBoot time.Duration // full recovery + the same first queries
-
-	ReplayedCommits int // WAL tail commits the warm boot replayed
-	MemoEntries     int // entailment verdicts imported from the checkpoint
-	PlansWarmed     int // plan shapes re-planned before serving
-
-	// First post-recovery client queries: the warm-start contract.
-	WarmPlanHits      int64 // must equal the query count
-	WarmSolverQueries int64 // must be 0
-}
-
-// WALOverheadNoSync is the ship-time ratio of OS-buffered logging.
-func (r B13Result) WALOverheadNoSync() float64 {
-	if r.ShipBare <= 0 {
-		return 0
-	}
-	return float64(r.ShipWALNoSync) / float64(r.ShipBare)
-}
-
-// WALOverheadSync is the ship-time ratio of fsync-per-commit logging —
-// the full durability bill.
-func (r B13Result) WALOverheadSync() float64 {
-	if r.ShipBare <= 0 {
-		return 0
-	}
-	return float64(r.ShipWALSync) / float64(r.ShipBare)
-}
-
-// BootSpeedup is cold/warm boot-to-serving time.
-func (r B13Result) BootSpeedup() float64 {
-	if r.WarmBoot <= 0 {
-		return 0
-	}
-	return float64(r.ColdBoot) / float64(r.WarmBoot)
-}
-
-// b13Queries is the read workload whose plan shapes the checkpoint
-// persists and a warm boot re-plans.
-func b13Queries() []view.Query {
-	return []view.Query{
-		{Class: "Proceedings", Where: expr.MustParse("rating >= 7")},
-		{Class: "Item", Where: expr.MustParse("shopprice <= 20")},
-	}
-}
-
-// b13Bare builds the two-member Figure 1 federation with routed
-// shipping bound and no WAL — the control engine.
-func b13Bare(scale int) (*view.Engine, string, int, error) {
-	lib, bs := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib, bs, 1)
-	if err != nil {
-		return nil, "", 0, err
-	}
-	e := view.New(res)
-	if err := bindMembers(e, lib, bs); err != nil {
-		return nil, "", 0, err
-	}
-	id, err := b13VLDB(res)
-	return e, bs.Name(), id, err
-}
-
-func b13VLDB(res *core.Result) (int, error) {
-	for _, g := range res.View.Objects {
-		if v, ok := g.Get("isbn"); ok && v.Equal(object.Str("vldb96")) {
-			return g.ID, nil
-		}
-	}
-	return 0, fmt.Errorf("B13: vldb96 not in the integrated view")
-}
-
-// b13Node is a durable two-member node assembled from the store-layer
-// primitives (the root package's Durability orchestration restated at
-// this layer — experiments cannot import the root package without a
-// cycle through the root benchmarks).
-type b13Node struct {
-	eng     *view.Engine
-	res     *core.Result
-	wal     *store.WAL
-	memo    *logic.Memo
-	members []*store.Store
-	dir     string
-
-	stats       store.ReplayStats
-	memoEntries int
-	plansWarmed int
-}
-
-// b13Boot performs the documented boot protocol, cold and warm alike:
-// read the checkpoint, scan the WAL, replay into freshly built member
-// stores, integrate with the imported memo, interpose WAL logging on
-// every member, and re-plan the persisted shapes.
-func b13Boot(dir string, scale int, sync store.SyncPolicy) (*b13Node, error) {
-	ckpt, err := store.ReadCheckpoint(filepath.Join(dir, "checkpoint.db"))
-	if err != nil && !errors.Is(err, store.ErrNoCheckpoint) {
-		return nil, err
-	}
-	wal, recs, err := store.OpenWAL(filepath.Join(dir, "wal.log"), store.WALOptions{Sync: sync})
-	if err != nil {
-		return nil, err
-	}
-	rec := store.BuildRecovery(ckpt, recs, wal.Damage())
-	n := &b13Node{wal: wal, dir: dir}
-
-	memo := logic.NewMemo()
-	n.memo = memo
-	if sec, ok := rec.Derived("memo"); ok {
-		if n.memoEntries, err = memo.Import(sec); err != nil {
-			return nil, err
-		}
-	}
-	lib, bs := fixture.Figure1Stores(fixture.Options{Scale: scale})
-	n.members = []*store.Store{lib, bs}
-	if n.stats, err = rec.Replay(map[string]*store.Store{lib.Name(): lib, bs.Name(): bs}); err != nil {
-		return nil, err
-	}
-	res, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), lib, bs, 1, core.Options{Memo: memo})
-	if err != nil {
-		return nil, err
-	}
-	n.res = res
-	if sec, ok := rec.Derived("derivation"); ok {
-		if err := core.VerifyDerivation(res.Derivation, sec); err != nil {
-			return nil, err
-		}
-	}
-	e := view.New(res)
-	reg := store.NewRegistry()
-	set := store.NewDurableSet(wal)
-	for _, s := range []*store.Store{lib, bs} {
-		if err := reg.Add(s); err != nil {
-			return nil, err
-		}
-		if err := reg.Swap(s.Name(), set.Wrap(s)); err != nil {
-			return nil, err
-		}
-	}
-	e.BindStores(reg)
-	e.SetDurability(set)
-	if sec, ok := rec.Derived("plans"); ok {
-		if n.plansWarmed, _, err = e.WarmPlans(context.Background(), sec); err != nil {
-			return nil, err
-		}
-	}
-	n.eng = e
-	return n, nil
-}
-
-// checkpoint snapshots the node (extents + memo + derivation + plans)
-// under the engine's read lock and drops the redundant WAL prefix.
-func (n *b13Node) checkpoint(memo *logic.Memo) error {
-	ck := &store.Checkpoint{Derived: map[string]json.RawMessage{}}
-	var capErr error
-	n.eng.ReadLocked(func() {
-		ck.LSN = n.wal.LastLSN()
-		for _, s := range n.members {
-			mc, err := store.SnapshotStore(s)
-			if err != nil {
-				capErr = err
-				return
-			}
-			ck.Members = append(ck.Members, mc)
-		}
-		if ck.Derived["memo"], capErr = memo.Export(); capErr != nil {
-			return
-		}
-		if ck.Derived["derivation"], capErr = core.ExportDerivation(n.res.Derivation); capErr != nil {
-			return
-		}
-		ck.Derived["plans"], capErr = n.eng.ExportPlans()
-	})
-	if capErr != nil {
-		return capErr
-	}
-	if err := store.WriteCheckpoint(filepath.Join(n.dir, "checkpoint.db"), ck); err != nil {
-		return err
-	}
-	return n.wal.TruncateThrough(ck.LSN)
-}
-
-// B13 measures durability on the scaled Figure 1 fixture. The ship
-// phase runs the same cross-member workload bare, WAL-logged without
-// fsync, and WAL-logged with an fsync per commit — the write-side bill.
-// The boot phase then crashes the synced node (no final checkpoint) and
-// compares a cold start against the warm recovery: replay the tail,
-// answer the integration's solver queries from the imported memo,
-// verify the derivation, re-plan the persisted shapes, and serve —
-// first queries hitting the plan cache with zero solver work.
-func B13(scale, batches int) (B13Result, error) {
-	r := B13Result{Scale: scale, Batches: batches}
-	ctx := context.Background()
-	queries := b13Queries()
-
-	// Bare control.
-	be, bbs, bid, err := b13Bare(scale)
-	if err != nil {
-		return r, err
-	}
-	t0 := time.Now()
-	for i := 0; i < batches; i++ {
-		if err := be.Ship(ctx, b12Batch(bbs, bid, "b13", i)); err != nil {
-			return r, fmt.Errorf("B13 bare batch %d: %w", i, err)
-		}
-	}
-	r.ShipBare = time.Since(t0)
-	count := func(e *view.Engine) (int, error) {
-		rows, _, err := e.Run(view.Query{Class: "Item"})
-		return len(rows), err
-	}
-	nBare, err := count(be)
-	if err != nil {
-		return r, err
-	}
-
-	// WAL, no fsync.
-	dirNoSync, err := os.MkdirTemp("", "b13-nosync-*")
-	if err != nil {
-		return r, err
-	}
-	defer os.RemoveAll(dirNoSync)
-	nn, err := b13Boot(dirNoSync, scale, store.SyncNever)
-	if err != nil {
-		return r, err
-	}
-	id, err := b13VLDB(nn.res)
-	if err != nil {
-		return r, err
-	}
-	t0 = time.Now()
-	for i := 0; i < batches; i++ {
-		if err := nn.eng.Ship(ctx, b12Batch(nn.members[1].Name(), id, "b13", i)); err != nil {
-			return r, fmt.Errorf("B13 nosync batch %d: %w", i, err)
-		}
-	}
-	r.ShipWALNoSync = time.Since(t0)
-	if err := nn.wal.Close(); err != nil {
-		return r, err
-	}
-
-	// WAL, fsync per commit. Run the read workload first so the
-	// checkpoint persists plan shapes, checkpoint, then ship — the
-	// workload lands entirely in the WAL tail.
-	dirSync, err := os.MkdirTemp("", "b13-sync-*")
-	if err != nil {
-		return r, err
-	}
-	defer os.RemoveAll(dirSync)
-	ns, err := b13Boot(dirSync, scale, store.SyncAlways)
-	if err != nil {
-		return r, err
-	}
-	for _, q := range queries {
-		if _, _, err := ns.eng.Run(q); err != nil {
-			return r, err
-		}
-	}
-	if err := ns.checkpoint(ns.memo); err != nil {
-		return r, err
-	}
-	if id, err = b13VLDB(ns.res); err != nil {
-		return r, err
-	}
-	t0 = time.Now()
-	for i := 0; i < batches; i++ {
-		if err := ns.eng.Ship(ctx, b12Batch(ns.members[1].Name(), id, "b13", i)); err != nil {
-			return r, fmt.Errorf("B13 sync batch %d: %w", i, err)
-		}
-	}
-	r.ShipWALSync = time.Since(t0)
-	// Crash: close the log without a final checkpoint; the workload
-	// survives only as the WAL tail.
-	if err := ns.wal.Close(); err != nil {
-		return r, err
-	}
-
-	// Cold boot control: integration from scratch, cold caches, first
-	// queries planned and solver-checked from nothing.
-	t0 = time.Now()
-	ce, _, _, err := b13Bare(scale)
-	if err != nil {
-		return r, err
-	}
-	for _, q := range queries {
-		if _, _, err := ce.Run(q); err != nil {
-			return r, err
-		}
-	}
-	r.ColdBoot = time.Since(t0)
-
-	// Warm boot: full recovery of the crashed node plus the same first
-	// queries.
-	t0 = time.Now()
-	nw, err := b13Boot(dirSync, scale, store.SyncAlways)
-	if err != nil {
-		return r, err
-	}
-	cs0 := nw.eng.CacheStats()
-	for _, q := range queries {
-		if _, _, err := nw.eng.Run(q); err != nil {
-			return r, err
-		}
-	}
-	r.WarmBoot = time.Since(t0)
-	cs1 := nw.eng.CacheStats()
-	r.ReplayedCommits = nw.stats.ReplayedCommits
-	r.MemoEntries = nw.memoEntries
-	r.PlansWarmed = nw.plansWarmed
-	r.WarmPlanHits = cs1.PlanHits - cs0.PlanHits
-	r.WarmSolverQueries = cs1.SolverQueries - cs0.SolverQueries
-	if err := nw.wal.Close(); err != nil {
-		return r, err
-	}
-
-	// The warm-start contract.
-	if r.ReplayedCommits == 0 {
-		return r, fmt.Errorf("B13: the crashed node's workload left no WAL tail to replay")
-	}
-	if r.WarmSolverQueries != 0 {
-		return r, fmt.Errorf("B13: first post-recovery queries issued %d solver queries, want 0", r.WarmSolverQueries)
-	}
-	if r.WarmPlanHits != int64(len(queries)) {
-		return r, fmt.Errorf("B13: first post-recovery queries recorded %d plan hits, want %d", r.WarmPlanHits, len(queries))
-	}
-	nWarm, err := count(nw.eng)
-	if err != nil {
-		return r, err
-	}
-	if nWarm != nBare {
-		return r, fmt.Errorf("B13: recovered node serves %d items, never-crashed control %d", nWarm, nBare)
-	}
-	return r, nil
 }
 
 // Reasoner runs a micro-benchmark-sized workload through the logic

@@ -41,6 +41,7 @@ func TestBibliographicOverlapDrivesMerges(t *testing.T) {
 	if merged < 150 || merged > 165 {
 		t.Errorf("merged objects = %d, want ≈150 books + publishers", merged)
 	}
+	halfOverlapObjects := len(res.View.Objects)
 
 	p.Overlap = 0
 	local, remote = Bibliographic(p)
@@ -60,6 +61,11 @@ func TestBibliographicOverlapDrivesMerges(t *testing.T) {
 	}
 	if merged != 0 {
 		t.Errorf("zero overlap should merge no books, got %d", merged)
+	}
+	// A merged pair is one global object, so the same workload with no
+	// overlap integrates into a larger view.
+	if n := len(res.View.Objects); n <= halfOverlapObjects {
+		t.Errorf("global objects: %d at overlap 0, %d at overlap 0.5 — merging should shrink the view", n, halfOverlapObjects)
 	}
 }
 

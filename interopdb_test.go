@@ -2,6 +2,7 @@ package interopdb
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -233,5 +234,79 @@ func TestPublicAPIMutationLifecycle(t *testing.T) {
 	}
 	if viols, _ := e.CheckAll(); len(viols) != 0 {
 		t.Errorf("CheckAll after batch: %v", viols)
+	}
+
+	// One N-element batch and N one-element batches converge to the
+	// same integrated state: batching changes how often the local
+	// managers validate, never what is served.
+	inserts := make([]Mutation, 8)
+	for i := range inserts {
+		inserts[i] = Mutation{Kind: MutInsert, Class: "Item", Attrs: map[string]Value{
+			"title": Str(fmt.Sprintf("API insert %d", i)), "isbn": Str(fmt.Sprintf("api-ins-%d", i)),
+			"publisher": Ref{DB: "Bookseller", OID: 3},
+			"shopprice": Real(20), "libprice": Real(15),
+		}}
+	}
+	batched, single := buildFigure1Federation(t, 1, false), buildFigure1Federation(t, 1, false)
+	if err := batched.Engine().Ship(ctx, inserts); err != nil {
+		t.Fatal(err)
+	}
+	for i := range inserts {
+		if err := single.Engine().Ship(ctx, inserts[i:i+1]); err != nil {
+			t.Fatalf("singleton insert %d: %v", i, err)
+		}
+	}
+	if b, s := batched.Result().Report(), single.Result().Report(); b != s {
+		t.Errorf("batched and singleton shipping diverge:\n--- batched\n%s\n--- singletons\n%s", b, s)
+	}
+}
+
+// TestDerivationOnePerAvgPairedBound pins §5.2.1's equality derivation
+// at width k: a single class pair whose k integer properties are each
+// bounded on both sides and fused by avg derives exactly k global
+// constraints, and the worker pool with memoized entailment reports
+// byte for byte what the sequential, cache-free run does.
+func TestDerivationOnePerAvgPairedBound(t *testing.T) {
+	for _, k := range []int{3, 9, 64} {
+		var local, remote, ispec strings.Builder
+		local.WriteString("Database L\nClass C\n  attributes\n    k : string\n")
+		remote.WriteString("Database R\nClass D\n  attributes\n    k : string\n")
+		ispec.WriteString("integration L imports R\nrule r1: Eq(A:C, B:D) <= A.k = B.k\npropeq(C.k, D.k, id, id, any)\n")
+		for i := 0; i < k; i++ {
+			fmt.Fprintf(&local, "    p%d : int\n", i)
+			fmt.Fprintf(&remote, "    p%d : int\n", i)
+			fmt.Fprintf(&ispec, "propeq(C.p%d, D.p%d, id, id, avg)\n", i, i)
+		}
+		local.WriteString("  object constraints\n")
+		remote.WriteString("  object constraints\n")
+		for i := 0; i < k; i++ {
+			fmt.Fprintf(&local, "    oc%d: p%d >= %d\n", i, i, i)
+			fmt.Fprintf(&remote, "    oc%d: p%d >= %d\n", i, i, i+2)
+		}
+		local.WriteString("end C\n")
+		remote.WriteString("end D\n")
+		ls, rs := MustParseDatabase(local.String()), MustParseDatabase(remote.String())
+		is := MustParseIntegration(ispec.String())
+
+		seq, err := IntegrateOptions(ls, rs, is, NewStore(ls), NewStore(rs), 1, PipelineOptions{Parallelism: 1, NoMemo: true})
+		if err != nil {
+			t.Fatalf("k=%d sequential: %v", k, err)
+		}
+		par, err := IntegrateOptions(ls, rs, is, NewStore(ls), NewStore(rs), 1, PipelineOptions{})
+		if err != nil {
+			t.Fatalf("k=%d parallel: %v", k, err)
+		}
+		if seq.Report() != par.Report() {
+			t.Errorf("k=%d: parallel report diverged from sequential", k)
+		}
+		derived := 0
+		for _, gc := range seq.Derivation.Global {
+			if strings.HasPrefix(gc.Derivation, "derived(") {
+				derived++
+			}
+		}
+		if derived != k {
+			t.Errorf("k=%d: %d derived global constraints, want one per avg-paired bound", k, derived)
+		}
 	}
 }
