@@ -110,44 +110,6 @@ func BenchmarkB2_TxnValidation(b *testing.B) {
 	}
 }
 
-// B3: integration wall time across sizes and overlap fractions, run
-// both fully sequential/uncached and with the default worker pool +
-// memoized entailment. Compare the seq/par sub-benchmark pairs for the
-// parallel speedup; the par runs report the cache hit rate.
-func BenchmarkB3_IntegrationScale(b *testing.B) {
-	for _, n := range []int{200, 1000, 2000} {
-		for _, ov := range []float64{0.1, 0.9} {
-			p := workload.DefaultParams()
-			p.LocalBooks, p.RemoteBooks = n, n
-			p.Overlap = ov
-			name := "books=" + itoa(n) + "/overlap=" + ftoa(ov)
-			for _, mode := range []struct {
-				tag  string
-				opts core.Options
-			}{
-				{"seq", core.Options{Parallelism: 1, NoMemo: true}},
-				{"par", core.Options{}},
-			} {
-				b.Run(name+"/"+mode.tag, func(b *testing.B) {
-					var hitRate float64
-					for i := 0; i < b.N; i++ {
-						b.StopTimer()
-						local, remote := workload.Bibliographic(p)
-						b.StartTimer()
-						res, err := core.IntegrateOptions(tm.Figure1Library(), tm.Figure1Bookseller(),
-							tm.Figure1Integration(), local, remote, 1, mode.opts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						hitRate = res.Derivation.CacheStats().HitRate()
-					}
-					b.ReportMetric(100*hitRate, "cache-hit-%")
-				})
-			}
-		}
-	}
-}
-
 // Full pipeline over the scaled Figure 1 fixture (fixture.Options.Scale
 // grows extents and merged pairs linearly), sequential vs parallel.
 func BenchmarkFixtureScalePipeline(b *testing.B) {
@@ -427,19 +389,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-func ftoa(f float64) string {
-	switch f {
-	case 0.1:
-		return "0.1"
-	case 0.5:
-		return "0.5"
-	case 0.9:
-		return "0.9"
-	default:
-		return "x"
-	}
 }
 
 // BenchmarkFederationMembership is one membership change end to end at

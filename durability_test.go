@@ -331,9 +331,13 @@ func TestCrashRecoveryDiskFaults(t *testing.T) {
 			if dur2.WAL().Sealed() == nil {
 				t.Fatal("log not sealed after disk fault")
 			}
-			// Sealed log: later writes fail fast, no ack can lie.
+			// Sealed log: later writes fail fast, no ack can lie, and a
+			// batch whose intent cannot be logged leaves no journal entry.
 			if err := shipRecord(t, fed2, 50); err == nil {
 				t.Fatal("ship succeeded on a sealed log")
+			}
+			if d := fed2.Engine().Health().JournalDepth; d != 0 {
+				t.Fatalf("journal depth %d after writes refused by a sealed log, want 0", d)
 			}
 
 			fed3, dur3, info := bootFigure1Durable(t, dir, DurabilityOptions{})

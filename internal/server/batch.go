@@ -12,8 +12,8 @@ import (
 // combined routed batches. The engine's Ship holds the write lock and
 // publishes one snapshot per call, so N requests shipped as one batch
 // pay one lock acquisition and one copy-on-write publication instead of
-// N — the same amortisation B8 measured for in-process batches, now
-// applied across wire clients. Requests are validated by the handler
+// N — the amortisation view.publishes_per_tx counts for in-process
+// batches, now applied across wire clients. Requests are validated by the handler
 // BEFORE enqueueing, so a combined-batch failure is almost always a
 // staging error (rolled back on every member); the batcher then falls
 // back to shipping each request alone, so one poisoned request cannot

@@ -16,18 +16,19 @@ import (
 //	{"t":"int","v":42}   {"t":"real","v":49.95}  {"t":"str","v":"UNIX"}
 //	{"t":"bool","v":true} {"t":"null"}
 //	{"t":"ref","db":"Bookseller","oid":2}
-//	{"t":"set","elems":[...]}
+//	{"t":"set","elems":[...]}     {"t":"tuple","fields":{"city":...}}
 //
-// The tag set mirrors object.Kind exactly; decoding is strict (an
-// unknown tag or a malformed payload is a 400, never a silent Null).
+// There is one tag per object.Kind; decoding is strict (an unknown tag
+// or a malformed payload is a 400, never a silent Null).
 
 // WireValue is the tagged JSON form of an object.Value.
 type WireValue struct {
-	T     string          `json:"t"`
-	V     json.RawMessage `json:"v,omitempty"`
-	DB    string          `json:"db,omitempty"`
-	OID   uint64          `json:"oid,omitempty"`
-	Elems []WireValue     `json:"elems,omitempty"`
+	T      string               `json:"t"`
+	V      json.RawMessage      `json:"v,omitempty"`
+	DB     string               `json:"db,omitempty"`
+	OID    uint64               `json:"oid,omitempty"`
+	Elems  []WireValue          `json:"elems,omitempty"`
+	Fields map[string]WireValue `json:"fields,omitempty"`
 }
 
 // EncodeValue converts a view value to its wire form.
@@ -54,6 +55,13 @@ func EncodeValue(v object.Value) WireValue {
 			out[i] = EncodeValue(e)
 		}
 		return WireValue{T: "set", Elems: out}
+	case object.Tuple:
+		names := v.Names()
+		out := make(map[string]WireValue, len(names))
+		for _, n := range names {
+			out[n] = EncodeValue(v.Field(n))
+		}
+		return WireValue{T: "tuple", Fields: out}
 	case object.Null:
 		return WireValue{T: "null"}
 	case nil:
@@ -105,6 +113,12 @@ func DecodeValue(w WireValue) (object.Value, error) {
 			elems[i] = v
 		}
 		return object.NewSet(elems...), nil
+	case "tuple":
+		fields, err := DecodeAttrs(w.Fields)
+		if err != nil {
+			return nil, fmt.Errorf("tuple: %w", err)
+		}
+		return object.NewTuple(fields), nil
 	case "null":
 		return object.Null{}, nil
 	default:

@@ -26,6 +26,12 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		object.NewSet(object.Int(5), object.Int(8)),
 		object.NewSet(), // empty set
 		object.NewSet(object.Str("a"), object.NewSet(object.Int(1))),
+		object.NewTuple(map[string]object.Value{"city": object.Str("Rome"), "n": object.Int(3)}),
+		object.NewTuple(nil), // empty tuple
+		object.NewTuple(map[string]object.Value{
+			"at": object.NewTuple(map[string]object.Value{"x": object.Real(1)}),
+			"in": object.NewSet(object.NewTuple(map[string]object.Value{"k": object.Null{}})),
+		}),
 	}
 	for _, v := range values {
 		wire := EncodeValue(v)
@@ -58,6 +64,7 @@ func TestValueCodecStrictDecode(t *testing.T) {
 		{T: "int", V: json.RawMessage(`"not a number"`)},
 		{T: "real", V: json.RawMessage(`[]`)},
 		{T: "set", Elems: []WireValue{{T: "mystery"}}},
+		{T: "tuple", Fields: map[string]WireValue{"city": {T: "str", V: json.RawMessage(`7`)}}},
 	}
 	for _, w := range bad {
 		if v, err := DecodeValue(w); err == nil {

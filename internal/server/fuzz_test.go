@@ -30,6 +30,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		`{"t":"set","elems":[{"t":"int","v":1},{"t":"real","v":1},{"t":"int","v":1}]}`,
 		`{"t":"set","elems":[{"t":"set","elems":[{"t":"null"}]}]}`,
 		`{"t":"set"}`,
+		`{"t":"tuple","fields":{"city":{"t":"str","v":"Rome"},"n":{"t":"int","v":3}}}`,
+		`{"t":"tuple","fields":{"at":{"t":"tuple","fields":{"x":{"t":"real","v":1}}}}}`,
+		`{"t":"tuple"}`,
+		`{"t":"tuple","fields":{"bad":{"t":"frob"}}}`,
 		`{"t":"int","v":"not a number"}`,
 		`{"t":"frob","v":1}`,
 		`{"t":""}`,

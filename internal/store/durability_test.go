@@ -340,15 +340,10 @@ func mustEncode(t *testing.T, v any) []byte {
 	return b
 }
 
-func thingOp(t *testing.T, oid uint64, v int64) WALOp {
-	t.Helper()
-	op, err := NewWALOp(OpInsert, "Thing", object.OID(oid), map[string]object.Value{
+func thingOp(oid object.OID, v int64) Effect {
+	return Effect{Kind: OpInsert, Class: "Thing", OID: oid, Attrs: map[string]object.Value{
 		"v": object.Int(v), "tag": object.Str("x"),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
+	}}
 }
 
 // TestReplayUnresolvedIntents covers the cross-member atomicity
@@ -356,16 +351,16 @@ func thingOp(t *testing.T, oid uint64, v int64) WALOp {
 // completed on the others; one with no committed member aborts; a
 // resolved intent is left alone.
 func TestReplayUnresolvedIntents(t *testing.T) {
-	opA := thingOp(t, 1, 10)
-	opB := thingOp(t, 1, 20)
-	intent := IntentRecord{Members: []string{"A", "B"}, Effects: map[string][]WALOp{
+	opA := thingOp(1, 10)
+	opB := thingOp(1, 20)
+	intent := IntentRecord{Members: []string{"A", "B"}, Effects: map[string][]Effect{
 		"A": {opA}, "B": {opB},
 	}}
 
 	t.Run("partial commit completes", func(t *testing.T) {
 		recs := []WALRecord{
 			{Kind: WALIntent, LSN: 1, Body: mustEncode(t, intent)},
-			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []WALOp{opA}})},
+			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []Effect{opA}})},
 		}
 		a, b := New(tinyDB(t, "A"), nil), New(tinyDB(t, "B"), nil)
 		stats, err := BuildRecovery(nil, recs, nil).Replay(map[string]*Store{"A": a, "B": b})
@@ -405,8 +400,8 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 	t.Run("resolved committed untouched", func(t *testing.T) {
 		recs := []WALRecord{
 			{Kind: WALIntent, LSN: 1, Body: mustEncode(t, intent)},
-			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []WALOp{opA}})},
-			{Kind: WALCommit, LSN: 3, Body: mustEncode(t, CommitRecord{Member: "B", Batch: 1, Ops: []WALOp{opB}})},
+			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []Effect{opA}})},
+			{Kind: WALCommit, LSN: 3, Body: mustEncode(t, CommitRecord{Member: "B", Batch: 1, Ops: []Effect{opB}})},
 			{Kind: WALResolve, LSN: 4, Body: mustEncode(t, ResolveRecord{Batch: 1, Outcome: ResolveCommitted})},
 		}
 		a, b := New(tinyDB(t, "A"), nil), New(tinyDB(t, "B"), nil)
@@ -427,7 +422,7 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 		// forward commit landed but its undo did not. Recovery redoes it.
 		recs := []WALRecord{
 			{Kind: WALIntent, LSN: 1, Body: mustEncode(t, intent)},
-			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []WALOp{opA}})},
+			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []Effect{opA}})},
 			{Kind: WALResolve, LSN: 3, Body: mustEncode(t, ResolveRecord{Batch: 1, Outcome: ResolveCompensated})},
 		}
 		a, b := New(tinyDB(t, "A"), nil), New(tinyDB(t, "B"), nil)
@@ -447,10 +442,10 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 		// The undo itself committed (standalone record) before the crash:
 		// replay applies forward then inverse from the log, and the
 		// settle phase must find nothing left to undo.
-		undo := inverseWALOps([]WALOp{opA})
+		undo := Inverse([]Effect{opA})
 		recs := []WALRecord{
 			{Kind: WALIntent, LSN: 1, Body: mustEncode(t, intent)},
-			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []WALOp{opA}})},
+			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []Effect{opA}})},
 			{Kind: WALResolve, LSN: 3, Body: mustEncode(t, ResolveRecord{Batch: 1, Outcome: ResolveCompensated})},
 			{Kind: WALCommit, LSN: 4, Body: mustEncode(t, CommitRecord{Member: "A", Ops: undo})},
 		}
@@ -472,7 +467,7 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 		// record was lost to a torn tail, then LogApplied never ran).
 		recs := []WALRecord{
 			{Kind: WALIntent, LSN: 1, Body: mustEncode(t, intent)},
-			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []WALOp{opA}})},
+			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []Effect{opA}})},
 		}
 		a, b := New(tinyDB(t, "A"), nil), New(tinyDB(t, "B"), nil)
 		b.Enforce = false
@@ -508,8 +503,8 @@ func TestDurableSetIntentResolve(t *testing.T) {
 	a := New(tinyDB(t, "A"), nil)
 	ba := set.Wrap(a)
 
-	op := thingOp(t, 1, 10)
-	batch, err := set.AppendIntent([]string{"A"}, map[string][]WALOp{"A": {op}})
+	op := thingOp(1, 10)
+	batch, err := set.AppendIntent([]string{"A"}, map[string][]Effect{"A": {op}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func (d *DurableSet) Wrap(b Backend) Backend { return &Durable{inner: b, set: d}
 // AppendIntent logs a routed batch's per-member effects before the
 // first member commit and returns the record's LSN, which becomes the
 // batch's durable identity (commit records reference it).
-func (d *DurableSet) AppendIntent(members []string, effects map[string][]WALOp) (uint64, error) {
+func (d *DurableSet) AppendIntent(members []string, effects map[string][]Effect) (uint64, error) {
 	body, err := EncodeIntentRecord(IntentRecord{Members: members, Effects: effects})
 	if err != nil {
 		return 0, err
@@ -116,13 +116,13 @@ func (d *Durable) Begin() Txn {
 	return &durableTxn{d: d, inner: d.inner.Begin()}
 }
 
-// durableTxn stages through the inner transaction while recording the
-// forward ops (with prior values captured from committed state, for
-// verification and inversion) to log at commit.
+// durableTxn stages through the inner transaction while recording each
+// change's Effect (prior values captured from committed state) to log
+// at commit.
 type durableTxn struct {
 	d     *Durable
 	inner Txn
-	ops   []WALOp
+	ops   []Effect
 	batch uint64
 	done  bool
 }
@@ -133,77 +133,63 @@ func (t *durableTxn) TagBatch(lsn uint64) { t.batch = lsn }
 // Insert implements Txn.
 func (t *durableTxn) Insert(class string, attrs map[string]object.Value) (object.OID, error) {
 	oid, err := t.inner.Insert(class, attrs)
-	if err != nil {
-		return 0, err
+	if err == nil {
+		t.note(Effect{Kind: OpInsert, Class: class, OID: oid, Attrs: attrs})
 	}
-	op, err := NewWALOp(OpInsert, class, oid, attrs, nil)
-	if err != nil {
-		return 0, fmt.Errorf("wal: record insert: %w", err)
-	}
-	t.ops = append(t.ops, op)
-	return oid, nil
+	return oid, err
 }
 
 // InsertAt implements Txn.
 func (t *durableTxn) InsertAt(oid object.OID, class string, attrs map[string]object.Value) error {
-	if err := t.inner.InsertAt(oid, class, attrs); err != nil {
-		return err
+	err := t.inner.InsertAt(oid, class, attrs)
+	if err == nil {
+		t.note(Effect{Kind: OpInsert, Class: class, OID: oid, Attrs: attrs})
 	}
-	op, err := NewWALOp(OpInsert, class, oid, attrs, nil)
-	if err != nil {
-		return fmt.Errorf("wal: record insert: %w", err)
-	}
-	t.ops = append(t.ops, op)
-	return nil
+	return err
 }
 
-// Update implements Txn. Prior values come from committed state (the
-// same capture the shipping layer's effect recorder performs).
+// Update implements Txn.
 func (t *durableTxn) Update(oid object.OID, attrs map[string]object.Value) error {
-	var prev map[string]object.Value
-	if o, ok := t.d.inner.Get(oid); ok {
-		prev = make(map[string]object.Value, len(attrs))
-		for k := range attrs {
-			if v, had := o.Get(k); had {
-				prev[k] = v
-			}
-		}
+	err := t.inner.Update(oid, attrs)
+	if err == nil {
+		t.note(Effect{Kind: OpUpdate, OID: oid, Attrs: attrs})
 	}
-	if err := t.inner.Update(oid, attrs); err != nil {
-		return err
-	}
-	op, err := NewWALOp(OpUpdate, "", oid, attrs, prev)
-	if err != nil {
-		return fmt.Errorf("wal: record update: %w", err)
-	}
-	t.ops = append(t.ops, op)
-	return nil
+	return err
 }
 
 // Delete implements Txn.
 func (t *durableTxn) Delete(oid object.OID) error {
-	var prev map[string]object.Value
-	var class string
-	if o, ok := t.d.inner.Get(oid); ok {
-		prev = o.Attrs()
-		class = o.Class()
+	err := t.inner.Delete(oid)
+	if err == nil {
+		t.note(Effect{Kind: OpDelete, OID: oid})
 	}
-	if err := t.inner.Delete(oid); err != nil {
-		return err
+	return err
+}
+
+// note records a change the inner transaction just staged. Staging
+// leaves committed state untouched, so Capture still reads the values
+// the change will overwrite.
+func (t *durableTxn) note(e Effect) { t.ops = append(t.ops, Capture(t.d.inner, e)) }
+
+// encode renders the transaction's commit record; nil when it staged
+// nothing.
+func (t *durableTxn) encode() ([]byte, error) {
+	if len(t.ops) == 0 {
+		return nil, nil
 	}
-	op, err := NewWALOp(OpDelete, class, oid, nil, prev)
+	body, err := EncodeCommitRecord(CommitRecord{Member: t.d.inner.Name(), Batch: t.batch, Ops: t.ops})
 	if err != nil {
-		return fmt.Errorf("wal: record delete: %w", err)
+		return nil, fmt.Errorf("wal: encode commit record: %w", err)
 	}
-	t.ops = append(t.ops, op)
-	return nil
+	return body, nil
 }
 
 // Commit implements Txn: inner commit (validation + application),
-// then the durable log append. A WAL failure after a successful inner
-// commit returns ErrWALSealed — transient to the caller's fault
-// machinery, terminal for this process's ability to acknowledge
-// writes.
+// then the durable log append. The record is encoded first, so a change
+// the log cannot hold is never applied. A WAL failure after a
+// successful inner commit returns ErrWALSealed — transient to the
+// caller's fault machinery, terminal for this process's ability to
+// acknowledge writes.
 func (t *durableTxn) Commit() error {
 	if t.done {
 		// Replaying Commit on a finished transaction must stay
@@ -211,24 +197,22 @@ func (t *durableTxn) Commit() error {
 		// "already committed"), and no duplicate record is logged.
 		return t.inner.Commit()
 	}
-	if err := t.inner.Commit(); err != nil {
+	body, err := t.encode()
+	if err != nil {
 		return err
 	}
-	if len(t.ops) == 0 {
-		t.done = true
-		return nil
-	}
-	body, err := EncodeCommitRecord(CommitRecord{Member: t.d.inner.Name(), Batch: t.batch, Ops: t.ops})
-	if err != nil {
-		return fmt.Errorf("wal: encode commit record: %w", err)
+	if err := t.inner.Commit(); err != nil {
+		return err
 	}
 	// done flips only once the record is durably appended: a failure
 	// here leaves it false, so the fault machinery's LogApplied knows
 	// the member's applied change still has no record and cannot let
 	// the batch be acknowledged (it will re-attempt the append and
 	// surface the sealed log).
-	if _, err := t.d.set.wal.Append(WALCommit, body); err != nil {
-		return err
+	if body != nil {
+		if _, err := t.d.set.wal.Append(WALCommit, body); err != nil {
+			return err
+		}
 	}
 	t.done = true
 	return nil
@@ -241,12 +225,9 @@ func (t *durableTxn) LogApplied() error {
 		return nil
 	}
 	t.done = true
-	if len(t.ops) == 0 {
-		return nil
-	}
-	body, err := EncodeCommitRecord(CommitRecord{Member: t.d.inner.Name(), Batch: t.batch, Ops: t.ops})
-	if err != nil {
-		return fmt.Errorf("wal: encode commit record: %w", err)
+	body, err := t.encode()
+	if err != nil || body == nil {
+		return err
 	}
 	_, err = t.d.set.wal.Append(WALCommit, body)
 	return err

@@ -2,8 +2,7 @@ package store
 
 import (
 	"fmt"
-
-	"interopdb/internal/object"
+	"slices"
 )
 
 // Recovery (DESIGN.md §13): rebuild member-store state from
@@ -93,9 +92,10 @@ type ReplayStats struct {
 // in LSN order, then completion of unresolved cross-member intents.
 // The stores map must name every member the log mentions, each built
 // (and, on first boot, seeded) exactly as the original boot built it.
-// Replay applies committed state without re-running constraint checks:
-// everything in the log was validated by the member's manager before
-// it was recorded.
+// Replay applies state without re-running constraint checks: every
+// commit in the log was validated by its member's manager before it was
+// recorded, and completing an interrupted batch applies the intent's
+// effects to members whose manager never judged them (applyEffects).
 func (rs *RecoveredState) Replay(stores map[string]*Store) (ReplayStats, error) {
 	var stats ReplayStats
 	if rs.Checkpoint != nil {
@@ -142,7 +142,7 @@ func (rs *RecoveredState) Replay(stores map[string]*Store) (ReplayStats, error) 
 			if !ok {
 				return stats, fmt.Errorf("recover: LSN %d commits to unknown member %s", r.LSN, cr.Member)
 			}
-			if err := applyWALOps(s, cr.Ops); err != nil {
+			if err := applyEffects(s, cr.Ops); err != nil {
 				return stats, fmt.Errorf("recover: LSN %d on %s: %w", r.LSN, cr.Member, err)
 			}
 			stats.ReplayedCommits++
@@ -172,180 +172,86 @@ func (rs *RecoveredState) Replay(stores map[string]*Store) (ReplayStats, error) 
 		}
 	}
 
-	// Unresolved intents: the crash caught a routed batch between its
-	// intent record and its terminal outcome. Per-member commit records
-	// tell us how far it got. Nothing committed → the batch was never
-	// acknowledged and aborts cleanly. A committed prefix → the batch
-	// was partially durable; complete it, because the committed members'
-	// state is already visible and completion (unlike compensation)
-	// needs no cooperation from state the crash destroyed.
+	// Settle the intents. An unresolved one is a routed batch the crash
+	// caught between its intent record and its terminal outcome, and the
+	// per-member commit records tell how far it got. Nothing committed →
+	// the batch was never acknowledged and aborts cleanly. A committed
+	// prefix → the batch was partially durable; complete it, because the
+	// committed members' state is already visible and completion (unlike
+	// compensation) needs no cooperation from state the crash destroyed.
+	// A "compensated" resolve sealed the batch's fate as "undo the
+	// committed prefix" before the compensating transactions ran: any
+	// member whose forward effects are still present missed its undo, and
+	// the intent's prior values carry everything the inverse needs. Any
+	// other resolved intent is settled already.
 	for _, st := range intents {
-		if st.outcome == ResolveCompensated {
-			// The batch's fate was sealed as "undo the committed prefix"
-			// before the compensating transactions ran; any member whose
-			// forward effects are still present missed its undo. The
-			// intent's Prev values carry everything the inverse needs.
-			undone := false
-			for _, m := range st.rec.Members {
-				ops := st.rec.Effects[m]
-				s, ok := stores[m]
-				if !ok {
-					return stats, fmt.Errorf("recover: intent LSN %d names unknown member %s", st.lsn, m)
-				}
-				applied, err := walOpsApplied(s, ops)
-				if err != nil {
-					return stats, fmt.Errorf("recover: intent LSN %d on %s: %w", st.lsn, m, err)
-				}
-				if !applied {
-					continue
-				}
-				inv := inverseWALOps(ops)
-				if err := applyWALOps(s, inv); err != nil {
-					return stats, fmt.Errorf("recover: compensating intent LSN %d on %s: %w", st.lsn, m, err)
-				}
-				stats.UnresolvedOps += len(inv)
-				undone = true
-			}
-			if undone {
-				stats.CompensatedIntents++
-			}
+		undo := st.outcome == ResolveCompensated
+		if !undo && st.outcome != "" {
 			continue
 		}
-		if st.outcome != "" {
-			continue
-		}
-		anyCommitted := false
-		for _, m := range st.rec.Members {
-			if st.committed[m] {
-				anyCommitted = true
-				break
-			}
-		}
-		if !anyCommitted {
+		if !undo && !slices.ContainsFunc(st.rec.Members, func(m string) bool { return st.committed[m] }) {
 			stats.AbortedIntents++
 			continue
 		}
+		settled := false
 		for _, m := range st.rec.Members {
-			if st.committed[m] {
+			if !undo && st.committed[m] {
 				continue
 			}
-			ops := st.rec.Effects[m]
 			s, ok := stores[m]
 			if !ok {
 				return stats, fmt.Errorf("recover: intent LSN %d names unknown member %s", st.lsn, m)
 			}
-			applied, err := walOpsApplied(s, ops)
-			if err != nil {
-				return stats, fmt.Errorf("recover: intent LSN %d on %s: %w", st.lsn, m, err)
+			effs, verb := st.rec.Effects[m], "completing"
+			if Applied(s, effs) != undo {
+				continue // already on the batch's decided side
 			}
-			if applied {
-				continue
+			if undo {
+				effs, verb = Inverse(effs), "compensating"
 			}
-			if err := applyWALOps(s, ops); err != nil {
-				return stats, fmt.Errorf("recover: completing intent LSN %d on %s: %w", st.lsn, m, err)
+			if err := applyEffects(s, effs); err != nil {
+				return stats, fmt.Errorf("recover: %s intent LSN %d on %s: %w", verb, st.lsn, m, err)
 			}
-			stats.UnresolvedOps += len(ops)
+			stats.UnresolvedOps += len(effs)
+			settled = true
 		}
-		stats.CompletedIntents++
+		if !undo {
+			stats.CompletedIntents++
+		} else if settled {
+			stats.CompensatedIntents++
+		}
 	}
 	return stats, nil
 }
 
-// applyWALOps applies forward ops to a store with constraint
-// enforcement off (the log records already-validated state).
-func applyWALOps(s *Store, ops []WALOp) error {
+// applyEffects applies effects straight to a store with constraint
+// enforcement off: the log records state the member's manager already
+// validated, and a completion replay applies a batch recovery has
+// decided to finish — neither goes back through the manager.
+func applyEffects(s *Store, effs []Effect) error {
 	enforce := s.Enforce
 	s.Enforce = false
 	defer func() { s.Enforce = enforce }()
-	for i, op := range ops {
-		attrs, err := op.DecodedAttrs()
+	for i, e := range effs {
+		var err error
+		switch e.Kind {
+		case OpInsert:
+			if err = s.validateAttrs(e.Class, e.Attrs); err == nil {
+				err = s.insertReserved(e.OID, e.Class, e.Attrs)
+			}
+			if err == nil && e.OID >= s.nextOID {
+				s.nextOID = e.OID + 1
+			}
+		case OpUpdate:
+			err = s.Update(e.OID, e.Attrs)
+		case OpDelete:
+			err = s.Delete(e.OID)
+		default:
+			err = fmt.Errorf("unknown kind %d", int(e.Kind))
+		}
 		if err != nil {
 			return fmt.Errorf("op %d: %w", i, err)
 		}
-		oid := object.OID(op.OID)
-		switch op.Kind {
-		case OpInsert:
-			if err := s.validateAttrs(op.Class, attrs); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
-			if err := s.insertReserved(oid, op.Class, attrs); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
-			if oid >= s.nextOID {
-				s.nextOID = oid + 1
-			}
-		case OpUpdate:
-			if err := s.Update(oid, attrs); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
-		case OpDelete:
-			if err := s.Delete(oid); err != nil {
-				return fmt.Errorf("op %d: %w", i, err)
-			}
-		default:
-			return fmt.Errorf("op %d: unknown kind %d", i, int(op.Kind))
-		}
 	}
 	return nil
-}
-
-// inverseWALOps builds the undo script for a member's forward ops: the
-// inverses in reverse order (the same construction as the shipping
-// layer's inverseEffects). An update whose prior values were never
-// declared has nothing to restore and is skipped.
-func inverseWALOps(ops []WALOp) []WALOp {
-	out := make([]WALOp, 0, len(ops))
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		switch op.Kind {
-		case OpInsert:
-			out = append(out, WALOp{Kind: OpDelete, Class: op.Class, OID: op.OID, Prev: op.Attrs})
-		case OpUpdate:
-			if len(op.Prev) > 0 {
-				out = append(out, WALOp{Kind: OpUpdate, OID: op.OID, Attrs: op.Prev, Prev: op.Attrs})
-			}
-		case OpDelete:
-			out = append(out, WALOp{Kind: OpInsert, Class: op.Class, OID: op.OID, Attrs: op.Prev})
-		}
-	}
-	return out
-}
-
-// walOpsApplied mirrors the shipping layer's effect-verification
-// oracle: member commits are atomic, so the recorded effects are either
-// all present or all absent. An empty list proves nothing and reports
-// false.
-func walOpsApplied(s *Store, ops []WALOp) (bool, error) {
-	if len(ops) == 0 {
-		return false, nil
-	}
-	for _, op := range ops {
-		oid := object.OID(op.OID)
-		switch op.Kind {
-		case OpInsert:
-			if _, ok := s.Get(oid); !ok {
-				return false, nil
-			}
-		case OpUpdate:
-			o, ok := s.Get(oid)
-			if !ok {
-				return false, nil
-			}
-			attrs, err := op.DecodedAttrs()
-			if err != nil {
-				return false, err
-			}
-			for k, v := range attrs {
-				got, ok := o.Get(k)
-				if !ok || !got.Equal(v) {
-					return false, nil
-				}
-			}
-		case OpDelete:
-			if _, ok := s.Get(oid); ok {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

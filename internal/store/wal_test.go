@@ -304,11 +304,8 @@ func TestWALSealsOnWriteFailure(t *testing.T) {
 
 func TestWALRecordBodies(t *testing.T) {
 	attrs := map[string]object.Value{"title": object.Str("x"), "price": object.Real(9.5)}
-	op, err := NewWALOp(OpInsert, "Item", 3, attrs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := CommitRecord{Member: "db1", Batch: 7, Ops: []WALOp{op}}
+	op := Effect{Kind: OpInsert, Class: "Item", OID: 3, Attrs: attrs}
+	cr := CommitRecord{Member: "db1", Batch: 7, Ops: []Effect{op}}
 	b, err := EncodeCommitRecord(cr)
 	if err != nil {
 		t.Fatal(err)
@@ -320,15 +317,11 @@ func TestWALRecordBodies(t *testing.T) {
 	if got.Member != "db1" || got.Batch != 7 || len(got.Ops) != 1 {
 		t.Fatalf("commit round trip: %+v", got)
 	}
-	da, err := got.Ops[0].DecodedAttrs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !object.AttrsEqual(da, attrs) {
+	if da := got.Ops[0].Attrs; !object.AttrsEqual(da, attrs) {
 		t.Fatalf("op attrs changed: %v", da)
 	}
 
-	ir := IntentRecord{Members: []string{"db1", "db2"}, Effects: map[string][]WALOp{"db1": {op}}}
+	ir := IntentRecord{Members: []string{"db1", "db2"}, Effects: map[string][]Effect{"db1": {op}}}
 	ib, err := EncodeIntentRecord(ir)
 	if err != nil {
 		t.Fatal(err)

@@ -3,92 +3,24 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-
-	"interopdb/internal/object"
 )
 
 // WAL record bodies. The frame layer (wal.go) guarantees integrity —
 // length, checksum, LSN — so bodies can use JSON with the kind-tagged
-// value codec from internal/object and stay debuggable with nothing
-// but `jq`. Decoding is strict and panic-free on arbitrary bytes (the
-// frame CRC makes corruption here vanishingly unlikely, but the fuzz
-// target holds the decoders to the same standard as the frame parser).
-
-// OpKind enumerates the mutation kinds a WAL op can carry. The values
-// are part of the on-disk format; never renumber.
-type OpKind int
-
-const (
-	OpInsert OpKind = 1
-	OpUpdate OpKind = 2
-	OpDelete OpKind = 3
-)
-
-// WALOp is one member-local mutation as recorded in commit and intent
-// records: the forward change plus enough prior state to verify it
-// applied (and, for intent records, to invert it).
-type WALOp struct {
-	Kind  OpKind                     `json:"k"`
-	Class string                     `json:"c,omitempty"`
-	OID   uint64                     `json:"o"`
-	Attrs map[string]json.RawMessage `json:"a,omitempty"`
-	Prev  map[string]json.RawMessage `json:"p,omitempty"`
-}
-
-// NewWALOp builds a WALOp from live attribute maps.
-func NewWALOp(kind OpKind, class string, oid object.OID, attrs, prev map[string]object.Value) (WALOp, error) {
-	a, err := object.MarshalAttrs(attrs)
-	if err != nil {
-		return WALOp{}, err
-	}
-	p, err := object.MarshalAttrs(prev)
-	if err != nil {
-		return WALOp{}, err
-	}
-	return WALOp{Kind: kind, Class: class, OID: uint64(oid), Attrs: a, Prev: p}, nil
-}
-
-// validate rejects ops that could not have been produced by the
-// recorder — the decoder's share of the "arbitrary bytes never panic,
-// never half-apply" contract.
-func (op WALOp) validate() error {
-	switch op.Kind {
-	case OpInsert:
-		if op.Class == "" {
-			return fmt.Errorf("wal: insert op without class")
-		}
-	case OpUpdate:
-		if len(op.Attrs) == 0 {
-			return fmt.Errorf("wal: update op without assignments")
-		}
-	case OpDelete:
-	default:
-		return fmt.Errorf("wal: unknown op kind %d", int(op.Kind))
-	}
-	if op.OID == 0 {
-		return fmt.Errorf("wal: op without OID")
-	}
-	return nil
-}
-
-// DecodedAttrs returns the op's forward attribute values.
-func (op WALOp) DecodedAttrs() (map[string]object.Value, error) {
-	return object.UnmarshalAttrs(op.Attrs)
-}
-
-// DecodedPrev returns the op's prior attribute values.
-func (op WALOp) DecodedPrev() (map[string]object.Value, error) {
-	return object.UnmarshalAttrs(op.Prev)
-}
+// value codec from internal/object (effect.go) and stay debuggable with
+// nothing but `jq`. Decoding is strict and panic-free on arbitrary
+// bytes (the frame CRC makes corruption here vanishingly unlikely, but
+// the fuzz target holds the decoders to the same standard as the frame
+// parser).
 
 // CommitRecord is the body of a WALCommit record: one member-store
 // transaction that committed. Batch links the commit to the routed
 // batch's intent record (the intent's LSN); 0 marks a standalone
 // commit.
 type CommitRecord struct {
-	Member string  `json:"m"`
-	Batch  uint64  `json:"b,omitempty"`
-	Ops    []WALOp `json:"ops"`
+	Member string   `json:"m"`
+	Batch  uint64   `json:"b,omitempty"`
+	Ops    []Effect `json:"ops"`
 }
 
 // IntentRecord is the body of a WALIntent record, written before the
@@ -96,8 +28,8 @@ type CommitRecord struct {
 // member's forward effects. Recovery uses it to finish (or recognise
 // as aborted) a batch whose commit phase the crash interrupted.
 type IntentRecord struct {
-	Members []string           `json:"ms"`
-	Effects map[string][]WALOp `json:"eff"`
+	Members []string            `json:"ms"`
+	Effects map[string][]Effect `json:"eff"`
 }
 
 // Intent resolution outcomes.

@@ -1,22 +1,28 @@
 package view
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"interopdb/internal/object"
 	"interopdb/internal/store"
 )
 
 // The commit journal makes partial commits recoverable. Autonomous
 // member databases cannot commit atomically (the paper's premise), so a
 // routed batch that spans members can always strand: member A commits,
-// member B refuses or vanishes. Before the first member commit,
-// Ship records an intent entry here — the commit order,
-// the retained member transactions, and a per-member effect list
-// precise enough to replay OR undo every local change. Each member
-// commit is marked as it lands; a fully committed batch removes its
-// entry. A stranded batch leaves the entry pending in one of two modes:
+// member B refuses or vanishes. Before the first member commit, Ship
+// records an intent entry here — the retained member transactions and a
+// store.IntentRecord: the commit order and a per-member effect list
+// precise enough to replay OR undo every local change. With a
+// store.DurableSet bound (DESIGN.md §13) the same record is the WAL's
+// intent record, each member transaction's commit record carries its
+// LSN, and every terminal transition appends a resolve record —
+// recovery (store/recover.go) settles interrupted batches from exactly
+// these records. Each member commit is marked as it lands; a fully
+// committed batch resolves its entry. A stranded batch leaves the entry
+// pending in one of two modes:
 //
 //	complete   — a member failed transiently after peers committed;
 //	             Reconcile commits the retained transactions (or just
@@ -27,11 +33,11 @@ import (
 //	             committed; the batch can never complete, so Reconcile
 //	             undoes the committed prefix via inverse effects.
 //
-// Effect lists double as the verification oracle: member commits are
-// atomic, so the presence of any recorded effect on the member proves
-// the whole local transaction applied — this is how a commit that
-// failed *after* applying (ambiguous outcome) is told apart from one
-// that never ran.
+// Effect lists double as the verification oracle (store.Applied):
+// member commits are atomic, so the presence of any recorded effect on
+// the member proves the whole local transaction applied — this is how a
+// commit that failed *after* applying (ambiguous outcome) is told apart
+// from one that never ran.
 
 type journalMode int
 
@@ -47,124 +53,28 @@ func (m journalMode) String() string {
 	return "complete"
 }
 
-// memberEffect is one member-local change of a routed batch, recorded
-// at staging time: enough to verify it applied, and enough to invert it.
-type memberEffect struct {
-	Kind  MutationKind
-	Class string
-	OID   object.OID
-	// Attrs: the inserted object's attributes (insert) or the assigned
-	// values (update); nil for delete.
-	Attrs map[string]object.Value
-	// Prev: the prior values of assigned attributes (update; attributes
-	// that were previously absent are omitted and cannot be restored) or
-	// the deleted object's full attributes (delete); nil for insert.
-	Prev map[string]object.Value
-}
-
-// inverseEffects builds the compensation script for one member: the
-// recorded effects inverted, in reverse order.
-func inverseEffects(effs []memberEffect) []memberEffect {
-	out := make([]memberEffect, 0, len(effs))
-	for i := len(effs) - 1; i >= 0; i-- {
-		ef := effs[i]
-		switch ef.Kind {
-		case MutInsert:
-			out = append(out, memberEffect{Kind: MutDelete, Class: ef.Class, OID: ef.OID, Prev: ef.Attrs})
-		case MutUpdate:
-			out = append(out, memberEffect{Kind: MutUpdate, Class: ef.Class, OID: ef.OID, Attrs: ef.Prev, Prev: ef.Attrs})
-		case MutDelete:
-			out = append(out, memberEffect{Kind: MutInsert, Class: ef.Class, OID: ef.OID, Attrs: ef.Prev})
-		}
-	}
-	return out
-}
-
-// stageEffects stages an effect list on a fresh member transaction
-// (the replay/compensation path; the original routed commit retains its
-// staged transaction instead).
-func stageEffects(tx store.Txn, effs []memberEffect) error {
-	for _, ef := range effs {
-		var err error
-		switch ef.Kind {
-		case MutInsert:
-			err = tx.InsertAt(ef.OID, ef.Class, ef.Attrs)
-		case MutUpdate:
-			if len(ef.Attrs) > 0 {
-				err = tx.Update(ef.OID, ef.Attrs)
-			}
-		case MutDelete:
-			err = tx.Delete(ef.OID)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// effectsApplied reports whether the member holds the recorded effects.
-// Member commits are all-or-none, so any effect present means the local
-// transaction applied; the full list is still checked because it is
-// cheap and catches recording bugs. An empty list proves nothing and
-// reports false.
-func effectsApplied(b store.Backend, effs []memberEffect) bool {
-	if len(effs) == 0 {
-		return false
-	}
-	for _, ef := range effs {
-		switch ef.Kind {
-		case MutInsert:
-			if _, ok := b.Get(ef.OID); !ok {
-				return false
-			}
-		case MutUpdate:
-			o, ok := b.Get(ef.OID)
-			if !ok {
-				return false
-			}
-			for k, v := range ef.Attrs {
-				got, ok := o.Get(k)
-				if !ok || !got.Equal(v) {
-					return false
-				}
-			}
-		case MutDelete:
-			if _, ok := b.Get(ef.OID); ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// journalEntry is one routed batch's recovery record. Order, Backends,
-// Txns, Effects and Applies are written once at creation and then only
+// journalEntry is one routed batch's recovery record. Intent, Wal,
+// Backends, Txns and Applies are written once at creation and then only
 // read (always under the engine's write lock); the mutable resolution
-// state (Mode, Committed, Compensated, FailedMember, LastErr) is
-// guarded by the owning journal's mutex so the health report can read
-// it without the engine lock.
+// state (Mode, Committed, Compensated, LastErr) is guarded by the owning
+// journal's mutex so the health report can read it without the engine
+// lock.
 type journalEntry struct {
 	Seq     uint64
 	Created time.Time
-	Order   []string
+	Intent  store.IntentRecord
+	// Wal is the intent record's LSN when a log is bound (0 otherwise):
+	// member commit records carry it, and resolve records name it.
+	Wal uint64
 
 	Backends map[string]store.Backend
 	Txns     map[string]store.Txn
-	Effects  map[string][]memberEffect
 	Applies  []shippedOp
 
-	// Wal is the batch's intent-record LSN when durability is enabled
-	// (0 otherwise): member commit records carry it, and the terminal
-	// resolve record names it. Written once right after begin, under the
-	// engine write lock.
-	Wal uint64
-
-	Mode         journalMode
-	Committed    map[string]bool
-	Compensated  map[string]bool
-	FailedMember string
-	LastErr      string
+	Mode        journalMode
+	Committed   map[string]bool
+	Compensated map[string]bool
+	LastErr     string
 }
 
 // JournalEntryInfo is one pending entry as rendered in health reports.
@@ -179,6 +89,10 @@ type JournalEntryInfo struct {
 
 // commitJournal holds the pending entries in sequence order.
 type commitJournal struct {
+	// log is the node's write-ahead log set, nil while durability is
+	// off. Atomic because it is bound at boot while Ship may run.
+	log atomic.Pointer[store.DurableSet]
+
 	mu      sync.Mutex
 	nextSeq uint64
 	entries []*journalEntry
@@ -192,27 +106,80 @@ func newCommitJournal() *commitJournal {
 	return &commitJournal{nextSeq: 1}
 }
 
-// begin records intent for a routed batch about to commit.
-func (j *commitJournal) begin(order []string, backends map[string]store.Backend, txns map[string]store.Txn, effects map[string][]memberEffect, applies []shippedOp) *journalEntry {
+// SetDurability binds (or, with nil, unbinds) the node's write-ahead
+// log set. It must be the DurableSet whose Wrap interposed on the member
+// backends: the journal writes the routing-level intent and resolve
+// records, the wrapped backends the member commit records.
+func (e *Engine) SetDurability(d *store.DurableSet) {
+	e.journal.log.Store(d)
+}
+
+// begin records intent for a routed batch about to commit. With a log
+// bound, the intent record is appended first and every member
+// transaction tagged with its LSN; a failure there (typically a sealed
+// log) means the batch cannot be made durable, so it must abort before
+// any member commits, and no entry is left behind.
+func (j *commitJournal) begin(intent store.IntentRecord, backends map[string]store.Backend, txns map[string]store.Txn, applies []shippedOp) (*journalEntry, error) {
+	var lsn uint64
+	if ds := j.log.Load(); ds != nil {
+		var err error
+		if lsn, err = ds.AppendIntent(intent.Members, intent.Effects); err != nil {
+			return nil, fmt.Errorf("durability: append intent: %w", err)
+		}
+		for _, m := range intent.Members {
+			if bt, ok := txns[m].(store.BatchTagger); ok {
+				bt.TagBatch(lsn)
+			}
+		}
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ent := &journalEntry{
 		Seq:         j.nextSeq,
 		Created:     time.Now(),
-		Order:       order,
+		Intent:      intent,
+		Wal:         lsn,
 		Backends:    backends,
 		Txns:        txns,
-		Effects:     effects,
 		Applies:     applies,
 		Committed:   map[string]bool{},
 		Compensated: map[string]bool{},
 	}
 	j.nextSeq++
 	j.entries = append(j.entries, ent)
-	return ent
+	return ent, nil
 }
 
-// remove drops a resolved (or cleanly aborted) entry.
+// resolve ends an entry with a terminal outcome (committed or aborted):
+// the resolve record is appended and the entry dropped.
+func (j *commitJournal) resolve(ent *journalEntry, outcome string) {
+	j.logResolve(ent, outcome)
+	j.remove(ent)
+}
+
+// compensate flips an entry to compensate mode after a member's local
+// manager rejected the batch. The resolve record lands here, BEFORE any
+// compensating commit, so a crash mid-undo recovers into "finish the
+// compensation", never "complete the batch the member rejected".
+func (j *commitJournal) compensate(ent *journalEntry, err error) {
+	j.mu.Lock()
+	ent.Mode = modeCompensate
+	ent.LastErr = err.Error()
+	j.mu.Unlock()
+	j.logResolve(ent, store.ResolveCompensated)
+}
+
+// logResolve appends a resolve record. Best-effort by design: an
+// unresolved intent is settled idempotently by recovery from the member
+// commit records, so a failed append (a sealed log during
+// shutdown-by-fault) loses nothing.
+func (j *commitJournal) logResolve(ent *journalEntry, outcome string) {
+	if ds := j.log.Load(); ds != nil && ent.Wal != 0 {
+		_ = ds.AppendResolve(ent.Wal, outcome)
+	}
+}
+
+// remove drops a resolved (or fully compensated) entry.
 func (j *commitJournal) remove(ent *journalEntry) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -236,16 +203,6 @@ func (j *commitJournal) markCompensated(ent *journalEntry, member string) {
 	j.mu.Unlock()
 }
 
-func (j *commitJournal) setMode(ent *journalEntry, mode journalMode, failed string, err error) {
-	j.mu.Lock()
-	ent.Mode = mode
-	ent.FailedMember = failed
-	if err != nil {
-		ent.LastErr = err.Error()
-	}
-	j.mu.Unlock()
-}
-
 func (j *commitJournal) setErr(ent *journalEntry, err error) {
 	j.mu.Lock()
 	if err != nil {
@@ -254,16 +211,9 @@ func (j *commitJournal) setErr(ent *journalEntry, err error) {
 	j.mu.Unlock()
 }
 
-// committedMembers lists the members marked committed, in commit order.
-func (j *commitJournal) committedMembers(ent *journalEntry) []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return ent.lockedCommitted()
-}
-
 func (ent *journalEntry) lockedCommitted() []string {
 	var out []string
-	for _, m := range ent.Order {
+	for _, m := range ent.Intent.Members {
 		if ent.Committed[m] {
 			out = append(out, m)
 		}
@@ -276,7 +226,7 @@ func (ent *journalEntry) lockedCommitted() []string {
 // ones in compensate mode.
 func (ent *journalEntry) lockedPending() []string {
 	var out []string
-	for _, m := range ent.Order {
+	for _, m := range ent.Intent.Members {
 		if ent.Mode == modeComplete && !ent.Committed[m] {
 			out = append(out, m)
 		}
@@ -311,7 +261,7 @@ func (j *commitJournal) committedPendingCompensation(ent *journalEntry) []string
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []string
-	for _, m := range ent.Order {
+	for _, m := range ent.Intent.Members {
 		if ent.Committed[m] && !ent.Compensated[m] {
 			out = append(out, m)
 		}

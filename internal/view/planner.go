@@ -14,8 +14,9 @@ import (
 //
 //  1. Cost gate. The constraint phase costs solver work (satisfiability
 //     of constraints ∧ predicate, then one entailment per conjunct) that
-//     BENCH_3's B1 showed can exceed the scan it optimises (shopprice <
-//     40: 470µs "optimized" vs 82µs plain). The gate estimates the cost
+//     can exceed the scan it optimises on a small extent (the B1 count
+//     table in internal/experiments reports the gated queries;
+//     TestMergedWindowGate pins one verdict). The gate estimates the cost
 //     of just serving the query — candidate count after the sargable
 //     prefix (from the same per-class statistics the indexes embody:
 //     extent cardinality, hash-bucket and range-window selectivity) ×

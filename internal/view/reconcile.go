@@ -76,9 +76,9 @@ type FaultStats struct {
 	// QuarantineRejects counts batches fast-failed by an open breaker
 	// or a pending journal entry, before any member commit.
 	QuarantineRejects int64
-	// PartialCommits counts batches stranded in the journal (the
-	// condition B12 requires to never reach a *client*: the server maps
-	// it to a retryable 503 and Reconcile resolves the entry).
+	// PartialCommits counts batches stranded in the journal (the server
+	// maps one to a 503 with reconciling:true and Reconcile resolves the
+	// entry — TestWirePartialCommitAndManualReconcile).
 	PartialCommits int64
 	// CompensatedInline counts late local rejections fully undone
 	// within the Ship call — the caller saw a plain rejection.
@@ -110,7 +110,7 @@ func (e *Engine) FaultStats() FaultStats {
 // that applied before its failure was reported (fail-after-commit) is
 // recognised there and treated as success instead of being re-run
 // against a finished transaction.
-func (e *Engine) commitWithRetry(ctx context.Context, b store.Backend, txn store.Txn, effs []memberEffect) error {
+func (e *Engine) commitWithRetry(ctx context.Context, b store.Backend, txn store.Txn, effs []store.Effect) error {
 	pol := e.Retry.withDefaults()
 	deadline := time.Now().Add(pol.MemberTimeout)
 	delay := pol.BaseDelay
@@ -123,10 +123,10 @@ func (e *Engine) commitWithRetry(ctx context.Context, b store.Backend, txn store
 			return err
 		}
 		e.faults.transientFaults.Add(1)
-		if effectsApplied(b, effs) {
+		if store.Applied(b, effs) {
 			// The commit applied before the failure was reported. Before
-			// counting it committed, force its WAL record (durable.go):
-			// the member holds the change, so the log must too.
+			// counting it committed, force its WAL record: the member
+			// holds the change, so the log must too.
 			if lerr := logApplied(txn); lerr != nil {
 				return lerr
 			}
@@ -145,6 +145,19 @@ func (e *Engine) commitWithRetry(ctx context.Context, b store.Backend, txn store
 	}
 }
 
+// logApplied forces the WAL commit record for a transaction the fault
+// machinery just resolved as applied (fail-after-commit): the member
+// holds the change, so the log must too — otherwise recovery would
+// replay a prefix missing an acknowledged commit. A failure is returned
+// as the commit outcome: without the record the commit cannot be
+// acknowledged durable.
+func logApplied(txn store.Txn) error {
+	if al, ok := txn.(store.AppliedLogger); ok {
+		return al.LogApplied()
+	}
+	return nil
+}
+
 // compensateEntry undoes the committed prefix of a compensate-mode
 // entry: each committed member gets the inverse of its recorded effects
 // in a fresh transaction, retried like any commit. Reports whether
@@ -158,9 +171,9 @@ func (e *Engine) compensateEntry(ctx context.Context, ent *journalEntry) bool {
 			done = false
 			continue
 		}
-		inv := inverseEffects(ent.Effects[member])
+		inv := store.Inverse(ent.Intent.Effects[member])
 		tx := b.Begin()
-		if err := stageEffects(tx, inv); err != nil {
+		if err := store.Stage(tx, inv...); err != nil {
 			tx.Rollback()
 			e.journal.setErr(ent, fmt.Errorf("compensation staging on %s: %w", member, err))
 			done = false
@@ -235,8 +248,7 @@ func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 				continue
 			}
 			if done {
-				e.logResolve(ent, store.ResolveCommitted)
-				e.journal.remove(ent)
+				e.journal.resolve(ent, store.ResolveCommitted)
 				e.faults.reconCompleted.Add(1)
 				rs.Completed++
 			}
@@ -266,7 +278,7 @@ func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 // members hold the batch it is applied to the view. A permanent local
 // rejection flips the entry to compensate mode and returns an error.
 func (e *Engine) completeEntry(ctx context.Context, ent *journalEntry) (bool, error) {
-	for _, member := range ent.Order {
+	for _, member := range ent.Intent.Members {
 		if e.journal.isCommitted(ent, member) {
 			continue
 		}
@@ -275,8 +287,8 @@ func (e *Engine) completeEntry(ctx context.Context, ent *journalEntry) (bool, er
 			e.journal.setErr(ent, err)
 			return false, nil // still down; next pass
 		}
-		effs := ent.Effects[member]
-		if effectsApplied(b, effs) {
+		effs := ent.Intent.Effects[member]
+		if store.Applied(b, effs) {
 			// The original commit applied before its failure was
 			// reported: nothing to re-run — but its WAL record must
 			// land before the member counts as committed.
@@ -301,11 +313,8 @@ func (e *Engine) completeEntry(ctx context.Context, ent *journalEntry) (bool, er
 			return false, nil // down again; next pass
 		}
 		// The member's manager rejected the retained transaction (state
-		// changed underneath it): completion is impossible. The resolve
-		// record lands at the mode flip, before any compensating commit
-		// (see the route.go twin for the crash-ordering argument).
-		e.journal.setMode(ent, modeCompensate, member, err)
-		e.logResolve(ent, store.ResolveCompensated)
+		// changed underneath it): completion is impossible.
+		e.journal.compensate(ent, err)
 		return false, err
 	}
 	if err := e.applyShipped(ent.Applies); err != nil {

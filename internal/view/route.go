@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"interopdb/internal/object"
 	"interopdb/internal/store"
 )
 
@@ -79,7 +78,7 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 
 	txs := map[string]store.Txn{}
 	backends := map[string]store.Backend{}
-	effects := map[string][]memberEffect{}
+	effects := map[string][]store.Effect{}
 	var order []string
 	txFor := func(member string) (store.Txn, error) {
 		if tx, ok := txs[member]; ok {
@@ -117,6 +116,11 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 		return err
 	}
 
+	// record notes a change just staged on a member's transaction.
+	record := func(member string, ef store.Effect) {
+		effects[member] = append(effects[member], store.Capture(backends[member], ef))
+	}
+
 	applies := make([]shippedOp, 0, len(ops))
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
@@ -137,11 +141,9 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 			if err != nil {
 				return abort(fmt.Errorf("op %d: %w", i, err))
 			}
-			effects[member] = append(effects[member], memberEffect{
-				Kind: MutInsert, Class: org.Class, OID: oid, Attrs: copyAttrs(op.Attrs),
-			})
+			record(member, store.Effect{Kind: store.OpInsert, Class: org.Class, OID: oid, Attrs: op.Attrs})
 			applies = append(applies, shippedOp{op: op, oid: oid, db: member})
-		case MutUpdate:
+		case MutUpdate, MutDelete:
 			g, err := e.targetOf(op, nil)
 			if err != nil {
 				return abort(fmt.Errorf("op %d: %w", i, err))
@@ -156,47 +158,19 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 					if err != nil {
 						return abort(fmt.Errorf("op %d: %w", i, err))
 					}
-					prev := prevAttrs(backends[m.Src.DB], m.Src.OID, op.Attrs)
-					if err := tx.Update(m.Src.OID, op.Attrs); err != nil {
+					ef := store.Effect{Kind: store.OpUpdate, OID: m.Src.OID, Attrs: op.Attrs}
+					if op.Kind == MutDelete {
+						ef = store.Effect{Kind: store.OpDelete, OID: m.Src.OID}
+					}
+					if err := store.Stage(tx, ef); err != nil {
 						return abort(fmt.Errorf("op %d: %w", i, err))
 					}
-					effects[m.Src.DB] = append(effects[m.Src.DB], memberEffect{
-						Kind: MutUpdate, OID: m.Src.OID, Attrs: copyAttrs(op.Attrs), Prev: prev,
-					})
+					record(m.Src.DB, ef)
 					staged = true
 				}
 			}
-			if !staged {
+			if !staged && op.Kind == MutUpdate {
 				return abort(fmt.Errorf("op %d: object g%d has no component constituents to update", i, op.ID))
-			}
-			applies = append(applies, shippedOp{op: op, g: g})
-		case MutDelete:
-			g, err := e.targetOf(op, nil)
-			if err != nil {
-				return abort(fmt.Errorf("op %d: %w", i, err))
-			}
-			for _, ms := range g.Parts {
-				for _, m := range ms {
-					if m.Virtual {
-						continue
-					}
-					tx, err := txFor(m.Src.DB)
-					if err != nil {
-						return abort(fmt.Errorf("op %d: %w", i, err))
-					}
-					var prev map[string]object.Value
-					var class string
-					if o, ok := backends[m.Src.DB].Get(m.Src.OID); ok {
-						prev = o.Attrs()
-						class = o.Class()
-					}
-					if err := tx.Delete(m.Src.OID); err != nil {
-						return abort(fmt.Errorf("op %d: %w", i, err))
-					}
-					effects[m.Src.DB] = append(effects[m.Src.DB], memberEffect{
-						Kind: MutDelete, Class: class, OID: m.Src.OID, Prev: prev,
-					})
-				}
 			}
 			applies = append(applies, shippedOp{op: op, g: g})
 		default:
@@ -209,16 +183,12 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 	}
 
 	// Intent is journaled before the first member commit: if the commit
-	// phase strands, the entry holds everything Reconcile needs. With
-	// durability on, the same intent also goes to the WAL so a crash
-	// that destroys the in-memory journal can still settle the batch.
-	ent := e.journal.begin(order, backends, txs, effects, applies)
-	if err := e.logIntent(ent, order, txs, effects); err != nil {
-		for _, m := range order {
-			txs[m].Rollback()
-		}
-		e.journal.remove(ent)
-		return err
+	// phase strands, the entry holds everything Reconcile needs — and,
+	// with durability on, the same intent is in the WAL, so a crash that
+	// destroys the in-memory journal can still settle the batch.
+	ent, err := e.journal.begin(store.IntentRecord{Members: order, Effects: effects}, backends, txs, applies)
+	if err != nil {
+		return abort(err)
 	}
 
 	var committed, pendingMembers []string
@@ -237,19 +207,13 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 			}
 			if len(committed) == 0 {
 				// Nothing committed anywhere — a plain rejection.
-				e.logResolve(ent, store.ResolveAborted)
-				e.journal.remove(ent)
+				e.journal.resolve(ent, store.ResolveAborted)
 				return fmt.Errorf("op batch rejected by %s: %w", member, err)
 			}
 			// Undo the committed prefix. If every compensation lands,
 			// the federation is restored and the caller sees the
-			// member's rejection, not a partial commit. The resolve
-			// record goes to the WAL at the mode flip — BEFORE the
-			// compensating commits — so a crash mid-undo recovers into
-			// "finish the compensation", never "complete the batch the
-			// member rejected".
-			e.journal.setMode(ent, modeCompensate, member, err)
-			e.logResolve(ent, store.ResolveCompensated)
+			// member's rejection, not a partial commit.
+			e.journal.compensate(ent, err)
 			if e.compensateEntry(ctx, ent) {
 				e.journal.remove(ent)
 				e.faults.compensatedInline.Add(1)
@@ -273,8 +237,7 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 			for _, m := range order {
 				txs[m].Rollback()
 			}
-			e.logResolve(ent, store.ResolveAborted)
-			e.journal.remove(ent)
+			e.journal.resolve(ent, store.ResolveAborted)
 			return &MemberUnavailableError{Member: member, RetryAfter: e.health.retryHint(member), Err: err}
 		}
 		// Peers committed: keep committing the remaining healthy
@@ -289,24 +252,6 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 			Mode: modeComplete.String(), Err: fmt.Errorf("%s", e.journal.lastErrOf(ent)),
 		}
 	}
-	e.logResolve(ent, store.ResolveCommitted)
-	e.journal.remove(ent)
+	e.journal.resolve(ent, store.ResolveCommitted)
 	return e.applyShipped(applies)
-}
-
-// prevAttrs captures the member-local values an update is about to
-// overwrite (only keys that currently exist — the compensation script
-// restores values, it cannot un-declare attributes).
-func prevAttrs(b store.Backend, oid object.OID, assigned map[string]object.Value) map[string]object.Value {
-	o, ok := b.Get(oid)
-	if !ok {
-		return nil
-	}
-	prev := make(map[string]object.Value, len(assigned))
-	for k := range assigned {
-		if v, had := o.Get(k); had {
-			prev[k] = v
-		}
-	}
-	return prev
 }

@@ -128,12 +128,6 @@ type Engine struct {
 	// concurrent Ship calls read it.
 	stores atomic.Pointer[store.Registry]
 
-	// durability is the node's shared write-ahead log set (durable.go in
-	// this package; store/wal.go underneath). Nil until the durability
-	// layer enables it; an atomic pointer because it is bound at boot or
-	// recovery time while concurrent Ship calls read it.
-	durability atomic.Pointer[store.DurableSet]
-
 	// cmu guards the constraint caches below. Constraints are fixed for
 	// the engine's lifetime, so these caches survive snapshot
 	// publications; they are consulted at plan-build and validation
@@ -150,9 +144,10 @@ type Engine struct {
 	Retry RetryPolicy
 
 	// health tracks per-member circuit breakers (health.go); journal
-	// holds the partial-commit recovery entries (journal.go); faults
-	// counts the fault-handling events (reconcile.go). All three are
-	// internally synchronised.
+	// holds the partial-commit recovery entries and the node's
+	// write-ahead log binding (journal.go); faults counts the
+	// fault-handling events (reconcile.go). All three are internally
+	// synchronised.
 	health  *healthTracker
 	journal *commitJournal
 	faults  faultCounters

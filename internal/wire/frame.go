@@ -1,14 +1,16 @@
 // Package wire implements the binary transport that closes the gap
-// BENCH_9's B11 measured between wire serving and the in-process
-// engine: on µs-scale plan-cache-hit queries the HTTP/JSON framing
-// bill *is* the latency, so this package replaces it with persistent
-// length-prefixed framed connections (the CRC/codec discipline proven
-// in internal/store's WAL), multiplexed request IDs so one connection
-// pipelines many in-flight queries and transactions, a kind-tagged
-// binary value codec with append-style zero-copy encoding, and
-// prepared queries — register a query text once, get a handle, and
-// every subsequent execution skips the parser and goes straight to the
-// engine's snapshot plan cache keyed by expr.Fingerprint.
+// between wire serving and the in-process engine (wire-point-read's
+// server.residual_us_per_op and wire.codec_us_per_op against
+// view.run_us_per_plan_hit): on µs-scale plan-cache-hit queries the
+// HTTP/JSON framing bill *is* the latency, so this package replaces it
+// with persistent length-prefixed framed connections (the CRC/codec
+// discipline proven in internal/store's WAL), multiplexed request IDs
+// so one connection pipelines many in-flight queries and transactions,
+// a kind-tagged binary value codec with append-style zero-copy
+// encoding, and prepared queries — register a query text once, get a
+// handle, and every subsequent execution skips the parser and goes
+// straight to the engine's snapshot plan cache keyed by
+// expr.Fingerprint.
 //
 // The package is transport-only: it defines the frame format, the
 // value codec, the server loop and the client, all against a Backend
