@@ -53,14 +53,15 @@ crashtest:
 	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery' .
 	$(GO) test -race -count=1 -run 'Durable' ./internal/server/
 
-# Short-budget native fuzzing of the query parser, the wire codec and
-# the WAL decoder, as in CI. Finds are written to testdata/fuzz —
-# commit them.
+# Short-budget native fuzzing of the query parser, the wire codec, the
+# WAL decoder, the frame decoder and the member commit check (against
+# CheckAll), as in CI. Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=20s -run='^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=20s -run='^$$' ./internal/store/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s -run='^$$' ./internal/wire/
+	$(GO) test -fuzz=FuzzCommitDifferential -fuzztime=20s -run='^$$' ./internal/store/
 
 # Every Go benchmark (slow). For measuring while you work: a
 # performance claim cites the repo benchmark (BENCHMARK.json,

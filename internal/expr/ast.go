@@ -603,6 +603,58 @@ func UsesExtents(n Node) bool {
 	return uses
 }
 
+// ForeignReads is AttrsUsed's sibling for what a formula reads beyond
+// self's own attributes. classes names every class whose extension it
+// ranges over: quantifier binders and collect sources, with "self" for a
+// collect over, or a key on, the extension "self" denotes. attrs names
+// every attribute it reads on an object other than self: each path
+// segment after the first (read through a reference or a tuple), each
+// attribute read through a bound variable or a non-self root, each
+// aggregated attribute and each key attribute. Names are not resolved
+// against a schema, so both sets over-approximate; a change that adds to
+// or removes from none of the classes, and writes, creates or removes no
+// object holding one of the attributes, leaves the formula's value on
+// every unchanged object as it was.
+func ForeignReads(n Node) (classes, attrs map[string]bool) {
+	classes, attrs = map[string]bool{}, map[string]bool{}
+	Walk(n, func(x Node) bool {
+		switch x := x.(type) {
+		case Path:
+			// Every segment is foreign except the first one off self.
+			p := x
+			for {
+				inner, ok := p.Recv.(Path)
+				if !ok {
+					break
+				}
+				attrs[p.Attr] = true
+				p = inner
+			}
+			if id, ok := p.Recv.(Ident); !ok || id.Name != "self" {
+				attrs[p.Attr] = true
+			}
+		case Quant:
+			for _, b := range x.Binders {
+				classes[b.Class] = true
+			}
+		case Agg:
+			if id, ok := x.Src.(Ident); ok {
+				classes[id.Name] = true
+			}
+			if x.Over != "" {
+				attrs[x.Over] = true
+			}
+		case Key:
+			classes["self"] = true
+			for _, a := range x.Attrs {
+				attrs[a] = true
+			}
+		}
+		return true
+	})
+	return classes, attrs
+}
+
 func copyBound(m map[string]bool) map[string]bool {
 	out := make(map[string]bool, len(m)+2)
 	for k, v := range m {

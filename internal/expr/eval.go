@@ -597,14 +597,27 @@ func EvalKey(ext []Object, attrs []string) (bool, error) {
 // returns false when any key part is missing or null (such objects never
 // participate in key conflicts). The encoding is the one EvalKey uses, so
 // incremental key-uniqueness indexes agree with the full scan.
+//
+// Each part renders as the value's hash in 16 lower-case hex digits and a
+// '|' — the bytes fmt's "%016x|" produces — into one buffer sized up
+// front, so a key costs one allocation.
 func KeyString(o Object, attrs []string) (string, bool) {
+	const hex = "0123456789abcdef"
 	var b strings.Builder
+	b.Grow(17 * len(attrs))
 	for _, a := range attrs {
 		v, ok := o.Get(a)
 		if !ok || v.Kind() == object.KindNull {
 			return "", false
 		}
-		fmt.Fprintf(&b, "%016x|", object.Hash(v))
+		h := object.Hash(v)
+		var part [17]byte
+		for i := 15; i >= 0; i-- {
+			part[i] = hex[h&0xf]
+			h >>= 4
+		}
+		part[16] = '|'
+		b.Write(part[:])
 	}
 	return b.String(), true
 }

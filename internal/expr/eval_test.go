@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -345,6 +347,57 @@ func TestEvalKey(t *testing.T) {
 	env := &Env{SelfExt: ext2}
 	if b, err := env.EvalBool(MustParse("key isbn, v")); err != nil || !b {
 		t.Errorf("key node eval: %v %v", b, err)
+	}
+}
+
+// TestKeyStringMatchesFmt pins KeyString's bytes to the "%016x|" rendering
+// it replaced, over generated values of every kind and composite keys of
+// one to four parts.
+func TestKeyStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	gen := func() object.Value {
+		switch rng.Intn(7) {
+		case 0:
+			return object.Int(rng.Int63() - rng.Int63())
+		case 1:
+			return object.Real(rng.NormFloat64() * 1e6)
+		case 2:
+			return object.Str(fmt.Sprintf("k-%06d", rng.Intn(1e6)))
+		case 3:
+			return object.Bool(rng.Intn(2) == 0)
+		case 4:
+			return object.Ref{DB: "Bookseller", OID: object.OID(rng.Intn(1e4))}
+		case 5:
+			return object.NewSet(object.Int(int64(rng.Intn(9))), object.Str("x"))
+		default:
+			return object.Str("")
+		}
+	}
+	names := []string{"a", "b", "c", "d"}
+	for i := 0; i < 2000; i++ {
+		attrs := names[:1+rng.Intn(len(names))]
+		o := MapObject{}
+		var want strings.Builder
+		for _, a := range attrs {
+			v := gen()
+			o[a] = v
+			fmt.Fprintf(&want, "%016x|", object.Hash(v))
+		}
+		got, ok := KeyString(o, attrs)
+		if !ok || got != want.String() {
+			t.Fatalf("KeyString(%v) = %q, %v; want %q", o, got, ok, want.String())
+		}
+	}
+	if _, ok := KeyString(MapObject{"a": object.Int(1), "b": object.Null{}}, []string{"a", "b"}); ok {
+		t.Error("a null key part must not encode")
+	}
+}
+
+func TestKeyStringAllocs(t *testing.T) {
+	o := MapObject{"isbn": object.Str("k-000042"), "v": object.Int(7)}
+	attrs := []string{"isbn", "v"}
+	if n := testing.AllocsPerRun(200, func() { KeyString(o, attrs) }); n > 1 {
+		t.Errorf("KeyString allocates %.1f times per call, want at most 1", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -329,6 +330,42 @@ func TestAttrsUsed(t *testing.T) {
 		}
 		if len(got) != len(c.want) {
 			t.Errorf("AttrsUsed(%q) = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+func TestForeignReads(t *testing.T) {
+	cases := []struct {
+		src            string
+		classes, attrs string // sorted, comma-separated
+	}{
+		{"publisher.name='ACM' implies rating >= 6", "", "name"},
+		{"self.publisher.name = 'IEEE'", "", "name"},
+		{"self.a.b.c = 1", "", "b,c"},
+		{"ourprice <= shopprice", "", ""},
+		{"key isbn", "self", "isbn"},
+		{"(avg (collect x for x in self) over rating) < 4", "self", "rating"},
+		{"(count (collect x for x in Item)) < 4", "Item", ""},
+		{"(sum (collect x for x in Item) over price) < 4", "Item", "price"},
+		{"forall p in Publisher exists i in Item | i.publisher = p", "Item,Publisher", "publisher"},
+		{"forall i in Item | i.publisher.name != 'X'", "Item", "name,publisher"},
+		{"KNOWN.name = 'x'", "", "name"},
+	}
+	join := func(m map[string]bool) string {
+		var out []string
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	for _, c := range cases {
+		classes, attrs := ForeignReads(MustParse(c.src))
+		if got := join(classes); got != c.classes {
+			t.Errorf("ForeignReads(%q) classes = %q, want %q", c.src, got, c.classes)
+		}
+		if got := join(attrs); got != c.attrs {
+			t.Errorf("ForeignReads(%q) attrs = %q, want %q", c.src, got, c.attrs)
 		}
 	}
 }

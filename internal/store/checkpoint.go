@@ -81,12 +81,12 @@ func SnapshotStore(s *Store) (MemberCheckpoint, error) {
 	mc := MemberCheckpoint{Name: s.Name(), NextOID: uint64(s.nextOID)}
 	for _, cn := range classes {
 		ext := ClassExtent{Class: cn, Objects: make([]CheckpointObject, 0, len(s.byClass[cn]))}
-		for _, oid := range s.byClass[cn] {
-			attrs, err := object.MarshalAttrs(s.objs[oid].attrs)
+		for _, o := range s.byClass[cn] {
+			attrs, err := object.MarshalAttrs(o.attrs)
 			if err != nil {
-				return MemberCheckpoint{}, fmt.Errorf("checkpoint %s: %s%s: %w", s.Name(), cn, oid, err)
+				return MemberCheckpoint{}, fmt.Errorf("checkpoint %s: %s%s: %w", s.Name(), cn, o.oid, err)
 			}
-			ext.Objects = append(ext.Objects, CheckpointObject{OID: uint64(oid), Attrs: attrs})
+			ext.Objects = append(ext.Objects, CheckpointObject{OID: uint64(o.oid), Attrs: attrs})
 		}
 		mc.Classes = append(mc.Classes, ext)
 	}
@@ -96,8 +96,11 @@ func SnapshotStore(s *Store) (MemberCheckpoint, error) {
 // reset empties the store's object state, keeping schema and constants.
 func (s *Store) reset() {
 	s.objs = make(map[object.OID]*Obj)
-	s.byClass = make(map[string][]object.OID)
+	s.byClass = make(map[string][]*Obj)
 	s.nextOID = 1
+	for _, k := range s.cons.keys {
+		k.count, k.dups = map[string]int{}, 0
+	}
 }
 
 // RestoreInto replaces the store's contents with the snapshot. The
@@ -123,7 +126,7 @@ func (mc MemberCheckpoint) RestoreInto(s *Store) error {
 				return fmt.Errorf("restore %s: %w", mc.Name, err)
 			}
 			oid := object.OID(co.OID)
-			if err := s.insertReserved(oid, ext.Class, attrs); err != nil {
+			if _, err := s.insertReserved(oid, ext.Class, attrs); err != nil {
 				s.reset()
 				return fmt.Errorf("restore %s: %w", mc.Name, err)
 			}

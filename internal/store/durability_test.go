@@ -43,22 +43,22 @@ func assertStoresIdentical(t *testing.T, want, got *Store) {
 	if len(want.byClass) != len(got.byClass) {
 		t.Fatalf("%s: class map size %d, want %d", want.Name(), len(got.byClass), len(want.byClass))
 	}
-	for cn, wantOIDs := range want.byClass {
-		gotOIDs := got.byClass[cn]
-		if len(gotOIDs) != len(wantOIDs) {
-			t.Fatalf("%s: class %s has %d objects, want %d", want.Name(), cn, len(gotOIDs), len(wantOIDs))
+	for cn, wantObjs := range want.byClass {
+		gotObjs := got.byClass[cn]
+		if len(gotObjs) != len(wantObjs) {
+			t.Fatalf("%s: class %s has %d objects, want %d", want.Name(), cn, len(gotObjs), len(wantObjs))
 		}
-		for i := range wantOIDs {
-			if gotOIDs[i] != wantOIDs[i] {
+		for i, wo := range wantObjs {
+			go_ := gotObjs[i]
+			if go_.oid != wo.oid {
 				t.Fatalf("%s: class %s position %d: OID %d, want %d (extent order must survive recovery)",
-					want.Name(), cn, i, gotOIDs[i], wantOIDs[i])
+					want.Name(), cn, i, go_.oid, wo.oid)
 			}
-			wo, go_ := want.objs[wantOIDs[i]], got.objs[gotOIDs[i]]
 			if wo.Class() != go_.Class() {
-				t.Fatalf("%s: OID %d class %s, want %s", want.Name(), wantOIDs[i], go_.Class(), wo.Class())
+				t.Fatalf("%s: OID %d class %s, want %s", want.Name(), wo.oid, go_.Class(), wo.Class())
 			}
 			if !object.AttrsEqual(go_.Attrs(), wo.Attrs()) {
-				t.Fatalf("%s: OID %d attrs %v, want %v", want.Name(), wantOIDs[i], go_.Attrs(), wo.Attrs())
+				t.Fatalf("%s: OID %d attrs %v, want %v", want.Name(), wo.oid, go_.Attrs(), wo.Attrs())
 			}
 		}
 	}
@@ -471,7 +471,7 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 		}
 		a, b := New(tinyDB(t, "A"), nil), New(tinyDB(t, "B"), nil)
 		b.Enforce = false
-		if err := b.insertReserved(1, "Thing", map[string]object.Value{
+		if _, err := b.insertReserved(1, "Thing", map[string]object.Value{
 			"v": object.Int(20), "tag": object.Str("x"),
 		}); err != nil {
 			t.Fatal(err)

@@ -237,7 +237,7 @@ func applyEffects(s *Store, effs []Effect) error {
 		switch e.Kind {
 		case OpInsert:
 			if err = s.validateAttrs(e.Class, e.Attrs); err == nil {
-				err = s.insertReserved(e.OID, e.Class, e.Attrs)
+				_, err = s.insertReserved(e.OID, e.Class, e.Attrs)
 			}
 			if err == nil && e.OID >= s.nextOID {
 				s.nextOID = e.OID + 1

@@ -10,7 +10,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,6 +28,7 @@ type Obj struct {
 	db    string
 	class string
 	attrs map[string]object.Value
+	seq   uint64 // insertion sequence: the object's place in its direct extent
 }
 
 // OID returns the object identifier.
@@ -101,16 +104,19 @@ type Store struct {
 	db      *schema.Database
 	consts  map[string]object.Value
 	objs    map[object.OID]*Obj
-	byClass map[string][]object.OID // direct (most-specific) instances, in insertion order
+	byClass map[string][]*Obj // direct (most-specific) instances, in insertion order (ascending seq)
 	nextOID object.OID
-	// Enforce controls whether mutations validate constraints
+	nextSeq uint64
+	cons    *constraints
+	// Enforce controls whether direct mutations validate constraints
 	// immediately. Transactions always validate at commit.
 	Enforce bool
 }
 
 // New creates a store over the given schema with the given named
 // constants (e.g. KNOWNPUBLISHERS, MAX). Constraint enforcement on direct
-// mutation is on by default.
+// mutation is on by default. The schema must not change afterwards: the
+// store resolves what each constraint reads once, here.
 func New(db *schema.Database, consts map[string]object.Value) *Store {
 	cc := make(map[string]object.Value, len(consts))
 	for k, v := range consts {
@@ -120,8 +126,9 @@ func New(db *schema.Database, consts map[string]object.Value) *Store {
 		db:      db,
 		consts:  cc,
 		objs:    make(map[object.OID]*Obj),
-		byClass: make(map[string][]object.OID),
+		byClass: make(map[string][]*Obj),
 		nextOID: 1,
+		cons:    planConstraints(db),
 		Enforce: true,
 	}
 }
@@ -144,14 +151,18 @@ func (s *Store) Get(oid object.OID) (*Obj, bool) {
 	return o, ok
 }
 
+// extentClasses lists the class and its declared subclasses: the direct
+// extents that make up its extension, in extension order.
+func (s *Store) extentClasses(class string) []string {
+	return append([]string{class}, s.db.Subclasses(class)...)
+}
+
 // Extent returns the extension of a class: its direct instances plus
 // those of all declared subclasses, in insertion order per class.
 func (s *Store) Extent(class string) []*Obj {
 	var out []*Obj
-	for _, cn := range append([]string{class}, s.db.Subclasses(class)...) {
-		for _, oid := range s.byClass[cn] {
-			out = append(out, s.objs[oid])
-		}
+	for _, cn := range s.extentClasses(class) {
+		out = append(out, s.byClass[cn]...)
 	}
 	return out
 }
@@ -159,11 +170,7 @@ func (s *Store) Extent(class string) []*Obj {
 // DirectExtent returns only the objects whose most specific class is the
 // given class.
 func (s *Store) DirectExtent(class string) []*Obj {
-	out := make([]*Obj, 0, len(s.byClass[class]))
-	for _, oid := range s.byClass[class] {
-		out = append(out, s.objs[oid])
-	}
-	return out
+	return append(make([]*Obj, 0, len(s.byClass[class])), s.byClass[class]...)
 }
 
 // validateAttrs checks that every provided attribute is declared on the
@@ -188,46 +195,41 @@ func (s *Store) validateAttrs(class string, attrs map[string]object.Value) error
 	return nil
 }
 
-// Insert adds an object of the given class. With Enforce on, the object's
-// constraints and the affected class/database constraints are validated;
-// a violation rolls the insert back.
+// Insert adds an object of the given class. With Enforce on, the insert
+// is checked as a one-op transaction (check.go); a violation rolls it
+// back.
 func (s *Store) Insert(class string, attrs map[string]object.Value) (object.OID, error) {
 	if err := s.validateAttrs(class, attrs); err != nil {
 		return 0, err
 	}
 	oid := s.nextOID
-	cp := make(map[string]object.Value, len(attrs))
-	for k, v := range attrs {
-		cp[k] = v
-	}
-	o := &Obj{oid: oid, db: s.Name(), class: class, attrs: cp}
-	s.objs[oid] = o
-	s.byClass[class] = append(s.byClass[class], oid)
 	s.nextOID++
-	if s.Enforce {
-		if vs := s.checkTouched(o); len(vs) > 0 {
-			s.removeObj(oid)
-			s.nextOID--
-			return 0, &ViolationError{vs}
-		}
+	b := &batch{s: s}
+	if err := b.insert(oid, class, attrs); err != nil {
+		return 0, err
+	}
+	if err := s.settle(b); err != nil {
+		s.nextOID--
+		return 0, err
 	}
 	return oid, nil
 }
 
-// insertReserved registers an object under an OID reserved earlier by
-// Tx.Insert. Attributes were validated at staging time; constraint
-// checking is the committing transaction's responsibility.
-func (s *Store) insertReserved(oid object.OID, class string, attrs map[string]object.Value) error {
+// insertReserved registers an object under an OID reserved earlier (by
+// Tx.Insert, a log record or a checkpoint). Attributes were validated by
+// the caller; constraint checking is the caller's responsibility.
+func (s *Store) insertReserved(oid object.OID, class string, attrs map[string]object.Value) (*Obj, error) {
 	if _, taken := s.objs[oid]; taken {
-		return fmt.Errorf("store %s: reserved OID %s already occupied", s.Name(), oid)
+		return nil, fmt.Errorf("store %s: reserved OID %s already occupied", s.Name(), oid)
 	}
 	cp := make(map[string]object.Value, len(attrs))
 	for k, v := range attrs {
 		cp[k] = v
 	}
-	s.objs[oid] = &Obj{oid: oid, db: s.Name(), class: class, attrs: cp}
-	s.byClass[class] = append(s.byClass[class], oid)
-	return nil
+	s.nextSeq++
+	o := &Obj{oid: oid, db: s.Name(), class: class, attrs: cp, seq: s.nextSeq}
+	s.place(o)
+	return o, nil
 }
 
 // MustInsert inserts and panics on error; for tests and embedded fixtures.
@@ -240,8 +242,8 @@ func (s *Store) MustInsert(class string, attrs map[string]object.Value) object.O
 }
 
 // Update assigns the given attributes on an existing object (partial
-// update; attributes not mentioned are unchanged). With Enforce on, a
-// violation rolls the update back.
+// update; attributes not mentioned are unchanged). With Enforce on, it
+// is checked as a one-op transaction; a violation rolls it back.
 func (s *Store) Update(oid object.OID, attrs map[string]object.Value) error {
 	o, ok := s.objs[oid]
 	if !ok {
@@ -250,56 +252,90 @@ func (s *Store) Update(oid object.OID, attrs map[string]object.Value) error {
 	if err := s.validateAttrs(o.class, attrs); err != nil {
 		return err
 	}
-	saved := make(map[string]object.Value, len(attrs))
-	had := make(map[string]bool, len(attrs))
-	for k, v := range attrs {
-		saved[k], had[k] = o.attrs[k]
-		o.attrs[k] = v
+	b := &batch{s: s}
+	if err := b.update(oid, attrs); err != nil {
+		return err
 	}
-	if s.Enforce {
-		if vs := s.checkTouched(o); len(vs) > 0 {
-			for k := range attrs {
-				if had[k] {
-					o.attrs[k] = saved[k]
-				} else {
-					delete(o.attrs, k)
-				}
-			}
-			return &ViolationError{vs}
-		}
-	}
-	return nil
+	return s.settle(b)
 }
 
-// Delete removes an object.
+// Delete removes an object. With Enforce on, it is checked as a one-op
+// transaction; a violation restores the object at its place.
 func (s *Store) Delete(oid object.OID) error {
-	o, ok := s.objs[oid]
-	if !ok {
+	if _, ok := s.objs[oid]; !ok {
 		return fmt.Errorf("store %s: no object %s", s.Name(), oid)
 	}
-	s.removeObj(oid)
-	if s.Enforce {
-		// Deletions can violate database constraints (e.g. Figure 1 db1:
-		// every Publisher has an Item); re-check and restore on failure.
-		if vs := s.checkDatabaseConstraints(); len(vs) > 0 {
-			s.objs[oid] = o
-			s.byClass[o.class] = append(s.byClass[o.class], oid)
-			return &ViolationError{vs}
-		}
+	b := &batch{s: s}
+	if err := b.delete(oid); err != nil {
+		return err
 	}
-	return nil
+	return s.settle(b)
 }
 
-func (s *Store) removeObj(oid object.OID) {
-	o := s.objs[oid]
-	delete(s.objs, oid)
+// settle finishes a direct mutation: with Enforce on it commits as a
+// transaction would, otherwise it stands unchecked.
+func (s *Store) settle(b *batch) error {
+	if !s.Enforce {
+		return nil
+	}
+	return b.commit()
+}
+
+// place registers o at its insertion position — the object table, its
+// direct extent (ascending seq, so a restored object returns to where it
+// was) and the key indexes of every class it belongs to.
+func (s *Store) place(o *Obj) {
+	s.objs[o.oid] = o
 	lst := s.byClass[o.class]
-	for i, x := range lst {
-		if x == oid {
-			s.byClass[o.class] = append(lst[:i], lst[i+1:]...)
-			break
+	i := len(lst)
+	if i > 0 && lst[i-1].seq > o.seq {
+		i, _ = slices.BinarySearchFunc(lst, o.seq, bySeq)
+	}
+	s.byClass[o.class] = slices.Insert(lst, i, o)
+	for _, k := range s.cons.keyed[o.class] {
+		k.add(o)
+	}
+}
+
+// unplace is place's inverse.
+func (s *Store) unplace(o *Obj) {
+	delete(s.objs, o.oid)
+	lst := s.byClass[o.class]
+	if i, ok := slices.BinarySearchFunc(lst, o.seq, bySeq); ok {
+		s.byClass[o.class] = slices.Delete(lst, i, i+1)
+	}
+	for _, k := range s.cons.keyed[o.class] {
+		k.remove(o)
+	}
+}
+
+func bySeq(o *Obj, seq uint64) int { return cmp.Compare(o.seq, seq) }
+
+// write assigns attrs on o — a nil value removes the attribute — keeping
+// o's key index entries current, and returns the assignment that undoes
+// it.
+func (s *Store) write(o *Obj, attrs map[string]object.Value) map[string]object.Value {
+	keyed := s.cons.keyed[o.class]
+	for _, k := range keyed {
+		if k.covers(attrs) {
+			k.remove(o)
 		}
 	}
+	prev := make(map[string]object.Value, len(attrs))
+	for a, v := range attrs {
+		prev[a] = o.attrs[a]
+		if v == nil {
+			delete(o.attrs, a)
+		} else {
+			o.attrs[a] = v
+		}
+	}
+	for _, k := range keyed {
+		if k.covers(attrs) {
+			k.add(o)
+		}
+	}
+	return prev
 }
 
 // Env builds an evaluation environment with self bound to the given
@@ -311,21 +347,18 @@ func (s *Store) Env(self *Obj) *expr.Env {
 		Deref:  s.deref,
 	}
 	if self != nil {
-		attrs := map[string]bool{}
-		for _, a := range s.db.AllAttrs(self.class) {
-			attrs[a.Name] = true
-		}
 		env.Vars = map[string]expr.Object{"self": self}
-		env.SelfAttrs = attrs
+		env.SelfAttrs = s.selfAttrs(self.class)
 	}
 	return env
 }
 
 func (s *Store) extObjects(class string) []expr.Object {
-	ext := s.Extent(class)
-	out := make([]expr.Object, len(ext))
-	for i, o := range ext {
-		out[i] = o
+	out := make([]expr.Object, 0, s.extentSize(class))
+	for _, cn := range s.extentClasses(class) {
+		for _, o := range s.byClass[cn] {
+			out = append(out, o)
+		}
 	}
 	return out
 }
@@ -338,36 +371,13 @@ func (s *Store) deref(r object.Ref) (expr.Object, bool) {
 	return o, ok
 }
 
-// checkTouched validates the object's own constraints plus the class and
-// database constraints of every class the object belongs to.
-func (s *Store) checkTouched(o *Obj) []Violation {
-	var out []Violation
-	out = append(out, s.checkObjectConstraints(o)...)
-	for _, cn := range s.db.Supers(o.class) {
-		out = append(out, s.checkClassConstraints(cn)...)
-	}
-	out = append(out, s.checkDatabaseConstraints()...)
-	return out
-}
-
 // checkObjectConstraints evaluates all (own + inherited) object
 // constraints on one object.
 func (s *Store) checkObjectConstraints(o *Obj) []Violation {
 	var out []Violation
 	env := s.Env(o)
 	for _, c := range s.db.AllObjectConstraints(o.class) {
-		n, ok := c.Expr.(expr.Node)
-		if !ok {
-			continue
-		}
-		holds, err := env.EvalBool(n)
-		if err != nil {
-			out = append(out, Violation{Constraint: c, Class: o.class, OID: o.oid, Detail: "evaluation failed: " + err.Error()})
-			continue
-		}
-		if !holds {
-			out = append(out, Violation{Constraint: c, Class: o.class, OID: o.oid, Detail: "object state " + o.String()})
-		}
+		out = objectViolation(env, o, c, out)
 	}
 	return out
 }
@@ -382,21 +392,8 @@ func (s *Store) checkClassConstraints(class string) []Violation {
 	}
 	env := s.Env(nil)
 	env.SelfExt = s.extObjects(class)
-	// Class-constraint bodies may mention attributes via aggregates only;
-	// key constraints go through EvalKey.
 	for _, c := range ccs {
-		n, ok := c.Expr.(expr.Node)
-		if !ok {
-			continue
-		}
-		holds, err := env.EvalBool(n)
-		if err != nil {
-			out = append(out, Violation{Constraint: c, Class: class, Detail: "evaluation failed: " + err.Error()})
-			continue
-		}
-		if !holds {
-			out = append(out, Violation{Constraint: c, Class: class, Detail: fmt.Sprintf("extension of %d objects", len(env.SelfExt))})
-		}
+		out = classViolation(env, class, c, out)
 	}
 	return out
 }
@@ -404,33 +401,75 @@ func (s *Store) checkClassConstraints(class string) []Violation {
 // checkDatabaseConstraints evaluates the database constraints.
 func (s *Store) checkDatabaseConstraints() []Violation {
 	var out []Violation
-	if len(s.db.DBCons) == 0 {
-		return nil
-	}
 	env := s.Env(nil)
 	for _, c := range s.db.DBCons {
-		n, ok := c.Expr.(expr.Node)
-		if !ok {
-			continue
-		}
-		holds, err := env.EvalBool(n)
-		if err != nil {
-			out = append(out, Violation{Constraint: c, Class: "", Detail: "evaluation failed: " + err.Error()})
-			continue
-		}
-		if !holds {
-			out = append(out, Violation{Constraint: c, Class: "", Detail: "database state"})
-		}
+		out = databaseViolation(env, c, out)
 	}
 	return out
 }
 
+// objectViolation appends o's violation of object constraint c, if any;
+// env has self bound to o. It, classViolation and databaseViolation are
+// the only places a Violation is worded, for CheckAll and the commit
+// check alike.
+func objectViolation(env *expr.Env, o *Obj, c schema.Constraint, out []Violation) []Violation {
+	switch failed, err := judge(env, c); {
+	case err != nil:
+		return append(out, Violation{Constraint: c, Class: o.class, OID: o.oid, Detail: "evaluation failed: " + err.Error()})
+	case failed:
+		return append(out, Violation{Constraint: c, Class: o.class, OID: o.oid, Detail: "object state " + o.String()})
+	}
+	return out
+}
+
+// classViolation appends the violation of class constraint c over the
+// extension env.SelfExt, if any.
+func classViolation(env *expr.Env, class string, c schema.Constraint, out []Violation) []Violation {
+	switch failed, err := judge(env, c); {
+	case err != nil:
+		return append(out, Violation{Constraint: c, Class: class, Detail: "evaluation failed: " + err.Error()})
+	case failed:
+		return append(out, extentViolation(c, class, len(env.SelfExt)))
+	}
+	return out
+}
+
+// extentViolation words a failed class constraint over an extension of
+// n objects.
+func extentViolation(c schema.Constraint, class string, n int) Violation {
+	return Violation{Constraint: c, Class: class, Detail: fmt.Sprintf("extension of %d objects", n)}
+}
+
+// databaseViolation appends the violation of database constraint c, if
+// any.
+func databaseViolation(env *expr.Env, c schema.Constraint, out []Violation) []Violation {
+	switch failed, err := judge(env, c); {
+	case err != nil:
+		return append(out, Violation{Constraint: c, Class: "", Detail: "evaluation failed: " + err.Error()})
+	case failed:
+		return append(out, Violation{Constraint: c, Class: "", Detail: "database state"})
+	}
+	return out
+}
+
+// judge evaluates c in env: failed when it does not hold. A constraint
+// whose Expr is not a formula is never judged.
+func judge(env *expr.Env, c schema.Constraint) (failed bool, err error) {
+	n, ok := c.Expr.(expr.Node)
+	if !ok {
+		return false, nil
+	}
+	holds, err := env.EvalBool(n)
+	return err == nil && !holds, err
+}
+
 // CheckAll validates every constraint in the database and returns all
-// violations (empty means consistent).
+// violations (empty means consistent). It is the reference the commit
+// check (check.go) is held to.
 func (s *Store) CheckAll() []Violation {
 	var out []Violation
 	for _, cls := range s.db.Classes() {
-		for _, o := range s.DirectExtent(cls.Name) {
+		for _, o := range s.byClass[cls.Name] {
 			out = append(out, s.checkObjectConstraints(o)...)
 		}
 		out = append(out, s.checkClassConstraints(cls.Name)...)

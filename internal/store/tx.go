@@ -143,79 +143,33 @@ func (t *Tx) Rollback() {
 }
 
 // Commit applies the staged operations with constraint enforcement
-// deferred to the end: the final state is validated in full and the store
-// is restored untouched if any constraint fails.
+// deferred to the end: the final state is checked against every
+// constraint the batch can have falsified (check.go) and, if any fails,
+// the store is restored untouched — every object at its place in its
+// extent — and the violations are returned.
 func (t *Tx) Commit() error {
 	if t.done {
 		return fmt.Errorf("transaction already finished")
 	}
 	t.done = true
-	s := t.s
-	savedEnforce := s.Enforce
-	s.Enforce = false
-
-	type undo func()
-	var undos []undo
-	fail := func(err error) error {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
-		s.Enforce = savedEnforce
-		return err
-	}
-
+	b := &batch{s: t.s}
 	for _, op := range t.ops {
+		var err error
 		switch op.kind {
 		case opInsert:
-			oid := op.oid
-			if err := s.insertReserved(oid, op.class, op.attrs); err != nil {
-				return fail(err)
-			}
-			// The reservation is not released on undo: the OID stays
-			// burned so no later allocation can collide with a reference
-			// the caller may have kept.
-			undos = append(undos, func() { s.removeObj(oid) })
+			// A rolled-back insert does not release its reservation: the
+			// OID stays burned so no later allocation can collide with a
+			// reference the caller may have kept.
+			err = b.insert(op.oid, op.class, op.attrs)
 		case opUpdate:
-			o, ok := s.objs[op.oid]
-			if !ok {
-				return fail(fmt.Errorf("store %s: no object %s at commit", s.Name(), op.oid))
-			}
-			saved := make(map[string]object.Value)
-			had := make(map[string]bool)
-			for k := range op.attrs {
-				saved[k], had[k] = o.attrs[k]
-			}
-			if err := s.Update(op.oid, op.attrs); err != nil {
-				return fail(err)
-			}
-			undos = append(undos, func() {
-				for k := range op.attrs {
-					if had[k] {
-						o.attrs[k] = saved[k]
-					} else {
-						delete(o.attrs, k)
-					}
-				}
-			})
+			err = b.update(op.oid, op.attrs)
 		case opDelete:
-			o, ok := s.objs[op.oid]
-			if !ok {
-				return fail(fmt.Errorf("store %s: no object %s at commit", s.Name(), op.oid))
-			}
-			saved := o
-			if err := s.Delete(op.oid); err != nil {
-				return fail(err)
-			}
-			undos = append(undos, func() {
-				s.objs[saved.oid] = saved
-				s.byClass[saved.class] = append(s.byClass[saved.class], saved.oid)
-			})
+			err = b.delete(op.oid)
+		}
+		if err != nil {
+			b.rollback()
+			return err
 		}
 	}
-
-	if vs := s.CheckAll(); len(vs) > 0 {
-		return fail(&ViolationError{vs})
-	}
-	s.Enforce = savedEnforce
-	return nil
+	return b.commit()
 }

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -285,11 +286,20 @@ func buildOrd(s *snapshot, ext []*core.GObj, attr string) *ordIndex {
 		ix.class = kc
 		ix.entries = append(ix.entries, ordEntry{val: v, pos: p})
 	}
-	slices.SortStableFunc(ix.entries, func(a, b ordEntry) int {
-		c, _ := object.Compare(a.val, b.val) // one kind class: always ordered
-		return c
-	})
+	sortOrd(ix.entries)
 	return ix
+}
+
+// sortOrd orders entries by value, ties by position. buildOrd appends
+// entries in position order and positions are unique, so this is the
+// order a stable sort by value alone gives, at an unstable sort's price.
+func sortOrd(entries []ordEntry) {
+	slices.SortFunc(entries, func(a, b ordEntry) int {
+		if c, _ := object.Compare(a.val, b.val); c != 0 { // one kind class: always ordered
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 }
 
 func buildKey(ext []*core.GObj, attrs []string) keyIndex {

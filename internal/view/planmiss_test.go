@@ -26,7 +26,7 @@ const planMissItems = 4000
 func planMissEngine(tb testing.TB) *Engine {
 	tb.Helper()
 	local, remote := fixture.Figure1Stores(fixture.Options{})
-	remote.Enforce = false // bulk load: per-insert enforcement is O(extent)
+	tx := remote.Begin() // one checked batch: the commit check costs what it inserts
 	for i := 0; i < planMissItems; i++ {
 		shop := planMissPrice(i)
 		class, attrs := "Item", map[string]object.Value{
@@ -40,9 +40,13 @@ func planMissEngine(tb testing.TB) *Engine {
 			class = "Proceedings"
 			attrs["ref?"], attrs["rating"] = object.Bool(true), object.Int(8)
 		}
-		remote.MustInsert(class, attrs)
+		if _, err := tx.Insert(class, attrs); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	remote.Enforce = true
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
 	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
 	if err != nil {
 		tb.Fatalf("Integrate: %v", err)

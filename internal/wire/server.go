@@ -55,9 +55,12 @@ type ServerConfig struct {
 
 // Server accepts framed binary connections and dispatches requests to
 // the Backend. Each connection's frames are read sequentially, but
-// every request runs in its own goroutine and responses are written as
-// they finish — that is the whole pipelining contract: request IDs, not
-// arrival order, match responses to requests.
+// requests run concurrently and responses are written as they finish —
+// that is the whole pipelining contract: request IDs, not arrival order,
+// match responses to requests. A connection's requests run on one
+// long-lived worker goroutine while it keeps up; a request that arrives
+// while the worker is busy gets a goroutine of its own, so nothing ever
+// waits behind another request.
 type Server struct {
 	cfg ServerConfig
 
@@ -242,6 +245,13 @@ func (c *serverConn) serve() {
 		return
 	}
 
+	// The worker keeps its grown stack from request to request; a
+	// goroutine per request would regrow one through the engine each
+	// time.
+	work := make(chan request)
+	defer close(work)
+	go c.work(work)
+
 	readBuf := c.srv.getBuf()
 	defer func() { c.srv.putBuf(readBuf) }()
 	for {
@@ -270,10 +280,36 @@ func (c *serverConn) serve() {
 		c.mu.Unlock()
 		c.srv.active.Add(1)
 		// The frame body aliases readBuf; hand the whole buffer to the
-		// request goroutine (it returns it to the pool) and take a fresh
-		// one for the next frame, instead of copying the body.
-		go c.handle(ctx, cancel, f.Op, f.ID, readBuf, f.Body)
+		// request (its handler returns it to the pool) and take a fresh
+		// one for the next frame, instead of copying the body. The send
+		// succeeds only when the worker is idle, waiting to receive;
+		// otherwise the request spills onto a goroutine of its own.
+		req := request{ctx: ctx, cancel: cancel, op: f.Op, id: f.ID, bodyBuf: readBuf, body: f.Body}
+		select {
+		case work <- req:
+		default:
+			go c.handle(req)
+		}
 		readBuf = c.srv.getBuf()
+	}
+}
+
+// request is one dispatched frame. bodyBuf is the pooled read buffer
+// body aliases; the request's handler owns it and returns it to the pool.
+type request struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	op      byte
+	id      uint64
+	bodyBuf *[]byte
+	body    []byte
+}
+
+// work is the connection's worker: it serves requests until the read
+// loop closes reqs.
+func (c *serverConn) work(reqs <-chan request) {
+	for r := range reqs {
+		c.handle(r)
 	}
 }
 
@@ -293,16 +329,15 @@ func (c *serverConn) handleCancel(body []byte) {
 	}
 }
 
-// handle runs one request and writes its response frame. bodyBuf is
-// the pooled read buffer body aliases; handle owns it now and returns
-// it to the pool when done.
-func (c *serverConn) handle(ctx context.Context, cancel context.CancelFunc, op byte, id uint64, bodyBuf *[]byte, body []byte) {
+// handle runs one request and writes its response frame.
+func (c *serverConn) handle(r request) {
+	ctx, op, id, body := r.ctx, r.op, r.id, r.body
 	defer func() {
-		c.srv.putBuf(bodyBuf)
+		c.srv.putBuf(r.bodyBuf)
 		c.mu.Lock()
 		delete(c.inflight, id)
 		c.mu.Unlock()
-		cancel()
+		r.cancel()
 		c.srv.active.Add(-1)
 	}()
 
