@@ -105,7 +105,8 @@ func (b *txBatcher) drain() {
 			combined = append(combined, r.ops...)
 		}
 		err := b.ship(combined)
-		if err == nil || errors.Is(err, view.ErrPartialCommit) {
+		var stranded *view.PartialCommitError
+		if err == nil || errors.As(err, &stranded) {
 			for _, r := range reqs {
 				r.errc <- err
 			}

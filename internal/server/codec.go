@@ -245,6 +245,9 @@ type WireQueryStats struct {
 	CandidateRows    int  `json:"candidate_rows"`
 	PlanCached       bool `json:"plan_cached,omitempty"`
 	ConstraintGated  bool `json:"constraint_gated,omitempty"`
+	// Degraded names the members quarantined while the read was served
+	// from the last-good snapshot.
+	Degraded []string `json:"degraded,omitempty"`
 }
 
 // EncodeQueryStats converts the optimiser stats of one query.
@@ -257,6 +260,7 @@ func EncodeQueryStats(s view.Stats) WireQueryStats {
 		CandidateRows:    s.CandidateRows,
 		PlanCached:       s.PlanCached,
 		ConstraintGated:  s.ConstraintGated,
+		Degraded:         s.Degraded,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"interopdb"
@@ -58,15 +59,7 @@ func (src tenantSource) build() ([]fixtureMember, error) {
 // matches reports whether a persisted manifest describes the same
 // member recipe as a creation request.
 func (src tenantSource) matches(other tenantSource) bool {
-	if src.Fixture != other.Fixture || len(src.Members) != len(other.Members) {
-		return false
-	}
-	for i := range src.Members {
-		if src.Members[i] != other.Members[i] {
-			return false
-		}
-	}
-	return true
+	return src.Fixture == other.Fixture && slices.Equal(src.Members, other.Members)
 }
 
 // manifest is the on-disk tenant recipe.
@@ -100,16 +93,12 @@ func writeManifest(dir string, src tenantSource) error {
 
 // buildDurableTenant boots (cold or warm) a tenant over its data
 // directory. The boot follows the Durability protocol: open the
-// directory, build the member stores from the recipe, replay
-// checkpoint + WAL tail into them, integrate the federation with the
-// recovered memo, then Finish — verify the derivation, warm the plan
-// cache, and interpose WAL logging so every subsequent acknowledged
-// batch is durable.
-func (s *Server) buildDurableTenant(ctx context.Context, name string, src tenantSource) (*tenant, error) {
-	members, err := src.build()
-	if err != nil {
-		return nil, err
-	}
+// directory, take the member stores freshly built from the recipe,
+// replay checkpoint + WAL tail into them, integrate the federation with
+// the recovered memo, then Finish — verify the derivation, warm the
+// plan cache, and interpose WAL logging so every subsequent
+// acknowledged batch is durable.
+func (s *Server) buildDurableTenant(ctx context.Context, name string, src tenantSource, members []fixtureMember) (*tenant, error) {
 	if len(members) < 2 {
 		return nil, badRequest("a durable tenant needs at least two members: one member cannot integrate, so there is no derived state to recover to")
 	}
@@ -138,14 +127,9 @@ func (s *Server) buildDurableTenant(ctx context.Context, name string, src tenant
 	if err := dur.RestoreStores(stores...); err != nil {
 		return nil, err
 	}
-	fed := interopdb.NewFederation(1, interopdb.PipelineOptions{Memo: dur.Memo()})
-	for i, m := range members {
-		if i > 0 && m.integration == nil {
-			return nil, fmt.Errorf("member %d (%s): an integration spec pairing it with an existing member is required", i, m.spec.Schema.Name)
-		}
-		if err := fed.AttachContext(ctx, m.spec, m.store, m.integration); err != nil {
-			return nil, err
-		}
+	fed, err := buildFederation(ctx, members, interopdb.PipelineOptions{Memo: dur.Memo()})
+	if err != nil {
+		return nil, err
 	}
 	recovery, err := dur.Finish(ctx, fed)
 	if err != nil {
@@ -165,43 +149,19 @@ func (s *Server) buildDurableTenant(ctx context.Context, name string, src tenant
 // TenantRecovery reports what boot-time recovery did for a durable
 // tenant; ok is false for unknown or ephemeral tenants.
 func (s *Server) TenantRecovery(name string) (interopdb.RecoveryInfo, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tenants[name]
-	if t == nil || t.dur == nil {
+	t, err := s.tenantByName(name)
+	if err != nil || t.dur == nil {
 		return interopdb.RecoveryInfo{}, false
 	}
 	return t.recovery, true
 }
 
-// checkpointLoop runs until Close on durable servers: every tick, each
-// durable tenant gets a fresh checkpoint, bounding the WAL tail the
-// next crash recovery replays.
-func (s *Server) checkpointLoop(interval time.Duration) {
-	defer close(s.checkpointDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.checkpointStop:
-			return
-		case <-ticker.C:
-			s.checkpointTenants()
-		}
-	}
-}
-
-// checkpointTenants writes one checkpoint per durable tenant. Failures
-// are logged, not fatal: the WAL remains the durable truth, and the
-// next boot simply replays a longer tail.
+// checkpointTenants writes one checkpoint per durable tenant — the
+// background checkpointer's pass, bounding the WAL tail the next crash
+// recovery replays. Failures are logged, not fatal: the WAL remains the
+// durable truth, and the next boot simply replays a longer tail.
 func (s *Server) checkpointTenants() {
-	s.mu.RLock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	s.mu.RUnlock()
-	for _, t := range tenants {
+	for _, t := range s.tenantList() {
 		if err := t.checkpoint(); err != nil {
 			s.logf("checkpoint %s: %v", t.name, err)
 		}

@@ -3,10 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
-
-	"interopdb/internal/view"
 )
 
 // createTenantRequest creates a federation from a built-in fixture or
@@ -48,16 +45,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) erro
 	case req.Fixture == "" && len(req.Members) == 0:
 		return badRequest("supply a fixture name or uploaded members")
 	}
-	src := tenantSource{Fixture: req.Fixture, Members: req.Members}
-	if _, err := src.build(); err != nil {
-		// Surface recipe errors (unknown fixture, unparsable spec) as the
-		// client's fault before any durable state is touched.
-		return badRequest("%v", err)
-	}
-	if err := s.buildTenant(r.Context(), req.Name, src); err != nil {
-		return err
-	}
-	t, err := s.tenantByName(req.Name)
+	t, err := s.buildTenant(r.Context(), req.Name, tenantSource{Fixture: req.Fixture, Members: req.Members})
 	if err != nil {
 		return err
 	}
@@ -65,24 +53,8 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) erro
 	return nil
 }
 
-func (s *Server) tenantByName(name string) (*tenant, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tenants[name]
-	if t == nil {
-		return nil, fmt.Errorf("tenant %q: %w", name, ErrUnknownTenant)
-	}
-	return t, nil
-}
-
 func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) error {
-	s.mu.RLock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	s.mu.RUnlock()
-	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
+	tenants := s.tenantList()
 	infos := make([]tenantInfo, len(tenants))
 	for i, t := range tenants {
 		infos[i] = s.infoFor(t)
@@ -121,26 +93,11 @@ type queryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	t, err := s.tenantOf(r)
-	if err != nil {
-		return err
-	}
 	var req queryRequest
 	if err := readJSON(r, &req); err != nil {
 		return err
 	}
-	q, err := view.ParseQuery(req.Q)
-	if err != nil {
-		return badRequest("parsing query: %v", err)
-	}
-	e, err := t.engine()
-	if err != nil {
-		return err
-	}
-	if !e.HasClass(q.Class) {
-		return fmt.Errorf("class %q: %w", q.Class, view.ErrUnknownClass)
-	}
-	rows, stats, err := e.RunContext(r.Context(), q)
+	rows, stats, err := s.query(r.Context(), r.PathValue("tenant"), req.Q)
 	if err != nil {
 		return err
 	}
@@ -166,47 +123,19 @@ type txResponse struct {
 }
 
 func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) error {
-	t, err := s.tenantOf(r)
-	if err != nil {
-		return err
-	}
 	var req wireTxRequest
 	if err := readJSON(r, &req); err != nil {
 		return err
-	}
-	if len(req.Ops) == 0 {
-		return badRequest("empty op list")
 	}
 	ops, err := DecodeMutations(req.Ops)
 	if err != nil {
 		return badRequest("%v", err)
 	}
-	e, err := t.engine()
+	applied, vstats, err := s.tx(r.Context(), r.PathValue("tenant"), ops, req.ValidateOnly)
 	if err != nil {
 		return err
 	}
-	// Validation first — the paper's §5.2 role: predict the local
-	// managers' verdict before any subtransaction is shipped. A
-	// rejected batch never reaches the batcher.
-	rejs, vstats, err := e.Validate(r.Context(), ops)
-	if err != nil {
-		return err
-	}
-	if len(rejs) > 0 {
-		return &httpError{
-			status:  http.StatusConflict,
-			msg:     view.Rejections(rejs).Error(),
-			payload: EncodeRejections(rejs),
-		}
-	}
-	if req.ValidateOnly {
-		writeJSON(w, http.StatusOK, txResponse{Applied: 0, ValidateStats: EncodeValidateStats(vstats)})
-		return nil
-	}
-	if err := t.batch.enqueue(r.Context(), ops); err != nil {
-		return err
-	}
-	writeJSON(w, http.StatusOK, txResponse{Applied: len(ops), ValidateStats: EncodeValidateStats(vstats)})
+	writeJSON(w, http.StatusOK, txResponse{Applied: applied, ValidateStats: EncodeValidateStats(vstats)})
 	return nil
 }
 
@@ -219,7 +148,7 @@ type attachRequest struct {
 }
 
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) error {
-	t, err := s.tenantOf(r)
+	t, err := s.tenantByName(r.PathValue("tenant"))
 	if err != nil {
 		return err
 	}
@@ -262,7 +191,7 @@ type detachRequest struct {
 }
 
 func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) error {
-	t, err := s.tenantOf(r)
+	t, err := s.tenantByName(r.PathValue("tenant"))
 	if err != nil {
 		return err
 	}
@@ -285,11 +214,7 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) error {
-	t, err := s.tenantOf(r)
-	if err != nil {
-		return err
-	}
-	e, err := t.engine()
+	_, e, err := s.engineOf(r.PathValue("tenant"))
 	if err != nil {
 		return err
 	}
@@ -322,22 +247,15 @@ type tenantCacheStats struct {
 // saturated server is exactly the one whose metrics must stay
 // reachable.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	tenants := make(map[string]*tenant, len(s.tenants))
-	for n, t := range s.tenants {
-		tenants[n] = t
-	}
-	s.mu.RUnlock()
-
 	perTenant := map[string]tenantCacheStats{}
-	for n, t := range tenants {
+	for _, t := range s.tenantList() {
 		e := t.fed.Engine()
 		if e == nil {
 			continue
 		}
 		cs := e.CacheStats()
 		rs := e.RingStats()
-		perTenant[n] = tenantCacheStats{
+		perTenant[t.name] = tenantCacheStats{
 			PlanHits:      cs.PlanHits,
 			PlanMisses:    cs.PlanMisses,
 			PlanHitRate:   cs.PlanHitRate(),

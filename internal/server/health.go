@@ -118,7 +118,7 @@ func encodeHealth(tenantName string, rep view.HealthReport) healthResponse {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics.endpoint("health")
 	t0 := time.Now()
-	t, err := s.tenantOf(r)
+	t, err := s.tenantByName(r.PathValue("tenant"))
 	if err != nil {
 		m.record(time.Since(t0), true)
 		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
@@ -141,14 +141,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // (zero before any traffic) — the basis for load-derived Retry-After
 // hints.
 func (r *metricsRegistry) slowestP90() time.Duration {
-	r.mu.Lock()
-	ms := make([]*endpointMetrics, 0, len(r.endpoints))
-	for _, m := range r.endpoints {
-		ms = append(ms, m)
-	}
-	r.mu.Unlock()
 	var worst int64
-	for _, m := range ms {
+	for _, m := range r.all() {
 		m.mu.Lock()
 		if m.count > 0 {
 			if p := m.percentile(90); p > worst {
@@ -167,19 +161,9 @@ func (r *metricsRegistry) slowestP90() time.Duration {
 // observed.
 func (s *Server) retryAfterSeconds() int {
 	p90 := s.metrics.slowestP90()
-	est := p90
-	if c := cap(s.sem); c > 0 {
-		// A fuller queue means more requests ahead of the retry.
-		est = p90 + time.Duration(len(s.sem))*p90/time.Duration(c)
-	}
-	secs := int(math.Ceil(est.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	// A fuller queue means more requests ahead of the retry.
+	est := p90 + time.Duration(len(s.sem))*p90/time.Duration(cap(s.sem))
+	return min(retryAfterForOutage(est), 30)
 }
 
 // retryAfterForOutage converts a breaker cool-down hint into Retry-After
@@ -196,33 +180,11 @@ func retryAfterForOutage(d time.Duration) int {
 // Config.ReconcileInterval is zero.
 const DefaultReconcileInterval = 500 * time.Millisecond
 
-// reconcileLoop runs until Close: every tick, tenants with pending
-// journal entries or quarantined members get a Reconcile pass.
-func (s *Server) reconcileLoop(interval time.Duration) {
-	defer close(s.reconcileDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.reconcileStop:
-			return
-		case <-ticker.C:
-			s.reconcileTenants()
-		}
-	}
-}
-
 // reconcileTenants drives one reconcile pass over every tenant that
 // needs it (pending journal entries, or quarantined members whose
 // breaker a liveness probe could close).
 func (s *Server) reconcileTenants() {
-	s.mu.RLock()
-	tenants := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		tenants = append(tenants, t)
-	}
-	s.mu.RUnlock()
-	for _, t := range tenants {
+	for _, t := range s.tenantList() {
 		e := t.fed.Engine()
 		if e == nil {
 			continue

@@ -1,22 +1,26 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"interopdb/internal/object"
 	"interopdb/internal/store/chaos"
 	"interopdb/internal/view"
+	"interopdb/internal/wire"
 )
 
 // Wire-level fault-tolerance tests: a member backend is swapped for a
-// chaos wrapper inside a live tenant's registry, and the HTTP surface
+// chaos wrapper inside a live tenant's registry, and both transports
 // must hold the degraded-serving contract — 503 + Retry-After for
 // quarantined writes, a structured partial-commit body pointing at the
 // health endpoint, reads that keep serving, and a background reconciler
@@ -49,27 +53,37 @@ func chaosTenantServer(t *testing.T, cfg Config, member string, opts chaos.Optio
 	if err := srv.AddTenant("figure1", "figure1"); err != nil {
 		t.Fatal(err)
 	}
-	ten, err := srv.tenantByName("figure1")
+	e, cb, err := wrapChaos(srv, member, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := ten.fed.Stores()
-	inner, ok := reg.Get(member)
-	if !ok {
-		t.Fatalf("member %s not registered", member)
-	}
-	cb := chaos.Wrap(inner, opts)
-	if err := reg.Swap(member, cb); err != nil {
-		t.Fatalf("Swap(%s): %v", member, err)
-	}
-	e := ten.fed.Engine()
-	e.Retry = view.RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond, Sleep: func(time.Duration) {}}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
 	})
 	return srv, ts, e, cb
+}
+
+// wrapChaos swaps the named member of srv's figure1 tenant for a chaos
+// wrapper and makes the engine's retries instant.
+func wrapChaos(srv *Server, member string, opts chaos.Options) (*view.Engine, *chaos.Backend, error) {
+	ten, err := srv.tenantByName("figure1")
+	if err != nil {
+		return nil, nil, err
+	}
+	reg := ten.fed.Stores()
+	inner, ok := reg.Get(member)
+	if !ok {
+		return nil, nil, fmt.Errorf("member %s not registered", member)
+	}
+	cb := chaos.Wrap(inner, opts)
+	if err := reg.Swap(member, cb); err != nil {
+		return nil, nil, fmt.Errorf("Swap(%s): %w", member, err)
+	}
+	e := ten.fed.Engine()
+	e.Retry = view.RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond, Sleep: func(time.Duration) {}}
+	return e, cb, nil
 }
 
 // globalIDByISBN finds a global object ID through the federation's
@@ -115,7 +129,7 @@ func TestHealthEndpoint(t *testing.T) {
 func TestWireMemberUnavailable(t *testing.T) {
 	// Four scheduled transient faults exhaust the engine's retry budget
 	// on the first write; nothing has committed, so it's a clean abort.
-	_, ts, _, _ := chaosTenantServer(t, Config{ReconcileInterval: -1}, "Bookseller", chaos.Options{
+	srv, ts, _, cb := chaosTenantServer(t, Config{ReconcileInterval: -1}, "Bookseller", chaos.Options{
 		Schedule: map[int]chaos.Fault{
 			1: chaos.FaultTransient, 2: chaos.FaultTransient,
 			3: chaos.FaultTransient, 4: chaos.FaultTransient,
@@ -123,13 +137,7 @@ func TestWireMemberUnavailable(t *testing.T) {
 	})
 	before := countItems(t, ts, "figure1")
 
-	raw, _ := json.Marshal(wireTxRequest{Ops: []WireMutation{wireInsert("outage-1", 30)}})
-	resp, err := http.Post(ts.URL+"/v1/figure1/tx", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	resp, body := post(t, ts.URL+"/v1/figure1/tx", wireTxRequest{Ops: []WireMutation{wireInsert("outage-1", 30)}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("write to failing member: status %d body %s, want 503", resp.StatusCode, body)
 	}
@@ -145,6 +153,20 @@ func TestWireMemberUnavailable(t *testing.T) {
 	}
 	if !out.Retryable || out.Member != "Bookseller" {
 		t.Errorf("503 body %s: want retryable=true member=Bookseller", body)
+	}
+
+	// The binary transport refuses the next write the same way and with
+	// the same hint, whether the breaker is still open or admits a probe
+	// (which fails too).
+	cb.ScheduleNext(chaos.FaultTransient, 4)
+	c := dialWire(t, srv)
+	_, _, err := c.Tx(context.Background(), "figure1", []view.Mutation{decodeWireInsert(t, wireInsert("outage-2", 30))}, false)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeUnavailable || !strings.Contains(we.Msg, "Bookseller") {
+		t.Fatalf("binary write to failing member: %v, want CodeUnavailable naming Bookseller", err)
+	}
+	if got := strconv.Itoa(we.RetryAfter); got != resp.Header.Get("Retry-After") {
+		t.Errorf("binary RetryAfter %s, HTTP Retry-After %s", got, resp.Header.Get("Retry-After"))
 	}
 
 	// Reads still serve from the last-good snapshot.
@@ -166,7 +188,7 @@ func TestWireMemberUnavailable(t *testing.T) {
 // pointing at the health endpoint; the journal visible over the wire;
 // and Reconcile completing the batch once the member heals.
 func TestWirePartialCommitAndManualReconcile(t *testing.T) {
-	srv, ts, e, _ := chaosTenantServer(t, Config{ReconcileInterval: -1}, "CSLibrary", chaos.Options{
+	srv, ts, e, cb := chaosTenantServer(t, Config{ReconcileInterval: -1}, "CSLibrary", chaos.Options{
 		Schedule: map[int]chaos.Fault{
 			1: chaos.FaultTransient, 2: chaos.FaultTransient,
 			3: chaos.FaultTransient, 4: chaos.FaultTransient,
@@ -184,9 +206,9 @@ func TestWirePartialCommitAndManualReconcile(t *testing.T) {
 			"title": EncodeValue(object.Str("VLDB 96 (stranded rev)")),
 		}},
 	}
-	code, body := postJSON(t, ts.URL+"/v1/figure1/tx", wireTxRequest{Ops: ops})
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("stranded batch: status %d body %s, want 503", code, body)
+	resp, body := post(t, ts.URL+"/v1/figure1/tx", wireTxRequest{Ops: ops})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stranded batch: status %d body %s, want 503", resp.StatusCode, body)
 	}
 	var out struct {
 		Retryable   bool     `json:"retryable"`
@@ -236,6 +258,63 @@ func TestWirePartialCommitAndManualReconcile(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/figure1/health", &rep)
 	if !rep.Healthy || rep.JournalDepth != 0 || rep.Faults.ReconcileCompleted != 1 {
 		t.Errorf("health after reconcile: %+v, want healthy with an empty journal", rep)
+	}
+
+	// The same batch shape strands over the binary transport with the
+	// same retry hint, and a second pass completes it.
+	cb.ScheduleNext(chaos.FaultTransient, 4)
+	binOps := []view.Mutation{
+		decodeWireInsert(t, wireInsert("stranded-wire-2", 30)),
+		decodeWireInsert(t, WireMutation{Kind: "update", Class: "Item", ID: vldbID, Attrs: map[string]WireValue{
+			"title": EncodeValue(object.Str("VLDB 96 (stranded rev 2)")),
+		}}),
+	}
+	_, _, err = dialWire(t, srv).Tx(context.Background(), "figure1", binOps, false)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeUnavailable {
+		t.Fatalf("binary stranded batch: %v, want CodeUnavailable", err)
+	}
+	if want := "batch committed on [Bookseller] but pending on [CSLibrary]"; !strings.HasPrefix(we.Msg, want) {
+		t.Errorf("binary message %q, want prefix %q", we.Msg, want)
+	}
+	if got := strconv.Itoa(we.RetryAfter); got != resp.Header.Get("Retry-After") {
+		t.Errorf("binary RetryAfter %s, HTTP Retry-After %s", got, resp.Header.Get("Retry-After"))
+	}
+	if rs, err := e.Reconcile(context.Background()); err != nil || rs.Completed != 1 {
+		t.Fatalf("second Reconcile: %+v %v, want 1 completed", rs, err)
+	}
+	if got := countItems(t, ts, "figure1"); got != before+2 {
+		t.Errorf("after second reconcile: %d items, want %d", got, before+2)
+	}
+}
+
+// TestDegradedReadStats pins that a read served while a member is
+// quarantined names the member in its stats, on both transports.
+func TestDegradedReadStats(t *testing.T) {
+	srv, ts, _, _ := chaosTenantServer(t, Config{ReconcileInterval: -1}, "Bookseller", chaos.Options{
+		Schedule: map[int]chaos.Fault{
+			1: chaos.FaultTransient, 2: chaos.FaultTransient,
+			3: chaos.FaultTransient, 4: chaos.FaultTransient,
+		},
+	})
+	if code, body := postJSON(t, ts.URL+"/v1/figure1/tx", wireTxRequest{Ops: []WireMutation{wireInsert("degraded-1", 30)}}); code != http.StatusServiceUnavailable {
+		t.Fatalf("write to failing member: status %d body %s, want 503", code, body)
+	}
+	src := "select title from Item where shopprice < 50"
+	code, body := postJSON(t, ts.URL+"/v1/figure1/query", queryRequest{Q: src})
+	var resp queryResponse
+	if err := json.Unmarshal(body, &resp); err != nil || code != http.StatusOK {
+		t.Fatalf("degraded HTTP read: status %d body %s (%v)", code, body, err)
+	}
+	if got := resp.Stats.Degraded; len(got) != 1 || got[0] != "Bookseller" {
+		t.Errorf("HTTP stats.degraded = %v, want [Bookseller] (body %s)", got, body)
+	}
+	_, stats, err := dialWire(t, srv).Query(context.Background(), "figure1", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Degraded; len(got) != 1 || got[0] != "Bookseller" {
+		t.Errorf("binary stats.Degraded = %v, want [Bookseller]", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"maps"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -105,21 +105,19 @@ func (r *metricsRegistry) endpoint(name string) *endpointMetrics {
 	return m
 }
 
-// snapshot renders every endpoint's counters, sorted by name for stable
-// output.
-func (r *metricsRegistry) snapshot() map[string]EndpointSnapshot {
+// all copies the endpoint table, so readers iterate it unlocked.
+func (r *metricsRegistry) all() map[string]*endpointMetrics {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.endpoints))
-	for n := range r.endpoints {
-		names = append(names, n)
-	}
-	elapsed := time.Since(r.start).Seconds()
-	r.mu.Unlock()
-	sort.Strings(names)
+	defer r.mu.Unlock()
+	return maps.Clone(r.endpoints)
+}
 
-	out := make(map[string]EndpointSnapshot, len(names))
-	for _, n := range names {
-		m := r.endpoint(n)
+// snapshot renders every endpoint's counters.
+func (r *metricsRegistry) snapshot() map[string]EndpointSnapshot {
+	elapsed := time.Since(r.start).Seconds()
+	ms := r.all()
+	out := make(map[string]EndpointSnapshot, len(ms))
+	for n, m := range ms {
 		m.mu.Lock()
 		snap := EndpointSnapshot{Count: m.count, Errors: m.errors}
 		if elapsed > 0 {

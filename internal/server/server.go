@@ -1,29 +1,28 @@
-// Package server hosts federations over HTTP/JSON: multi-tenant
-// serving of the integrated view (queries, validated transactions,
-// runtime attach/detach) with admission control, per-endpoint metrics
-// and graceful drain. It is the transport layer over the engine's
-// context-aware API — every request's context flows into RunContext/
-// Validate/AttachContext, so a disconnected client stops burning CPU at
-// the next scan-loop or solver-call boundary, and the typed sentinels
-// (ErrRejected, ErrUnknownClass, ErrUnknownObject, ErrUnknownTenant,
-// ErrNoStores, ...)
-// map failures to status codes without string matching.
+// Package server hosts federations over HTTP/JSON and the binary wire:
+// multi-tenant serving of the integrated view (queries, validated
+// transactions, runtime attach/detach) with admission control,
+// per-endpoint metrics and graceful drain. It is the transport layer
+// over the engine's context-aware API — every request's context flows
+// into RunContext/Validate/AttachContext, so a disconnected client stops
+// burning CPU at the next scan-loop or solver-call boundary — and one
+// table (classify, dispatch.go) maps the typed sentinels (ErrRejected,
+// ErrUnknownClass, ErrUnknownObject, ErrUnknownTenant, ErrNoStores, ...)
+// to both transports' responses without string matching.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"interopdb/internal/view"
+	"interopdb"
 )
 
 // Config configures a Server.
@@ -71,11 +70,9 @@ type Server struct {
 
 	draining atomic.Bool
 
-	reconcileStop  chan struct{}
-	reconcileDone  chan struct{}
-	checkpointStop chan struct{}
-	checkpointDone chan struct{}
-	closeOnce      sync.Once
+	stop      chan struct{} // closed by Close: ends the background loops
+	loops     sync.WaitGroup
+	closeOnce sync.Once
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -87,36 +84,45 @@ func New(cfg Config) *Server {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
 	s := &Server{
-		cfg:            cfg,
-		mux:            http.NewServeMux(),
-		metrics:        newMetricsRegistry(),
-		sem:            make(chan struct{}, cfg.MaxInFlight),
-		tenants:        map[string]*tenant{},
-		reconcileStop:  make(chan struct{}),
-		reconcileDone:  make(chan struct{}),
-		checkpointStop: make(chan struct{}),
-		checkpointDone: make(chan struct{}),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		metrics: newMetricsRegistry(),
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		tenants: map[string]*tenant{},
+		stop:    make(chan struct{}),
 	}
 	s.routes()
-	if cfg.ReconcileInterval >= 0 {
-		interval := cfg.ReconcileInterval
-		if interval == 0 {
-			interval = DefaultReconcileInterval
-		}
-		go s.reconcileLoop(interval)
-	} else {
-		close(s.reconcileDone)
-	}
-	if cfg.DataDir != "" && cfg.CheckpointInterval >= 0 {
-		interval := cfg.CheckpointInterval
-		if interval == 0 {
-			interval = DefaultCheckpointInterval
-		}
-		go s.checkpointLoop(interval)
-	} else {
-		close(s.checkpointDone)
+	s.every(cfg.ReconcileInterval, DefaultReconcileInterval, s.reconcileTenants)
+	if cfg.DataDir != "" {
+		s.every(cfg.CheckpointInterval, DefaultCheckpointInterval, s.checkpointTenants)
 	}
 	return s
+}
+
+// every runs pass on a ticker until Close: the background reconciler
+// and checkpointer. A negative interval disables the loop; zero means
+// def.
+func (s *Server) every(interval, def time.Duration, pass func()) {
+	if interval < 0 {
+		return
+	}
+	if interval == 0 {
+		interval = def
+	}
+	s.loops.Add(1)
+	go func() {
+		defer s.loops.Done()
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-s.stop:
+				return
+			case <-ticker.C:
+				pass()
+			}
+		}
+	}()
 }
 
 func (s *Server) routes() {
@@ -145,127 +151,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// httpError carries a status code through a handler's error return.
-type httpError struct {
-	status  int
-	msg     string
-	payload any // optional structured body (e.g. rejections)
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-// serve wraps a handler with the /v1 middleware stack: drain refusal,
-// admission control, metrics recording, and typed-error → status-code
-// mapping.
+// serve wraps a handler with the /v1 request path: admission and
+// metrics around it, the error taxonomy after it.
 func (s *Server) serve(name string, h func(w http.ResponseWriter, r *http.Request) error) http.HandlerFunc {
-	m := s.metrics.endpoint(name)
+	ep := s.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": "server is draining"})
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			m.record(0, true)
-			// The hint tracks observed latency and queue depth, not a
-			// constant: a saturated slow server should not invite an
-			// immediate retry storm.
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error": fmt.Sprintf("server at admission limit (%d in flight)", cap(s.sem)),
-			})
-			return
-		}
-		t0 := time.Now()
-		err := h(w, r)
-		m.record(time.Since(t0), err != nil)
-		if err != nil {
-			s.writeError(w, r, name, err)
+		if err := ep.admit(func() error { return h(w, r) }); err != nil {
+			ep.writeError(w, r, err)
 		}
 	}
 }
-
-// writeError maps a handler error to a response by sentinel.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, name string, err error) {
-	var he *httpError
-	switch {
-	case errors.As(err, &he):
-		body := map[string]any{"error": he.msg}
-		if he.payload != nil {
-			body["rejections"] = he.payload
-		}
-		writeJSON(w, he.status, body)
-	case errors.Is(err, ErrUnknownTenant),
-		errors.Is(err, view.ErrUnknownClass),
-		errors.Is(err, view.ErrUnknownObject):
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-	case errors.Is(err, view.ErrRejected):
-		body := map[string]any{"error": err.Error()}
-		var rejs view.Rejections
-		if errors.As(err, &rejs) {
-			body["rejections"] = EncodeRejections(rejs)
-		}
-		writeJSON(w, http.StatusConflict, body)
-	case errors.Is(err, view.ErrMemberUnavailable):
-		// A quarantined (or freshly failed) member refused the batch
-		// before any peer committed: cleanly retryable after the
-		// breaker's cool-down.
-		body := map[string]any{"error": err.Error(), "retryable": true}
-		retryAfter := s.retryAfterSeconds()
-		var mue *view.MemberUnavailableError
-		if errors.As(err, &mue) {
-			body["member"] = mue.Member
-			retryAfter = retryAfterForOutage(mue.RetryAfter)
-		}
-		body["retry_after_s"] = retryAfter
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeJSON(w, http.StatusServiceUnavailable, body)
-	case errors.Is(err, view.ErrPartialCommit):
-		// A member went away after its peers committed. The batch is
-		// journaled and the background reconciler completes (or
-		// compensates) it — do NOT resubmit, poll the health endpoint
-		// until the journal entry resolves.
-		body := map[string]any{
-			"error":       err.Error(),
-			"retryable":   false,
-			"reconciling": true,
-		}
-		var pce *view.PartialCommitError
-		if errors.As(err, &pce) {
-			body["journal_seq"] = pce.Seq
-			body["committed"] = pce.Committed
-			body["pending"] = pce.Pending
-			body["mode"] = pce.Mode
-		}
-		if tn := r.PathValue("tenant"); tn != "" {
-			body["status"] = "/v1/" + tn + "/health"
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterForOutage(DefaultReconcileInterval)))
-		writeJSON(w, http.StatusServiceUnavailable, body)
-	case errors.Is(err, view.ErrNoStores):
-		// The tenant's engine has no member stores bound: it serves
-		// reads but has nowhere to ship a write. Waiting will not help.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error(), "retryable": false})
-	case r.Context().Err() != nil:
-		// The client is gone; the status is for the log only.
-		s.logf("%s: client cancelled: %v", name, err)
-		writeJSON(w, statusClientClosedRequest, map[string]any{"error": err.Error()})
-	default:
-		s.logf("%s: %v", name, err)
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
-	}
-}
-
-// statusClientClosedRequest is the de-facto code for "client went away
-// mid-request" (nginx's 499); no official constant exists.
-const statusClientClosedRequest = 499
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -289,9 +184,8 @@ func readJSON(r *http.Request, into any) error {
 	return nil
 }
 
-// tenantOf resolves the {tenant} path value.
-func (s *Server) tenantOf(r *http.Request) (*tenant, error) {
-	name := r.PathValue("tenant")
+// tenantByName is the one tenant lookup, for every transport and route.
+func (s *Server) tenantByName(name string) (*tenant, error) {
 	s.mu.RLock()
 	t := s.tenants[name]
 	s.mu.RUnlock()
@@ -301,48 +195,58 @@ func (s *Server) tenantOf(r *http.Request) (*tenant, error) {
 	return t, nil
 }
 
+// tenantList snapshots the hosted tenants, sorted by name.
+func (s *Server) tenantList() []*tenant {
+	s.mu.RLock()
+	out := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		out = append(out, t)
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // AddTenant builds a tenant from a built-in fixture and registers it —
 // the programmatic path cmd/interopd uses to preload tenants at boot.
 // On a durable server (Config.DataDir) this is also the restart path:
 // an existing data directory for the tenant is recovered, not rebuilt.
 func (s *Server) AddTenant(name, fixtureName string) error {
-	return s.buildTenant(context.Background(), name, tenantSource{Fixture: fixtureName})
+	_, err := s.buildTenant(context.Background(), name, tenantSource{Fixture: fixtureName})
+	return err
 }
 
 // buildTenant constructs (ephemeral) or boots (durable) a tenant from
 // its member recipe and registers it.
-func (s *Server) buildTenant(ctx context.Context, name string, src tenantSource) error {
+func (s *Server) buildTenant(ctx context.Context, name string, src tenantSource) (*tenant, error) {
 	if err := validateTenantName(name); err != nil {
-		return err
+		return nil, err
 	}
 	// Refuse duplicates BEFORE building: a durable boot opens the data
 	// directory the live tenant is appending to, and its Finish-time
 	// checkpoint would overwrite state the live log is ahead of.
-	s.mu.RLock()
-	_, dup := s.tenants[name]
-	s.mu.RUnlock()
-	if dup {
-		return badRequest("tenant %q already exists", name)
+	if _, err := s.tenantByName(name); err == nil {
+		return nil, badRequest("tenant %q already exists", name)
 	}
-	var t *tenant
+	members, err := src.build()
+	if err != nil {
+		// Recipe errors (unknown fixture, unparsable spec) are the
+		// client's fault, surfaced before any durable state is touched.
+		return nil, badRequest("%v", err)
+	}
 	if s.cfg.DataDir != "" {
-		dt, err := s.buildDurableTenant(ctx, name, src)
+		t, err := s.buildDurableTenant(ctx, name, src, members)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		t = dt
-	} else {
-		members, err := src.build()
-		if err != nil {
-			return err
-		}
-		fed, err := buildFederation(ctx, members)
-		if err != nil {
-			return err
-		}
-		t = newTenant(name, fed)
+		return t, s.registerTenant(t)
 	}
-	return s.registerTenant(t)
+	fed, err := buildFederation(ctx, members, interopdb.PipelineOptions{})
+	if err != nil {
+		return nil, err
+	}
+	t := newTenant(name, fed)
+	return t, s.registerTenant(t)
 }
 
 func validateTenantName(name string) error {
@@ -377,11 +281,10 @@ func (s *Server) registerTenant(t *tenant) error {
 
 // Tenants lists the hosted tenant names.
 func (s *Server) Tenants() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tenants))
-	for n := range s.tenants {
-		out = append(out, n)
+	tenants := s.tenantList()
+	out := make([]string, len(tenants))
+	for i, t := range tenants {
+		out[i] = t.name
 	}
 	return out
 }
@@ -406,16 +309,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // must be drained first (see Drain). Safe to call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		close(s.reconcileStop)
-		close(s.checkpointStop)
-		<-s.reconcileDone
-		<-s.checkpointDone
-		s.mu.Lock()
-		tenants := make([]*tenant, 0, len(s.tenants))
-		for _, t := range s.tenants {
-			tenants = append(tenants, t)
-		}
-		s.mu.Unlock()
+		close(s.stop)
+		s.loops.Wait()
+		tenants := s.tenantList()
 		// Batchers first — the final checkpoint must include the last
 		// enqueued batches — then the durability shutdown.
 		for _, t := range tenants {

@@ -36,6 +36,14 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	t.Helper()
+	resp, out := post(t, url, body)
+	return resp.StatusCode, out
+}
+
+// post sends body as JSON and returns the response (its body read and
+// closed) with the body bytes.
+func post(t *testing.T, url string, body any) (*http.Response, []byte) {
+	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +57,7 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, out
+	return resp, out
 }
 
 // figure1Engine builds the in-process engine the wire answers are

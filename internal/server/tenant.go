@@ -174,9 +174,9 @@ func parseUploadedMember(specSrc, integrationSrc string) (fixtureMember, error) 
 }
 
 // buildFederation attaches the members in order onto a fresh
-// federation.
-func buildFederation(ctx context.Context, members []fixtureMember) (*interopdb.Federation, error) {
-	fed := interopdb.NewFederation(1, interopdb.PipelineOptions{})
+// federation — the one boot path of ephemeral and durable tenants.
+func buildFederation(ctx context.Context, members []fixtureMember, opts interopdb.PipelineOptions) (*interopdb.Federation, error) {
+	fed := interopdb.NewFederation(1, opts)
 	for i, m := range members {
 		if i > 0 && m.integration == nil {
 			return nil, fmt.Errorf("member %d (%s): an integration spec pairing it with an existing member is required", i, m.spec.Schema.Name)

@@ -22,6 +22,13 @@ import (
 func wireTestServer(t *testing.T) (*Server, string, *wire.Client) {
 	t.Helper()
 	srv, ts := testServer(t)
+	return srv, ts.URL, dialWire(t, srv)
+}
+
+// dialWire serves srv's binary transport on a loopback listener and
+// returns a connected client.
+func dialWire(t *testing.T, srv *Server) *wire.Client {
+	t.Helper()
 	ws := srv.WireServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,7 +41,7 @@ func wireTestServer(t *testing.T) (*Server, string, *wire.Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return srv, ts.URL, c
+	return c
 }
 
 // canonRow renders a row through the HTTP codec's tagged form and

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"interopdb/internal/view"
 	"interopdb/internal/wire"
@@ -13,165 +11,60 @@ import (
 // tenants — the second front end alongside HTTP. Both transports share
 // one admission semaphore (a saturated server is saturated regardless
 // of framing), one metrics registry (wire endpoints appear in /metrics
-// as wire_query/wire_prepare/wire_exec/wire_tx), one drain flag and the
-// same tenant engines, so a query answers identically on either.
+// as wire_query/wire_prepare/wire_exec/wire_tx), one drain flag, one
+// request path and one error taxonomy (dispatch.go), so a query answers
+// identically on either.
 func (s *Server) WireServer() *wire.Server {
 	return wire.NewServer(wire.ServerConfig{
-		Backend: wireBackend{s},
+		Backend: newWireBackend(s),
 		Logf:    s.cfg.Logf,
 	})
 }
 
-// wireBackend adapts *Server to wire.Backend.
+// wireBackend adapts *Server to wire.Backend: each method admits through
+// its endpoint, runs the shared request kind and renders the error.
 type wireBackend struct {
-	s *Server
+	s                                *Server
+	queryEP, prepareEP, execEP, txEP *endpoint
 }
 
-// begin runs the wire equivalent of the HTTP serve() middleware: drain
-// refusal, admission control, and a completion func recording metrics
-// and releasing the admission slot.
-func (b wireBackend) begin(endpoint string) (func(error), error) {
-	s := b.s
-	m := s.metrics.endpoint(endpoint)
-	if s.draining.Load() {
-		return nil, &wire.Error{
-			Code:       wire.CodeDraining,
-			Msg:        "server is draining",
-			RetryAfter: s.retryAfterSeconds(),
-		}
+func newWireBackend(s *Server) *wireBackend {
+	return &wireBackend{
+		s:         s,
+		queryEP:   s.endpoint("wire_query"),
+		prepareEP: s.endpoint("wire_prepare"),
+		execEP:    s.endpoint("wire_exec"),
+		txEP:      s.endpoint("wire_tx"),
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		m.record(0, true)
-		return nil, &wire.Error{
-			Code:       wire.CodeAdmission,
-			Msg:        fmt.Sprintf("server at admission limit (%d in flight)", cap(s.sem)),
-			RetryAfter: s.retryAfterSeconds(),
-		}
-	}
-	t0 := time.Now()
-	return func(err error) {
-		m.record(time.Since(t0), err != nil)
-		<-s.sem
-	}, nil
 }
 
-// tenantEngine resolves a tenant name to its serving engine.
-func (b wireBackend) tenantEngine(name string) (*tenant, *view.Engine, error) {
-	t, err := b.s.tenantByName(name)
-	if err != nil {
-		return nil, nil, &wire.Error{Code: wire.CodeUnknownTenant, Msg: err.Error()}
-	}
-	e, err := t.engine()
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, e, nil
+// Query implements wire.Backend.
+func (b *wireBackend) Query(ctx context.Context, tenant, src string) (rows []view.Row, stats view.Stats, err error) {
+	err = b.queryEP.admit(func() error { rows, stats, err = b.s.query(ctx, tenant, src); return err })
+	return rows, stats, b.queryEP.wireErr(ctx, tenant, err)
 }
 
-// parseChecked parses src and verifies its class against the engine's
-// current membership — the shared front half of Query and Prepare.
-func parseChecked(e *view.Engine, src string) (view.Query, error) {
-	q, err := view.ParseQuery(src)
-	if err != nil {
-		return view.Query{}, &wire.Error{Code: wire.CodeBadRequest, Msg: fmt.Sprintf("parsing query: %v", err)}
-	}
-	if !e.HasClass(q.Class) {
-		return view.Query{}, fmt.Errorf("class %q: %w", q.Class, view.ErrUnknownClass)
-	}
-	return q, nil
+// Prepare implements wire.Backend.
+func (b *wireBackend) Prepare(ctx context.Context, tenant, src string) (q view.Query, err error) {
+	err = b.prepareEP.admit(func() error { _, q, err = b.s.prepare(tenant, src); return err })
+	return q, b.prepareEP.wireErr(ctx, tenant, err)
 }
 
-// Query implements wire.Backend: parse, plan-or-cache, serve.
-func (b wireBackend) Query(ctx context.Context, tenantName, src string) (rows []view.Row, stats view.Stats, err error) {
-	done, err := b.begin("wire_query")
-	if err != nil {
-		return nil, stats, err
-	}
-	defer func() { done(err) }()
-	_, e, err := b.tenantEngine(tenantName)
-	if err != nil {
-		return nil, stats, err
-	}
-	q, err := parseChecked(e, src)
-	if err != nil {
-		return nil, stats, err
-	}
-	return e.RunContext(ctx, q)
+// Exec implements wire.Backend.
+func (b *wireBackend) Exec(ctx context.Context, tenant string, q view.Query) (rows []view.Row, stats view.Stats, err error) {
+	err = b.execEP.admit(func() error { rows, stats, err = b.s.exec(ctx, tenant, q); return err })
+	return rows, stats, b.execEP.wireErr(ctx, tenant, err)
 }
 
-// Prepare implements wire.Backend: parse once for the transport to
-// cache under a handle.
-func (b wireBackend) Prepare(ctx context.Context, tenantName, src string) (q view.Query, err error) {
-	done, err := b.begin("wire_prepare")
-	if err != nil {
-		return view.Query{}, err
-	}
-	defer func() { done(err) }()
-	_, e, err := b.tenantEngine(tenantName)
-	if err != nil {
-		return view.Query{}, err
-	}
-	return parseChecked(e, src)
-}
-
-// Exec implements wire.Backend: the prepared fast path. No parsing —
-// the already-parsed query goes straight to RunContext, where the
-// snapshot plan cache keyed by expr.Fingerprint takes over. The class
-// is re-checked because membership may have changed since Prepare (the
-// transport re-prepares on MemberVersion movement, but a detach that
-// removed the class entirely must fail like HTTP does: not-found).
-func (b wireBackend) Exec(ctx context.Context, tenantName string, q view.Query) (rows []view.Row, stats view.Stats, err error) {
-	done, err := b.begin("wire_exec")
-	if err != nil {
-		return nil, stats, err
-	}
-	defer func() { done(err) }()
-	_, e, err := b.tenantEngine(tenantName)
-	if err != nil {
-		return nil, stats, err
-	}
-	if !e.HasClass(q.Class) {
-		return nil, stats, fmt.Errorf("class %q: %w", q.Class, view.ErrUnknownClass)
-	}
-	return e.RunContext(ctx, q)
-}
-
-// Tx implements wire.Backend: §5.2 validate-then-ship, identical to the
-// HTTP handler — rejections never reach the batcher.
-func (b wireBackend) Tx(ctx context.Context, tenantName string, ops []view.Mutation, validateOnly bool) (applied int, vs view.ValidateStats, err error) {
-	done, err := b.begin("wire_tx")
-	if err != nil {
-		return 0, vs, err
-	}
-	defer func() { done(err) }()
-	if len(ops) == 0 {
-		return 0, vs, &wire.Error{Code: wire.CodeBadRequest, Msg: "empty op list"}
-	}
-	t, e, err := b.tenantEngine(tenantName)
-	if err != nil {
-		return 0, vs, err
-	}
-	rejs, vs, err := e.Validate(ctx, ops)
-	if err != nil {
-		return 0, vs, err
-	}
-	if len(rejs) > 0 {
-		return 0, vs, view.Rejections(rejs)
-	}
-	if validateOnly {
-		return 0, vs, nil
-	}
-	if err = t.batch.enqueue(ctx, ops); err != nil {
-		return 0, vs, err
-	}
-	return len(ops), vs, nil
+// Tx implements wire.Backend.
+func (b *wireBackend) Tx(ctx context.Context, tenant string, ops []view.Mutation, validateOnly bool) (applied int, vs view.ValidateStats, err error) {
+	err = b.txEP.admit(func() error { applied, vs, err = b.s.tx(ctx, tenant, ops, validateOnly); return err })
+	return applied, vs, b.txEP.wireErr(ctx, tenant, err)
 }
 
 // MemberVersion implements wire.Backend.
-func (b wireBackend) MemberVersion(tenantName string) uint64 {
-	t, err := b.s.tenantByName(tenantName)
+func (b *wireBackend) MemberVersion(tenant string) uint64 {
+	t, err := b.s.tenantByName(tenant)
 	if err != nil {
 		return 0
 	}

@@ -130,10 +130,11 @@ func (c *Client) writeFrame(op byte, id uint64, build func([]byte) []byte) error
 	return c.bw.Flush()
 }
 
-// roundTrip sends one request and waits for its response or ctx
-// cancellation. On cancellation it fires an OpCancel at the server and
-// abandons the ID — a late response is discarded by the read loop.
-func (c *Client) roundTrip(ctx context.Context, op byte, build func([]byte) []byte) (response, error) {
+// roundTrip sends one request and waits for its response, which must
+// be want or OpErr, or for ctx cancellation. On cancellation it fires an
+// OpCancel at the server and abandons the ID — a late response is
+// discarded by the read loop.
+func (c *Client) roundTrip(ctx context.Context, op, want byte, build func([]byte) []byte) (response, error) {
 	id := c.nextID.Add(1)
 	ch := make(chan response, 1)
 	c.mu.Lock()
@@ -160,14 +161,18 @@ func (c *Client) roundTrip(ctx context.Context, op byte, build func([]byte) []by
 			c.mu.Unlock()
 			return response{}, err
 		}
-		if r.op == OpErr {
+		switch r.op {
+		case want:
+			return r, nil
+		case OpErr:
 			we, derr := decodeErrBody(r.body)
 			if derr != nil {
 				return response{}, derr
 			}
 			return response{}, we
+		default:
+			return response{}, fmt.Errorf("wire: unexpected response opcode %d", r.op)
 		}
-		return r, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
@@ -182,28 +187,22 @@ func (c *Client) roundTrip(ctx context.Context, op byte, build func([]byte) []by
 
 // Query parses and runs q on the server, returning rows and stats.
 func (c *Client) Query(ctx context.Context, tenant, q string) ([]view.Row, view.Stats, error) {
-	r, err := c.roundTrip(ctx, OpQuery, func(b []byte) []byte {
+	r, err := c.roundTrip(ctx, OpQuery, OpRows, func(b []byte) []byte {
 		return appendQueryReq(b, tenant, q)
 	})
 	if err != nil {
 		return nil, view.Stats{}, err
-	}
-	if r.op != OpRows {
-		return nil, view.Stats{}, fmt.Errorf("wire: unexpected response opcode %d", r.op)
 	}
 	return decodeRowsBody(r.body)
 }
 
 // Tx validates and (unless validateOnly) ships a mutation batch.
 func (c *Client) Tx(ctx context.Context, tenant string, ops []view.Mutation, validateOnly bool) (int, view.ValidateStats, error) {
-	r, err := c.roundTrip(ctx, OpTx, func(b []byte) []byte {
+	r, err := c.roundTrip(ctx, OpTx, OpTxOK, func(b []byte) []byte {
 		return appendTxReq(b, tenant, ops, validateOnly)
 	})
 	if err != nil {
 		return 0, view.ValidateStats{}, err
-	}
-	if r.op != OpTxOK {
-		return 0, view.ValidateStats{}, fmt.Errorf("wire: unexpected response opcode %d", r.op)
 	}
 	return decodeTxOKBody(r.body)
 }
@@ -231,13 +230,13 @@ func (c *Client) Prepare(ctx context.Context, tenant, q string) (*Prepared, erro
 }
 
 func (c *Client) prepare(ctx context.Context, tenant, q string) (uint64, error) {
-	r, err := c.roundTrip(ctx, OpPrepare, func(b []byte) []byte {
+	r, err := c.roundTrip(ctx, OpPrepare, OpPrepared, func(b []byte) []byte {
 		return appendQueryReq(b, tenant, q)
 	})
 	if err != nil {
 		return 0, err
 	}
-	if r.op != OpPrepared || len(r.body) < 8 {
+	if len(r.body) < 8 {
 		return 0, fmt.Errorf("wire: malformed prepare response")
 	}
 	return binary.LittleEndian.Uint64(r.body), nil
@@ -264,14 +263,11 @@ func (p *Prepared) Exec(ctx context.Context) ([]view.Row, view.Stats, error) {
 }
 
 func (p *Prepared) exec(ctx context.Context, handle uint64) ([]view.Row, view.Stats, error) {
-	r, err := p.c.roundTrip(ctx, OpExec, func(b []byte) []byte {
+	r, err := p.c.roundTrip(ctx, OpExec, OpRows, func(b []byte) []byte {
 		return appendExecReq(b, p.tenant, handle)
 	})
 	if err != nil {
 		return nil, view.Stats{}, err
-	}
-	if r.op != OpRows {
-		return nil, view.Stats{}, fmt.Errorf("wire: unexpected response opcode %d", r.op)
 	}
 	return decodeRowsBody(r.body)
 }

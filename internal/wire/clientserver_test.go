@@ -265,16 +265,16 @@ func TestUnknownHandleRetry(t *testing.T) {
 	}
 }
 
+// TestErrorMapping pins what the transport itself decides about a
+// backend error: a *Error is encoded as given, a rejection batch carries
+// its payload, and anything else is CodeInternal. Sentinel-to-code
+// mapping is the backend's (internal/server's TestErrorTaxonomy).
 func TestErrorMapping(t *testing.T) {
 	fb := &fakeBackend{}
 	fb.queryHook = func(ctx context.Context, tenant, src string) ([]view.Row, view.Stats, error) {
 		switch src {
-		case "noclass":
-			return nil, view.Stats{}, fmt.Errorf("class %q: %w", "X", view.ErrUnknownClass)
-		case "down":
-			return nil, view.Stats{}, view.ErrMemberUnavailable
-		case "nostores":
-			return nil, view.Stats{}, view.ErrNoStores
+		case "typed":
+			return nil, view.Stats{}, &Error{Code: CodeUnavailable, Msg: "member down", RetryAfter: 7}
 		case "reject":
 			return nil, view.Stats{}, view.Rejections{{Detail: "floor"}}
 		default:
@@ -284,16 +284,17 @@ func TestErrorMapping(t *testing.T) {
 	c := startWire(t, fb, ServerConfig{})
 	ctx := context.Background()
 	for src, want := range map[string]byte{
-		"noclass":  CodeNotFound,
-		"down":     CodeUnavailable,
-		"nostores": CodeUnavailable,
-		"reject":   CodeRejected,
-		"other":    CodeInternal,
+		"typed":  CodeUnavailable,
+		"reject": CodeRejected,
+		"other":  CodeInternal,
 	} {
 		_, _, err := c.Query(ctx, "main", src)
 		var we *Error
 		if !errors.As(err, &we) || we.Code != want {
-			t.Errorf("%s: got %v, want code %d", src, err, want)
+			t.Fatalf("%s: got %v, want code %d", src, err, want)
+		}
+		if src == "typed" && (we.Msg != "member down" || we.RetryAfter != 7) {
+			t.Errorf("typed error not carried as given: %+v", we)
 		}
 		if src == "reject" && (len(we.Rejections) != 1 || we.Rejections[0].Detail != "floor") {
 			t.Errorf("rejections not carried: %+v", we.Rejections)

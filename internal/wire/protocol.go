@@ -12,8 +12,8 @@ import (
 // body is self-delimiting, so a frame carries exactly one message.
 
 // Error codes carried by OpErr frames. They partition failures the way
-// the HTTP transport's status codes do, so both transports surface the
-// same typed-sentinel taxonomy (server.writeError ↔ these codes).
+// the HTTP transport's status codes do: internal/server's classify
+// maps each typed sentinel to one status and one of these codes.
 const (
 	// CodeBadRequest: the request was malformed (parse error, empty op
 	// list, unknown mutation kind). Don't retry unchanged.

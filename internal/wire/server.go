@@ -18,8 +18,9 @@ import (
 // transport owns framing, request multiplexing and the prepared-handle
 // registry; the backend owns tenants, admission control, metrics and
 // the engine itself (internal/server implements it on *Server). A
-// backend method may return *Error to pick the response code itself;
-// anything else is mapped through the view sentinel taxonomy.
+// backend method returns *Error to pick the response code, or
+// view.Rejections for a rejected batch (carried with its repairs);
+// anything else is CodeInternal.
 type Backend interface {
 	// Query parses src and serves it against the tenant's snapshot.
 	Query(ctx context.Context, tenant, src string) ([]view.Row, view.Stats, error)
@@ -346,26 +347,22 @@ func (c *serverConn) handle(r request) {
 	b := beginFrame(*buf, 0, id)
 
 	respOp := OpErr
+	var err error
 	switch op {
 	case OpQuery:
-		tenant, src, err := decodeQueryReq(body)
-		err = badReq(err)
-		if err == nil {
-			var rows []view.Row
-			var stats view.Stats
+		var rows []view.Row
+		var stats view.Stats
+		tenant, src, derr := decodeQueryReq(body)
+		if err = badReq(derr); err == nil {
 			rows, stats, err = c.srv.cfg.Backend.Query(ctx, tenant, src)
-			if err == nil {
-				respOp, b = OpRows, appendRowsBody(b, rows, stats)
-			}
 		}
-		if err != nil {
-			b = appendErr(b, err)
+		if err == nil {
+			respOp, b = OpRows, appendRowsBody(b, rows, stats)
 		}
 	case OpPrepare:
-		tenant, src, err := decodeQueryReq(body)
-		err = badReq(err)
 		var q view.Query
-		if err == nil {
+		tenant, src, derr := decodeQueryReq(body)
+		if err = badReq(derr); err == nil {
 			q, err = c.srv.cfg.Backend.Prepare(ctx, tenant, src)
 		}
 		if err == nil {
@@ -381,33 +378,29 @@ func (c *serverConn) handle(r request) {
 				ver:    c.srv.cfg.Backend.MemberVersion(tenant),
 			}
 			c.mu.Unlock()
-			respOp = OpPrepared
-			b = binary.LittleEndian.AppendUint64(b, h)
-		} else {
-			b = appendErr(b, err)
+			respOp, b = OpPrepared, binary.LittleEndian.AppendUint64(b, h)
 		}
 	case OpExec:
-		rows, stats, err := c.exec(ctx, body)
-		if err == nil {
+		var rows []view.Row
+		var stats view.Stats
+		if rows, stats, err = c.exec(ctx, body); err == nil {
 			respOp, b = OpRows, appendRowsBody(b, rows, stats)
-		} else {
-			b = appendErr(b, err)
 		}
 	case OpTx:
-		tenant, ops, validateOnly, err := decodeTxReq(body)
-		err = badReq(err)
 		var applied int
 		var vs view.ValidateStats
-		if err == nil {
+		tenant, ops, validateOnly, derr := decodeTxReq(body)
+		if err = badReq(derr); err == nil {
 			applied, vs, err = c.srv.cfg.Backend.Tx(ctx, tenant, ops, validateOnly)
 		}
 		if err == nil {
 			respOp, b = OpTxOK, appendTxOKBody(b, applied, vs)
-		} else {
-			b = appendErr(b, err)
 		}
 	default:
-		b = appendErrBody(b, CodeBadRequest, 0, "unknown opcode", nil)
+		err = &Error{Code: CodeBadRequest, Msg: "unknown opcode"}
+	}
+	if err != nil {
+		b = appendErr(b, err)
 	}
 
 	b[frameOverhead] = respOp
@@ -453,27 +446,18 @@ func (c *serverConn) exec(ctx context.Context, body []byte) ([]view.Row, view.St
 	return c.srv.cfg.Backend.Exec(ctx, tenant, q)
 }
 
-// appendErr maps err to an OpErr body. Backends return *Error to pick
-// codes themselves; view sentinels get the same mapping writeError
-// gives them on the HTTP side, so both transports speak one taxonomy.
+// appendErr encodes err as an OpErr body. The backend classifies its
+// own failures and returns *Error; the transport adds only the payload
+// of a rejection batch and the CodeInternal fallback.
 func appendErr(dst []byte, err error) []byte {
-	var we *Error
-	if errors.As(err, &we) {
-		return appendErrBody(dst, we.Code, we.RetryAfter, we.Msg, nil)
-	}
 	var rejs view.Rejections
-	if errors.As(err, &rejs) {
-		return appendErrBody(dst, CodeRejected, 0, "mutation rejected", rejs)
-	}
+	errors.As(err, &rejs)
+	var we *Error
 	switch {
-	case errors.Is(err, view.ErrUnknownClass), errors.Is(err, view.ErrUnknownObject):
-		return appendErrBody(dst, CodeNotFound, 0, err.Error(), nil)
-	case errors.Is(err, view.ErrMemberUnavailable):
-		return appendErrBody(dst, CodeUnavailable, 1, err.Error(), nil)
-	case errors.Is(err, view.ErrPartialCommit), errors.Is(err, view.ErrNoStores):
-		return appendErrBody(dst, CodeUnavailable, 0, err.Error(), nil)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return appendErrBody(dst, CodeCancelled, 0, err.Error(), nil)
+	case errors.As(err, &we):
+		return appendErrBody(dst, we.Code, we.RetryAfter, we.Msg, rejs)
+	case rejs != nil:
+		return appendErrBody(dst, CodeRejected, 0, "mutation rejected", rejs)
 	default:
 		return appendErrBody(dst, CodeInternal, 0, err.Error(), nil)
 	}
