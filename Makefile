@@ -41,7 +41,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/store/chaos/
 	$(GO) test -race -count=1 -run 'Chaos|Breaker|PartialCommit|LateRejection|FailAfterCommit' ./internal/view/
 	$(GO) test -race -count=1 -run 'Health|Wire|BackgroundReconciler' ./internal/server/
-	$(GO) test -race -count=1 -run 'CrashRecovery' .
+	$(GO) test -race -count=1 -run 'CrashRecovery|CrashAtEveryAppend|WALGolden' .
 
 # Crash-safety suite: WAL scan/replay/truncation contracts, checkpoint
 # round trips, kill-and-recover differentials (recovered state
@@ -50,7 +50,7 @@ chaos:
 # and the wire-level durable-tenant lifecycle.
 crashtest:
 	$(GO) test -race -count=1 -run 'WAL|Checkpoint|Durable|Replay' ./internal/store/
-	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery' .
+	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery|CrashAtEveryAppend|WALGolden' .
 	$(GO) test -race -count=1 -run 'Durable' ./internal/server/
 
 # Short-budget native fuzzing of the query parser, the wire codec, the

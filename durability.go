@@ -185,20 +185,16 @@ func (d *Durability) RestoreStores(stores ...*Store) error {
 // against the checkpoint's (a mismatch means the code or specs changed
 // under the data directory — surfaced, not served), re-plans the
 // persisted plan shapes so the first client query is already a
-// plan-cache hit, interposes WAL logging on every member backend in the
-// federation's registry, binds the routing-level intent/resolve
-// logging, and writes a fresh checkpoint so the replayed tail is folded
-// in and a crash during the NEXT epoch replays only its own writes.
+// plan-cache hit, binds the log to the engine's commit journal — from
+// then on the journal writes every record of every shipped batch — and
+// writes a fresh checkpoint so the replayed tail is folded in and a
+// crash during the NEXT epoch replays only its own writes.
 func (d *Durability) Finish(ctx context.Context, f *Federation) (RecoveryInfo, error) {
 	if d.finished {
 		return d.info, fmt.Errorf("durability: Finish called twice")
 	}
 	f.mu.Lock()
 	engine := f.engine
-	names := make([]string, 0, len(f.members))
-	for _, m := range f.members {
-		names = append(names, m.Name)
-	}
 	var state *core.FedState = f.state
 	f.mu.Unlock()
 	if engine == nil || state == nil {
@@ -219,15 +215,6 @@ func (d *Durability) Finish(ctx context.Context, f *Federation) (RecoveryInfo, e
 		d.info.PlansWarmed, d.info.PlansSkipped = warmed, skipped
 	}
 
-	for _, name := range names {
-		b, ok := f.stores.Get(name)
-		if !ok {
-			return d.info, fmt.Errorf("durability: member %s missing from registry", name)
-		}
-		if err := f.stores.Swap(name, d.set.Wrap(b)); err != nil {
-			return d.info, fmt.Errorf("durability: %w", err)
-		}
-	}
 	engine.SetDurability(d.set)
 	d.finished = true
 

@@ -56,6 +56,11 @@ func (ep *endpoint) admit(run func() error) error {
 		ep.m.record(0, true)
 		return errAdmission
 	}
+	return ep.timed(run)
+}
+
+// timed runs the request and records its latency and outcome.
+func (ep *endpoint) timed(run func() error) error {
 	t0 := time.Now()
 	err := run()
 	ep.m.record(time.Since(t0), err != nil)

@@ -111,30 +111,25 @@ func encodeHealth(tenantName string, rep view.HealthReport) healthResponse {
 }
 
 // handleHealth serves GET /v1/{tenant}/health. Like /metrics it bypasses
-// admission control and drain refusal: a saturated or degraded server is
-// exactly the one whose health must stay reachable, and the engine-side
-// report is lock-free, so this path serves even while a Ship call is
-// stuck mid-outage holding the write lock.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	m := s.metrics.endpoint("health")
-	t0 := time.Now()
+// admission control and drain refusal (see serveHealth): a saturated or
+// degraded server is exactly the one whose health must stay reachable,
+// and the engine-side report is lock-free, so this path serves even
+// while a Ship call is stuck mid-outage holding the write lock.
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	t, err := s.tenantByName(r.PathValue("tenant"))
 	if err != nil {
-		m.record(time.Since(t0), true)
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-		return
+		return err
 	}
 	e := t.fed.Engine()
 	if e == nil {
 		// Fewer than two members: nothing integrated, nothing to break.
-		m.record(time.Since(t0), false)
 		writeJSON(w, http.StatusOK, healthResponse{Tenant: t.name, Healthy: true})
-		return
+		return nil
 	}
 	resp := encodeHealth(t.name, e.Health())
 	resp.Durability = encodeDurability(t)
-	m.record(time.Since(t0), false)
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // slowestP90 returns the worst per-endpoint p90 latency observed so far

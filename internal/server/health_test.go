@@ -117,8 +117,23 @@ func TestHealthEndpoint(t *testing.T) {
 			t.Errorf("member %s breaker %q, want closed", m.Member, m.State)
 		}
 	}
-	if code := getJSON(t, ts.URL+"/v1/nosuch/health", nil); code != http.StatusNotFound {
-		t.Errorf("unknown tenant health: status %d, want 404", code)
+	// An unknown tenant is one row of the error table, whichever
+	// endpoint asks.
+	hresp, err := http.Get(ts.URL + "/v1/nosuch/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hbody, _ := io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	qresp, err := http.Post(ts.URL+"/v1/nosuch/query", "application/json", strings.NewReader(`{"q":"select title from Proceedings"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qbody, _ := io.ReadAll(qresp.Body)
+	qresp.Body.Close()
+	if hresp.StatusCode != http.StatusNotFound || hresp.StatusCode != qresp.StatusCode || string(hbody) != string(qbody) {
+		t.Errorf("unknown tenant: health %d %s, query %d %s; want both 404 with one body",
+			hresp.StatusCode, hbody, qresp.StatusCode, qbody)
 	}
 }
 

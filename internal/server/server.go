@@ -134,8 +134,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/{tenant}/attach", s.serve("attach", s.handleAttach))
 	s.mux.HandleFunc("POST /v1/{tenant}/detach", s.serve("detach", s.handleDetach))
 	s.mux.HandleFunc("GET /v1/{tenant}/classes", s.serve("classes", s.handleClasses))
-	// Health bypasses the /v1 middleware stack (see handleHealth).
-	s.mux.HandleFunc("GET /v1/{tenant}/health", s.handleHealth)
+	s.mux.HandleFunc("GET /v1/{tenant}/health", s.serveHealth())
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// pprof: the default-mux handlers, mounted explicitly (the server
 	// never uses http.DefaultServeMux).
@@ -157,6 +156,18 @@ func (s *Server) serve(name string, h func(w http.ResponseWriter, r *http.Reques
 	ep := s.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if err := ep.admit(func() error { return h(w, r) }); err != nil {
+			ep.writeError(w, r, err)
+		}
+	}
+}
+
+// serveHealth is serve without admission: the health endpoint is
+// timed and its errors classified like every other request, but it
+// answers while the server drains or is saturated.
+func (s *Server) serveHealth() http.HandlerFunc {
+	ep := s.endpoint("health")
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := ep.timed(func() error { return s.handleHealth(w, r) }); err != nil {
 			ep.writeError(w, r, err)
 		}
 	}

@@ -133,36 +133,49 @@ func TestCheckpointMissingAndDamaged(t *testing.T) {
 	}
 }
 
-// runWorkload drives a mixed workload through a Backend and returns the
-// OIDs it created.
-func runWorkload(t *testing.T, b Backend) []object.OID {
+// commitAndLog commits a transaction whose staged changes effs record
+// and appends their commit record, in the engine journal's order: the
+// record is encoded before the commit and appended after it.
+func commitAndLog(t *testing.T, set *DurableSet, member string, batch uint64, tx Txn, effs ...Effect) {
 	t.Helper()
-	var oids []object.OID
-	for i := 0; i < 3; i++ {
-		tx := b.Begin()
-		oid, err := tx.Insert("Thing", map[string]object.Value{
-			"v": object.Int(int64(i)), "tag": object.Str("first"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		oids = append(oids, oid)
-	}
-	tx := b.Begin()
-	if err := tx.Update(oids[1], map[string]object.Value{"tag": object.Str("second")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Delete(oids[2]); err != nil {
+	body, err := EncodeCommitRecord(CommitRecord{Member: member, Batch: batch, Ops: effs})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if err := set.AppendCommit(body); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runWorkload drives a mixed workload through a member store, logging
+// each commit, and returns the OIDs it created.
+func runWorkload(t *testing.T, set *DurableSet, s *Store) []object.OID {
+	t.Helper()
+	var oids []object.OID
+	for i := 0; i < 3; i++ {
+		tx := s.Begin()
+		attrs := map[string]object.Value{"v": object.Int(int64(i)), "tag": object.Str("first")}
+		oid, err := tx.Insert("Thing", attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitAndLog(t, set, s.Name(), 0, tx, Capture(s, Effect{Kind: OpInsert, Class: "Thing", OID: oid, Attrs: attrs}))
+		oids = append(oids, oid)
+	}
+	effs := []Effect{
+		Capture(s, Effect{Kind: OpUpdate, OID: oids[1], Attrs: map[string]object.Value{"tag": object.Str("second")}}),
+		Capture(s, Effect{Kind: OpDelete, OID: oids[2]}),
+	}
+	tx := s.Begin()
+	if err := Stage(tx, effs...); err != nil {
+		t.Fatal(err)
+	}
+	commitAndLog(t, set, s.Name(), 0, tx, effs...)
 	// A rolled-back transaction must leave no trace in the log.
-	tx = b.Begin()
+	tx = s.Begin()
 	if _, err := tx.Insert("Thing", map[string]object.Value{
 		"v": object.Int(99), "tag": object.Str("ghost"),
 	}); err != nil {
@@ -173,7 +186,7 @@ func runWorkload(t *testing.T, b Backend) []object.OID {
 }
 
 // TestDurableCrashRecovery is the core kill-and-recover path: run a
-// workload through the Durable wrapper, "crash" (drop everything except
+// logged workload, "crash" (drop everything except
 // the WAL file), rebuild from an empty store + WAL replay, and require
 // byte-identical state — including the OID burned by the rollback.
 func TestDurableCrashRecovery(t *testing.T) {
@@ -184,7 +197,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	}
 	set := NewDurableSet(w)
 	live := New(tinyDB(t, "M1"), nil)
-	runWorkload(t, set.Wrap(live))
+	runWorkload(t, set, live)
 	w.Close() // crash point: nothing but the WAL file survives
 
 	_, recs, err := OpenWAL(filepath.Join(dir, "wal.log"), WALOptions{})
@@ -223,8 +236,7 @@ func TestDurableCheckpointPlusTail(t *testing.T) {
 	}
 	set := NewDurableSet(w)
 	live := New(tinyDB(t, "M1"), nil)
-	b := set.Wrap(live)
-	oids := runWorkload(t, b)
+	oids := runWorkload(t, set, live)
 
 	// Checkpoint, then truncate the covered prefix.
 	mc, err := SnapshotStore(live)
@@ -240,13 +252,12 @@ func TestDurableCheckpointPlusTail(t *testing.T) {
 	}
 
 	// Post-checkpoint tail.
-	tx := b.Begin()
-	if err := tx.Update(oids[0], map[string]object.Value{"tag": object.Str("tail")}); err != nil {
+	upd := Capture(live, Effect{Kind: OpUpdate, OID: oids[0], Attrs: map[string]object.Value{"tag": object.Str("tail")}})
+	tx := live.Begin()
+	if err := Stage(tx, upd); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	commitAndLog(t, set, live.Name(), 0, tx, upd)
 	w.Close()
 
 	ckpt, err := ReadCheckpoint(ckptPath)
@@ -291,7 +302,7 @@ func TestReplaySkipsCoveredRecords(t *testing.T) {
 	}
 	set := NewDurableSet(w)
 	live := New(tinyDB(t, "M1"), nil)
-	runWorkload(t, set.Wrap(live))
+	runWorkload(t, set, live)
 	mc, err := SnapshotStore(live)
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +475,7 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 
 	t.Run("completion is idempotent", func(t *testing.T) {
 		// B already has the effect applied (the commit landed but its
-		// record was lost to a torn tail, then LogApplied never ran).
+		// record was lost to a torn tail).
 		recs := []WALRecord{
 			{Kind: WALIntent, LSN: 1, Body: mustEncode(t, intent)},
 			{Kind: WALCommit, LSN: 2, Body: mustEncode(t, CommitRecord{Member: "A", Batch: 1, Ops: []Effect{opA}})},
@@ -492,7 +503,8 @@ func TestReplayUnresolvedIntents(t *testing.T) {
 }
 
 // TestDurableSetIntentResolve drives the DurableSet record appenders
-// and the BatchTagger path end to end.
+// end to end: intent, a member commit tagged with the intent's LSN, and
+// the resolve.
 func TestDurableSetIntentResolve(t *testing.T) {
 	dir := t.TempDir()
 	w, _, err := OpenWAL(filepath.Join(dir, "wal.log"), WALOptions{})
@@ -501,23 +513,21 @@ func TestDurableSetIntentResolve(t *testing.T) {
 	}
 	set := NewDurableSet(w)
 	a := New(tinyDB(t, "A"), nil)
-	ba := set.Wrap(a)
 
 	op := thingOp(1, 10)
 	batch, err := set.AppendIntent([]string{"A"}, map[string][]Effect{"A": {op}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := ba.Begin()
-	tx.(BatchTagger).TagBatch(batch)
-	if _, err := tx.Insert("Thing", map[string]object.Value{
-		"v": object.Int(10), "tag": object.Str("x"),
-	}); err != nil {
+	tx := a.Begin()
+	oid, err := tx.Insert("Thing", op.Attrs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	if oid != op.OID {
+		t.Fatalf("insert got OID %d, want %d", oid, op.OID)
 	}
+	commitAndLog(t, set, "A", batch, tx, op)
 	if err := set.AppendResolve(batch, ResolveCommitted); err != nil {
 		t.Fatal(err)
 	}
@@ -542,44 +552,4 @@ func TestDurableSetIntentResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStoresIdentical(t, a, rec)
-}
-
-// TestDurableLogApplied covers the fail-after-commit hole: the inner
-// commit applied but the failure was reported before the WAL append
-// ran; LogApplied writes the record Commit would have.
-func TestDurableLogApplied(t *testing.T) {
-	dir := t.TempDir()
-	w, _, err := OpenWAL(filepath.Join(dir, "wal.log"), WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := NewDurableSet(w)
-	a := New(tinyDB(t, "A"), nil)
-	tx := set.Wrap(a).Begin()
-	if _, err := tx.Insert("Thing", map[string]object.Value{
-		"v": object.Int(1), "tag": object.Str("x"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the ambiguity: commit the INNER transaction directly (as
-	// if the member applied it but the response was lost), then resolve
-	// through LogApplied instead of Commit.
-	if err := tx.(*durableTxn).inner.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.(AppliedLogger).LogApplied(); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent: a second call appends nothing.
-	if err := tx.(AppliedLogger).LogApplied(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	_, recs, err := OpenWAL(filepath.Join(dir, "wal.log"), WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Kind != WALCommit {
-		t.Fatalf("log records %v, want exactly one commit", recs)
-	}
 }

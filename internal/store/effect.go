@@ -12,9 +12,10 @@ import (
 // is recorded as an Effect — the forward change plus the prior state it
 // overwrites — and one record serves every party: the routed shipping
 // path journals a batch's effects before its first member commit (and
-// logs them as the WAL intent record), the durable wrapper logs each
-// committed transaction's effects, compensation inverts and stages
-// them, and the fault machinery and recovery verify and replay them.
+// logs them as the WAL intent record), the journal's commit step logs
+// each member commit's effects as its commit record, compensation
+// inverts and stages them, and the fault machinery and recovery verify
+// and replay them.
 
 // OpKind enumerates the kinds of change an Effect records. The values
 // are part of the on-disk format; never renumber.

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,11 +17,12 @@ import (
 // records an intent entry here — the retained member transactions and a
 // store.IntentRecord: the commit order and a per-member effect list
 // precise enough to replay OR undo every local change. With a
-// store.DurableSet bound (DESIGN.md §13) the same record is the WAL's
-// intent record, each member transaction's commit record carries its
-// LSN, and every terminal transition appends a resolve record —
-// recovery (store/recover.go) settles interrupted batches from exactly
-// these records. Each member commit is marked as it lands; a fully
+// store.DurableSet bound (DESIGN.md §13) the journal is the node's only
+// log writer: the same record is the WAL's intent record, each member
+// commit (commitLogged) appends a commit record carrying its LSN, and
+// every terminal transition appends a resolve record — recovery
+// (store/recover.go) settles interrupted batches from exactly these
+// records. Each member commit is marked as it lands; a fully
 // committed batch resolves its entry. A stranded batch leaves the entry
 // pending in one of two modes:
 //
@@ -107,29 +109,31 @@ func newCommitJournal() *commitJournal {
 }
 
 // SetDurability binds (or, with nil, unbinds) the node's write-ahead
-// log set. It must be the DurableSet whose Wrap interposed on the member
-// backends: the journal writes the routing-level intent and resolve
-// records, the wrapped backends the member commit records.
+// log set. The journal then writes every record of every routed batch:
+// intent, member commits and resolve.
 func (e *Engine) SetDurability(d *store.DurableSet) {
 	e.journal.log.Store(d)
 }
 
+// sealed reports why the bound log refuses appends; nil when no log is
+// bound or it still accepts them.
+func (j *commitJournal) sealed() error {
+	if ds := j.log.Load(); ds != nil {
+		return ds.WAL().Sealed()
+	}
+	return nil
+}
+
 // begin records intent for a routed batch about to commit. With a log
-// bound, the intent record is appended first and every member
-// transaction tagged with its LSN; a failure there (typically a sealed
-// log) means the batch cannot be made durable, so it must abort before
-// any member commits, and no entry is left behind.
+// bound, the intent record is appended first; a failure there
+// (typically a sealed log) means the batch cannot be made durable, so
+// it must abort before any member commits, and no entry is left behind.
 func (j *commitJournal) begin(intent store.IntentRecord, backends map[string]store.Backend, txns map[string]store.Txn, applies []shippedOp) (*journalEntry, error) {
 	var lsn uint64
 	if ds := j.log.Load(); ds != nil {
 		var err error
 		if lsn, err = ds.AppendIntent(intent.Members, intent.Effects); err != nil {
 			return nil, fmt.Errorf("durability: append intent: %w", err)
-		}
-		for _, m := range intent.Members {
-			if bt, ok := txns[m].(store.BatchTagger); ok {
-				bt.TagBatch(lsn)
-			}
 		}
 	}
 	j.mu.Lock()
@@ -148,6 +152,40 @@ func (j *commitJournal) begin(intent store.IntentRecord, backends map[string]sto
 	j.nextSeq++
 	j.entries = append(j.entries, ent)
 	return ent, nil
+}
+
+// commitLogged is the journal's one commit step and the only writer of
+// member commit records. With a log bound it refuses while the log is
+// sealed (no member commit runs) and encodes the commit record before
+// the member commit, so a change the log cannot hold is never applied.
+// It then commits under the retry policy and appends the record from
+// effs — the effects the journal already holds. batch is the routed
+// batch's intent LSN; compensation commits pass 0. A nil txn marks a
+// commit the caller verified as already applied: only its record is
+// written.
+func (e *Engine) commitLogged(ctx context.Context, batch uint64, b store.Backend, txn store.Txn, effs []store.Effect) error {
+	ds := e.journal.log.Load()
+	var body []byte
+	if ds != nil {
+		if err := ds.WAL().Sealed(); err != nil {
+			return err
+		}
+		if len(effs) > 0 {
+			var err error
+			if body, err = store.EncodeCommitRecord(store.CommitRecord{Member: b.Name(), Batch: batch, Ops: effs}); err != nil {
+				return fmt.Errorf("wal: encode commit record: %w", err)
+			}
+		}
+	}
+	if txn != nil {
+		if err := e.commitWithRetry(ctx, b, txn, effs); err != nil {
+			return err
+		}
+	}
+	if body == nil {
+		return nil
+	}
+	return ds.AppendCommit(body)
 }
 
 // resolve ends an entry with a terminal outcome (committed or aborted):

@@ -124,12 +124,7 @@ func (e *Engine) commitWithRetry(ctx context.Context, b store.Backend, txn store
 		}
 		e.faults.transientFaults.Add(1)
 		if store.Applied(b, effs) {
-			// The commit applied before the failure was reported. Before
-			// counting it committed, force its WAL record: the member
-			// holds the change, so the log must too.
-			if lerr := logApplied(txn); lerr != nil {
-				return lerr
-			}
+			// The commit applied before the failure was reported.
 			e.faults.ambiguousResolved.Add(1)
 			return nil
 		}
@@ -143,19 +138,6 @@ func (e *Engine) commitWithRetry(ctx context.Context, b store.Backend, txn store
 			delay = pol.MaxDelay
 		}
 	}
-}
-
-// logApplied forces the WAL commit record for a transaction the fault
-// machinery just resolved as applied (fail-after-commit): the member
-// holds the change, so the log must too — otherwise recovery would
-// replay a prefix missing an acknowledged commit. A failure is returned
-// as the commit outcome: without the record the commit cannot be
-// acknowledged durable.
-func logApplied(txn store.Txn) error {
-	if al, ok := txn.(store.AppliedLogger); ok {
-		return al.LogApplied()
-	}
-	return nil
 }
 
 // compensateEntry undoes the committed prefix of a compensate-mode
@@ -179,7 +161,12 @@ func (e *Engine) compensateEntry(ctx context.Context, ent *journalEntry) bool {
 			done = false
 			continue
 		}
-		if err := e.commitWithRetry(ctx, b, tx, inv); err != nil {
+		// The undo's commit record carries the values it overwrites,
+		// read from the member's committed state like Ship's record.
+		for i := range inv {
+			inv[i] = store.Capture(b, inv[i])
+		}
+		if err := e.commitLogged(ctx, 0, b, tx, inv); err != nil {
 			if store.IsTransient(err) {
 				e.health.outage(member, err)
 			}
@@ -255,8 +242,9 @@ func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 		}
 	}
 
-	// Liveness-probe quarantined members with nothing pending.
-	if reg := e.stores.Load(); reg != nil {
+	// Liveness-probe quarantined members with nothing pending. A sealed
+	// log keeps every breaker open: no write could be made durable.
+	if reg := e.stores.Load(); reg != nil && e.journal.sealed() == nil {
 		for _, member := range e.health.openMembers() {
 			if e.journal.pendingFor(member) > 0 {
 				continue
@@ -288,21 +276,17 @@ func (e *Engine) completeEntry(ctx context.Context, ent *journalEntry) (bool, er
 			return false, nil // still down; next pass
 		}
 		effs := ent.Intent.Effects[member]
+		txn := ent.Txns[member]
 		if store.Applied(b, effs) {
 			// The original commit applied before its failure was
-			// reported: nothing to re-run — but its WAL record must
-			// land before the member counts as committed.
-			if lerr := logApplied(ent.Txns[member]); lerr != nil {
-				e.journal.setErr(ent, lerr)
-				return false, nil // sealed log; settle after restart
-			}
-			e.faults.ambiguousResolved.Add(1)
-			e.journal.markCommitted(ent, member)
-			e.health.success(member)
-			continue
+			// reported: nothing to re-run, only its record to write.
+			txn = nil
 		}
-		err := e.commitWithRetry(ctx, b, ent.Txns[member], effs)
+		err := e.commitLogged(ctx, ent.Wal, b, txn, effs)
 		if err == nil {
+			if txn == nil {
+				e.faults.ambiguousResolved.Add(1)
+			}
 			e.journal.markCommitted(ent, member)
 			e.health.success(member)
 			continue

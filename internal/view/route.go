@@ -3,7 +3,9 @@ package view
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"interopdb/internal/core"
 	"interopdb/internal/store"
 )
 
@@ -149,8 +151,8 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 				return abort(fmt.Errorf("op %d: %w", i, err))
 			}
 			staged := false
-			for _, ms := range g.Parts {
-				for _, m := range ms {
+			for _, side := range sortedSides(g) {
+				for _, m := range g.Parts[side] {
 					if m.Virtual {
 						continue
 					}
@@ -193,7 +195,7 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 
 	var committed, pendingMembers []string
 	for ci, member := range order {
-		err := e.commitWithRetry(ctx, backends[member], txs[member], effects[member])
+		err := e.commitLogged(ctx, ent.Wal, backends[member], txs[member], effects[member])
 		if err == nil {
 			e.journal.markCommitted(ent, member)
 			e.health.success(member)
@@ -254,4 +256,16 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 	}
 	e.journal.resolve(ent, store.ResolveCommitted)
 	return e.applyShipped(applies)
+}
+
+// sortedSides lists an object's constituent sides in ascending order —
+// attach order — so an update reaches its members, and so commits and
+// logs them, in the same order on every run.
+func sortedSides(g *core.GObj) []core.Side {
+	sides := make([]core.Side, 0, len(g.Parts))
+	for side := range g.Parts {
+		sides = append(sides, side)
+	}
+	slices.Sort(sides)
+	return sides
 }

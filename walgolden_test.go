@@ -30,6 +30,8 @@ import (
 type walCapture struct {
 	mu     sync.Mutex
 	frames [][]byte
+	// fail makes every later write fail, which seals the log.
+	fail bool
 }
 
 func (c *walCapture) wrap(f store.WALFile) store.WALFile { return capturedWAL{WALFile: f, c: c} }
@@ -58,6 +60,12 @@ type capturedWAL struct {
 }
 
 func (w capturedWAL) Write(p []byte) (int, error) {
+	w.c.mu.Lock()
+	fail := w.c.fail
+	w.c.mu.Unlock()
+	if fail {
+		return 0, errors.New("injected write failure")
+	}
 	n, err := w.WALFile.Write(p)
 	if err == nil {
 		w.c.mu.Lock()
@@ -68,8 +76,9 @@ func (w capturedWAL) Write(p []byte) (int, error) {
 }
 
 // chaosDurable is a durable three-member Figure 1 federation whose
-// members are chaos-wrapped UNDER the WAL wrapper, so an injected fault
-// looks to the log exactly like a member's own failure.
+// member backends are chaos-wrapped in the registry the engine ships
+// through, so an injected fault looks to the commit journal — the log's
+// only writer — exactly like a member's own failure.
 type chaosDurable struct {
 	fed   *Federation
 	dur   *Durability
@@ -149,9 +158,8 @@ func itemInsert(isbn string) Mutation {
 
 // vldbBatch is a cross-member batch: an archive insert, a bookseller
 // insert and a title update of the three-way merged vldb96 object. The
-// update alone would fan out to the members in map order; leading with
-// one insert per member pins the commit order to archive, bookseller,
-// library, so the log bytes are deterministic.
+// commit order is first use: archive, bookseller, library (the update
+// alone fans out in attach order, TestUpdateCommitOrderFollowsMembers).
 func vldbBatch(t *testing.T, fed *Federation, tag string) []Mutation {
 	return []Mutation{
 		recordInsert("rec-" + tag),
@@ -366,6 +374,86 @@ func TestCrashAtEveryAppend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUpdateCommitOrderFollowsMembers ships an update-only batch of the
+// three-way merged vldb96 object 20 times. The update fans out to all
+// three members, and every intent record must list them in attach
+// order: the order, and so the log bytes, cannot vary from run to run.
+func TestUpdateCommitOrderFollowsMembers(t *testing.T) {
+	cd := bootChaosDurable(t, t.TempDir())
+	id := viewIDByISBN(t, cd.fed, "vldb96")
+	for i := 0; i < 20; i++ {
+		op := Mutation{Kind: MutUpdate, Class: "Publication", ID: id,
+			Attrs: map[string]Value{"title": Str(fmt.Sprintf("Proceedings of the 22nd VLDB Conference (%d)", i))}}
+		if err := cd.fed.Engine().Ship(context.Background(), []Mutation{op}); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	want := cd.fed.Members()
+	recs, _, _ := store.ScanWAL(cd.cap.prefix(cd.cap.count()))
+	intents := 0
+	for _, r := range recs {
+		if r.Kind != store.WALIntent {
+			continue
+		}
+		ir, err := store.DecodeIntentRecord(r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		intents++
+		if !reflect.DeepEqual(ir.Members, want) {
+			t.Fatalf("intent %d lists members %v, want attach order %v", intents, ir.Members, want)
+		}
+	}
+	if intents != 20 {
+		t.Fatalf("log holds %d intent records, want 20", intents)
+	}
+}
+
+// TestSealedLogReconcileLeavesMemberUntouched strands a batch on the
+// library, then seals the log. Reconcile must not run the library's
+// member commit — the change could not be logged — and the entry must
+// stay pending for the restarted node's recovery to settle.
+func TestSealedLogReconcileLeavesMemberUntouched(t *testing.T) {
+	cd := bootChaosDurable(t, t.TempDir())
+	e := cd.fed.Engine()
+	lib := cd.chaos["CSLibrary"]
+	lib.ScheduleNext(chaos.FaultTransient, 4)
+	if err := e.Ship(context.Background(), vldbBatch(t, cd.fed, "sealed")); !errors.Is(err, ErrPartialCommit) {
+		t.Fatalf("outage mid-batch: err = %v, want ErrPartialCommit", err)
+	}
+	m, _ := cd.fed.Member("CSLibrary")
+	before := snapshotJSON(t, m.Store)
+
+	cd.cap.mu.Lock()
+	cd.cap.fail = true
+	cd.cap.mu.Unlock()
+	if err := e.Ship(context.Background(), []Mutation{recordInsert("sealer")}); err == nil {
+		t.Fatal("ship succeeded although the log cannot be written")
+	}
+	if cd.dur.WAL().Sealed() == nil {
+		t.Fatal("log not sealed after a failed append")
+	}
+
+	attempts := lib.Stats().CommitAttempts
+	rs, err := e.Reconcile(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lib.Stats().CommitAttempts; got != attempts {
+		t.Errorf("Reconcile ran %d library commit(s) on a sealed log", got-attempts)
+	}
+	if after := snapshotJSON(t, m.Store); after != before {
+		t.Error("Reconcile changed the pending library store on a sealed log")
+	}
+	if rs.Completed != 0 || rs.Pending != 1 {
+		t.Errorf("Reconcile = %+v; want nothing completed and the entry pending", rs)
+	}
+	h := e.Health()
+	if len(h.Entries) != 1 || !reflect.DeepEqual(h.Entries[0].Pending, []string{"CSLibrary"}) {
+		t.Errorf("journal entries %+v; want one entry pending on CSLibrary", h.Entries)
 	}
 }
 
