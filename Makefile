@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke chaos crashtest profile serve
+.PHONY: all build vet fmt fmt-check test examples race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke chaos crashtest profile serve
 
 all: build vet fmt-check test
 
@@ -25,6 +25,13 @@ fmt-check:
 # asserts) and the daemon smoke (-run DaemonSmoke ./cmd/interopd).
 test:
 	$(GO) test -shuffle=on ./...
+
+# Run the four examples, as in CI: each exits non-zero when the
+# behaviour it demonstrates is missing.
+examples:
+	for ex in quickstart library federation repair; do \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 # Race-test the concurrent pipeline paths (worker-pool derivation and
 # conformation, shared entailment cache, query engine, both transports'

@@ -23,9 +23,10 @@ var (
 	citedPath = regexp.MustCompile(`[\w./-]*\w\.go\b`)
 	// inlineCode matches a backquoted span.
 	inlineCode = regexp.MustCompile("`[^`\n]+`")
-	// citedIdent matches pkg.Exported in a span; citedMetric matches
-	// layer.snake_name.
+	// citedIdent matches pkg.Exported in a span, citedMember
+	// Type.Member, and citedMetric layer.snake_name.
 	citedIdent  = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
+	citedMember = regexp.MustCompile(`\b([A-Z]\w*)\.([A-Za-z_]\w*)`)
 	citedMetric = regexp.MustCompile(`\b([a-z]\w*)\.([a-z0-9]+(?:_[a-z0-9]+)+)\b`)
 )
 
@@ -35,12 +36,15 @@ var (
 // abbreviate paths (view/snapshot.go for internal/view/snapshot.go), so
 // a cited path matches any file whose path ends with it. A backquoted
 // pkg.Exported, where pkg is interopdb or a package under internal/,
-// must be a top-level declaration of that package, and a backquoted
-// layer.snake_name must be a metric BENCHMARK.json declares.
+// must be a top-level declaration of that package; a backquoted
+// Type.Member, where such a package declares or aliases Type, must be a
+// field or method of it; and a backquoted layer.snake_name must be a
+// metric BENCHMARK.json declares.
 func TestDocReferencesExist(t *testing.T) {
 	declared := map[string]bool{}
 	// idents maps a package name to its top-level identifiers.
 	idents := map[string]map[string]bool{}
+	types := goTypes{map[string][]string{}, map[string]map[string]bool{}, map[string][]string{}}
 	var files []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -78,6 +82,7 @@ func TestDocReferencesExist(t *testing.T) {
 		for _, n := range topLevelNames(f) {
 			set[n] = true
 		}
+		types.add(f)
 		return nil
 	})
 	if err != nil {
@@ -104,6 +109,11 @@ func TestDocReferencesExist(t *testing.T) {
 			for _, m := range citedIdent.FindAllStringSubmatch(span, -1) {
 				if set, ok := idents[m[1]]; ok && !set[m[2]] {
 					t.Errorf("%s cites %s, which package %s does not declare", doc, m[0], m[1])
+				}
+			}
+			for _, m := range citedMember.FindAllStringSubmatch(span, -1) {
+				if keys := types.named[m[1]]; len(keys) > 0 && !types.anyHas(keys, m[2]) {
+					t.Errorf("%s cites %s, which type %s has as neither field nor method", doc, m[0], m[1])
 				}
 			}
 			for _, m := range citedMetric.FindAllStringSubmatch(span, -1) {
@@ -139,6 +149,116 @@ func topLevelNames(f *ast.File) []string {
 		}
 	}
 	return out
+}
+
+// goTypes indexes the types the root and internal/ packages declare,
+// keyed "pkg.Type": their fields and methods, and the types they embed
+// or alias, whose members they share.
+type goTypes struct {
+	named   map[string][]string        // Type → every "pkg.Type" key
+	members map[string]map[string]bool // key → field and method names
+	shares  map[string][]string        // key → embedded or aliased keys
+}
+
+func (g *goTypes) add(f *ast.File) {
+	pkg := f.Name.Name
+	member := func(typ, name string) {
+		key := pkg + "." + typ
+		if g.members[key] == nil {
+			g.members[key] = map[string]bool{}
+		}
+		g.members[key][name] = true
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				member(typeKey("", d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				ts, ok := sp.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				key := pkg + "." + ts.Name.Name
+				g.named[ts.Name.Name] = append(g.named[ts.Name.Name], key)
+				if g.members[key] == nil {
+					g.members[key] = map[string]bool{}
+				}
+				if ts.Assign.IsValid() {
+					g.shares[key] = append(g.shares[key], typeKey(pkg, ts.Type))
+					continue
+				}
+				var fields []*ast.Field
+				switch tt := ts.Type.(type) {
+				case *ast.StructType:
+					fields = tt.Fields.List
+				case *ast.InterfaceType:
+					fields = tt.Methods.List
+				}
+				for _, fl := range fields {
+					for _, n := range fl.Names {
+						member(ts.Name.Name, n.Name)
+					}
+					if len(fl.Names) == 0 {
+						g.shares[key] = append(g.shares[key], typeKey(pkg, fl.Type))
+					}
+				}
+			}
+		}
+	}
+}
+
+// typeKey renders a type expression as a "pkg.Type" key (pkg == "": the
+// bare name), looking through pointers and type arguments.
+func typeKey(pkg string, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeKey(pkg, e.X)
+	case *ast.IndexExpr:
+		return typeKey(pkg, e.X)
+	case *ast.IndexListExpr:
+		return typeKey(pkg, e.X)
+	case *ast.SelectorExpr:
+		return typeKey("", e.X) + "." + e.Sel.Name
+	case *ast.Ident:
+		if pkg == "" {
+			return e.Name
+		}
+		return pkg + "." + e.Name
+	}
+	return ""
+}
+
+// anyHas reports whether one of the keyed types has the member, directly
+// or through a type it embeds or aliases. A type sharing the members of
+// one declared outside the indexed packages (sync.Mutex) is taken to
+// have it.
+func (g *goTypes) anyHas(keys []string, member string) bool {
+	seen := map[string]bool{}
+	var has func(key string) bool
+	has = func(key string) bool {
+		if seen[key] {
+			return false
+		}
+		seen[key] = true
+		if g.members[key][member] {
+			return true
+		}
+		for _, s := range g.shares[key] {
+			if _, declared := g.members[s]; !declared || has(s) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, k := range keys {
+		if has(k) {
+			return true
+		}
+	}
+	return false
 }
 
 // benchmarkMetrics reads BENCHMARK.json's metric names and the layers

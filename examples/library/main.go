@@ -34,8 +34,11 @@ func main() {
 	// first (examples/repair walks through them): the original r5 leaves
 	// an unresolved strict-similarity conflict, so the engine withholds
 	// the Proceedings constraints from the global view until the designer
-	// repairs the specification — the paper's role 2 in action.
-	local2, remote2 := interopdb.Figure1Stores(interopdb.FixtureOptions{})
+	// repairs the specification — the paper's role 2 in action. The
+	// instances are scaled up (63 Proceedings): on Figure 1's three the
+	// planner's cost gate rightly judges the solver dearer than the scan
+	// it would save, and skips the constraint phase.
+	local2, remote2 := interopdb.Figure1Stores(interopdb.FixtureOptions{Scale: 30})
 	res2, err := interopdb.Integrate(
 		interopdb.Figure1Library(), interopdb.Figure1Bookseller(),
 		interopdb.Figure1IntegrationRepaired(), local2, remote2, 1)
@@ -67,10 +70,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  with derived constraints: pruned=%v scanned=%d\n", stats.PrunedEmpty, stats.Scanned)
+	fmt.Printf("  with derived constraints: pruned=%v gated=%v scanned=%d\n", stats.PrunedEmpty, stats.ConstraintGated, stats.Scanned)
+	if !stats.PrunedEmpty {
+		log.Fatal("the derived constraints did not prune the provably-empty query")
+	}
 	engine.UseConstraints = false
-	_, stats, _ = engine.Run(q)
-	fmt.Printf("  without constraints:      pruned=%v scanned=%d\n\n", stats.PrunedEmpty, stats.Scanned)
+	_, stats, err = engine.Run(q)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  without constraints:      pruned=%v gated=%v scanned=%d\n\n", stats.PrunedEmpty, stats.ConstraintGated, stats.Scanned)
 	engine.UseConstraints = true
 
 	fmt.Println("== Update validation: doomed insert rejected before shipping ==")

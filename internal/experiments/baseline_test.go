@@ -1,4 +1,4 @@
-package baseline
+package experiments
 
 import (
 	"testing"
@@ -9,8 +9,10 @@ import (
 	"interopdb/internal/workload"
 )
 
-func fig1Result(t testing.TB, opt fixture.Options) *core.Result {
-	local, remote := fixture.Figure1Stores(opt)
+// fig1Result integrates the paper's Figure 1 instances under the
+// original §2.2 specification.
+func fig1Result(t testing.TB) *core.Result {
+	local, remote := fixture.Figure1Stores(fixture.Options{})
 	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1Integration(), local, remote, 1)
 	if err != nil {
 		t.Fatalf("Integrate: %v", err)
@@ -22,35 +24,32 @@ func fig1Result(t testing.TB, opt fixture.Options) *core.Result {
 // correspondence Proceedings≡RefereedPubl claims the non-refereed
 // workshop notes are refereed — instance-based rules do not.
 func TestClassBasedOverassigns(t *testing.T) {
-	res := fig1Result(t, fixture.Options{})
-	corrs := []ClassCorrespondence{
-		{LocalClass: "RefereedPubl", RemoteClass: "Proceedings"},
-		{LocalClass: "Publication", RemoteClass: "Item"},
+	res := fig1Result(t)
+	corrs := []classCorrespondence{
+		{local: "RefereedPubl", remote: "Proceedings"},
+		{local: "Publication", remote: "Item"},
 	}
-	cb := ClassBasedClassification(res, corrs)
-	q := CompareClassification(res, cb, []string{"RefereedPubl", "Publication"})
-	if q.Assignments == 0 {
+	cb := classBasedClassification(res, corrs)
+	q := compareClassification(res, cb, []string{"RefereedPubl", "Publication"})
+	if q.assignments == 0 {
 		t.Fatal("no assignments")
 	}
-	if q.Precision() >= 1 {
+	if q.precision() >= 1 {
 		t.Errorf("class-based precision should be < 1 (workshop notes are not refereed): %+v", q)
 	}
-	if q.Correct == 0 {
+	if q.correct == 0 {
 		t.Errorf("some assignments are correct: %+v", q)
 	}
 }
 
-// TestClassBasedPerfectWhenRulesAreClassWide: if every remote object of
-// the class genuinely belongs (ref?=true for all), class-based matches
-// instance-based.
+// TestClassBasedMatchesOnItems: only vldb96 merges, and Items are not
+// classified under Publication unless merged or similar, so the
+// Publication≡Item correspondence over-assigns too.
 func TestClassBasedMatchesOnItems(t *testing.T) {
-	res := fig1Result(t, fixture.Options{})
-	// Every Item merges into... only vldb96 does; Items are not
-	// classified under Publication unless merged or similar. So the
-	// Publication≡Item correspondence over-assigns too.
-	cb := ClassBasedClassification(res, []ClassCorrespondence{{LocalClass: "Publication", RemoteClass: "Item"}})
-	q := CompareClassification(res, cb, []string{"Publication"})
-	if q.Precision() >= 1 {
+	res := fig1Result(t)
+	cb := classBasedClassification(res, []classCorrespondence{{local: "Publication", remote: "Item"}})
+	q := compareClassification(res, cb, []string{"Publication"})
+	if q.precision() >= 1 {
 		t.Errorf("monograph must not be a Publication under instance rules: %+v", q)
 	}
 }
@@ -65,7 +64,7 @@ func TestUnionAllFalseRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, total := FalseRejects(res, "DB1.Employee")
+	fr, total := falseRejects(res, "DB1.Employee")
 	if total == 0 {
 		t.Fatal("no employees examined")
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"interopdb/internal/baseline"
 	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/fixture"
@@ -590,20 +589,20 @@ func B5() (B5Result, error) {
 	if err != nil {
 		return out, err
 	}
-	cb := baseline.ClassBasedClassification(res, []baseline.ClassCorrespondence{
-		{LocalClass: "RefereedPubl", RemoteClass: "Proceedings"},
-		{LocalClass: "Publication", RemoteClass: "Item"},
+	cb := classBasedClassification(res, []classCorrespondence{
+		{local: "RefereedPubl", remote: "Proceedings"},
+		{local: "Publication", remote: "Item"},
 	})
-	q := baseline.CompareClassification(res, cb, []string{"RefereedPubl", "Publication"})
-	out.ClassBasedPrecision = q.Precision()
-	out.ClassBasedRecall = q.Recall()
+	q := compareClassification(res, cb, []string{"RefereedPubl", "Publication"})
+	out.ClassBasedPrecision = q.precision()
+	out.ClassBasedRecall = q.recall()
 
 	db1, db2 := workload.Personnel(workload.PersonnelParams{Seed: 7, DB1: 300, DB2: 300, Overlap: 0.5})
 	pres, err := core.Integrate(tm.Personnel1(), tm.Personnel2(), tm.PersonnelIntegration(), db1, db2, 1)
 	if err != nil {
 		return out, err
 	}
-	out.UnionAllFalseRej, out.UnionAllTotal = baseline.FalseRejects(pres, "DB1.Employee")
+	out.UnionAllFalseRej, out.UnionAllTotal = falseRejects(pres, "DB1.Employee")
 	return out, nil
 }
 

@@ -109,6 +109,62 @@ func TestRunContextCancelledPredicateFree(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context that reports cancellation from its n-th Err
+// call on: a deterministic cancel in the middle of a scan loop.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n > 0 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestRunContextUseIndexesOffIsReference pins what RunContext serves
+// with UseIndexes off: exactly runReference's rows and stats, including
+// the degraded-member annotation, and a scan cancelled mid-way returns
+// ctx.Err() after ctxCheckRows rows.
+func TestRunContextUseIndexesOffIsReference(t *testing.T) {
+	e := scaledEngine(t, 200)
+	e.UseIndexes = false
+	e.health.outage("Bookseller", errors.New("member down"))
+	for _, q := range []Query{
+		{Class: "Item"},
+		{Class: "Item", Where: expr.MustParse("shopprice < 75")},
+		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'IEEE' and ref? = false")},
+		{Class: "Proceedings", Where: expr.MustParse("(publisher.name = 'IEEE' implies ref? = true) and rating >= 8")},
+		{Class: "Proceedings", Where: expr.MustParse("title + 1 = 2")},
+		{Class: "NoSuchClass"},
+	} {
+		rows, stats, err := e.RunContext(bg, q)
+		refRows, refStats, refErr := e.runReference(bg, q)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(rows, refRows) || !reflect.DeepEqual(stats, refStats) {
+			t.Errorf("%s where %v: RunContext (%d rows, %+v, %v) is not the reference (%d rows, %+v, %v)",
+				q.Class, q.Where, len(rows), stats, err, len(refRows), refStats, refErr)
+		}
+		if len(stats.Degraded) != 1 || stats.Degraded[0] != "Bookseller" {
+			t.Errorf("%s where %v: Stats.Degraded = %v, want [Bookseller]", q.Class, q.Where, stats.Degraded)
+		}
+	}
+
+	// No predicate, so no solver call reads ctx: the second Err call is
+	// the scan loop's check at row ctxCheckRows.
+	q := Query{Class: "Item"}
+	if n := len(e.res.View.Extent(q.Class)); n <= ctxCheckRows {
+		t.Fatalf("Item extent %d rows: too small to cancel after %d", n, ctxCheckRows)
+	}
+	rows, stats, err := e.RunContext(&countdownCtx{Context: bg, n: 2}, q)
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("cancelled reference scan: %d rows, err = %v, want context.Canceled", len(rows), err)
+	}
+	if stats.Scanned != ctxCheckRows {
+		t.Errorf("cancelled reference scan evaluated %d rows, want %d", stats.Scanned, ctxCheckRows)
+	}
+}
+
 // TestValidateCancelled pins that a cancelled Validate aborts with
 // ctx.Err() and, being read-only, leaves nothing behind.
 func TestValidateCancelled(t *testing.T) {

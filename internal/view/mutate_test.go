@@ -299,7 +299,7 @@ func TestShipUpdateLifecycle(t *testing.T) {
 		}
 	}
 	// Indexed and scan paths agree on the new value.
-	runBoth(t, e, Query{Class: "Proceedings", Where: expr.MustParse("rating >= 9")})
+	runVsReference(t, e, Query{Class: "Proceedings", Where: expr.MustParse("rating >= 9")})
 	rows, _, err := e.Run(Query{Class: "Proceedings", Where: expr.MustParse("rating >= 9"), Select: []string{"isbn"}})
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestShipUpdateLifecycle(t *testing.T) {
 	if err := ship(e, updateOf("Proceedings", g.ID, map[string]object.Value{"ref?": object.Bool(false), "rating": object.Int(5)})); err != nil {
 		t.Fatalf("Ship ref?: %v", err)
 	}
-	runBoth(t, e, Query{Class: "RefereedPubl", Where: expr.MustParse("rating >= 1")})
+	runVsReference(t, e, Query{Class: "RefereedPubl", Where: expr.MustParse("rating >= 1")})
 	rrows, _, err := e.Run(Query{Class: "RefereedPubl", Select: []string{"isbn"}})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestShipDeleteLifecycle(t *testing.T) {
 	if len(remote.FindByAttr("Item", "isbn", object.Str("wkshp1"))) != 0 {
 		t.Error("store still holds the deleted object")
 	}
-	runBoth(t, e, Query{Class: "Item", Where: expr.MustParse("isbn = 'wkshp1'")})
+	runVsReference(t, e, Query{Class: "Item", Where: expr.MustParse("isbn = 'wkshp1'")})
 	rows, _, err := e.Run(Query{Class: "Item", Where: expr.MustParse("isbn = 'wkshp1'")})
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +457,7 @@ func TestShipTxMixedBatch(t *testing.T) {
 	if _, ok := e.res.View.ByID(del.ID); ok {
 		t.Error("batched delete not applied to the view")
 	}
-	runBoth(t, e, Query{Class: "Item", Where: expr.MustParse("isbn = 'batch-ok'")})
+	runVsReference(t, e, Query{Class: "Item", Where: expr.MustParse("isbn = 'batch-ok'")})
 }
 
 // mutationQueries is the differential battery evaluated after every
@@ -611,7 +611,7 @@ func TestMutationDifferentialRandomized(t *testing.T) {
 					}
 				}
 				for _, q := range mutationQueries {
-					runBoth(t, e, q)
+					runVsReference(t, e, q)
 				}
 				if i%20 == 0 {
 					checkViewInvariants(t, e)

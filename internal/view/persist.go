@@ -12,23 +12,24 @@ import (
 // Plan-cache persistence (DESIGN.md §13). Plans themselves cannot
 // survive a restart — they hold resolved extent positions and compiled
 // closures bound to a live snapshot — but the plan *shapes* can: the
-// (class, predicate, flags) keys the workload exercised. A checkpoint
-// exports the shapes; warm start replans each one against the recovered
-// snapshot, with the imported memo absorbing the solver work, so the
-// first client query after a restart is already a plan-cache hit.
+// (class, predicate, UseConstraints) keys the workload exercised. A
+// checkpoint exports the shapes; warm start replans each one against
+// the recovered snapshot, with the imported memo absorbing the solver
+// work, so the first client query after a restart is already a
+// plan-cache hit.
 
-// PlanExport is one persisted plan shape.
+// PlanExport is one persisted plan shape. Checkpoints written before
+// the plan key lost its index and gate flags also carry "idx" and
+// "gate"; decoding ignores both, so those shapes still warm.
 type PlanExport struct {
 	Class string          `json:"class"`
 	Pred  json.RawMessage `json:"pred"`
 	Cons  bool            `json:"cons,omitempty"`
-	Idx   bool            `json:"idx,omitempty"`
-	Gate  bool            `json:"gate,omitempty"`
 }
 
 // ExportPlans serializes the current snapshot's cached plan shapes,
 // deterministically ordered (class, then predicate fingerprint, then
-// flags).
+// UseConstraints).
 func (e *Engine) ExportPlans() ([]byte, error) {
 	s, slot := e.pin()
 	defer e.unpin(slot)
@@ -49,7 +50,7 @@ func (e *Engine) ExportPlans() ([]byte, error) {
 				return false
 			}
 			all = append(all, keyed{
-				exp: PlanExport{Class: class, Pred: pb, Cons: key.cons, Idx: key.idx, Gate: key.gate},
+				exp: PlanExport{Class: class, Pred: pb, Cons: key.cons},
 				hi:  key.hi, lo: key.lo,
 			})
 			return true
@@ -69,13 +70,7 @@ func (e *Engine) ExportPlans() ([]byte, error) {
 		if a.lo != b.lo {
 			return a.lo < b.lo
 		}
-		if a.exp.Cons != b.exp.Cons {
-			return b.exp.Cons
-		}
-		if a.exp.Idx != b.exp.Idx {
-			return b.exp.Idx
-		}
-		return b.exp.Gate
+		return !a.exp.Cons && b.exp.Cons
 	})
 	out := make([]PlanExport, len(all))
 	for i, k := range all {
@@ -85,12 +80,10 @@ func (e *Engine) ExportPlans() ([]byte, error) {
 }
 
 // WarmPlans replans every exported shape against the current snapshot,
-// returning how many were warmed and how many skipped (unknown class —
-// membership changed — or a CostGate setting different from the
-// engine's, which would build plans no lookup can ever hit). Warming
-// runs the ordinary planFor path, so its solver queries and compiles
-// count in CacheStats; steady-state hit behaviour afterwards is what
-// the warm-start equivalence test pins.
+// returning how many were warmed and how many skipped (unknown class:
+// membership changed). Warming runs the ordinary planFor path, so its
+// solver queries and compiles count in CacheStats; steady-state hit
+// behaviour afterwards is what the warm-start equivalence test pins.
 func (e *Engine) WarmPlans(ctx context.Context, data []byte) (warmed, skipped int, err error) {
 	var exports []PlanExport
 	if err := json.Unmarshal(data, &exports); err != nil {
@@ -99,7 +92,7 @@ func (e *Engine) WarmPlans(ctx context.Context, data []byte) (warmed, skipped in
 	s, slot := e.pin()
 	defer e.unpin(slot)
 	for i, ex := range exports {
-		if ex.Gate != e.CostGate || !s.hasClass(ex.Class) {
+		if !s.hasClass(ex.Class) {
 			skipped++
 			continue
 		}
@@ -108,7 +101,7 @@ func (e *Engine) WarmPlans(ctx context.Context, data []byte) (warmed, skipped in
 		if derr != nil {
 			return warmed, skipped, fmt.Errorf("plan warm: shape %d: %w", i, derr)
 		}
-		if _, _, perr := e.planFor(ctx, s, cs, pred, ex.Cons, ex.Idx); perr != nil {
+		if _, _, perr := e.planFor(ctx, s, cs, pred, ex.Cons); perr != nil {
 			return warmed, skipped, fmt.Errorf("plan warm: shape %d (%s): %w", i, ex.Class, perr)
 		}
 		warmed++

@@ -69,21 +69,29 @@ func TestPlanExportWarm(t *testing.T) {
 	}
 }
 
+// TestWarmPlansSkipsForeignShapes: a shape for a class the federation
+// doesn't serve is skipped, and a malformed export is refused. Shapes
+// from checkpoints written while the plan key still carried the index
+// and cost-gate flags hold "idx" and "gate" keys, in any combination:
+// each still warms, and the query it names is then a plan-cache hit.
 func TestWarmPlansSkipsForeignShapes(t *testing.T) {
 	e := fig1Engine(t)
-	// The engine's cost gate is on by default, so a shape recorded with
-	// the gate off is foreign, as is one for a class the federation
-	// doesn't serve.
+	pred := mustEncodePred(t, "rating >= 7")
 	data := []byte(`[
-		{"class":"NoSuchClass","pred":` + mustEncodePred(t, "rating >= 7") + `,"gate":true},
-		{"class":"Proceedings","pred":` + mustEncodePred(t, "rating >= 7") + `,"gate":false}
+		{"class":"NoSuchClass","pred":` + pred + `,"cons":true,"idx":true,"gate":true},
+		{"class":"Proceedings","pred":` + pred + `,"cons":true,"idx":true,"gate":true},
+		{"class":"Proceedings","pred":` + pred + `,"cons":true,"gate":true},
+		{"class":"Proceedings","pred":` + pred + `,"cons":true,"idx":true}
 	]`)
 	warmed, skipped, err := e.WarmPlans(context.Background(), data)
 	if err != nil {
 		t.Fatalf("WarmPlans: %v", err)
 	}
-	if warmed != 0 || skipped != 2 {
-		t.Fatalf("WarmPlans = (%d warmed, %d skipped), want (0, 2)", warmed, skipped)
+	if warmed != 3 || skipped != 1 {
+		t.Fatalf("WarmPlans = (%d warmed, %d skipped), want (3, 1)", warmed, skipped)
+	}
+	if _, st, err := e.Run(Query{Class: "Proceedings", Where: expr.MustParse("rating >= 7")}); err != nil || !st.PlanCached {
+		t.Fatalf("query after warming older shapes: PlanCached=%v err=%v, want a hit", st.PlanCached, err)
 	}
 	if _, _, err := e.WarmPlans(context.Background(), []byte("{broken")); err == nil {
 		t.Fatal("WarmPlans accepted malformed export")

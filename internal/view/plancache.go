@@ -8,9 +8,9 @@ import (
 	"interopdb/internal/expr"
 )
 
-// The plan cache (DESIGN.md §8): every (class, predicate shape, flag
-// pair) is planned once per snapshot generation. A cached plan stores
-// the constraint-phase verdicts (pruned-empty, dropped conjuncts), the
+// The plan cache (DESIGN.md §8): every (class, predicate shape,
+// UseConstraints) is planned once per snapshot generation. A cached
+// plan stores the constraint-phase verdicts (pruned-empty, dropped conjuncts), the
 // chosen access path with its resolved candidate positions (the extent
 // is frozen for the snapshot's lifetime, so probe results are resolved
 // at plan time and reused verbatim), and the compiled residual closure.
@@ -22,13 +22,11 @@ import (
 // by replacing the classState.
 
 // planKey identifies a plan: the structural fingerprint of the
-// predicate (constants included) plus the optimisation flags in force
-// when it was built.
+// predicate (constants included) plus the UseConstraints setting it was
+// built under.
 type planKey struct {
 	hi, lo uint64
-	cons   bool // UseConstraints
-	idx    bool // UseIndexes
-	gate   bool // CostGate
+	cons   bool
 }
 
 // plan is one cached serving strategy. Immutable after construction.
@@ -49,12 +47,9 @@ type plan struct {
 	served    int
 	positions []int // ascending extent positions, resolved at plan time
 
-	// Residual predicate over the candidates (nil: all candidates
-	// match). On the fast path it is compiled once; with UseIndexes off
-	// the reference interpreter evaluates the node directly.
-	residual expr.Node
-	prog     *expr.Program
-	interp   bool
+	// Residual predicate over the candidates, compiled once (nil: all
+	// candidates match).
+	prog *expr.Program
 }
 
 // engineCounters aggregates the serving engine's cache-effectiveness
@@ -127,14 +122,14 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // planFor returns the cached plan for the predicate under the given
-// flags, building and (capacity permitting) caching it on miss. hit
-// reports whether the plan came from the cache — the caller records it
-// in its own epoch-slot counter stripe. A build aborted by context
+// UseConstraints setting, building and (capacity permitting) caching it
+// on miss. hit reports whether the plan came from the cache — the
+// caller records it in its own epoch-slot counter stripe. A build aborted by context
 // cancellation returns the error and caches NOTHING — a half-planned
 // query must not poison the cache for later callers.
-func (e *Engine) planFor(ctx context.Context, s *snapshot, cs *classState, pred expr.Node, useCons, useIdx bool) (p *plan, hit bool, err error) {
+func (e *Engine) planFor(ctx context.Context, s *snapshot, cs *classState, pred expr.Node, useCons bool) (p *plan, hit bool, err error) {
 	fp := expr.Fingerprint(pred)
-	key := planKey{hi: fp.Hi, lo: fp.Lo, cons: useCons, idx: useIdx, gate: e.CostGate}
+	key := planKey{hi: fp.Hi, lo: fp.Lo, cons: useCons}
 	if v, ok := cs.plans.Load(key); ok {
 		p := v.(*plan)
 		if expr.Equal(p.pred, pred) {
@@ -142,10 +137,10 @@ func (e *Engine) planFor(ctx context.Context, s *snapshot, cs *classState, pred 
 		}
 		// Fingerprint collision: serve a throwaway plan, leave the
 		// incumbent cached.
-		p, err = e.buildPlan(ctx, s, cs, pred, useCons, useIdx)
+		p, err = e.buildPlan(ctx, s, cs, pred, useCons)
 		return p, false, err
 	}
-	p, err = e.buildPlan(ctx, s, cs, pred, useCons, useIdx)
+	p, err = e.buildPlan(ctx, s, cs, pred, useCons)
 	if err != nil {
 		return nil, false, err
 	}

@@ -90,13 +90,13 @@ func benchPlanMiss(b *testing.B, shape func(int) string) {
 		preds[i] = expr.MustParse(shape(i))
 	}
 	// Warm the lazily built indexes: a miss rebuilds the plan, not them.
-	if _, err := e.buildPlan(bg, s, cs, preds[0], true, true); err != nil {
+	if _, err := e.buildPlan(bg, s, cs, preds[0], true); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := e.buildPlan(bg, s, cs, preds[i%len(preds)], true, true)
+		p, err := e.buildPlan(bg, s, cs, preds[i%len(preds)], true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestPlanMissAllocBound(t *testing.T) {
 		for i := range preds {
 			preds[i] = expr.MustParse(shape(i))
 		}
-		p, err := e.buildPlan(bg, s, cs, preds[0], true, true) // builds the indexes
+		p, err := e.buildPlan(bg, s, cs, preds[0], true) // builds the indexes
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestPlanMissAllocBound(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, pred := range preds {
-			if _, err := e.buildPlan(bg, s, cs, pred, true, true); err != nil {
+			if _, err := e.buildPlan(bg, s, cs, pred, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,8 +147,8 @@ func TestPlanMissAllocBound(t *testing.T) {
 // range conjuncts on one attribute reach the cost gate as ONE merged
 // window. Each side of a one-cent window spans about half the extent
 // (serving estimate ≥ the constraint phase's price when counted alone),
-// the merged window one row (or none) — so the gate skips the constraint phase, in
-// all three serving modes alike.
+// the merged window one row (or none) — so the gate skips the constraint phase, on
+// the planned path and the reference alike.
 func TestMergedWindowGate(t *testing.T) {
 	e := planMissEngine(t)
 	for i, n := 0, 0; n < 8; i += 2 { // even items are Proceedings
@@ -157,12 +157,12 @@ func TestMergedWindowGate(t *testing.T) {
 		}
 		n++
 		q := Query{Class: "Proceedings", Where: expr.MustParse(twoSidedRange(i))}
-		st := runThreeModes(t, e, q)
+		st := runTwoModes(t, e, q)
 		if !st.ConstraintGated || st.IndexHits != 2 || st.CandidateRows != 1 {
 			t.Errorf("%v: %+v, want a gated two-probe plan over one candidate", q.Where, st)
 		}
 		for _, side := range conjuncts(q.Where) {
-			if st := runThreeModes(t, e, Query{Class: "Proceedings", Where: side}); st.ConstraintGated {
+			if st := runTwoModes(t, e, Query{Class: "Proceedings", Where: side}); st.ConstraintGated {
 				t.Errorf("%v alone: gated (%+v), want the constraint phase entered", side, st)
 			}
 		}

@@ -23,8 +23,8 @@ import (
 //     a static per-row evaluation estimate — and enters the constraint
 //     phase only when that serving cost exceeds the expected solver
 //     cost. The decision is a pure function of snapshot content and
-//     predicate, so the indexed path, the scan path and the mutex+scan
-//     reference all decide identically.
+//     predicate, so the planned path and the mutex+scan reference
+//     decide identically.
 //  2. Constraint phase (when worthwhile): prune provably-empty queries,
 //     drop conjuncts the global constraints imply. When nothing is
 //     dropped the original predicate node is reused as the residual —
@@ -91,9 +91,8 @@ func estRowCost(conjs []expr.Node) float64 {
 // any constraint help: the candidate count surviving the served prefix
 // (its smallest probe's count, from the extent indexes — built on
 // demand; they are the per-class statistics) times the per-row cost of
-// the remaining conjuncts. The estimate deliberately ignores whether
-// the caller will execute with indexes on or off, so every serving mode
-// reaches the same gate decision.
+// the remaining conjuncts. The reference scan asks the same question of
+// the same snapshot, so both serving paths reach the same gate decision.
 func (e *Engine) estServeCost(s *snapshot, cs *classState, conjs []expr.Node) float64 {
 	candidates := len(cs.ext)
 	probes, served := e.servedPrefix(s, cs, conjs)
@@ -104,12 +103,8 @@ func (e *Engine) estServeCost(s *snapshot, cs *classState, conjs []expr.Node) fl
 }
 
 // constraintPhaseWorthwhile is the cost gate: run the constraint phase
-// only when the plain serving estimate exceeds its expected solver cost
-// (always, when the engine's CostGate toggle is off).
+// only when the plain serving estimate exceeds its expected solver cost.
 func (e *Engine) constraintPhaseWorthwhile(s *snapshot, cs *classState, conjs []expr.Node) bool {
-	if !e.CostGate {
-		return true
-	}
 	return e.estServeCost(s, cs, conjs) >= costConstraintPhase
 }
 
@@ -155,10 +150,10 @@ func (e *Engine) constraintPhase(ctx context.Context, ck *logic.Checker, cons []
 	return false, residual, dropped, nil
 }
 
-// buildPlan plans one (class, predicate, flags) combination against the
-// snapshot. pred must be non-nil. Cancellation mid-build returns
+// buildPlan plans one (class, predicate, useCons) combination against
+// the snapshot. pred must be non-nil. Cancellation mid-build returns
 // ctx.Err(); the caller discards the partial plan.
-func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pred expr.Node, useCons, useIdx bool) (*plan, error) {
+func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pred expr.Node, useCons bool) (*plan, error) {
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
@@ -189,7 +184,7 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 		}
 	}
 
-	if useIdx && residual != nil {
+	if residual != nil {
 		if probes, served := e.servedPrefix(s, cs, conjs); served > 0 {
 			p.served = served
 			p.positions = candidatePositions(probes, cs.ext)
@@ -197,17 +192,9 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 		}
 	}
 
-	p.residual = residual
 	if residual != nil {
-		if useIdx {
-			e.counters.compiles.Add(1)
-			p.prog = expr.Compile(residual)
-		} else {
-			// Reference semantics: the scan mode evaluates with the
-			// tree-walking interpreter, exactly like the pre-snapshot
-			// engine's UseIndexes=false path.
-			p.interp = true
-		}
+		e.counters.compiles.Add(1)
+		p.prog = expr.Compile(residual)
 	}
 	return p, nil
 }
@@ -282,15 +269,18 @@ next:
 }
 
 // runReference is the mutex+scan reference implementation the snapshot
-// path is differentially pinned against: it takes the engine read lock,
-// applies the same cost-gated constraint phase (same gate inputs, same
-// memoized verdicts), and scans the LIVE extent with the tree-walking
-// interpreter — no snapshot, no plan cache, no indexes, no compiled
-// predicates.
-func (e *Engine) runReference(q Query) ([]Row, Stats, error) {
+// path is differentially pinned against, and what RunContext serves when
+// UseIndexes is off: it takes the engine read lock, applies the same
+// cost-gated constraint phase (same gate inputs, same memoized
+// verdicts), and scans the LIVE extent with the tree-walking interpreter
+// — no plan cache, no indexes, no compiled predicates. It keeps
+// RunContext's promises: ctx is checked every ctxCheckRows rows and
+// between solver calls, and Stats.Degraded names the quarantined
+// members.
+func (e *Engine) runReference(ctx context.Context, q Query) ([]Row, Stats, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var stats Stats
+	stats := Stats{Degraded: e.health.degradedMembers()}
 	ext := e.res.View.Extent(q.Class)
 	pred := q.Where
 
@@ -305,7 +295,7 @@ func (e *Engine) runReference(q Query) ([]Row, Stats, error) {
 			s := e.snap.Load()
 			conjs := conjuncts(pred)
 			if e.constraintPhaseWorthwhile(s, s.class(q.Class), conjs) {
-				pruned, kept, dropped, err := e.constraintPhase(context.Background(), s.checker, cons, pred, conjs)
+				pruned, kept, dropped, err := e.constraintPhase(ctx, s.checker, cons, pred, conjs)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -325,7 +315,10 @@ func (e *Engine) runReference(q Query) ([]Row, Stats, error) {
 
 	stats.CandidateRows = len(ext)
 	var rows []Row
-	for _, g := range ext {
+	for i, g := range ext {
+		if i%ctxCheckRows == 0 && ctx.Err() != nil {
+			return nil, stats, ctx.Err()
+		}
 		stats.Scanned++
 		if pred != nil {
 			ok, err := e.res.View.Env(g).EvalBool(pred)

@@ -3,7 +3,6 @@ package view
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -26,38 +25,6 @@ func scaledEngine(t testing.TB, scale int) *Engine {
 		t.Fatalf("Integrate: %v", err)
 	}
 	return New(res)
-}
-
-// runBoth runs the query on the indexed+compiled path and the pure-scan
-// reference path and checks rows and constraint stats agree.
-func runBoth(t *testing.T, e *Engine, q Query) (Stats, Stats) {
-	t.Helper()
-	e.UseIndexes = true
-	fastRows, fastStats, fastErr := e.Run(q)
-	e.UseIndexes = false
-	scanRows, scanStats, scanErr := e.Run(q)
-	e.UseIndexes = true
-
-	if (fastErr == nil) != (scanErr == nil) {
-		t.Fatalf("query %v: error divergence: indexed=%v scan=%v", q.Where, fastErr, scanErr)
-	}
-	if fastErr != nil {
-		if fastErr.Error() != scanErr.Error() {
-			t.Errorf("query %v: error text divergence: %q vs %q", q.Where, fastErr, scanErr)
-		}
-		return fastStats, scanStats
-	}
-	if !reflect.DeepEqual(fastRows, scanRows) {
-		t.Errorf("query %v: rows diverge:\nindexed: %v\nscan:    %v", q.Where, fastRows, scanRows)
-	}
-	if fastStats.PrunedEmpty != scanStats.PrunedEmpty || fastStats.DroppedConjuncts != scanStats.DroppedConjuncts {
-		t.Errorf("query %v: constraint stats diverge: %+v vs %+v", q.Where, fastStats, scanStats)
-	}
-	if fastStats.Scanned > scanStats.Scanned {
-		t.Errorf("query %v: indexed path evaluated more rows than the scan: %d > %d",
-			q.Where, fastStats.Scanned, scanStats.Scanned)
-	}
-	return fastStats, scanStats
 }
 
 // wantServed is the brute-force oracle for the served prefix of a
@@ -94,56 +61,32 @@ func wantServed(e *Engine, class string, pred expr.Node) int {
 	return served
 }
 
-// runThreeModes runs the query on the indexed+compiled path, the
-// pure-scan path and the mutex+scan reference and checks they agree on
-// rows, row order, error text and the gate verdict, and that the
-// indexed path's access statistics are the ones the served prefix
-// dictates: IndexHits conjuncts served, and exactly the rows satisfying
-// them considered and evaluated.
-func runThreeModes(t *testing.T, e *Engine, q Query) Stats {
+// runTwoModes runs the query on the planned path and the reference
+// (runVsReference: same rows, row order, error text and constraint
+// verdicts) and checks that the planned path's access statistics are
+// the ones the served prefix dictates: IndexHits conjuncts served, and
+// exactly the rows satisfying them considered and evaluated.
+func runTwoModes(t *testing.T, e *Engine, q Query) Stats {
 	t.Helper()
-	e.UseIndexes = true
-	fastRows, fast, fastErr := e.Run(q)
-	e.UseIndexes = false
-	scanRows, scan, scanErr := e.Run(q)
-	e.UseIndexes = true
-	refRows, ref, refErr := e.runReference(q)
-
-	if (fastErr == nil) != (scanErr == nil) || (fastErr == nil) != (refErr == nil) {
-		t.Fatalf("query %v: error divergence: indexed=%v scan=%v reference=%v", q.Where, fastErr, scanErr, refErr)
-	}
-	if fastErr != nil && (fastErr.Error() != scanErr.Error() || fastErr.Error() != refErr.Error()) {
-		t.Errorf("query %v: error text divergence: %q vs %q vs %q", q.Where, fastErr, scanErr, refErr)
-	}
-	if !reflect.DeepEqual(fastRows, scanRows) || !reflect.DeepEqual(fastRows, refRows) {
-		t.Errorf("query %v: rows diverge:\nindexed:   %v\nscan:      %v\nreference: %v", q.Where, fastRows, scanRows, refRows)
-	}
-	verdict := func(s Stats) [3]any { return [3]any{s.ConstraintGated, s.PrunedEmpty, s.DroppedConjuncts} }
-	if verdict(fast) != verdict(scan) || verdict(fast) != verdict(ref) {
-		t.Errorf("query %v: gate verdicts diverge: indexed=%+v scan=%+v reference=%+v", q.Where, fast, scan, ref)
-	}
+	fast, ref, err := runVsReference(t, e, q)
 	if fast.PrunedEmpty || fast.DroppedConjuncts > 0 {
 		return fast
 	}
-	if want := wantServed(e, q.Class, q.Where); fast.IndexHits != want || scan.IndexHits != 0 {
-		t.Errorf("query %v: IndexHits indexed=%d (want %d) scan=%d (want 0)", q.Where, fast.IndexHits, want, scan.IndexHits)
+	if want := wantServed(e, q.Class, q.Where); fast.IndexHits != want {
+		t.Errorf("query %v: IndexHits = %d, want %d", q.Where, fast.IndexHits, want)
 	}
-	if fastErr != nil {
+	if err != nil {
 		return fast
 	}
 	ext := len(e.snap.Load().class(q.Class).ext)
-	for _, s := range []Stats{scan, ref} {
-		if s.CandidateRows != ext || s.Scanned != ext {
-			t.Errorf("query %v: scan considered %d / evaluated %d rows, want the extent's %d", q.Where, s.CandidateRows, s.Scanned, ext)
-		}
+	if ref.CandidateRows != ext || ref.Scanned != ext {
+		t.Errorf("query %v: reference considered %d / evaluated %d rows, want the extent's %d", q.Where, ref.CandidateRows, ref.Scanned, ext)
 	}
 	wantCand := ext
 	if fast.IndexHits > 0 {
-		e.UseIndexes = false
-		prefixRows, _, err := e.Run(Query{Class: q.Class, Where: conjoinNodes(conjuncts(q.Where)[:fast.IndexHits])})
-		e.UseIndexes = true
+		prefixRows, _, err := e.runReference(bg, Query{Class: q.Class, Where: conjoinNodes(conjuncts(q.Where)[:fast.IndexHits])})
 		if err != nil {
-			t.Fatalf("query %v: served prefix errors on the scan path: %v", q.Where, err)
+			t.Fatalf("query %v: served prefix errors on the reference: %v", q.Where, err)
 		}
 		wantCand = len(prefixRows)
 	}
@@ -266,11 +209,11 @@ func TestServeDifferentialFigure1(t *testing.T) {
 				{Class: "Proceedings", Where: expr.MustParse("rating >= 100 and title + 1 = 2")},
 			}
 			for _, q := range queries {
-				runBoth(t, e, q)
+				runVsReference(t, e, q)
 			}
 
 			// The selective equality query must actually prune.
-			fast, _ := runBoth(t, e, Query{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")})
+			fast, _, _ := runVsReference(t, e, Query{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")})
 			ext := len(e.res.View.Extent("Item"))
 			if fast.IndexHits != 1 {
 				t.Errorf("equality query: IndexHits = %d, want 1", fast.IndexHits)
@@ -322,14 +265,14 @@ func TestServeDifferentialRandomized(t *testing.T) {
 			src += " and " + mkConj()
 		}
 		q := Query{Class: classes[rng.Intn(len(classes))], Where: expr.MustParse(src)}
-		runBoth(t, e, q)
+		runVsReference(t, e, q)
 	}
 
-	// The prefix resolver's corpus, across all three serving modes.
+	// The prefix resolver's corpus, planned path against the reference.
 	classes = append(classes, "RefereedPubl", "ScientificPubl")
 	isbn := func() string { return fmt.Sprintf("isbn-%07d", rng.Intn(400)) }
 	for i := 0; i < 600; i++ {
-		runThreeModes(t, e, Query{Class: classes[rng.Intn(len(classes))], Where: resolverPredicate(rng, isbn)})
+		runTwoModes(t, e, Query{Class: classes[rng.Intn(len(classes))], Where: resolverPredicate(rng, isbn)})
 	}
 }
 
@@ -345,7 +288,7 @@ func TestNullConstantStaysResidual(t *testing.T) {
 			Class: "RefereedPubl",
 			Where: expr.Binary{Op: expr.OpEq, L: expr.Ident{Name: attr}, R: expr.Lit{Val: object.Null{}}},
 		}
-		fast, _ := runBoth(t, e, q)
+		fast, _, _ := runVsReference(t, e, q)
 		if fast.IndexHits != 0 {
 			t.Errorf("%s = null must not be index-served: %+v", attr, fast)
 		}
@@ -408,7 +351,7 @@ func TestKeyIndexValidate(t *testing.T) {
 	}
 	e.UseIndexes = true
 	// And the shipped object is served by queries on both paths.
-	fast, _ := runBoth(t, e, Query{Class: "Proceedings", Where: expr.MustParse("isbn = 'shipped-1'")})
+	fast, _, _ := runVsReference(t, e, Query{Class: "Proceedings", Where: expr.MustParse("isbn = 'shipped-1'")})
 	if fast.Scanned != 1 {
 		t.Errorf("shipped insert not visible to the indexed path: %+v", fast)
 	}

@@ -98,30 +98,32 @@ func TestRunTakesNoEngineLock(t *testing.T) {
 	e.mu.Unlock()
 }
 
-// runVsReference pins the snapshot/planned path byte-identical to the
-// mutex+scan reference: same rows, same error text, same constraint
-// decisions.
-func runVsReference(t *testing.T, e *Engine, q Query) {
+// runVsReference pins the planned path (snapshot, plan cache, indexes,
+// compiled residual) byte-identical to the mutex+scan reference: same
+// rows, same error text, same constraint decisions, and never more rows
+// evaluated. It returns both runs' stats and the planned path's error.
+func runVsReference(t *testing.T, e *Engine, q Query) (fast, ref Stats, err error) {
 	t.Helper()
-	fastRows, fastStats, fastErr := e.Run(q)
-	refRows, refStats, refErr := e.runReference(q)
-	if (fastErr == nil) != (refErr == nil) {
-		t.Fatalf("query %v: error divergence: planned=%v reference=%v", q.Where, fastErr, refErr)
+	fastRows, fast, err := e.Run(q)
+	refRows, ref, refErr := e.runReference(bg, q)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("query %v: error divergence: planned=%v reference=%v", q.Where, err, refErr)
 	}
-	if fastErr != nil {
-		if fastErr.Error() != refErr.Error() {
-			t.Errorf("query %v: error text divergence: %q vs %q", q.Where, fastErr, refErr)
-		}
-		return
+	if err != nil && err.Error() != refErr.Error() {
+		t.Errorf("query %v: error text divergence: %q vs %q", q.Where, err, refErr)
 	}
-	if !reflect.DeepEqual(fastRows, refRows) {
+	if err == nil && !reflect.DeepEqual(fastRows, refRows) {
 		t.Errorf("query %v: rows diverge:\nplanned:   %v\nreference: %v", q.Where, fastRows, refRows)
 	}
-	if fastStats.PrunedEmpty != refStats.PrunedEmpty ||
-		fastStats.DroppedConjuncts != refStats.DroppedConjuncts ||
-		fastStats.ConstraintGated != refStats.ConstraintGated {
-		t.Errorf("query %v: constraint decisions diverge: %+v vs %+v", q.Where, fastStats, refStats)
+	if fast.PrunedEmpty != ref.PrunedEmpty ||
+		fast.DroppedConjuncts != ref.DroppedConjuncts ||
+		fast.ConstraintGated != ref.ConstraintGated {
+		t.Errorf("query %v: constraint decisions diverge: %+v vs %+v", q.Where, fast, ref)
 	}
+	if err == nil && fast.Scanned > ref.Scanned {
+		t.Errorf("query %v: planned path evaluated more rows than the reference: %d > %d", q.Where, fast.Scanned, ref.Scanned)
+	}
+	return fast, ref, err
 }
 
 // TestSnapshotDifferentialReference pins the full planned path (snapshot
@@ -130,7 +132,7 @@ func runVsReference(t *testing.T, e *Engine, q Query) {
 // several scales. Each query runs twice so both the plan-build and the
 // plan-cache-hit paths are compared.
 func TestSnapshotDifferentialReference(t *testing.T) {
-	for _, scale := range []int{1, 10, 50} {
+	for _, scale := range []int{1, 10, gateOpenScale, 50} {
 		t.Run(fmt.Sprintf("scale=%d", scale), func(t *testing.T) {
 			e := scaledEngine(t, scale)
 			queries := []Query{
@@ -153,14 +155,26 @@ func TestSnapshotDifferentialReference(t *testing.T) {
 				{Class: "Proceedings", Where: expr.MustParse("title + 1 = 2")},
 				{Class: "Proceedings", Where: expr.MustParse("rating >= 100 and title + 1 = 2")},
 			}
+			pruned, dropped := 0, 0
 			for _, q := range queries {
-				runVsReference(t, e, q)
+				st, _, _ := runVsReference(t, e, q)
 				runVsReference(t, e, q) // second pass: plan-cache hit
+				if st.PrunedEmpty {
+					pruned++
+				}
+				if st.DroppedConjuncts > 0 {
+					dropped++
+				}
+			}
+			// From gateOpenScale on, the extent is large enough for the cost
+			// gate to open: the constraint phase must show in both forms.
+			if scale == gateOpenScale && (pruned == 0 || dropped == 0) {
+				t.Errorf("scale %d: %d pruned and %d dropped plans, want at least one of each", scale, pruned, dropped)
 			}
 
 			// The prefix resolver's shapes (planner.go servedPrefix), on
-			// the indexed, scan and reference modes at once; IndexHits and
-			// CandidateRows are checked against runThreeModes' oracles.
+			// the planned path and the reference; IndexHits and
+			// CandidateRows are checked against runTwoModes' oracles.
 			resolver := []Query{
 				// Same-attribute range pairs: nested, disjoint (inverted
 				// window), touching, and three deep.
@@ -189,30 +203,21 @@ func TestSnapshotDifferentialReference(t *testing.T) {
 				{Class: "Item", Where: expr.MustParse("shopprice >= 20 and isbn > 5 and shopprice <= 90")},
 			}
 			for _, q := range resolver {
-				first := runThreeModes(t, e, q)
-				if again := runThreeModes(t, e, q); !again.PlanCached || again.CandidateRows != first.CandidateRows {
+				first := runTwoModes(t, e, q)
+				if again := runTwoModes(t, e, q); !again.PlanCached || again.CandidateRows != first.CandidateRows {
 					t.Errorf("query %v: plan-cache hit diverges from the build: %+v vs %+v", q.Where, again, first)
 				}
 			}
 			// The window merge is by position, not by constant: four
 			// range conjuncts on one attribute, two probes' worth of rows.
-			if st := runThreeModes(t, e, resolver[0]); st.IndexHits != 4 {
+			if st := runTwoModes(t, e, resolver[0]); st.IndexHits != 4 {
 				t.Errorf("nested ranges: IndexHits = %d, want 4", st.IndexHits)
 			}
-			if st := runThreeModes(t, e, resolver[1]); st.IndexHits != 2 || st.CandidateRows != 0 {
+			if st := runTwoModes(t, e, resolver[1]); st.IndexHits != 2 || st.CandidateRows != 0 {
 				t.Errorf("disjoint ranges: %+v, want 2 served conjuncts and no candidate", st)
 			}
-			if st := runThreeModes(t, e, resolver[13]); st.IndexHits != 1 {
+			if st := runTwoModes(t, e, resolver[13]); st.IndexHits != 1 {
 				t.Errorf("wrong-kind constant mid-prefix: IndexHits = %d, want 1", st.IndexHits)
-			}
-
-			// And with the gate off (unconditioned constraint phase).
-			e.CostGate = false
-			for _, q := range queries {
-				runVsReference(t, e, q)
-			}
-			for _, q := range resolver {
-				runThreeModes(t, e, q)
 			}
 		})
 	}

@@ -11,7 +11,9 @@
 // Queries are served lock-free from immutable snapshots through a
 // cost-gated, plan-cached optimizer (snapshot.go, planner.go,
 // plancache.go; DESIGN.md §8): Run never takes the engine lock, and a
-// repeated query performs no solver work and no compilation.
+// repeated query performs no solver work and no compilation. With
+// UseIndexes off, Run is instead the locked reference scan the planned
+// path is tested against (planner.go, runReference).
 package view
 
 import (
@@ -78,28 +80,21 @@ type Stats struct {
 // snapshot, never a torn mix). Validate shares a read lock; Ship takes
 // the write lock while mutating the live view, then publishes the next
 // snapshot. The UseConstraints/UseIndexes toggles are plain fields for
-// benchmarking convenience and must not be flipped concurrently with
-// serving.
+// the differential tests and the benchmark's oracles and must not be
+// flipped concurrently with serving.
 type Engine struct {
 	res     *core.Result
 	checker *logic.Checker
 	// UseConstraints toggles constraint-based optimisation; off, the
 	// engine behaves like the drop-all baseline.
 	UseConstraints bool
-	// UseIndexes toggles the indexed+compiled serving fast path: extent
-	// indexes answer sargable conjuncts and the residual predicate is
-	// compiled once per plan. Off, Run scans the snapshot extent with
-	// the tree-walking interpreter and Validate answers key uniqueness
-	// by extent scan alone — the reference semantics the differential
-	// tests compare against.
+	// UseIndexes selects the planned serving path: snapshot, plan cache,
+	// extent indexes and a residual compiled once per plan. Off, Run is
+	// the reference (runReference: engine read lock, live extent,
+	// tree-walking interpreter) and Validate answers key uniqueness by
+	// extent scan alone — the semantics the differential tests and the
+	// benchmark's oracles compare against.
 	UseIndexes bool
-	// CostGate toggles the planner's cost gate on the constraint phase
-	// (planner.go): on, the solver is only consulted when the estimated
-	// serving cost exceeds its expected cost, so the optimizer never
-	// loses to the scan it replaces. Off, the constraint phase always
-	// runs — the paper's unconditioned behaviour, kept for the
-	// small-fixture reproductions and A/B measurements.
-	CostGate bool
 
 	// mu serialises the live view: Validate and CheckAll hold it for
 	// read, Ship for write while applying a shipped batch and staging
@@ -191,7 +186,6 @@ func New(res *core.Result) *Engine {
 		checker:        ck,
 		UseConstraints: true,
 		UseIndexes:     true,
-		CostGate:       true,
 		cons:           map[string]*classCons{},
 		mcons:          map[string]*consGroup{},
 		epochs:         newEpochTable(),
@@ -255,12 +249,12 @@ const ctxCheckRows = 256
 // With UseConstraints, the derived global constraints prune provably-
 // empty queries without touching the extent and drop implied conjuncts
 // from the residual predicate — when the cost gate judges the solver
-// work worthwhile (planner.go). With UseIndexes, sargable conjuncts
-// (equality, range and finite-set restrictions on stored attributes)
-// are answered from lazily-built extent indexes and the remaining
-// predicate is compiled once per plan. All of it is planned once per
-// (class, predicate, flags) and replayed from the plan cache on
-// repetition.
+// work worthwhile (planner.go). Sargable conjuncts (equality, range
+// and finite-set restrictions on stored attributes) are answered from
+// lazily-built extent indexes and the remaining predicate is compiled
+// once per plan. All of it is planned once per (class, predicate,
+// UseConstraints) and replayed from the plan cache on repetition. With
+// UseIndexes off it returns the reference scan (runReference) instead.
 //
 // The context is checked at the scan-loop and solver-call boundaries: a
 // cancelled ctx terminates the query with ctx.Err() mid-scan, and a
@@ -268,6 +262,9 @@ const ctxCheckRows = 256
 // the snapshot and the plan cache are never poisoned by a client that
 // went away (reads never mutate either; pinned by TestRunContext*).
 func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) {
+	if !e.UseIndexes {
+		return e.runReference(ctx, q)
+	}
 	// Pin the snapshot in an epoch slot (epoch.go) so concurrent
 	// publications cannot reclaim the class versions this query reads.
 	s, slot := e.pin()
@@ -293,8 +290,7 @@ func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) 
 		return rows, stats, nil
 	}
 
-	useCons, useIdx := e.UseConstraints, e.UseIndexes
-	p, hit, err := e.planFor(ctx, s, cs, q.Where, useCons, useIdx)
+	p, hit, err := e.planFor(ctx, s, cs, q.Where, e.UseConstraints)
 	if hit {
 		slot.planHits.Add(1)
 	} else {
@@ -313,16 +309,10 @@ func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) 
 
 	evalRow := func(g *core.GObj) (bool, error) {
 		stats.Scanned++
-		if p.residual == nil {
+		if p.prog == nil {
 			return true, nil
 		}
-		var ok bool
-		var err error
-		if p.interp {
-			ok, err = s.env(cs, g).EvalBool(p.residual)
-		} else {
-			ok, err = p.prog.EvalBool(s.env(cs, g))
-		}
+		ok, err := p.prog.EvalBool(s.env(cs, g))
 		if err != nil {
 			return false, fmt.Errorf("query on %s: %w", q.Class, err)
 		}

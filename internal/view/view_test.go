@@ -25,6 +25,11 @@ func fig1Engine(t testing.TB) *Engine {
 	return New(res)
 }
 
+// gateOpenScale is the Figure 1 fixture scale (63 Proceedings) at which
+// the cost gate lets the constraint phase run on the paper's pruning and
+// dropping queries; at Scale 20 it still skips them.
+const gateOpenScale = 30
+
 func TestQueryBasic(t *testing.T) {
 	e := fig1Engine(t)
 	rows, stats, err := e.Run(Query{Class: "Proceedings"})
@@ -75,11 +80,7 @@ func TestQueryPredicate(t *testing.T) {
 // be empty from the derived global constraints is eliminated without
 // scanning.
 func TestQueryPrunedEmpty(t *testing.T) {
-	e := fig1Engine(t)
-	// The Figure 1 demo extent is tiny, so the cost gate would (rightly)
-	// judge the solver not worth it; disable it to pin the paper's
-	// unconditioned pruning behaviour.
-	e.CostGate = false
+	e := scaledEngine(t, gateOpenScale)
 	// Proceedings.oc1 (objective): IEEE implies ref?=true. Asking for
 	// IEEE non-refereed proceedings is provably empty.
 	q := Query{
@@ -90,8 +91,8 @@ func TestQueryPrunedEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.PrunedEmpty {
-		t.Errorf("query should be pruned; stats = %+v", stats)
+	if !stats.PrunedEmpty || stats.ConstraintGated {
+		t.Errorf("query should be pruned, not gated; stats = %+v", stats)
 	}
 	if stats.Scanned != 0 || len(rows) != 0 {
 		t.Errorf("pruned query must not scan: %+v", stats)
@@ -108,8 +109,7 @@ func TestQueryPrunedEmpty(t *testing.T) {
 }
 
 func TestQueryDropsImpliedConjuncts(t *testing.T) {
-	e := fig1Engine(t)
-	e.CostGate = false // tiny demo extent: pin unconditioned dropping
+	e := scaledEngine(t, gateOpenScale)
 	// key isbn propagates; rating bound for ACM comes from the derived
 	// constraint. "publisher.name='IEEE' implies ref?=true" is objective,
 	// so the conjunct (the whole implication) is implied.
@@ -121,8 +121,8 @@ func TestQueryDropsImpliedConjuncts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DroppedConjuncts < 1 {
-		t.Errorf("implied conjunct should be dropped: %+v", stats)
+	if stats.DroppedConjuncts < 1 || stats.ConstraintGated {
+		t.Errorf("implied conjunct should be dropped, not gated: %+v", stats)
 	}
 }
 

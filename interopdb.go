@@ -42,7 +42,6 @@
 package interopdb
 
 import (
-	"interopdb/internal/baseline"
 	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/fixture"
@@ -406,7 +405,7 @@ type ValidateStats = view.ValidateStats
 func ParseQuery(src string) (Query, error) { return view.ParseQuery(src) }
 
 // ---------------------------------------------------------------------------
-// Fixtures, workloads, baselines
+// Fixtures and workloads
 
 // FixtureOptions tweak the Figure 1 instance population.
 type FixtureOptions = fixture.Options
@@ -470,28 +469,6 @@ type PersonnelWorkloadParams = workload.PersonnelParams
 // PersonnelWorkload generates the introduction's departments at scale.
 func PersonnelWorkload(p PersonnelWorkloadParams) (db1, db2 *Store) {
 	return workload.Personnel(p)
-}
-
-// ClassCorrespondence asserts a [BLN86]-style class-level equivalence
-// for the class-based baseline.
-type ClassCorrespondence = baseline.ClassCorrespondence
-
-// ClassBasedClassification classifies remote objects wholesale through
-// class correspondences (the traditional baseline).
-func ClassBasedClassification(res *Result, corrs []ClassCorrespondence) map[Ref][]string {
-	return baseline.ClassBasedClassification(res, corrs)
-}
-
-// CompareClassification measures a class-based classification against the
-// instance-based ground truth.
-func CompareClassification(res *Result, cb map[Ref][]string, localClasses []string) baseline.ClassificationQuality {
-	return baseline.CompareClassification(res, cb, localClasses)
-}
-
-// UnionAllFalseRejects counts valid integrated states the naive
-// all-constraints-objective baseline would reject.
-func UnionAllFalseRejects(res *Result, class string) (falseRejects, total int) {
-	return baseline.FalseRejects(res, class)
 }
 
 // SchemaDatabase is a structural schema (classes, attributes, isa).

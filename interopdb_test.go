@@ -30,15 +30,14 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestPublicAPIQueryEngine(t *testing.T) {
-	local, remote := Figure1Stores(FixtureOptions{})
+	// At Scale 30 the extent is large enough for the cost gate to let
+	// the constraint phase run.
+	local, remote := Figure1Stores(FixtureOptions{Scale: 30})
 	res, err := Integrate(Figure1Library(), Figure1Bookseller(), Figure1IntegrationRepaired(), local, remote, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewQueryEngine(res)
-	// The demo fixture is tiny; disable the planner's cost gate so the
-	// paper's unconditioned pruning shows through the public API.
-	e.CostGate = false
 	rows, stats, err := e.Run(Query{
 		Class: "Proceedings",
 		Where: MustParseExpr("publisher.name = 'IEEE' and ref? = false"),
@@ -46,8 +45,8 @@ func TestPublicAPIQueryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.PrunedEmpty || len(rows) != 0 {
-		t.Errorf("expected pruned empty result: %+v", stats)
+	if !stats.PrunedEmpty || stats.ConstraintGated || len(rows) != 0 {
+		t.Errorf("expected pruned empty result, not gated: %+v", stats)
 	}
 }
 
@@ -103,26 +102,13 @@ func TestPublicAPISetValues(t *testing.T) {
 	}
 }
 
-func TestPublicAPICompileAndBaselines(t *testing.T) {
+func TestPublicAPICompile(t *testing.T) {
 	spec, err := Compile(Figure1Library(), Figure1Bookseller(), Figure1Integration())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(spec.PropEqs) != 7 {
 		t.Errorf("propeqs = %d", len(spec.PropEqs))
-	}
-	local, remote := Figure1Stores(FixtureOptions{})
-	res, err := Integrate(Figure1Library(), Figure1Bookseller(), Figure1Integration(), local, remote, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb := ClassBasedClassification(res, []ClassCorrespondence{{LocalClass: "RefereedPubl", RemoteClass: "Proceedings"}})
-	q := CompareClassification(res, cb, []string{"RefereedPubl"})
-	if q.Precision() >= 1 {
-		t.Errorf("class-based precision = %v", q.Precision())
-	}
-	if _, total := UnionAllFalseRejects(res, "Publication"); total == 0 {
-		t.Error("no states examined")
 	}
 }
 
