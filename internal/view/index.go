@@ -13,16 +13,17 @@ import (
 )
 
 // The extent-index subsystem: per-class hash indexes on
-// equality-restricted attributes, ordered (sorted-slice) indexes on
-// range-restricted attributes, and composite-key indexes for mutation
-// validation. Indexes are chosen automatically from the sargable
-// fragment logic.ExtractRestriction recognises and built lazily on
-// first use — inside the published snapshot's classState, over its
-// frozen extent. They double as the planner's per-class statistics:
-// bucket and range-window counts feed the cost model's selectivity
-// estimates. Mutations never maintain an index in place; publishing a
-// snapshot replaces the affected classState wholesale and the next
-// query rebuilds on demand (the single invalidation rule of §8).
+// equality-restricted attributes and ordered (sorted-slice) indexes on
+// range-restricted attributes. Indexes are chosen automatically from
+// the sargable fragment logic.ExtractRestriction recognises and built
+// lazily on first use — inside the published snapshot's classState,
+// over its frozen extent. They double as the planner's per-class
+// statistics: bucket and range-window counts feed the cost model's
+// selectivity estimates. Mutations never maintain an extent index in
+// place; publishing a snapshot replaces the affected classState
+// wholesale and the next query rebuilds on demand (DESIGN.md §7.3,
+// §8.4). Validate's key-holder index is the exception: it lives beside
+// the live view and follows every write (mutate.go, keyIndex).
 //
 // Index answers are exact mirrors of the scan semantics: only non-null
 // stored values are indexed (the interpreter evaluates comparisons and
@@ -195,11 +196,6 @@ type ordIndex struct {
 	entries []ordEntry
 }
 
-// keyIndex is the composite-key index behind Validate's negative
-// filter (txState.noLiveHolder): the set of KeyString encodings held by
-// the frozen extent. A key it lacks has no holder there.
-type keyIndex map[string]bool
-
 // eqFor returns (building on first use) the class's hash index on the
 // attribute. Concurrent first probes may both build; LoadOrStore keeps
 // one, and both are correct.
@@ -223,20 +219,6 @@ func (e *Engine) ordFor(s *snapshot, cs *classState, attr string) *ordIndex {
 	ix := buildOrd(s, cs.ext, attr)
 	if v, loaded := cs.ord.LoadOrStore(attr, ix); loaded {
 		return v.(*ordIndex)
-	}
-	return ix
-}
-
-// keyFor returns (building on first use) the class's composite-key
-// index.
-func (e *Engine) keyFor(cs *classState, attrs []string) keyIndex {
-	sig := strings.Join(attrs, "\x00")
-	if v, ok := cs.key.Load(sig); ok {
-		return v.(keyIndex)
-	}
-	ix := buildKey(cs.ext, attrs)
-	if v, loaded := cs.key.LoadOrStore(sig, ix); loaded {
-		return v.(keyIndex)
 	}
 	return ix
 }
@@ -300,16 +282,6 @@ func sortOrd(entries []ordEntry) {
 		}
 		return cmp.Compare(a.pos, b.pos)
 	})
-}
-
-func buildKey(ext []*core.GObj, attrs []string) keyIndex {
-	ix := make(keyIndex, len(ext))
-	for _, g := range ext {
-		if k, ok := expr.KeyString(g, attrs); ok {
-			ix[k] = true
-		}
-	}
-	return ix
 }
 
 // resolve binds the probe to the snapshot's class indexes (built on

@@ -3,6 +3,7 @@ package view
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -604,15 +605,12 @@ func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, e
 	if !ok {
 		return 0, false // null/absent key attributes never conflict (EvalKey skips them)
 	}
-	if !s.noLiveHolder(class, attrs, key) {
-		for _, g := range s.e.res.View.Extent(class) {
-			if g == exclude || s.deleted[g.ID] {
-				continue
-			}
-			if k, ok := expr.KeyString(s.view(g), attrs); ok && k == key {
-				return g.ID, true
-			}
-		}
+	id, found, decided := s.indexedHolder(class, attrs, key, exclude)
+	if !decided {
+		id, found = s.scanHolder(class, attrs, key, exclude)
+	}
+	if found {
+		return id, true
 	}
 	// The operation under validation is not yet staged (Validate stages
 	// it only after this check), so every staged insert here is a
@@ -625,21 +623,119 @@ func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, e
 	return 0, false
 }
 
-// noLiveHolder is the key index's negative filter: it reports that no
-// live member of the class can hold the key, so findKeyHolder may skip
-// its extent scan. The snapshot's composite-key index answers for the
-// live extent only while the snapshot is current (pending == nil — a
-// publication staged by Ship but not yet flushed means it lags) and no
-// staged update has re-assigned a member's attributes; staged deletes
-// only remove holders, so they cannot falsify a "none". In every other
-// case — and whenever the index does list the key — the scan decides,
-// which keeps verdicts and details identical with UseIndexes off.
-func (s *txState) noLiveHolder(class string, attrs []string, key string) bool {
+// indexedHolder answers the live half of findKeyHolder from the key
+// index: the live members filed under the key, minus exclude and the
+// staged deletes. The index is current with the live view whether or
+// not a publication is staged (applyShipped maintains it), so it
+// decides alone when at most one holder is left — unless a staged update
+// has re-assigned some member's attributes (the index files stored keys,
+// not overlaid ones). Otherwise, and with UseIndexes off, the extent
+// scan decides; that keeps the reported holder, the first in extent
+// order, identical to the scan's.
+func (s *txState) indexedHolder(class string, attrs []string, key string, exclude *core.GObj) (id int, found, decided bool) {
 	e := s.e
-	if !e.UseIndexes || e.pending != nil || len(s.post) > 0 {
-		return false
+	if !e.UseIndexes || len(s.post) > 0 {
+		return 0, false, false
 	}
-	return !e.keyFor(e.snap.Load().class(class), attrs)[key]
+	var hit *core.GObj
+	for _, g := range e.keyIndexFor(class, attrs).holders[key] {
+		e.counters.keyVisited.Add(1)
+		if g == exclude || s.deleted[g.ID] {
+			continue
+		}
+		if hit != nil {
+			return 0, false, false
+		}
+		hit = g
+	}
+	if hit == nil {
+		return 0, false, true
+	}
+	return hit.ID, true, true
+}
+
+// scanHolder is the reference key check: the first live member, in
+// extent order, whose overlaid key matches.
+func (s *txState) scanHolder(class string, attrs []string, key string, exclude *core.GObj) (int, bool) {
+	for _, g := range s.e.res.View.Extent(class) {
+		s.e.counters.keyVisited.Add(1)
+		if g == exclude || s.deleted[g.ID] {
+			continue
+		}
+		if k, ok := expr.KeyString(s.view(g), attrs); ok && k == key {
+			return g.ID, true
+		}
+	}
+	return 0, false
+}
+
+// keyIndex is Validate's key-holder index for one (class, key
+// attributes): every live member of the class's extent filed under its
+// KeyString encoding. Unlike the extent indexes it lives beside the live
+// view, not in a snapshot: built on first use under e.mu (either half,
+// serialised by e.kmu), kept current by applyShipped under the write
+// lock, and dropped whenever the live view changes some other way —
+// Rebind and the stagePublishAll error paths.
+type keyIndex struct {
+	class   string
+	attrs   []string
+	holders map[string][]*core.GObj
+}
+
+func (ix *keyIndex) add(g *core.GObj) {
+	if k, ok := expr.KeyString(g, ix.attrs); ok {
+		ix.holders[k] = append(ix.holders[k], g)
+	}
+}
+
+func (ix *keyIndex) remove(g *core.GObj) {
+	k, ok := expr.KeyString(g, ix.attrs)
+	if !ok {
+		return
+	}
+	if hs := slices.DeleteFunc(ix.holders[k], func(h *core.GObj) bool { return h == g }); len(hs) > 0 {
+		ix.holders[k] = hs
+	} else {
+		delete(ix.holders, k)
+	}
+}
+
+// keyIndexFor returns (building on first use) the key index of the
+// class and key attributes. Caller holds e.mu.
+func (e *Engine) keyIndexFor(class string, attrs []string) *keyIndex {
+	sig := class + "\x00" + strings.Join(attrs, "\x00")
+	e.kmu.Lock()
+	defer e.kmu.Unlock()
+	if ix := e.keys[sig]; ix != nil {
+		return ix
+	}
+	ix := &keyIndex{class: class, attrs: attrs, holders: map[string][]*core.GObj{}}
+	ext := e.res.View.Extent(class)
+	for _, g := range ext {
+		ix.add(g)
+	}
+	e.counters.keyFiled.Add(int64(len(ext)))
+	if e.keys == nil {
+		e.keys = map[string]*keyIndex{}
+	}
+	e.keys[sig] = ix
+	return ix
+}
+
+// fileKeys files (add) or unfiles (!add) a live member in every key
+// index of a class it belongs to. Caller holds e.mu (write).
+func (e *Engine) fileKeys(g *core.GObj, add bool) {
+	for _, ix := range e.keys {
+		if !g.Classes[ix.class] {
+			continue
+		}
+		if add {
+			ix.add(g)
+			e.counters.keyFiled.Add(1)
+		} else {
+			ix.remove(g)
+		}
+	}
 }
 
 // footprintTouched reports whether a constraint's attribute footprint
@@ -740,8 +836,11 @@ type shippedOp struct {
 // in batch order, collecting the affected classes and fresh objects for
 // ONE staged publication at the end — concurrent readers observe the
 // batch atomically (whole batches are staged and flushed, never a torn
-// prefix). Shared by Ship and Reconcile. Caller holds e.mu (write)
-// and must arrange for ensurePublished to run after releasing it.
+// prefix). It is the one place Ship and Reconcile change the live view,
+// so it also keeps the key indexes current: a target's keys leave them
+// before the view changes and the inserted or updated object's keys
+// join after. Caller holds e.mu (write) and must arrange for
+// ensurePublished to run after releasing it.
 func (e *Engine) applyShipped(applies []shippedOp) error {
 	var affected []string
 	var inserted []*core.GObj
@@ -754,6 +853,7 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 				e.stagePublishAll()
 				return fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err)
 			}
+			e.fileKeys(g, true)
 			inserted = append(inserted, g)
 			affected = append(affected, classNames(g)...)
 		case MutUpdate:
@@ -763,12 +863,16 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 			if cur, ok := e.res.View.ByID(ap.op.ID); ok {
 				target = cur
 			}
+			// The target keeps its classes and keys; the clone takes
+			// the new ones, reclassification included.
+			e.fileKeys(target, false)
 			clone := e.res.View.DetachForUpdate(target)
 			_, changed, err := e.res.View.ApplyUpdate(clone, ap.op.Attrs)
 			if err != nil {
 				e.stagePublishAll()
 				return fmt.Errorf("op %d committed locally but not fully applied to the view: %w", i, err)
 			}
+			e.fileKeys(clone, true)
 			fork = true
 			affected = append(affected, classNames(clone)...)
 			affected = append(affected, changed...)
@@ -777,6 +881,7 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 			if cur, ok := e.res.View.ByID(ap.op.ID); ok {
 				target = cur
 			}
+			e.fileKeys(target, false)
 			classes, err := e.res.View.ApplyDelete(target)
 			if err != nil {
 				e.stagePublishAll()

@@ -67,6 +67,12 @@ type engineCounters struct {
 	coalesced  atomic.Int64
 	truncated  atomic.Int64
 	structural atomic.Int64
+	// keyFiled counts the holders the key indexes filed, in a build or
+	// on a write, and keyVisited the live members Validate's key check
+	// examined (mutate.go). Neither is exported: the write-cost counts
+	// test reads them.
+	keyFiled   atomic.Int64
+	keyVisited atomic.Int64
 }
 
 // CacheStats reports the serving engine's steady-state cache work: plan

@@ -92,8 +92,9 @@ func TestConcurrentServe(t *testing.T) {
 
 // TestConcurrentMutate exercises the mutation lifecycle's concurrency
 // contract under the race detector: Run and Validate share the read
-// lock while Ship calls serialise view growth, index
-// maintenance and reclassification behind the write lock.
+// lock while Ship calls serialise view growth, key-index maintenance
+// and reclassification behind the write lock; validators build and
+// probe the key index side by side.
 func TestConcurrentMutate(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 10)
 
@@ -128,6 +129,16 @@ func TestConcurrentMutate(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
+				// A key check against keys the mutator is inserting: the
+				// validators' first ones build the key index together.
+				if _, _, err := e.Validate(bg, insertOf("Item", map[string]object.Value{
+					"title": object.Str("probe"), "isbn": object.Str(fmt.Sprintf("race-%d", i%30)),
+					"publisher": object.Ref{DB: "Bookseller", OID: 3},
+					"shopprice": object.Real(15), "libprice": object.Real(10),
+				})); err != nil {
+					errs <- fmt.Errorf("Validate insert: %w", err)
+					return
+				}
 				id := ids[(w*17+i)%len(ids)]
 				// Both validation reads and shipped writes; local
 				// rejections and vanished objects are expected outcomes.

@@ -100,7 +100,6 @@ type classState struct {
 
 	eq    sync.Map // attr → *eqIndex
 	ord   sync.Map // attr → *ordIndex
-	key   sync.Map // joined key attrs → keyIndex
 	plans sync.Map // planKey → *plan
 	// selfAttrs caches each member's known-attribute set (stored ∪
 	// declared). Living inside the classState bounds it: an update or
@@ -341,8 +340,11 @@ func (e *Engine) stagePublication(changed []string, inserted []*core.GObj, fork 
 
 // stagePublishAll stages a full rebuild — the mutation error paths'
 // conservative fallback where the precise set of affected classes is
-// uncertain. Caller holds e.mu (write).
+// uncertain. The key indexes go too: the failed application may have
+// left the live view part-way through an operation. Caller holds e.mu
+// (write).
 func (e *Engine) stagePublishAll() {
+	e.keys = nil
 	p := e.pendingLocked()
 	p.structural = true
 	p.batches++

@@ -111,11 +111,19 @@ type Engine struct {
 
 	// pending is the staged-but-unflushed publication (snapshot.go) and
 	// deep the classes whose version chains hold retired versions. Both
-	// are guarded by mu: written under the write lock, readable under
-	// either half (Validate checks pending == nil under the read
-	// lock to decide whether the snapshot's key index is current).
+	// are guarded by mu, written under the write lock. Validate does not
+	// consult pending: WHEN it runs while a publication is staged THEN
+	// its key check probes the live key index, which follows the live
+	// view (TestMutationDifferentialRandomized's staged leg).
 	pending *pendingPub
 	deep    map[string]*classSlot
+
+	// keys holds Validate's key-holder indexes (mutate.go, keyIndex),
+	// by class and key attributes. Guarded by mu: built under either
+	// half (kmu serialises concurrent builders), maintained and dropped
+	// under the write lock.
+	kmu  sync.Mutex
+	keys map[string]*keyIndex
 
 	// stores is the registry the unified Ship entrypoint routes through
 	// (route.go). Bound by the federation that owns the engine; nil until
@@ -438,6 +446,7 @@ func (e *Engine) Rebind(apply func() (changed, removed []string, err error)) err
 	e.flushLocked()
 	e.cmu.Lock()
 	changed, removed, err := apply()
+	e.keys = nil
 	e.cons = map[string]*classCons{}
 	e.mcons = map[string]*consGroup{}
 	if e.res.Derivation != nil && e.res.Derivation.Checker != nil {

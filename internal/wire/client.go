@@ -131,10 +131,16 @@ func (c *Client) writeFrame(op byte, id uint64, build func([]byte) []byte) error
 }
 
 // roundTrip sends one request and waits for its response, which must
-// be want or OpErr, or for ctx cancellation. On cancellation it fires an
-// OpCancel at the server and abandons the ID — a late response is
-// discarded by the read loop.
+// be want or OpErr, or for ctx cancellation. A context already done
+// sends nothing and returns ctx.Err(): once the frame is out, a fast
+// response and the cancellation race in the select below, and Go picks
+// a ready case at random. On cancellation it fires an OpCancel at the
+// server and abandons the ID — a late response is discarded by the
+// read loop.
 func (c *Client) roundTrip(ctx context.Context, op, want byte, build func([]byte) []byte) (response, error) {
+	if err := ctx.Err(); err != nil {
+		return response{}, err
+	}
 	id := c.nextID.Add(1)
 	ch := make(chan response, 1)
 	c.mu.Lock()

@@ -207,6 +207,33 @@ func TestCancelPropagation(t *testing.T) {
 	}
 }
 
+// TestPreCancelledCallNeverSucceeds: a call whose context is already
+// cancelled returns context.Canceled every time, even against a backend
+// that answers at once (the response must not win a race it was never
+// meant to enter), and the backend never sees the request.
+func TestPreCancelledCallNeverSucceeds(t *testing.T) {
+	fb := &fakeBackend{}
+	c := startWire(t, fb, ServerConfig{})
+	p, err := c.Prepare(context.Background(), "main", "Item")
+	if err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 200; i++ {
+		if _, _, err := p.Exec(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled Exec %d: %v, want context.Canceled", i, err)
+		}
+	}
+	if got := fb.execs.Load(); got != 0 {
+		t.Fatalf("backend ran %d pre-cancelled Execs, want 0", got)
+	}
+	// The connection is still usable.
+	if _, _, err := p.Exec(context.Background()); err != nil {
+		t.Fatalf("exec after cancelled calls: %v", err)
+	}
+}
+
 // TestPreparedReprepareOnMembershipChange pins the invalidation
 // contract: moving the backend's member version makes the next Exec
 // re-prepare transparently from the saved source.
