@@ -28,6 +28,9 @@ var (
 	citedIdent  = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
 	citedMember = regexp.MustCompile(`\b([A-Z]\w*)\.([A-Za-z_]\w*)`)
 	citedMetric = regexp.MustCompile(`\b([a-z]\w*)\.([a-z0-9]+(?:_[a-z0-9]+)+)\b`)
+	// citedCamel matches a span that is one bare lowerCamel identifier
+	// with a capital letter inside it, optionally called: `fileKeys()`.
+	citedCamel = regexp.MustCompile("^`([a-z][a-z0-9]*[A-Z][A-Za-z0-9]*)(?:\\(\\))?`$")
 )
 
 // TestDocReferencesExist keeps the prose documents honest: every
@@ -38,10 +41,16 @@ var (
 // pkg.Exported, where pkg is interopdb or a package under internal/,
 // must be a top-level declaration of that package; a backquoted
 // Type.Member, where such a package declares or aliases Type, must be a
-// field or method of it; and a backquoted layer.snake_name must be a
-// metric BENCHMARK.json declares.
+// field or method of it; a backquoted layer.snake_name must be a
+// metric BENCHMARK.json declares; and a backquoted bare lowerCamel
+// identifier (publishDeltaLocked, or publishDeltaLocked()) must be
+// declared — as a function, method, type, constant, variable, field or
+// parameter — in the root or an internal/ package, tests included.
 func TestDocReferencesExist(t *testing.T) {
 	declared := map[string]bool{}
+	// names holds every identifier the root and internal/ packages
+	// declare, tests included.
+	names := map[string]bool{}
 	// idents maps a package name to its top-level identifiers.
 	idents := map[string]map[string]bool{}
 	types := goTypes{map[string][]string{}, map[string]map[string]bool{}, map[string][]string{}}
@@ -57,7 +66,8 @@ func TestDocReferencesExist(t *testing.T) {
 			return nil
 		}
 		files = append(files, "/"+filepath.ToSlash(path))
-		if strings.HasSuffix(path, "_test.go") {
+		test := strings.HasSuffix(path, "_test.go")
+		if test {
 			src, err := os.ReadFile(path)
 			if err != nil {
 				return err
@@ -65,7 +75,6 @@ func TestDocReferencesExist(t *testing.T) {
 			for _, m := range declaredTest.FindAllSubmatch(src, -1) {
 				declared[string(m[1])] = true
 			}
-			return nil
 		}
 		if filepath.Dir(path) != "." && !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
 			return nil
@@ -73,6 +82,10 @@ func TestDocReferencesExist(t *testing.T) {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		addDeclaredNames(names, f)
+		if test {
+			return nil
 		}
 		set := idents[f.Name.Name]
 		if set == nil {
@@ -106,6 +119,9 @@ func TestDocReferencesExist(t *testing.T) {
 			}
 		}
 		for _, span := range inlineCode.FindAllString(text, -1) {
+			if m := citedCamel.FindStringSubmatch(span); m != nil && !names[m[1]] {
+				t.Errorf("%s cites %s, which no root or internal/ package declares", doc, span)
+			}
 			for _, m := range citedIdent.FindAllStringSubmatch(span, -1) {
 				if set, ok := idents[m[1]]; ok && !set[m[2]] {
 					t.Errorf("%s cites %s, which package %s does not declare", doc, m[0], m[1])
@@ -149,6 +165,29 @@ func topLevelNames(f *ast.File) []string {
 		}
 	}
 	return out
+}
+
+// addDeclaredNames adds every identifier a file declares: functions,
+// methods, types, constants, variables, struct fields, interface
+// methods and parameters.
+func addDeclaredNames(set map[string]bool, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			set[n.Name.Name] = true
+		case *ast.TypeSpec:
+			set[n.Name.Name] = true
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				set[id.Name] = true
+			}
+		case *ast.Field:
+			for _, id := range n.Names {
+				set[id.Name] = true
+			}
+		}
+		return true
+	})
 }
 
 // goTypes indexes the types the root and internal/ packages declare,

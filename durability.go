@@ -48,24 +48,21 @@ const (
 
 // DurabilityOptions configures a node's persistence.
 type DurabilityOptions struct {
-	// Sync is the WAL fsync policy: store.SyncAlways (default) fsyncs
-	// every append before the commit acknowledges; store.SyncNever
-	// leaves syncing to the OS and to explicit flush points (tests,
-	// benchmarks isolating append cost).
+	// Sync is the WAL fsync policy. Every append fsyncs before the
+	// commit acknowledges, so SyncAlways is its only value; the field
+	// remains only because the repository benchmark names it.
 	Sync store.SyncPolicy
 	// WrapWAL, when set, wraps the log file before any append — the
 	// chaos disk-fault hook (store/chaos.WrapDisk).
 	WrapWAL func(store.WALFile) store.WALFile
 }
 
-// SyncPolicy re-exports the WAL fsync policy.
+// SyncPolicy re-exports the WAL fsync policy (see store.SyncPolicy).
 type SyncPolicy = store.SyncPolicy
 
-// WAL fsync policies.
-const (
-	SyncAlways = store.SyncAlways
-	SyncNever  = store.SyncNever
-)
+// SyncAlways re-exports the WAL's only fsync policy: every append
+// fsyncs.
+const SyncAlways = store.SyncAlways
 
 // RecoveryInfo reports what a boot's recovery did.
 type RecoveryInfo struct {

@@ -237,7 +237,6 @@ type tenantCacheStats struct {
 	PinnedReaders int     `json:"pinned_readers"`
 	MaxLag        uint64  `json:"max_reader_lag"`
 	ChainVersions int     `json:"chain_versions"`
-	Coalesced     int64   `json:"coalesced_publishes"`
 	Truncated     int64   `json:"truncated_versions"`
 	Structural    int64   `json:"structural_publishes"`
 }
@@ -266,7 +265,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			PinnedReaders: rs.PinnedReaders,
 			MaxLag:        rs.MaxLag,
 			ChainVersions: rs.ChainVersions,
-			Coalesced:     rs.Coalesced,
 			Truncated:     rs.Truncated,
 			Structural:    rs.Structural,
 		}

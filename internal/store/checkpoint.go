@@ -180,7 +180,9 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: rename: %w", err)
 	}
-	syncDir(filepath.Dir(path))
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("checkpoint: sync dir: %w", err)
+	}
 	return nil
 }
 

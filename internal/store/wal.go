@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 )
 
 // The write-ahead log (DESIGN.md §13). Every committed member-store
@@ -102,20 +103,19 @@ type WALFile interface {
 	Truncate(size int64) error
 }
 
-// SyncPolicy selects when appended records are fsynced.
+// SyncPolicy names the WAL's fsync policy. Every append fsyncs, so
+// SyncAlways is its only value; the type, the constant and
+// WALOptions.Sync remain only because the repository benchmark's
+// durable twin names them.
 type SyncPolicy int
 
-const (
-	// SyncAlways fsyncs after every appended record — the durability
-	// contract the shipping layer's acknowledgement relies on. Default.
-	SyncAlways SyncPolicy = iota
-	// SyncNever leaves syncing to the OS (and to explicit Sync calls).
-	// For benchmarks isolating the append cost, and for tests.
-	SyncNever
-)
+// SyncAlways fsyncs after every appended record — the durability
+// contract the shipping layer's acknowledgement relies on.
+const SyncAlways SyncPolicy = 0
 
 // WALOptions configures OpenWAL.
 type WALOptions struct {
+	// Sync is always SyncAlways; see SyncPolicy.
 	Sync SyncPolicy
 	// WrapFile, when set, wraps the opened log file before any append —
 	// the chaos hook. Recovery scanning happens on the raw bytes, so
@@ -276,8 +276,8 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 	return &WAL{f: wf, path: path, opts: opts, lsn: lsn, size: valid, damage: damage}, recs, nil
 }
 
-// Append writes one record, assigns its LSN, and (under SyncAlways)
-// fsyncs before returning — the record is durable when Append returns
+// Append writes one record, assigns its LSN, and fsyncs before
+// returning — the record is durable when Append returns
 // nil. Any write or sync failure seals the log: the on-disk prefix up
 // to the last successful append stays valid (a failed partial write is
 // truncated away when possible, and cut by recovery's tail scan when
@@ -298,11 +298,9 @@ func (w *WAL) Append(kind byte, body []byte) (uint64, error) {
 		w.seal(fmt.Errorf("wal: append: %w", err))
 		return 0, w.sealed
 	}
-	if w.opts.Sync == SyncAlways {
-		if err := w.f.Sync(); err != nil {
-			w.seal(fmt.Errorf("wal: sync: %w", err))
-			return 0, w.sealed
-		}
+	if err := w.f.Sync(); err != nil {
+		w.seal(fmt.Errorf("wal: sync: %w", err))
+		return 0, w.sealed
 	}
 	w.lsn = lsn
 	w.size += int64(len(frame))
@@ -318,8 +316,9 @@ func (w *WAL) seal(cause error) {
 	_ = w.f.Truncate(w.size)
 }
 
-// Sync flushes outstanding appends to stable storage (a no-op under
-// SyncAlways, the graceful-drain flush under SyncNever).
+// Sync flushes the log file to stable storage and reports a sealed
+// log. Every append already fsyncs; the graceful drain calls Sync to
+// learn whether the log is still writable before its final checkpoint.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -441,7 +440,10 @@ func (w *WAL) TruncateThrough(through uint64) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: truncate rename: %w", err)
 	}
-	syncDir(filepath.Dir(w.path))
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
+		w.sealed = fmt.Errorf("%w: sync dir after truncate: %v", ErrWALSealed, err)
+		return w.sealed
+	}
 
 	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -465,12 +467,20 @@ func (w *WAL) TruncateThrough(through uint64) error {
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry
-// is durable. Best-effort: some filesystems refuse directory syncs.
-func syncDir(dir string) {
+// is durable. A filesystem without directory fsync (EINVAL, ENOTSUP) is
+// not an error; any other failure is, because the rename may not
+// survive a crash.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = d.Sync()
-	d.Close()
+	defer d.Close()
+	if err := fsyncDir(d); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return err
+	}
+	return nil
 }
+
+// fsyncDir is syncDir's fsync, a variable so a test can make it fail.
+var fsyncDir = (*os.File).Sync

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"interopdb/internal/object"
@@ -359,5 +360,48 @@ func TestWALRecordBodies(t *testing.T) {
 		if _, err := DecodeWALBody(c.kind, []byte(c.body)); err == nil {
 			t.Errorf("DecodeWALBody(%d, %q) accepted", c.kind, c.body)
 		}
+	}
+}
+
+// TestDirSyncFailure pins that a failed directory fsync after a rename
+// is reported, not swallowed: WriteCheckpoint returns the error (so the
+// caller keeps the WAL prefix the new checkpoint would have made
+// redundant), and TruncateThrough seals the log (later appends would
+// land in a file whose directory entry may not be on disk). A
+// filesystem without directory fsync (EINVAL) is not a failure.
+func TestDirSyncFailure(t *testing.T) {
+	injected := errors.New("injected dir sync error")
+	setFsyncDir := func(err error) {
+		fsyncDir = func(*os.File) error { return err }
+	}
+	t.Cleanup(func() { fsyncDir = (*os.File).Sync })
+
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint.db")
+	setFsyncDir(injected)
+	if err := WriteCheckpoint(ckpt, &Checkpoint{LSN: 1}); !errors.Is(err, injected) {
+		t.Fatalf("WriteCheckpoint under a failing dir fsync: err = %v", err)
+	}
+	setFsyncDir(syscall.EINVAL)
+	if err := WriteCheckpoint(ckpt, &Checkpoint{LSN: 1}); err != nil {
+		t.Fatalf("WriteCheckpoint on a filesystem without dir fsync: %v", err)
+	}
+
+	w, _ := openTestWAL(t, dir, WALOptions{})
+	for i := 1; i <= 3; i++ {
+		if _, err := w.Append(WALCommit, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.TruncateThrough(1); err != nil {
+		t.Fatalf("TruncateThrough on a filesystem without dir fsync: %v", err)
+	}
+	setFsyncDir(injected)
+	if err := w.TruncateThrough(2); !errors.Is(err, ErrWALSealed) {
+		t.Fatalf("TruncateThrough under a failing dir fsync: err = %v, want ErrWALSealed", err)
+	}
+	setFsyncDir(nil)
+	if _, err := w.Append(WALCommit, []byte{4}); !errors.Is(err, ErrWALSealed) {
+		t.Fatalf("append after a failed truncate: err = %v, want ErrWALSealed", err)
 	}
 }

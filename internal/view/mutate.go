@@ -36,7 +36,7 @@ import (
 // into one component-store transaction per member, and on commit
 // applyShipped below applies it to the integrated view
 // (core.ApplyInsert/ApplyUpdate/ApplyDelete, including membership
-// reclassification) and stages one publication.
+// reclassification) and publishes one snapshot.
 
 // MutationKind enumerates the staged mutation kinds.
 type MutationKind int
@@ -625,11 +625,10 @@ func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, e
 
 // indexedHolder answers the live half of findKeyHolder from the key
 // index: the live members filed under the key, minus exclude and the
-// staged deletes. The index is current with the live view whether or
-// not a publication is staged (applyShipped maintains it), so it
-// decides alone when at most one holder is left — unless a staged update
-// has re-assigned some member's attributes (the index files stored keys,
-// not overlaid ones). Otherwise, and with UseIndexes off, the extent
+// staged deletes. The index is current with the live view
+// (applyShipped maintains it), so it decides alone when at most one
+// holder is left — unless a staged update has re-assigned some member's
+// attributes (the index files stored keys, not overlaid ones). Otherwise, and with UseIndexes off, the extent
 // scan decides; that keeps the reported holder, the first in extent
 // order, identical to the scan's.
 func (s *txState) indexedHolder(class string, attrs []string, key string, exclude *core.GObj) (id int, found, decided bool) {
@@ -675,7 +674,7 @@ func (s *txState) scanHolder(class string, attrs []string, key string, exclude *
 // view, not in a snapshot: built on first use under e.mu (either half,
 // serialised by e.kmu), kept current by applyShipped under the write
 // lock, and dropped whenever the live view changes some other way —
-// Rebind and the stagePublishAll error paths.
+// Rebind and applyShipped's error paths.
 type keyIndex struct {
 	class   string
 	attrs   []string
@@ -834,24 +833,30 @@ type shippedOp struct {
 
 // applyShipped applies a locally committed batch to the integrated view
 // in batch order, collecting the affected classes and fresh objects for
-// ONE staged publication at the end — concurrent readers observe the
-// batch atomically (whole batches are staged and flushed, never a torn
-// prefix). It is the one place Ship and Reconcile change the live view,
-// so it also keeps the key indexes current: a target's keys leave them
-// before the view changes and the inserted or updated object's keys
-// join after. Caller holds e.mu (write) and must arrange for
-// ensurePublished to run after releasing it.
+// ONE publication at the end — concurrent readers observe the batch
+// atomically, never a torn prefix, and the snapshot is current when the
+// caller releases the lock. It is the one place Ship and Reconcile
+// change the live view, so it also keeps the key indexes current: a
+// target's keys leave them before the view changes and the inserted or
+// updated object's keys join after. Caller holds e.mu (write).
 func (e *Engine) applyShipped(applies []shippedOp) error {
 	var affected []string
 	var inserted []*core.GObj
 	fork := false
+	// fail republishes every class and drops the key indexes: the failed
+	// application may have left the live view part-way through an
+	// operation, so the affected-class set is uncertain.
+	fail := func(err error) error {
+		e.keys = nil
+		e.publishStructuralLocked(e.res.View.ClassNames)
+		return err
+	}
 	for i, ap := range applies {
 		switch ap.op.Kind {
 		case MutInsert:
 			g, err := e.res.View.ApplyInsert(ap.op.Class, ap.op.Attrs, object.Ref{DB: ap.db, OID: ap.oid})
 			if err != nil {
-				e.stagePublishAll()
-				return fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err)
+				return fail(fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err))
 			}
 			e.fileKeys(g, true)
 			inserted = append(inserted, g)
@@ -869,8 +874,7 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 			clone := e.res.View.DetachForUpdate(target)
 			_, changed, err := e.res.View.ApplyUpdate(clone, ap.op.Attrs)
 			if err != nil {
-				e.stagePublishAll()
-				return fmt.Errorf("op %d committed locally but not fully applied to the view: %w", i, err)
+				return fail(fmt.Errorf("op %d committed locally but not fully applied to the view: %w", i, err))
 			}
 			e.fileKeys(clone, true)
 			fork = true
@@ -884,14 +888,13 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 			e.fileKeys(target, false)
 			classes, err := e.res.View.ApplyDelete(target)
 			if err != nil {
-				e.stagePublishAll()
-				return fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err)
+				return fail(fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err))
 			}
 			fork = true
 			affected = append(affected, classes...)
 		}
 	}
-	e.stagePublication(affected, inserted, fork)
+	e.publishDeltaLocked(affected, inserted, fork)
 	return nil
 }
 

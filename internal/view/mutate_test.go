@@ -536,7 +536,8 @@ func validateBoth(t *testing.T, e *Engine, what string, ops []Mutation) []Reject
 // state must agree — the invariant that pins publication-time index
 // rebuilds and ApplyUpdate/ApplyDelete reclassification. Every 20th
 // step adds the batches on which the key index must defer to the
-// overlay scan, and one validated while a publication is staged.
+// overlay scan, and one validated against a holder applied through
+// applyShipped alone.
 func TestMutationDifferentialRandomized(t *testing.T) {
 	for _, scale := range []int{1, 10, 50} {
 		t.Run(fmt.Sprintf("scale=%d", scale), func(t *testing.T) {
@@ -675,10 +676,10 @@ func keyOverlayDifferential(t *testing.T, e *Engine, remote *store.Store, step i
 		}
 	}
 
-	// A call made while a publication is staged: commit an insert to the
-	// store and apply it to the live view through Ship's own apply path,
-	// but hold the flush back, so the published snapshot lags the live
-	// extent by one holder while the key index does not.
+	// A holder added through Ship's own apply path, bypassing Ship: commit
+	// an insert to the store and apply it to the live view under the
+	// write lock. The key index must file it by the time the lock is
+	// released.
 	staged := item(object.Str(fmt.Sprintf("staged-%d", step)))
 	tx := remote.Begin()
 	oid, err := tx.Insert("Item", staged.Attrs)
@@ -694,11 +695,10 @@ func keyOverlayDifferential(t *testing.T, e *Engine, remote *store.Store, step i
 	if err != nil {
 		t.Fatalf("step %d: applyShipped: %v", step, err)
 	}
-	what := fmt.Sprintf("step %d: insert of a key held only by a staged publication", step)
+	what := fmt.Sprintf("step %d: insert of a key held by an applied batch", step)
 	if got := keyRejections(validateBoth(t, e, what, []Mutation{staged})); got != 1 {
 		t.Fatalf("%s: %d key rejections, want 1", what, got)
 	}
-	e.ensurePublished()
 }
 
 // TestValidateVerdictIndependentOfNamedClass pins the class-closure fix:

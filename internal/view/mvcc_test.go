@@ -236,13 +236,59 @@ func mvccStress(t *testing.T, scale int) {
 	}
 }
 
-// TestConcurrentWritersCoalesce races several writers through the
-// write lock: every insert must land exactly once (read-your-writes
-// through whichever peer's flush covered it), and the ring must be
+// TestConcurrentWritersPublishInLock races several writers through the
+// write lock and pins the publication invariant: whenever e.mu is free,
+// the published snapshot equals the live view. An observer compares
+// every published class extent with the live one under the read lock;
+// every Ship publishes exactly once; every insert is visible to its
+// writer as soon as Ship returns (read-your-writes); and the ring is
 // fully reclaimed once the last reader unpins.
-func TestConcurrentWritersCoalesce(t *testing.T) {
+func TestConcurrentWritersPublishInLock(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 1)
 	const writers, each = 4, 25
+	pre := e.CacheStats().Publishes
+
+	// lagging reports the first class whose published extent differs
+	// from the live one. Caller holds e.mu.
+	lagging := func() string {
+		s := e.snap.Load()
+		if len(s.slots) != len(e.res.View.ClassNames) {
+			return fmt.Sprintf("class set: %d published, %d live", len(s.slots), len(e.res.View.ClassNames))
+		}
+		for _, class := range e.res.View.ClassNames {
+			pub, live := s.class(class).ext, e.res.View.Extent(class)
+			if len(pub) != len(live) {
+				return fmt.Sprintf("%s: %d published, %d live", class, len(pub), len(live))
+			}
+			for i := range pub {
+				if pub[i] != live[i] {
+					return fmt.Sprintf("%s: member %d is g%d published, g%d live", class, i, pub[i].ID, live[i].ID)
+				}
+			}
+		}
+		return ""
+	}
+	done := make(chan struct{})
+	observed := make(chan error, 1)
+	go func() {
+		holds := 0
+		for {
+			var lag string
+			e.ReadLocked(func() { lag = lagging() })
+			holds++
+			if lag != "" {
+				observed <- fmt.Errorf("hold %d: snapshot lags the live view: %s", holds, lag)
+				return
+			}
+			select {
+			case <-done:
+				observed <- nil
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
 
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -251,8 +297,8 @@ func TestConcurrentWritersCoalesce(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				attrs := map[string]object.Value{
-					"title":     object.Str(fmt.Sprintf("coal-%d", w)),
-					"isbn":      object.Str(fmt.Sprintf("coal-%d-%d", w, i)),
+					"title":     object.Str(fmt.Sprintf("pub-%d", w)),
+					"isbn":      object.Str(fmt.Sprintf("pub-%d-%d", w, i)),
 					"publisher": object.Ref{DB: "Bookseller", OID: 2},
 					"shopprice": object.Real(30),
 					"libprice":  object.Real(10),
@@ -261,11 +307,11 @@ func TestConcurrentWritersCoalesce(t *testing.T) {
 					t.Errorf("writer %d insert %d: %v", w, i, err)
 					return
 				}
-				// Read-your-writes: by the time Ship returns, a flush
-				// covering the insert has been installed — own or coalesced.
+				// Read-your-writes: Ship published the insert before it
+				// released the write lock.
 				s, slot := e.pin()
 				_, found := func() (*core.GObj, bool) {
-					want := object.Str(fmt.Sprintf("coal-%d-%d", w, i))
+					want := object.Str(fmt.Sprintf("pub-%d-%d", w, i))
 					for _, g := range s.class("Item").ext {
 						if v, ok := g.Get("isbn"); ok && v.Equal(want) {
 							return g, true
@@ -282,13 +328,20 @@ func TestConcurrentWritersCoalesce(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(done)
+	if err := <-observed; err != nil {
+		t.Error(err)
+	}
+	if got := e.CacheStats().Publishes - pre; got != writers*each {
+		t.Errorf("%d Ship calls published %d times, want one publication each", writers*each, got)
+	}
 
 	rows, _, err := e.Run(Query{Class: "Item", Where: expr.MustParse("shopprice = 30 and libprice = 10")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) < writers*each {
-		t.Errorf("served %d coalesce-harness rows, want >= %d", len(rows), writers*each)
+		t.Errorf("served %d harness rows, want >= %d", len(rows), writers*each)
 	}
 	st := e.RingStats()
 	if st.PinnedReaders != 0 {
@@ -296,35 +349,6 @@ func TestConcurrentWritersCoalesce(t *testing.T) {
 	}
 	if st.ChainVersions != 0 || st.DeepClasses != 0 {
 		t.Errorf("ring not reclaimed after quiesce: %+v", st)
-	}
-}
-
-// TestPublicationCoalescing pins the coalescer deterministically: two
-// batches staged under one write-lock hold flush as ONE version bump and
-// count one coalesced publication.
-func TestPublicationCoalescing(t *testing.T) {
-	e, _, _ := scaledEngineStores(t, 1)
-	pre := e.RingStats()
-
-	e.mu.Lock()
-	e.stagePublication([]string{"Item"}, nil, false)
-	e.stagePublication([]string{"Item"}, nil, false)
-	e.mu.Unlock()
-	e.ensurePublished()
-
-	post := e.RingStats()
-	if post.Seq != pre.Seq+1 {
-		t.Errorf("two staged batches bumped the sequence %d -> %d, want one bump", pre.Seq, post.Seq)
-	}
-	if got := post.Coalesced - pre.Coalesced; got != 1 {
-		t.Errorf("coalesced delta = %d, want 1", got)
-	}
-
-	// The invariant whenever e.mu is free: nothing pending, snapshot
-	// current. A second ensurePublished must be a no-op.
-	e.ensurePublished()
-	if st := e.RingStats(); st.Seq != post.Seq {
-		t.Errorf("idle flush bumped the sequence %d -> %d", post.Seq, st.Seq)
 	}
 }
 
@@ -402,7 +426,7 @@ func TestEpochReclamationBounded(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Quiesce: with no pinned epochs, the next flush truncates every
+	// Quiesce: with no pinned epochs, the next publication truncates every
 	// chain back to its head.
 	if err := ship(e, updateOf("Proceedings", target.ID,
 		map[string]object.Value{"rating": object.Int(8)})); err != nil {

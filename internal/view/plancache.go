@@ -61,10 +61,8 @@ type engineCounters struct {
 	solver    atomic.Int64
 	compiles  atomic.Int64
 	publishes atomic.Int64
-	// coalesced counts staged publications merged into another writer's
-	// flush; truncated counts excised class versions; structural counts
-	// full-rebuild publications (snapshot.go).
-	coalesced  atomic.Int64
+	// truncated counts excised class versions; structural counts
+	// structural publications (snapshot.go).
 	truncated  atomic.Int64
 	structural atomic.Int64
 	// keyFiled counts the holders the key indexes filed, in a build or
@@ -91,8 +89,7 @@ type CacheStats struct {
 	// Compiles counts expr.Compile calls made by the planner.
 	Compiles int64
 	// Publishes counts snapshot publications: one at construction, one
-	// per flushed Ship batch — under concurrent writers a single flush
-	// may cover several batches (see RingStats.Coalesced).
+	// per batch Ship or Reconcile applies to the view, one per Rebind.
 	Publishes int64
 }
 

@@ -287,11 +287,9 @@ func (e *Engine) runReference(ctx context.Context, q Query) ([]Row, Stats, error
 	if e.UseConstraints && pred != nil {
 		cons := e.consFor(q.Class).object
 		if len(cons) > 0 {
-			// Under the read lock, and with every prior Ship returned
-			// (so its staged publication has flushed), the published
-			// snapshot is current and the gate sees the same statistics
-			// the planner sees. The differential tests drive Run and
-			// runReference serially, so that holds for every comparison.
+			// Under the read lock the published snapshot equals the
+			// live view, so the gate sees the same statistics the
+			// planner sees.
 			s := e.snap.Load()
 			conjs := conjuncts(pred)
 			if e.constraintPhaseWorthwhile(s, s.class(q.Class), conjs) {

@@ -205,7 +205,6 @@ type ReconcileStats struct {
 // *PartialCommitError can call it after the hinted backoff.
 func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 	e.mu.Lock()
-	defer e.ensurePublished()
 	defer e.mu.Unlock()
 	var rs ReconcileStats
 

@@ -60,8 +60,9 @@ func (e *Engine) BindStores(reg *store.Registry) {
 //     does the caller see a *PartialCommitError.
 //
 // On full success the batch is applied to the integrated view in order
-// and ONE snapshot is published, so concurrent readers observe the
-// whole batch or none of it.
+// and ONE snapshot is published before the write lock is released, so
+// concurrent readers observe the whole batch or none of it, and the
+// caller's next read, on any goroutine, observes all of it.
 //
 // The context is checked between staged operations and once more before
 // the first member commit: cancellation there rolls every member
@@ -75,7 +76,6 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 		return ErrNoStores
 	}
 	e.mu.Lock()
-	defer e.ensurePublished()
 	defer e.mu.Unlock()
 
 	txs := map[string]store.Txn{}

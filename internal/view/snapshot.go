@@ -15,11 +15,10 @@ import (
 // slices, a frozen deref map, lazily built extent indexes, and the
 // per-class plan cache — through an atomic pointer. Run pins the
 // current snapshot in an epoch slot (epoch.go) and serves entirely from
-// it, so reads never take e.mu and never touch the live view; Ship
-// mutates the live view under the write lock, STAGEs a
-// publication, and flushes it after releasing the lock — back-to-back
-// singleton publications staged while a flush is in flight coalesce
-// into one version bump.
+// it, so reads never take e.mu and never touch the live view. Ship,
+// Reconcile and Rebind mutate the live view under the write lock and
+// publish before releasing it: whenever e.mu is free, the published
+// snapshot equals the live view.
 //
 // Publication is per class: each global class has a classSlot holding a
 // chain of classVersions, newest first, and a snapshot is little more
@@ -28,16 +27,17 @@ import (
 // extent, indexes and cached plans survive, and readers of B never
 // observe an invalidation. A reader pinned at sequence P resolves a
 // class to the newest chained version with seq <= P; versions no pinned
-// epoch can resolve are excised by reclaimLocked after every flush.
+// epoch can resolve are excised by reclaimLocked after every delta
+// publication.
 //
 // The freeze contract the copy-on-write publication relies on:
 //
 //   - extent slices in a class version are private to the publication
 //     path, so in-place splices on the live view cannot reach them; a
-//     pure-insert flush APPENDS to the previous version's slice (the new
-//     objects land beyond every published length, so older versions
-//     sharing the backing array never see them), amortising the
-//     copy-on-write cost that used to tax singleton inserts;
+//     pure-insert publication APPENDS to the previous version's slice
+//     (the new objects land beyond every published length, so older
+//     versions sharing the backing array never see them), amortising
+//     the copy-on-write cost that used to tax singleton inserts;
 //   - objects reachable from a snapshot are never mutated: updates go
 //     through core.DetachForUpdate, which swaps a fresh clone into the
 //     live view and leaves the original frozen; deletes splice the
@@ -129,9 +129,9 @@ type classVersion struct {
 
 // classSlot is one class's publication cell: the head of its version
 // chain. Slots are shared by every snapshot of one structural
-// generation; a structural rebuild (membership change, class-set
-// growth, error-path recovery) mints a fresh slot map and strands the
-// old one with the readers still pinned on it.
+// generation; a structural publication (construction, membership
+// change, class-set growth, error-path recovery) mints a fresh slot map
+// and strands the old one with the readers still pinned on it.
 type classSlot struct {
 	head atomic.Pointer[classVersion]
 }
@@ -248,24 +248,8 @@ func (s *snapshot) selfAttrsOf(cs *classState, g *core.GObj) map[string]bool {
 	return attrs
 }
 
-// declFor returns the class → declared-attribute map for the snapshot
-// being published. A class's declared set never changes once the class
-// exists and class names are never removed, so the previous snapshot's
-// map is reused verbatim unless a mutation minted a brand-new class
-// (first member of a previously empty superclass) — only then is a
-// fresh map built. Caller holds e.mu (write) or is the constructor.
-func (e *Engine) declFor() map[string]map[string]bool {
-	v := e.res.View
-	if old := e.snap.Load(); old != nil && len(old.decl) == len(v.ClassNames) {
-		return old.decl
-	}
-	return buildDecl(v)
-}
-
-// buildDecl computes the class → declared-attribute map fresh from the
-// live view. Used by declFor on class-set growth and unconditionally by
-// membership publications (where the class count alone cannot prove the
-// set unchanged).
+// buildDecl computes the class → declared-attribute map from the live
+// view, for a structural publication.
 func buildDecl(v *core.GlobalView) map[string]map[string]bool {
 	out := make(map[string]map[string]bool, len(v.ClassNames))
 	for _, name := range v.ClassNames {
@@ -294,117 +278,25 @@ func newSlot(seq uint64, state *classState) *classSlot {
 	return sl
 }
 
-// pendingPub accumulates the publications Ship calls staged under
-// e.mu but have not flushed yet. Every staged batch is FULLY applied to
-// the live view before it is staged (staging happens under the same
-// write-lock hold as the application), so a flush — whichever writer
-// performs it — always publishes whole batches, never a torn prefix.
-type pendingPub struct {
-	// structural forces a full rebuild: an error path left the precise
-	// affected-class set uncertain.
-	structural bool
-	// fork forces a deref-table fork (an update or delete changed
-	// existing entries) and disables the append-amortised extent path.
-	fork     bool
-	changed  map[string]bool
-	inserted []*core.GObj
-	// batches counts the staged Ship publications; a flush covering
-	// more than one has coalesced the rest.
-	batches int
-}
-
-// pendingLocked returns (allocating on first use) the staging buffer.
-// Caller holds e.mu (write).
-func (e *Engine) pendingLocked() *pendingPub {
-	if e.pending == nil {
-		e.pending = &pendingPub{changed: map[string]bool{}}
-	}
-	return e.pending
-}
-
-// stagePublication records one applied batch's publication: changed
-// names every class whose extent content changed (gained, lost or
-// replaced a member); inserted lists freshly created objects whose refs
-// extend the deref map; fork forces a deref fork because existing
-// entries changed (any update or delete). Caller holds e.mu (write) and
-// must arrange for ensurePublished to run after releasing it.
-func (e *Engine) stagePublication(changed []string, inserted []*core.GObj, fork bool) {
-	p := e.pendingLocked()
-	for _, name := range changed {
-		p.changed[name] = true
-	}
-	p.inserted = append(p.inserted, inserted...)
-	p.fork = p.fork || fork
-	p.batches++
-}
-
-// stagePublishAll stages a full rebuild — the mutation error paths'
-// conservative fallback where the precise set of affected classes is
-// uncertain. The key indexes go too: the failed application may have
-// left the live view part-way through an operation. Caller holds e.mu
-// (write).
-func (e *Engine) stagePublishAll() {
-	e.keys = nil
-	p := e.pendingLocked()
-	p.structural = true
-	p.batches++
-}
-
-// ensurePublished flushes any staged publication. Ship defers
-// it to run AFTER e.mu is released (defer LIFO order): publications
-// staged by other writers while this one waited re-acquire the lock
-// coalesce into the first flush, and the later writers' flushes find
-// nothing pending. A Ship call never returns before a publication
-// covering its batch is installed — its own flush or a coalescing
-// peer's.
-func (e *Engine) ensurePublished() {
-	e.mu.Lock()
-	e.flushLocked()
-	e.mu.Unlock()
-}
-
-// flushLocked installs ONE snapshot covering every staged batch, then
-// reclaims unreachable class versions. No-op when nothing is pending —
-// the invariant whenever e.mu is free: pending == nil ⇔ the published
-// snapshot is current with the live view. Caller holds e.mu (write).
-func (e *Engine) flushLocked() {
-	p := e.pending
-	if p == nil {
-		return
-	}
-	e.pending = nil
-	if p.batches > 1 {
-		e.counters.coalesced.Add(int64(p.batches - 1))
-	}
+// publishDeltaLocked publishes one applied batch as a per-class delta:
+// changed names every class whose extent content changed (gained, lost
+// or replaced a member), inserted lists freshly created objects whose
+// refs extend the deref map, and fork forces a deref fork because
+// existing entries changed (any update or delete). A new version is
+// pushed onto each changed class's chain; every other class's slot —
+// extent, indexes, cached plans — is untouched, and readers of
+// untouched classes keep hitting their plan caches. The shared slot map
+// is read lock-free and cannot grow in place, so a batch that created a
+// class (first member of a previously empty superclass) publishes
+// structurally instead. Caller holds e.mu (write).
+func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, fork bool) {
 	old := e.snap.Load()
-	v := e.res.View
-	// Delta publication needs every changed class to already own a slot
-	// and the class set to be stable: the shared slot map is read
-	// lock-free and cannot grow in place. A brand-new class (first
-	// member of a previously empty superclass) or an explicit structural
-	// stage falls back to the full rebuild.
-	structural := p.structural || len(old.decl) != len(v.ClassNames)
-	if !structural {
-		for name := range p.changed {
-			if _, ok := old.slots[name]; !ok {
-				structural = true
-				break
-			}
+	for _, name := range changed {
+		if !old.hasClass(name) {
+			e.publishStructuralLocked(changed)
+			return
 		}
 	}
-	if structural {
-		e.installAllLocked()
-		return
-	}
-	e.installDeltaLocked(old, p)
-}
-
-// installDeltaLocked publishes the staged batches as one per-class
-// delta: a new version is pushed onto each changed class's chain, every
-// other class's slot — extent, indexes, cached plans — is untouched,
-// and readers of untouched classes keep hitting their plan caches.
-// Caller holds e.mu (write).
-func (e *Engine) installDeltaLocked(old *snapshot, p *pendingPub) {
 	v := e.res.View
 	next := &snapshot{
 		seq:     old.seq + 1,
@@ -413,22 +305,25 @@ func (e *Engine) installDeltaLocked(old *snapshot, p *pendingPub) {
 		decl:    old.decl,
 		checker: e.checker,
 	}
-	if p.fork {
+	if fork {
 		next.refs = newRefTable(v.RefsCopy())
 	} else {
 		next.refs = old.refs
-		for _, g := range p.inserted {
+		for _, g := range inserted {
 			for _, r := range v.RefsOf(g) {
 				next.refs.added.Store(r, addedRef{g: g, seq: next.seq})
 			}
 		}
 	}
-	for name := range p.changed {
+	for _, name := range changed {
 		sl := old.slots[name]
 		head := sl.head.Load()
+		if head.seq == next.seq {
+			continue // named twice in the batch: already pushed
+		}
 		liveExt := v.Extent(name)
 		var state *classState
-		if grown := len(liveExt) - len(head.state.ext); !p.fork && grown >= 0 {
+		if grown := len(liveExt) - len(head.state.ext); !fork && grown >= 0 {
 			// Pure inserts only append to extents, so the new version's
 			// extent is the previous one plus the live tail. The append
 			// may write into the previous version's backing array, but
@@ -448,83 +343,54 @@ func (e *Engine) installDeltaLocked(old *snapshot, p *pendingPub) {
 	e.reclaimLocked()
 }
 
-// installAllLocked rebuilds and publishes the snapshot from scratch —
-// every class in a fresh single-version slot, forked deref map. Used by
-// the constructor, by structural flushes, and by Rebind's error path.
+// publishStructuralLocked publishes a fresh slot map over the live class
+// set. Every class named in rebuild, and every class the previous
+// snapshot does not serve, is built from its live extent; every other
+// class CARRIES OVER — its frozen extent, lazily built indexes and
+// cached plans survive in a fresh single-version slot (pinned by the
+// federation plan-survival tests). Carrying over is sound because the
+// published snapshot equals the live view whenever e.mu is free, so a
+// class the caller did not name still serves its live content. Classes
+// that left the live class set leave the snapshot with it. The deref
+// table is forked and the declared-attribute map rebuilt: both can
+// change shape arbitrarily when members come and go.
+//
+// The previous generation's slots stay reachable only from the
+// snapshots already pinned on them and are never truncated again — they
+// become garbage when the last such reader unpins. The constructor (no
+// previous snapshot: every class is built), Rebind, a batch that created
+// a class and the error fallback (every class named) publish here.
 // Caller holds e.mu (write) or is the constructor.
-func (e *Engine) installAllLocked() {
-	v := e.res.View
-	var seq uint64
-	if old := e.snap.Load(); old != nil {
-		seq = old.seq + 1
-	}
-	next := &snapshot{
-		seq:     seq,
-		consts:  v.Conformed.Consts,
-		slots:   make(map[string]*classSlot, len(v.ClassNames)),
-		decl:    e.declFor(),
-		refs:    newRefTable(v.RefsCopy()),
-		checker: e.checker,
-	}
-	for _, name := range v.ClassNames {
-		next.slots[name] = newSlot(seq, newClassState(name, v.Extent(name)))
-	}
-	e.installFreshLocked(next)
-}
-
-// publishMembershipLocked builds and installs the snapshot after a
-// federation membership change (Rebind): classes in changed are rebuilt
-// (their extents, constraint sets or declared attributes moved),
-// classes in removed are dropped, and every other class CARRIES OVER —
-// its frozen extent, its lazily built indexes and its cached plans all
-// survive the membership change in a fresh single-version slot (pinned
-// by the federation plan-survival tests). The deref table is forked and
-// the declared-attribute map rebuilt: both can change shape arbitrarily
-// when members come and go. Caller holds e.mu (write) and must have
-// flushed any pending delta BEFORE the membership mutation, so the
-// carried-over states are current. Counts as ONE publication.
-func (e *Engine) publishMembershipLocked(changed, removed []string) {
+func (e *Engine) publishStructuralLocked(rebuild []string) {
 	v := e.res.View
 	old := e.snap.Load()
 	next := &snapshot{
-		seq:     old.seq + 1,
 		consts:  v.Conformed.Consts,
-		slots:   make(map[string]*classSlot, len(old.slots)+len(changed)),
+		slots:   make(map[string]*classSlot, len(v.ClassNames)),
 		decl:    buildDecl(v),
 		refs:    newRefTable(v.RefsCopy()),
 		checker: e.checker,
 	}
-	drop := make(map[string]bool, len(removed))
-	for _, name := range removed {
-		drop[name] = true
+	if old != nil {
+		next.seq = old.seq + 1
 	}
-	for name := range old.slots {
-		if !drop[name] {
-			next.slots[name] = newSlot(next.seq, old.class(name))
+	fresh := make(map[string]bool, len(rebuild))
+	for _, name := range rebuild {
+		fresh[name] = true
+	}
+	for _, name := range v.ClassNames {
+		var state *classState
+		if old != nil && !fresh[name] && old.hasClass(name) {
+			state = old.class(name)
+		} else {
+			state = newClassState(name, v.Extent(name))
 		}
+		next.slots[name] = newSlot(next.seq, state)
 	}
-	rebuilt := make(map[string]bool, len(changed))
-	for _, name := range changed {
-		if rebuilt[name] || drop[name] {
-			continue
-		}
-		rebuilt[name] = true
-		next.slots[name] = newSlot(next.seq, newClassState(name, v.Extent(name)))
-	}
-	e.installFreshLocked(next)
-}
-
-// installFreshLocked publishes a snapshot with a fresh slot map: the
-// previous structural generation's slots stay reachable only from the
-// snapshots already pinned on them and are never truncated again — they
-// become garbage when the last such reader unpins. Caller holds e.mu
-// (write) or is the constructor.
-func (e *Engine) installFreshLocked(next *snapshot) {
 	e.snap.Store(next)
 	e.counters.publishes.Add(1)
 	e.counters.structural.Add(1)
 	e.deep = map[string]*classSlot{}
-	e.pending = nil
 }
 
 // reclaimLocked excises every retired class version no pinned reader
@@ -589,8 +455,7 @@ func (e *Engine) truncateChain(sl *classSlot, pinned []uint64) bool {
 // RingStats reports the multi-version ring's health: the published
 // sequence, how many reader epochs are pinned and how far the oldest
 // lags, and the reclaim state (retired versions still chained, classes
-// with deep chains, cumulative excisions, coalesced flushes and
-// structural rebuilds).
+// with deep chains, cumulative excisions and structural rebuilds).
 type RingStats struct {
 	// Seq is the current publication sequence.
 	Seq uint64
@@ -605,17 +470,15 @@ type RingStats struct {
 	ChainVersions int
 	// DeepClasses counts classes whose chain holds more than the head.
 	DeepClasses int
-	// Truncated is the cumulative count of excised versions; Coalesced
-	// counts staged publications merged into another writer's flush;
-	// Structural counts full-rebuild publications.
+	// Truncated is the cumulative count of excised versions;
+	// Structural counts structural publications.
 	Truncated  int64
-	Coalesced  int64
 	Structural int64
 }
 
 // RingStats returns the ring's current state. It takes the read lock
-// (holding off flushes, whose chain rewrites it would otherwise race),
-// so it is a diagnostics call, not a serving-path one.
+// (holding off publications, whose chain rewrites it would otherwise
+// race), so it is a diagnostics call, not a serving-path one.
 func (e *Engine) RingStats() RingStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -624,7 +487,6 @@ func (e *Engine) RingStats() RingStats {
 		PinnedReaders: e.epochs.pinnedCount(),
 		DeepClasses:   len(e.deep),
 		Truncated:     e.counters.truncated.Load(),
-		Coalesced:     e.counters.coalesced.Load(),
 		Structural:    e.counters.structural.Load(),
 	}
 	if pinned := e.epochs.pinnedSeqs(); len(pinned) > 0 {

@@ -305,3 +305,34 @@ func TestPlanInvalidationOnMutation(t *testing.T) {
 		t.Errorf("replanned query not cached: %+v %v", st, err)
 	}
 }
+
+// TestClassCreationKeepsOtherPlans pins the structural fallback of a
+// delta publication: a batch that names a class the snapshot does not
+// serve yet (the first member of a previously empty virtual class)
+// publishes a fresh slot map, and every class it does not name carries
+// its cached plans over.
+func TestClassCreationKeepsOtherPlans(t *testing.T) {
+	e := scaledEngine(t, 1)
+	q := Query{Class: "Proceedings", Where: expr.MustParse("rating >= 7")}
+	for i := 0; i < 2; i++ {
+		if _, _, err := e.Run(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := e.RingStats()
+
+	e.mu.Lock()
+	e.res.View.ClassNames = append(e.res.View.ClassNames, "FreshVirtual")
+	e.publishDeltaLocked([]string{"FreshVirtual"}, nil, false)
+	e.mu.Unlock()
+
+	if got := e.RingStats().Structural - pre.Structural; got != 1 {
+		t.Errorf("class-creating publication: %d structural publications, want 1", got)
+	}
+	if !e.HasClass("FreshVirtual") {
+		t.Error("the created class is not served")
+	}
+	if _, st, err := e.Run(q); err != nil || !st.PlanCached {
+		t.Errorf("plan of an unnamed class dropped by a class-creating publication: %+v %v", st, err)
+	}
+}

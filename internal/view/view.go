@@ -78,10 +78,10 @@ type Stats struct {
 // published snapshot and may run at any time, including concurrently
 // with mutations (readers observe either the pre- or the post-mutation
 // snapshot, never a torn mix). Validate shares a read lock; Ship takes
-// the write lock while mutating the live view, then publishes the next
-// snapshot. The UseConstraints/UseIndexes toggles are plain fields for
-// the differential tests and the benchmark's oracles and must not be
-// flipped concurrently with serving.
+// the write lock while mutating the live view and publishes the next
+// snapshot before releasing it. The UseConstraints/UseIndexes toggles
+// are plain fields for the differential tests and the benchmark's
+// oracles and must not be flipped concurrently with serving.
 type Engine struct {
 	res     *core.Result
 	checker *logic.Checker
@@ -96,9 +96,12 @@ type Engine struct {
 	// benchmark's oracles compare against.
 	UseIndexes bool
 
-	// mu serialises the live view: Validate and CheckAll hold it for
-	// read, Ship for write while applying a shipped batch and staging
-	// its publication. Run does NOT take it.
+	// mu serialises the live view: Validate, CheckAll and ReadLocked
+	// hold it for read; Ship, Reconcile and Rebind hold it for write
+	// while they change the live view AND publish the matching
+	// snapshot, so whenever mu is free the published snapshot equals the
+	// live view (TestConcurrentWritersPublishInLock). Run does NOT take
+	// it.
 	mu sync.RWMutex
 
 	// snap is the published serving snapshot (snapshot.go).
@@ -109,14 +112,9 @@ type Engine struct {
 	// version a reader can still resolve.
 	epochs *epochTable
 
-	// pending is the staged-but-unflushed publication (snapshot.go) and
-	// deep the classes whose version chains hold retired versions. Both
-	// are guarded by mu, written under the write lock. Validate does not
-	// consult pending: WHEN it runs while a publication is staged THEN
-	// its key check probes the live key index, which follows the live
-	// view (TestMutationDifferentialRandomized's staged leg).
-	pending *pendingPub
-	deep    map[string]*classSlot
+	// deep holds the classes whose version chains hold retired versions
+	// (snapshot.go). Guarded by mu, written under the write lock.
+	deep map[string]*classSlot
 
 	// keys holds Validate's key-holder indexes (mutate.go, keyIndex),
 	// by class and key attributes. Guarded by mu: built under either
@@ -201,7 +199,7 @@ func New(res *core.Result) *Engine {
 		health:         newHealthTracker(),
 		journal:        newCommitJournal(),
 	}
-	e.installAllLocked()
+	e.publishStructuralLocked(nil)
 	return e
 }
 
@@ -429,23 +427,21 @@ func (e *Engine) Result() *core.Result { return e.res }
 // apply returns the classes whose serving state changed and the classes
 // that ceased to exist; Rebind then drops the constraint caches (they
 // rebuild lazily, without solver work), adopts the new derivation's
-// checker, and publishes ONE snapshot in which only the changed classes
-// were rebuilt — untouched classes carry their extent, indexes and
-// cached plans across the membership change (Stats.PlanCached keeps
-// hitting), and readers observe whole pre- or post-membership states,
-// never a torn mix.
+// checker, and publishes ONE structural snapshot over the live class
+// set in which only the changed classes were rebuilt — untouched
+// classes carry their extent, indexes and cached plans across the
+// membership change (Stats.PlanCached keeps hitting), and readers
+// observe whole pre- or post-membership states, never a torn mix. The
+// removed result is ignored: removed classes have already left the live
+// class set, and the publication drops them with it.
 //
-// If apply fails the whole snapshot is republished from the live view —
-// the same conservative fallback Ship's error paths use.
+// If apply fails every class is rebuilt from the live view — the same
+// conservative fallback Ship's error paths use.
 func (e *Engine) Rebind(apply func() (changed, removed []string, err error)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Drain any publication staged by an unflushed Ship call before the
-	// membership mutation: the carry-over below copies each untouched
-	// class's CURRENT serving state into the fresh slot map.
-	e.flushLocked()
 	e.cmu.Lock()
-	changed, removed, err := apply()
+	changed, _, err := apply()
 	e.keys = nil
 	e.cons = map[string]*classCons{}
 	e.mcons = map[string]*consGroup{}
@@ -454,11 +450,10 @@ func (e *Engine) Rebind(apply func() (changed, removed []string, err error)) err
 	}
 	e.cmu.Unlock()
 	if err != nil {
-		e.installAllLocked()
-		return err
+		changed = e.res.View.ClassNames
 	}
-	e.publishMembershipLocked(changed, removed)
-	return nil
+	e.publishStructuralLocked(changed)
+	return err
 }
 
 // ReadLocked runs fn under the engine's read lock, holding off Ship
