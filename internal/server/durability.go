@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"interopdb"
+	"interopdb/internal/store"
 )
 
 // Durable tenant hosting. With Config.DataDir set, every tenant owns a
@@ -83,12 +84,19 @@ func readManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
+// writeManifest replaces the tenant's manifest atomically: a crash
+// mid-rewrite leaves the previous manifest, never an empty or torn one
+// that would fail the next boot and strand the tenant's WAL and
+// checkpoint.
 func writeManifest(dir string, src tenantSource) error {
 	data, err := json.MarshalIndent(manifest{Version: 1, Source: src}, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, manifestFileName), append(data, '\n'), 0o644)
+	if err := store.WriteFileAtomic(filepath.Join(dir, manifestFileName), append(data, '\n')); err != nil {
+		return fmt.Errorf("tenant manifest: %w", err)
+	}
+	return nil
 }
 
 // buildDurableTenant boots (cold or warm) a tenant over its data

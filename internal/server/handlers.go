@@ -223,9 +223,8 @@ func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) error {
 }
 
 // tenantCacheStats is one tenant's engine-counter entry in /metrics:
-// the plan-cache/solver counters plus the multi-version snapshot ring's
-// health (sequence, pinned reader epochs, reclaim depth) so operators
-// can see a stalled reader or a reclamation leak from the outside.
+// the plan-cache, solver, compile and publication counters of its
+// engine's CacheStats.
 type tenantCacheStats struct {
 	PlanHits      int64   `json:"plan_hits"`
 	PlanMisses    int64   `json:"plan_misses"`
@@ -233,12 +232,6 @@ type tenantCacheStats struct {
 	SolverQueries int64   `json:"solver_queries"`
 	Compiles      int64   `json:"compiles"`
 	Publishes     int64   `json:"publishes"`
-	Seq           uint64  `json:"snapshot_seq"`
-	PinnedReaders int     `json:"pinned_readers"`
-	MaxLag        uint64  `json:"max_reader_lag"`
-	ChainVersions int     `json:"chain_versions"`
-	Truncated     int64   `json:"truncated_versions"`
-	Structural    int64   `json:"structural_publishes"`
 }
 
 // handleMetrics renders per-endpoint latency/QPS counters and every
@@ -253,7 +246,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		cs := e.CacheStats()
-		rs := e.RingStats()
 		perTenant[t.name] = tenantCacheStats{
 			PlanHits:      cs.PlanHits,
 			PlanMisses:    cs.PlanMisses,
@@ -261,12 +253,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			SolverQueries: cs.SolverQueries,
 			Compiles:      cs.Compiles,
 			Publishes:     cs.Publishes,
-			Seq:           rs.Seq,
-			PinnedReaders: rs.PinnedReaders,
-			MaxLag:        rs.MaxLag,
-			ChainVersions: rs.ChainVersions,
-			Truncated:     rs.Truncated,
-			Structural:    rs.Structural,
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -248,7 +248,7 @@ func TestPreparedSurvivesRepublication(t *testing.T) {
 	if got := prepareCount(srv); got != prepBefore {
 		t.Errorf("republication triggered a re-prepare (%d -> %d); handles must survive data writes", prepBefore, got)
 	}
-	// The write rebuilt Item's snapshot slot (fresh plan cache), so the
+	// The write rebuilt Item's snapshot state (fresh plan cache), so the
 	// exec above replanned; from here on the handle hits the cache again.
 	if _, stats, err := p.Exec(ctx); err != nil || !stats.PlanCached {
 		t.Errorf("plan cache did not rewarm after republication: err=%v cached=%v", err, stats.PlanCached)

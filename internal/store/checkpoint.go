@@ -141,9 +141,8 @@ func (mc MemberCheckpoint) RestoreInto(s *Store) error {
 	return nil
 }
 
-// WriteCheckpoint writes the checkpoint atomically: serialize to a tmp
-// file, fsync it, rename over the target, fsync the directory. Readers
-// see either the old checkpoint or the new one, never a torn mix.
+// WriteCheckpoint writes the checkpoint atomically (WriteFileAtomic):
+// readers see either the old checkpoint or the new one, never a torn mix.
 func WriteCheckpoint(path string, c *Checkpoint) error {
 	cp := *c
 	cp.Version = checkpointVersion
@@ -156,35 +155,50 @@ func WriteCheckpoint(path string, c *Checkpoint) error {
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(payload, crcTable))
 	copy(buf[16:], payload)
+	if err := WriteFileAtomic(path, buf); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
+}
 
+// WriteFileAtomic replaces the file at path with data: write a tmp file
+// beside it, fsync it, rename it over path, fsync the directory. A crash
+// or an error at any step leaves either the previous file or the new
+// one, never an empty or torn one; on error before the rename the tmp
+// file is removed.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := writeTmp(f, data); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: write: %w", err)
+		return fmt.Errorf("write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: sync: %w", err)
+		return fmt.Errorf("sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: close: %w", err)
+		return fmt.Errorf("close: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: rename: %w", err)
+		return fmt.Errorf("rename: %w", err)
 	}
 	if err := syncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("checkpoint: sync dir: %w", err)
+		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
 }
+
+// writeTmp is WriteFileAtomic's tmp-file write, a variable so a test can
+// make it fail.
+var writeTmp = (*os.File).Write
 
 // ErrNoCheckpoint reports that no checkpoint exists yet (a first boot,
 // or a node that crashed before its first checkpoint).

@@ -363,6 +363,59 @@ func TestWALRecordBodies(t *testing.T) {
 	}
 }
 
+// TestCheckpointTornWriteKeepsPrevious pins WriteFileAtomic, which
+// writes both checkpoints and tenant manifests: a write that fails half
+// way leaves the previous file byte-identical and no tmp file behind.
+func TestCheckpointTornWriteKeepsPrevious(t *testing.T) {
+	injected := errors.New("injected write error")
+	t.Cleanup(func() { writeTmp = (*os.File).Write })
+	torn := func(f *os.File, b []byte) (int, error) {
+		n, _ := f.Write(b[:len(b)/2])
+		return n, injected
+	}
+
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint.db")
+	manifest := filepath.Join(dir, "manifest.json")
+	if err := WriteCheckpoint(ckpt, &Checkpoint{LSN: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(manifest, []byte(`{"version": 1}`)); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, p := range []string{ckpt, manifest} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[p] = b
+	}
+
+	writeTmp = torn
+	if err := WriteCheckpoint(ckpt, &Checkpoint{LSN: 2}); !errors.Is(err, injected) {
+		t.Fatalf("WriteCheckpoint under a torn write: err = %v", err)
+	}
+	if err := WriteFileAtomic(manifest, []byte(`{"version": 2, "source": {}}`)); !errors.Is(err, injected) {
+		t.Fatalf("WriteFileAtomic under a torn write: err = %v", err)
+	}
+	for p, want := range before {
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s changed by a failed rewrite: %q, want %q", filepath.Base(p), got, want)
+		}
+		if _, err := os.Stat(p + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s.tmp left behind by a failed rewrite (stat err = %v)", filepath.Base(p), err)
+		}
+	}
+	if c, err := ReadCheckpoint(ckpt); err != nil || c.LSN != 1 {
+		t.Errorf("previous checkpoint after a failed rewrite: %+v, %v", c, err)
+	}
+}
+
 // TestDirSyncFailure pins that a failed directory fsync after a rename
 // is reported, not swallowed: WriteCheckpoint returns the error (so the
 // caller keeps the WAL prefix the new checkpoint would have made

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,21 +16,23 @@ import (
 	"interopdb/internal/object"
 )
 
-// Concurrency differential harness for the multi-version snapshot ring
-// (DESIGN.md §11). The serial differential batteries (serve_test,
-// snapshot_test, mutate_test) pin WHAT each snapshot serves; this file
-// pins what concurrent readers may OBSERVE while writers publish:
+// Concurrency differential harness for snapshot publication (DESIGN.md
+// §12). The serial differential batteries (serve_test, snapshot_test,
+// mutate_test) pin WHAT each snapshot serves; this file pins what
+// concurrent readers may OBSERVE while writers publish:
 //
-//   - prefix consistency: a reader's pinned sequence never runs
-//     backwards, and two pins at the same sequence serve the same state;
+//   - prefix consistency: the sequence of the snapshot a reader loads
+//     never runs backwards, and two loads at the same sequence serve the
+//     same state;
 //   - batch atomicity: a Ship batch is visible in full or not at all —
 //     never a prefix of its inserts;
 //   - no torn cross-class reads: an object updated through one Ship call
 //     shows the same attribute values from every class extent of one
-//     pinned snapshot, even though each class publishes on its own chain;
-//   - epoch reclamation: retired class versions are excised as readers
-//     unpin (bounded chains under churn, single retained version under a
-//     stalled reader, collectable garbage once unreachable).
+//     held snapshot, even though each class publishes its own state;
+//   - reclamation by the collector: a class state a publication retires
+//     is collected once no reader holds a snapshot that maps it (under
+//     churning readers, under a reader that holds one snapshot across
+//     many publications, and for a single retired state).
 //
 // Everything here runs under -race in CI (the race job covers
 // ./internal/view/...).
@@ -67,8 +70,8 @@ func findInExt(ext []*core.GObj, id int) (*core.GObj, bool) {
 
 // TestMVCCPrefixConsistentReaders races randomized readers against a
 // writer shipping insert batches and cross-class update stamps, at the
-// same scales as the serial differential battery. Readers pin snapshots
-// through the engine's own epoch protocol and assert the observation
+// same scales as the serial differential battery. Readers hold snapshots
+// loaded from the engine's published pointer and assert the observation
 // contract above; a final serial pass re-checks the end state against
 // the mutex+scan reference.
 func TestMVCCPrefixConsistentReaders(t *testing.T) {
@@ -142,23 +145,23 @@ func mvccStress(t *testing.T, scale int) {
 				}
 				if rng.Intn(3) == 0 {
 					// Public serving path: concurrent planning, compiled
-					// serving and striped cache counters under -race.
+					// serving and shared cache counters under -race.
 					if _, _, err := e.Run(q); err != nil {
 						t.Errorf("reader %d: Run: %v", r, err)
 						return
 					}
 					continue
 				}
-				s, slot := e.pin()
+				s := e.snap.Load()
 				items := s.class("Item").ext
 				// Prefix consistency: sequences never run backwards, the
 				// insert-only Item extent never shrinks, and one sequence
 				// always serves one state.
 				if s.seq < lastSeq {
-					t.Errorf("reader %d: pinned sequence went backwards: %d after %d", r, s.seq, lastSeq)
+					t.Errorf("reader %d: loaded sequence went backwards: %d after %d", r, s.seq, lastSeq)
 				}
 				if s.seq == lastSeq && lastLen >= 0 && len(items) != lastLen {
-					t.Errorf("reader %d: two pins at seq %d served %d then %d Items", r, s.seq, lastLen, len(items))
+					t.Errorf("reader %d: two loads at seq %d served %d then %d Items", r, s.seq, lastLen, len(items))
 				}
 				if s.seq > lastSeq && lastLen > len(items) {
 					t.Errorf("reader %d: Item extent shrank %d -> %d across seq %d -> %d",
@@ -182,7 +185,7 @@ func mvccStress(t *testing.T, scale int) {
 					}
 				}
 				// No torn cross-class reads: the stamp object's rating
-				// agrees across every class chain of this one snapshot.
+				// agrees across every class state of this one snapshot.
 				var ratings []object.Value
 				for _, cls := range probeClasses {
 					g, ok := findInExt(s.class(cls).ext, target.ID)
@@ -200,7 +203,6 @@ func mvccStress(t *testing.T, scale int) {
 							r, s.seq, ratings, probeClasses)
 					}
 				}
-				e.unpin(slot)
 			}
 		}(r)
 	}
@@ -214,7 +216,7 @@ func mvccStress(t *testing.T, scale int) {
 
 	// End state: every batch landed, and the serving path still matches
 	// the mutex+scan reference byte for byte.
-	s, slot := e.pin()
+	s := e.snap.Load()
 	total := 0
 	for _, g := range s.class("Item").ext {
 		if v, ok := g.Get("title"); ok {
@@ -223,7 +225,6 @@ func mvccStress(t *testing.T, scale int) {
 			}
 		}
 	}
-	e.unpin(slot)
 	if total != batches*batchK {
 		t.Errorf("end state holds %d harness Items, want %d", total, batches*batchK)
 	}
@@ -241,8 +242,7 @@ func mvccStress(t *testing.T, scale int) {
 // the published snapshot equals the live view. An observer compares
 // every published class extent with the live one under the read lock;
 // every Ship publishes exactly once; every insert is visible to its
-// writer as soon as Ship returns (read-your-writes); and the ring is
-// fully reclaimed once the last reader unpins.
+// writer as soon as Ship returns (read-your-writes).
 func TestConcurrentWritersPublishInLock(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 1)
 	const writers, each = 4, 25
@@ -252,8 +252,8 @@ func TestConcurrentWritersPublishInLock(t *testing.T) {
 	// from the live one. Caller holds e.mu.
 	lagging := func() string {
 		s := e.snap.Load()
-		if len(s.slots) != len(e.res.View.ClassNames) {
-			return fmt.Sprintf("class set: %d published, %d live", len(s.slots), len(e.res.View.ClassNames))
+		if len(s.classes) != len(e.res.View.ClassNames) {
+			return fmt.Sprintf("class set: %d published, %d live", len(s.classes), len(e.res.View.ClassNames))
 		}
 		for _, class := range e.res.View.ClassNames {
 			pub, live := s.class(class).ext, e.res.View.Extent(class)
@@ -309,7 +309,7 @@ func TestConcurrentWritersPublishInLock(t *testing.T) {
 				}
 				// Read-your-writes: Ship published the insert before it
 				// released the write lock.
-				s, slot := e.pin()
+				s := e.snap.Load()
 				_, found := func() (*core.GObj, bool) {
 					want := object.Str(fmt.Sprintf("pub-%d-%d", w, i))
 					for _, g := range s.class("Item").ext {
@@ -319,7 +319,6 @@ func TestConcurrentWritersPublishInLock(t *testing.T) {
 					}
 					return nil, false
 				}()
-				e.unpin(slot)
 				if !found {
 					t.Errorf("writer %d: insert %d not visible in the snapshot its Ship call returned behind", w, i)
 					return
@@ -343,22 +342,45 @@ func TestConcurrentWritersPublishInLock(t *testing.T) {
 	if len(rows) < writers*each {
 		t.Errorf("served %d harness rows, want >= %d", len(rows), writers*each)
 	}
-	st := e.RingStats()
-	if st.PinnedReaders != 0 {
-		t.Errorf("pinned readers after quiesce: %d", st.PinnedReaders)
-	}
-	if st.ChainVersions != 0 || st.DeepClasses != 0 {
-		t.Errorf("ring not reclaimed after quiesce: %+v", st)
-	}
 }
 
-// TestEpochReclamationBounded drives sustained mutation against
-// pin-holding readers and asserts the ring's reclaim depth stays
-// bounded by the epoch invariant — ChainVersions <= readers ×
-// DeepClasses at every sample — and drains to zero at quiesce. This is
-// the leak test: before epoch reclamation an unbounded chain (or a
-// never-truncated ring) would grow linearly with the mutation count.
-func TestEpochReclamationBounded(t *testing.T) {
+// finalizeRetired sets a finalizer on every class state that prev maps
+// and cur does not — the states the publication from prev to cur
+// retired — unless keep (a held snapshot's map, or nil) still maps it.
+// Each finalizer adds one to collected; the count of states finalized
+// is returned.
+func finalizeRetired(prev, cur, keep map[string]*classState, collected *atomic.Int64) int {
+	n := 0
+	for name, cs := range prev {
+		if cur[name] == cs || keep[name] == cs {
+			continue
+		}
+		runtime.SetFinalizer(cs, func(*classState) { collected.Add(1) })
+		n++
+	}
+	return n
+}
+
+// awaitCollected runs the collector until collected reaches want,
+// reporting whether it did.
+func awaitCollected(collected *atomic.Int64, want int64) bool {
+	for i := 0; i < 200; i++ {
+		runtime.GC()
+		if collected.Load() >= want {
+			return true
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return false
+}
+
+// TestRetiredClassStatesCollected drives sustained mutation against
+// readers that hold snapshots across real serving work, and requires
+// every class state a publication retired to be collected once the
+// readers stop. This is the leak test: nothing but a held snapshot may
+// keep a retired state alive, so retention cannot grow with the
+// mutation count.
+func TestRetiredClassStatesCollected(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 1)
 	target := findByISBN(t, e, "caise96")
 	const (
@@ -372,164 +394,146 @@ func TestEpochReclamationBounded(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			q := Query{Class: "Proceedings", Where: expr.MustParse("rating >= 7")}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				s, slot := e.pin()
-				// Hold the pin across real serving work so publications
-				// overlap pinned epochs and chains actually deepen.
+				// Hold the snapshot across real serving work so
+				// publications overlap held snapshots.
+				s := e.snap.Load()
 				for _, cls := range []string{"Item", "Proceedings"} {
 					if ext := s.class(cls).ext; len(ext) == 0 {
 						t.Errorf("reader %d: empty %s extent", r, cls)
 					}
 				}
-				e.unpin(slot)
+				if _, _, err := e.Run(q); err != nil {
+					t.Errorf("reader %d: Run: %v", r, err)
+				}
 			}
 		}(r)
 	}
 
-	maxChain := 0
-	for i := 0; i < mutations; i++ {
-		var err error
-		if i%3 == 0 {
-			// Fork path: full per-class copies, the expensive retention case.
-			err = ship(e, updateOf("Proceedings", target.ID,
-				map[string]object.Value{"rating": object.Int(int64(7 + i%3))}))
-		} else {
-			err = ship(e, insertOf("Item", map[string]object.Value{
-				"title":     object.Str("reclaim"),
-				"isbn":      object.Str(fmt.Sprintf("reclaim-%d", i)),
-				"publisher": object.Ref{DB: "Bookseller", OID: 2},
-				"shopprice": object.Real(30),
-				"libprice":  object.Real(10),
-			}))
-		}
-		if err != nil {
-			t.Fatalf("mutation %d: %v", i, err)
-		}
-		if i%5 == 0 {
-			st := e.RingStats()
-			if st.ChainVersions > maxChain {
-				maxChain = st.ChainVersions
+	var collected atomic.Int64
+	retired := func() int {
+		n := 0
+		prev := e.snap.Load().classes
+		for i := 0; i < mutations; i++ {
+			var err error
+			if i%3 == 0 {
+				// Fork path: full per-class copies, the expensive
+				// retention case.
+				err = ship(e, updateOf("Proceedings", target.ID,
+					map[string]object.Value{"rating": object.Int(int64(7 + i%3))}))
+			} else {
+				err = ship(e, insertOf("Item", map[string]object.Value{
+					"title":     object.Str("reclaim"),
+					"isbn":      object.Str(fmt.Sprintf("reclaim-%d", i)),
+					"publisher": object.Ref{DB: "Bookseller", OID: 2},
+					"shopprice": object.Real(30),
+					"libprice":  object.Real(10),
+				}))
 			}
-			// The reclaim invariant: each deep class retains at most one
-			// resolution version per pinned reader beyond its head.
-			if st.ChainVersions > readers*st.DeepClasses {
-				t.Fatalf("mutation %d: chain depth %d exceeds the epoch bound %d (readers=%d, deep classes=%d)",
-					i, st.ChainVersions, readers*st.DeepClasses, readers, st.DeepClasses)
+			if err != nil {
+				t.Fatalf("mutation %d: %v", i, err)
 			}
+			cur := e.snap.Load().classes
+			n += finalizeRetired(prev, cur, nil, &collected)
+			prev = cur
 		}
-	}
+		return n
+	}()
 	close(stop)
 	wg.Wait()
 
-	// Quiesce: with no pinned epochs, the next publication truncates every
-	// chain back to its head.
-	if err := ship(e, updateOf("Proceedings", target.ID,
-		map[string]object.Value{"rating": object.Int(8)})); err != nil {
-		t.Fatal(err)
+	if retired < mutations {
+		t.Fatalf("%d mutations retired %d class states, want at least one each", mutations, retired)
 	}
-	st := e.RingStats()
-	if st.PinnedReaders != 0 {
-		t.Errorf("pinned readers after quiesce: %d", st.PinnedReaders)
-	}
-	if st.ChainVersions != 0 || st.DeepClasses != 0 {
-		t.Errorf("ring not fully reclaimed after quiesce: %+v", st)
-	}
-	if maxChain >= mutations {
-		t.Errorf("chain high-water mark %d grew with the mutation count %d: reclamation is not bounding the ring",
-			maxChain, mutations)
+	if !awaitCollected(&collected, int64(retired)) {
+		t.Errorf("%d of %d retired class states collected after the readers stopped: something still references them",
+			collected.Load(), retired)
 	}
 }
 
-// TestStalledReaderPinsOnlyItsVersion pins the per-pin excision rule: a
-// reader stalled at sequence P retains exactly one resolution version
-// per class — not the whole ring behind it — while still serving its
-// frozen state, and releases everything on unpin.
-func TestStalledReaderPinsOnlyItsVersion(t *testing.T) {
+// TestHeldSnapshotRetainsOnlyItsStates pins the retention bound: a
+// reader holding a snapshot across 120 publications keeps exactly that
+// snapshot's class states alive — it still serves its frozen ratings —
+// while every intermediate state the updates published and retired is
+// collected.
+func TestHeldSnapshotRetainsOnlyItsStates(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 1)
 	target := findByISBN(t, e, "caise96")
 	probeClasses := stampedClasses(t, e, target)
 
-	s, slot := e.pin()
+	s := e.snap.Load()
 	g0, ok := findInExt(s.class("Proceedings").ext, target.ID)
 	if !ok {
-		t.Fatal("stall target missing from the pinned Proceedings extent")
+		t.Fatal("stall target missing from the held Proceedings extent")
 	}
 	rating0, _ := g0.Get("rating")
 
 	const updates = 120
+	var collected atomic.Int64
+	intermediate := 0
+	prev := s.classes
 	for i := 0; i < updates; i++ {
 		if err := ship(e, updateOf("Proceedings", target.ID,
 			map[string]object.Value{"rating": object.Int(int64(7 + i%3))})); err != nil {
 			t.Fatalf("update %d: %v", i, err)
 		}
+		cur := e.snap.Load().classes
+		intermediate += finalizeRetired(prev, cur, s.classes, &collected)
+		prev = cur
 	}
 
-	st := e.RingStats()
-	if st.PinnedReaders != 1 {
-		t.Fatalf("pinned readers = %d, want 1 (the stalled pin)", st.PinnedReaders)
+	if e.snap.Load().classes["Proceedings"] == s.classes["Proceedings"] {
+		t.Fatal("the updates did not retire the held snapshot's Proceedings state")
 	}
-	if st.MaxLag != updates {
-		t.Errorf("max lag = %d, want %d (one bump per serial update)", st.MaxLag, updates)
+	// Every update but the last retired the state its predecessor
+	// published, for each class serving the target.
+	if want := (updates - 1) * len(probeClasses); intermediate < want {
+		t.Fatalf("%d intermediate class states retired, want >= %d", intermediate, want)
 	}
-	// One retained version per deep class — NOT one per missed update.
-	if st.DeepClasses == 0 || st.ChainVersions != st.DeepClasses {
-		t.Errorf("stalled reader retains %d versions across %d deep classes, want exactly one each: %+v",
-			st.ChainVersions, st.DeepClasses, st)
-	}
-	if st.ChainVersions >= updates/2 {
-		t.Errorf("stalled reader retained %d versions — the ring is growing with the update count", st.ChainVersions)
+	if !awaitCollected(&collected, int64(intermediate)) {
+		t.Errorf("%d of %d intermediate class states collected while one snapshot is held: retention grows with the update count",
+			collected.Load(), intermediate)
 	}
 
-	// The stalled pin still serves its frozen state, cross-class
+	// The held snapshot still serves its frozen state, cross-class
 	// consistent at its own sequence.
 	for _, cls := range probeClasses {
 		g, ok := findInExt(s.class(cls).ext, target.ID)
 		if !ok {
-			t.Fatalf("stall target missing from pinned class %s", cls)
+			t.Fatalf("stall target missing from held class %s", cls)
 		}
 		if v, ok := g.Get("rating"); ok && !v.Equal(rating0) {
-			t.Errorf("pinned snapshot's %s rating drifted: %v, want %v", cls, v, rating0)
+			t.Errorf("held snapshot's %s rating drifted: %v, want %v", cls, v, rating0)
 		}
-	}
-
-	e.unpin(slot)
-	if err := ship(e, updateOf("Proceedings", target.ID,
-		map[string]object.Value{"rating": object.Int(8)})); err != nil {
-		t.Fatal(err)
-	}
-	st = e.RingStats()
-	if st.ChainVersions != 0 || st.DeepClasses != 0 || st.PinnedReaders != 0 {
-		t.Errorf("ring not reclaimed after the stalled reader unpinned: %+v", st)
 	}
 }
 
-// TestRetiredClassStateIsCollectable proves excised versions are real
-// garbage: a finalizer set on a retired classState fires once the chain
-// is truncated past it and the pin released — no hidden reference from
-// the engine, the epoch table or a newer snapshot keeps it alive.
+// TestRetiredClassStateIsCollectable proves retired states are real
+// garbage: a finalizer set on a classState fires once publications have
+// replaced it and no reader holds a snapshot that maps it — no hidden
+// reference from the engine or a newer snapshot keeps it alive.
 func TestRetiredClassStateIsCollectable(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 1)
 	target := findByISBN(t, e, "caise96")
 
 	collected := make(chan struct{})
-	// Scope the pin so no local in the test frame keeps the state alive.
+	// Scope the load so no local in the test frame keeps the state alive.
 	func() {
-		s, slot := e.pin()
-		defer e.unpin(slot)
-		cs := s.class("Proceedings")
+		cs := e.snap.Load().class("Proceedings")
 		if len(cs.ext) == 0 {
-			t.Fatal("empty pinned Proceedings extent")
+			t.Fatal("empty published Proceedings extent")
 		}
 		runtime.SetFinalizer(cs, func(*classState) { close(collected) })
 	}()
 
 	// Two fork publications: the first retires the finalized state, the
-	// second's reclaim (no pins) excises it from the chain.
+	// second its successor; neither snapshot that mapped it is held.
 	for i := 0; i < 2; i++ {
 		if err := ship(e, updateOf("Proceedings", target.ID,
 			map[string]object.Value{"rating": object.Int(int64(8 + i))})); err != nil {
@@ -545,5 +549,5 @@ func TestRetiredClassStateIsCollectable(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("retired classState was never collected: something still references an excised version")
+	t.Fatal("retired classState was never collected: something still references it")
 }

@@ -31,15 +31,13 @@ type PlanExport struct {
 // deterministically ordered (class, then predicate fingerprint, then
 // UseConstraints).
 func (e *Engine) ExportPlans() ([]byte, error) {
-	s, slot := e.pin()
-	defer e.unpin(slot)
+	s := e.snap.Load()
 	type keyed struct {
 		exp    PlanExport
 		hi, lo uint64
 	}
 	var all []keyed
-	for class := range s.slots { // any order: all is sorted below
-		cs := s.class(class)
+	for class, cs := range s.classes { // any order: all is sorted below
 		var rangeErr error
 		cs.plans.Range(func(k, v any) bool {
 			key := k.(planKey)
@@ -89,8 +87,7 @@ func (e *Engine) WarmPlans(ctx context.Context, data []byte) (warmed, skipped in
 	if err := json.Unmarshal(data, &exports); err != nil {
 		return 0, 0, fmt.Errorf("plan warm: decode: %w", err)
 	}
-	s, slot := e.pin()
-	defer e.unpin(slot)
+	s := e.snap.Load()
 	for i, ex := range exports {
 		if !s.hasClass(ex.Class) {
 			skipped++

@@ -53,18 +53,13 @@ type plan struct {
 }
 
 // engineCounters aggregates the serving engine's cache-effectiveness
-// counters (atomics: every path updates them without any lock). Plan
-// hits and misses are NOT here: they are striped across the epoch slots
-// (epoch.go) so the steady-state read path never fetch-adds a cache
-// line every reader shares; CacheStats sums the stripes.
+// counters (atomics: every path updates them without any lock).
 type engineCounters struct {
-	solver    atomic.Int64
-	compiles  atomic.Int64
-	publishes atomic.Int64
-	// truncated counts excised class versions; structural counts
-	// structural publications (snapshot.go).
-	truncated  atomic.Int64
-	structural atomic.Int64
+	planHits   atomic.Int64
+	planMisses atomic.Int64
+	solver     atomic.Int64
+	compiles   atomic.Int64
+	publishes  atomic.Int64
 	// keyFiled counts the holders the key indexes filed, in a build or
 	// on a write, and keyVisited the live members Validate's key check
 	// examined (mutate.go). Neither is exported: the write-cost counts
@@ -109,25 +104,21 @@ func (s CacheStats) String() string {
 		s.PlanHits, s.PlanMisses, 100*s.PlanHitRate(), s.SolverQueries, s.Compiles, s.Publishes)
 }
 
-// CacheStats returns the engine's cache counters. Plan hits and misses
-// are summed over the epoch-slot stripes each reader updates privately.
+// CacheStats returns the engine's cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	out := CacheStats{
+	return CacheStats{
+		PlanHits:      e.counters.planHits.Load(),
+		PlanMisses:    e.counters.planMisses.Load(),
 		SolverQueries: e.counters.solver.Load(),
 		Compiles:      e.counters.compiles.Load(),
 		Publishes:     e.counters.publishes.Load(),
 	}
-	for _, sl := range e.epochs.all() {
-		out.PlanHits += sl.planHits.Load()
-		out.PlanMisses += sl.planMisses.Load()
-	}
-	return out
 }
 
 // planFor returns the cached plan for the predicate under the given
 // UseConstraints setting, building and (capacity permitting) caching it
-// on miss. hit reports whether the plan came from the cache — the
-// caller records it in its own epoch-slot counter stripe. A build aborted by context
+// on miss. hit reports whether the plan came from the cache; Run
+// counts it in CacheStats, WarmPlans does not. A build aborted by context
 // cancellation returns the error and caches NOTHING — a half-planned
 // query must not poison the cache for later callers.
 func (e *Engine) planFor(ctx context.Context, s *snapshot, cs *classState, pred expr.Node, useCons bool) (p *plan, hit bool, err error) {

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -10,33 +11,30 @@ import (
 	"interopdb/internal/object"
 )
 
-// Snapshot serving (DESIGN.md §8, §11): the engine publishes an
-// immutable per-class snapshot of the integrated view — frozen extent
-// slices, a frozen deref map, lazily built extent indexes, and the
-// per-class plan cache — through an atomic pointer. Run pins the
-// current snapshot in an epoch slot (epoch.go) and serves entirely from
-// it, so reads never take e.mu and never touch the live view. Ship,
-// Reconcile and Rebind mutate the live view under the write lock and
-// publish before releasing it: whenever e.mu is free, the published
-// snapshot equals the live view.
+// Snapshot serving (DESIGN.md §8, §12): the engine publishes an
+// immutable snapshot of the integrated view — per class a frozen extent
+// slice, lazily built extent indexes and the plan cache; a frozen deref
+// map — through an atomic pointer. Run loads the current snapshot and
+// serves entirely from it, so reads never take e.mu and never touch the
+// live view. Ship, Reconcile and Rebind mutate the live view under the
+// write lock and publish before releasing it: whenever e.mu is free, the
+// published snapshot equals the live view.
 //
-// Publication is per class: each global class has a classSlot holding a
-// chain of classVersions, newest first, and a snapshot is little more
-// than a sequence number over the shared slot map. A writer to class A
-// pushes a new version onto A's chain without touching class B's — B's
-// extent, indexes and cached plans survive, and readers of B never
-// observe an invalidation. A reader pinned at sequence P resolves a
-// class to the newest chained version with seq <= P; versions no pinned
-// epoch can resolve are excised by reclaimLocked after every delta
-// publication.
+// Publication is per class: a snapshot maps each global class to its
+// frozen classState, and nothing writes that map once it is published.
+// A writer to class A clones the map and replaces A's state alone — B's
+// extent, indexes and cached plans carry over by pointer, and readers of
+// B never observe an invalidation. A reader holding a snapshot keeps
+// exactly that snapshot's class states alive; the garbage collector
+// reclaims a retired state once no held snapshot maps it.
 //
 // The freeze contract the copy-on-write publication relies on:
 //
-//   - extent slices in a class version are private to the publication
+//   - extent slices in a class state are private to the publication
 //     path, so in-place splices on the live view cannot reach them; a
-//     pure-insert publication APPENDS to the previous version's slice
+//     pure-insert publication APPENDS to the previous state's slice
 //     (the new objects land beyond every published length, so older
-//     versions sharing the backing array never see them), amortising
+//     states sharing the backing array never see them), amortising
 //     the copy-on-write cost that used to tax singleton inserts;
 //   - objects reachable from a snapshot are never mutated: updates go
 //     through core.DetachForUpdate, which swaps a fresh clone into the
@@ -116,37 +114,15 @@ type classState struct {
 // maxPlansPerClass caps each class's plan cache.
 const maxPlansPerClass = 4096
 
-// classVersion is one link in a class's version chain, newest first.
-// Once published, seq and state never change; prev is rewritten only by
-// truncateChain, which unlinks excised versions while leaving their own
-// prev pointers intact — a reader walking through an excised version
-// still terminates at its resolution.
-type classVersion struct {
-	seq   uint64
-	state *classState
-	prev  atomic.Pointer[classVersion]
-}
-
-// classSlot is one class's publication cell: the head of its version
-// chain. Slots are shared by every snapshot of one structural
-// generation; a structural publication (construction, membership
-// change, class-set growth, error-path recovery) mints a fresh slot map
-// and strands the old one with the readers still pinned on it.
-type classSlot struct {
-	head atomic.Pointer[classVersion]
-}
-
 // snapshot is one published generation of the serving state.
 type snapshot struct {
-	// seq is the publication sequence number: it gates both which
-	// side-table deref entries this snapshot may resolve (see refTable)
-	// and which chained class versions it observes.
+	// seq is the publication sequence number: it gates which side-table
+	// deref entries this snapshot may resolve (see refTable).
 	seq    uint64
 	consts map[string]object.Value
-	// slots maps each global class to its version chain. The map itself
-	// is immutable (shared across delta publications; replaced wholesale
-	// by structural ones) — only the chain heads move.
-	slots map[string]*classSlot
+	// classes maps each global class to its frozen serving state. It is
+	// never written after publication: a delta publication clones it.
+	classes map[string]*classState
 	// decl maps each global class to the attribute set its origin class
 	// declares (empty for virtual classes), captured at publication so
 	// readers never touch the live view's metadata maps.
@@ -167,25 +143,16 @@ func (s *snapshot) deref(r object.Ref) (expr.Object, bool) {
 
 // hasClass reports whether the snapshot serves the class.
 func (s *snapshot) hasClass(name string) bool {
-	_, ok := s.slots[name]
+	_, ok := s.classes[name]
 	return ok
 }
 
-// class resolves the class's serving state as of this snapshot: the
-// newest chained version at or below the snapshot's sequence. A class
-// the snapshot does not know yields an ephemeral empty state (same
-// semantics as serving an empty extent). The current snapshot always
-// resolves at the chain head in one step; only readers pinned on older
-// sequences walk further.
+// class returns the class's serving state in this snapshot. A class the
+// snapshot does not know yields an ephemeral empty state (same semantics
+// as serving an empty extent).
 func (s *snapshot) class(name string) *classState {
-	sl, ok := s.slots[name]
-	if !ok {
-		return &classState{name: name}
-	}
-	for v := sl.head.Load(); v != nil; v = v.prev.Load() {
-		if v.seq <= s.seq {
-			return v.state
-		}
+	if cs, ok := s.classes[name]; ok {
+		return cs
 	}
 	return &classState{name: name}
 }
@@ -271,24 +238,17 @@ func newClassState(name string, liveExt []*core.GObj) *classState {
 	return &classState{name: name, ext: append([]*core.GObj{}, liveExt...)}
 }
 
-// newSlot builds a single-version slot for a structural publication.
-func newSlot(seq uint64, state *classState) *classSlot {
-	sl := &classSlot{}
-	sl.head.Store(&classVersion{seq: seq, state: state})
-	return sl
-}
-
 // publishDeltaLocked publishes one applied batch as a per-class delta:
 // changed names every class whose extent content changed (gained, lost
 // or replaced a member), inserted lists freshly created objects whose
 // refs extend the deref map, and fork forces a deref fork because
-// existing entries changed (any update or delete). A new version is
-// pushed onto each changed class's chain; every other class's slot —
-// extent, indexes, cached plans — is untouched, and readers of
-// untouched classes keep hitting their plan caches. The shared slot map
-// is read lock-free and cannot grow in place, so a batch that created a
-// class (first member of a previously empty superclass) publishes
-// structurally instead. Caller holds e.mu (write).
+// existing entries changed (any update or delete). The next snapshot
+// clones the class map and replaces each changed class's state; every
+// other class's state — extent, indexes, cached plans — carries over,
+// and readers of untouched classes keep hitting their plan caches. A
+// batch that created a class (first member of a previously empty
+// superclass) publishes structurally instead, because the declared-
+// attribute map must grow with it. Caller holds e.mu (write).
 func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, fork bool) {
 	old := e.snap.Load()
 	for _, name := range changed {
@@ -301,7 +261,7 @@ func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, for
 	next := &snapshot{
 		seq:     old.seq + 1,
 		consts:  v.Conformed.Consts,
-		slots:   old.slots,
+		classes: maps.Clone(old.classes),
 		decl:    old.decl,
 		checker: e.checker,
 	}
@@ -316,188 +276,66 @@ func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, for
 		}
 	}
 	for _, name := range changed {
-		sl := old.slots[name]
-		head := sl.head.Load()
-		if head.seq == next.seq {
-			continue // named twice in the batch: already pushed
+		prev := old.classes[name]
+		if next.classes[name] != prev {
+			continue // named twice in the batch: already replaced
 		}
 		liveExt := v.Extent(name)
-		var state *classState
-		if grown := len(liveExt) - len(head.state.ext); !fork && grown >= 0 {
-			// Pure inserts only append to extents, so the new version's
+		if grown := len(liveExt) - len(prev.ext); !fork && grown >= 0 {
+			// Pure inserts only append to extents, so the new state's
 			// extent is the previous one plus the live tail. The append
-			// may write into the previous version's backing array, but
-			// only beyond every published length — no reader can see the
-			// new elements through an older slice header.
-			state = &classState{name: name, ext: append(head.state.ext, liveExt[len(head.state.ext):]...)}
+			// may write into the previous state's backing array, but only
+			// beyond every published length — no reader can see the new
+			// elements through an older slice header.
+			next.classes[name] = &classState{name: name, ext: append(prev.ext, liveExt[len(prev.ext):]...)}
 		} else {
-			state = newClassState(name, liveExt)
+			next.classes[name] = newClassState(name, liveExt)
 		}
-		nv := &classVersion{seq: next.seq, state: state}
-		nv.prev.Store(head)
-		sl.head.Store(nv)
-		e.deep[name] = sl
 	}
 	e.snap.Store(next)
 	e.counters.publishes.Add(1)
-	e.reclaimLocked()
 }
 
-// publishStructuralLocked publishes a fresh slot map over the live class
-// set. Every class named in rebuild, and every class the previous
+// publishStructuralLocked publishes a fresh class map over the live
+// class set. Every class named in rebuild, and every class the previous
 // snapshot does not serve, is built from its live extent; every other
 // class CARRIES OVER — its frozen extent, lazily built indexes and
-// cached plans survive in a fresh single-version slot (pinned by the
-// federation plan-survival tests). Carrying over is sound because the
-// published snapshot equals the live view whenever e.mu is free, so a
-// class the caller did not name still serves its live content. Classes
-// that left the live class set leave the snapshot with it. The deref
-// table is forked and the declared-attribute map rebuilt: both can
-// change shape arbitrarily when members come and go.
-//
-// The previous generation's slots stay reachable only from the
-// snapshots already pinned on them and are never truncated again — they
-// become garbage when the last such reader unpins. The constructor (no
-// previous snapshot: every class is built), Rebind, a batch that created
-// a class and the error fallback (every class named) publish here.
-// Caller holds e.mu (write) or is the constructor.
+// cached plans survive (pinned by the federation plan-survival tests).
+// Carrying over is sound because the published snapshot equals the live
+// view whenever e.mu is free, so a class the caller did not name still
+// serves its live content. Classes that left the live class set leave
+// the snapshot with it. The deref table is forked and the declared-
+// attribute map rebuilt: both can change shape arbitrarily when members
+// come and go. The constructor (no previous snapshot: every class is
+// built), Rebind, a batch that created a class and the error fallback
+// (every class named) publish here. Caller holds e.mu (write) or is the
+// constructor.
 func (e *Engine) publishStructuralLocked(rebuild []string) {
 	v := e.res.View
 	old := e.snap.Load()
 	next := &snapshot{
 		consts:  v.Conformed.Consts,
-		slots:   make(map[string]*classSlot, len(v.ClassNames)),
+		classes: make(map[string]*classState, len(v.ClassNames)),
 		decl:    buildDecl(v),
 		refs:    newRefTable(v.RefsCopy()),
 		checker: e.checker,
 	}
+	var carried map[string]*classState // nil for the constructor
 	if old != nil {
 		next.seq = old.seq + 1
+		carried = old.classes
 	}
 	fresh := make(map[string]bool, len(rebuild))
 	for _, name := range rebuild {
 		fresh[name] = true
 	}
 	for _, name := range v.ClassNames {
-		var state *classState
-		if old != nil && !fresh[name] && old.hasClass(name) {
-			state = old.class(name)
+		if cs, ok := carried[name]; ok && !fresh[name] {
+			next.classes[name] = cs
 		} else {
-			state = newClassState(name, v.Extent(name))
+			next.classes[name] = newClassState(name, v.Extent(name))
 		}
-		next.slots[name] = newSlot(next.seq, state)
 	}
 	e.snap.Store(next)
 	e.counters.publishes.Add(1)
-	e.counters.structural.Add(1)
-	e.deep = map[string]*classSlot{}
-}
-
-// reclaimLocked excises every retired class version no pinned reader
-// epoch can resolve. The epoch scan runs AFTER the new snapshot pointer
-// was stored (the publisher half of the Dekker protocol in epoch.go):
-// any reader the scan misses is guaranteed to re-check the pointer, see
-// the new snapshot and re-pin at it — so the versions kept here cover
-// every reader that could still be walking a chain. Caller holds e.mu
-// (write).
-func (e *Engine) reclaimLocked() {
-	if len(e.deep) == 0 {
-		return
-	}
-	pinned := e.epochs.pinnedSeqs()
-	for name, sl := range e.deep {
-		if e.truncateChain(sl, pinned) {
-			delete(e.deep, name)
-		}
-	}
-}
-
-// truncateChain unlinks every version that is neither the chain head
-// nor the resolution of a pinned sequence (the newest version at or
-// below it), reporting whether the chain is back to a single version.
-// One kept version can resolve several pins; a stalled reader therefore
-// retains exactly one version per class, never the whole ring. Excised
-// versions keep their own prev pointers, so a reader already walking
-// through one still reaches its (kept) resolution. pinned is sorted
-// descending.
-func (e *Engine) truncateChain(sl *classSlot, pinned []uint64) bool {
-	head := sl.head.Load()
-	pi := 0
-	for pi < len(pinned) && pinned[pi] >= head.seq {
-		pi++ // resolves at the head, which is always kept
-	}
-	last := head
-	var truncated int64
-	for v := head.prev.Load(); v != nil; v = v.prev.Load() {
-		keep := false
-		for pi < len(pinned) && pinned[pi] >= v.seq {
-			keep = true // v is pinned[pi]'s resolution
-			pi++
-		}
-		if keep {
-			if last.prev.Load() != v {
-				last.prev.Store(v)
-			}
-			last = v
-		} else {
-			truncated++
-		}
-	}
-	if last.prev.Load() != nil {
-		last.prev.Store(nil)
-	}
-	if truncated > 0 {
-		e.counters.truncated.Add(truncated)
-	}
-	return head.prev.Load() == nil
-}
-
-// RingStats reports the multi-version ring's health: the published
-// sequence, how many reader epochs are pinned and how far the oldest
-// lags, and the reclaim state (retired versions still chained, classes
-// with deep chains, cumulative excisions and structural rebuilds).
-type RingStats struct {
-	// Seq is the current publication sequence.
-	Seq uint64
-	// PinnedReaders counts reader epochs currently pinned on a version.
-	PinnedReaders int
-	// MaxLag is Seq minus the oldest pinned sequence (0 when no reader
-	// is pinned): the version lag a stalled reader imposes.
-	MaxLag uint64
-	// ChainVersions counts retired class versions still linked behind a
-	// chain head — the reclaim depth. Bounded by pinned readers ×
-	// changed classes, and 0 when no reader is pinned.
-	ChainVersions int
-	// DeepClasses counts classes whose chain holds more than the head.
-	DeepClasses int
-	// Truncated is the cumulative count of excised versions;
-	// Structural counts structural publications.
-	Truncated  int64
-	Structural int64
-}
-
-// RingStats returns the ring's current state. It takes the read lock
-// (holding off publications, whose chain rewrites it would otherwise
-// race), so it is a diagnostics call, not a serving-path one.
-func (e *Engine) RingStats() RingStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	st := RingStats{
-		Seq:           e.snap.Load().seq,
-		PinnedReaders: e.epochs.pinnedCount(),
-		DeepClasses:   len(e.deep),
-		Truncated:     e.counters.truncated.Load(),
-		Structural:    e.counters.structural.Load(),
-	}
-	if pinned := e.epochs.pinnedSeqs(); len(pinned) > 0 {
-		if oldest := pinned[len(pinned)-1]; oldest < st.Seq {
-			st.MaxLag = st.Seq - oldest
-		}
-	}
-	for _, sl := range e.deep {
-		for v := sl.head.Load().prev.Load(); v != nil; v = v.prev.Load() {
-			st.ChainVersions++
-		}
-	}
-	return st
 }

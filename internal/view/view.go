@@ -104,17 +104,10 @@ type Engine struct {
 	// it.
 	mu sync.RWMutex
 
-	// snap is the published serving snapshot (snapshot.go).
+	// snap is the published serving snapshot (snapshot.go). A reader
+	// loads it once and serves from that pointer; the collector frees a
+	// retired snapshot once no reader holds it.
 	snap atomic.Pointer[snapshot]
-
-	// epochs is the reader epoch-slot table (epoch.go): Run pins the
-	// snapshot it serves from so reclamation never excises a class
-	// version a reader can still resolve.
-	epochs *epochTable
-
-	// deep holds the classes whose version chains hold retired versions
-	// (snapshot.go). Guarded by mu, written under the write lock.
-	deep map[string]*classSlot
 
 	// keys holds Validate's key-holder indexes (mutate.go, keyIndex),
 	// by class and key attributes. Guarded by mu: built under either
@@ -194,8 +187,6 @@ func New(res *core.Result) *Engine {
 		UseIndexes:     true,
 		cons:           map[string]*classCons{},
 		mcons:          map[string]*consGroup{},
-		epochs:         newEpochTable(),
-		deep:           map[string]*classSlot{},
 		health:         newHealthTracker(),
 		journal:        newCommitJournal(),
 	}
@@ -271,10 +262,9 @@ func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) 
 	if !e.UseIndexes {
 		return e.runReference(ctx, q)
 	}
-	// Pin the snapshot in an epoch slot (epoch.go) so concurrent
-	// publications cannot reclaim the class versions this query reads.
-	s, slot := e.pin()
-	defer e.unpin(slot)
+	// Hold one snapshot for the whole query: later publications swap
+	// e.snap but never change what s maps.
+	s := e.snap.Load()
 	cs := s.class(q.Class)
 	var stats Stats
 	stats.Degraded = e.health.degradedMembers()
@@ -298,9 +288,9 @@ func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) 
 
 	p, hit, err := e.planFor(ctx, s, cs, q.Where, e.UseConstraints)
 	if hit {
-		slot.planHits.Add(1)
+		e.counters.planHits.Add(1)
 	} else {
-		slot.planMisses.Add(1)
+		e.counters.planMisses.Add(1)
 	}
 	if err != nil {
 		return nil, stats, err
