@@ -48,7 +48,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/store/chaos/
 	$(GO) test -race -count=1 -run 'Chaos|Breaker|PartialCommit|LateRejection|FailAfterCommit' ./internal/view/
 	$(GO) test -race -count=1 -run 'Health|Wire|BackgroundReconciler' ./internal/server/
-	$(GO) test -race -count=1 -run 'CrashRecovery|CrashAtEveryAppend|WALGolden' .
+	$(GO) test -race -count=1 -run 'CrashRecovery|CrashAtEveryAppend|CrashAtEverySync|OneFsyncPerBatch|WALGolden' .
 
 # Crash-safety suite: WAL scan/replay/truncation contracts, checkpoint
 # round trips, kill-and-recover differentials (recovered state
@@ -57,7 +57,7 @@ chaos:
 # and the wire-level durable-tenant lifecycle.
 crashtest:
 	$(GO) test -race -count=1 -run 'WAL|Checkpoint|Durable|Replay' ./internal/store/
-	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery|CrashAtEveryAppend|WALGolden' .
+	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery|CrashAtEveryAppend|CrashAtEverySync|OneFsyncPerBatch|WALGolden' .
 	$(GO) test -race -count=1 -run 'Durable' ./internal/server/
 
 # Short-budget native fuzzing of the query parser, the wire codec, the

@@ -48,9 +48,9 @@ const (
 
 // DurabilityOptions configures a node's persistence.
 type DurabilityOptions struct {
-	// Sync is the WAL fsync policy. Every append fsyncs before the
-	// commit acknowledges, so SyncAlways is its only value; the field
-	// remains only because the repository benchmark names it.
+	// Sync is the WAL fsync policy. Every batch is fsynced once, before
+	// its outcome is reported, so SyncAlways is its only value; the
+	// field remains only because the repository benchmark names it.
 	Sync store.SyncPolicy
 	// WrapWAL, when set, wraps the log file before any append — the
 	// chaos disk-fault hook (store/chaos.WrapDisk).
@@ -60,8 +60,8 @@ type DurabilityOptions struct {
 // SyncPolicy re-exports the WAL fsync policy (see store.SyncPolicy).
 type SyncPolicy = store.SyncPolicy
 
-// SyncAlways re-exports the WAL's only fsync policy: every append
-// fsyncs.
+// SyncAlways re-exports the WAL's only fsync policy: every batch is
+// durable before it is acknowledged.
 const SyncAlways = store.SyncAlways
 
 // RecoveryInfo reports what a boot's recovery did.
@@ -226,7 +226,8 @@ func (d *Durability) Finish(ctx context.Context, f *Federation) (RecoveryInfo, e
 // WAL prefix it makes redundant. The capture runs under the engine's
 // read lock, which excludes Ship commits, so the extents and the log
 // cut are one consistent state; the file writes happen after the lock
-// is released.
+// is released. The commit journal syncs before it releases the engine
+// lock, so the captured LSN is a synced one.
 func (d *Durability) Checkpoint(f *Federation) error {
 	f.mu.Lock()
 	engine := f.engine

@@ -30,9 +30,11 @@ func reopenRecords(t *testing.T, path string) []store.WALRecord {
 	return recs
 }
 
-// TestDiskFaultSeals drives each hard disk-fault mode at a scheduled
-// write and checks: the append fails transient, the log seals, and the
-// durable prefix recovers clean.
+// TestDiskFaultSeals drives each hard disk-fault mode at the third
+// write, after two appends and a sync, and checks: the fault surfaces
+// transient at the durability point — the append for a write fault,
+// the following Sync for an fsync fault — the log seals, and the
+// synced prefix recovers clean.
 func TestDiskFaultSeals(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -49,9 +51,18 @@ func TestDiskFaultSeals(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
 			_, err := w.Append(store.WALCommit, []byte{9})
+			if tc.fault == DiskSyncError {
+				if err != nil {
+					t.Fatalf("append before the faulted fsync: %v", err)
+				}
+				err = w.Sync()
+			}
 			if err == nil {
-				t.Fatal("faulted append succeeded")
+				t.Fatal("fault was not reported")
 			}
 			if !store.IsTransient(err) {
 				t.Fatalf("fault error %v does not match ErrUnavailable", err)
@@ -65,7 +76,7 @@ func TestDiskFaultSeals(t *testing.T) {
 			w.Close()
 			recs := reopenRecords(t, path)
 			if len(recs) != 2 {
-				t.Fatalf("%d records survived, want the 2 pre-fault appends", len(recs))
+				t.Fatalf("%d records survived, want the 2 synced appends", len(recs))
 			}
 		})
 	}

@@ -4,16 +4,21 @@ package store
 // and appends the three record kinds the engine's commit journal writes
 // for a routed batch (DESIGN.md §13): the intent before the first member
 // commit, one commit record per member commit, and the resolve record at
-// the batch's terminal transition. The journal is the only writer.
+// the batch's terminal transition. A single-member batch writes only its
+// commit record, standalone. The journal is the only writer, and it
+// calls WAL.Sync once per batch, before the batch's outcome is reported:
+// the appends below do not fsync.
 //
 // Ordering: a member commit runs FIRST, then its commit record is
 // appended. A deferred-validation commit is also the validation —
 // logging before it would record batches the member's manager then
-// rejects. The window this opens (member commit applied, append failed)
-// is handled by sealing: the append failure seals the log, the caller
-// never sees an ack, and the node must restart — recovery rebuilds
-// exactly the durable prefix, which matches exactly the acknowledged
-// batches.
+// rejects. The window this opens (member commit applied, record not
+// durable) is handled by sealing: a failed append or sync seals the log
+// and cuts it back to the last synced record, the caller never sees an
+// ack, and the node must restart — recovery rebuilds exactly the synced
+// prefix, which holds every reported outcome. The member stores are
+// in-process and rebuilt from that prefix at boot, so a member commit no
+// fsync covers is lost together with its record.
 type DurableSet struct {
 	wal *WAL
 }

@@ -13,9 +13,10 @@ import (
 )
 
 // The write-ahead log (DESIGN.md §13). Every committed member-store
-// transaction is appended here before the shipping layer acknowledges,
-// so a restarted node can replay `checkpoint + WAL tail` and land on
-// exactly the committed pre-crash state.
+// transaction is appended here, and Sync makes it durable before the
+// shipping layer reports the batch's outcome, so a restarted node can
+// replay `checkpoint + WAL tail` and land on exactly the acknowledged
+// pre-crash state.
 //
 // File layout:
 //
@@ -28,7 +29,9 @@ import (
 // at the last frame that verifies; it NEVER resynchronises past a bad
 // frame, because a frame that fails its checksum leaves no trustworthy
 // length to skip by — everything after the damage is considered lost
-// and reported, not silently dropped record-by-record.
+// and reported, not silently dropped record-by-record. That cut is what
+// lets appends go unsynced: a written-but-unsynced suffix, even one the
+// kernel wrote back out of order, recovers as a prefix of the records.
 //
 // LSNs are assigned by the WAL under its lock, strictly increasing
 // across the file's lifetime (TruncateThrough preserves the counter),
@@ -103,14 +106,15 @@ type WALFile interface {
 	Truncate(size int64) error
 }
 
-// SyncPolicy names the WAL's fsync policy. Every append fsyncs, so
-// SyncAlways is its only value; the type, the constant and
-// WALOptions.Sync remain only because the repository benchmark's
-// durable twin names them.
+// SyncPolicy names the WAL's fsync policy. WAL.Sync is the one
+// durability point and the commit journal calls it before every
+// reported outcome, so SyncAlways is its only value; the type, the
+// constant and WALOptions.Sync remain only because the repository
+// benchmark's durable twin names them.
 type SyncPolicy int
 
-// SyncAlways fsyncs after every appended record — the durability
-// contract the shipping layer's acknowledgement relies on.
+// SyncAlways makes every acknowledged batch durable before its
+// acknowledgement: one fsync per batch, however many records it wrote.
 const SyncAlways SyncPolicy = 0
 
 // WALOptions configures OpenWAL.
@@ -131,6 +135,7 @@ type WAL struct {
 	opts   WALOptions
 	lsn    uint64 // last assigned LSN
 	size   int64  // current valid file size
+	synced int64  // file size the last fsync covered
 	sealed error  // non-nil once a write/sync failure poisoned the handle
 	damage *TailDamage
 }
@@ -273,15 +278,13 @@ func OpenWAL(path string, opts WALOptions) (*WAL, []WALRecord, error) {
 	if opts.WrapFile != nil {
 		wf = opts.WrapFile(f)
 	}
-	return &WAL{f: wf, path: path, opts: opts, lsn: lsn, size: valid, damage: damage}, recs, nil
+	return &WAL{f: wf, path: path, opts: opts, lsn: lsn, size: valid, synced: valid, damage: damage}, recs, nil
 }
 
-// Append writes one record, assigns its LSN, and fsyncs before
-// returning — the record is durable when Append returns
-// nil. Any write or sync failure seals the log: the on-disk prefix up
-// to the last successful append stays valid (a failed partial write is
-// truncated away when possible, and cut by recovery's tail scan when
-// not), but all future appends fail with ErrWALSealed.
+// Append writes one record and assigns its LSN. It does not fsync:
+// the record is durable once a later Sync returns nil. Any write
+// failure seals the log, and all future appends fail with
+// ErrWALSealed.
 func (w *WAL) Append(kind byte, body []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -298,42 +301,47 @@ func (w *WAL) Append(kind byte, body []byte) (uint64, error) {
 		w.seal(fmt.Errorf("wal: append: %w", err))
 		return 0, w.sealed
 	}
-	if err := w.f.Sync(); err != nil {
-		w.seal(fmt.Errorf("wal: sync: %w", err))
-		return 0, w.sealed
-	}
 	w.lsn = lsn
 	w.size += int64(len(frame))
 	return lsn, nil
 }
 
-// seal poisons the handle after a failed write and tries to cut the
-// file back to the last known-good size so the on-disk image stays
-// frame-aligned. If the truncate fails too, recovery's scan will cut
-// the torn tail instead — same end state, one crash later.
+// seal poisons the handle after a failed write or fsync and cuts the
+// file back to the size the last successful fsync covered, so the file
+// holds exactly the synced records. If the truncate fails too,
+// recovery's scan cuts a torn tail instead; whole unsynced frames
+// would survive that case, as they would a crash before any failure.
 func (w *WAL) seal(cause error) {
 	w.sealed = fmt.Errorf("%w: %v", ErrWALSealed, cause)
-	_ = w.f.Truncate(w.size)
+	_ = w.f.Truncate(w.synced)
+	w.size = w.synced
 }
 
-// Sync flushes the log file to stable storage and reports a sealed
-// log. Every append already fsyncs; the graceful drain calls Sync to
-// learn whether the log is still writable before its final checkpoint.
+// Sync is the log's durability point: it fsyncs the records appended
+// since the last sync and is a no-op when there are none. A failed
+// fsync seals the log (see seal). A sealed log reports its seal, which
+// is how the graceful drain learns whether the log is still writable
+// before its final checkpoint.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.sealed != nil {
 		return w.sealed
 	}
+	if w.synced == w.size {
+		return nil
+	}
 	if err := w.f.Sync(); err != nil {
 		w.seal(fmt.Errorf("wal: sync: %w", err))
 		return w.sealed
 	}
+	w.synced = w.size
 	return nil
 }
 
-// LastLSN returns the LSN of the last durably appended record (0 when
-// the log is empty).
+// LastLSN returns the LSN of the last appended record (0 when the log
+// is empty). The commit journal syncs before it releases the engine
+// lock, so a caller holding that lock reads a synced LSN.
 func (w *WAL) LastLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -394,6 +402,7 @@ func (w *WAL) TruncateThrough(through uint64) error {
 		w.seal(fmt.Errorf("wal: sync before truncate: %w", err))
 		return w.sealed
 	}
+	w.synced = w.size
 	img, err := os.ReadFile(w.path)
 	if err != nil {
 		return fmt.Errorf("wal: reread for truncate: %w", err)
@@ -461,7 +470,7 @@ func (w *WAL) TruncateThrough(through uint64) error {
 		wf = w.opts.WrapFile(nf)
 	}
 	w.f = wf
-	w.size = size
+	w.size, w.synced = size, size
 	old.Close()
 	return nil
 }

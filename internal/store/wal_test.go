@@ -262,6 +262,11 @@ func (f *failFile) Sync() error {
 	return f.WALFile.Sync()
 }
 
+// TestWALSealsOnWriteFailure pins the seal at the durability point: two
+// appends and a sync, one more append, then a failed write (or a failed
+// sync, in sync mode). The failure surfaces as ErrUnavailable, the log
+// seals, and a reopen finds exactly the synced records: the unsynced
+// append is cut with the failed one.
 func TestWALSealsOnWriteFailure(t *testing.T) {
 	for _, mode := range []string{"write", "short", "sync"} {
 		dir := t.TempDir()
@@ -270,35 +275,50 @@ func TestWALSealsOnWriteFailure(t *testing.T) {
 			ff = &failFile{WALFile: f}
 			return ff
 		}})
-		if _, err := w.Append(WALCommit, []byte("good")); err != nil {
+		for _, body := range []string{"good", "also good"} {
+			if _, err := w.Append(WALCommit, []byte(body)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := w.Append(WALCommit, []byte("unsynced")); err != nil {
+			t.Fatal(err)
+		}
+		var err error
 		switch mode {
 		case "write":
 			ff.failWrite = true
+			_, err = w.Append(WALCommit, []byte("bad"))
 		case "short":
 			ff.short = true
+			_, err = w.Append(WALCommit, []byte("bad"))
 		case "sync":
 			ff.failSync = true
+			err = w.Sync()
 		}
-		if _, err := w.Append(WALCommit, []byte("bad")); err == nil {
-			t.Fatalf("%s: append succeeded through failure", mode)
+		if err == nil {
+			t.Fatalf("%s: the failure was not reported", mode)
 		} else if !IsTransient(err) {
 			t.Fatalf("%s: seal error %v does not match ErrUnavailable", mode, err)
 		}
-		// Sealed: even healthy appends now refuse.
+		// Sealed: even healthy appends and syncs now refuse.
 		ff.failWrite, ff.short, ff.failSync = false, false, false
 		if _, err := w.Append(WALCommit, []byte("after")); !errors.Is(err, ErrWALSealed) {
 			t.Fatalf("%s: post-seal append err = %v", mode, err)
 		}
+		if err := w.Sync(); !errors.Is(err, ErrWALSealed) {
+			t.Fatalf("%s: post-seal sync err = %v", mode, err)
+		}
 		w.Close()
-		// The durable prefix survives: exactly one record.
+		// Exactly the synced prefix survives.
 		_, recs, err := OpenWAL(filepath.Join(dir, "wal.log"), WALOptions{})
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", mode, err)
 		}
-		if len(recs) != 1 || string(recs[0].Body) != "good" {
-			t.Fatalf("%s: reopened records %v", mode, recs)
+		if len(recs) != 2 || string(recs[0].Body) != "good" || string(recs[1].Body) != "also good" {
+			t.Fatalf("%s: reopened records %v, want the two synced ones", mode, recs)
 		}
 	}
 }

@@ -22,7 +22,12 @@ import (
 // commit (commitLogged) appends a commit record carrying its LSN, and
 // every terminal transition appends a resolve record — recovery
 // (store/recover.go) settles interrupted batches from exactly these
-// records. Each member commit is marked as it lands; a fully
+// records. A single-member batch needs no atomicity record: it writes
+// only its commit record, standalone (Batch 0), which replay applies
+// on its own. Appends do not fsync; sync is the one durability point,
+// and Ship and Reconcile call it before they report any outcome or
+// apply a batch to the view, so the engine lock is never released over
+// an unsynced record. Each member commit is marked as it lands; a fully
 // committed batch resolves its entry. A stranded batch leaves the entry
 // pending in one of two modes:
 //
@@ -125,15 +130,22 @@ func (j *commitJournal) sealed() error {
 }
 
 // begin records intent for a routed batch about to commit. With a log
-// bound, the intent record is appended first; a failure there
+// bound, the intent record is appended first — unless the batch has a
+// single member, whose commit record settles it alone; a failure there
 // (typically a sealed log) means the batch cannot be made durable, so
 // it must abort before any member commits, and no entry is left behind.
 func (j *commitJournal) begin(intent store.IntentRecord, backends map[string]store.Backend, txns map[string]store.Txn, applies []shippedOp) (*journalEntry, error) {
 	var lsn uint64
 	if ds := j.log.Load(); ds != nil {
-		var err error
-		if lsn, err = ds.AppendIntent(intent.Members, intent.Effects); err != nil {
-			return nil, fmt.Errorf("durability: append intent: %w", err)
+		if len(intent.Members) == 1 {
+			if err := ds.WAL().Sealed(); err != nil {
+				return nil, fmt.Errorf("durability: %w", err)
+			}
+		} else {
+			var err error
+			if lsn, err = ds.AppendIntent(intent.Members, intent.Effects); err != nil {
+				return nil, fmt.Errorf("durability: append intent: %w", err)
+			}
 		}
 	}
 	j.mu.Lock()
@@ -188,6 +200,16 @@ func (e *Engine) commitLogged(ctx context.Context, batch uint64, b store.Backend
 	return ds.AppendCommit(body)
 }
 
+// sync makes every record appended so far durable: the one fsync a
+// batch pays, taken before its outcome is reported. A no-op without a
+// log or when nothing was appended since the last sync.
+func (j *commitJournal) sync() error {
+	if ds := j.log.Load(); ds != nil {
+		return ds.WAL().Sync()
+	}
+	return nil
+}
+
 // resolve ends an entry with a terminal outcome (committed or aborted):
 // the resolve record is appended and the entry dropped.
 func (j *commitJournal) resolve(ent *journalEntry, outcome string) {
@@ -207,10 +229,11 @@ func (j *commitJournal) compensate(ent *journalEntry, err error) {
 	j.logResolve(ent, store.ResolveCompensated)
 }
 
-// logResolve appends a resolve record. Best-effort by design: an
-// unresolved intent is settled idempotently by recovery from the member
-// commit records, so a failed append (a sealed log during
-// shutdown-by-fault) loses nothing.
+// logResolve appends a resolve record; a single-member batch has no
+// intent to resolve. Best-effort by design: an unresolved intent is
+// settled idempotently by recovery from the member commit records, so
+// a failed append (a sealed log during shutdown-by-fault) loses
+// nothing.
 func (j *commitJournal) logResolve(ent *journalEntry, outcome string) {
 	if ds := j.log.Load(); ds != nil && ent.Wal != 0 {
 		_ = ds.AppendResolve(ent.Wal, outcome)

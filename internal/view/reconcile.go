@@ -202,10 +202,15 @@ type ReconcileStats struct {
 // with no pending entries are liveness-probed so their breakers close
 // without waiting for write traffic. Safe to call at any time — the
 // server runs it on a background ticker, and callers that just saw a
-// *PartialCommitError can call it after the hinted backoff.
+// *PartialCommitError can call it after the hinted backoff. An entry
+// counts as settled only once its records are synced, and the records
+// of entries still pending are synced before the pass returns; a failed
+// sync seals the log and leaves its entry pending for the restarted
+// node's recovery.
 func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer func() { _ = e.journal.sync() }()
 	var rs ReconcileStats
 
 	for _, ent := range e.journal.snapshotEntries() {
@@ -216,9 +221,7 @@ func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 		}
 		switch e.journal.modeOf(ent) {
 		case modeCompensate:
-			if e.compensateEntry(ctx, ent) {
-				e.journal.remove(ent)
-				e.faults.reconCompensated.Add(1)
+			if e.compensateEntry(ctx, ent) && e.settleCompensated(ent) {
 				rs.Compensated++
 			}
 		default:
@@ -226,15 +229,12 @@ func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 			if err != nil {
 				// The entry flipped to compensate mode (a local manager
 				// rejected the retained transaction); undo what committed.
-				if e.compensateEntry(ctx, ent) {
-					e.journal.remove(ent)
-					e.faults.reconCompensated.Add(1)
+				if e.compensateEntry(ctx, ent) && e.settleCompensated(ent) {
 					rs.Compensated++
 				}
 				continue
 			}
 			if done {
-				e.journal.resolve(ent, store.ResolveCommitted)
 				e.faults.reconCompleted.Add(1)
 				rs.Completed++
 			}
@@ -260,10 +260,23 @@ func (e *Engine) Reconcile(ctx context.Context) (ReconcileStats, error) {
 	return rs, nil
 }
 
+// settleCompensated drops a fully compensated entry once its records
+// are synced.
+func (e *Engine) settleCompensated(ent *journalEntry) bool {
+	if err := e.journal.sync(); err != nil {
+		e.journal.setErr(ent, err)
+		return false
+	}
+	e.journal.remove(ent)
+	e.faults.reconCompensated.Add(1)
+	return true
+}
+
 // completeEntry drives a complete-mode entry: every uncommitted member
 // is probed, verified (fail-after-commit) or re-committed; once all
-// members hold the batch it is applied to the view. A permanent local
-// rejection flips the entry to compensate mode and returns an error.
+// members hold the batch it is resolved, synced and applied to the
+// view. A permanent local rejection flips the entry to compensate mode
+// and returns an error.
 func (e *Engine) completeEntry(ctx context.Context, ent *journalEntry) (bool, error) {
 	for _, member := range ent.Intent.Members {
 		if e.journal.isCommitted(ent, member) {
@@ -300,12 +313,19 @@ func (e *Engine) completeEntry(ctx context.Context, ent *journalEntry) (bool, er
 		e.journal.compensate(ent, err)
 		return false, err
 	}
-	if err := e.applyShipped(ent.Applies); err != nil {
-		// Committed locally everywhere but not representable in the
-		// view — the same terminal condition applyShipped reports on
-		// the healthy path. The entry is finished either way.
-		return true, nil
+	e.journal.logResolve(ent, store.ResolveCommitted)
+	if err := e.journal.sync(); err != nil {
+		// A sealed log: the entry stays pending, and the restarted
+		// node's recovery settles it from the records synced so far.
+		e.journal.setErr(ent, err)
+		return false, nil
 	}
+	e.journal.remove(ent)
+	// An error here means committed locally everywhere but not
+	// representable in the view — the same terminal condition
+	// applyShipped reports on the healthy path. The entry is finished
+	// either way.
+	_ = e.applyShipped(ent.Applies)
 	return true, nil
 }
 

@@ -59,10 +59,13 @@ func (e *Engine) BindStores(reg *store.Registry) {
 //     with the federation restored; only if compensation itself stalls
 //     does the caller see a *PartialCommitError.
 //
-// On full success the batch is applied to the integrated view in order
-// and ONE snapshot is published before the write lock is released, so
-// concurrent readers observe the whole batch or none of it, and the
-// caller's next read, on any goroutine, observes all of it.
+// With a write-ahead log bound (SetDurability), every record the batch
+// appended is made durable by one fsync before any outcome is reported
+// and before the view changes; a failed fsync is reported instead of
+// the outcome. On full success the batch is applied to the integrated
+// view in order and ONE snapshot is published before the write lock is
+// released, so concurrent readers observe the whole batch or none of
+// it, and the caller's next read, on any goroutine, observes all of it.
 //
 // The context is checked between staged operations and once more before
 // the first member commit: cancellation there rolls every member
@@ -192,10 +195,29 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 	if err != nil {
 		return abort(err)
 	}
+	err = e.commitBatch(ctx, ent)
+	// One fsync covers every record the batch appended. It lands before
+	// any outcome is reported and before the view changes, so neither
+	// an acknowledgement nor a reported rejection can outrun the log.
+	if serr := e.journal.sync(); serr != nil {
+		return serr
+	}
+	if err != nil {
+		return err
+	}
+	return e.applyShipped(applies)
+}
 
+// commitBatch is Ship's commit phase: it commits the entry's member
+// transactions in order and returns nil once every member committed
+// and the entry is resolved. Any other outcome comes back as the error
+// Ship reports: a plain rejection, a compensated rejection, a
+// *MemberUnavailableError or a *PartialCommitError.
+func (e *Engine) commitBatch(ctx context.Context, ent *journalEntry) error {
+	order, txs := ent.Intent.Members, ent.Txns
 	var committed, pendingMembers []string
 	for ci, member := range order {
-		err := e.commitLogged(ctx, ent.Wal, backends[member], txs[member], effects[member])
+		err := e.commitLogged(ctx, ent.Wal, ent.Backends[member], txs[member], ent.Intent.Effects[member])
 		if err == nil {
 			e.journal.markCommitted(ent, member)
 			e.health.success(member)
@@ -255,7 +277,7 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 		}
 	}
 	e.journal.resolve(ent, store.ResolveCommitted)
-	return e.applyShipped(applies)
+	return nil
 }
 
 // sortedSides lists an object's constituent sides in ascending order —

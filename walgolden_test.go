@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,22 +15,30 @@ import (
 	"testing"
 	"time"
 
+	"interopdb/internal/object"
 	"interopdb/internal/store"
 	"interopdb/internal/store/chaos"
 )
 
-// The WAL golden pins the on-disk bytes of a scripted durable Figure 1
-// run. testdata/wal/figure1.log was written BEFORE the effect record
-// moved into internal/store: it is what "byte-identical log" means for
-// that change. For an intended format change, delete the golden: the
-// next run writes it anew and fails once, so the new file gets read
-// before it is trusted.
+// The WAL goldens pin the on-disk bytes of a scripted durable Figure 1
+// run. testdata/wal/figure1-standalone.log is what the run writes
+// today: a single-member batch is one standalone commit record.
+// testdata/wal/figure1.log was written BEFORE the effect record moved
+// into internal/store, when every batch wrote intent, commit and
+// resolve records; it stays as a read-compatibility golden. For an
+// intended format change, delete the current golden: the next run
+// writes it anew and fails once, so the new file gets read before it
+// is trusted.
 
-// walCapture records every frame the WAL appends, in order (the WrapWAL
-// hook survives the checkpoint's log rewrite, which re-wraps the file).
+// walCapture records every frame the WAL appends and every fsync, in
+// order (the WrapWAL hook survives the checkpoint's log rewrite, which
+// re-wraps the file).
 type walCapture struct {
 	mu     sync.Mutex
 	frames [][]byte
+	// syncs holds, per successful fsync, the number of frames written
+	// before it: the log prefix that fsync made durable.
+	syncs []int
 	// fail makes every later write fail, which seals the log.
 	fail bool
 }
@@ -48,10 +57,39 @@ func (c *walCapture) prefix(n int) []byte {
 	return img
 }
 
+// cut returns the log image a crash leaves when the first j frames
+// reached the disk and frame j+1 only half of it.
+func (c *walCapture) cut(j int) []byte {
+	img := c.prefix(j)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if j < len(c.frames) {
+		img = append(img, c.frames[j][:len(c.frames[j])/2]...)
+	}
+	return img
+}
+
 func (c *walCapture) count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.frames)
+}
+
+// syncCount is the number of successful fsyncs so far.
+func (c *walCapture) syncCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.syncs)
+}
+
+// synced is the number of frames the last fsync made durable.
+func (c *walCapture) synced() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.syncs) == 0 {
+		return 0
+	}
+	return c.syncs[len(c.syncs)-1]
 }
 
 type capturedWAL struct {
@@ -75,6 +113,16 @@ func (w capturedWAL) Write(p []byte) (int, error) {
 	return n, err
 }
 
+func (w capturedWAL) Sync() error {
+	err := w.WALFile.Sync()
+	if err == nil {
+		w.c.mu.Lock()
+		w.c.syncs = append(w.c.syncs, len(w.c.frames))
+		w.c.mu.Unlock()
+	}
+	return err
+}
+
 // chaosDurable is a durable three-member Figure 1 federation whose
 // member backends are chaos-wrapped in the registry the engine ships
 // through, so an injected fault looks to the commit journal — the log's
@@ -84,6 +132,16 @@ type chaosDurable struct {
 	dur   *Durability
 	cap   *walCapture
 	chaos map[string]*chaos.Backend
+	// onReturn, when set, sees the error of every Ship and Reconcile
+	// call the scripts make, right after the call returns.
+	onReturn func(err error)
+}
+
+// returned reports a Ship or Reconcile return to onReturn.
+func (cd *chaosDurable) returned(err error) {
+	if cd.onReturn != nil {
+		cd.onReturn(err)
+	}
 }
 
 func bootChaosDurable(t *testing.T, dir string) *chaosDurable {
@@ -177,6 +235,7 @@ func lateRejection(t *testing.T, cd *chaosDurable, tag string) {
 	ops := vldbBatch(t, cd.fed, tag)
 	cd.chaos["CSLibrary"].ScheduleNext(chaos.FaultPermanent, 1)
 	err := cd.fed.Engine().Ship(context.Background(), ops)
+	cd.returned(err)
 	if err == nil || errors.Is(err, ErrPartialCommit) {
 		t.Fatalf("late rejection: err = %v, want a compensated rejection", err)
 	}
@@ -192,10 +251,13 @@ func strandedBatch(t *testing.T, cd *chaosDurable, tag string) {
 	t.Helper()
 	ops := vldbBatch(t, cd.fed, tag)
 	cd.chaos["CSLibrary"].ScheduleNext(chaos.FaultTransient, 4)
-	if err := cd.fed.Engine().Ship(context.Background(), ops); !errors.Is(err, ErrPartialCommit) {
+	err := cd.fed.Engine().Ship(context.Background(), ops)
+	cd.returned(err)
+	if !errors.Is(err, ErrPartialCommit) {
 		t.Fatalf("outage mid-batch: err = %v, want ErrPartialCommit", err)
 	}
 	rs, err := cd.fed.Engine().Reconcile(context.Background())
+	cd.returned(err)
 	if err != nil || rs.Completed != 1 || rs.Pending != 0 {
 		t.Fatalf("Reconcile = %+v, %v; want 1 completed, 0 pending", rs, err)
 	}
@@ -208,7 +270,9 @@ func runGoldenScript(t *testing.T, cd *chaosDurable) {
 	e := cd.fed.Engine()
 	ship := func(what string, ops ...Mutation) {
 		t.Helper()
-		if err := e.Ship(ctx, ops); err != nil {
+		err := e.Ship(ctx, ops)
+		cd.returned(err)
+		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
@@ -249,25 +313,33 @@ func snapshotJSON(t *testing.T, s *Store) string {
 	return string(b)
 }
 
-// replayImage replays a log image into freshly seeded Figure 1 stores
-// (no checkpoint: the image starts at the first boot's first append).
-func replayImage(t *testing.T, img []byte) (map[string]string, store.ReplayStats) {
+// replayStores replays a log image into freshly seeded Figure 1 stores
+// the way a boot does (no checkpoint: the image starts at the first
+// boot's first append); the scan cuts a torn or damaged tail.
+func replayStores(t *testing.T, img []byte) (map[string]*Store, store.ReplayStats) {
 	t.Helper()
 	recs, _, damage := store.ScanWAL(img)
-	if damage != nil {
-		t.Fatalf("log image damaged: %v", damage)
-	}
 	local, remote := Figure1Stores(FixtureOptions{})
 	arch := ArchiveStore(FixtureOptions{})
-	stats, err := store.BuildRecovery(nil, recs, nil).Replay(map[string]*store.Store{
-		local.Name(): local, remote.Name(): remote, arch.Name(): arch,
-	})
+	stores := map[string]*Store{local.Name(): local, remote.Name(): remote, arch.Name(): arch}
+	stats, err := store.BuildRecovery(nil, recs, damage).Replay(stores)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
+	return stores, stats
+}
+
+// replayImage replays an undamaged log image and renders every member
+// store.
+func replayImage(t *testing.T, img []byte) (map[string]string, store.ReplayStats) {
+	t.Helper()
+	if _, _, damage := store.ScanWAL(img); damage != nil {
+		t.Fatalf("log image damaged: %v", damage)
+	}
+	stores, stats := replayStores(t, img)
 	out := map[string]string{}
-	for _, s := range []*Store{local, remote, arch} {
-		out[s.Name()] = snapshotJSON(t, s)
+	for name, s := range stores {
+		out[name] = snapshotJSON(t, s)
 	}
 	return out, stats
 }
@@ -276,8 +348,9 @@ func replayImage(t *testing.T, img []byte) (map[string]string, store.ReplayStats
 // durable run — singleton insert, update and delete, the cross-member
 // vldb96 update, a fail-after-commit resolved by verification, a late
 // rejection compensated inline and an outage-stranded batch finished by
-// Reconcile — writes exactly the golden's bytes, and replaying the
-// golden into fresh stores rebuilds exactly the live member state.
+// Reconcile — writes exactly the current golden's bytes, and replaying
+// either golden into fresh stores rebuilds exactly the live member
+// state.
 func TestWALGoldenFigure1(t *testing.T) {
 	cd := bootChaosDurable(t, t.TempDir())
 	runGoldenScript(t, cd)
@@ -292,7 +365,7 @@ func TestWALGoldenFigure1(t *testing.T) {
 		t.Fatal("wal.log differs from the captured appends")
 	}
 
-	path := filepath.Join("testdata", "wal", "figure1.log")
+	path := filepath.Join("testdata", "wal", "figure1-standalone.log")
 	want, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -324,16 +397,23 @@ func TestWALGoldenFigure1(t *testing.T) {
 		t.Fatal("log bytes differ from the golden")
 	}
 
-	replayed, stats := replayImage(t, want)
-	if live := liveSnapshots(t, cd.fed); !reflect.DeepEqual(replayed, live) {
-		for name := range live {
-			if replayed[name] != live[name] {
-				t.Errorf("member %s: replay of the golden diverges from the live store\nreplay: %s\n  live: %s", name, replayed[name], live[name])
+	live := liveSnapshots(t, cd.fed)
+	for _, name := range []string{"figure1-standalone.log", "figure1.log"} {
+		img, err := os.ReadFile(filepath.Join("testdata", "wal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, stats := replayImage(t, img)
+		if !reflect.DeepEqual(replayed, live) {
+			for member := range live {
+				if replayed[member] != live[member] {
+					t.Errorf("%s, member %s: replay diverges from the live store\nreplay: %s\n  live: %s", name, member, replayed[member], live[member])
+				}
 			}
 		}
-	}
-	if stats.CompletedIntents != 0 || stats.CompensatedIntents != 0 {
-		t.Errorf("every golden intent is resolved, yet replay settled some: %+v", stats)
+		if stats.CompletedIntents != 0 || stats.CompensatedIntents != 0 {
+			t.Errorf("%s: every golden intent is resolved, yet replay settled some: %+v", name, stats)
+		}
 	}
 }
 
@@ -375,6 +455,219 @@ func TestCrashAtEveryAppend(t *testing.T) {
 			}
 		})
 	}
+}
+
+// marker names one attribute of the object a member holds under an
+// isbn; markerValue renders it, or "absent" when no object has the isbn.
+type marker struct{ member, isbn, attr string }
+
+// vldbMarkers are the changes vldbBatch(tag) makes when it completes:
+// its two inserts and the vldb96 title on all three members.
+func vldbMarkers(tag string) map[marker]string {
+	title := Str("Proceedings of the 22nd VLDB Conference (" + tag + ")").String()
+	return map[marker]string{
+		{"UnivArchive", "rec-" + tag, "title"}: Str("Archived rec-" + tag).String(),
+		{"Bookseller", "item-" + tag, "title"}: Str("Shelved item-" + tag).String(),
+		{"UnivArchive", "vldb96", "title"}:     title,
+		{"Bookseller", "vldb96", "title"}:      title,
+		{"CSLibrary", "vldb96", "title"}:       title,
+	}
+}
+
+func markerValue(t *testing.T, members map[string]store.MemberCheckpoint, m marker) string {
+	t.Helper()
+	for _, ce := range members[m.member].Classes {
+		for _, o := range ce.Objects {
+			isbn, err := object.UnmarshalValue(o.Attrs["isbn"])
+			if err != nil || !isbn.Equal(Str(m.isbn)) {
+				continue
+			}
+			v, err := object.UnmarshalValue(o.Attrs[m.attr])
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			return v.String()
+		}
+	}
+	return "absent"
+}
+
+// recoverCut replays a log image, torn tail included, and snapshots
+// every member store.
+func recoverCut(t *testing.T, img []byte) map[string]store.MemberCheckpoint {
+	t.Helper()
+	stores, _ := replayStores(t, img)
+	out := map[string]store.MemberCheckpoint{}
+	for name, s := range stores {
+		mc, err := store.SnapshotStore(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = mc
+	}
+	return out
+}
+
+// TestCrashAtEverySync runs the golden script, records after every Ship
+// and Reconcile return its outcome and how many frames the last fsync
+// had made durable, and then crashes the node at every frame: the
+// first j frames on disk and half of frame j+1. Every outcome reported
+// over a synced prefix no longer than j must hold in the recovered
+// state, read off the batch's marker keys — an acknowledged batch (or
+// one reported partially committed) is present, a rejected one absent.
+// The one batch in flight at the cut recovers pre-batch or completed,
+// by TestCrashAtEveryAppend's rule.
+func TestCrashAtEverySync(t *testing.T) {
+	type ret struct {
+		what    string
+		applied bool // the outcome reports the batch applied (or bound to be)
+		forward map[marker]string
+		synced  int
+		err     error
+	}
+	golden1 := func(v string) map[marker]string {
+		return map[marker]string{{"UnivArchive", "golden-1", "price"}: v}
+	}
+	rets := []ret{
+		{what: "singleton insert", applied: true, forward: golden1(Real(15).String())},
+		{what: "singleton update", applied: true, forward: golden1(Real(17.5).String())},
+		{what: "singleton delete", applied: true, forward: golden1("absent")},
+		{what: "cross-member update", applied: true, forward: vldbMarkers("durable printing")},
+		{what: "fail-after-commit insert", applied: true, forward: map[marker]string{{"UnivArchive", "golden-2", "title"}: Str("Archived golden-2").String()}},
+		{what: "late rejection", forward: vldbMarkers("doomed")},
+		{what: "stranded batch", applied: true, forward: vldbMarkers("stranded")},
+		{what: "Reconcile of the stranded batch", applied: true, forward: vldbMarkers("stranded")},
+	}
+
+	cd := bootChaosDurable(t, t.TempDir())
+	seen := 0
+	cd.onReturn = func(err error) {
+		if seen < len(rets) {
+			rets[seen].synced, rets[seen].err = cd.cap.synced(), err
+		}
+		seen++
+	}
+	runGoldenScript(t, cd)
+	if seen != len(rets) {
+		t.Fatalf("script made %d Ship/Reconcile calls, want %d", seen, len(rets))
+	}
+	n := cd.cap.count()
+	for i, r := range rets {
+		if wantErr := r.what == "late rejection" || r.what == "stranded batch"; (r.err != nil) != wantErr {
+			t.Fatalf("%s: err = %v", r.what, r.err)
+		}
+		if i > 0 && r.synced <= rets[i-1].synced {
+			t.Errorf("%s: returned with no new fsync (synced frames %d)", r.what, r.synced)
+		}
+	}
+	if last := rets[len(rets)-1].synced; last != n {
+		t.Fatalf("script ended with %d of %d frames synced", last, n)
+	}
+
+	// claims[r+1] is the marker state outcomes 0..r report; claims[0]
+	// the seeded stores.
+	initial := recoverCut(t, cd.cap.prefix(0))
+	claims := []map[marker]string{{}}
+	for _, r := range rets {
+		for m := range r.forward {
+			claims[0][m] = markerValue(t, initial, m)
+		}
+	}
+	for _, r := range rets {
+		next := maps.Clone(claims[len(claims)-1])
+		if r.applied {
+			maps.Copy(next, r.forward)
+		}
+		claims = append(claims, next)
+	}
+
+	for j := 0; j <= n; j++ {
+		settled, from := 0, 0
+		for settled < len(rets) && rets[settled].synced <= j {
+			from = rets[settled].synced
+			settled++
+		}
+		want, label := claims[settled], "settled outcomes"
+		if settled < len(rets) {
+			recs, _, _ := store.ScanWAL(cd.cap.prefix(j))
+			if committedUnresolved(t, recs[from:]) {
+				want, label = maps.Clone(want), rets[settled].what+" completed"
+				maps.Copy(want, rets[settled].forward)
+			}
+		}
+		got := recoverCut(t, cd.cap.cut(j))
+		for m, v := range want {
+			if g := markerValue(t, got, m); g != v {
+				t.Errorf("crash after frame %d/%d (%d outcome(s) synced, %s): %v = %s, want %s", j, n, settled, label, m, g, v)
+			}
+		}
+	}
+}
+
+// TestOneFsyncPerBatch counts the log writes and fsyncs behind each
+// kind of engine call, through the WrapWAL hook: one record and one
+// fsync for a single-member batch, intent, three commits and resolve
+// under one fsync for the three-member vldb96 update, nothing for a
+// batch that never reaches a member commit or an idle Reconcile — and
+// no call returns over an unsynced frame.
+func TestOneFsyncPerBatch(t *testing.T) {
+	cd := bootChaosDurable(t, t.TempDir())
+	e := cd.fed.Engine()
+	ctx := context.Background()
+	unsynced := func(what string) {
+		if s, n := cd.cap.synced(), cd.cap.count(); s != n {
+			t.Errorf("%s returned over %d unsynced frame(s)", what, n-s)
+		}
+	}
+	cd.onReturn = func(error) { unsynced("a scripted call") }
+	step := func(what string, writes, syncs int, run func()) {
+		t.Helper()
+		w0, s0 := cd.cap.count(), cd.cap.syncCount()
+		run()
+		if got := cd.cap.count() - w0; got != writes {
+			t.Errorf("%s: %d log write(s), want %d", what, got, writes)
+		}
+		if got := cd.cap.syncCount() - s0; got != syncs {
+			t.Errorf("%s: %d fsync(s), want %d", what, got, syncs)
+		}
+		unsynced(what)
+	}
+	ship := func(what string, wantErr error, ops ...Mutation) func() {
+		return func() {
+			t.Helper()
+			if err := e.Ship(ctx, ops); !errors.Is(err, wantErr) {
+				t.Fatalf("%s: err = %v, want %v", what, err, wantErr)
+			}
+		}
+	}
+	step("single-member insert", 1, 1, ship("insert", nil, recordInsert("count-1")))
+	id := viewIDByISBN(t, cd.fed, "count-1")
+	step("single-member update", 1, 1, ship("update", nil, Mutation{Kind: MutUpdate, Class: "Record", ID: id, Attrs: map[string]Value{"price": Real(16)}}))
+	step("single-member delete", 1, 1, ship("delete", nil, Mutation{Kind: MutDelete, Class: "Record", ID: id}))
+	vldb := viewIDByISBN(t, cd.fed, "vldb96")
+	step("three-member vldb96 update", 5, 1, ship("vldb96 update", nil, Mutation{Kind: MutUpdate, Class: "Publication", ID: vldb,
+		Attrs: map[string]Value{"title": Str("Proceedings of the 22nd VLDB Conference (counted)")}}))
+	step("batch refused by Validate", 0, 0, func() {
+		rejs, _, err := e.Validate(ctx, []Mutation{{Kind: MutUpdate, Class: "Proceedings", ID: vldb, Attrs: map[string]Value{"ref?": Bool(false)}}})
+		if err != nil || len(rejs) == 0 {
+			t.Fatalf("Validate = %v, %v; want a rejection", rejs, err)
+		}
+	})
+	cd.chaos["UnivArchive"].ScheduleNext(chaos.FaultPermanent, 1)
+	step("single-member batch its member rejects", 0, 0, func() {
+		if err := e.Ship(ctx, []Mutation{recordInsert("count-2")}); err == nil || errors.Is(err, ErrMemberUnavailable) {
+			t.Fatalf("member rejection: err = %v, want the member's rejection", err)
+		}
+	})
+	step("late rejection compensated inline", 6, 1, func() { lateRejection(t, cd, "count") })
+	step("stranded batch, then its Reconcile", 5, 2, func() { strandedBatch(t, cd, "count") })
+	cd.chaos["UnivArchive"].ScheduleNext(chaos.FaultTransient, 4)
+	step("single-member batch aborted on an outage", 0, 0, ship("outage", ErrMemberUnavailable, recordInsert("count-3")))
+	step("idle Reconcile", 0, 0, func() {
+		if _, err := e.Reconcile(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestUpdateCommitOrderFollowsMembers ships an update-only batch of the
