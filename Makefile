@@ -62,7 +62,8 @@ crashtest:
 
 # Short-budget native fuzzing of the query parser, the wire codec, the
 # WAL decoder, the frame decoder, the member commit check (against
-# CheckAll) and the key-holder index (against a fresh count), as in CI.
+# CheckAll), the key-holder index (against a fresh count) and the
+# inherited extent indexes (against fresh builds), as in CI.
 # Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s -run='^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzCommitDifferential -fuzztime=20s -run='^$$' ./internal/store/
 	$(GO) test -fuzz=FuzzKeyIndex -fuzztime=20s -run='^$$' ./internal/view/
+	$(GO) test -fuzz=FuzzInheritedIndex -fuzztime=20s -run='^$$' ./internal/view/
 
 # Every Go benchmark (slow). For measuring while you work: a
 # performance claim cites the repo benchmark (BENCHMARK.json,

@@ -18,10 +18,14 @@ import (
 
 // TestWriteWorkIndependentOfExtent is the view-side twin of the store's
 // TestCommitWorkIndependentOfExtent: for a single-op insert, update and
-// delete on Item it counts the key-index entries filed (Validate and
-// Ship), the live members Validate's key check examined, and the rows
-// the indexed reads right after the write visited. The counts must not
-// depend on the extent: equal at ~1 000 and ~16 000 Items.
+// delete on Item, and for a batch that updates a member and then inserts
+// the key it frees, it counts the key-index entries filed (Validate and
+// Ship), the live members Validate's key check examined, the rows the
+// indexed reads right after the write visited, the values those reads
+// filed into eq and ordered indexes, and the entries the write put in
+// the deref table. Both reads run once before the counted writes, so
+// each index has a base to derive from. The counts must not depend on
+// the extent: equal at ~1 000 and ~16 000 Items.
 func TestWriteWorkIndependentOfExtent(t *testing.T) {
 	work := func(scale int) []int64 {
 		e, _, remote := scaledEngineStores(t, scale)
@@ -48,34 +52,45 @@ func TestWriteWorkIndependentOfExtent(t *testing.T) {
 			}
 			return visited
 		}
-		// Build the key index the check uses.
+		// Build the key index the check uses, and the eq and ordered
+		// indexes the reads use.
 		if rejs := rejectionsOf(t, e, item("warm")); len(rejs) != 0 {
 			t.Fatalf("warm-up insert rejected: %v", rejs)
 		}
+		read()
 		var counts []int64
 		step := func(what string, ops []Mutation) {
-			filed, keyed := e.counters.keyFiled.Load(), e.counters.keyVisited.Load()
+			c := &e.counters
+			filed, keyed, deref := c.keyFiled.Load(), c.keyVisited.Load(), c.derefFiled.Load()
 			if rejs := rejectionsOf(t, e, ops); len(rejs) != 0 {
 				t.Fatalf("%s rejected: %v", what, rejs)
 			}
-			keyed = e.counters.keyVisited.Load() - keyed
+			keyed = c.keyVisited.Load() - keyed
 			if err := ship(e, ops); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			counts = append(counts, e.counters.keyFiled.Load()-filed, keyed, read())
+			deref = c.derefFiled.Load() - deref
+			indexed := c.indexFiled.Load()
+			visited := read()
+			counts = append(counts, c.keyFiled.Load()-filed, keyed, visited, c.indexFiled.Load()-indexed, deref)
 		}
 		step("insert", item("w-1"))
 		target := findByISBN(t, e, "w-1")
 		step("update", updateOf("Item", target.ID, map[string]object.Value{
 			"isbn": object.Str("w-2"), "shopprice": object.Real(5000.25),
 		}))
+		// The insert's key check runs after a staged update that frees
+		// the very key it claims.
+		step("update + insert", append(updateOf("Item", target.ID, map[string]object.Value{
+			"isbn": object.Str("w-3"), "shopprice": object.Real(5000.75),
+		}), item("w-2")...))
 		step("delete", deleteOf("Item", target.ID))
 		return counts
 	}
 	small, large := work(500), work(8000)
-	t.Logf("key entries filed, key-check visits, read visits × insert/update/delete: %v", small)
+	t.Logf("key entries filed, key-check visits, read visits, index values filed, deref entries × insert/update/update+insert/delete: %v", small)
 	if !slices.Equal(small, large) {
-		t.Errorf("per-write work (key entries filed, key-check visits, read visits) × insert/update/delete:\n%v at ~1 000 Items\n%v at ~16 000", small, large)
+		t.Errorf("per-write work (key entries filed, key-check visits, read visits, index values filed, deref entries) × insert/update/update+insert/delete:\n%v at ~1 000 Items\n%v at ~16 000", small, large)
 	}
 }
 

@@ -624,28 +624,50 @@ func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, e
 }
 
 // indexedHolder answers the live half of findKeyHolder from the key
-// index: the live members filed under the key, minus exclude and the
-// staged deletes. The index is current with the live view
-// (applyShipped maintains it), so it decides alone when at most one
-// holder is left — unless a staged update has re-assigned some member's
-// attributes (the index files stored keys, not overlaid ones). Otherwise, and with UseIndexes off, the extent
-// scan decides; that keeps the reported holder, the first in extent
-// order, identical to the scan's.
+// index plus the batch's staged updates. The index is current with the
+// live view (applyShipped maintains it) but files stored keys, not
+// overlaid ones, so a holder filed under the key that the batch updated
+// is re-checked through its overlaid state, and every other member the
+// batch updated joins when its overlaid key matches. Exclude and the
+// staged deletes drop out. The index decides alone when at most one
+// holder is left; otherwise, and with UseIndexes off, the extent scan
+// decides, which keeps the reported holder, the first in extent order,
+// identical to the scan's.
 func (s *txState) indexedHolder(class string, attrs []string, key string, exclude *core.GObj) (id int, found, decided bool) {
 	e := s.e
-	if !e.UseIndexes || len(s.post) > 0 {
+	if !e.UseIndexes {
 		return 0, false, false
 	}
 	var hit *core.GObj
-	for _, g := range e.keyIndexFor(class, attrs).holders[key] {
+	holders := 0
+	consider := func(g *core.GObj) {
 		e.counters.keyVisited.Add(1)
 		if g == exclude || s.deleted[g.ID] {
-			continue
+			return
 		}
-		if hit != nil {
-			return 0, false, false
+		if _, staged := s.post[g.ID]; staged {
+			if k, ok := expr.KeyString(s.view(g), attrs); !ok || k != key {
+				return
+			}
 		}
 		hit = g
+		holders++
+	}
+	for _, g := range e.keyIndexFor(class, attrs).holders[key] {
+		consider(g)
+	}
+	for gid := range s.post {
+		g, ok := e.res.View.ByID(gid)
+		if !ok || !g.Classes[class] {
+			continue
+		}
+		if k, ok := expr.KeyString(g, attrs); ok && k == key {
+			continue // filed under the key: considered above
+		}
+		consider(g)
+	}
+	if holders > 1 {
+		return 0, false, false
 	}
 	if hit == nil {
 		return 0, false, true
@@ -832,7 +854,8 @@ type shippedOp struct {
 }
 
 // applyShipped applies a locally committed batch to the integrated view
-// in batch order, collecting the affected classes and fresh objects for
+// in batch order, collecting the affected classes and the touched refs
+// (an insert's, and a target's before it is detached or deleted) for
 // ONE publication at the end — concurrent readers observe the batch
 // atomically, never a torn prefix, and the snapshot is current when the
 // caller releases the lock. It is the one place Ship and Reconcile
@@ -841,7 +864,7 @@ type shippedOp struct {
 // updated object's keys join after. Caller holds e.mu (write).
 func (e *Engine) applyShipped(applies []shippedOp) error {
 	var affected []string
-	var inserted []*core.GObj
+	var touched []object.Ref
 	fork := false
 	// fail republishes every class and drops the key indexes: the failed
 	// application may have left the live view part-way through an
@@ -859,7 +882,7 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 				return fail(fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err))
 			}
 			e.fileKeys(g, true)
-			inserted = append(inserted, g)
+			touched = append(touched, e.res.View.RefsOf(g)...)
 			affected = append(affected, classNames(g)...)
 		case MutUpdate:
 			// Re-resolve: an earlier operation of this batch may have
@@ -869,8 +892,10 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 				target = cur
 			}
 			// The target keeps its classes and keys; the clone takes
-			// the new ones, reclassification included.
+			// the new ones, reclassification included. Its refs resolve
+			// to the clone from this publication on.
 			e.fileKeys(target, false)
+			touched = append(touched, e.res.View.RefsOf(target)...)
 			clone := e.res.View.DetachForUpdate(target)
 			_, changed, err := e.res.View.ApplyUpdate(clone, ap.op.Attrs)
 			if err != nil {
@@ -886,6 +911,7 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 				target = cur
 			}
 			e.fileKeys(target, false)
+			touched = append(touched, e.res.View.RefsOf(target)...)
 			classes, err := e.res.View.ApplyDelete(target)
 			if err != nil {
 				return fail(fmt.Errorf("op %d committed locally but not applied to the view: %w", i, err))
@@ -894,7 +920,7 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 			affected = append(affected, classes...)
 		}
 	}
-	e.publishDeltaLocked(affected, inserted, fork)
+	e.publishDeltaLocked(affected, touched, fork)
 	return nil
 }
 

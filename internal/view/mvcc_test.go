@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -550,4 +551,99 @@ func TestRetiredClassStateIsCollectable(t *testing.T) {
 		}
 	}
 	t.Fatal("retired classState was never collected: something still references it")
+}
+
+// TestHeldSnapshotAcrossFold holds a snapshot while later writes force
+// both folds: more than foldAt writes to Item with reads between them,
+// so Item's indexes are derived from a base and then rebuilt fresh into
+// a new one, and enough inserts, updates and deletes — a publisher
+// renamed among them — that the deref table's side entries pass
+// foldRefsAt and it folds. The held snapshot must still serve its rows
+// byte for byte, and resolve every Item's publisher to its own objects.
+func TestHeldSnapshotAcrossFold(t *testing.T) {
+	e, _, _ := scaledEngineStores(t, 1)
+	queries := []Query{
+		{Class: "Item", Where: expr.MustParse("shopprice >= 20")},
+		{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")},
+		{Class: "Item", Where: expr.MustParse("publisher.name = 'ACM' and shopprice < 100")},
+		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'IEEE'")},
+	}
+	serve := func(s *snapshot) [][]Row {
+		var out [][]Row
+		for _, q := range queries {
+			rows, _, err := e.runSnapshot(bg, s, q)
+			if err != nil {
+				t.Fatalf("%v: %v", q.Where, err)
+			}
+			out = append(out, rows)
+		}
+		return out
+	}
+	held := e.snap.Load()
+	want := serve(held) // also builds the held state's indexes: the first bases
+	heldIsbn, _ := held.class("Item").eq.Load("isbn")
+	publishers := map[object.Ref]expr.Object{}
+	for _, g := range held.class("Item").ext {
+		if r, ok := g.Get("publisher"); ok {
+			if ref, ok := r.(object.Ref); ok {
+				publishers[ref], _ = held.deref(ref)
+			}
+		}
+	}
+	if len(publishers) == 0 {
+		t.Fatal("no Item of the held snapshot names a publisher")
+	}
+	var acm *core.GObj
+	for _, g := range e.res.View.Extent("Publisher") {
+		if v, ok := g.Get("name"); ok && v.Equal(object.Str("ACM")) {
+			acm = g
+		}
+	}
+	if acm == nil {
+		t.Fatal("no ACM publisher")
+	}
+
+	for i := 0; i < 40; i++ {
+		isbn := fmt.Sprintf("fold-%d", i)
+		if err := ship(e, insertOf("Item", map[string]object.Value{
+			"title": object.Str("fold"), "isbn": object.Str(isbn), "publisher": object.Ref{DB: "Bookseller", OID: 2},
+			"shopprice": object.Real(float64(30 + i)), "libprice": object.Real(10),
+		})); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		g := findByISBN(t, e, isbn)
+		if err := ship(e, updateOf("Item", g.ID, map[string]object.Value{"shopprice": object.Real(float64(60 + i))})); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+		if i%3 == 0 {
+			if err := ship(e, deleteOf("Item", g.ID)); err != nil {
+				t.Fatalf("delete %d: %v", i, err)
+			}
+		}
+		if i%10 == 0 {
+			if err := ship(e, updateOf("Publisher", acm.ID, map[string]object.Value{
+				"name": object.Str(fmt.Sprintf("ACM-%d", i))})); err != nil {
+				t.Fatalf("publisher rename %d: %v", i, err)
+			}
+		}
+		for _, q := range queries {
+			runVsReference(t, e, q)
+		}
+	}
+
+	cur := e.snap.Load()
+	if cur.refs == held.refs {
+		t.Error("the deref table never folded")
+	}
+	if b := cur.class("Item").bases[baseKey{attr: "isbn"}].eq; b == nil || b == heldIsbn {
+		t.Error("Item's isbn index never folded into a fresh base")
+	}
+	if got := serve(held); !reflect.DeepEqual(got, want) {
+		t.Errorf("the held snapshot's rows changed across the folds:\ngot  %v\nwant %v", got, want)
+	}
+	for ref, g := range publishers {
+		if now, _ := held.deref(ref); now != g {
+			t.Errorf("the held snapshot resolves %v to %v, it resolved %v", ref, now, g)
+		}
+	}
 }

@@ -62,10 +62,15 @@ type engineCounters struct {
 	publishes  atomic.Int64
 	// keyFiled counts the holders the key indexes filed, in a build or
 	// on a write, and keyVisited the live members Validate's key check
-	// examined (mutate.go). Neither is exported: the write-cost counts
-	// test reads them.
+	// examined (mutate.go). indexFiled counts the values filed into eq
+	// and ordered indexes, by fresh builds and overlays alike (index.go,
+	// inherit.go), and derefFiled the entries written to deref tables, by
+	// folds and side entries alike (snapshot.go). None is exported: the
+	// write-cost counts test reads them.
 	keyFiled   atomic.Int64
 	keyVisited atomic.Int64
+	indexFiled atomic.Int64
+	derefFiled atomic.Int64
 }
 
 // CacheStats reports the serving engine's steady-state cache work: plan

@@ -203,10 +203,11 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 // conjuncts against the snapshot's indexes, materialising nothing: the
 // number of conjuncts served and their probes, smallest count first
 // (probes[0] is the driver). Range conjuncts on one attribute merge into
-// a single probe whose [lo, hi) window is the intersection of theirs —
-// every single window is [0, x) or [x, n), so the tighter side wins by
-// comparing ints, and an inverted window means zero candidates. Both the
-// cost gate and the access path call it, so they see the same prefix.
+// a single probe holding the tighter bound of each side, compared by
+// value (bound.tightens), whose windows are recomputed from both bounds:
+// the intersection of the conjuncts' windows on every sorted run, where
+// an inverted window means zero candidates. Both the cost gate and the
+// access path call it, so they see the same prefix.
 //
 // Only a prefix may be served: the scan evaluates conjuncts left to
 // right with short-circuiting, so a row pruned by a served conjunct is a
@@ -230,13 +231,13 @@ next:
 				if m.kind != probeRange || m.attr != pr.attr {
 					continue
 				}
-				if pr.lo > m.lo {
-					m.lo, m.lower = pr.lo, pr.lower
+				if pr.lower.val != nil && pr.lower.tightens(m.lower) {
+					m.lower = pr.lower
 				}
-				if pr.hi < m.hi {
-					m.hi, m.upper = pr.hi, pr.upper
+				if pr.upper.val != nil && pr.upper.tightens(m.upper) {
+					m.upper = pr.upper
 				}
-				m.n = max(0, m.hi-m.lo)
+				m.ord.window(m)
 				continue next
 			}
 		}

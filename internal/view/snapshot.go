@@ -40,50 +40,112 @@ import (
 //     through core.DetachForUpdate, which swaps a fresh clone into the
 //     live view and leaves the original frozen; deletes splice the
 //     object out without touching it; inserts create new objects;
-//   - the deref map is forked (full copy) whenever an update or delete
-//     changed existing entries, and merely extended through an
-//     internally synchronized side table after pure inserts — older
-//     snapshots cannot observe refs to objects that postdate them,
-//     because object IDs and store OIDs are never reused.
+//   - the deref map is a frozen base plus a side table of per-ref
+//     chains that every publication since the last fold appends to
+//     (refTable below): an update or delete records what the refs of
+//     its target resolve to now, an insert the refs of the new object,
+//     and older snapshots skip the entries newer than themselves.
 
-// refTable is a snapshot's deref map: a frozen base forked from the live
-// view's reference table, plus a concurrency-safe side table holding
-// refs added by pure inserts since the fork. The side table is shared
-// with newer snapshots, and every entry carries the publication
-// sequence number that introduced it: a snapshot resolves only entries
-// at or below its own sequence. The sequence check matters even though
-// object IDs and store OIDs are never reused — stored attribute values
-// are caller-supplied and may hold a *dangling* ref that a later insert
-// brings into existence, and without the check an already-published
-// snapshot would flip that ref from unresolvable (Null reads) to
-// resolvable mid-lifetime, a torn read.
+// refTable is a snapshot's deref map: a frozen base copied from the
+// live view's reference table, plus a side table shared with every
+// newer snapshot until the next fold. The side table holds, per ref, a
+// chain of entries ordered by the publication sequence that recorded
+// them: what the ref resolved to after that publication, nil when it
+// stopped resolving (its object was deleted). A snapshot resolves a ref
+// through the newest entry at or below its own sequence, and through
+// the base when there is none. The sequence check matters even though
+// object IDs and store OIDs are never reused: an update swaps a clone
+// in under the same refs, and stored attribute values are
+// caller-supplied and may hold a *dangling* ref that a later insert
+// brings into existence; without the check an already-published
+// snapshot would see either change mid-lifetime, a torn read.
+//
+// The side table is a fixed array of buckets, each an atomically
+// swapped list of entries, newest first; the publisher (under e.mu) is
+// its only writer, so readers never lock. Once a publication would take
+// the side entries past foldRefsAt of the base, the publisher folds
+// instead: the next snapshot gets a new table over a fresh copy of the
+// live reference table (advance).
 type refTable struct {
-	base  map[object.Ref]*core.GObj
-	added *sync.Map // object.Ref → addedRef
+	base map[object.Ref]*core.GObj
+	side []atomic.Pointer[refEntry] // len is a power of two
+	// entries counts the side entries recorded. Only the publisher
+	// reads or writes it, under e.mu.
+	entries int
 }
 
-// addedRef is one side-table entry: the object plus the publication
-// sequence that added it.
-type addedRef struct {
-	g   *core.GObj
-	seq uint64
+// refEntry is one side-table entry: what ref resolved to from
+// publication seq on (nil: nothing), and the next older entry in its
+// bucket.
+type refEntry struct {
+	ref  object.Ref
+	g    *core.GObj
+	seq  uint64
+	next *refEntry
 }
+
+// foldRefsAt is the number of side entries past which a ref table with
+// n base entries folds: max(64, n/8).
+func foldRefsAt(n int) int { return max(64, n/8) }
 
 func newRefTable(base map[object.Ref]*core.GObj) *refTable {
-	return &refTable{base: base, added: &sync.Map{}}
+	buckets := 1
+	for buckets < 2*foldRefsAt(len(base)) {
+		buckets *= 2
+	}
+	return &refTable{base: base, side: make([]atomic.Pointer[refEntry], buckets)}
 }
 
-// derefAt resolves a ref as of publication sequence seq.
+// bucket returns the side-table bucket of a ref.
+func (t *refTable) bucket(r object.Ref) *atomic.Pointer[refEntry] {
+	h := uint64(r.OID) * 0x9e3779b97f4a7c15
+	for i := 0; i < len(r.DB); i++ {
+		h = (h ^ uint64(r.DB[i])) * 0x100000001b3
+	}
+	return &t.side[(h^h>>29)&uint64(len(t.side)-1)]
+}
+
+// derefAt resolves a ref as of publication sequence seq: the newest
+// side entry at or below seq decides, then the base.
 func (t *refTable) derefAt(seq uint64, r object.Ref) (expr.Object, bool) {
+	for en := t.bucket(r).Load(); en != nil; en = en.next {
+		if en.ref == r && en.seq <= seq {
+			if en.g == nil {
+				return nil, false
+			}
+			return en.g, true
+		}
+	}
 	if g, ok := t.base[r]; ok {
 		return g, true
 	}
-	if v, ok := t.added.Load(r); ok {
-		if a := v.(addedRef); a.seq <= seq {
-			return a.g, true
-		}
-	}
 	return nil, false
+}
+
+// advance returns the ref table of publication seq. It records what
+// each touched ref resolves to in the live view in this table's side
+// table, or — when that would take the side entries past foldRefsAt —
+// folds into a new table over a copy of the live reference table.
+// filed counts the entries written either way. A ref a batch touched
+// twice gets two entries of one sequence and one value. Caller holds
+// e.mu (write).
+func (t *refTable) advance(v *core.GlobalView, touched []object.Ref, seq uint64, filed *atomic.Int64) *refTable {
+	if t.entries+len(touched) > foldRefsAt(len(t.base)) {
+		refs := v.RefsCopy()
+		filed.Add(int64(len(refs)))
+		return newRefTable(refs)
+	}
+	for _, r := range touched {
+		var g *core.GObj
+		if o, ok := v.Deref(r); ok {
+			g = o.(*core.GObj)
+		}
+		slot := t.bucket(r)
+		slot.Store(&refEntry{ref: r, g: g, seq: seq, next: slot.Load()})
+	}
+	t.entries += len(touched)
+	filed.Add(int64(len(touched)))
+	return t
 }
 
 // classState is one class's frozen serving state: the extent slice plus
@@ -109,6 +171,11 @@ type classState struct {
 	// grow it without limit); past the cap, plans are built per query
 	// and not cached.
 	nplans atomic.Int64
+	// bases are the fresh index builds this state may derive its own
+	// indexes from (inherit.go), set at publication and never written
+	// after; deltas caches the extent walk against each base's extent.
+	bases  map[baseKey]base
+	deltas sync.Map // extKey → *extDelta (nil: past foldAt)
 }
 
 // maxPlansPerClass caps each class's plan cache.
@@ -240,16 +307,18 @@ func newClassState(name string, liveExt []*core.GObj) *classState {
 
 // publishDeltaLocked publishes one applied batch as a per-class delta:
 // changed names every class whose extent content changed (gained, lost
-// or replaced a member), inserted lists freshly created objects whose
-// refs extend the deref map, and fork forces a deref fork because
-// existing entries changed (any update or delete). The next snapshot
+// or replaced a member), touched lists every ref whose resolution the
+// batch may have changed (the refs of inserted objects and of update
+// and delete targets), and fork reports that some operation updated or
+// deleted. The next snapshot
 // clones the class map and replaces each changed class's state; every
 // other class's state — extent, indexes, cached plans — carries over,
 // and readers of untouched classes keep hitting their plan caches. A
-// batch that created a class (first member of a previously empty
+// replaced state inherits its predecessor's index bases (inherit.go).
+// A batch that created a class (first member of a previously empty
 // superclass) publishes structurally instead, because the declared-
 // attribute map must grow with it. Caller holds e.mu (write).
-func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, fork bool) {
+func (e *Engine) publishDeltaLocked(changed []string, touched []object.Ref, fork bool) {
 	old := e.snap.Load()
 	for _, name := range changed {
 		if !old.hasClass(name) {
@@ -265,32 +334,26 @@ func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, for
 		decl:    old.decl,
 		checker: e.checker,
 	}
-	if fork {
-		next.refs = newRefTable(v.RefsCopy())
-	} else {
-		next.refs = old.refs
-		for _, g := range inserted {
-			for _, r := range v.RefsOf(g) {
-				next.refs.added.Store(r, addedRef{g: g, seq: next.seq})
-			}
-		}
-	}
+	next.refs = old.refs.advance(v, touched, next.seq, &e.counters.derefFiled)
 	for _, name := range changed {
 		prev := old.classes[name]
 		if next.classes[name] != prev {
 			continue // named twice in the batch: already replaced
 		}
 		liveExt := v.Extent(name)
+		var cs *classState
 		if grown := len(liveExt) - len(prev.ext); !fork && grown >= 0 {
 			// Pure inserts only append to extents, so the new state's
 			// extent is the previous one plus the live tail. The append
 			// may write into the previous state's backing array, but only
 			// beyond every published length — no reader can see the new
 			// elements through an older slice header.
-			next.classes[name] = &classState{name: name, ext: append(prev.ext, liveExt[len(prev.ext):]...)}
+			cs = &classState{name: name, ext: append(prev.ext, liveExt[len(prev.ext):]...)}
 		} else {
-			next.classes[name] = newClassState(name, liveExt)
+			cs = newClassState(name, liveExt)
 		}
+		cs.bases = inheritBases(prev)
+		next.classes[name] = cs
 	}
 	e.snap.Store(next)
 	e.counters.publishes.Add(1)
@@ -306,18 +369,21 @@ func (e *Engine) publishDeltaLocked(changed []string, inserted []*core.GObj, for
 // serves its live content. Classes that left the live class set leave
 // the snapshot with it. The deref table is forked and the declared-
 // attribute map rebuilt: both can change shape arbitrarily when members
-// come and go. The constructor (no previous snapshot: every class is
-// built), Rebind, a batch that created a class and the error fallback
-// (every class named) publish here. Caller holds e.mu (write) or is the
+// come and go, and a rebuilt class starts without index bases. The
+// constructor (no previous snapshot: every class is built), Rebind, a
+// batch that created a class and the error fallback (every class named)
+// publish here. Caller holds e.mu (write) or is the
 // constructor.
 func (e *Engine) publishStructuralLocked(rebuild []string) {
 	v := e.res.View
 	old := e.snap.Load()
+	refs := v.RefsCopy()
+	e.counters.derefFiled.Add(int64(len(refs)))
 	next := &snapshot{
 		consts:  v.Conformed.Consts,
 		classes: make(map[string]*classState, len(v.ClassNames)),
 		decl:    buildDecl(v),
-		refs:    newRefTable(v.RefsCopy()),
+		refs:    newRefTable(refs),
 		checker: e.checker,
 	}
 	var carried map[string]*classState // nil for the constructor

@@ -264,7 +264,12 @@ func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) 
 	}
 	// Hold one snapshot for the whole query: later publications swap
 	// e.snap but never change what s maps.
-	s := e.snap.Load()
+	return e.runSnapshot(ctx, e.snap.Load(), q)
+}
+
+// runSnapshot serves a query from one snapshot: RunContext's planned
+// path, for the published snapshot or one a caller holds.
+func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, Stats, error) {
 	cs := s.class(q.Class)
 	var stats Stats
 	stats.Degraded = e.health.degradedMembers()
