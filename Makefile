@@ -60,15 +60,18 @@ crashtest:
 	$(GO) test -race -count=1 -run 'Durability|WarmStart|CrashRecovery|CrashAtEveryAppend|CrashAtEverySync|OneFsyncPerBatch|WALGolden' .
 	$(GO) test -race -count=1 -run 'Durable' ./internal/server/
 
-# Short-budget native fuzzing of the query parser, the wire codec, the
-# WAL decoder, the frame decoder, the member commit check (against
-# CheckAll), the key-holder index (against a fresh count) and the
-# inherited extent indexes (against fresh builds), as in CI.
+# Short-budget native fuzzing of the query parser, the HTTP codec, the
+# WAL and checkpoint decoders, the binary value codec, the frame
+# decoder, the member commit check (against CheckAll), the key-holder
+# index (against a fresh count) and the inherited extent indexes
+# (against fresh builds), as in CI.
 # Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=20s -run='^$$' ./internal/server/
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=20s -run='^$$' ./internal/store/
+	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=20s -run='^$$' ./internal/store/
+	$(GO) test -fuzz=FuzzValueDecode -fuzztime=20s -run='^$$' ./internal/object/
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=20s -run='^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzCommitDifferential -fuzztime=20s -run='^$$' ./internal/store/
 	$(GO) test -fuzz=FuzzKeyIndex -fuzztime=20s -run='^$$' ./internal/view/

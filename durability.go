@@ -225,9 +225,11 @@ func (d *Durability) Finish(ctx context.Context, f *Federation) (RecoveryInfo, e
 // entailment memo, derived constraint set, plan shapes — and drops the
 // WAL prefix it makes redundant. The capture runs under the engine's
 // read lock, which excludes Ship commits, so the extents and the log
-// cut are one consistent state; the file writes happen after the lock
-// is released. The commit journal syncs before it releases the engine
-// lock, so the captured LSN is a synced one.
+// cut are one consistent state; it copies the member objects'
+// attribute maps and encodes none of them, and the binary encoding
+// and the file writes happen after the lock is released. The commit
+// journal syncs before it releases the engine lock, so the captured
+// LSN is a synced one.
 func (d *Durability) Checkpoint(f *Federation) error {
 	f.mu.Lock()
 	engine := f.engine

@@ -6,8 +6,10 @@ import (
 	"sort"
 )
 
-// Structural JSON codec for values, used by the durability layer
-// (checkpoint snapshots, WAL record bodies, persisted derivations).
+// Structural JSON codec for values, used where persisted state is
+// JSON: the literals of persisted derivations and plans, and the WAL
+// record bodies and checkpoints earlier versions wrote, which are read
+// but no longer written (the binary codec in codec.go writes those).
 //
 // The TM literal syntax that String() renders is NOT round-trippable —
 // Int(30) and Real(30.0) can render to forms a reparse cannot tell

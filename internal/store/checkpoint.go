@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,17 +21,61 @@ import (
 // with the WAL LSN it covers. Recovery restores the checkpoint and
 // replays only the records after its LSN.
 //
-// File layout: [8B magic "IDBCKPT1"][4B payload len LE][4B CRC32C LE]
-// [JSON payload]. The write is atomic — tmp file, fsync, rename — so a
-// crash mid-checkpoint leaves the previous checkpoint intact; the
-// rename is the commit point.
+// File layout: [8B magic][4B payload len LE][4B CRC32C LE][payload].
+// The write is atomic — tmp file, fsync, rename — so a crash
+// mid-checkpoint leaves the previous checkpoint intact; the rename is
+// the commit point. WriteCheckpoint writes magic "IDBCKPT2", whose
+// payload is binary, built on internal/object's value codec:
+//
+//	payload [uvarint lsn][uvarint nmembers][member...]
+//	        [uvarint nsections][(str name, bytes section)...]  names sorted
+//	member  [str name][uvarint next oid][uvarint nclasses][class...]
+//	class   [str class][uvarint nobjects][(uvarint oid, attrs)...]
+//
+// attrs is object.AppendAttrs' canonical map; a derived section is
+// carried verbatim, length-prefixed. ReadCheckpoint also reads magic
+// "IDBCKPT1", the JSON payload earlier versions wrote.
 
-const checkpointMagic = "IDBCKPT1"
+const (
+	checkpointMagic     = "IDBCKPT2"
+	checkpointMagicJSON = "IDBCKPT1"
+)
 
-// CheckpointObject is one stored object in a member snapshot.
+// CheckpointObject is one stored object in a member snapshot. Attrs
+// holds decoded values; the JSON methods render and read the
+// kind-tagged form the IDBCKPT1 payload used.
 type CheckpointObject struct {
+	OID   uint64
+	Attrs map[string]object.Value
+}
+
+// checkpointObjectJSON is a CheckpointObject's JSON form.
+type checkpointObjectJSON struct {
 	OID   uint64                     `json:"oid"`
 	Attrs map[string]json.RawMessage `json:"attrs,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (o CheckpointObject) MarshalJSON() ([]byte, error) {
+	attrs, err := object.MarshalAttrs(o.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(checkpointObjectJSON{OID: o.OID, Attrs: attrs})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (o *CheckpointObject) UnmarshalJSON(b []byte) error {
+	var j checkpointObjectJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	attrs, err := object.UnmarshalAttrs(j.Attrs)
+	if err != nil {
+		return fmt.Errorf("object #%d: %w", j.OID, err)
+	}
+	*o = CheckpointObject{OID: j.OID, Attrs: attrs}
+	return nil
 }
 
 // ClassExtent is one class's direct instances, in insertion order —
@@ -53,6 +98,7 @@ type MemberCheckpoint struct {
 
 // Checkpoint is the full persisted state of a federation node.
 type Checkpoint struct {
+	// Version is the payload format read: 1 for JSON, 2 for binary.
 	Version int `json:"version"`
 	// LSN is the last WAL record the snapshot includes; replay starts
 	// after it.
@@ -64,12 +110,18 @@ type Checkpoint struct {
 	Derived map[string]json.RawMessage `json:"derived,omitempty"`
 }
 
-// checkpointVersion is the current format version.
-const checkpointVersion = 1
+// The payload format versions: checkpointVersion is the one
+// WriteCheckpoint writes, checkpointVersionJSON the IDBCKPT1 one.
+const (
+	checkpointVersion     = 2
+	checkpointVersionJSON = 1
+)
 
 // SnapshotStore captures a member store's snapshot: every direct class
-// extent in insertion order, attribute values through the kind-tagged
-// codec, and the OID allocation cursor.
+// extent in insertion order, each object's attribute map copied (its
+// values are immutable), and the OID allocation cursor. It encodes
+// nothing, so a capture under the engine's read lock is cheap;
+// WriteCheckpoint encodes after the lock is released.
 func SnapshotStore(s *Store) (MemberCheckpoint, error) {
 	classes := make([]string, 0, len(s.byClass))
 	for cn, oids := range s.byClass {
@@ -82,11 +134,7 @@ func SnapshotStore(s *Store) (MemberCheckpoint, error) {
 	for _, cn := range classes {
 		ext := ClassExtent{Class: cn, Objects: make([]CheckpointObject, 0, len(s.byClass[cn]))}
 		for _, o := range s.byClass[cn] {
-			attrs, err := object.MarshalAttrs(o.attrs)
-			if err != nil {
-				return MemberCheckpoint{}, fmt.Errorf("checkpoint %s: %s%s: %w", s.Name(), cn, o.oid, err)
-			}
-			ext.Objects = append(ext.Objects, CheckpointObject{OID: uint64(o.oid), Attrs: attrs})
+			ext.Objects = append(ext.Objects, CheckpointObject{OID: uint64(o.oid), Attrs: maps.Clone(o.attrs)})
 		}
 		mc.Classes = append(mc.Classes, ext)
 	}
@@ -116,17 +164,12 @@ func (mc MemberCheckpoint) RestoreInto(s *Store) error {
 	s.reset()
 	for _, ext := range mc.Classes {
 		for _, co := range ext.Objects {
-			attrs, err := object.UnmarshalAttrs(co.Attrs)
-			if err != nil {
-				s.reset()
-				return fmt.Errorf("restore %s: %s#%d: %w", mc.Name, ext.Class, co.OID, err)
-			}
-			if err := s.validateAttrs(ext.Class, attrs); err != nil {
+			if err := s.validateAttrs(ext.Class, co.Attrs); err != nil {
 				s.reset()
 				return fmt.Errorf("restore %s: %w", mc.Name, err)
 			}
 			oid := object.OID(co.OID)
-			if _, err := s.insertReserved(oid, ext.Class, attrs); err != nil {
+			if _, err := s.insertReserved(oid, ext.Class, co.Attrs); err != nil {
 				s.reset()
 				return fmt.Errorf("restore %s: %w", mc.Name, err)
 			}
@@ -144,21 +187,53 @@ func (mc MemberCheckpoint) RestoreInto(s *Store) error {
 // WriteCheckpoint writes the checkpoint atomically (WriteFileAtomic):
 // readers see either the old checkpoint or the new one, never a torn mix.
 func WriteCheckpoint(path string, c *Checkpoint) error {
-	cp := *c
-	cp.Version = checkpointVersion
-	payload, err := json.Marshal(&cp)
+	buf, err := encodeCheckpoint(c)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
-	buf := make([]byte, len(checkpointMagic)+8+len(payload))
-	copy(buf, checkpointMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(payload, crcTable))
-	copy(buf[16:], payload)
 	if err := WriteFileAtomic(path, buf); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// encodeCheckpoint renders the whole IDBCKPT2 file: header, then the
+// binary payload.
+func encodeCheckpoint(c *Checkpoint) ([]byte, error) {
+	buf := append(make([]byte, 0, 64<<10), checkpointMagic...)
+	buf = append(buf, make([]byte, 8)...) // length and CRC, filled in below
+	buf = binary.AppendUvarint(buf, c.LSN)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Members)))
+	for _, m := range c.Members {
+		buf = object.AppendString(buf, m.Name)
+		buf = binary.AppendUvarint(buf, m.NextOID)
+		buf = binary.AppendUvarint(buf, uint64(len(m.Classes)))
+		for _, ext := range m.Classes {
+			buf = object.AppendString(buf, ext.Class)
+			buf = binary.AppendUvarint(buf, uint64(len(ext.Objects)))
+			for _, o := range ext.Objects {
+				buf = binary.AppendUvarint(buf, o.OID)
+				var err error
+				if buf, err = object.AppendAttrs(buf, o.Attrs); err != nil {
+					return nil, fmt.Errorf("%s: %s#%d: %w", m.Name, ext.Class, o.OID, err)
+				}
+			}
+		}
+	}
+	names := make([]string, 0, len(c.Derived))
+	for n := range c.Derived {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for _, n := range names {
+		buf = object.AppendString(buf, n)
+		buf = object.AppendString(buf, string(c.Derived[n]))
+	}
+	payload := buf[16:]
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[12:16], crc32.Checksum(payload, crcTable))
+	return buf, nil
 }
 
 // WriteFileAtomic replaces the file at path with data: write a tmp file
@@ -205,9 +280,10 @@ var writeTmp = (*os.File).Write
 var ErrNoCheckpoint = errors.New("no checkpoint")
 
 // ReadCheckpoint reads and verifies a checkpoint written by
-// WriteCheckpoint. A missing file returns ErrNoCheckpoint; a damaged
-// one returns a hard error, because unlike a WAL tail a checkpoint is
-// written atomically — damage means the storage itself lied.
+// WriteCheckpoint, or by an earlier version's (IDBCKPT1). A missing
+// file returns ErrNoCheckpoint; a damaged one returns a hard error,
+// because unlike a WAL tail a checkpoint is written atomically —
+// damage means the storage itself lied.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -216,26 +292,72 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		}
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if len(buf) < 16 || string(buf[:8]) != checkpointMagic {
-		return nil, fmt.Errorf("checkpoint: %s: bad header", path)
+	c, err := decodeCheckpoint(buf)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
+	}
+	return c, nil
+}
+
+// decodeCheckpoint verifies a checkpoint file's header and CRC and
+// decodes its payload by the magic.
+func decodeCheckpoint(buf []byte) (*Checkpoint, error) {
+	if len(buf) < 16 {
+		return nil, fmt.Errorf("bad header")
+	}
+	magic := string(buf[:8])
+	if magic != checkpointMagic && magic != checkpointMagicJSON {
+		return nil, fmt.Errorf("bad header")
 	}
 	plen := binary.LittleEndian.Uint32(buf[8:12])
 	crc := binary.LittleEndian.Uint32(buf[12:16])
 	if int64(plen) != int64(len(buf)-16) {
-		return nil, fmt.Errorf("checkpoint: %s: length mismatch (header %d, file %d)", path, plen, len(buf)-16)
+		return nil, fmt.Errorf("length mismatch (header %d, file %d)", plen, len(buf)-16)
 	}
 	payload := buf[16:]
 	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, fmt.Errorf("checkpoint: %s: checksum mismatch (stored %08x, computed %08x)", path, crc, got)
+		return nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", crc, got)
 	}
-	var c Checkpoint
-	if err := json.Unmarshal(payload, &c); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: decode: %w", path, err)
+	if magic == checkpointMagicJSON {
+		var c Checkpoint
+		if err := json.Unmarshal(payload, &c); err != nil {
+			return nil, fmt.Errorf("decode: %w", err)
+		}
+		if c.Version != checkpointVersionJSON {
+			return nil, fmt.Errorf("unsupported version %d", c.Version)
+		}
+		return &c, nil
 	}
-	if c.Version != checkpointVersion {
-		return nil, fmt.Errorf("checkpoint: %s: unsupported version %d", path, c.Version)
+	c := &Checkpoint{Version: checkpointVersion}
+	r := object.NewReader(payload)
+	c.LSN = r.Uvarint()
+	for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+		m := MemberCheckpoint{Name: r.String(), NextOID: r.Uvarint()}
+		for nc := r.Count(); nc > 0 && r.Err() == nil; nc-- {
+			ext := ClassExtent{Class: r.String()}
+			for no := r.Count(); no > 0 && r.Err() == nil; no-- {
+				ext.Objects = append(ext.Objects, CheckpointObject{OID: r.Uvarint(), Attrs: r.Attrs()})
+			}
+			m.Classes = append(m.Classes, ext)
+		}
+		c.Members = append(c.Members, m)
 	}
-	return &c, nil
+	prev := ""
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		name := r.String()
+		if i > 0 && name <= prev {
+			r.Fail(fmt.Errorf("derived section %q out of order", name))
+		}
+		if c.Derived == nil {
+			c.Derived = map[string]json.RawMessage{}
+		}
+		c.Derived[name] = r.Bytes()
+		prev = name
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	return c, nil
 }
 
 // Member returns the named member's snapshot, or false.

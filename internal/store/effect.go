@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -42,8 +43,9 @@ type Effect struct {
 	Prev map[string]object.Value
 }
 
-// effectJSON is an Effect's on-disk form: values in object's
-// kind-tagged JSON codec.
+// effectJSON is an Effect's form in logs written before record bodies
+// turned binary: values in object's kind-tagged JSON codec. It is read,
+// never written.
 type effectJSON struct {
 	Kind  OpKind                     `json:"k"`
 	Class string                     `json:"c,omitempty"`
@@ -52,21 +54,9 @@ type effectJSON struct {
 	Prev  map[string]json.RawMessage `json:"p,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler.
-func (e Effect) MarshalJSON() ([]byte, error) {
-	a, err := object.MarshalAttrs(e.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	p, err := object.MarshalAttrs(e.Prev)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(effectJSON{Kind: e.Kind, Class: e.Class, OID: uint64(e.OID), Attrs: a, Prev: p})
-}
-
-// UnmarshalJSON implements json.Unmarshaler. Values decode strictly;
-// the record's shape is checked by validate.
+// UnmarshalJSON implements json.Unmarshaler for old JSON record
+// bodies. Values decode strictly; the record's shape is checked by
+// validate.
 func (e *Effect) UnmarshalJSON(b []byte) error {
 	var j effectJSON
 	if err := json.Unmarshal(b, &j); err != nil {
@@ -82,6 +72,43 @@ func (e *Effect) UnmarshalJSON(b []byte) error {
 	}
 	*e = Effect{Kind: j.Kind, Class: j.Class, OID: object.OID(j.OID), Attrs: a, Prev: p}
 	return nil
+}
+
+// appendEffects appends an effect list in the binary body layout:
+// [uvarint n] then per effect [1B kind][str class][uvarint oid]
+// [attrs][prev], the maps in object.AppendAttrs' canonical form.
+func appendEffects(dst []byte, effs []Effect) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(effs)))
+	for i, e := range effs {
+		if e.Kind < OpInsert || e.Kind > OpDelete {
+			return nil, fmt.Errorf("wal: op %d: unknown op kind %d", i, int(e.Kind))
+		}
+		dst = append(dst, byte(e.Kind))
+		dst = object.AppendString(dst, e.Class)
+		dst = binary.AppendUvarint(dst, uint64(e.OID))
+		var err error
+		if dst, err = object.AppendAttrs(dst, e.Attrs); err != nil {
+			return nil, fmt.Errorf("wal: op %d: %w", i, err)
+		}
+		if dst, err = object.AppendAttrs(dst, e.Prev); err != nil {
+			return nil, fmt.Errorf("wal: op %d: %w", i, err)
+		}
+	}
+	return dst, nil
+}
+
+// readEffects reads an effect list written by appendEffects; an empty
+// list reads as nil.
+func readEffects(r *object.Reader) []Effect {
+	n := r.Count()
+	var out []Effect
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := Effect{Kind: OpKind(r.Byte()), Class: r.String(), OID: object.OID(r.Uvarint())}
+		e.Attrs = r.Attrs()
+		e.Prev = r.Attrs()
+		out = append(out, e)
+	}
+	return out
 }
 
 // validate rejects effects that could not have been recorded — the

@@ -1,40 +1,51 @@
 package store
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
 	"interopdb/internal/object"
 )
 
-// TestEffectJSONIsTheLogFormat pins an Effect's encoding to the log's
-// body format byte for byte — kind-tagged values, empty maps and an
-// update's class omitted — and its decoding back to equal values.
-func TestEffectJSONIsTheLogFormat(t *testing.T) {
+// TestEffectLogFormat pins an Effect's encoding in a log record body
+// byte for byte — kind byte, class (empty for an update), OID, then the
+// assigned and prior values as canonical attribute maps — and its
+// decoding back to equal values. The JSON form that earlier logs hold
+// still decodes to the same effect.
+func TestEffectLogFormat(t *testing.T) {
 	for _, c := range []struct {
-		e    Effect
-		want string
+		e      Effect
+		binary string // hex, after the effect count
+		json   string
 	}{
 		{Effect{Kind: OpInsert, Class: "Thing", OID: 5, Attrs: map[string]object.Value{"v": object.Int(1), "tag": object.Str("x")}},
+			"01055468696e670502037461670401780176020200",
 			`{"k":1,"c":"Thing","o":5,"a":{"tag":{"t":"str","str":"x"},"v":{"t":"int","int":1}}}`},
 		{Effect{Kind: OpUpdate, OID: 5, Attrs: map[string]object.Value{"v": object.Real(2.5)}, Prev: map[string]object.Value{}},
+			"02000501017603000000000000044000",
 			`{"k":2,"o":5,"a":{"v":{"t":"real","real":2.5}}}`},
 		{Effect{Kind: OpDelete, Class: "Thing", OID: 5, Prev: map[string]object.Value{"s": object.NewSet(object.Int(2), object.Int(1))}},
+			"03055468696e670500010173070202020204",
 			`{"k":3,"c":"Thing","o":5,"p":{"s":{"t":"set","elems":[{"t":"int","int":1},{"t":"int","int":2}]}}}`},
 	} {
-		b, err := json.Marshal(c.e)
+		body, err := EncodeCommitRecord(CommitRecord{Member: "A", Ops: []Effect{c.e}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(b) != c.want {
-			t.Errorf("encoding:\n  got  %s\n  want %s", b, c.want)
+		want := []byte{binaryBody, 1, 'A', 0, 1}
+		if got := hex.EncodeToString(body[len(want):]); !bytes.Equal(body[:len(want)], want) || got != c.binary {
+			t.Errorf("encoding:\n  got  %x\n  want %x%s", body, want, c.binary)
 		}
-		var back Effect
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		if !effectsEqual([]Effect{back}, []Effect{c.e}) {
-			t.Errorf("round trip changed %+v into %+v", c.e, back)
+		for _, b := range [][]byte{body, []byte(`{"m":"A","ops":[` + c.json + `]}`)} {
+			back, err := DecodeCommitRecord(b)
+			if err != nil {
+				t.Fatalf("%q: %v", b, err)
+			}
+			if !effectsEqual(back.Ops, []Effect{c.e}) {
+				t.Errorf("%q decoded %+v into %+v", b, c.e, back.Ops)
+			}
 		}
 	}
 	var e Effect

@@ -2,10 +2,15 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"interopdb/internal/object"
 )
 
 // FuzzWALDecode holds the WAL decoders to the recovery contract on
@@ -15,9 +20,10 @@ import (
 // the decoded record decodes to an equal record, and that encoding is
 // byte-stable (a first decode may canonicalise — set elements sort, an
 // empty map drops — but a second round trip changes nothing). Seeds
-// cover each record kind, the empty log, torn tails and flipped bytes,
-// plus every record of the root package's WAL golden; the corpus under
-// testdata/fuzz extends them.
+// cover each record kind in both body formats, the empty log, torn
+// tails and flipped bytes, plus every record of the root package's
+// JSON and binary WAL goldens; the corpus under testdata/fuzz extends
+// them.
 func FuzzWALDecode(f *testing.F) {
 	frame := func(kind byte, lsn uint64, body []byte) []byte {
 		return encodeWALFrame(kind, lsn, body)
@@ -51,6 +57,31 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(golden)
 	recs, _, _ := ScanWAL(golden)
 	for _, r := range recs {
+		f.Add(log(frame(r.Kind, r.LSN, r.Body)))
+	}
+	op := Effect{Kind: OpUpdate, OID: 3, Attrs: map[string]object.Value{"title": object.Str("x")},
+		Prev: map[string]object.Value{"title": object.NewSet(object.Real(1.5), object.Ref{DB: "db2", OID: 9})}}
+	bcommit, err := EncodeCommitRecord(CommitRecord{Member: "db1", Batch: 1, Ops: []Effect{op}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	bintent, err := EncodeIntentRecord(IntentRecord{Members: []string{"db1", "db2"}, Effects: map[string][]Effect{"db1": {op}, "db2": nil}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	bresolve, err := EncodeResolveRecord(ResolveRecord{Batch: 1, Outcome: ResolveCompensated})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log(frame(WALIntent, 1, bintent), frame(WALCommit, 2, bcommit), frame(WALResolve, 3, bresolve)))
+	f.Add(log(frame(WALCommit, 1, commit), frame(WALCommit, 2, bcommit))) // JSON, then binary
+	bgolden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "wal", "figure1-binary.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bgolden)
+	brecs, _, _ := ScanWAL(bgolden)
+	for _, r := range brecs {
 		f.Add(log(frame(r.Kind, r.LSN, r.Body)))
 	}
 
@@ -119,4 +150,63 @@ func recordsEqual(a, b any) bool {
 	default:
 		return a == b
 	}
+}
+
+// FuzzCheckpointDecode holds the checkpoint decoder to the same
+// contract on arbitrary payloads behind a valid header and CRC, under
+// either magic: an error or a checkpoint, never a panic, and no
+// allocation sized by a count the payload does not back. An accepted
+// IDBCKPT2 payload is canonical: it re-encodes to the same file, byte
+// for byte. Seeds are a store snapshot with derived sections, an empty
+// checkpoint, the root package's v1 golden, and hostile counts.
+func FuzzCheckpointDecode(f *testing.F) {
+	file := func(magic string, payload []byte) []byte {
+		b := append([]byte(magic), make([]byte, 8)...)
+		binary.LittleEndian.PutUint32(b[8:12], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(b[12:16], crc32.Checksum(payload, crcTable))
+		return append(b, payload...)
+	}
+	s := New(tinyDB(f, "M1"), nil)
+	s.MustInsert("Thing", map[string]object.Value{"v": object.Int(-3), "tag": object.Str("a")})
+	s.MustInsert("Thing", map[string]object.Value{"v": object.Int(1 << 40)})
+	mc, err := SnapshotStore(s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range []*Checkpoint{
+		{LSN: 7, Members: []MemberCheckpoint{mc}, Derived: map[string]json.RawMessage{"memo": []byte(`{"v":1}`), "plans": nil}},
+		{},
+	} {
+		enc, err := encodeCheckpoint(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(false, enc[16:])
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "checkpoint", "figure1-v1.db"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(true, v1[16:])
+	f.Add(false, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})       // hostile member count
+	f.Add(false, []byte{0, 1, 2, 'M', '1', 1, 1, 1, 'T', 0x7F}) // hostile object count
+
+	f.Fuzz(func(t *testing.T, v1 bool, payload []byte) {
+		magic := checkpointMagic
+		if v1 {
+			magic = checkpointMagicJSON
+		}
+		buf := file(magic, payload)
+		c, err := decodeCheckpoint(buf)
+		if err != nil || v1 {
+			return
+		}
+		re, err := encodeCheckpoint(c)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint failed: %v", err)
+		}
+		if !bytes.Equal(re, buf) {
+			t.Fatalf("accepted payload does not re-encode byte-identically:\n%x\n%x", buf, re)
+		}
+	})
 }

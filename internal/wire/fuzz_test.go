@@ -59,33 +59,3 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzValueDecode holds the value codec to the same discipline: no
-// panic on arbitrary bytes, and any value that decodes must re-encode
-// and decode to an equal value (full round trip through the closed
-// value model).
-func FuzzValueDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{tagNull})
-	f.Add(AppendValue(nil, sampleTuple()))
-	f.Add(AppendValue(nil, sampleSet()))
-	f.Add([]byte{tagSet, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // hostile count
-	f.Add([]byte{tagTuple, 2, 1, 'a'})                  // truncated tuple
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, n, err := DecodeValue(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d out of range", n)
-		}
-		re := AppendValue(nil, v)
-		v2, n2, err := DecodeValue(re)
-		if err != nil || n2 != len(re) {
-			t.Fatalf("re-encode of decoded value does not decode cleanly: %v", err)
-		}
-		if !valueEqual(v, v2) {
-			t.Fatalf("value round trip changed %v to %v", v, v2)
-		}
-	})
-}

@@ -79,28 +79,28 @@ func (e *Error) Error() string {
 func appendErrBody(dst []byte, code byte, retryAfter int, msg string, rejs []view.Rejection) []byte {
 	dst = append(dst, code)
 	dst = binary.AppendUvarint(dst, uint64(retryAfter))
-	dst = AppendString(dst, msg)
+	dst = object.AppendString(dst, msg)
 	dst = binary.AppendUvarint(dst, uint64(len(rejs)))
 	for _, r := range rejs {
 		con := ""
 		if r.Constraint.Expr != nil {
 			con = r.Constraint.Expr.String()
 		}
-		dst = AppendString(dst, con)
+		dst = object.AppendString(dst, con)
 		dst = binary.AppendUvarint(dst, uint64(len(r.Constraint.Classes)))
 		for _, c := range r.Constraint.Classes {
-			dst = AppendString(dst, c)
+			dst = object.AppendString(dst, c)
 		}
-		dst = AppendString(dst, r.Detail)
+		dst = object.AppendString(dst, r.Detail)
 		dst = binary.AppendUvarint(dst, uint64(len(r.Repairs)))
 		for _, rep := range r.Repairs {
-			dst = AppendString(dst, rep.Kind.String())
-			dst = AppendString(dst, rep.Attr)
-			dst = AppendString(dst, rep.Text)
+			dst = object.AppendString(dst, rep.Kind.String())
+			dst = object.AppendString(dst, rep.Attr)
+			dst = object.AppendString(dst, rep.Text)
 			dst = binary.AppendVarint(dst, int64(rep.ID))
 			if rep.Value != nil {
 				dst = append(dst, 1)
-				dst = AppendValue(dst, rep.Value)
+				dst = object.AppendValue(dst, rep.Value)
 			} else {
 				dst = append(dst, 0)
 			}
@@ -122,56 +122,56 @@ func decodeErrBody(b []byte) (*Error, error) {
 	}
 	e.RetryAfter = int(ra)
 	off += k
-	msg, k2, err := DecodeString(b[off:])
+	msg, k2, err := object.DecodeString(b[off:])
 	if err != nil {
 		return nil, err
 	}
 	e.Msg = msg
 	off += k2
-	nrej, k3, err := decodeCount(b[off:])
+	nrej, k3, err := object.DecodeCount(b[off:])
 	if err != nil {
 		return nil, err
 	}
 	off += k3
 	for i := 0; i < nrej; i++ {
 		var rej Rejection
-		if rej.Constraint, k, err = DecodeString(b[off:]); err != nil {
+		if rej.Constraint, k, err = object.DecodeString(b[off:]); err != nil {
 			return nil, err
 		}
 		off += k
-		ncls, k4, err := decodeCount(b[off:])
+		ncls, k4, err := object.DecodeCount(b[off:])
 		if err != nil {
 			return nil, err
 		}
 		off += k4
 		for j := 0; j < ncls; j++ {
-			c, k5, err := DecodeString(b[off:])
+			c, k5, err := object.DecodeString(b[off:])
 			if err != nil {
 				return nil, err
 			}
 			rej.Classes = append(rej.Classes, c)
 			off += k5
 		}
-		if rej.Detail, k, err = DecodeString(b[off:]); err != nil {
+		if rej.Detail, k, err = object.DecodeString(b[off:]); err != nil {
 			return nil, err
 		}
 		off += k
-		nrep, k6, err := decodeCount(b[off:])
+		nrep, k6, err := object.DecodeCount(b[off:])
 		if err != nil {
 			return nil, err
 		}
 		off += k6
 		for j := 0; j < nrep; j++ {
 			var rep Repair
-			if rep.Kind, k, err = DecodeString(b[off:]); err != nil {
+			if rep.Kind, k, err = object.DecodeString(b[off:]); err != nil {
 				return nil, err
 			}
 			off += k
-			if rep.Attr, k, err = DecodeString(b[off:]); err != nil {
+			if rep.Attr, k, err = object.DecodeString(b[off:]); err != nil {
 				return nil, err
 			}
 			off += k
-			if rep.Text, k, err = DecodeString(b[off:]); err != nil {
+			if rep.Text, k, err = object.DecodeString(b[off:]); err != nil {
 				return nil, err
 			}
 			off += k
@@ -187,7 +187,7 @@ func decodeErrBody(b []byte) (*Error, error) {
 			hasVal := b[off]
 			off++
 			if hasVal == 1 {
-				v, k8, err := DecodeValue(b[off:])
+				v, k8, err := object.DecodeValue(b[off:])
 				if err != nil {
 					return nil, err
 				}
@@ -203,29 +203,29 @@ func decodeErrBody(b []byte) (*Error, error) {
 
 // appendQueryReq encodes an OpQuery/OpPrepare body: [tenant][query].
 func appendQueryReq(dst []byte, tenant, q string) []byte {
-	dst = AppendString(dst, tenant)
-	return AppendString(dst, q)
+	dst = object.AppendString(dst, tenant)
+	return object.AppendString(dst, q)
 }
 
 // decodeQueryReq decodes an OpQuery/OpPrepare body.
 func decodeQueryReq(b []byte) (tenant, q string, err error) {
-	tenant, k, err := DecodeString(b)
+	tenant, k, err := object.DecodeString(b)
 	if err != nil {
 		return "", "", err
 	}
-	q, _, err = DecodeString(b[k:])
+	q, _, err = object.DecodeString(b[k:])
 	return tenant, q, err
 }
 
 // appendExecReq encodes an OpExec body: [tenant][8B handle LE].
 func appendExecReq(dst []byte, tenant string, handle uint64) []byte {
-	dst = AppendString(dst, tenant)
+	dst = object.AppendString(dst, tenant)
 	return binary.LittleEndian.AppendUint64(dst, handle)
 }
 
 // decodeExecReq decodes an OpExec body.
 func decodeExecReq(b []byte) (tenant string, handle uint64, err error) {
-	tenant, k, err := DecodeString(b)
+	tenant, k, err := object.DecodeString(b)
 	if err != nil {
 		return "", 0, err
 	}
@@ -238,7 +238,7 @@ func decodeExecReq(b []byte) (tenant string, handle uint64, err error) {
 // appendTxReq encodes an OpTx body:
 // [tenant][1B flags][uvarint nops][mutations...].
 func appendTxReq(dst []byte, tenant string, ops []view.Mutation, validateOnly bool) []byte {
-	dst = AppendString(dst, tenant)
+	dst = object.AppendString(dst, tenant)
 	var flags byte
 	if validateOnly {
 		flags |= txValidateOnly
@@ -253,7 +253,7 @@ func appendTxReq(dst []byte, tenant string, ops []view.Mutation, validateOnly bo
 
 // decodeTxReq decodes an OpTx body.
 func decodeTxReq(b []byte) (tenant string, ops []view.Mutation, validateOnly bool, err error) {
-	tenant, k, err := DecodeString(b)
+	tenant, k, err := object.DecodeString(b)
 	if err != nil {
 		return "", nil, false, err
 	}
@@ -263,7 +263,7 @@ func decodeTxReq(b []byte) (tenant string, ops []view.Mutation, validateOnly boo
 	}
 	validateOnly = b[off]&txValidateOnly != 0
 	off++
-	n, k2, err := decodeCount(b[off:])
+	n, k2, err := object.DecodeCount(b[off:])
 	if err != nil {
 		return "", nil, false, err
 	}
@@ -297,7 +297,7 @@ func decodeRowsBody(b []byte) ([]view.Row, view.Stats, error) {
 		return nil, stats, err
 	}
 	off := k
-	n, k2, err := decodeCount(b[off:])
+	n, k2, err := object.DecodeCount(b[off:])
 	if err != nil {
 		return nil, stats, err
 	}

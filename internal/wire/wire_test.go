@@ -11,10 +11,6 @@ import (
 	"interopdb/internal/view"
 )
 
-func sampleSet() object.Value {
-	return object.NewSet(object.Int(1), object.Str("two"), object.Null{})
-}
-
 func sampleTuple() object.Value {
 	return object.NewTuple(map[string]object.Value{
 		"n":   object.Int(-42),
@@ -22,56 +18,8 @@ func sampleTuple() object.Value {
 		"s":   object.Str("münchen"),
 		"b":   object.Bool(true),
 		"ref": object.Ref{DB: "db1", OID: 7},
-		"set": sampleSet(),
+		"set": object.NewSet(object.Int(1), object.Str("two"), object.Null{}),
 	})
-}
-
-func valueEqual(a, b object.Value) bool { return a.Equal(b) }
-
-func TestValueRoundTrip(t *testing.T) {
-	vals := []object.Value{
-		object.Null{},
-		object.Int(0), object.Int(-1), object.Int(1 << 40),
-		object.Real(0), object.Real(-2.5),
-		object.Str(""), object.Str("hello"),
-		object.Bool(true), object.Bool(false),
-		object.Ref{DB: "remote", OID: 123456},
-		sampleSet(),
-		sampleTuple(),
-	}
-	for _, v := range vals {
-		enc := AppendValue(nil, v)
-		got, n, err := DecodeValue(enc)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", v, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("%v: consumed %d of %d bytes", v, n, len(enc))
-		}
-		if !valueEqual(v, got) {
-			t.Fatalf("round trip changed %v to %v", v, got)
-		}
-	}
-}
-
-func TestValueDecodeRejectsCorrupt(t *testing.T) {
-	cases := [][]byte{
-		{},                    // empty
-		{99},                  // unknown tag
-		{tagInt},              // missing varint
-		{tagReal, 1, 2, 3},    // short real
-		{tagBool},             // missing payload
-		{tagBool, 7},          // bad bool payload
-		{tagStr, 5, 'a'},      // short string
-		{tagSet, 200, 1},      // count exceeds remaining bytes
-		{tagTuple, 1, 1, 'a'}, // field name without value
-		{tagRef, 3, 'd', 'b'}, // ref missing oid
-	}
-	for _, c := range cases {
-		if _, _, err := DecodeValue(c); err == nil {
-			t.Errorf("decode(%v) accepted corrupt input", c)
-		}
-	}
 }
 
 func TestRowAndMutationRoundTrip(t *testing.T) {
@@ -205,20 +153,6 @@ func TestFrameDecodeRejectsCorrupt(t *testing.T) {
 // errIncomplete lets the truncation assertion above read naturally:
 // any non-nil error is acceptable, we only reject nil.
 func errIncomplete(err error) error { return err }
-
-// TestAppendValueAllocs pins the zero-allocation value tagging: with a
-// warm buffer, encoding a scalar row costs nothing on the heap.
-func TestAppendValueAllocs(t *testing.T) {
-	buf := make([]byte, 0, 256)
-	row := view.Row{"title": object.Str("snow crash"), "rating": object.Int(9)}
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = buf[:0]
-		buf = AppendRow(buf, row)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendRow allocated %.1f times per run, want 0", allocs)
-	}
-}
 
 func BenchmarkAppendRow(b *testing.B) {
 	b.ReportAllocs()

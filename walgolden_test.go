@@ -15,20 +15,20 @@ import (
 	"testing"
 	"time"
 
-	"interopdb/internal/object"
 	"interopdb/internal/store"
 	"interopdb/internal/store/chaos"
 )
 
 // The WAL goldens pin the on-disk bytes of a scripted durable Figure 1
-// run. testdata/wal/figure1-standalone.log is what the run writes
-// today: a single-member batch is one standalone commit record.
-// testdata/wal/figure1.log was written BEFORE the effect record moved
-// into internal/store, when every batch wrote intent, commit and
-// resolve records; it stays as a read-compatibility golden. For an
-// intended format change, delete the current golden: the next run
-// writes it anew and fails once, so the new file gets read before it
-// is trusted.
+// run. testdata/wal/figure1-binary.log is what the run writes today:
+// binary record bodies, and a single-member batch is one standalone
+// commit record. Two older goldens stay as read-compatibility goldens,
+// both with JSON bodies: testdata/wal/figure1-standalone.log, written
+// before bodies turned binary, and testdata/wal/figure1.log, written
+// before the effect record moved into internal/store, when every batch
+// wrote intent, commit and resolve records. For an intended format
+// change, delete the current golden: the next run writes it anew and
+// fails once, so the new file gets read before it is trusted.
 
 // walCapture records every frame the WAL appends and every fsync, in
 // order (the WrapWAL hook survives the checkpoint's log rewrite, which
@@ -349,8 +349,7 @@ func replayImage(t *testing.T, img []byte) (map[string]string, store.ReplayStats
 // vldb96 update, a fail-after-commit resolved by verification, a late
 // rejection compensated inline and an outage-stranded batch finished by
 // Reconcile — writes exactly the current golden's bytes, and replaying
-// either golden into fresh stores rebuilds exactly the live member
-// state.
+// any golden into fresh stores rebuilds exactly the live member state.
 func TestWALGoldenFigure1(t *testing.T) {
 	cd := bootChaosDurable(t, t.TempDir())
 	runGoldenScript(t, cd)
@@ -365,7 +364,7 @@ func TestWALGoldenFigure1(t *testing.T) {
 		t.Fatal("wal.log differs from the captured appends")
 	}
 
-	path := filepath.Join("testdata", "wal", "figure1-standalone.log")
+	path := filepath.Join("testdata", "wal", "figure1-binary.log")
 	want, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -385,10 +384,10 @@ func TestWALGoldenFigure1(t *testing.T) {
 		for i := 0; i < len(wantRecs) || i < len(gotRecs); i++ {
 			var w, g string
 			if i < len(wantRecs) {
-				w = fmt.Sprintf("kind %d %s", wantRecs[i].Kind, wantRecs[i].Body)
+				w = fmt.Sprintf("kind %d %q", wantRecs[i].Kind, wantRecs[i].Body)
 			}
 			if i < len(gotRecs) {
-				g = fmt.Sprintf("kind %d %s", gotRecs[i].Kind, gotRecs[i].Body)
+				g = fmt.Sprintf("kind %d %q", gotRecs[i].Kind, gotRecs[i].Body)
 			}
 			if w != g {
 				t.Fatalf("record %d differs from the golden:\n  golden: %s\n  got:    %s", i+1, w, g)
@@ -398,7 +397,7 @@ func TestWALGoldenFigure1(t *testing.T) {
 	}
 
 	live := liveSnapshots(t, cd.fed)
-	for _, name := range []string{"figure1-standalone.log", "figure1.log"} {
+	for _, name := range []string{"figure1-binary.log", "figure1-standalone.log", "figure1.log"} {
 		img, err := os.ReadFile(filepath.Join("testdata", "wal", name))
 		if err != nil {
 			t.Fatal(err)
@@ -478,13 +477,13 @@ func markerValue(t *testing.T, members map[string]store.MemberCheckpoint, m mark
 	t.Helper()
 	for _, ce := range members[m.member].Classes {
 		for _, o := range ce.Objects {
-			isbn, err := object.UnmarshalValue(o.Attrs["isbn"])
-			if err != nil || !isbn.Equal(Str(m.isbn)) {
+			isbn, ok := o.Attrs["isbn"]
+			if !ok || !isbn.Equal(Str(m.isbn)) {
 				continue
 			}
-			v, err := object.UnmarshalValue(o.Attrs[m.attr])
-			if err != nil {
-				t.Fatalf("%v: %v", m, err)
+			v, ok := o.Attrs[m.attr]
+			if !ok {
+				t.Fatalf("%v: attribute missing", m)
 			}
 			return v.String()
 		}
