@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test examples race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke chaos crashtest profile serve
+.PHONY: all build vet fmt fmt-check test examples race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke pairs chaos crashtest profile serve
 
 all: build vet fmt-check test
 
@@ -111,6 +111,18 @@ bench-membership:
 benchmark-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# Alternating before/after pairs of one benchmark workload: the
+# benchmark built at REV against the working tree, each run's four
+# end-to-end metrics, both sides' medians and quartiles, and the
+# working tree's wins per metric. Run before claiming a speed-up:
+#   make pairs REV=HEAD WORKLOAD=scan-read N=10 SEED=1
+REV ?= HEAD
+WORKLOAD ?= scan-read
+N ?= 10
+SEED ?= 1
+pairs:
+	scripts/pairs.sh $(REV) $(WORKLOAD) $(N) $(SEED)
 
 # Serve the federation: figure1 + personnel tenants, HTTP on :7070 and
 # the binary framed transport on :7071, with /metrics and pprof.

@@ -77,7 +77,7 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 		}
 	}
 	var r retraction
-	changed, err = v.reclassify(g, &r)
+	changed, err = v.reclassify(g, &r, v.simEnv())
 	v.retract(&r)
 	return old, changed, err
 }
@@ -223,14 +223,23 @@ func (v *GlobalView) simConds(r *SimRule) []expr.Node {
 	return conds
 }
 
+// simEnv is the environment a classification pass evaluates Sim-rule
+// conditions in: the conformed constants and references, with each
+// rule's variable bound per source object. One serves the whole pass.
+func (v *GlobalView) simEnv() *expr.Env {
+	c := v.Conformed
+	return &expr.Env{Vars: map[string]expr.Object{}, Consts: c.Consts, Deref: c.Deref}
+}
+
 // reclassify recomputes the object's predicate-dependent class
 // memberships after an attribute update. Constituent-chain classes (the
 // origin classes and their superclasses) are value-independent and kept;
 // Sim-rule targets, approximate-similarity superclasses and virtual
 // intersection subclasses are re-derived from the new attribute values.
 // It returns the classes whose extents changed. Lattice edges (ISA) are
-// integration-time artifacts and are not recomputed.
-func (v *GlobalView) reclassify(g *GObj, r *retraction) ([]string, error) {
+// integration-time artifacts and are not recomputed. env is the pass's
+// simEnv.
+func (v *GlobalView) reclassify(g *GObj, r *retraction, env *expr.Env) ([]string, error) {
 	c := v.Conformed
 
 	// Value-independent memberships: the constituents' conformed class
@@ -250,7 +259,7 @@ func (v *GlobalView) reclassify(g *GObj, r *retraction) ([]string, error) {
 	type approxPending struct{ rule *SimRule }
 	var approx []approxPending
 	for _, r := range c.Spec.SimRules {
-		match, err := v.simRuleHolds(r, g)
+		match, err := v.simRuleHolds(r, g, env)
 		if err != nil {
 			return nil, err
 		}
@@ -319,20 +328,17 @@ func (v *GlobalView) reclassify(g *GObj, r *retraction) ([]string, error) {
 // against the object's constituents on the rule's source side. The rule
 // applies when any constituent whose class falls under the source class
 // satisfies every conjunct (mirroring classifySim, which walks the
-// source class's conformed extent).
-func (v *GlobalView) simRuleHolds(r *SimRule, g *GObj) (bool, error) {
-	c := v.Conformed
-	db := c.SchemaOf(r.SrcSide)
+// source class's conformed extent). env is the pass's simEnv; the rule's
+// variable is unbound again on return.
+func (v *GlobalView) simRuleHolds(r *SimRule, g *GObj, env *expr.Env) (bool, error) {
+	db := v.Conformed.SchemaOf(r.SrcSide)
 	conds := v.simConds(r)
+	defer delete(env.Vars, r.SrcVar)
 	for _, m := range g.Parts[r.SrcSide] {
 		if !db.IsA(m.Class, r.SrcClass) {
 			continue
 		}
-		env := &expr.Env{
-			Vars:   map[string]expr.Object{r.SrcVar: m},
-			Consts: c.Consts,
-			Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
-		}
+		env.Vars[r.SrcVar] = m
 		match := true
 		for _, cond := range conds {
 			ok, err := env.EvalBool(cond)

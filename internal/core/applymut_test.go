@@ -27,12 +27,13 @@ func TestReclassifyIsFixpointOnUntouchedObjects(t *testing.T) {
 		t.Run(fmt.Sprintf("scale=%d", scale), func(t *testing.T) {
 			res := integratedFigure1(t, scale)
 			v := res.View
+			env := v.simEnv() // one pass: every object reuses it
 			for _, g := range v.Objects {
 				before := map[string]bool{}
 				for c := range g.Classes {
 					before[c] = true
 				}
-				changed, err := v.reclassify(g, &retraction{})
+				changed, err := v.reclassify(g, &retraction{}, env)
 				if err != nil {
 					t.Fatalf("reclassify g%d: %v", g.ID, err)
 				}

@@ -201,12 +201,12 @@ func (c *Conformed) Env(self *CObj) *expr.Env {
 		Deref:  func(r object.Ref) (expr.Object, bool) { return c.Deref(r) },
 	}
 	if self != nil {
-		attrs := map[string]bool{}
+		attrs := expr.Attrs{}
 		for _, a := range c.SchemaOf(self.Side).AllAttrs(self.Class) {
 			attrs[a.Name] = true
 		}
-		env.Vars = map[string]expr.Object{"self": self}
-		env.SelfAttrs = attrs
+		env.Self = self
+		env.Declared = attrs
 		side := self.Side
 		env.Ext = func(class string) []expr.Object { return c.extObjects(side, class) }
 	}

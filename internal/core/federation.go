@@ -706,6 +706,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 	// rules — is collected and retracted in one pass after the loop.
 	clones := v.detachAll(touched)
 	var gone retraction
+	env := v.simEnv()
 	for _, orig := range touched {
 		g := clones[orig]
 		for cls := range g.Classes {
@@ -753,7 +754,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			gone.doom(g)
 			continue
 		}
-		if _, err := v.reclassify(g, &gone); err != nil {
+		if _, err := v.reclassify(g, &gone, env); err != nil {
 			v.retract(&gone)
 			return nil, nil, fmt.Errorf("detach %s: reclassifying g%d: %w", name, g.ID, err)
 		}

@@ -186,7 +186,7 @@ func (v *GlobalView) Env(self *GObj) *expr.Env {
 		Deref: func(r object.Ref) (expr.Object, bool) { return v.Deref(r) },
 	}
 	if self != nil {
-		attrs := map[string]bool{}
+		attrs := expr.Attrs{}
 		for a := range self.Attrs {
 			attrs[a] = true
 		}
@@ -203,14 +203,14 @@ func (v *GlobalView) Env(self *GObj) *expr.Env {
 				attrs[a.Name] = true
 			}
 		}
-		env.Vars = map[string]expr.Object{"self": self}
-		env.SelfAttrs = attrs
+		env.Self = self
+		env.Declared = attrs
 	}
 	return env
 }
 
 // DeclaresAttr reports whether any class of the object declares the
-// attribute — the same resolution Env's SelfAttrs uses, so callers can
+// attribute — the same resolution Env's Declared answers, so callers can
 // predict whether an identifier evaluates to Null for an object missing
 // it (declared), to a same-named constant, or to an unknown-identifier
 // error (undeclared). The extent-index planner uses it to decline
@@ -613,6 +613,7 @@ func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
 // virtual common superclass (approximate).
 func (v *GlobalView) classifySim() error {
 	c := v.Conformed
+	env := v.simEnv()
 	for _, r := range c.Spec.SimRules {
 		targetSide := r.SrcSide.Other()
 		conds := v.conformSimConds(r)
@@ -622,11 +623,7 @@ func (v *GlobalView) classifySim() error {
 			if !ok {
 				continue
 			}
-			env := &expr.Env{
-				Vars:   map[string]expr.Object{r.SrcVar: o},
-				Consts: c.Consts,
-				Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
-			}
+			env.Vars[r.SrcVar] = o
 			match := true
 			for _, cond := range conds {
 				ok, err := env.EvalBool(cond)
@@ -650,6 +647,7 @@ func (v *GlobalView) classifySim() error {
 				}
 			}
 		}
+		delete(env.Vars, r.SrcVar)
 		if r.Approximate() {
 			// ext(Cv) ⊇ ext(C): the target class's extension is included.
 			for _, g := range v.Extent(v.GlobalName(targetSide, r.Target)) {

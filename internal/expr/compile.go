@@ -16,7 +16,9 @@ import (
 //
 // A Program is immutable and safe for concurrent use as long as each
 // goroutine evaluates it against its own *Env (the Env itself is mutated
-// during quantifier evaluation).
+// during quantifier evaluation). One goroutine may reuse one Env across
+// rows, rebinding Env.Self per row: a quantifier restores the Vars
+// bindings it shadows before it returns.
 type Program struct {
 	node Node
 	fn   anyFn
@@ -125,7 +127,9 @@ func compileAny(n Node) anyFn {
 		return func(env *Env) (any, error) { return env.resolveIdent(name) }
 	case Path:
 		recv := compileAny(n.Recv)
-		attr, at := n.Attr, n
+		// at is boxed once here, not on every call to getAttr.
+		var at Node = n
+		attr := n.Attr
 		return func(env *Env) (any, error) {
 			r, err := recv(env)
 			if err != nil {

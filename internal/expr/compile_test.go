@@ -22,12 +22,12 @@ func compileEnv() *Env {
 	}
 	other := MapObject{"rating": object.Int(4), "shopprice": object.Real(30)}
 	return &Env{
-		Vars: map[string]Object{"self": self},
+		Self: self,
 		Consts: map[string]object.Value{
 			"KNOWNPUBLISHERS": object.NewSet(object.Str("IEEE"), object.Str("ACM")),
 			"MAX":             object.Real(100),
 		},
-		SelfAttrs: map[string]bool{
+		Declared: Attrs{
 			"title": true, "rating": true, "shopprice": true, "libprice": true,
 			"ref?": true, "publisher": true, "authors": true, "missing": true,
 		},
@@ -121,25 +121,89 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestCompileReusableAcrossRows: one Program, many self objects — the
-// pattern the query engine uses.
+// kindDecl is a per-object Declarer: each row names its class in a
+// "kind" attribute, and the class's declarations answer for it — the
+// shape of the snapshot's rule, where the declaring classes are the
+// object's own.
+type kindDecl map[string]Attrs
+
+func (d kindDecl) Declares(self Object, attr string) bool {
+	k, _ := self.Get("kind")
+	s, _ := k.(object.Str)
+	return d[string(s)][attr]
+}
+
+// TestCompileReusableAcrossRows: one Program and one Env, many self
+// objects — the pattern the query engine uses: the Env is built once
+// and only Self is rebound per row. Every row's outcome must equal the
+// interpreter's over a fresh Env, including declared-but-absent
+// attributes (null), names the row's class does not declare (the same
+// error), and quantifiers and aggregates, which bind Vars on the reused
+// Env and must leave it as they found it.
 func TestCompileReusableAcrossRows(t *testing.T) {
-	prog := Compile(MustParse("rating >= 6 and shopprice < 100"))
-	rows := []MapObject{
-		{"rating": object.Int(8), "shopprice": object.Real(80)},
-		{"rating": object.Int(4), "shopprice": object.Real(30)},
-		{"rating": object.Int(9), "shopprice": object.Real(120)},
+	decl := kindDecl{
+		"Proc": {"kind": true, "rating": true, "shopprice": true},
+		"Book": {"kind": true, "shopprice": true},
 	}
-	want := []bool{true, false, false}
-	for i, row := range rows {
-		env := &Env{Vars: map[string]Object{"self": row}}
-		got, err := prog.EvalBool(env)
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
+	rows := []MapObject{
+		{"kind": object.Str("Proc"), "rating": object.Int(8), "shopprice": object.Real(80)},
+		{"kind": object.Str("Proc"), "rating": object.Int(4), "shopprice": object.Real(30)},
+		{"kind": object.Str("Proc"), "rating": object.Int(9), "shopprice": object.Real(120)},
+		{"kind": object.Str("Proc"), "shopprice": object.Real(50)}, // declared, absent: null
+		{"kind": object.Str("Book"), "shopprice": object.Real(20)}, // rating undeclared: error
+	}
+	ext := func(class string) []Object {
+		if class != "Item" {
+			return nil
 		}
-		if got != want[i] {
-			t.Errorf("row %d: got %v, want %v", i, got, want[i])
+		out := make([]Object, len(rows))
+		for i, r := range rows {
+			out[i] = r
 		}
+		return out
+	}
+	fresh := func(row MapObject) *Env {
+		return &Env{Self: row, Declared: decl, Ext: ext}
+	}
+	cases := []struct {
+		src  string
+		want []bool // nil: compare with the interpreter only
+	}{
+		{"rating >= 6 and shopprice < 100", []bool{true, false, false, false, false}},
+		{"shopprice < 60 or rating >= 8", nil},
+		{"rating = rating", nil},
+		{"exists i in Item | i.shopprice > shopprice", nil},
+		{"forall i in Item | i.shopprice >= 20 and rating >= 0", nil},
+		{"(avg (collect x for x in Item) over shopprice) > shopprice", nil},
+	}
+	env := &Env{Declared: decl, Ext: ext}
+	for _, c := range cases {
+		n := MustParse(c.src)
+		prog := Compile(n)
+		for i, row := range rows {
+			env.Self = row
+			got, err := prog.EvalBool(env)
+			want, werr := fresh(row).EvalBool(n)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Errorf("%q row %d: reused Env err=%v, fresh interpreter err=%v", c.src, i, err, werr)
+				continue
+			}
+			if got != want {
+				t.Errorf("%q row %d: reused Env %v, fresh interpreter %v", c.src, i, got, want)
+			}
+			if c.want != nil && got != c.want[i] {
+				t.Errorf("%q row %d: got %v, want %v", c.src, i, got, c.want[i])
+			}
+			if len(env.Vars) != 0 {
+				t.Errorf("%q row %d: evaluation left bindings %v on the reused Env", c.src, i, env.Vars)
+			}
+		}
+	}
+	// The undeclared name fails as an unknown identifier, not as null.
+	env.Self = rows[4]
+	if _, err := Compile(MustParse("rating >= 0")).EvalBool(env); err == nil ||
+		err.Error() != `eval error: unknown identifier "rating"` {
+		t.Errorf("undeclared attribute: got %v", err)
 	}
 }
 

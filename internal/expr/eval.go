@@ -30,23 +30,46 @@ func (m MapObject) Get(attr string) (object.Value, bool) {
 	return v, ok
 }
 
-// Env supplies everything evaluation needs: bound variables (including
-// "self" for object constraints), named constants (KNOWNPUBLISHERS, MAX),
-// class extensions for quantifiers and aggregates, the extension that
-// "self" denotes in class constraints, and reference dereferencing.
+// Env supplies everything evaluation needs: the object "self" denotes
+// in object constraints, bound variables (quantifier, collect and rule
+// variables), named constants (KNOWNPUBLISHERS, MAX), class extensions
+// for quantifiers and aggregates, the extension that "self" denotes in
+// class constraints, and reference dereferencing.
+//
+// Evaluation mutates an Env (quantifiers bind and restore Vars), so an
+// Env belongs to one goroutine at a time. Within that goroutine one Env
+// serves any number of rows: rebinding Self (or a rule variable in Vars)
+// is all a new row needs. Build one per loop, not per row: evaluation
+// calls Self's methods through an interface, so the compiler moves
+// whatever an Env's fields point to (the Vars map, the Ext and Deref
+// closures) to the heap even when the Env itself stays on the stack.
 type Env struct {
+	// Self is the object "self" denotes; nil when nothing is bound.
+	Self    Object
 	Vars    map[string]Object
 	Consts  map[string]object.Value
 	Ext     func(class string) []Object
 	SelfExt []Object
 	Deref   func(ref object.Ref) (Object, bool)
-	// SelfAttrs, when non-nil, lists the attributes declared on self's
-	// class: a declared attribute missing from the object evaluates to
-	// Null, while a name that is neither declared nor a constant is an
-	// error (catching typos that the type checker would also reject).
-	// When nil, any name missing from self falls through to Consts.
-	SelfAttrs map[string]bool
+	// Declared, when non-nil, is asked about a name self does not store,
+	// and only then: a name self's classes declare evaluates to Null.
+	// Any other name falls through to Consts and is an error when no
+	// constant has it (catching typos the type checker would also
+	// reject).
+	Declared Declarer
 }
+
+// Declarer answers the declared-attribute question for Env.Declared.
+type Declarer interface {
+	Declares(self Object, attr string) bool
+}
+
+// Attrs is a Declarer over one fixed attribute set, for callers that
+// know self's declarations up front.
+type Attrs map[string]bool
+
+// Declares implements Declarer.
+func (a Attrs) Declares(_ Object, attr string) bool { return a[attr] }
 
 // EvalError reports an evaluation failure.
 type EvalError struct{ Msg string }
@@ -156,13 +179,16 @@ func (env *Env) resolveIdent(name string) (any, error) {
 		return o, nil
 	}
 	if name == "self" {
-		return nil, evalErrf("self is not bound in this context")
+		if env.Self == nil {
+			return nil, evalErrf("self is not bound in this context")
+		}
+		return env.Self, nil
 	}
-	if self, ok := env.Vars["self"]; ok {
-		if v, ok := self.Get(name); ok {
+	if env.Self != nil {
+		if v, ok := env.Self.Get(name); ok {
 			return v, nil
 		}
-		if env.SelfAttrs != nil && env.SelfAttrs[name] {
+		if env.Declared != nil && env.Declared.Declares(env.Self, name) {
 			return object.Null{}, nil
 		}
 	}

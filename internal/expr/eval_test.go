@@ -23,14 +23,14 @@ func bookEnv() *Env {
 		"rating":    object.Int(8),
 		"subjects":  object.NewSet(object.Str("db"), object.Str("systems")),
 	}
-	attrs := map[string]bool{}
+	attrs := Attrs{}
 	for k := range self {
 		attrs[k] = true
 	}
 	return &Env{
-		Vars:      map[string]Object{"self": self},
-		SelfAttrs: attrs,
-		Consts:    map[string]object.Value{"MAX": object.Real(10000), "KNOWNPUBLISHERS": object.NewSet(object.Str("IEEE"), object.Str("ACM"))},
+		Self:     self,
+		Declared: attrs,
+		Consts:   map[string]object.Value{"MAX": object.Real(10000), "KNOWNPUBLISHERS": object.NewSet(object.Str("IEEE"), object.Str("ACM"))},
 		Deref: func(r object.Ref) (Object, bool) {
 			if r.DB == "Bookseller" && r.OID == 1 {
 				return pub, true
@@ -142,7 +142,7 @@ func TestEvalCalls(t *testing.T) {
 
 func TestEvalNullSemantics(t *testing.T) {
 	env := bookEnv()
-	self := env.Vars["self"].(MapObject)
+	self := env.Self.(MapObject)
 	delete(self, "rating")
 	// Comparisons with missing attributes are false; their negation true.
 	if evalB(t, env, "rating >= 7") {
@@ -172,7 +172,7 @@ func TestEvalNullSemantics(t *testing.T) {
 
 func TestEvalDanglingRef(t *testing.T) {
 	env := bookEnv()
-	self := env.Vars["self"].(MapObject)
+	self := env.Self.(MapObject)
 	self["publisher"] = object.Ref{DB: "Bookseller", OID: 999}
 	if evalB(t, env, "publisher.name = 'IEEE'") {
 		t.Error("dangling ref attribute should be null → comparison false")
@@ -402,10 +402,10 @@ func TestKeyStringAllocs(t *testing.T) {
 }
 
 func TestEvalSetUnionPlus(t *testing.T) {
-	env := &Env{Vars: map[string]Object{"self": MapObject{
+	env := &Env{Self: MapObject{
 		"a": object.NewSet(object.Str("x")),
 		"b": object.NewSet(object.Str("y")),
-	}}}
+	}}
 	v, err := env.Eval(MustParse("a + b"))
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +438,7 @@ func TestEvalTupleFieldNavigation(t *testing.T) {
 		}),
 		"ref?": object.Bool(true),
 	}
-	env := &Env{Vars: map[string]Object{"self": self}}
+	env := &Env{Self: self}
 	if !evalB(t, env, "publisher.name = 'IEEE'") {
 		t.Error("tuple field access")
 	}
@@ -458,7 +458,7 @@ func TestEvalTupleFieldNavigation(t *testing.T) {
 }
 
 func TestEvalNegatedMembershipNull(t *testing.T) {
-	env := &Env{Vars: map[string]Object{"self": MapObject{}}, SelfAttrs: map[string]bool{"x": true}}
+	env := &Env{Self: MapObject{}, Declared: Attrs{"x": true}}
 	// null not in S: membership of null is false; negation gives true...
 	// but In returns false for null regardless of Neg (unknown value), so
 	// both forms are false — the conservative choice.

@@ -73,9 +73,9 @@ func TestModelCheckingSoak(t *testing.T) {
 		bruteSat := false
 		for x := int64(0); x <= 7 && !bruteSat; x++ {
 			for y := int64(0); y <= 7; y++ {
-				env := &expr.Env{Vars: map[string]expr.Object{"self": expr.MapObject{
+				env := &expr.Env{Self: expr.MapObject{
 					"x": object.Int(x), "y": object.Int(y),
-				}}}
+				}}
 				all := true
 				for _, nd := range nodes {
 					ok, err := env.EvalBool(nd)

@@ -281,9 +281,7 @@ func (b *batch) check() []Violation {
 	}
 
 	env := s.checkEnv()
-	self := map[string]expr.Object{}
 	objEnv := *env
-	objEnv.Vars = self
 	var out []Violation
 	for _, cls := range s.db.Classes() {
 		ocs := s.cons.object[cls.Name]
@@ -293,9 +291,9 @@ func (b *batch) check() []Violation {
 			objs = s.liveBySeq(written[cls.Name])
 		}
 		if len(objs) > 0 && len(ocs) > 0 {
-			objEnv.SelfAttrs = s.selfAttrs(cls.Name)
+			objEnv.Declared = s.selfAttrs(cls.Name)
 			for _, o := range objs {
-				self["self"] = o
+				objEnv.Self = o
 				for _, fp := range ocs {
 					if written[cls.Name][o] || touches(fp) {
 						b.checked++
@@ -382,9 +380,9 @@ func (s *Store) checkEnv() *expr.Env {
 	}
 }
 
-// selfAttrs is the declared-attribute set of self's class (Env.SelfAttrs).
-func (s *Store) selfAttrs(class string) map[string]bool {
-	attrs := map[string]bool{}
+// selfAttrs is the declared-attribute set of self's class (Env.Declared).
+func (s *Store) selfAttrs(class string) expr.Attrs {
+	attrs := expr.Attrs{}
 	for _, a := range s.db.AllAttrs(class) {
 		attrs[a.Name] = true
 	}

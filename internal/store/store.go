@@ -347,8 +347,8 @@ func (s *Store) Env(self *Obj) *expr.Env {
 		Deref:  s.deref,
 	}
 	if self != nil {
-		env.Vars = map[string]expr.Object{"self": self}
-		env.SelfAttrs = s.selfAttrs(self.class)
+		env.Self = self
+		env.Declared = s.selfAttrs(self.class)
 	}
 	return env
 }

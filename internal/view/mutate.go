@@ -176,13 +176,13 @@ func (s *txState) extent(class string) []expr.Object {
 
 // env builds an evaluation environment over the overlaid state with the
 // given object bound as self.
-func (s *txState) env(self expr.Object, selfAttrs map[string]bool) *expr.Env {
+func (s *txState) env(self expr.Object, selfAttrs expr.Attrs) *expr.Env {
 	v := s.e.res.View
 	return &expr.Env{
-		Vars:      map[string]expr.Object{"self": self},
-		SelfAttrs: selfAttrs,
-		Consts:    v.Conformed.Consts,
-		Ext:       s.extent,
+		Self:     self,
+		Declared: selfAttrs,
+		Consts:   v.Conformed.Consts,
+		Ext:      s.extent,
 		Deref: func(r object.Ref) (expr.Object, bool) {
 			o, ok := v.Deref(r)
 			if !ok {
@@ -283,8 +283,8 @@ func (e *Engine) consForClasses(classes []string) *consGroup {
 // selfAttrsFor collects the known-attribute set of an existing object
 // (its stored attributes plus everything its classes declare), extended
 // with the touched attributes.
-func (e *Engine) selfAttrsFor(g *core.GObj, touched map[string]object.Value) map[string]bool {
-	attrs := map[string]bool{}
+func (e *Engine) selfAttrsFor(g *core.GObj, touched map[string]object.Value) expr.Attrs {
+	attrs := expr.Attrs{}
 	for a := range g.Attrs {
 		attrs[a] = true
 	}
@@ -306,8 +306,8 @@ func (e *Engine) selfAttrsFor(g *core.GObj, touched map[string]object.Value) map
 // insertSelfAttrs collects the known-attribute set for a proposed insert
 // into a class (the proposed attributes plus the origin class's
 // declarations).
-func (e *Engine) insertSelfAttrs(class string, attrs map[string]object.Value) map[string]bool {
-	selfAttrs := map[string]bool{}
+func (e *Engine) insertSelfAttrs(class string, attrs map[string]object.Value) expr.Attrs {
+	selfAttrs := expr.Attrs{}
 	for k := range attrs {
 		selfAttrs[k] = true
 	}
@@ -570,6 +570,7 @@ func (e *Engine) validateDeleteOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 // batch context is checked as it scans; cancellation aborts with
 // ctx.Err().
 func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, detail string, out *[]Rejection, stats *ValidateStats) error {
+	env := st.env(nil, nil) // one environment for the sweep; each member rebinds self
 	for _, cls := range oc.classes {
 		for i, g := range e.res.View.Extent(cls) {
 			if i%ctxCheckRows == 0 && st.ctx.Err() != nil {
@@ -579,7 +580,7 @@ func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, d
 				continue
 			}
 			stats.PairsChecked++
-			env := st.env(st.view(g), e.selfAttrsFor(g, nil))
+			env.Self, env.Declared = st.view(g), e.selfAttrsFor(g, nil)
 			ok, err := env.EvalBool(oc.gc.Expr)
 			if err != nil {
 				continue

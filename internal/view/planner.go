@@ -44,8 +44,11 @@ import (
 // Static cost model (nanosecond-scale weights, calibrated against the
 // interpreter's measured per-row costs on the B-series fixtures).
 const (
-	// costEnvPerRow covers per-row environment construction and loop
-	// bookkeeping.
+	// costEnvPerRow covers the per-row loop bookkeeping. It was
+	// calibrated when every row built its own environment; a query now
+	// builds one and rebinds self per row, so this overstates the row
+	// cost. It is kept because it decides the gate's verdicts, which
+	// TestMergedWindowGate and the differential suites pin.
 	costEnvPerRow = 250.0
 	// costNode is the default per-AST-node evaluation estimate.
 	costNode = 25.0

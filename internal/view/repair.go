@@ -134,12 +134,12 @@ func (e *Engine) proposeConstraintRepairs(violated expr.Node, allCons []expr.Nod
 // on the repaired state.
 func (e *Engine) repairHolds(allCons []expr.Node, repaired expr.Object, env *expr.Env) bool {
 	renv := &expr.Env{
-		Vars:      map[string]expr.Object{"self": repaired},
-		SelfAttrs: env.SelfAttrs,
-		Consts:    env.Consts,
-		Ext:       env.Ext,
-		SelfExt:   env.SelfExt,
-		Deref:     env.Deref,
+		Self:     repaired,
+		Declared: env.Declared,
+		Consts:   env.Consts,
+		Ext:      env.Ext,
+		SelfExt:  env.SelfExt,
+		Deref:    env.Deref,
 	}
 	for _, c := range allCons {
 		ok, err := renv.EvalBool(c)

@@ -161,11 +161,6 @@ type classState struct {
 	eq    sync.Map // attr → *eqIndex
 	ord   sync.Map // attr → *ordIndex
 	plans sync.Map // planKey → *plan
-	// selfAttrs caches each member's known-attribute set (stored ∪
-	// declared). Living inside the classState bounds it: an update or
-	// delete republishes every class the object belongs to, so entries
-	// for superseded objects die with the state that held them.
-	selfAttrs sync.Map // *core.GObj → map[string]bool
 	// nplans bounds the plan cache (constants are part of the plan key,
 	// so an adversarial stream of distinct constants would otherwise
 	// grow it without limit); past the cap, plans are built per query
@@ -234,20 +229,23 @@ func (s *snapshot) extObjs(class string) []expr.Object {
 	return out
 }
 
-// env builds the evaluation environment for one frozen object, mirroring
-// core.GlobalView.Env byte for byte but reading only snapshot state. The
-// SelfAttrs map is cached per object in the serving classState: objects
-// reachable from snapshots are frozen, and a class's declared-attribute
-// set never changes once the class exists, so a cached map can never go
-// stale.
-func (s *snapshot) env(cs *classState, g *core.GObj) *expr.Env {
+// queryEnv builds the evaluation environment one query's residual runs
+// in, mirroring core.GlobalView.Env but reading only snapshot state. The
+// query binds Self per candidate row and reuses everything else.
+func (s *snapshot) queryEnv() *expr.Env {
 	return &expr.Env{
-		Vars:      map[string]expr.Object{"self": g},
-		SelfAttrs: s.selfAttrsOf(cs, g),
-		Consts:    s.consts,
-		Ext:       s.extObjs,
-		Deref:     s.deref,
+		Declared: s,
+		Consts:   s.consts,
+		Ext:      s.extObjs,
+		Deref:    s.deref,
 	}
+}
+
+// Declares implements expr.Declarer: an attribute a frozen object does
+// not store reads as null when one of its classes declares it.
+func (s *snapshot) Declares(self expr.Object, attr string) bool {
+	g, ok := self.(*core.GObj)
+	return ok && s.declaresAttr(g, attr)
 }
 
 // declaresAttr mirrors core.GlobalView.DeclaresAttr over snapshot state:
@@ -259,27 +257,6 @@ func (s *snapshot) declaresAttr(g *core.GObj, attr string) bool {
 		}
 	}
 	return false
-}
-
-// selfAttrsOf returns the object's known-attribute set (stored ∪
-// declared), cached in the classState serving it.
-func (s *snapshot) selfAttrsOf(cs *classState, g *core.GObj) map[string]bool {
-	if v, ok := cs.selfAttrs.Load(g); ok {
-		return v.(map[string]bool)
-	}
-	attrs := make(map[string]bool, len(g.Attrs)+8)
-	for a := range g.Attrs {
-		attrs[a] = true
-	}
-	for cls := range g.Classes {
-		for a := range s.decl[cls] {
-			attrs[a] = true
-		}
-	}
-	if v, loaded := cs.selfAttrs.LoadOrStore(g, attrs); loaded {
-		return v.(map[string]bool)
-	}
-	return attrs
 }
 
 // buildDecl computes the class → declared-attribute map from the live

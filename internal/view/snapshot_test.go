@@ -15,7 +15,9 @@ import (
 // second identical Run performs ZERO logic.Checker queries and ZERO
 // expr.Compile calls — the constraint reasoning and compilation are
 // paid once per (class, predicate) shape (simplified-integrity-checking
-// style) and replayed from the plan cache afterwards.
+// style) and replayed from the plan cache afterwards. A cached run's
+// allocations are pinned too: none per rejected candidate, at most 2
+// per returned row (DESIGN §8.4).
 func TestSteadyStateRunCost(t *testing.T) {
 	e := scaledEngine(t, 10)
 	queries := []Query{
@@ -68,6 +70,67 @@ func TestSteadyStateRunCost(t *testing.T) {
 	}
 	if engineAfter.PlanHitRate() <= 0 {
 		t.Errorf("hit rate not reported: %v", engineAfter)
+	}
+
+	// A cached run pays per answer, not per candidate: the query builds
+	// one evaluation environment and rebinds only self per row.
+	runAllocs := func(e *Engine, q Query) (float64, []Row, Stats) {
+		t.Helper()
+		rows, st, err := e.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { e.Run(q) }), rows, st
+	}
+
+	// (a) An index-only point read builds no environment: it allocates
+	// at most the 6 objects it did when every row built its own.
+	point := Query{Class: "Item", Where: expr.MustParse("isbn = 'vldb96'")}
+	if n, rows, st := runAllocs(e, point); st.IndexHits == 0 || len(rows) != 1 {
+		t.Fatalf("%v: want an index-only single-row answer, got %d rows, %+v", point.Where, len(rows), st)
+	} else if n > 6 {
+		t.Errorf("%v allocates %.0f objects per run, want at most 6", point.Where, n)
+	}
+
+	// (b) A residual that rejects every candidate allocates the same at
+	// 23 and 103 candidates: nothing per candidate.
+	e50 := scaledEngine(t, 50)
+	for _, q := range []Query{
+		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'NoSuch'")}, // deref path
+		{Class: "Item", Where: expr.MustParse("title = isbn")},                     // cross-attribute
+	} {
+		var counts [2]float64
+		for i, eng := range []*Engine{e, e50} {
+			n, rows, st := runAllocs(eng, q)
+			if len(rows) != 0 || st.Scanned == 0 || st.IndexHits != 0 {
+				t.Fatalf("%v: want a residual scan that rejects every row, got %d rows, %+v", q.Where, len(rows), st)
+			}
+			counts[i] = n
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%v allocates %.0f objects at scale 10 and %.0f at scale 50, want the same", q.Where, counts[0], counts[1])
+		}
+	}
+
+	// (c) A residual that returns rows allocates at most 2 objects per
+	// row (the Row map and its group) beyond the rejecting query's
+	// per-query objects and the result slice's growth.
+	rejectAll, _, _ := runAllocs(e50, Query{Class: "Item", Where: expr.MustParse("title = isbn")})
+	every := Query{Class: "Item", Where: expr.MustParse("title != isbn"), Select: []string{"title", "isbn"}}
+	n, rows, st := runAllocs(e50, every)
+	if st.IndexHits != 0 || len(rows) == 0 {
+		t.Fatalf("%v: want a residual scan that returns rows, got %d rows, %+v", every.Where, len(rows), st)
+	}
+	grows, length, capacity := 0, 0, 0
+	for range rows {
+		if length == capacity {
+			grows++
+			capacity = cap(append(make([]Row, length, capacity), nil))
+		}
+		length++
+	}
+	if limit := rejectAll + float64(2*len(rows)+grows); n > limit {
+		t.Errorf("%v allocates %.0f objects for %d rows, want at most %.0f", every.Where, n, len(rows), limit)
 	}
 }
 
@@ -154,6 +217,18 @@ func TestSnapshotDifferentialReference(t *testing.T) {
 				{Class: "Proceedings", Where: expr.MustParse("(publisher.name = 'IEEE' implies ref? = true) and rating >= 8")},
 				{Class: "Proceedings", Where: expr.MustParse("title + 1 = 2")},
 				{Class: "Proceedings", Where: expr.MustParse("rating >= 100 and title + 1 = 2")},
+				// The per-object declared rule: Proceedings members read
+				// rating as null, a plain Item member fails on it as an
+				// unknown identifier — the same error on both paths.
+				{Class: "Item", Where: expr.MustParse("shopprice < 0 or rating = 3")},
+				{Class: "Item", Where: expr.MustParse("shopprice < libprice - 1000 or rating = 3")},
+				{Class: "Proceedings", Where: expr.MustParse("ref? = false or avgAccRate < 0")},
+				// Quantifiers and aggregates bind variables on the query's
+				// one environment, row after row.
+				{Class: "Proceedings", Where: expr.MustParse("exists p in Publisher | p.name = publisher.name and p.name = 'IEEE'")},
+				{Class: "Proceedings", Where: expr.MustParse("forall p in Publisher | p.name != publisher.name or rating >= 7")},
+				{Class: "Item", Where: expr.MustParse("forall p in Publisher | p.name != publisher.name or rating >= 7")},
+				{Class: "Item", Where: expr.MustParse("shopprice < (avg (collect x for x in Item) over shopprice)")},
 			}
 			pruned, dropped := 0, 0
 			for _, q := range queries {

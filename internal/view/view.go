@@ -308,61 +308,54 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 		return nil, stats, nil
 	}
 
-	evalRow := func(g *core.GObj) (bool, error) {
-		stats.Scanned++
-		if p.prog == nil {
-			return true, nil
-		}
-		ok, err := p.prog.EvalBool(s.env(cs, g))
-		if err != nil {
-			return false, fmt.Errorf("query on %s: %w", q.Class, err)
-		}
-		return ok, nil
-	}
-
-	var rows []Row
+	cand := len(cs.ext)
 	if p.served > 0 {
 		stats.IndexHits = p.served
-		stats.CandidateRows = len(p.positions)
-		for i, pos := range p.positions {
-			if i%ctxCheckRows == 0 && ctx.Err() != nil {
-				return nil, stats, ctx.Err()
-			}
-			g := cs.ext[pos]
-			ok, err := evalRow(g)
-			if err != nil {
-				return nil, stats, err
-			}
-			if ok {
-				rows = append(rows, projectRow(g, q.Select))
-			}
-		}
-		return rows, stats, nil
+		cand = len(p.positions)
 	}
-	stats.CandidateRows = len(cs.ext)
-	for i, g := range cs.ext {
+	stats.CandidateRows = cand
+	// One environment serves every candidate: built on the first
+	// residual evaluation (an index-only plan never builds it), then
+	// only Self is rebound per row.
+	var env *expr.Env
+	var rows []Row
+	for i := range cand {
 		if i%ctxCheckRows == 0 && ctx.Err() != nil {
 			return nil, stats, ctx.Err()
 		}
-		ok, err := evalRow(g)
-		if err != nil {
-			return nil, stats, err
+		pos := i
+		if p.served > 0 {
+			pos = p.positions[i]
 		}
-		if ok {
-			rows = append(rows, projectRow(g, q.Select))
+		g := cs.ext[pos]
+		stats.Scanned++
+		if p.prog != nil {
+			if env == nil {
+				env = s.queryEnv()
+			}
+			env.Self = g
+			ok, err := p.prog.EvalBool(env)
+			if err != nil {
+				return nil, stats, fmt.Errorf("query on %s: %w", q.Class, err)
+			}
+			if !ok {
+				continue
+			}
 		}
+		rows = append(rows, projectRow(g, q.Select))
 	}
 	return rows, stats, nil
 }
 
 func projectRow(g *core.GObj, sel []string) Row {
-	row := Row{}
 	if len(sel) == 0 {
+		row := make(Row, len(g.Attrs))
 		for k, v := range g.Attrs {
 			row[k] = v
 		}
 		return row
 	}
+	row := make(Row, len(sel))
 	for _, a := range sel {
 		if v, ok := g.Get(a); ok {
 			row[a] = v
