@@ -83,13 +83,14 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# One-iteration smoke of the full-pipeline, serving, plan-miss and
-# membership benchmarks, as in CI.
+# One-iteration smoke of the full-pipeline, serving, plan-miss,
+# membership and batch-validation benchmarks, as in CI.
 bench-smoke:
 	$(GO) test -bench=E11 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
 	$(GO) test -bench=PlanMiss -benchtime=1x -run='^$$' ./internal/view/
 	$(GO) test -bench=FederationMembership -benchtime=1x -run='^$$' .
+	$(GO) test -bench=ValidateBatch -benchtime=1x -run='^$$' ./internal/view/
 
 # The planner's plan-miss cost (µs and B per plan build, every op a
 # miss) on a 4 000-row Figure 1 extent: point + broad range, two-sided

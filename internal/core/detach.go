@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"maps"
 	"slices"
 
@@ -62,7 +61,7 @@ func (v *GlobalView) detachAll(batch []*GObj) map[*GObj]*GObj {
 			share[c]++
 		}
 		clones[g] = clone
-		if i, ok := slices.BinarySearchFunc(v.Objects, g.ID, func(o *GObj, id int) int { return cmp.Compare(o.ID, id) }); ok && v.Objects[i] == g {
+		if i, ok := v.position(g); ok {
 			v.Objects[i] = clone
 		}
 		v.byRef[g.Identity()] = clone

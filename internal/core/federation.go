@@ -908,36 +908,7 @@ func (v *GlobalView) recomputeISA() {
 			names = append(names, n)
 		}
 	}
-	exts := map[string]map[int]bool{}
-	for _, name := range names {
-		m := map[int]bool{}
-		for _, g := range v.classExt[name] {
-			m[g.ID] = true
-		}
-		exts[name] = m
-	}
-	subset := func(a, b map[int]bool) bool {
-		if len(a) == 0 || len(a) > len(b) {
-			return false
-		}
-		for id := range a {
-			if !b[id] {
-				return false
-			}
-		}
-		return true
-	}
-	var edges []ISAEdge
-	for _, a := range names {
-		for _, b := range names {
-			if a == b {
-				continue
-			}
-			if subset(exts[a], exts[b]) {
-				edges = append(edges, ISAEdge{Sub: a, Super: b})
-			}
-		}
-	}
+	edges := containmentEdges(names, v.extentSets(names))
 	for _, vs := range v.VirtualSubclasses {
 		edges = append(edges,
 			ISAEdge{Sub: vs.Name, Super: vs.RemoteClass},

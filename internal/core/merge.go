@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -712,42 +715,86 @@ func (v *GlobalView) conformSimConds(r *SimRule) []expr.Node {
 	return out
 }
 
+// extentSet is a class extension as a bitset over positions in the
+// ID-ordered v.Objects — not over IDs, so it stays O(live objects)
+// however far IDs have advanced — with its member count.
+type extentSet struct {
+	bits []uint64
+	n    int
+}
+
+// extentSets indexes the extensions of the named classes by position.
+func (v *GlobalView) extentSets(names []string) map[string]extentSet {
+	words := (len(v.Objects) + 63) / 64
+	out := make(map[string]extentSet, len(names))
+	for _, name := range names {
+		s := extentSet{bits: make([]uint64, words)}
+		for _, g := range v.classExt[name] {
+			p, ok := v.position(g)
+			if !ok {
+				panic(fmt.Sprintf("core: g%d is in the extent of %s but not in the view", g.ID, name))
+			}
+			s.bits[p/64] |= 1 << (p % 64)
+		}
+		for _, w := range s.bits {
+			s.n += bits.OnesCount64(w)
+		}
+		out[name] = s
+	}
+	return out
+}
+
+// position returns g's index in the ID-ordered v.Objects.
+func (v *GlobalView) position(g *GObj) (int, bool) {
+	i, ok := slices.BinarySearchFunc(v.Objects, g.ID, func(o *GObj, id int) int { return cmp.Compare(o.ID, id) })
+	return i, ok && v.Objects[i] == g
+}
+
+// subsetOf reports whether s is a non-empty subset of t.
+func (s extentSet) subsetOf(t extentSet) bool {
+	if s.n == 0 || s.n > t.n {
+		return false
+	}
+	for i, w := range s.bits {
+		if w&^t.bits[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// intersection returns the members of both s and t in ascending ID order.
+func (v *GlobalView) intersection(s, t extentSet) []*GObj {
+	var out []*GObj
+	for i := range min(len(s.bits), len(t.bits)) {
+		for w := s.bits[i] & t.bits[i]; w != 0; w &= w - 1 {
+			out = append(out, v.Objects[i*64+bits.TrailingZeros64(w)])
+		}
+	}
+	return out
+}
+
+// containmentEdges returns an ISA edge for every ordered pair of
+// distinct names whose extension is a non-empty subset of the other's,
+// in names × names order.
+func containmentEdges(names []string, sets map[string]extentSet) []ISAEdge {
+	var out []ISAEdge
+	for _, a := range names {
+		for _, b := range names {
+			if a != b && sets[a].subsetOf(sets[b]) {
+				out = append(out, ISAEdge{Sub: a, Super: b})
+			}
+		}
+	}
+	return out
+}
+
 // buildLattice derives subclass edges from extension containment and
 // creates virtual intersection subclasses for Sim-related class pairs
 // with partial overlap (the paper's RefereedProceedings).
 func (v *GlobalView) buildLattice() {
-	ext := func(name string) map[int]bool {
-		out := map[int]bool{}
-		for _, g := range v.classExt[name] {
-			out[g.ID] = true
-		}
-		return out
-	}
-	exts := map[string]map[int]bool{}
-	for _, name := range v.ClassNames {
-		exts[name] = ext(name)
-	}
-	subset := func(a, b map[int]bool) bool {
-		if len(a) == 0 || len(a) > len(b) {
-			return false
-		}
-		for id := range a {
-			if !b[id] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, a := range v.ClassNames {
-		for _, b := range v.ClassNames {
-			if a == b {
-				continue
-			}
-			if subset(exts[a], exts[b]) {
-				v.ISA = append(v.ISA, ISAEdge{Sub: a, Super: b})
-			}
-		}
-	}
+	sets := v.extentSets(v.ClassNames)
+	v.ISA = append(v.ISA, containmentEdges(v.ClassNames, sets)...)
 	// Virtual intersection subclasses for Sim-related pairs.
 	for _, r := range v.Conformed.Spec.SimRules {
 		if r.Approximate() {
@@ -755,17 +802,11 @@ func (v *GlobalView) buildLattice() {
 		}
 		srcName := v.GlobalName(r.SrcSide, r.SrcClass)
 		tgtName := v.GlobalName(r.SrcSide.Other(), r.Target)
-		se, te := exts[srcName], exts[tgtName]
-		var inter []int
-		for id := range se {
-			if te[id] {
-				inter = append(inter, id)
-			}
-		}
-		if len(inter) == 0 || subset(se, te) || subset(te, se) {
+		se, te := sets[srcName], sets[tgtName]
+		both := v.intersection(se, te)
+		if len(both) == 0 || se.subsetOf(te) || te.subsetOf(se) {
 			continue
 		}
-		sort.Ints(inter)
 		name := tgtName + "_" + strings.ReplaceAll(srcName, ".", "_")
 		dup := false
 		for _, vs := range v.VirtualSubclasses {
@@ -777,10 +818,14 @@ func (v *GlobalView) buildLattice() {
 		if dup {
 			continue
 		}
+		inter := make([]int, len(both))
+		for i, g := range both {
+			inter[i] = g.ID
+		}
 		vs := VirtualSubclass{Name: name, LocalClass: tgtName, RemoteClass: srcName, MemberIDs: inter}
 		v.VirtualSubclasses = append(v.VirtualSubclasses, vs)
-		for _, id := range inter {
-			v.addVirtualMember(v.Objects[id-1], name)
+		for _, g := range both {
+			v.addVirtualMember(g, name)
 		}
 		v.ISA = append(v.ISA,
 			ISAEdge{Sub: name, Super: srcName},

@@ -48,6 +48,9 @@ type constraints struct {
 	db     []*footprint
 	keyed  map[string][]*keyIndex // per class: the key indexes its direct instances belong to
 	keys   []*keyIndex
+	// declared is, per class, every attribute it declares, own and
+	// inherited: Env.Declared for its instances.
+	declared map[string]expr.Attrs
 }
 
 // footprint is one constraint with what it reads beyond its own object.
@@ -63,9 +66,10 @@ type footprint struct {
 // iteration orders of AllObjectConstraints, OwnConstraints and DBCons.
 func planConstraints(db *schema.Database) *constraints {
 	p := &constraints{
-		object: map[string][]*footprint{},
-		class:  map[string][]*footprint{},
-		keyed:  map[string][]*keyIndex{},
+		object:   map[string][]*footprint{},
+		class:    map[string][]*footprint{},
+		keyed:    map[string][]*keyIndex{},
+		declared: map[string]expr.Attrs{},
 	}
 	own := map[string][]*footprint{}
 	for _, cls := range db.Classes() {
@@ -83,6 +87,11 @@ func planConstraints(db *schema.Database) *constraints {
 		}
 	}
 	for _, cls := range db.Classes() {
+		declared := expr.Attrs{}
+		for _, a := range db.AllAttrs(cls.Name) {
+			declared[a.Name] = true
+		}
+		p.declared[cls.Name] = declared
 		for _, cn := range db.Supers(cls.Name) {
 			p.object[cls.Name] = append(p.object[cls.Name], own[cn]...)
 			for _, fp := range p.class[cn] {
@@ -291,7 +300,7 @@ func (b *batch) check() []Violation {
 			objs = s.liveBySeq(written[cls.Name])
 		}
 		if len(objs) > 0 && len(ocs) > 0 {
-			objEnv.Declared = s.selfAttrs(cls.Name)
+			objEnv.Declared = s.cons.declared[cls.Name]
 			for _, o := range objs {
 				objEnv.Self = o
 				for _, fp := range ocs {
@@ -378,15 +387,6 @@ func (s *Store) checkEnv() *expr.Env {
 			return ext
 		},
 	}
-}
-
-// selfAttrs is the declared-attribute set of self's class (Env.Declared).
-func (s *Store) selfAttrs(class string) expr.Attrs {
-	attrs := expr.Attrs{}
-	for _, a := range s.db.AllAttrs(class) {
-		attrs[a.Name] = true
-	}
-	return attrs
 }
 
 // extentSize is len(Extent(class)) without building it.

@@ -348,7 +348,7 @@ func (s *Store) Env(self *Obj) *expr.Env {
 	}
 	if self != nil {
 		env.Self = self
-		env.Declared = s.selfAttrs(self.class)
+		env.Declared = s.cons.declared[self.class]
 	}
 	return env
 }

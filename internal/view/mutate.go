@@ -138,16 +138,33 @@ type txState struct {
 	post    map[int]map[string]object.Value // object ID → cumulative assignments
 	deleted map[int]bool
 	inserts map[string][]expr.Object // global class → staged inserts in its extent
+	// updated logs the target of every staged update in staging order,
+	// so a key filing re-files only the updates staged since it last
+	// caught up.
+	updated []int
+	// staged files the batch's staged writes by key, per class and key
+	// attributes a key check asked about; nil until a check finds staged
+	// writes, so a single-op batch never builds it.
+	staged map[string]*stagedKeys
+	// op is the environment the operation under validation evaluates
+	// in, sweep the one an extent sweep evaluates members in. Both are
+	// built once per batch; an operation or member rebinds Self and
+	// Declared.
+	op, sweep expr.Env
 }
 
 func newTxState(ctx context.Context, e *Engine) *txState {
-	return &txState{
+	s := &txState{
 		e:       e,
 		ctx:     ctx,
 		post:    map[int]map[string]object.Value{},
 		deleted: map[int]bool{},
 		inserts: map[string][]expr.Object{},
 	}
+	s.op = expr.Env{Consts: e.res.View.Conformed.Consts, Ext: s.extent, Deref: s.deref}
+	s.sweep = s.op
+	s.sweep.Declared = memberDecl{e}
+	return s
 }
 
 // view returns an object as the batch sees it (post-state overlaid).
@@ -174,29 +191,51 @@ func (s *txState) extent(class string) []expr.Object {
 	return append(out, s.inserts[class]...)
 }
 
-// env builds an evaluation environment over the overlaid state with the
-// given object bound as self.
-func (s *txState) env(self expr.Object, selfAttrs expr.Attrs) *expr.Env {
-	v := s.e.res.View
-	return &expr.Env{
-		Self:     self,
-		Declared: selfAttrs,
-		Consts:   v.Conformed.Consts,
-		Ext:      s.extent,
-		Deref: func(r object.Ref) (expr.Object, bool) {
-			o, ok := v.Deref(r)
-			if !ok {
-				return nil, false
-			}
-			if g, isG := o.(*core.GObj); isG {
-				if s.deleted[g.ID] {
-					return nil, false
-				}
-				return s.view(g), true
-			}
-			return o, ok
-		},
+// deref resolves a reference over the overlaid state: a staged delete
+// hides its target, a staged update shows through.
+func (s *txState) deref(r object.Ref) (expr.Object, bool) {
+	o, ok := s.e.res.View.Deref(r)
+	if !ok {
+		return nil, false
 	}
+	if g, isG := o.(*core.GObj); isG {
+		if s.deleted[g.ID] {
+			return nil, false
+		}
+		return s.view(g), true
+	}
+	return o, ok
+}
+
+// memberDecl is Env.Declared for a live member, staged or not, and for a
+// repair proposed on one: an attribute is declared when one of the
+// member's classes declares it (classCons.declared, built once per
+// class) or the batch assigns it. Evaluation asks only about a name
+// self does not store.
+type memberDecl struct{ e *Engine }
+
+// Declares implements expr.Declarer.
+func (d memberDecl) Declares(self expr.Object, attr string) bool {
+	for {
+		o, ok := self.(overlayObj)
+		if !ok {
+			break
+		}
+		if _, set := o.set[attr]; set {
+			return true
+		}
+		self = o.base
+	}
+	g, ok := self.(*core.GObj)
+	if !ok {
+		return false
+	}
+	for cls := range g.Classes {
+		if d.e.consFor(cls).declared[attr] {
+			return true
+		}
+	}
+	return false
 }
 
 // objectCheck is one deduplicated object constraint of a class set,
@@ -280,45 +319,6 @@ func (e *Engine) consForClasses(classes []string) *consGroup {
 	return cg
 }
 
-// selfAttrsFor collects the known-attribute set of an existing object
-// (its stored attributes plus everything its classes declare), extended
-// with the touched attributes.
-func (e *Engine) selfAttrsFor(g *core.GObj, touched map[string]object.Value) expr.Attrs {
-	attrs := expr.Attrs{}
-	for a := range g.Attrs {
-		attrs[a] = true
-	}
-	for cls := range g.Classes {
-		org, ok := e.res.View.Origin[cls]
-		if !ok {
-			continue
-		}
-		for _, a := range e.res.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
-			attrs[a.Name] = true
-		}
-	}
-	for a := range touched {
-		attrs[a] = true
-	}
-	return attrs
-}
-
-// insertSelfAttrs collects the known-attribute set for a proposed insert
-// into a class (the proposed attributes plus the origin class's
-// declarations).
-func (e *Engine) insertSelfAttrs(class string, attrs map[string]object.Value) expr.Attrs {
-	selfAttrs := expr.Attrs{}
-	for k := range attrs {
-		selfAttrs[k] = true
-	}
-	if org, ok := e.res.View.Origin[class]; ok {
-		for _, a := range e.res.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
-			selfAttrs[a.Name] = true
-		}
-	}
-	return selfAttrs
-}
-
 // insertChainClasses returns the global classes a staged insert into the
 // class would join: the origin class's superclass chain, as ApplyInsert
 // classifies it.
@@ -395,6 +395,7 @@ func (e *Engine) Validate(ctx context.Context, ops []Mutation) ([]Rejection, Val
 			for k, v := range op.Attrs {
 				set[k] = v
 			}
+			st.updated = append(st.updated, g.ID)
 		case MutDelete:
 			g, err := e.targetOf(op, st.deleted)
 			if err != nil {
@@ -442,7 +443,8 @@ func (e *Engine) validateInsertOp(st *txState, op Mutation) ([]Rejection, Valida
 	var out []Rejection
 	var stats ValidateStats
 	obj := expr.MapObject(op.Attrs)
-	env := st.env(obj, e.insertSelfAttrs(op.Class, op.Attrs))
+	env := &st.op
+	env.Self, env.Declared = obj, e.consFor(op.Class).declared
 	cg := e.consForClasses(e.insertChainClasses(op.Class))
 	for _, oc := range cg.object {
 		stats.ConstraintsChecked++
@@ -491,7 +493,8 @@ func (e *Engine) validateUpdateOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 		set[k] = v
 	}
 	post := overlayObj{base: g, set: set}
-	env := st.env(post, e.selfAttrsFor(g, op.Attrs))
+	env := &st.op
+	env.Self, env.Declared = post, memberDecl{e}
 	cg := e.consForClasses(classNames(g))
 	for _, oc := range cg.object {
 		if !oc.ext && !footprintTouched(oc.attrs, op.Attrs) {
@@ -570,7 +573,7 @@ func (e *Engine) validateDeleteOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 // batch context is checked as it scans; cancellation aborts with
 // ctx.Err().
 func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, detail string, out *[]Rejection, stats *ValidateStats) error {
-	env := st.env(nil, nil) // one environment for the sweep; each member rebinds self
+	env := &st.sweep
 	for _, cls := range oc.classes {
 		for i, g := range e.res.View.Extent(cls) {
 			if i%ctxCheckRows == 0 && st.ctx.Err() != nil {
@@ -580,7 +583,7 @@ func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, d
 				continue
 			}
 			stats.PairsChecked++
-			env.Self, env.Declared = st.view(g), e.selfAttrsFor(g, nil)
+			env.Self = st.view(g)
 			ok, err := env.EvalBool(oc.gc.Expr)
 			if err != nil {
 				continue
@@ -597,44 +600,105 @@ func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, d
 	return nil
 }
 
+// stagedKeys files a batch's staged writes under one class and key
+// attributes, so a key check probes them by key. Filing only catches
+// up: a staged insert never changes once staged, and an update staged
+// since the last check is re-filed from txState.updated, so each staged
+// write's key is computed once per filing, not once per check.
+type stagedKeys struct {
+	inserts  map[string]bool // key strings of the class's staged inserts
+	nInserts int             // how many of txState.inserts[class] are filed
+	// overlay files every member of the class the batch updated under
+	// its overlaid key; filed holds the key each is filed under (none
+	// for a null or absent key).
+	overlay  map[string][]*core.GObj
+	filed    map[int]string
+	nUpdated int // how many of txState.updated are filed
+}
+
+// stagedFor returns the staged writes filed under the class and key
+// attributes, caught up with the batch, or nil when the batch has
+// staged no insert into the class and no update.
+func (s *txState) stagedFor(class string, attrs []string) *stagedKeys {
+	ins := s.inserts[class]
+	if len(ins) == 0 && len(s.updated) == 0 {
+		return nil
+	}
+	sig := class + "\x00" + strings.Join(attrs, "\x00")
+	sk := s.staged[sig]
+	if sk == nil {
+		sk = &stagedKeys{inserts: map[string]bool{}, overlay: map[string][]*core.GObj{}, filed: map[int]string{}}
+		if s.staged == nil {
+			s.staged = map[string]*stagedKeys{}
+		}
+		s.staged[sig] = sk
+	}
+	for _, o := range ins[sk.nInserts:] {
+		s.e.counters.keyStaged.Add(1)
+		if k, ok := expr.KeyString(o, attrs); ok {
+			sk.inserts[k] = true
+		}
+	}
+	sk.nInserts = len(ins)
+	for _, id := range s.updated[sk.nUpdated:] {
+		if g, ok := s.e.res.View.ByID(id); ok && g.Classes[class] {
+			sk.refile(s, g, attrs)
+		}
+	}
+	sk.nUpdated = len(s.updated)
+	return sk
+}
+
+// refile files an updated member under its current overlaid key.
+func (sk *stagedKeys) refile(s *txState, g *core.GObj, attrs []string) {
+	if old, ok := sk.filed[g.ID]; ok {
+		if hs := slices.DeleteFunc(sk.overlay[old], func(h *core.GObj) bool { return h == g }); len(hs) > 0 {
+			sk.overlay[old] = hs
+		} else {
+			delete(sk.overlay, old)
+		}
+		delete(sk.filed, g.ID)
+	}
+	s.e.counters.keyStaged.Add(1)
+	if k, ok := expr.KeyString(s.view(g), attrs); ok {
+		sk.overlay[k] = append(sk.overlay[k], g)
+		sk.filed[g.ID] = k
+	}
+}
+
 // findKeyHolder looks for another object holding the proposed object's
 // key in the overlaid extent (exclude skips the object being updated,
 // whose old key is irrelevant). It returns the conflicting object's view
-// ID (0 for a staged insert) and whether a conflict exists.
+// ID (0 for a staged insert) and whether a conflict exists. Live
+// holders are looked for first, then the batch's staged inserts: the
+// operation under validation is not yet staged (Validate stages it only
+// after this check), so every staged insert here is a previous one.
 func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, exclude *core.GObj) (int, bool) {
 	key, ok := expr.KeyString(obj, attrs)
 	if !ok {
 		return 0, false // null/absent key attributes never conflict (EvalKey skips them)
 	}
-	id, found, decided := s.indexedHolder(class, attrs, key, exclude)
+	sk := s.stagedFor(class, attrs)
+	id, found, decided := s.indexedHolder(class, attrs, key, exclude, sk)
 	if !decided {
 		id, found = s.scanHolder(class, attrs, key, exclude)
 	}
 	if found {
 		return id, true
 	}
-	// The operation under validation is not yet staged (Validate stages
-	// it only after this check), so every staged insert here is a
-	// *previous* batch operation.
-	for _, staged := range s.inserts[class] {
-		if k, ok := expr.KeyString(staged, attrs); ok && k == key {
-			return 0, true
-		}
-	}
-	return 0, false
+	return 0, sk != nil && sk.inserts[key]
 }
 
 // indexedHolder answers the live half of findKeyHolder from the key
-// index plus the batch's staged updates. The index is current with the
-// live view (applyShipped maintains it) but files stored keys, not
-// overlaid ones, so a holder filed under the key that the batch updated
-// is re-checked through its overlaid state, and every other member the
-// batch updated joins when its overlaid key matches. Exclude and the
-// staged deletes drop out. The index decides alone when at most one
-// holder is left; otherwise, and with UseIndexes off, the extent scan
-// decides, which keeps the reported holder, the first in extent order,
-// identical to the scan's.
-func (s *txState) indexedHolder(class string, attrs []string, key string, exclude *core.GObj) (id int, found, decided bool) {
+// index plus the batch's staged updates filed by key (sk, nil when the
+// batch has staged none). The index is current with the live view
+// (applyShipped maintains it) but files stored keys, not overlaid ones,
+// so a member the batch updated counts only under its overlaid key,
+// from sk's overlay. Exclude and the staged deletes drop out. The
+// index decides alone when at most one holder is left; otherwise, and
+// with UseIndexes off, the extent scan decides, which keeps the
+// reported holder, the first in extent order, identical to the scan's.
+func (s *txState) indexedHolder(class string, attrs []string, key string, exclude *core.GObj, sk *stagedKeys) (id int, found, decided bool) {
 	e := s.e
 	if !e.UseIndexes {
 		return 0, false, false
@@ -646,26 +710,20 @@ func (s *txState) indexedHolder(class string, attrs []string, key string, exclud
 		if g == exclude || s.deleted[g.ID] {
 			return
 		}
-		if _, staged := s.post[g.ID]; staged {
-			if k, ok := expr.KeyString(s.view(g), attrs); !ok || k != key {
-				return
-			}
-		}
 		hit = g
 		holders++
 	}
 	for _, g := range e.keyIndexFor(class, attrs).holders[key] {
+		if _, staged := s.post[g.ID]; staged {
+			e.counters.keyVisited.Add(1)
+			continue // filed under its overlaid key: considered below
+		}
 		consider(g)
 	}
-	for gid := range s.post {
-		g, ok := e.res.View.ByID(gid)
-		if !ok || !g.Classes[class] {
-			continue
+	if sk != nil {
+		for _, g := range sk.overlay[key] {
+			consider(g)
 		}
-		if k, ok := expr.KeyString(g, attrs); ok && k == key {
-			continue // filed under the key: considered above
-		}
-		consider(g)
 	}
 	if holders > 1 {
 		return 0, false, false

@@ -61,14 +61,16 @@ type engineCounters struct {
 	compiles   atomic.Int64
 	publishes  atomic.Int64
 	// keyFiled counts the holders the key indexes filed, in a build or
-	// on a write, and keyVisited the live members Validate's key check
-	// examined (mutate.go). indexFiled counts the values filed into eq
-	// and ordered indexes, by fresh builds and overlays alike (index.go,
-	// inherit.go), and derefFiled the entries written to deref tables, by
-	// folds and side entries alike (snapshot.go). None is exported: the
-	// write-cost counts test reads them.
+	// on a write, keyVisited the live members Validate's key check
+	// examined, and keyStaged the key strings it computed for the
+	// batch's staged writes (mutate.go). indexFiled counts the values
+	// filed into eq and ordered indexes, by fresh builds and overlays
+	// alike (index.go, inherit.go), and derefFiled the entries written
+	// to deref tables, by folds and side entries alike (snapshot.go).
+	// None is exported: the write-cost counts tests read them.
 	keyFiled   atomic.Int64
 	keyVisited atomic.Int64
+	keyStaged  atomic.Int64
 	indexFiled atomic.Int64
 	derefFiled atomic.Int64
 }

@@ -165,6 +165,10 @@ type classCons struct {
 	// extent-changing mutation, so the delta rule always re-checks it.
 	objectExt []bool
 	keys      []core.GlobalConstraint // key constraints (Expr is expr.Key)
+	// declared is every attribute the class's origin declares, own and
+	// inherited (nil for a class with no origin): Validate's
+	// Env.Declared answers from it.
+	declared expr.Attrs
 }
 
 // New builds an engine over an integration result with optimisation and
@@ -222,6 +226,12 @@ func (e *Engine) consFor(class string) *classCons {
 		cc.objectGC = append(cc.objectGC, gc)
 		cc.objectAttrs = append(cc.objectAttrs, expr.AttrsUsed(gc.Expr))
 		cc.objectExt = append(cc.objectExt, expr.UsesExtents(gc.Expr))
+	}
+	if org, ok := e.res.View.Origin[class]; ok {
+		cc.declared = expr.Attrs{}
+		for _, a := range e.res.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
+			cc.declared[a.Name] = true
+		}
 	}
 	e.cons[class] = cc
 	return cc
