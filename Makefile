@@ -84,13 +84,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # One-iteration smoke of the full-pipeline, serving, plan-miss,
-# membership and batch-validation benchmarks, as in CI.
+# membership, batch-validation and returned-rows benchmarks, as in CI.
 bench-smoke:
 	$(GO) test -bench=E11 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
 	$(GO) test -bench=PlanMiss -benchtime=1x -run='^$$' ./internal/view/
 	$(GO) test -bench=FederationMembership -benchtime=1x -run='^$$' .
 	$(GO) test -bench=ValidateBatch -benchtime=1x -run='^$$' ./internal/view/
+	$(GO) test -bench=RunReturnsRows -benchtime=1x -benchmem -run='^$$' ./internal/view/
 
 # The planner's plan-miss cost (µs and B per plan build, every op a
 # miss) on a 4 000-row Figure 1 extent: point + broad range, two-sided

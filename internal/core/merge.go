@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
@@ -22,6 +23,10 @@ type GObj struct {
 	Attrs map[string]object.Value
 	// Classes holds the global class names the object belongs to.
 	Classes map[string]bool
+
+	// proj memoises the object's projections onto recent select lists
+	// (project.go). A clone or a new object starts without one.
+	proj atomic.Pointer[projMemo]
 }
 
 // Get implements expr.Object.

@@ -310,9 +310,10 @@ func TestBatchKeyDifferentialRandomized(t *testing.T) {
 
 // TestValidateSingleOpAllocBound pins what a one-op Validate allocates:
 // a doomed Proceedings insert (a rejection with repair proposals) and a
-// clean key update. The declared-attribute sets come from per-class
-// caches and the evaluation environment is built once per batch, so
-// neither allocates per op.
+// clean key update. The declared-attribute sets, an insert's class chain
+// and its constraint group come from per-class caches, a key check's
+// index signature is computed with its group, and the evaluation
+// environment is built once per batch, so none of them allocates per op.
 func TestValidateSingleOpAllocBound(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 10)
 	doomed := insertOf("Proceedings", map[string]object.Value{
@@ -328,8 +329,8 @@ func TestValidateSingleOpAllocBound(t *testing.T) {
 		rejs  int
 		bound float64
 	}{
-		{"doomed insert", doomed, 1, 35},
-		{"key update", rekey, 0, 22},
+		{"doomed insert", doomed, 1, 26},
+		{"key update", rekey, 0, 19},
 	} {
 		if rejs := rejectionsOf(t, e, c.ops); len(rejs) != c.rejs {
 			t.Fatalf("%s: rejections %v, want %d", c.what, rejs, c.rejs)

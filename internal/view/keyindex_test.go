@@ -94,6 +94,12 @@ func TestWriteWorkIndependentOfExtent(t *testing.T) {
 	}
 }
 
+// keyIndexFor returns (building on first use) the key index of a class
+// and key attributes, as the key check of that pair reaches it.
+func (e *Engine) keyIndexFor(class string, attrs []string) *keyIndex {
+	return e.keyIndex(keyCheck{class: class, attrs: attrs, sig: keySig(class, attrs)})
+}
+
 // checkKeyIndexes compares every built key index with a fresh count of
 // the live extent: each key's holders, as a set of view IDs.
 func checkKeyIndexes(t *testing.T, what string, e *Engine) {

@@ -256,6 +256,13 @@ type keyCheck struct {
 	gc    core.GlobalConstraint
 	class string
 	attrs []string
+	sig   string // keySig(class, attrs): the key index's and staged filing's map key
+}
+
+// keySig names a (class, key attributes) pair in the key-index and
+// staged-filing maps.
+func keySig(class string, attrs []string) string {
+	return class + "\x00" + strings.Join(attrs, "\x00")
 }
 
 // consGroup merges the scope-all constraints of a class SET — all the
@@ -271,11 +278,11 @@ type consGroup struct {
 }
 
 // consForClasses returns the cached constraint group of a class set
-// (order-insensitive; the cache key is the sorted set).
+// (order-insensitive; the cache key is the sorted set). It sorts classes
+// in place.
 func (e *Engine) consForClasses(classes []string) *consGroup {
-	sorted := append([]string{}, classes...)
-	sort.Strings(sorted)
-	key := strings.Join(sorted, "\x00")
+	sort.Strings(classes)
+	key := strings.Join(classes, "\x00")
 	e.cmu.RLock()
 	cg := e.mcons[key]
 	e.cmu.RUnlock()
@@ -285,7 +292,7 @@ func (e *Engine) consForClasses(classes []string) *consGroup {
 	cg = &consGroup{}
 	seenObj := map[string]int{}
 	seenKey := map[string]bool{}
-	for _, cls := range sorted {
+	for _, cls := range classes {
 		cc := e.consFor(cls) // takes e.cmu itself
 		for i, gc := range cc.objectGC {
 			k := gc.Expr.String()
@@ -301,12 +308,12 @@ func (e *Engine) consForClasses(classes []string) *consGroup {
 		}
 		for _, gc := range cc.keys {
 			k := gc.Expr.(expr.Key)
-			sig := cls + "\x00" + strings.Join(k.Attrs, "\x00")
+			sig := keySig(cls, k.Attrs)
 			if seenKey[sig] {
 				continue
 			}
 			seenKey[sig] = true
-			cg.keys = append(cg.keys, keyCheck{gc: gc, class: cls, attrs: k.Attrs})
+			cg.keys = append(cg.keys, keyCheck{gc: gc, class: cls, attrs: k.Attrs, sig: sig})
 		}
 	}
 	e.cmu.Lock()
@@ -319,9 +326,20 @@ func (e *Engine) consForClasses(classes []string) *consGroup {
 	return cg
 }
 
+// insertGroup returns the constraint group of the classes an insert
+// into cc's class joins, built on the first insert and cached in cc.
+func (e *Engine) insertGroup(cc *classCons) *consGroup {
+	if cg := cc.insert.Load(); cg != nil {
+		return cg
+	}
+	cg := e.consForClasses(slices.Clone(cc.chain))
+	cc.insert.Store(cg)
+	return cg
+}
+
 // insertChainClasses returns the global classes a staged insert into the
 // class would join: the origin class's superclass chain, as ApplyInsert
-// classifies it.
+// classifies it. consFor caches it per class (classCons.chain).
 func (e *Engine) insertChainClasses(class string) []string {
 	org, ok := e.res.View.Origin[class]
 	if !ok {
@@ -373,7 +391,7 @@ func (e *Engine) Validate(ctx context.Context, ops []Mutation) ([]Rejection, Val
 			stats.add(s)
 			// Stage the insert for the rest of the batch.
 			obj := expr.MapObject(copyAttrs(op.Attrs))
-			for _, cls := range e.insertChainClasses(op.Class) {
+			for _, cls := range e.consFor(op.Class).chain {
 				st.inserts[cls] = append(st.inserts[cls], obj)
 			}
 		case MutUpdate:
@@ -443,9 +461,10 @@ func (e *Engine) validateInsertOp(st *txState, op Mutation) ([]Rejection, Valida
 	var out []Rejection
 	var stats ValidateStats
 	obj := expr.MapObject(op.Attrs)
+	cc := e.consFor(op.Class)
 	env := &st.op
-	env.Self, env.Declared = obj, e.consFor(op.Class).declared
-	cg := e.consForClasses(e.insertChainClasses(op.Class))
+	env.Self, env.Declared = obj, cc.declared
+	cg := e.insertGroup(cc)
 	for _, oc := range cg.object {
 		stats.ConstraintsChecked++
 		stats.PairsChecked++
@@ -468,7 +487,7 @@ func (e *Engine) validateInsertOp(st *txState, op Mutation) ([]Rejection, Valida
 	for _, kc := range cg.keys {
 		stats.ConstraintsChecked++
 		stats.PairsChecked++
-		if dupID, dup := st.findKeyHolder(kc.class, kc.attrs, obj, nil); dup {
+		if dupID, dup := st.findKeyHolder(kc, obj, nil); dup {
 			out = append(out, Rejection{
 				Constraint: kc.gc,
 				Detail:     fmt.Sprintf("duplicate key %v in %s", kc.attrs, kc.class),
@@ -527,7 +546,7 @@ func (e *Engine) validateUpdateOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 		}
 		stats.ConstraintsChecked++
 		stats.PairsChecked++
-		if dupID, dup := st.findKeyHolder(kc.class, kc.attrs, post, g); dup {
+		if dupID, dup := st.findKeyHolder(kc, post, g); dup {
 			out = append(out, Rejection{
 				Constraint: kc.gc,
 				Detail:     fmt.Sprintf("duplicate key %v on g%d in %s", kc.attrs, g.ID, kc.class),
@@ -619,19 +638,19 @@ type stagedKeys struct {
 // stagedFor returns the staged writes filed under the class and key
 // attributes, caught up with the batch, or nil when the batch has
 // staged no insert into the class and no update.
-func (s *txState) stagedFor(class string, attrs []string) *stagedKeys {
+func (s *txState) stagedFor(kc keyCheck) *stagedKeys {
+	class, attrs := kc.class, kc.attrs
 	ins := s.inserts[class]
 	if len(ins) == 0 && len(s.updated) == 0 {
 		return nil
 	}
-	sig := class + "\x00" + strings.Join(attrs, "\x00")
-	sk := s.staged[sig]
+	sk := s.staged[kc.sig]
 	if sk == nil {
 		sk = &stagedKeys{inserts: map[string]bool{}, overlay: map[string][]*core.GObj{}, filed: map[int]string{}}
 		if s.staged == nil {
 			s.staged = map[string]*stagedKeys{}
 		}
-		s.staged[sig] = sk
+		s.staged[kc.sig] = sk
 	}
 	for _, o := range ins[sk.nInserts:] {
 		s.e.counters.keyStaged.Add(1)
@@ -673,15 +692,15 @@ func (sk *stagedKeys) refile(s *txState, g *core.GObj, attrs []string) {
 // holders are looked for first, then the batch's staged inserts: the
 // operation under validation is not yet staged (Validate stages it only
 // after this check), so every staged insert here is a previous one.
-func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, exclude *core.GObj) (int, bool) {
-	key, ok := expr.KeyString(obj, attrs)
+func (s *txState) findKeyHolder(kc keyCheck, obj expr.Object, exclude *core.GObj) (int, bool) {
+	key, ok := expr.KeyString(obj, kc.attrs)
 	if !ok {
 		return 0, false // null/absent key attributes never conflict (EvalKey skips them)
 	}
-	sk := s.stagedFor(class, attrs)
-	id, found, decided := s.indexedHolder(class, attrs, key, exclude, sk)
+	sk := s.stagedFor(kc)
+	id, found, decided := s.indexedHolder(kc, key, exclude, sk)
 	if !decided {
-		id, found = s.scanHolder(class, attrs, key, exclude)
+		id, found = s.scanHolder(kc.class, kc.attrs, key, exclude)
 	}
 	if found {
 		return id, true
@@ -698,7 +717,7 @@ func (s *txState) findKeyHolder(class string, attrs []string, obj expr.Object, e
 // index decides alone when at most one holder is left; otherwise, and
 // with UseIndexes off, the extent scan decides, which keeps the
 // reported holder, the first in extent order, identical to the scan's.
-func (s *txState) indexedHolder(class string, attrs []string, key string, exclude *core.GObj, sk *stagedKeys) (id int, found, decided bool) {
+func (s *txState) indexedHolder(kc keyCheck, key string, exclude *core.GObj, sk *stagedKeys) (id int, found, decided bool) {
 	e := s.e
 	if !e.UseIndexes {
 		return 0, false, false
@@ -713,7 +732,7 @@ func (s *txState) indexedHolder(class string, attrs []string, key string, exclud
 		hit = g
 		holders++
 	}
-	for _, g := range e.keyIndexFor(class, attrs).holders[key] {
+	for _, g := range e.keyIndex(kc).holders[key] {
 		if _, staged := s.post[g.ID]; staged {
 			e.counters.keyVisited.Add(1)
 			continue // filed under its overlaid key: considered below
@@ -780,17 +799,16 @@ func (ix *keyIndex) remove(g *core.GObj) {
 	}
 }
 
-// keyIndexFor returns (building on first use) the key index of the
-// class and key attributes. Caller holds e.mu.
-func (e *Engine) keyIndexFor(class string, attrs []string) *keyIndex {
-	sig := class + "\x00" + strings.Join(attrs, "\x00")
+// keyIndex returns (building on first use) the key index of a key
+// check's class and key attributes. Caller holds e.mu.
+func (e *Engine) keyIndex(kc keyCheck) *keyIndex {
 	e.kmu.Lock()
 	defer e.kmu.Unlock()
-	if ix := e.keys[sig]; ix != nil {
+	if ix := e.keys[kc.sig]; ix != nil {
 		return ix
 	}
-	ix := &keyIndex{class: class, attrs: attrs, holders: map[string][]*core.GObj{}}
-	ext := e.res.View.Extent(class)
+	ix := &keyIndex{class: kc.class, attrs: kc.attrs, holders: map[string][]*core.GObj{}}
+	ext := e.res.View.Extent(kc.class)
 	for _, g := range ext {
 		ix.add(g)
 	}
@@ -798,7 +816,7 @@ func (e *Engine) keyIndexFor(class string, attrs []string) *keyIndex {
 	if e.keys == nil {
 		e.keys = map[string]*keyIndex{}
 	}
-	e.keys[sig] = ix
+	e.keys[kc.sig] = ix
 	return ix
 }
 

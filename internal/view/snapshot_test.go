@@ -16,8 +16,9 @@ import (
 // expr.Compile calls — the constraint reasoning and compilation are
 // paid once per (class, predicate) shape (simplified-integrity-checking
 // style) and replayed from the plan cache afterwards. A cached run's
-// allocations are pinned too: none per rejected candidate, at most 2
-// per returned row (DESIGN §8.4).
+// allocations are pinned too: none per rejected candidate, none per
+// returned row once its object's projection is memoised, and at most 4
+// per row that builds one (DESIGN §8.4).
 func TestSteadyStateRunCost(t *testing.T) {
 	e := scaledEngine(t, 10)
 	queries := []Query{
@@ -131,6 +132,27 @@ func TestSteadyStateRunCost(t *testing.T) {
 	}
 	if limit := rejectAll + float64(2*len(rows)+grows); n > limit {
 		t.Errorf("%v allocates %.0f objects for %d rows, want at most %.0f", every.Where, n, len(rows), limit)
+	}
+	// A warm rerun returns each object's memoised projection
+	// (core.GObj.Project): nothing per row beyond the result slice.
+	if limit := rejectAll + float64(grows); n > limit {
+		t.Errorf("warm rerun of %v allocates %.0f objects for %d rows, want at most %.0f (none per row)", every.Where, n, len(rows), limit)
+	}
+
+	// (d) A cold projection allocates at most 4 objects per row: the row
+	// map, its group, the object's new memo and the memo's copy of the
+	// select list. Five select lists cycled through a memo of four make
+	// every row of every run a miss.
+	lists := [][]string{{"title", "isbn"}, {"isbn", "title"}, {"title"}, {"isbn"}, {"title", "shopprice"}}
+	runs := 0
+	cold := testing.AllocsPerRun(20, func() {
+		q := every
+		q.Select = lists[runs%len(lists)]
+		runs++
+		e50.Run(q)
+	})
+	if limit := rejectAll + float64(4*len(rows)+grows); cold > limit {
+		t.Errorf("cold projection of %v allocates %.0f objects for %d rows, want at most %.0f", every.Where, cold, len(rows), limit)
 	}
 }
 

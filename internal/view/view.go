@@ -31,7 +31,10 @@ import (
 	"interopdb/internal/store"
 )
 
-// Row is one query result: attribute name → value.
+// Row is one query result: attribute name → value. A row returned by
+// Run or RunContext is the object's memoised projection
+// (core.GObj.Project): a frozen image shared between callers, like the
+// object it projects, so it must not be modified.
 type Row map[string]object.Value
 
 // Query is a select-from-where over a global class.
@@ -169,6 +172,11 @@ type classCons struct {
 	// inherited (nil for a class with no origin): Validate's
 	// Env.Declared answers from it.
 	declared expr.Attrs
+	// chain is the classes an insert into the class joins
+	// (insertChainClasses); insert caches their constraint group, set
+	// by the first insert validated (insertGroup).
+	chain  []string
+	insert atomic.Pointer[consGroup]
 }
 
 // New builds an engine over an integration result with optimisation and
@@ -200,7 +208,8 @@ func New(res *core.Result) *Engine {
 
 // consFor returns the cached scope-all constraints of a class, collected
 // from the derivation exactly once per class. The cached struct is
-// immutable after publication, so the read path shares a lock.
+// immutable after publication (its insert group is set once, atomically),
+// so the read path shares a lock.
 func (e *Engine) consFor(class string) *classCons {
 	e.cmu.RLock()
 	cc, ok := e.cons[class]
@@ -227,6 +236,7 @@ func (e *Engine) consFor(class string) *classCons {
 		cc.objectAttrs = append(cc.objectAttrs, expr.AttrsUsed(gc.Expr))
 		cc.objectExt = append(cc.objectExt, expr.UsesExtents(gc.Expr))
 	}
+	cc.chain = e.insertChainClasses(class)
 	if org, ok := e.res.View.Origin[class]; ok {
 		cc.declared = expr.Attrs{}
 		for _, a := range e.res.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
@@ -268,6 +278,9 @@ const ctxCheckRows = 256
 // plan build aborted by cancellation is discarded rather than cached —
 // the snapshot and the plan cache are never poisoned by a client that
 // went away (reads never mutate either; pinned by TestRunContext*).
+//
+// The returned rows are frozen images shared between callers (see Row):
+// read them, never modify them.
 func (e *Engine) RunContext(ctx context.Context, q Query) ([]Row, Stats, error) {
 	if !e.UseIndexes {
 		return e.runReference(ctx, q)
@@ -296,7 +309,7 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 				return nil, stats, ctx.Err()
 			}
 			stats.Scanned++
-			rows = append(rows, projectRow(g, q.Select))
+			rows = append(rows, Row(g.Project(q.Select)))
 		}
 		return rows, stats, nil
 	}
@@ -352,11 +365,14 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 				continue
 			}
 		}
-		rows = append(rows, projectRow(g, q.Select))
+		rows = append(rows, Row(g.Project(q.Select)))
 	}
 	return rows, stats, nil
 }
 
+// projectRow builds a fresh row: the reference scan's projection, which
+// the differential suites compare against the snapshot path's memoised
+// rows (core.GObj.Project).
 func projectRow(g *core.GObj, sel []string) Row {
 	if len(sel) == 0 {
 		row := make(Row, len(g.Attrs))

@@ -294,7 +294,9 @@ type Query = view.Query
 // QueryStats reports what the optimiser did.
 type QueryStats = view.Stats
 
-// Row is one query result.
+// Row is one query result. Rows returned by a query are frozen images
+// shared between callers, like the objects they project: read them,
+// never modify them.
 type Row = view.Row
 
 // NewQueryEngine builds a query engine over an integration result.
