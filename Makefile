@@ -84,7 +84,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # One-iteration smoke of the full-pipeline, serving, plan-miss,
-# membership, batch-validation and returned-rows benchmarks, as in CI.
+# membership, batch-validation, returned-rows, residual-scan and
+# detach-clone benchmarks, as in CI.
 bench-smoke:
 	$(GO) test -bench=E11 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
@@ -92,6 +93,8 @@ bench-smoke:
 	$(GO) test -bench=FederationMembership -benchtime=1x -run='^$$' .
 	$(GO) test -bench=ValidateBatch -benchtime=1x -run='^$$' ./internal/view/
 	$(GO) test -bench=RunReturnsRows -benchtime=1x -benchmem -run='^$$' ./internal/view/
+	$(GO) test -bench=ResidualScan -benchtime=1x -benchmem -run='^$$' ./internal/view/
+	$(GO) test -bench=DetachAll -benchtime=1x -run='^$$' ./internal/core/
 
 # The planner's plan-miss cost (µs and B per plan build, every op a
 # miss) on a 4 000-row Figure 1 extent: point + broad range, two-sided

@@ -65,9 +65,13 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 		return nil, nil, fmt.Errorf("object g%d is not part of the integrated view", g.ID)
 	}
 	old = make(map[string]object.Value, len(attrs))
+	// A name the dictionary lacks extends it, with one copy: a member
+	// store refuses undeclared attributes, but the view does not depend
+	// on that.
+	v.dict = v.dict.withSorted(attrs)
 	for k, val := range attrs {
-		old[k] = g.Attrs[k] // nil when previously absent
-		g.Attrs[k] = val
+		old[k], _ = g.Get(k) // nil when previously absent
+		v.setAttr(g, k, val)
 		for _, ms := range g.Parts {
 			for _, m := range ms {
 				if m.Attrs != nil {

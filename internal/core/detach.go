@@ -34,12 +34,13 @@ func (v *GlobalView) DetachForUpdate(g *GObj) *GObj {
 // everywhere the view references it — the object list, every class
 // extent, and the reference table (global identity and constituent
 // sources) — and returns the original → clone map; objects not (or no
-// longer) part of the view have no entry. A clone gets its own
-// attribute and class maps and shares the constituent pointers, which no
-// snapshot reader ever dereferences. The batch costs what it touches: a
-// binary search of the ID-ordered object list per object, and ONE pass
-// over each extent holding any of them, which keeps its order and stops
-// once the extent's share of the batch is swapped.
+// longer) part of the view have no entry. A clone gets its own copy of
+// the attribute values (a slice copy) and of the class map, and shares
+// the constituent pointers, which no snapshot reader ever dereferences.
+// The batch costs what it touches: a binary search of the ID-ordered
+// object list per object, and ONE pass over each extent holding any of
+// them, which keeps its order and stops once the extent's share of the
+// batch is swapped.
 func (v *GlobalView) detachAll(batch []*GObj) map[*GObj]*GObj {
 	clones := make(map[*GObj]*GObj, len(batch))
 	share := map[string]int{} // class → how many of the batch its extent holds
@@ -51,7 +52,8 @@ func (v *GlobalView) detachAll(batch []*GObj) map[*GObj]*GObj {
 		clone := &GObj{
 			ID:      g.ID,
 			Parts:   make(map[Side][]*CObj, len(g.Parts)),
-			Attrs:   maps.Clone(g.Attrs),
+			dict:    g.dict,
+			vals:    slices.Clone(g.vals),
 			Classes: maps.Clone(g.Classes),
 		}
 		for side, ms := range g.Parts {

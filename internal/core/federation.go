@@ -329,6 +329,8 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		}
 	}
 	clones := v.detachAll(batch)
+	// The dictionary grows once, by every name the pair's view slots.
+	v.dict = v.dict.with(pairRes.View.dict.names...)
 	// owned are the objects no published snapshot holds: this graft's
 	// clones and the objects it creates.
 	owned := make(map[*GObj]bool, len(pairRes.View.Objects))
@@ -363,12 +365,9 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 			g := &GObj{
 				ID:      v.nextObjectID(),
 				Parts:   map[Side][]*CObj{},
-				Attrs:   make(map[string]object.Value, len(pg.Attrs)),
 				Classes: map[string]bool{},
 			}
-			for k, val := range pg.Attrs {
-				g.Attrs[k] = val
-			}
+			v.copyAttrs(g, pg)
 			for _, ps := range []Side{LocalSide, RemoteSide} {
 				fs := fedSideOf(ps)
 				for _, m := range pg.Parts[ps] {
@@ -413,16 +412,17 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 			v.byRef[m.Src] = g
 			contrib.addedParts[g.ID] = append(contrib.addedParts[g.ID], m.Src)
 		}
-		attrNames := make([]string, 0, len(pg.Attrs))
-		for a := range pg.Attrs {
-			attrNames = append(attrNames, a)
-		}
+		var attrNames []string
+		pg.Range(func(a string, _ object.Value) {
+			if _, have := g.Get(a); !have {
+				attrNames = append(attrNames, a)
+			}
+		})
 		sort.Strings(attrNames)
 		for _, a := range attrNames {
-			if _, have := g.Attrs[a]; !have {
-				g.Attrs[a] = pg.Attrs[a]
-				contrib.addedAttrs[g.ID] = append(contrib.addedAttrs[g.ID], a)
-			}
+			val, _ := pg.Get(a)
+			v.setAttr(g, a, val)
+			contrib.addedAttrs[g.ID] = append(contrib.addedAttrs[g.ID], a)
 		}
 	}
 
@@ -575,6 +575,7 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 	f.Contribs = append(f.Contribs, contrib)
 	f.rebuildDerivation()
 	v.recomputeISA()
+	v.refreshDecl()
 
 	// --- Affected classes --------------------------------------------
 	affected := map[string]bool{}
@@ -732,19 +733,20 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			}
 		}
 		for _, a := range contrib.addedAttrs[g.ID] {
-			delete(g.Attrs, a)
 			// Re-derive from the remaining constituents (deterministic:
 			// ascending side, declaration order), in case another member
-			// also carries the attribute.
+			// also carries the attribute. The name keeps its slot.
+			var val object.Value
 		rederive:
 			for s := Side(0); int(s) < v.memberSlots(); s++ {
 				for _, m := range g.Parts[s] {
-					if val, ok := m.Attrs[a]; ok && val.Kind() != object.KindNull {
-						g.Attrs[a] = val
+					if mv, ok := m.Attrs[a]; ok && mv.Kind() != object.KindNull {
+						val = mv
 						break rederive
 					}
 				}
 			}
+			v.setAttr(g, a, val)
 		}
 		parts := 0
 		for _, ms := range g.Parts {
@@ -816,6 +818,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 
 	f.rebuildDerivation()
 	v.recomputeISA()
+	v.refreshDecl()
 
 	for _, gc := range contrib.Globals {
 		for _, cls := range gc.Classes {

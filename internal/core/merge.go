@@ -20,19 +20,18 @@ import (
 type GObj struct {
 	ID    int
 	Parts map[Side][]*CObj
-	Attrs map[string]object.Value
+	// vals holds the object's attribute values by slot of dict, the
+	// view dictionary the object was built on or last written through
+	// (slots.go); nil marks an absent attribute. Read them with Get, At
+	// or Range.
+	dict *AttrDict
+	vals []object.Value
 	// Classes holds the global class names the object belongs to.
 	Classes map[string]bool
 
 	// proj memoises the object's projections onto recent select lists
 	// (project.go). A clone or a new object starts without one.
 	proj atomic.Pointer[projMemo]
-}
-
-// Get implements expr.Object.
-func (g *GObj) Get(attr string) (object.Value, bool) {
-	v, ok := g.Attrs[attr]
-	return v, ok
 }
 
 // Identity implements expr.Identifiable.
@@ -60,14 +59,13 @@ func (g *GObj) String() string {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	keys := make([]string, 0, len(g.Attrs))
-	for k := range g.Attrs {
-		keys = append(keys, k)
-	}
+	var keys []string
+	g.Range(func(k string, _ object.Value) { keys = append(keys, k) })
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = k + "=" + g.Attrs[k].String()
+		v, _ := g.Get(k)
+		parts[i] = k + "=" + v.String()
 	}
 	return fmt.Sprintf("g%d{%s}(%s)", g.ID, strings.Join(classes, ","), strings.Join(parts, ","))
 }
@@ -123,6 +121,15 @@ type GlobalView struct {
 	// changes can never rename a class that queries, plans or indexes
 	// already reference.
 	fedNames map[Side]map[string]string
+	// dict is the attribute dictionary the objects' values are slotted
+	// by (slots.go): replaced by an extended copy, never changed.
+	dict *AttrDict
+	// decl maps each class with an origin to the attribute names that
+	// origin declares, own and inherited: how Env and DeclaresAttr
+	// answer the declared-attribute question. It is rebuilt, never
+	// changed in place, whenever the set of origin classes changes, so a
+	// snapshot may keep the table it captured.
+	decl map[string]map[string]bool
 }
 
 // memberSlots is the number of Side values the view's members occupy:
@@ -179,42 +186,39 @@ func (v *GlobalView) Deref(r object.Ref) (expr.Object, bool) {
 	return o, ok
 }
 
-// Env builds an evaluation environment over the global view.
+// Env builds an evaluation environment over the global view. One Env
+// serves any number of rows: rebind Self per row.
 func (v *GlobalView) Env(self *GObj) *expr.Env {
 	env := &expr.Env{
-		Consts: v.Conformed.Consts,
-		Ext: func(class string) []expr.Object {
-			ext := v.Extent(class)
-			out := make([]expr.Object, len(ext))
-			for i, o := range ext {
-				out[i] = o
-			}
-			return out
-		},
-		Deref: func(r object.Ref) (expr.Object, bool) { return v.Deref(r) },
+		Consts:   v.Conformed.Consts,
+		Ext:      v.extObjs,
+		Deref:    v.Deref,
+		Declared: v,
 	}
 	if self != nil {
-		attrs := expr.Attrs{}
-		for a := range self.Attrs {
-			attrs[a] = true
-		}
-		// Attributes declared on any class the object belongs to are
-		// known (possibly null): a locally-kept publication classified
-		// under Proceedings via a Sim rule has no ref? value, and
-		// predicates over it must see null, not an unknown identifier.
-		for cls := range self.Classes {
-			org, ok := v.Origin[cls]
-			if !ok {
-				continue
-			}
-			for _, a := range v.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
-				attrs[a.Name] = true
-			}
-		}
 		env.Self = self
-		env.Declared = attrs
 	}
 	return env
+}
+
+// extObjs is Env's Ext: a class extension as expression objects.
+func (v *GlobalView) extObjs(class string) []expr.Object {
+	ext := v.Extent(class)
+	out := make([]expr.Object, len(ext))
+	for i, o := range ext {
+		out[i] = o
+	}
+	return out
+}
+
+// Declares implements expr.Declarer for Env: attributes declared on any
+// class the object belongs to are known (possibly null). A locally-kept
+// publication classified under Proceedings via a Sim rule has no ref?
+// value, and predicates over it must see null, not an unknown
+// identifier.
+func (v *GlobalView) Declares(self expr.Object, attr string) bool {
+	g, ok := self.(*GObj)
+	return ok && v.DeclaresAttr(g, attr)
 }
 
 // DeclaresAttr reports whether any class of the object declares the
@@ -224,18 +228,38 @@ func (v *GlobalView) Env(self *GObj) *expr.Env {
 // error (undeclared). The extent-index planner uses it to decline
 // attributes whose per-row resolution is not simply the stored value.
 func (v *GlobalView) DeclaresAttr(g *GObj, attr string) bool {
+	return DeclaredIn(v.decl, g, attr)
+}
+
+// DeclaredIn answers DeclaresAttr from a declared-attribute table
+// (DeclTable), for callers holding a table the view has since replaced.
+func DeclaredIn(decl map[string]map[string]bool, g *GObj, attr string) bool {
 	for cls := range g.Classes {
-		org, ok := v.Origin[cls]
-		if !ok {
-			continue
-		}
-		for _, a := range v.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
-			if a.Name == attr {
-				return true
-			}
+		if decl[cls][attr] {
+			return true
 		}
 	}
 	return false
+}
+
+// DeclTable returns the class → declared-attribute table Env and
+// DeclaresAttr answer from. It is never changed: a change to the view's
+// class set replaces it, so a caller may keep it.
+func (v *GlobalView) DeclTable() map[string]map[string]bool { return v.decl }
+
+// refreshDecl rebuilds the declared-attribute table from the origin
+// classes, once per change to their set.
+func (v *GlobalView) refreshDecl() {
+	decl := make(map[string]map[string]bool, len(v.Origin))
+	for name, org := range v.Origin {
+		attrs := v.Conformed.SchemaOf(org.Side).AllAttrs(org.Class)
+		set := make(map[string]bool, len(attrs))
+		for _, a := range attrs {
+			set[a.Name] = true
+		}
+		decl[name] = set
+	}
+	v.decl = decl
 }
 
 // ApplyInsert registers an object newly shipped to a component database in
@@ -253,21 +277,21 @@ func (v *GlobalView) ApplyInsert(class string, attrs map[string]object.Value, sr
 	if !ok {
 		return nil, fmt.Errorf("no origin class for global class %s", class)
 	}
-	cp := make(map[string]object.Value, len(attrs))
 	mp := make(map[string]object.Value, len(attrs))
 	for k, val := range attrs {
-		cp[k] = val
 		mp[k] = val
 	}
 	g := &GObj{
 		ID:      v.nextObjectID(),
 		Parts:   map[Side][]*CObj{},
-		Attrs:   cp,
 		Classes: map[string]bool{},
 	}
-	// The constituent gets its own attribute map: sharing cp would let a
-	// later in-place constituent write (ApplyUpdate fans values out to
-	// the parts) mutate the global object's map behind a frozen
+	// A name the dictionary lacks extends it: a member store refuses
+	// undeclared attributes, but the view does not depend on that.
+	v.newObjectAttrs(g, attrs)
+	// The constituent gets its own attribute map: sharing attrs would
+	// let the caller, or a later in-place constituent write (ApplyUpdate
+	// fans values out to the parts), mutate it behind a frozen
 	// snapshot's back.
 	g.Parts[org.Side] = append(g.Parts[org.Side], &CObj{
 		Src: src, Side: org.Side, Class: org.Class, Attrs: mp,
@@ -295,6 +319,7 @@ func Merge(c *Conformed) (*GlobalView, error) {
 		}{},
 		byRef: map[object.Ref]*GObj{},
 	}
+	v.dict = v.schemaDict()
 	rng := rand.New(rand.NewSource(c.Spec.Seed))
 
 	// --- Entity resolution ---------------------------------------------
@@ -344,7 +369,6 @@ func Merge(c *Conformed) (*GlobalView, error) {
 		g := &GObj{
 			ID:      i + 1,
 			Parts:   map[Side][]*CObj{},
-			Attrs:   map[string]object.Value{},
 			Classes: map[string]bool{},
 		}
 		for _, m := range groups[root] {
@@ -366,7 +390,25 @@ func Merge(c *Conformed) (*GlobalView, error) {
 		return nil, err
 	}
 	v.buildLattice()
+	v.refreshDecl()
 	return v, nil
+}
+
+// schemaDict builds the dictionary Merge starts from: the attribute
+// names of every class of the member schemas, in member, class and
+// declaration order, so an object's slots cluster by its classes. Merge
+// adds any other name a constituent carries as fusion meets it.
+func (v *GlobalView) schemaDict() *AttrDict {
+	var names []string
+	for side := Side(0); int(side) < v.memberSlots(); side++ {
+		db := v.Conformed.SchemaOf(side)
+		for _, cls := range db.Classes() {
+			for _, a := range db.AllAttrs(cls.Name) {
+				names = append(names, a.Name)
+			}
+		}
+	}
+	return (*AttrDict)(nil).with(names...)
 }
 
 // resolveRule finds matching (local, remote) pairs for one equality rule
@@ -545,23 +587,32 @@ func (v *GlobalView) fuse(g *GObj, rng *rand.Rand) {
 		}
 		return nil, nil
 	}
+	v.dict = v.dict.with(ordered...)
+	top := -1
 	for _, a := range ordered {
+		top = max(top, v.dict.slot[a])
+	}
+	g.dict = v.dict
+	g.vals = make([]object.Value, top+1)
+	for _, a := range ordered {
+		var val object.Value
 		lv, lm := firstVal(LocalSide, a)
 		rv, _ := firstVal(RemoteSide, a)
 		switch {
 		case lv != nil && rv != nil:
 			if pe := v.propEqByConformed(a, lm); pe != nil {
-				g.Attrs[a] = pe.DF.Combine(lv, rv, rng)
+				val = pe.DF.Combine(lv, rv, rng)
 			} else {
 				// No declared equivalence: same-named attributes without a
 				// propeq behave like conflict-ignoring (documented).
-				g.Attrs[a] = anyFunc{}.Combine(lv, rv, rng)
+				val = anyFunc{}.Combine(lv, rv, rng)
 			}
 		case lv != nil:
-			g.Attrs[a] = lv
+			val = lv
 		case rv != nil:
-			g.Attrs[a] = rv
+			val = rv
 		}
+		g.vals[v.dict.slot[a]] = val
 	}
 }
 
@@ -612,6 +663,9 @@ func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
 			Class string
 		}{side, class}
 		v.ClassNames = append(v.ClassNames, name)
+		if v.decl != nil {
+			v.refreshDecl() // a class first populated after Merge
+		}
 	}
 	v.classExt[name] = append(v.classExt[name], g)
 }

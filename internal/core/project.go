@@ -55,9 +55,10 @@ func (m *projMemo) with(p projection) *projMemo {
 }
 
 // Project returns the object's row for a select list: the values of the
-// listed attributes the object has, or a copy of every attribute when
-// sel is empty. The row is built once per select list and shared by
-// every later call with an equal list, so callers must not modify it.
+// listed attributes the object has, or every attribute it holds when
+// sel is empty, read from its slots into a fresh map. The row is built
+// once per select list and shared by every later call with an equal
+// list, so callers must not modify it.
 // That is sound because an object reachable from a published snapshot
 // is frozen (detach.go): a write goes to a clone, which starts with an
 // empty memo. Project is safe for concurrent use; sel is copied, so the
@@ -81,15 +82,11 @@ func (g *GObj) Project(sel []string) map[string]object.Value {
 // project builds a fresh row for a select list (see Project).
 func (g *GObj) project(sel []string) map[string]object.Value {
 	if len(sel) == 0 {
-		row := make(map[string]object.Value, len(g.Attrs))
-		for k, v := range g.Attrs {
-			row[k] = v
-		}
-		return row
+		return g.Attrs()
 	}
 	row := make(map[string]object.Value, len(sel))
 	for _, a := range sel {
-		if v, ok := g.Attrs[a]; ok {
+		if v, ok := g.Get(a); ok {
 			row[a] = v
 		}
 	}

@@ -12,22 +12,24 @@ import (
 // projectObject is a global object with four attributes for the
 // projection tests.
 func projectObject() *GObj {
-	return &GObj{ID: 1, Attrs: map[string]object.Value{
+	g := &GObj{ID: 1}
+	(&GlobalView{}).newObjectAttrs(g, map[string]object.Value{
 		"a": object.Int(1), "b": object.Str("two"), "c": object.Real(3), "d": object.Bool(true),
-	}}
+	})
+	return g
 }
 
 // freshRow is the projection rule written out independently of
 // Project: the listed attributes the object has, or all of them.
 func freshRow(g *GObj, sel []string) map[string]object.Value {
 	row := map[string]object.Value{}
-	for k, v := range g.Attrs {
-		if len(sel) == 0 {
-			row[k] = v
+	for s := range g.dict.Len() {
+		if v, ok := g.At(s); ok && len(sel) == 0 {
+			row[g.dict.Name(s)] = v
 		}
 	}
 	for _, a := range sel {
-		if v, ok := g.Attrs[a]; ok {
+		if v, ok := g.Get(a); ok {
 			row[a] = v
 		}
 	}
@@ -41,8 +43,8 @@ func sameMap(a, b map[string]object.Value) bool {
 
 // TestProjectMemo pins the memo's rules: a select list is matched by
 // contents, not by slice identity or length; the memo keeps its own copy
-// of the list; an empty list memoises a copy of Attrs, never Attrs; and
-// a fifth list drops the oldest.
+// of the list; an empty list memoises a row of every attribute, never a
+// map another caller gets from Attrs; and a fifth list drops the oldest.
 func TestProjectMemo(t *testing.T) {
 	g := projectObject()
 	sel := []string{"a", "b"}
@@ -65,8 +67,8 @@ func TestProjectMemo(t *testing.T) {
 	}
 
 	all := g.Project(nil)
-	if sameMap(all, g.Attrs) || !reflect.DeepEqual(all, g.Attrs) {
-		t.Errorf("Project(nil) must memoise a copy of Attrs, got %v (Attrs itself: %v)", all, sameMap(all, g.Attrs))
+	if attrs := g.Attrs(); sameMap(all, attrs) || !reflect.DeepEqual(all, attrs) {
+		t.Errorf("Project(nil) must memoise a copy of Attrs, got %v (Attrs itself: %v)", all, sameMap(all, attrs))
 	}
 	if got := g.Project([]string{}); !sameMap(got, all) {
 		t.Error("an empty and a nil select list built different rows")

@@ -14,6 +14,12 @@ import (
 // nodes outside the compiled fragment (aggregates, quantifiers, key
 // constraints) fall back to the interpreter node-for-node.
 //
+// Compiled against an attribute dictionary (CompileSlots), a read of a
+// name the dictionary holds — an identifier or a path's attribute — is
+// resolved to its slot once, here, and reads a SlotObject by index; it
+// reads by name only when a bound variable shadows the identifier or
+// the object is not slotted.
+//
 // A Program is immutable and safe for concurrent use as long as each
 // goroutine evaluates it against its own *Env (the Env itself is mutated
 // during quantifier evaluation). One goroutine may reuse one Env across
@@ -40,11 +46,45 @@ var compileCount atomic.Int64
 // plan-cache hit must not compile.
 func CompileCount() int64 { return compileCount.Load() }
 
+// Slots is an append-only attribute dictionary: a name's slot never
+// changes and no slot is reused, so every later extension of the
+// dictionary a program was compiled against resolves its reads alike.
+type Slots interface {
+	Slot(name string) (int, bool)
+}
+
+// SlotObject is an Object whose attributes are also addressed by slot.
+// At must agree with Get for the dictionary (or any extension of the
+// dictionary) the evaluated program was compiled against: a program
+// compiled against one view's dictionary must only see that view's
+// objects.
+type SlotObject interface {
+	Object
+	At(slot int) (object.Value, bool)
+}
+
 // Compile lowers the node to a Program. Compilation never fails: nodes
 // the compiler does not specialise are wrapped in interpreter fallbacks.
-func Compile(n Node) *Program {
+func Compile(n Node) *Program { return CompileSlots(n, nil) }
+
+// CompileSlots is Compile with attribute reads resolved against a
+// dictionary (nil: every read is by name).
+func CompileSlots(n Node, slots Slots) *Program {
 	compileCount.Add(1)
-	return &Program{node: n, fn: compileAny(n)}
+	c := compiler{slots: slots}
+	return &Program{node: n, fn: c.any(n)}
+}
+
+// compiler carries what every node's lowering shares: the dictionary
+// reads resolve against.
+type compiler struct{ slots Slots }
+
+// slot resolves an attribute name against the dictionary.
+func (c compiler) slot(name string) (int, bool) {
+	if c.slots == nil {
+		return 0, false
+	}
+	return c.slots.Slot(name)
 }
 
 // Node returns the source AST of the program.
@@ -68,22 +108,12 @@ func (p *Program) EvalBool(env *Env) (bool, error) {
 	return truthy(v)
 }
 
-// compileVal narrows a compiled node to a value, mirroring Env.Eval.
-func compileVal(n Node) valFn {
-	fn := compileAny(n)
-	return func(env *Env) (object.Value, error) {
-		r, err := fn(env)
-		if err != nil {
-			return nil, err
-		}
-		return coerceValue(r, n)
-	}
-}
+// val narrows a compiled node to a value, mirroring Env.Eval.
+func (c compiler) val(n Node) valFn { return c.narrow(n, false) }
 
-// compileBool coerces a compiled node to a truth value, mirroring
-// Env.EvalBool.
-func compileBool(n Node) func(env *Env) (bool, error) {
-	fn := compileVal(n)
+// bool coerces a compiled node to a truth value, mirroring Env.EvalBool.
+func (c compiler) bool(n Node) func(env *Env) (bool, error) {
+	fn := c.val(n)
 	return func(env *Env) (bool, error) {
 		v, err := fn(env)
 		if err != nil {
@@ -93,58 +123,80 @@ func compileBool(n Node) func(env *Env) (bool, error) {
 	}
 }
 
-// compileOperand mirrors Env.evalOperand: identifiable objects decay to
-// their reference identity in comparison and arithmetic positions.
-func compileOperand(n Node) valFn {
-	fn := compileAny(n)
+// operand mirrors Env.evalOperand: identifiable objects decay to their
+// reference identity in comparison and arithmetic positions.
+func (c compiler) operand(n Node) valFn { return c.narrow(n, true) }
+
+// narrow compiles a node read as a value: a literal, a path (which
+// always yields a value) and an identifier self's slot holds skip the
+// general result's narrowing; anything else goes through narrowed.
+func (c compiler) narrow(n Node, decay bool) valFn {
+	switch n := n.(type) {
+	case Lit:
+		v := n.Val
+		return func(*Env) (object.Value, error) { return v, nil }
+	case Path:
+		return c.path(n)
+	case Ident:
+		if slot, ok := c.slot(n.Name); ok && n.Name != "self" {
+			name := n.Name
+			return func(env *Env) (object.Value, error) {
+				if len(env.Vars) == 0 {
+					if so, ok := env.Self.(SlotObject); ok {
+						if v, ok := so.At(slot); ok {
+							return v, nil
+						}
+						r, err := env.resolveUnstored(name)
+						return narrowed(r, err, n, decay)
+					}
+				}
+				r, err := env.resolveIdent(name)
+				return narrowed(r, err, n, decay)
+			}
+		}
+	}
+	fn := c.any(n)
 	return func(env *Env) (object.Value, error) {
 		r, err := fn(env)
-		if err != nil {
-			return nil, err
-		}
-		switch r := r.(type) {
-		case object.Value:
-			return r, nil
-		case Identifiable:
-			return r.Identity(), nil
-		case Object:
-			return nil, evalErrf("object used where a value is required: %s", n)
-		default:
-			return nil, evalErrf("internal: bad eval result %T", r)
-		}
+		return narrowed(r, err, n, decay)
 	}
 }
 
-func compileAny(n Node) anyFn {
+// narrowed narrows a general result to a value, like Env.Eval, or with
+// decay like Env.evalOperand.
+func narrowed(r any, err error, n Node, decay bool) (object.Value, error) {
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := r.(object.Value); ok {
+		return v, nil
+	}
+	if id, ok := r.(Identifiable); ok && decay {
+		return id.Identity(), nil
+	}
+	return coerceValue(r, n)
+}
+
+func (c compiler) any(n Node) anyFn {
 	switch n := n.(type) {
 	case Lit:
 		v := n.Val
 		return func(*Env) (any, error) { return v, nil }
 	case SetLit:
-		return compileSetLit(n)
+		return c.setLit(n)
 	case Ident:
-		name := n.Name
-		return func(env *Env) (any, error) { return env.resolveIdent(name) }
+		return c.ident(n.Name)
 	case Path:
-		recv := compileAny(n.Recv)
-		// at is boxed once here, not on every call to getAttr.
-		var at Node = n
-		attr := n.Attr
-		return func(env *Env) (any, error) {
-			r, err := recv(env)
-			if err != nil {
-				return nil, err
-			}
-			return env.getAttr(r, attr, at)
-		}
+		fn := c.path(n)
+		return func(env *Env) (any, error) { return fn(env) }
 	case Unary:
-		return compileUnary(n)
+		return c.unary(n)
 	case Binary:
-		return compileBinary(n)
+		return c.binary(n)
 	case In:
-		return compileIn(n)
+		return c.in(n)
 	case Call:
-		return compileCall(n)
+		return c.call(n)
 	default:
 		// Aggregates, quantifiers and key constraints re-enter the
 		// interpreter: they rebind Env state (collect/quantifier
@@ -154,7 +206,71 @@ func compileAny(n Node) anyFn {
 	}
 }
 
-func compileSetLit(n SetLit) anyFn {
+// ident reads an identifier: resolveIdent, with a name the dictionary
+// holds read from self's slot unless a variable shadows it.
+func (c compiler) ident(name string) anyFn {
+	slot, ok := c.slot(name)
+	if !ok || name == "self" {
+		return func(env *Env) (any, error) { return env.resolveIdent(name) }
+	}
+	return func(env *Env) (any, error) {
+		if len(env.Vars) == 0 {
+			if so, ok := env.Self.(SlotObject); ok {
+				if v, ok := so.At(slot); ok {
+					return v, nil
+				}
+				return env.resolveUnstored(name)
+			}
+		}
+		return env.resolveIdent(name)
+	}
+}
+
+// path reads an attribute of the receiver: getAttr, with an attribute
+// the dictionary holds read from the slot of a slotted receiver, or of
+// the slotted object a reference receiver dereferences to.
+func (c compiler) path(n Path) valFn {
+	recv := c.any(n.Recv)
+	// at is boxed once here, not on every call to getAttr.
+	var at Node = n
+	attr := n.Attr
+	slot, ok := c.slot(attr)
+	if !ok {
+		return func(env *Env) (object.Value, error) {
+			r, err := recv(env)
+			if err != nil {
+				return nil, err
+			}
+			return env.getAttr(r, attr, at)
+		}
+	}
+	return func(env *Env) (object.Value, error) {
+		r, err := recv(env)
+		if err != nil {
+			return nil, err
+		}
+		var so SlotObject
+		switch r := r.(type) {
+		case SlotObject:
+			so = r
+		case object.Ref:
+			if env.Deref != nil {
+				if o, ok := env.Deref(r); ok {
+					so, _ = o.(SlotObject)
+				}
+			}
+		}
+		if so == nil {
+			return env.getAttr(r, attr, at)
+		}
+		if v, ok := so.At(slot); ok {
+			return v, nil
+		}
+		return object.Null{}, nil
+	}
+}
+
+func (c compiler) setLit(n SetLit) anyFn {
 	// Constant fold: a literal-only set is built once at compile time.
 	allLit := true
 	for _, e := range n.Elems {
@@ -173,7 +289,7 @@ func compileSetLit(n SetLit) anyFn {
 	}
 	fns := make([]valFn, len(n.Elems))
 	for i, e := range n.Elems {
-		fns[i] = compileVal(e)
+		fns[i] = c.val(e)
 	}
 	return func(env *Env) (any, error) {
 		elems := make([]object.Value, len(fns))
@@ -188,8 +304,8 @@ func compileSetLit(n SetLit) anyFn {
 	}
 }
 
-func compileUnary(n Unary) anyFn {
-	x := compileVal(n.X)
+func (c compiler) unary(n Unary) anyFn {
+	x := c.val(n.X)
 	switch n.Op {
 	case OpNot:
 		return func(env *Env) (any, error) {
@@ -229,9 +345,9 @@ func compileUnary(n Unary) anyFn {
 	}
 }
 
-func compileBinary(n Binary) anyFn {
+func (c compiler) binary(n Binary) anyFn {
 	if n.Op.IsBool() {
-		l, r := compileBool(n.L), compileBool(n.R)
+		l, r := c.bool(n.L), c.bool(n.R)
 		switch n.Op {
 		case OpAnd:
 			return func(env *Env) (any, error) {
@@ -280,7 +396,7 @@ func compileBinary(n Binary) anyFn {
 			}
 		}
 	}
-	l, r := compileOperand(n.L), compileOperand(n.R)
+	l, r := c.operand(n.L), c.operand(n.R)
 	op := n.Op
 	if op.IsComparison() {
 		return func(env *Env) (any, error) {
@@ -308,8 +424,8 @@ func compileBinary(n Binary) anyFn {
 	}
 }
 
-func compileIn(n In) anyFn {
-	x, set := compileVal(n.X), compileVal(n.Set)
+func (c compiler) in(n In) anyFn {
+	x, set := c.val(n.X), c.val(n.Set)
 	neg := n.Neg
 	return func(env *Env) (any, error) {
 		xv, err := x(env)
@@ -338,10 +454,10 @@ func compileIn(n In) anyFn {
 	}
 }
 
-func compileCall(n Call) anyFn {
+func (c compiler) call(n Call) anyFn {
 	fns := make([]valFn, len(n.Args))
 	for i, a := range n.Args {
-		fns[i] = compileVal(a)
+		fns[i] = c.val(a)
 	}
 	name := n.Fn
 	return func(env *Env) (any, error) {

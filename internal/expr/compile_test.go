@@ -121,6 +121,143 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 	}
 }
 
+// slotDict is a test attribute dictionary: the names in slot order.
+type slotDict []string
+
+func (d slotDict) Slot(name string) (int, bool) {
+	for i, n := range d {
+		if n == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// slotObj is a SlotObject built on a slotDict: its values by slot, nil
+// where it holds nothing.
+type slotObj struct {
+	d    slotDict
+	vals []object.Value
+}
+
+func newSlotObj(d slotDict, m MapObject) *slotObj {
+	o := &slotObj{d: d, vals: make([]object.Value, len(d))}
+	for k, v := range m {
+		s, ok := d.Slot(k)
+		if !ok {
+			panic("slotObj: " + k + " is not in the dictionary")
+		}
+		o.vals[s] = v
+	}
+	return o
+}
+
+func (o *slotObj) Get(name string) (object.Value, bool) {
+	if s, ok := o.d.Slot(name); ok {
+		return o.At(s)
+	}
+	return nil, false
+}
+
+func (o *slotObj) At(slot int) (object.Value, bool) {
+	if slot >= len(o.vals) {
+		return nil, false
+	}
+	return o.vals[slot], o.vals[slot] != nil
+}
+
+// TestCompileSlotsMatchesInterpreter runs TestCompileMatchesInterpreter's
+// expressions compiled against dictionaries of one lineage over slotted
+// objects built on another copy of it: a program whose dictionary lacks
+// a name the objects hold (that read goes by name), one whose dictionary
+// has a slot past every object's values (an absent, declared attribute:
+// null), and the same programs over unslotted objects and with a bound
+// variable shadowing an attribute. Values, truth values and errors must
+// equal the interpreter's.
+func TestCompileSlotsMatchesInterpreter(t *testing.T) {
+	lineage := slotDict{"title", "rating", "shopprice", "ref?", "publisher", "authors", "name", "location", "libprice", "missing"}
+	objDict := lineage[:9] // objects hold libprice; "missing" was added later
+	slotted := func(env *Env) *Env {
+		env.Self = newSlotObj(objDict, env.Self.(MapObject))
+		for i, o := range env.SelfExt {
+			env.SelfExt[i] = newSlotObj(objDict, o.(MapObject))
+		}
+		deref, ext := env.Deref, env.Ext
+		env.Deref = func(r object.Ref) (Object, bool) {
+			o, ok := deref(r)
+			if !ok {
+				return nil, false
+			}
+			return newSlotObj(objDict, o.(MapObject)), true
+		}
+		self := env.Self
+		env.Ext = func(class string) []Object {
+			out := ext(class)
+			for i, o := range out {
+				if i == 0 {
+					out[i] = self
+				} else {
+					out[i] = newSlotObj(objDict, o.(MapObject))
+				}
+			}
+			return out
+		}
+		return env
+	}
+	shadowed := func(env *Env) *Env {
+		env.Vars = map[string]Object{
+			"location": MapObject{"rating": object.Int(3)},
+			"rating":   MapObject{"rating": object.Int(5)},
+		}
+		return env
+	}
+	srcs := []string{
+		"rating >= 7 and libprice < shopprice",
+		"shopprice - libprice = 2",
+		"missing = 5",
+		"missing = missing",
+		"not missing",
+		"publisher.name = 'IEEE'",
+		"publisher.location = 'NY' and publisher.missing = null",
+		"self.rating + self.libprice > 80",
+		"self.missing = null",
+		"location.rating = 3",
+		"rating.rating = 5",
+		"location = 'NY'",
+		"exists i in Item | i.rating >= 8 and i.libprice = 78",
+		"(sum (collect x for x in self) over shopprice) < 200",
+		"title + 1 = 2",
+		"unknownname = 1",
+		"not shopprice",
+	}
+	envs := []struct {
+		name string
+		mk   func() *Env
+	}{
+		{"slotted", func() *Env { return slotted(compileEnv()) }},
+		{"unslotted", compileEnv},
+		{"slotted+shadow", func() *Env { return shadowed(slotted(compileEnv())) }},
+		{"unslotted+shadow", func() *Env { return shadowed(compileEnv()) }},
+	}
+	for _, dict := range []slotDict{lineage[:8], lineage} {
+		for _, src := range srcs {
+			n := MustParse(src)
+			prog := CompileSlots(n, dict)
+			for _, e := range envs {
+				iv, ierr := e.mk().Eval(n)
+				cv, cerr := prog.Eval(e.mk())
+				if (ierr == nil) != (cerr == nil) || ierr != nil && ierr.Error() != cerr.Error() {
+					t.Errorf("%q over %s, %d-slot dictionary: interpreter err=%v, compiled err=%v", src, e.name, len(dict), ierr, cerr)
+					continue
+				}
+				if ierr == nil && (!iv.Equal(cv) || iv.String() != cv.String()) {
+					t.Errorf("%q over %s, %d-slot dictionary: interpreter=%s compiled=%s", src, e.name, len(dict), iv, cv)
+				}
+			}
+		}
+	}
+}
+
 // kindDecl is a per-object Declarer: each row names its class in a
 // "kind" attribute, and the class's declarations answer for it — the
 // shape of the snapshot's rule, where the declaring classes are the

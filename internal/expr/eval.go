@@ -188,9 +188,15 @@ func (env *Env) resolveIdent(name string) (any, error) {
 		if v, ok := env.Self.Get(name); ok {
 			return v, nil
 		}
-		if env.Declared != nil && env.Declared.Declares(env.Self, name) {
-			return object.Null{}, nil
-		}
+	}
+	return env.resolveUnstored(name)
+}
+
+// resolveUnstored resolves an identifier neither a variable nor self
+// stores: null when self's classes declare it, else a constant.
+func (env *Env) resolveUnstored(name string) (any, error) {
+	if env.Self != nil && env.Declared != nil && env.Declared.Declares(env.Self, name) {
+		return object.Null{}, nil
 	}
 	if v, ok := env.Consts[name]; ok {
 		return v, nil
@@ -198,7 +204,7 @@ func (env *Env) resolveIdent(name string) (any, error) {
 	return nil, evalErrf("unknown identifier %q", name)
 }
 
-func (env *Env) getAttr(recv any, attr string, at Node) (any, error) {
+func (env *Env) getAttr(recv any, attr string, at Node) (object.Value, error) {
 	switch recv := recv.(type) {
 	case Object:
 		if v, ok := recv.Get(attr); ok {

@@ -121,13 +121,14 @@ func viewFingerprint(e *Engine) string {
 		}
 		sort.Strings(classes)
 		fmt.Fprintf(&b, " [%s]", strings.Join(classes, ","))
-		keys := make([]string, 0, len(g.Attrs))
-		for k := range g.Attrs {
+		attrs := g.Attrs()
+		keys := make([]string, 0, len(attrs))
+		for k := range attrs {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, g.Attrs[k].String())
+			fmt.Fprintf(&b, " %s=%s", k, attrs[k].String())
 		}
 		var parts []string
 		for _, ms := range g.Parts {

@@ -209,9 +209,9 @@ func (s *txState) deref(r object.Ref) (expr.Object, bool) {
 
 // memberDecl is Env.Declared for a live member, staged or not, and for a
 // repair proposed on one: an attribute is declared when one of the
-// member's classes declares it (classCons.declared, built once per
-// class) or the batch assigns it. Evaluation asks only about a name
-// self does not store.
+// member's classes declares it (the view's per-class table,
+// core.GlobalView.DeclaresAttr) or the batch assigns it. Evaluation asks
+// only about a name self does not store.
 type memberDecl struct{ e *Engine }
 
 // Declares implements expr.Declarer.
@@ -227,15 +227,7 @@ func (d memberDecl) Declares(self expr.Object, attr string) bool {
 		self = o.base
 	}
 	g, ok := self.(*core.GObj)
-	if !ok {
-		return false
-	}
-	for cls := range g.Classes {
-		if d.e.consFor(cls).declared[attr] {
-			return true
-		}
-	}
-	return false
+	return ok && d.e.res.View.DeclaresAttr(g, attr)
 }
 
 // objectCheck is one deduplicated object constraint of a class set,
@@ -463,7 +455,7 @@ func (e *Engine) validateInsertOp(st *txState, op Mutation) ([]Rejection, Valida
 	obj := expr.MapObject(op.Attrs)
 	cc := e.consFor(op.Class)
 	env := &st.op
-	env.Self, env.Declared = obj, cc.declared
+	env.Self, env.Declared = obj, expr.Attrs(e.res.View.DeclTable()[op.Class])
 	cg := e.insertGroup(cc)
 	for _, oc := range cg.object {
 		stats.ConstraintsChecked++
@@ -877,6 +869,7 @@ func (e *Engine) CheckAll() ([]Rejection, ValidateStats) {
 	var stats ValidateStats
 	classes := append([]string{}, e.res.View.ClassNames...)
 	sort.Strings(classes)
+	env := e.res.View.Env(nil)
 	for _, class := range classes {
 		cc := e.consFor(class)
 		if len(cc.objectGC) == 0 && len(cc.keys) == 0 {
@@ -887,7 +880,8 @@ func (e *Engine) CheckAll() ([]Rejection, ValidateStats) {
 			stats.ConstraintsChecked++
 			for _, g := range ext {
 				stats.PairsChecked++
-				ok, err := e.res.View.Env(g).EvalBool(gc.Expr)
+				env.Self = g
+				ok, err := env.EvalBool(gc.Expr)
 				if err != nil {
 					continue
 				}

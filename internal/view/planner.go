@@ -197,7 +197,7 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 
 	if residual != nil {
 		e.counters.compiles.Add(1)
-		p.prog = expr.Compile(residual)
+		p.prog = expr.CompileSlots(residual, s.dict)
 	}
 	return p, nil
 }
@@ -316,6 +316,7 @@ func (e *Engine) runReference(ctx context.Context, q Query) ([]Row, Stats, error
 	}
 
 	stats.CandidateRows = len(ext)
+	env := e.res.View.Env(nil)
 	var rows []Row
 	for i, g := range ext {
 		if i%ctxCheckRows == 0 && ctx.Err() != nil {
@@ -323,7 +324,8 @@ func (e *Engine) runReference(ctx context.Context, q Query) ([]Row, Stats, error
 		}
 		stats.Scanned++
 		if pred != nil {
-			ok, err := e.res.View.Env(g).EvalBool(pred)
+			env.Self = g
+			ok, err := env.EvalBool(pred)
 			if err != nil {
 				return nil, stats, fmt.Errorf("query on %s: %w", q.Class, err)
 			}

@@ -133,3 +133,27 @@ func BenchmarkRunReturnsRows(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(rows)), "rows/op")
 }
+
+// BenchmarkResidualScan serves the warm residual `shopprice < libprice +
+// 4` (no index narrows it) over planMissEngine's 4 000 Items: two
+// attribute reads per candidate, each a slot index (run with -benchmem
+// for the per-op allocations; ns/candidate is the residual's cost).
+func BenchmarkResidualScan(b *testing.B) {
+	e := planMissEngine(b)
+	q := Query{Class: "Item", Where: expr.MustParse("shopprice < libprice + 4")}
+	_, st, err := e.Run(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if st.IndexHits != 0 || st.Scanned < planMissItems {
+		b.Fatalf("%v: want a residual scan over every Item, got %+v", q.Where, st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.Run(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*st.Scanned), "ns/candidate")
+}

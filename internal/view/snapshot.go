@@ -189,6 +189,9 @@ type snapshot struct {
 	// declares (empty for virtual classes), captured at publication so
 	// readers never touch the live view's metadata maps.
 	decl map[string]map[string]bool
+	// dict is the view's attribute dictionary at publication: plans
+	// built against this snapshot compile their reads to its slots.
+	dict *core.AttrDict
 	refs *refTable
 	// checker answers the planner's solver queries for plans built
 	// against this snapshot. It is captured at publication because a
@@ -251,29 +254,17 @@ func (s *snapshot) Declares(self expr.Object, attr string) bool {
 // declaresAttr mirrors core.GlobalView.DeclaresAttr over snapshot state:
 // whether any class of the object declares the attribute.
 func (s *snapshot) declaresAttr(g *core.GObj, attr string) bool {
-	for cls := range g.Classes {
-		if s.decl[cls][attr] {
-			return true
-		}
-	}
-	return false
+	return core.DeclaredIn(s.decl, g, attr)
 }
 
-// buildDecl computes the class → declared-attribute map from the live
-// view, for a structural publication.
+// buildDecl computes the class → declared-attribute map of a structural
+// publication: the live view's table (core.GlobalView.DeclTable) over
+// every class it serves, a virtual class declaring nothing itself.
 func buildDecl(v *core.GlobalView) map[string]map[string]bool {
+	table := v.DeclTable()
 	out := make(map[string]map[string]bool, len(v.ClassNames))
 	for _, name := range v.ClassNames {
-		org, ok := v.Origin[name]
-		if !ok {
-			out[name] = nil // virtual class: declares nothing itself
-			continue
-		}
-		set := map[string]bool{}
-		for _, a := range v.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
-			set[a.Name] = true
-		}
-		out[name] = set
+		out[name] = table[name]
 	}
 	return out
 }
@@ -309,6 +300,7 @@ func (e *Engine) publishDeltaLocked(changed []string, touched []object.Ref, fork
 		consts:  v.Conformed.Consts,
 		classes: maps.Clone(old.classes),
 		decl:    old.decl,
+		dict:    v.Dict(),
 		checker: e.checker,
 	}
 	next.refs = old.refs.advance(v, touched, next.seq, &e.counters.derefFiled)
@@ -360,6 +352,7 @@ func (e *Engine) publishStructuralLocked(rebuild []string) {
 		consts:  v.Conformed.Consts,
 		classes: make(map[string]*classState, len(v.ClassNames)),
 		decl:    buildDecl(v),
+		dict:    v.Dict(),
 		refs:    newRefTable(refs),
 		checker: e.checker,
 	}

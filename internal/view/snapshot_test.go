@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
 )
@@ -18,7 +19,8 @@ import (
 // style) and replayed from the plan cache afterwards. A cached run's
 // allocations are pinned too: none per rejected candidate, none per
 // returned row once its object's projection is memoised, and at most 4
-// per row that builds one (DESIGN §8.4).
+// per row that builds one (DESIGN §8.4). A cached residual reads
+// attributes by slot, never by name.
 func TestSteadyStateRunCost(t *testing.T) {
 	e := scaledEngine(t, 10)
 	queries := []Query{
@@ -154,6 +156,67 @@ func TestSteadyStateRunCost(t *testing.T) {
 	if limit := rejectAll + float64(4*len(rows)+grows); cold > limit {
 		t.Errorf("cold projection of %v allocates %.0f objects for %d rows, want at most %.0f", every.Where, cold, len(rows), limit)
 	}
+
+	// (e) A warm residual reads each candidate's attributes by slot, the
+	// names resolved when the plan was compiled: over every Item, the
+	// cached program makes two slot reads per candidate and no lookup by
+	// name, and answers as it does over the unwrapped object.
+	resid := Query{Class: "Item", Where: expr.MustParse("shopprice < libprice + 4")}
+	if _, _, err := e.Run(resid); err != nil {
+		t.Fatal(err)
+	}
+	s := e.snap.Load()
+	cs := s.class(resid.Class)
+	p, hit, err := e.planFor(bg, s, cs, resid.Where, e.UseConstraints)
+	if err != nil || !hit || p.prog == nil || p.served != 0 {
+		t.Fatalf("%v: want a cached residual scan plan, got hit=%v %+v %v", resid.Where, hit, p, err)
+	}
+	env := s.queryEnv()
+	env.Declared = unwrapDecl{s}
+	var byName, bySlot int
+	for _, g := range cs.ext {
+		env.Self = g
+		want, werr := p.prog.EvalBool(env)
+		w := &countingObj{GObj: g}
+		env.Self = w
+		got, err := p.prog.EvalBool(env)
+		if got != want || (err == nil) != (werr == nil) {
+			t.Fatalf("g%d: counted read %v, %v; plain read %v, %v", g.ID, got, err, want, werr)
+		}
+		byName += w.byName
+		bySlot += w.bySlot
+	}
+	if byName != 0 || bySlot != 2*len(cs.ext) {
+		t.Errorf("%v over %d candidates: %d reads by name and %d by slot, want 0 and %d", resid.Where, len(cs.ext), byName, bySlot, 2*len(cs.ext))
+	}
+}
+
+// countingObj counts how evaluation reads a global object: by name (Get)
+// or by slot (At).
+type countingObj struct {
+	*core.GObj
+	byName, bySlot int
+}
+
+func (c *countingObj) Get(attr string) (object.Value, bool) {
+	c.byName++
+	return c.GObj.Get(attr)
+}
+
+func (c *countingObj) At(slot int) (object.Value, bool) {
+	c.bySlot++
+	return c.GObj.At(slot)
+}
+
+// unwrapDecl answers the snapshot's declared-attribute question for a
+// counted object as for the object itself.
+type unwrapDecl struct{ s *snapshot }
+
+func (d unwrapDecl) Declares(self expr.Object, attr string) bool {
+	if c, ok := self.(*countingObj); ok {
+		self = c.GObj
+	}
+	return d.s.Declares(self, attr)
 }
 
 // TestRunTakesNoEngineLock proves Run serves without e.mu: it completes

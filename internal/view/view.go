@@ -168,10 +168,6 @@ type classCons struct {
 	// extent-changing mutation, so the delta rule always re-checks it.
 	objectExt []bool
 	keys      []core.GlobalConstraint // key constraints (Expr is expr.Key)
-	// declared is every attribute the class's origin declares, own and
-	// inherited (nil for a class with no origin): Validate's
-	// Env.Declared answers from it.
-	declared expr.Attrs
 	// chain is the classes an insert into the class joins
 	// (insertChainClasses); insert caches their constraint group, set
 	// by the first insert validated (insertGroup).
@@ -237,12 +233,6 @@ func (e *Engine) consFor(class string) *classCons {
 		cc.objectExt = append(cc.objectExt, expr.UsesExtents(gc.Expr))
 	}
 	cc.chain = e.insertChainClasses(class)
-	if org, ok := e.res.View.Origin[class]; ok {
-		cc.declared = expr.Attrs{}
-		for _, a := range e.res.Conformed.SchemaOf(org.Side).AllAttrs(org.Class) {
-			cc.declared[a.Name] = true
-		}
-	}
 	e.cons[class] = cc
 	return cc
 }
@@ -304,6 +294,9 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 	if q.Where == nil {
 		stats.CandidateRows = len(cs.ext)
 		var rows []Row
+		if len(cs.ext) > 0 {
+			rows = make([]Row, 0, len(cs.ext))
+		}
 		for i, g := range cs.ext {
 			if i%ctxCheckRows == 0 && ctx.Err() != nil {
 				return nil, stats, ctx.Err()
@@ -339,9 +332,13 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 	stats.CandidateRows = cand
 	// One environment serves every candidate: built on the first
 	// residual evaluation (an index-only plan never builds it), then
-	// only Self is rebound per row.
+	// only Self is rebound per row. Without a residual every candidate
+	// is an answer, so the result is sized once.
 	var env *expr.Env
 	var rows []Row
+	if p.prog == nil && cand > 0 {
+		rows = make([]Row, 0, cand)
+	}
 	for i := range cand {
 		if i%ctxCheckRows == 0 && ctx.Err() != nil {
 			return nil, stats, ctx.Err()
@@ -375,11 +372,7 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 // rows (core.GObj.Project).
 func projectRow(g *core.GObj, sel []string) Row {
 	if len(sel) == 0 {
-		row := make(Row, len(g.Attrs))
-		for k, v := range g.Attrs {
-			row[k] = v
-		}
-		return row
+		return Row(g.Attrs())
 	}
 	row := make(Row, len(sel))
 	for _, a := range sel {

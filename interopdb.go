@@ -177,7 +177,10 @@ type Conformed = core.Conformed
 // GlobalView is the merged integrated view (§2.3).
 type GlobalView = core.GlobalView
 
-// GlobalObject is one object of the integrated view.
+// GlobalObject is one object of the integrated view. It holds its
+// attribute values by slot of the view's attribute dictionary
+// (GlobalView.Dict), not in a map: read them with Get (by name), At (by
+// slot) or Range (every attribute, in slot order).
 type GlobalObject = core.GObj
 
 // Derivation carries the global constraint set and detected conflicts

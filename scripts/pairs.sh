@@ -12,10 +12,13 @@
 # FLAG after the seed is passed to every run.
 #
 # It prints each run's four end-to-end metrics and failed-operation
-# count, then per metric each side's median and quartiles and the
-# number of pairs the working tree won in the metric's better
-# direction (a tie is no win). It exits non-zero when a build fails, a
-# run fails, or a run reports failed operations.
+# count, then per metric each side's median and quartiles, the number
+# of pairs the working tree won in the metric's better direction (a tie
+# is no win), the median paired difference (work minus base, in the
+# metric's unit) and the two-sided sign-test p-value of the wins over
+# the pairs that did not tie (1 when every pair tied). It exits
+# non-zero when a build fails, a run fails, or a run reports failed
+# operations.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -98,12 +101,35 @@ summary() {
 		}'
 }
 
+# paired COLUMN DIR: the work side's wins out of the pairs, the median
+# paired difference (work - base) and the two-sided sign-test p-value:
+# under "no difference" each untied pair is a fair coin, so p is twice
+# the binomial tail of the rarer outcome, capped at 1.
+paired() {
+	paste -d' ' <(cut -d' ' -f"$1" "$tmp/base.tsv") <(cut -d' ' -f"$1" "$tmp/work.tsv") |
+		awk -v dir="$2" '
+		{
+			d[NR] = $2 - $1
+			if ((dir == "higher" && $2 > $1) || (dir == "lower" && $2 < $1)) w++
+			else if ($2 != $1) l++
+		}
+		END {
+			for (i = 2; i <= NR; i++)
+				for (j = i; j > 1 && d[j - 1] > d[j]; j--) { t = d[j]; d[j] = d[j - 1]; d[j - 1] = t }
+			med = NR % 2 ? d[(NR + 1) / 2] : (d[NR / 2] + d[NR / 2 + 1]) / 2
+			m = w + l; k = w < l ? w : l; tail = 0; c = 1
+			for (i = 0; i <= k; i++) { tail += c; c = c * (m - i) / (i + 1) }
+			p = m ? 2 * tail / 2 ^ m : 1
+			if (p > 1) p = 1
+			printf "%d/%d %.6g %.3g", w, NR, med, p
+		}'
+}
+
 echo
-printf '%-14s %-7s %-34s %-34s %s\n' metric better "base median [q1, q3]" "work median [q1, q3]" "work wins"
+printf '%-14s %-7s %-34s %-34s %-9s %-14s %s\n' metric better "base median [q1, q3]" "work median [q1, q3]" "work wins" "median diff" "sign p"
 for i in "${!metrics[@]}"; do
 	col=$((i + 1))
-	wins=$(paste -d' ' <(cut -d' ' -f"$col" "$tmp/base.tsv") <(cut -d' ' -f"$col" "$tmp/work.tsv") |
-		awk -v dir="${better[$i]}" '(dir == "higher" && $2 > $1) || (dir == "lower" && $2 < $1) { w++ } END { print w + 0 }')
-	printf '%-14s %-7s %-34s %-34s %s/%s\n' "${metrics[$i]}" "${better[$i]}" \
-		"$(summary "$col" "$tmp/base.tsv")" "$(summary "$col" "$tmp/work.tsv")" "$wins" "$n"
+	read -r wins diff p <<<"$(paired "$col" "${better[$i]}")"
+	printf '%-14s %-7s %-34s %-34s %-9s %-14s %s\n' "${metrics[$i]}" "${better[$i]}" \
+		"$(summary "$col" "$tmp/base.tsv")" "$(summary "$col" "$tmp/work.tsv")" "$wins" "$diff" "$p"
 done
