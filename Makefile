@@ -63,8 +63,9 @@ crashtest:
 # Short-budget native fuzzing of the query parser, the HTTP codec, the
 # WAL and checkpoint decoders, the binary value codec, the frame
 # decoder, the member commit check (against CheckAll), the key-holder
-# index (against a fresh count) and the inherited extent indexes
-# (against fresh builds), as in CI.
+# index (against a fresh count), the inherited extent indexes (against
+# fresh builds) and the column kernels (against the reference scan), as
+# in CI.
 # Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzCommitDifferential -fuzztime=20s -run='^$$' ./internal/store/
 	$(GO) test -fuzz=FuzzKeyIndex -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzInheritedIndex -fuzztime=20s -run='^$$' ./internal/view/
+	$(GO) test -fuzz=FuzzColumnResidual -fuzztime=20s -run='^$$' ./internal/view/
 
 # Every Go benchmark (slow). For measuring while you work: a
 # performance claim cites the repo benchmark (BENCHMARK.json,
@@ -84,8 +86,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
 # One-iteration smoke of the full-pipeline, serving, plan-miss,
-# membership, batch-validation, returned-rows, residual-scan and
-# detach-clone benchmarks, as in CI.
+# membership, batch-validation, returned-rows, residual-scan,
+# column-residual and detach-clone benchmarks, as in CI.
 bench-smoke:
 	$(GO) test -bench=E11 -benchtime=1x -run='^$$' .
 	$(GO) test -bench=Serve -benchtime=1x -run='^$$' .
@@ -94,6 +96,7 @@ bench-smoke:
 	$(GO) test -bench=ValidateBatch -benchtime=1x -run='^$$' ./internal/view/
 	$(GO) test -bench=RunReturnsRows -benchtime=1x -benchmem -run='^$$' ./internal/view/
 	$(GO) test -bench=ResidualScan -benchtime=1x -benchmem -run='^$$' ./internal/view/
+	$(GO) test -bench=ColumnResidual -benchtime=1x -benchmem -run='^$$' ./internal/view/
 	$(GO) test -bench=DetachAll -benchtime=1x -run='^$$' ./internal/core/
 
 # The planner's plan-miss cost (µs and B per plan build, every op a

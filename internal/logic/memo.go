@@ -63,11 +63,35 @@ type memoKey struct {
 }
 
 // memoEntry stores a verdict together with the exact query it answers,
-// so fingerprint hits can be verified structurally.
+// so fingerprint hits can be verified structurally. An entry is filed
+// before its verdict is computed: done is closed once verdict is set
+// (nil for an entry filed complete, by Import).
 type memoEntry struct {
 	premises   []expr.Node // canonical order, as solved
 	conclusion expr.Node   // nil for satisfiability queries
 	verdict    Verdict
+	done       chan struct{}
+}
+
+// wait returns the entry's verdict once it is computed.
+func (e *memoEntry) wait() Verdict {
+	if e.done != nil {
+		<-e.done
+	}
+	return e.verdict
+}
+
+// ready reports whether the entry's verdict is computed.
+func (e *memoEntry) ready() bool {
+	if e.done == nil {
+		return true
+	}
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // matches reports whether the entry answers exactly this query.
@@ -93,29 +117,35 @@ type memoTable struct {
 	collisions atomic.Int64
 }
 
-// get answers a query from cache, computing and storing on miss. Two
-// goroutines racing on the same key may both compute; the computation is
-// pure, so either result is correct and one store wins harmlessly. A
-// fingerprint collision (stored entry fails structural verification)
-// recomputes without caching, so collisions cost time, never
-// correctness.
+// get answers a query from cache, computing and storing on miss. The
+// first caller of a key files an in-flight entry and computes; a
+// concurrent duplicate finds that entry, waits for its verdict and
+// counts as a hit, so a query is computed once however many goroutines
+// ask it together. Waiting cannot deadlock: compute never re-enters the
+// memo (the solver's satisfiability and entailment work calls satForm
+// directly). A fingerprint collision (stored entry fails structural
+// verification) recomputes without caching, so collisions cost time,
+// never correctness.
 func (t *memoTable) get(key memoKey, premises []expr.Node, conclusion expr.Node, compute func() Verdict) Verdict {
-	if v, ok := t.m.Load(key); ok {
-		e := v.(*memoEntry)
-		if e.matches(premises, conclusion) {
-			t.hits.Add(1)
+	v, ok := t.m.Load(key)
+	if !ok {
+		e := &memoEntry{premises: premises, conclusion: conclusion, done: make(chan struct{})}
+		var loaded bool
+		if v, loaded = t.m.LoadOrStore(key, e); !loaded {
+			t.misses.Add(1)
+			t.entries.Add(1)
+			defer close(e.done)
+			e.verdict = compute()
 			return e.verdict
 		}
-		t.collisions.Add(1)
-		return compute()
 	}
-	t.misses.Add(1)
-	verdict := compute()
-	e := &memoEntry{premises: premises, conclusion: conclusion, verdict: verdict}
-	if _, loaded := t.m.LoadOrStore(key, e); !loaded {
-		t.entries.Add(1)
+	e := v.(*memoEntry)
+	if e.matches(premises, conclusion) {
+		t.hits.Add(1)
+		return e.wait()
 	}
-	return verdict
+	t.collisions.Add(1)
+	return compute()
 }
 
 func (t *memoTable) stats() CacheStats {

@@ -2,8 +2,11 @@ package logic
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
@@ -167,5 +170,52 @@ func TestMemoConcurrent(t *testing.T) {
 	}
 	if st.Hits+st.Misses != 16*200 {
 		t.Fatalf("lost queries: %+v", st)
+	}
+}
+
+// TestMemoCoalescesConcurrentDuplicates pins that a query asked by
+// several goroutines at once is computed once: the first files an
+// in-flight entry and computes, and every duplicate that arrives
+// meanwhile waits for that verdict and counts as a hit. The computation
+// is held open until all seven duplicates have counted their hits, so
+// every one of them overlaps it.
+func TestMemoCoalescesConcurrentDuplicates(t *testing.T) {
+	const askers = 8
+	var tab memoTable
+	var computes atomic.Int64
+	release := make(chan struct{})
+	compute := func() Verdict {
+		computes.Add(1)
+		<-release
+		return Yes
+	}
+	key := memoKey{kind: 1, hi: 2, lo: 3}
+	prem := []expr.Node{expr.MustParse("rating >= 3")}
+	got := make([]Verdict, askers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = tab.get(key, prem, nil, compute)
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tab.hits.Load() < askers-1 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Errorf("%d goroutines asking one query computed it %d times, want once", askers, n)
+	}
+	st := tab.stats()
+	if st.Misses != 1 || st.Hits != askers-1 || st.Entries != 1 {
+		t.Errorf("stats %+v, want 1 miss, %d hits and 1 entry", st, askers-1)
+	}
+	for i, v := range got {
+		if v != Yes {
+			t.Errorf("asker %d got %v, want Yes", i, v)
+		}
 	}
 }

@@ -43,7 +43,9 @@ func (m *Memo) Export() ([]byte, error) {
 	}
 	var all []keyed
 	m.t.m.Range(func(k, v any) bool {
-		all = append(all, keyed{k.(memoKey), v.(*memoEntry)})
+		if e := v.(*memoEntry); e.ready() { // an in-flight query has no verdict yet
+			all = append(all, keyed{k.(memoKey), e})
+		}
 		return true
 	})
 	sort.Slice(all, func(i, j int) bool {

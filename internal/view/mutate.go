@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"interopdb/internal/core"
@@ -257,6 +258,11 @@ func keySig(class string, attrs []string) string {
 	return class + "\x00" + strings.Join(attrs, "\x00")
 }
 
+// attrList renders a key's attribute list as fmt's %v renders a
+// []string, without fmt: rejection details are built on Validate's
+// counted path (TestValidateSingleOpAllocBound).
+func attrList(attrs []string) string { return "[" + strings.Join(attrs, " ") + "]" }
+
 // consGroup merges the scope-all constraints of a class SET — all the
 // classes a mutated object belongs to (or an insert would join). An
 // object must satisfy the constraints of every class it is a member of,
@@ -482,7 +488,7 @@ func (e *Engine) validateInsertOp(st *txState, op Mutation) ([]Rejection, Valida
 		if dupID, dup := st.findKeyHolder(kc, obj, nil); dup {
 			out = append(out, Rejection{
 				Constraint: kc.gc,
-				Detail:     fmt.Sprintf("duplicate key %v in %s", kc.attrs, kc.class),
+				Detail:     "duplicate key " + attrList(kc.attrs) + " in " + kc.class,
 				Repairs:    keyRepairs(dupID),
 			})
 		}
@@ -518,7 +524,7 @@ func (e *Engine) validateUpdateOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 		if err == nil && !ok {
 			out = append(out, Rejection{
 				Constraint: oc.gc,
-				Detail:     fmt.Sprintf("violated by proposed state of g%d", g.ID),
+				Detail:     "violated by proposed state of g" + strconv.Itoa(g.ID),
 				Repairs:    e.proposeConstraintRepairs(oc.gc.Expr, cg.objectExprs, post, env),
 			})
 		}
@@ -526,7 +532,7 @@ func (e *Engine) validateUpdateOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 		// when this object's new values feed its aggregate/quantifier.
 		if oc.ext {
 			if err := e.sweepExtentChecks(st, oc, g.ID,
-				fmt.Sprintf("violated on another member by the staged update of g%d", g.ID), &out, &stats); err != nil {
+				"violated on another member by the staged update of g"+strconv.Itoa(g.ID), &out, &stats); err != nil {
 				return nil, stats, err
 			}
 		}
@@ -541,7 +547,7 @@ func (e *Engine) validateUpdateOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 		if dupID, dup := st.findKeyHolder(kc, post, g); dup {
 			out = append(out, Rejection{
 				Constraint: kc.gc,
-				Detail:     fmt.Sprintf("duplicate key %v on g%d in %s", kc.attrs, g.ID, kc.class),
+				Detail:     "duplicate key " + attrList(kc.attrs) + " on g" + strconv.Itoa(g.ID) + " in " + kc.class,
 				Repairs:    keyRepairs(dupID),
 			})
 		}
@@ -565,7 +571,7 @@ func (e *Engine) validateDeleteOp(st *txState, op Mutation, g *core.GObj) ([]Rej
 		}
 		stats.ConstraintsChecked++
 		if err := e.sweepExtentChecks(st, oc, g.ID,
-			fmt.Sprintf("violated on a remaining member after deleting g%d", op.ID), &out, &stats); err != nil {
+			"violated on a remaining member after deleting g"+strconv.Itoa(op.ID), &out, &stats); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -602,7 +608,7 @@ func (e *Engine) sweepExtentChecks(st *txState, oc objectCheck, excludeID int, d
 			if !ok {
 				*out = append(*out, Rejection{
 					Constraint: oc.gc,
-					Detail:     fmt.Sprintf("%s (g%d in %s)", detail, g.ID, cls),
+					Detail:     detail + " (g" + strconv.Itoa(g.ID) + " in " + cls + ")",
 				})
 				return nil // one witness per constraint is enough
 			}

@@ -376,7 +376,8 @@ func awaitCollected(collected *atomic.Int64, want int64) bool {
 }
 
 // TestRetiredClassStatesCollected drives sustained mutation against
-// readers that hold snapshots across real serving work, and requires
+// readers that hold snapshots across real serving work — an index-served
+// read and a scan that builds columns (column.go) — and requires
 // every class state a publication retired to be collected once the
 // readers stop. This is the leak test: nothing but a held snapshot may
 // keep a retired state alive, so retention cannot grow with the
@@ -395,7 +396,12 @@ func TestRetiredClassStatesCollected(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			q := Query{Class: "Proceedings", Where: expr.MustParse("rating >= 7")}
+			// An index-served read, and a residual scan that builds
+			// columns on every class state it reads.
+			qs := []Query{
+				{Class: "Proceedings", Where: expr.MustParse("rating >= 7")},
+				{Class: "Item", Where: expr.MustParse("shopprice < libprice + 100")},
+			}
 			for {
 				select {
 				case <-stop:
@@ -410,8 +416,10 @@ func TestRetiredClassStatesCollected(t *testing.T) {
 						t.Errorf("reader %d: empty %s extent", r, cls)
 					}
 				}
-				if _, _, err := e.Run(q); err != nil {
-					t.Errorf("reader %d: Run: %v", r, err)
+				for _, q := range qs {
+					if _, _, err := e.Run(q); err != nil {
+						t.Errorf("reader %d: Run: %v", r, err)
+					}
 				}
 			}
 		}(r)

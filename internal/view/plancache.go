@@ -50,6 +50,10 @@ type plan struct {
 	// Residual predicate over the candidates, compiled once (nil: all
 	// candidates match).
 	prog *expr.Program
+	// cols evaluates the residual's leading conjuncts over the class
+	// state's columns (column.go); nil unless served == 0 and the first
+	// residual conjunct is a kernel.
+	cols *colPlan
 }
 
 // engineCounters aggregates the serving engine's cache-effectiveness
@@ -67,12 +71,15 @@ type engineCounters struct {
 	// filed into eq and ordered indexes, by fresh builds and overlays
 	// alike (index.go, inherit.go), and derefFiled the entries written
 	// to deref tables, by folds and side entries alike (snapshot.go).
-	// None is exported: the write-cost counts tests read them.
+	// colFiled counts the rows read into columns, refused builds
+	// included (column.go). None is exported: the write-cost counts
+	// tests read them.
 	keyFiled   atomic.Int64
 	keyVisited atomic.Int64
 	keyStaged  atomic.Int64
 	indexFiled atomic.Int64
 	derefFiled atomic.Int64
+	colFiled   atomic.Int64
 }
 
 // CacheStats reports the serving engine's steady-state cache work: plan

@@ -198,6 +198,9 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 	if residual != nil {
 		e.counters.compiles.Add(1)
 		p.prog = expr.CompileSlots(residual, s.dict)
+		if p.served == 0 {
+			p.cols = e.planColumns(s, cs, conjs)
+		}
 	}
 	return p, nil
 }

@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"interopdb/internal/expr"
 	"interopdb/internal/logic"
@@ -121,7 +122,7 @@ func (e *Engine) proposeConstraintRepairs(violated expr.Node, allCons []expr.Nod
 			Kind:  RepairSetAttr,
 			Attr:  c.attr,
 			Value: c.val,
-			Text:  fmt.Sprintf("set %s := %s", c.attr, c.val),
+			Text:  "set " + c.attr + " := " + c.val.String(),
 		})
 		if len(out) == 2 { // at most two proposals: nearest body + guard escape
 			break
@@ -164,7 +165,7 @@ func keyRepairs(conflictID int) []Repair {
 	return []Repair{{
 		Kind: RepairDeleteTuple,
 		ID:   conflictID,
-		Text: fmt.Sprintf("delete conflicting tuple g%d", conflictID),
+		Text: "delete conflicting tuple g" + strconv.Itoa(conflictID),
 	}}
 }
 

@@ -160,6 +160,7 @@ type classState struct {
 
 	eq    sync.Map // attr → *eqIndex
 	ord   sync.Map // attr → *ordIndex
+	cols  sync.Map // colKey → *numColumn or *dictColumn (nil: refused)
 	plans sync.Map // planKey → *plan
 	// nplans bounds the plan cache (constants are part of the plan key,
 	// so an adversarial stream of distinct constants would otherwise

@@ -20,7 +20,8 @@ import (
 // allocations are pinned too: none per rejected candidate, none per
 // returned row once its object's projection is memoised, and at most 4
 // per row that builds one (DESIGN §8.4). A cached residual reads
-// attributes by slot, never by name.
+// attributes by slot, never by name, and one the column kernels serve
+// allocates nothing per candidate (DESIGN §8.7).
 func TestSteadyStateRunCost(t *testing.T) {
 	e := scaledEngine(t, 10)
 	queries := []Query{
@@ -188,6 +189,28 @@ func TestSteadyStateRunCost(t *testing.T) {
 	}
 	if byName != 0 || bySlot != 2*len(cs.ext) {
 		t.Errorf("%v over %d candidates: %d reads by name and %d by slot, want 0 and %d", resid.Where, len(cs.ext), byName, bySlot, 2*len(cs.ext))
+	}
+
+	// (f) A residual the column kernels serve allocates the same at 23
+	// and 103 candidates: an arithmetic kernel boxes no value per
+	// candidate, and a dictionary kernel evaluates per distinct value.
+	for _, q := range []Query{
+		{Class: "Item", Where: expr.MustParse("shopprice < libprice - 1000")},
+		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'NoSuch'")},
+	} {
+		var counts [2]float64
+		for i, eng := range []*Engine{e, e50} {
+			n, rows, st := runAllocs(eng, q)
+			s := eng.snap.Load()
+			p, _, err := eng.planFor(bg, s, s.class(q.Class), q.Where, eng.UseConstraints)
+			if err != nil || p.cols == nil || len(rows) != 0 || st.Scanned == 0 {
+				t.Fatalf("%v: want a column-served scan that rejects every row, got %d rows, %+v, %v", q.Where, len(rows), st, err)
+			}
+			counts[i] = n
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%v allocates %.0f objects at scale 10 and %.0f at scale 50, want the same", q.Where, counts[0], counts[1])
+		}
 	}
 }
 

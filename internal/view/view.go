@@ -330,6 +330,9 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 		cand = len(p.positions)
 	}
 	stats.CandidateRows = cand
+	if p.cols != nil && cand > 0 {
+		return e.runColumns(ctx, s, cs, p, q, stats)
+	}
 	// One environment serves every candidate: built on the first
 	// residual evaluation (an index-only plan never builds it), then
 	// only Self is rebound per row. Without a residual every candidate
