@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test examples race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke pairs chaos crashtest profile serve
+.PHONY: all build vet fmt fmt-check test examples race fuzz bench bench-smoke bench-planmiss bench-membership benchmark-smoke pairs loc chaos crashtest profile serve
 
 all: build vet fmt-check test
 
@@ -131,6 +131,11 @@ N ?= 10
 SEED ?= 1
 pairs:
 	scripts/pairs.sh $(REV) $(WORKLOAD) $(N) $(SEED)
+
+# Non-test and test Go line counts, benchmark/ excluded: the two counts
+# the ROADMAP's "least code" aim tracks. Informational, as in CI.
+loc:
+	scripts/loc.sh
 
 # Serve the federation: figure1 + personnel tenants, HTTP on :7070 and
 # the binary framed transport on :7071, with /metrics and pprof.

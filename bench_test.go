@@ -161,7 +161,7 @@ func BenchmarkMemoizedEntailment(b *testing.B) {
 	})
 }
 
-// --- serving fast path: extent indexes + compiled predicates --------------
+// --- serving fast path: extent indexes + cached plans ----------------------
 
 // serveEngine builds a query engine over the scaled Figure 1 fixture.
 func serveEngine(b *testing.B, scale int) *view.Engine {
@@ -175,8 +175,8 @@ func serveEngine(b *testing.B, scale int) *view.Engine {
 	return view.New(res)
 }
 
-// benchServe times one query with the indexed+compiled fast path against
-// the pure interpreter scan on the same engine.
+// benchServe times one query with the planned fast path against the
+// reference scan on the same engine.
 func benchServe(b *testing.B, q view.Query, wantRows int) {
 	e := serveEngine(b, 50)
 	for _, mode := range []struct {
@@ -212,7 +212,7 @@ func BenchmarkServeEquality(b *testing.B) {
 }
 
 // BenchmarkServeRange: selective range query at Scale 50 — the ordered
-// index narrows the candidates, the compiled residual filters them.
+// index narrows the candidates, the residual filters them.
 func BenchmarkServeRange(b *testing.B) {
 	benchServe(b, view.Query{Class: "Proceedings",
 		Where: expr.MustParse("rating >= 7 and shopprice < 75")}, 1)

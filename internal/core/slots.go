@@ -9,15 +9,14 @@ import (
 
 // AttrDict is a global view's attribute dictionary: every attribute name
 // the view's objects may hold, each at a fixed slot. A global object
-// stores its values in a slice indexed by slot, so a compiled read
-// resolves its name once, at plan time (expr.CompileSlots), and indexes
-// the object per row.
+// stores its values in a slice indexed by slot, so a column kernel
+// resolves a name once, at plan time, and indexes every object by it.
 //
 // A dictionary is append-only and never changed once an object or a
 // snapshot can reach it: growing it copies it (with), so a reader
 // holding an older dictionary, or an object built on one, keeps exactly
 // what it saw. A name keeps its slot in every later copy and no slot is
-// ever reused — a departing member's names stay — so a program compiled
+// ever reused — a departing member's names stay — so a slot resolved
 // against one copy reads the right value from an object built on any
 // other copy of the same view (a slot past the object's values is an
 // absent attribute).
@@ -26,7 +25,7 @@ type AttrDict struct {
 	names []string
 }
 
-// Slot returns the slot of an attribute name. It implements expr.Slots.
+// Slot returns the slot of an attribute name.
 func (d *AttrDict) Slot(name string) (int, bool) {
 	if d == nil {
 		return 0, false
@@ -86,8 +85,8 @@ func (d *AttrDict) withSorted(attrs map[string]object.Value) *AttrDict {
 
 // Dict returns the view's current attribute dictionary. It is
 // immutable: a later change to the view replaces it with an extended
-// copy, so a caller may keep it (a snapshot compiles its plans against
-// the copy it captured).
+// copy, so a caller may keep it (a snapshot resolves its column
+// slots against the copy it captured).
 func (v *GlobalView) Dict() *AttrDict { return v.dict }
 
 // Get implements expr.Object: one dictionary lookup, then an index.
@@ -99,9 +98,8 @@ func (g *GObj) Get(attr string) (object.Value, bool) {
 	return g.At(s)
 }
 
-// At returns the value in a slot of the view's dictionary. It implements
-// expr.SlotObject. A slot past the object's values, like an empty one,
-// is an absent attribute.
+// At returns the value in a slot of the view's dictionary. A slot past
+// the object's values, like an empty one, is an absent attribute.
 func (g *GObj) At(slot int) (object.Value, bool) {
 	if slot >= len(g.vals) {
 		return nil, false

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"interopdb/internal/object"
@@ -91,17 +92,13 @@ func (env *Env) Eval(n Node) (object.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coerceValue(r, n)
-}
-
-// coerceValue narrows an evalAny result to a plain value; objects are not
-// values (they only decay to references in comparison operands).
-func coerceValue(r any, at Node) (object.Value, error) {
+	// Objects are not values: they only decay to references in
+	// comparison operands (evalOperand).
 	switch r := r.(type) {
 	case object.Value:
 		return r, nil
 	case Object:
-		return nil, evalErrf("object used where a value is required: %s", at)
+		return nil, evalErrf("object used where a value is required: %s", n)
 	default:
 		return nil, evalErrf("internal: bad eval result %T", r)
 	}
@@ -150,7 +147,7 @@ func (env *Env) evalAny(n Node) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return env.getAttr(recv, n.Attr, n)
+		return env.getAttr(recv, n)
 	case Unary:
 		return env.evalUnary(n)
 	case Binary:
@@ -204,7 +201,11 @@ func (env *Env) resolveUnstored(name string) (any, error) {
 	return nil, evalErrf("unknown identifier %q", name)
 }
 
-func (env *Env) getAttr(recv any, attr string, at Node) (object.Value, error) {
+// getAttr reads the path's attribute of its evaluated receiver. The path
+// is passed as itself, not as a Node, and only an error boxes it: a read
+// allocates nothing.
+func (env *Env) getAttr(recv any, at Path) (object.Value, error) {
+	attr := at.Attr
 	switch recv := recv.(type) {
 	case Object:
 		if v, ok := recv.Get(attr); ok {
@@ -252,18 +253,27 @@ func (env *Env) evalUnary(n Unary) (any, error) {
 		}
 		return object.Bool(!b), nil
 	case OpNeg:
-		switch v := v.(type) {
-		case object.Int:
-			return object.Int(-v), nil
-		case object.Real:
-			return object.Real(-v), nil
-		case object.Null:
-			return object.Null{}, nil
-		default:
-			return nil, evalErrf("cannot negate %s", v)
-		}
+		return Negate(v)
 	}
 	return nil, evalErrf("internal: bad unary op %s", n.Op)
+}
+
+// Negate is unary minus: null propagates, and negating the least Int is
+// an overflow error, never a wrapped value.
+func Negate(v object.Value) (object.Value, error) {
+	switch v := v.(type) {
+	case object.Int:
+		if v == math.MinInt64 {
+			return nil, evalErrf("integer overflow in -%s", v)
+		}
+		return object.Int(-v), nil
+	case object.Real:
+		return object.Real(-v), nil
+	case object.Null:
+		return object.Null{}, nil
+	default:
+		return nil, evalErrf("cannot negate %s", v)
+	}
 }
 
 func (env *Env) evalBinary(n Binary) (any, error) {
@@ -304,7 +314,7 @@ func (env *Env) evalBinary(n Binary) (any, error) {
 	if n.Op.IsComparison() {
 		return compareVals(n.Op, l, r)
 	}
-	return arith(n.Op, l, r)
+	return Arith(n.Op, l, r)
 }
 
 // evalOperand evaluates a comparison/arithmetic operand; identifiable
@@ -363,9 +373,19 @@ func compareVals(op Op, l, r object.Value) (object.Value, error) {
 	return nil, evalErrf("internal: bad comparison %s", op)
 }
 
-func arith(op Op, l, r object.Value) (object.Value, error) {
+// Arith applies + - * / to two values: null propagates, + unites two
+// sets, Int + - * Int is exact in int64 (overflow is an error), and
+// every other numeric pair, and any division, computes in float64 and
+// yields a Real. Constant folding (logic.FoldConst) calls it too, so a
+// folded constant is the value the walker computes.
+func Arith(op Op, l, r object.Value) (object.Value, error) {
 	if l.Kind() == object.KindNull || r.Kind() == object.KindNull {
 		return object.Null{}, nil
+	}
+	if li, ok := l.(object.Int); ok && op != OpDiv {
+		if ri, ok := r.(object.Int); ok {
+			return intArith(op, li, ri)
+		}
 	}
 	// Set union via '+' is allowed for set-valued properties.
 	if ls, ok := l.(object.Set); ok {
@@ -378,7 +398,6 @@ func arith(op Op, l, r object.Value) (object.Value, error) {
 	if !lok || !rok {
 		return nil, evalErrf("arithmetic on non-numeric values %s, %s", l, r)
 	}
-	bothInt := l.Kind() == object.KindInt && r.Kind() == object.KindInt
 	var f float64
 	switch op {
 	case OpAdd:
@@ -392,14 +411,34 @@ func arith(op Op, l, r object.Value) (object.Value, error) {
 			return nil, evalErrf("division by zero")
 		}
 		f = lf / rf
-		bothInt = false
 	default:
 		return nil, evalErrf("internal: bad arithmetic op %s", op)
 	}
-	if bothInt {
-		return object.Int(int64(f)), nil
-	}
 	return object.Real(f), nil
+}
+
+// intArith is Int + - * Int in int64; a result past its range is an
+// error, never a wrapped or rounded value.
+func intArith(op Op, l, r object.Int) (object.Value, error) {
+	var z object.Int
+	var ok bool
+	switch op {
+	case OpAdd:
+		z = l + r
+		ok = (z > l) == (r > 0)
+	case OpSub:
+		z = l - r
+		ok = (z < l) == (r > 0)
+	case OpMul:
+		z = l * r
+		ok = l == 0 || (z/l == r && !(l == -1 && r == math.MinInt64))
+	default:
+		return nil, evalErrf("internal: bad arithmetic op %s", op)
+	}
+	if !ok {
+		return nil, evalErrf("integer overflow in %s %s %s", l, op, r)
+	}
+	return z, nil
 }
 
 func (env *Env) evalIn(n In) (any, error) {
@@ -441,7 +480,7 @@ func (env *Env) evalCall(n Call) (any, error) {
 }
 
 // callBuiltin dispatches a builtin function over already-evaluated
-// arguments; shared by the interpreter and the predicate compiler.
+// arguments.
 func callBuiltin(fn string, args []object.Value) (object.Value, error) {
 	switch fn {
 	case "contains":
@@ -477,6 +516,9 @@ func callBuiltin(fn string, args []object.Value) (object.Value, error) {
 		}
 		switch v := args[0].(type) {
 		case object.Int:
+			if v == math.MinInt64 {
+				return nil, evalErrf("integer overflow in abs(%s)", v)
+			}
 			if v < 0 {
 				return object.Int(-v), nil
 			}

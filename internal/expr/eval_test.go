@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -464,5 +465,236 @@ func TestEvalNegatedMembershipNull(t *testing.T) {
 	// both forms are false — the conservative choice.
 	if got := evalB(t, env, "x in {1,2}"); got {
 		t.Error("null in set must be false")
+	}
+}
+
+// fragmentEnv builds an environment for the expression-fragment cases: a
+// self object with a declared but absent attribute ("missing"), one
+// constant set, one scalar constant, a two-object Item extension whose
+// first object is self, and a deref table.
+func fragmentEnv() *Env {
+	pub := MapObject{"name": object.Str("IEEE"), "location": object.Str("NY")}
+	self := MapObject{
+		"title":     object.Str("Proceedings of VLDB"),
+		"rating":    object.Int(8),
+		"shopprice": object.Real(80),
+		"libprice":  object.Real(78),
+		"ref?":      object.Bool(true),
+		"publisher": object.Ref{DB: "BS", OID: 1},
+		"authors":   object.NewSet(object.Str("A"), object.Str("B")),
+	}
+	other := MapObject{"rating": object.Int(4), "shopprice": object.Real(30)}
+	return &Env{
+		Self: self,
+		Consts: map[string]object.Value{
+			"KNOWNPUBLISHERS": object.NewSet(object.Str("IEEE"), object.Str("ACM")),
+			"MAX":             object.Real(100),
+		},
+		Declared: Attrs{
+			"title": true, "rating": true, "shopprice": true, "libprice": true,
+			"ref?": true, "publisher": true, "authors": true, "missing": true,
+		},
+		Ext: func(class string) []Object {
+			if class == "Item" {
+				return []Object{self, other}
+			}
+			return nil
+		},
+		SelfExt: []Object{self, other},
+		Deref: func(r object.Ref) (Object, bool) {
+			if r.DB == "BS" && r.OID == 1 {
+				return pub, true
+			}
+			return nil, false
+		},
+	}
+}
+
+// TestEvalFragmentCases pins values and error texts across the fragment
+// the other tests leave out: null equality and negation, set literals of
+// non-literal elements, aggregates over a class, paths through self and
+// through a dereference to an absent attribute, bound variables that
+// shadow an attribute or a name self lacks, and the exact text of each
+// error.
+func TestEvalFragmentCases(t *testing.T) {
+	shadow := map[string]Object{
+		"location": MapObject{"rating": object.Int(3)},
+		"rating":   MapObject{"rating": object.Int(5)},
+	}
+	cases := []struct {
+		src    string
+		vars   map[string]Object
+		want   string // the value's rendering, or the error text
+		errors bool
+	}{
+		{src: "shopprice * 2 > MAX", want: "true"},
+		{src: "shopprice / 2 <= libprice", want: "true"},
+		{src: "missing = missing", want: "true"},
+		{src: "not missing", want: "true"},
+		{src: "missing", want: "null"},
+		{src: "rating in {shopprice, 8}", want: "true"},
+		{src: "(avg (collect x for x in Item) over rating) >= 6", want: "true"},
+		{src: "(count (collect x for x in Item)) = 2", want: "true"},
+		{src: "exists i in Item | i.rating >= 8 and i.libprice = 78", want: "true"},
+		{src: "publisher.location = 'NY' and publisher.missing = missing", want: "true"},
+		{src: "self.rating + self.libprice", want: "86.0"},
+		{src: "self.missing = missing", want: "true"},
+		{src: "location.rating = 3", vars: shadow, want: "true"},
+		{src: "rating.rating = 5", vars: shadow, want: "true"},
+		{src: "rating >= 7", vars: shadow, errors: true, want: "eval error: object used where a value is required: rating"},
+		{src: "location = 'NY'", errors: true, want: `eval error: unknown identifier "location"`},
+		{src: "title + 1 = 2", errors: true, want: "eval error: arithmetic on non-numeric values 'Proceedings of VLDB', 1"},
+		{src: "unknownname = 1", errors: true, want: `eval error: unknown identifier "unknownname"`},
+		{src: "title < 5", errors: true, want: "eval error: cannot order 'Proceedings of VLDB' and 5"},
+		{src: "unknownfn(rating)", errors: true, want: `eval error: unknown function "unknownfn"`},
+		{src: "rating in shopprice", errors: true, want: "eval error: right side of in is not a set: 80.0"},
+		{src: "not shopprice", errors: true, want: "eval error: non-boolean value 80.0 in boolean context"},
+		{src: "title.x = 1", errors: true, want: `eval error: cannot access attribute "x" of 'Proceedings of VLDB' in title.x`},
+	}
+	for _, c := range cases {
+		env := fragmentEnv()
+		env.Vars = c.vars
+		v, err := env.Eval(MustParse(c.src))
+		switch {
+		case c.errors && (err == nil || err.Error() != c.want):
+			t.Errorf("%q: got %v, %v; want the error %q", c.src, v, err, c.want)
+		case !c.errors && (err != nil || v.String() != c.want):
+			t.Errorf("%q: got %v, %v; want %s", c.src, v, err, c.want)
+		}
+	}
+}
+
+// TestEvalIntArithmeticExact pins Int + - * Int to int64: exact past
+// 2^53, where float64 rounds, and an error past the int64 range, where
+// it would wrap.
+func TestEvalIntArithmeticExact(t *testing.T) {
+	const p53 = int64(1) << 53
+	self := MapObject{
+		"a":   object.Int(p53 + 1),
+		"big": object.Int(1 << 62),
+		"max": object.Int(math.MaxInt64),
+		"min": object.Int(math.MinInt64),
+	}
+	env := &Env{Self: self}
+	exact := map[string]object.Value{
+		"a + 0":         object.Int(p53 + 1),
+		"a - 1":         object.Int(p53),
+		"a * 1":         object.Int(p53 + 1),
+		"a + a":         object.Int(2*p53 + 2),
+		"max - 1 + 1":   object.Int(math.MaxInt64),
+		"min + 1 - 1":   object.Int(math.MinInt64),
+		"big - 1 + big": object.Int(math.MaxInt64),
+		"-max - 1":      object.Int(math.MinInt64),
+		"min * 1":       object.Int(math.MinInt64),
+		"a + 0.5":       object.Real(float64(p53+1) + 0.5),
+		"a / 1":         object.Real(float64(p53 + 1)),
+	}
+	for src, want := range exact {
+		v, err := env.Eval(MustParse(src))
+		if err != nil || v.Kind() != want.Kind() || !v.Equal(want) {
+			t.Errorf("%s = %v, %v; want %v", src, v, err, want)
+		}
+	}
+	if !evalB(t, env, "a + 0 != a - 1") {
+		t.Error("2^53+1 and 2^53 compare equal")
+	}
+	overflow := []string{
+		"big * 4", "max + 1", "min - 1", "1 - min", "min * -1", "-1 * min",
+		"big * big", "-min", "abs(min)", "min * 2",
+	}
+	for _, src := range overflow {
+		if v, err := env.Eval(MustParse(src)); err == nil || !strings.Contains(err.Error(), "integer overflow") {
+			t.Errorf("%s = %v, %v; want an integer overflow error", src, v, err)
+		}
+	}
+}
+
+// TestEvalPathReadAllocs: a path read boxes nothing — the receiver's
+// value and the dereferenced object are read in place, and the path
+// itself reaches an interface only in an error's text.
+func TestEvalPathReadAllocs(t *testing.T) {
+	env := bookEnv()
+	for _, src := range []string{"publisher.name = 'IEEE'", "publisher.name = 'ACM'", "rating >= 6 and shopprice < 100"} {
+		n := MustParse(src)
+		if got := testing.AllocsPerRun(100, func() { env.EvalBool(n) }); got != 0 {
+			t.Errorf("%q allocates %.1f objects per evaluation, want 0", src, got)
+		}
+	}
+}
+
+// kindDecl is a per-object Declarer: each row names its class in a
+// "kind" attribute, and the class's declarations answer for it — the
+// shape of the snapshot's rule, where the declaring classes are the
+// object's own.
+type kindDecl map[string]Attrs
+
+func (d kindDecl) Declares(self Object, attr string) bool {
+	k, _ := self.Get("kind")
+	s, _ := k.(object.Str)
+	return d[string(s)][attr]
+}
+
+// TestEnvReusableAcrossRows: one Env, many self objects — the pattern
+// the query engine uses: the Env is built once and only Self is rebound
+// per row. Every row's outcome must equal its expected one and the
+// outcome over a fresh Env, including declared-but-absent attributes
+// (null), names the row's class does not declare (an unknown
+// identifier), and quantifiers and aggregates, which bind Vars on the
+// reused Env and must leave it as they found it.
+func TestEnvReusableAcrossRows(t *testing.T) {
+	decl := kindDecl{
+		"Proc": {"kind": true, "rating": true, "shopprice": true},
+		"Book": {"kind": true, "shopprice": true},
+	}
+	rows := []MapObject{
+		{"kind": object.Str("Proc"), "rating": object.Int(8), "shopprice": object.Real(80)},
+		{"kind": object.Str("Proc"), "rating": object.Int(4), "shopprice": object.Real(30)},
+		{"kind": object.Str("Proc"), "rating": object.Int(9), "shopprice": object.Real(120)},
+		{"kind": object.Str("Proc"), "shopprice": object.Real(50)}, // declared, absent: null
+		{"kind": object.Str("Book"), "shopprice": object.Real(20)}, // rating undeclared: error
+	}
+	ext := func(class string) []Object {
+		if class != "Item" {
+			return nil
+		}
+		out := make([]Object, len(rows))
+		for i, r := range rows {
+			out[i] = r
+		}
+		return out
+	}
+	// E: the undeclared name's error.
+	const E = `eval error: unknown identifier "rating"`
+	cases := []struct {
+		src  string
+		want []string // per row: "true", "false" or the error text
+	}{
+		{"rating >= 6 and shopprice < 100", []string{"true", "false", "false", "false", E}},
+		{"shopprice < 60 or rating >= 8", []string{"true", "true", "true", "true", "true"}},
+		{"rating = rating", []string{"true", "true", "true", "true", E}},
+		{"exists i in Item | i.shopprice > shopprice", []string{"true", "true", "false", "true", "true"}},
+		{"forall i in Item | i.shopprice >= 20 and rating >= 0", []string{"true", "true", "true", "false", E}},
+		{"(avg (collect x for x in Item) over shopprice) > shopprice", []string{"false", "true", "false", "true", "true"}},
+	}
+	outcome := func(b bool, err error) string {
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprint(b)
+	}
+	env := &Env{Declared: decl, Ext: ext}
+	for _, c := range cases {
+		n := MustParse(c.src)
+		for i, row := range rows {
+			env.Self = row
+			got := outcome(env.EvalBool(n))
+			fresh := outcome((&Env{Self: row, Declared: decl, Ext: ext}).EvalBool(n))
+			if got != c.want[i] || fresh != c.want[i] {
+				t.Errorf("%q row %d: reused Env %s, fresh Env %s, want %s", c.src, i, got, fresh, c.want[i])
+			}
+			if len(env.Vars) != 0 {
+				t.Errorf("%q row %d: evaluation left bindings %v on the reused Env", c.src, i, env.Vars)
+			}
+		}
 	}
 }

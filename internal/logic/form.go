@@ -16,7 +16,6 @@ package logic
 
 import (
 	"fmt"
-	"math"
 
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
@@ -248,8 +247,10 @@ func (c *converter) inToForm(n expr.In, neg bool) (form, error) {
 }
 
 // FoldConst evaluates a closed expression (literals, set literals and
-// arithmetic over them) to a value. It returns false for anything that
-// mentions an attribute or variable.
+// arithmetic over numbers) to a value. It returns false for anything
+// that mentions an attribute or variable, and for arithmetic the
+// walker would reject (division by zero, Int overflow). Arithmetic is
+// expr's own, so a folded constant is exactly what the walker computes.
 func FoldConst(n expr.Node) (object.Value, bool) {
 	switch n := n.(type) {
 	case expr.Lit:
@@ -268,54 +269,37 @@ func FoldConst(n expr.Node) (object.Value, bool) {
 		if n.Op != expr.OpNeg {
 			return nil, false
 		}
-		v, ok := FoldConst(n.X)
+		v, ok := foldNumber(n.X)
 		if !ok {
 			return nil, false
 		}
-		switch v := v.(type) {
-		case object.Int:
-			return object.Int(-v), true
-		case object.Real:
-			return object.Real(-v), true
-		}
-		return nil, false
+		r, err := expr.Negate(v)
+		return r, err == nil
 	case expr.Binary:
-		lf, ok := FoldConst(n.L)
+		l, ok := foldNumber(n.L)
 		if !ok {
 			return nil, false
 		}
-		rf, ok := FoldConst(n.R)
+		r, ok := foldNumber(n.R)
 		if !ok {
 			return nil, false
 		}
-		l, lok := object.AsFloat(lf)
-		r, rok := object.AsFloat(rf)
-		if !lok || !rok {
-			return nil, false
-		}
-		bothInt := lf.Kind() == object.KindInt && rf.Kind() == object.KindInt
-		var f float64
-		switch n.Op {
-		case expr.OpAdd:
-			f = l + r
-		case expr.OpSub:
-			f = l - r
-		case expr.OpMul:
-			f = l * r
-		case expr.OpDiv:
-			if r == 0 {
-				return nil, false
-			}
-			f = l / r
-			bothInt = false
-		default:
-			return nil, false
-		}
-		if bothInt && f == math.Trunc(f) {
-			return object.Int(int64(f)), true
-		}
-		return object.Real(f), true
+		v, err := expr.Arith(n.Op, l, r)
+		return v, err == nil
 	default:
 		return nil, false
 	}
+}
+
+// foldNumber folds n to an Int or a Real; null, sets and other kinds
+// are not folded through arithmetic.
+func foldNumber(n expr.Node) (object.Value, bool) {
+	v, ok := FoldConst(n)
+	if !ok {
+		return nil, false
+	}
+	if _, num := object.AsFloat(v); !num {
+		return nil, false
+	}
+	return v, true
 }

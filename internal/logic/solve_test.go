@@ -233,6 +233,29 @@ func TestFoldConst(t *testing.T) {
 	if _, ok := FoldConst(expr.MustParse("x = 1/0").(expr.Binary).R); ok {
 		t.Error("division by zero should not fold")
 	}
+	// Int arithmetic folds exactly, as the walker computes it; an
+	// overflow, which the walker reports as an error, does not fold.
+	for _, cse := range []struct {
+		src  string
+		want object.Value
+	}{
+		{"9007199254740991 + 2", object.Int(1<<53 + 1)},
+		{"9007199254740993 - 0", object.Int(1<<53 + 1)},
+		{"-(9007199254740993 * 1)", object.Int(-(1<<53 + 1))},
+	} {
+		v, ok := FoldConst(expr.MustParse("x = " + cse.src).(expr.Binary).R)
+		if !ok || !v.Equal(cse.want) || v.Kind() != object.KindInt {
+			t.Errorf("FoldConst(%s) = %v,%v; want %v", cse.src, v, ok, cse.want)
+		}
+	}
+	for _, src := range []string{"4611686018427387904 * 4", "9223372036854775807 + 1", "-9223372036854775807 - 2", "-(-9223372036854775807 - 1)"} {
+		if v, ok := FoldConst(expr.MustParse("x = " + src).(expr.Binary).R); ok {
+			t.Errorf("FoldConst(%s) = %v; an Int overflow should not fold", src, v)
+		}
+	}
+	if v, ok := FoldConst(expr.MustParse("x = null + 1").(expr.Binary).R); ok {
+		t.Errorf("FoldConst(null + 1) = %v; arithmetic on null should not fold", v)
+	}
 	// Set literal folding.
 	v, ok := FoldConst(expr.MustParse("x in {1,2,3}").(expr.In).Set)
 	if !ok || v.(object.Set).Len() != 3 {

@@ -223,14 +223,13 @@ func (s *Server) handleClasses(w http.ResponseWriter, r *http.Request) error {
 }
 
 // tenantCacheStats is one tenant's engine-counter entry in /metrics:
-// the plan-cache, solver, compile and publication counters of its
-// engine's CacheStats.
+// the plan-cache, solver and publication counters of its engine's
+// CacheStats.
 type tenantCacheStats struct {
 	PlanHits      int64   `json:"plan_hits"`
 	PlanMisses    int64   `json:"plan_misses"`
 	PlanHitRate   float64 `json:"plan_hit_rate"`
 	SolverQueries int64   `json:"solver_queries"`
-	Compiles      int64   `json:"compiles"`
 	Publishes     int64   `json:"publishes"`
 }
 
@@ -251,7 +250,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			PlanMisses:    cs.PlanMisses,
 			PlanHitRate:   cs.PlanHitRate(),
 			SolverQueries: cs.SolverQueries,
-			Compiles:      cs.Compiles,
 			Publishes:     cs.Publishes,
 		}
 	}

@@ -26,10 +26,10 @@ import (
 // row a kernel cannot decide (an absent attribute, an Int result a
 // float64 cannot carry exactly, a representative evaluation that
 // errors) leaves the selection as undecided and is served by the whole
-// residual program on the row path, in its extent position, so rows,
-// row order and error text equal the reference scan's. Only a prefix of
-// the conjuncts may become kernels: a row a kernel rejects is a row the
-// row path short-circuits at that same conjunct, because every earlier
+// residual on the row path, in its extent position, so rows, row order
+// and error text equal the reference scan's. Only a prefix of the
+// conjuncts may become kernels: a row a kernel rejects is a row the row
+// path short-circuits at that same conjunct, because every earlier
 // conjunct is a kernel the row passed, and a kernel never errors.
 //
 // Columns hang off the class state next to the extent indexes, keyed by
@@ -49,8 +49,9 @@ const (
 )
 
 // maxExactInt is 2^53: an Int of larger magnitude does not survive the
-// round trip through float64, so a numeric column refuses it and an
-// Int-valued term beyond it is undecided.
+// round trip through float64, so a numeric column refuses it. An
+// Int-valued term whose float64 result reaches it is undecided: the
+// exact sum 2^53+1 rounds to 2^53.
 const maxExactInt = 1 << 53
 
 // dictRatio is how much longer than its distinct-value count a
@@ -192,19 +193,19 @@ func buildDictColumn(ext []*core.GObj, slot int, filed *atomic.Int64) *dictColum
 }
 
 // colPlan is a plan's column half: the kernels of the residual's
-// kernel-eligible prefix, in conjunct order, and the remaining
-// conjuncts compiled (nil: none remain).
+// kernel-eligible prefix, in conjunct order, and the conjunction of the
+// remaining conjuncts (nil: none remain).
 type colPlan struct {
 	kernels []kernel
-	rest    *expr.Program
+	rest    expr.Node
 }
 
 // kernel is one conjunct evaluated over columns: a numeric comparison
-// (num) or a dictionary conjunct (dict and prog).
+// (num) or a dictionary conjunct (dict and conj).
 type kernel struct {
 	num  *numKernel
 	dict *dictColumn
-	prog *expr.Program // the conjunct alone, run once per distinct value
+	conj expr.Node // the conjunct alone, evaluated once per distinct value
 }
 
 // numKernel is a comparison x op y whose sides are terms.
@@ -276,9 +277,10 @@ func (o *numOperand) load(idx []int32, lo, m int, kb *[batch]uint8, fb *[batch]f
 	return k, f
 }
 
-// eval evaluates the term over a batch as expr's arith would: null
-// propagates, Int∘Int yields an Int through float64, and an Int result
-// past 2^53 (or an absent read) is numAbsent, undecided.
+// eval evaluates the term over a batch as expr.Arith would: null
+// propagates and Int∘Int yields an Int. The kernel computes it in
+// float64, which is exact below 2^53, so an Int result of magnitude
+// 2^53 or more (or an absent read) is numAbsent, undecided.
 func (t *numTerm) eval(idx []int32, lo, m int, b *termBuf) ([]uint8, []float64) {
 	k, f := t.x.load(idx, lo, m, &b.k, &b.f)
 	if t.op == expr.OpInvalid {
@@ -307,7 +309,7 @@ func (t *numTerm) eval(idx []int32, lo, m int, b *termBuf) ([]uint8, []float64) 
 	for j := range k {
 		// The kinds order Int < Real < Null < Absent: the larger decides.
 		k[j] = max(k[j], k2[j])
-		if k[j] == numInt && !(math.Abs(f[j]) <= maxExactInt) {
+		if k[j] == numInt && !(math.Abs(f[j]) < maxExactInt) {
 			k[j] = numAbsent
 		}
 	}
@@ -415,7 +417,7 @@ func (k *kernel) verdicts(env *expr.Env, ext []*core.GObj) []uint8 {
 	out[0] = verdictUndecided
 	for c, r := range k.dict.rep {
 		env.Self = ext[r]
-		ok, err := k.prog.EvalBool(env)
+		ok, err := env.EvalBool(k.conj)
 		switch {
 		case err != nil:
 			out[c+1] = verdictUndecided
@@ -489,8 +491,8 @@ func (cp *colPlan) filter(env *expr.Env, ext []*core.GObj, sel []int32) []int32 
 
 // planColumns plans the column half of a full-extent residual: the
 // longest prefix of its conjuncts that are kernels over columns the
-// class state accepts, and the rest compiled. nil when the first
-// conjunct is no kernel.
+// class state accepts, and the rest. nil when the first conjunct is no
+// kernel.
 func (e *Engine) planColumns(s *snapshot, cs *classState, conjs []expr.Node) *colPlan {
 	var ks []kernel
 	for _, c := range conjs {
@@ -506,12 +508,7 @@ func (e *Engine) planColumns(s *snapshot, cs *classState, conjs []expr.Node) *co
 	if len(ks) == 0 {
 		return nil
 	}
-	cp := &colPlan{kernels: ks}
-	if rest := conjoinNodes(conjs[len(ks):]); rest != nil {
-		e.counters.compiles.Add(1)
-		cp.rest = expr.CompileSlots(rest, s.dict)
-	}
-	return cp
+	return &colPlan{kernels: ks, rest: conjoinNodes(conjs[len(ks):])}
 }
 
 // numKernelOf makes a conjunct a numeric kernel: a comparison whose
@@ -624,8 +621,7 @@ func (e *Engine) dictKernelOf(s *snapshot, cs *classState, c expr.Node) (kernel,
 	if col == nil {
 		return kernel{}, false
 	}
-	e.counters.compiles.Add(1)
-	return kernel{dict: col, prog: expr.CompileSlots(c, s.dict)}, true
+	return kernel{dict: col, conj: c}, true
 }
 
 // readsOneAttr reports whether every read of the node goes through the
@@ -697,14 +693,14 @@ func (e *Engine) runColumns(ctx context.Context, s *snapshot, cs *classState, p 
 		if j%ctxCheckRows == 0 && j > 0 && ctx.Err() != nil {
 			return nil, stats, ctx.Err()
 		}
-		prog := p.cols.rest
+		pred := p.cols.rest
 		if x < 0 {
-			x, prog = ^x, p.prog
+			x, pred = ^x, p.residual
 		}
 		g := cs.ext[x]
-		if prog != nil {
+		if pred != nil {
 			env.Self = g
-			ok, err := prog.EvalBool(env)
+			ok, err := env.EvalBool(pred)
 			if err != nil {
 				stats.Scanned = int(x) + 1
 				return nil, stats, fmt.Errorf("query on %s: %w", q.Class, err)

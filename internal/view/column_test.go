@@ -57,6 +57,7 @@ var columnConjuncts = []string{
 	"contains(title, 'f')",
 	"publisher.name = 'IEEE' or rating > 3",
 	"shopprice / 0 > 1",
+	"shopprice + 9007199254740983 != 9007199254740992",
 }
 
 // columnQueries decodes 4-byte query specs: a class and conjunct-count
@@ -148,6 +149,10 @@ func FuzzColumnResidual(f *testing.F) {
 		// evaluations.
 		{[]byte{11, 2, 6, 1, 7, 7, 7, 7, 6, 2, 2, 12, 13, 6, 5, 3, 2, 2, 2, 14, 0, 0, 3, 1, 5, 4, 4, 8, 15, 3, 2, 2},
 			[]byte{0, 15, 0, 0, 1, 12, 16, 0, 2, 13, 17, 20, 1, 18, 19, 0, 0, 21, 0, 0, 0x82, 9, 2, 1, 1, 6, 3, 0}},
+		// A clean Int column whose sum with a constant reaches 2^53 - 1
+		// (shopprice 8) and 2^53 + 1 (shopprice 10): float64 rounds the
+		// second to 2^53, so the kernel must leave it undecided.
+		{[]byte{2, 4, 2, 14, 14, 4, 3, 14, 2, 5, 4, 2}, []byte{0, 22, 0, 0, 0x80, 22, 0, 0}},
 		// Many rows per publisher: the dictionary column serves, and the
 		// rename must flip its verdicts.
 		{[]byte{2, 15, 2, 14, 4, 2, 3, 14, 2, 15, 2, 14, 4, 2, 3, 14, 2, 15, 2, 14, 4, 2, 3, 14, 2, 15, 2, 14, 4, 2, 3, 14,
@@ -177,7 +182,7 @@ func FuzzColumnResidual(f *testing.F) {
 // TestColumnKernelsServe pins that the fuzz's residual families reach
 // the kernels: on the fixture, a numeric comparison, a dictionary
 // conjunct and a comparison after it become kernels, and a conjunct no
-// kernel takes ends the prefix and is compiled as the rest.
+// kernel takes ends the prefix and is kept as the rest.
 func TestColumnKernelsServe(t *testing.T) {
 	e := scaledEngine(t, 50)
 	for _, c := range []struct {
@@ -202,7 +207,7 @@ func TestColumnKernelsServe(t *testing.T) {
 			got = len(p.cols.kernels)
 		}
 		if got != c.kernels || (c.kernels > 0 && (p.cols.rest != nil) != c.rest) {
-			t.Errorf("%s: %d kernels (want %d), rest compiled %v (want %v)", c.where, got, c.kernels, p.cols != nil && p.cols.rest != nil, c.rest)
+			t.Errorf("%s: %d kernels (want %d), rest kept %v (want %v)", c.where, got, c.kernels, p.cols != nil && p.cols.rest != nil, c.rest)
 		}
 	}
 }

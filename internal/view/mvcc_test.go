@@ -145,7 +145,7 @@ func mvccStress(t *testing.T, scale int) {
 				default:
 				}
 				if rng.Intn(3) == 0 {
-					// Public serving path: concurrent planning, compiled
+					// Public serving path: concurrent planning, planned
 					// serving and shared cache counters under -race.
 					if _, _, err := e.Run(q); err != nil {
 						t.Errorf("reader %d: Run: %v", r, err)

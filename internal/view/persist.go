@@ -10,8 +10,8 @@ import (
 )
 
 // Plan-cache persistence (DESIGN.md §13). Plans themselves cannot
-// survive a restart — they hold resolved extent positions and compiled
-// closures bound to a live snapshot — but the plan *shapes* can: the
+// survive a restart — they hold resolved extent positions and columns
+// bound to a live snapshot — but the plan *shapes* can: the
 // (class, predicate, UseConstraints) keys the workload exercised. A
 // checkpoint exports the shapes; warm start replans each one against
 // the recovered snapshot, with the imported memo absorbing the solver
@@ -80,7 +80,7 @@ func (e *Engine) ExportPlans() ([]byte, error) {
 // WarmPlans replans every exported shape against the current snapshot,
 // returning how many were warmed and how many skipped (unknown class:
 // membership changed). Warming runs the ordinary planFor path, so its
-// solver queries and compiles count in CacheStats; steady-state hit
+// solver queries count in CacheStats; steady-state hit
 // behaviour afterwards is what the warm-start equivalence test pins.
 func (e *Engine) WarmPlans(ctx context.Context, data []byte) (warmed, skipped int, err error) {
 	var exports []PlanExport

@@ -13,9 +13,9 @@ import (
 // plan stores the constraint-phase verdicts (pruned-empty, dropped conjuncts), the
 // chosen access path with its resolved candidate positions (the extent
 // is frozen for the snapshot's lifetime, so probe results are resolved
-// at plan time and reused verbatim), and the compiled residual closure.
-// A steady-state Run therefore performs zero solver queries, zero
-// compilations and zero index probes — following Martinenghi's
+// at plan time and reused verbatim), and the residual predicate.
+// A steady-state Run therefore performs zero solver queries and zero
+// index probes — following Martinenghi's
 // simplified integrity checking, the constraint reasoning is paid once
 // per shape and amortized to zero. Plans live inside the snapshot's
 // classState, so any mutation of a class invalidates its plans wholesale
@@ -47,9 +47,9 @@ type plan struct {
 	served    int
 	positions []int // ascending extent positions, resolved at plan time
 
-	// Residual predicate over the candidates, compiled once (nil: all
-	// candidates match).
-	prog *expr.Program
+	// Residual predicate over the candidates (nil: all candidates
+	// match).
+	residual expr.Node
 	// cols evaluates the residual's leading conjuncts over the class
 	// state's columns (column.go); nil unless served == 0 and the first
 	// residual conjunct is a kernel.
@@ -62,7 +62,6 @@ type engineCounters struct {
 	planHits   atomic.Int64
 	planMisses atomic.Int64
 	solver     atomic.Int64
-	compiles   atomic.Int64
 	publishes  atomic.Int64
 	// keyFiled counts the holders the key indexes filed, in a build or
 	// on a write, keyVisited the live members Validate's key check
@@ -83,9 +82,9 @@ type engineCounters struct {
 }
 
 // CacheStats reports the serving engine's steady-state cache work: plan
-// cache effectiveness, and how many solver queries and predicate
-// compilations the planner has performed in total (a plan-cache hit
-// performs none of either — pinned by TestSteadyStateRunCost).
+// cache effectiveness, and how many solver queries the planner has
+// issued in total (a plan-cache hit issues none — pinned by
+// TestSteadyStateRunCost).
 type CacheStats struct {
 	// PlanHits / PlanMisses count Run calls served from / building a
 	// plan (predicate-free queries touch no plan and count in neither).
@@ -95,8 +94,6 @@ type CacheStats struct {
 	// (satisfiability + entailment); the checker's own CacheStats
 	// additionally distinguishes memo hits from fresh computations.
 	SolverQueries int64
-	// Compiles counts expr.Compile calls made by the planner.
-	Compiles int64
 	// Publishes counts snapshot publications: one at construction, one
 	// per batch Ship or Reconcile applies to the view, one per Rebind.
 	Publishes int64
@@ -114,8 +111,8 @@ func (s CacheStats) PlanHitRate() float64 {
 
 // String renders the stats.
 func (s CacheStats) String() string {
-	return fmt.Sprintf("plan-hits=%d plan-misses=%d hit-rate=%.1f%% solver-queries=%d compiles=%d publishes=%d",
-		s.PlanHits, s.PlanMisses, 100*s.PlanHitRate(), s.SolverQueries, s.Compiles, s.Publishes)
+	return fmt.Sprintf("plan-hits=%d plan-misses=%d hit-rate=%.1f%% solver-queries=%d publishes=%d",
+		s.PlanHits, s.PlanMisses, 100*s.PlanHitRate(), s.SolverQueries, s.Publishes)
 }
 
 // CacheStats returns the engine's cache counters.
@@ -124,7 +121,6 @@ func (e *Engine) CacheStats() CacheStats {
 		PlanHits:      e.counters.planHits.Load(),
 		PlanMisses:    e.counters.planMisses.Load(),
 		SolverQueries: e.counters.solver.Load(),
-		Compiles:      e.counters.compiles.Load(),
 		Publishes:     e.counters.publishes.Load(),
 	}
 }

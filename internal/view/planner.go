@@ -35,7 +35,7 @@ import (
 //     every other served probe matches row by row, once (the snapshot's
 //     extent is frozen, so the result holds for the plan's whole
 //     lifetime) — a miss costs what its answer costs, not what its
-//     widest probe spans; compile the residual once.
+//     widest probe spans; keep the rest as the residual.
 //
 // The worst case is therefore bounded by the plain scan: a plan that
 // gates the constraint phase and finds no usable index degenerates to
@@ -195,12 +195,9 @@ func (e *Engine) buildPlan(ctx context.Context, s *snapshot, cs *classState, pre
 		}
 	}
 
-	if residual != nil {
-		e.counters.compiles.Add(1)
-		p.prog = expr.CompileSlots(residual, s.dict)
-		if p.served == 0 {
-			p.cols = e.planColumns(s, cs, conjs)
-		}
+	p.residual = residual
+	if residual != nil && p.served == 0 {
+		p.cols = e.planColumns(s, cs, conjs)
 	}
 	return p, nil
 }
@@ -279,8 +276,8 @@ next:
 // path is differentially pinned against, and what RunContext serves when
 // UseIndexes is off: it takes the engine read lock, applies the same
 // cost-gated constraint phase (same gate inputs, same memoized
-// verdicts), and scans the LIVE extent with the tree-walking interpreter
-// — no plan cache, no indexes, no compiled predicates. It keeps
+// verdicts), and scans the LIVE extent evaluating the whole predicate
+// per row — no plan cache, no indexes, no columns. It keeps
 // RunContext's promises: ctx is checked every ctxCheckRows rows and
 // between solver calls, and Stats.Degraded names the quarantined
 // members.

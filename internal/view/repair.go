@@ -134,14 +134,8 @@ func (e *Engine) proposeConstraintRepairs(violated expr.Node, allCons []expr.Nod
 // repairHolds re-evaluates every object constraint of the class group
 // on the repaired state.
 func (e *Engine) repairHolds(allCons []expr.Node, repaired expr.Object, env *expr.Env) bool {
-	renv := &expr.Env{
-		Self:     repaired,
-		Declared: env.Declared,
-		Consts:   env.Consts,
-		Ext:      env.Ext,
-		SelfExt:  env.SelfExt,
-		Deref:    env.Deref,
-	}
+	renv := *env
+	renv.Self = repaired
 	for _, c := range allCons {
 		ok, err := renv.EvalBool(c)
 		if err != nil {

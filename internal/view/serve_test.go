@@ -163,7 +163,7 @@ func resolverPredicate(rng *rand.Rand, isbn func() string) expr.Node {
 	return conjoinNodes(conjs)
 }
 
-// TestServeDifferentialFigure1 pins the indexed+compiled serving path to
+// TestServeDifferentialFigure1 pins the indexed+planned serving path to
 // the pure-scan path over the Figure 1 fixture at several scales:
 // identical rows, identical constraint decisions.
 func TestServeDifferentialFigure1(t *testing.T) {
@@ -186,7 +186,7 @@ func TestServeDifferentialFigure1(t *testing.T) {
 				// Mixed: index conjuncts + residual (dotted path, contains).
 				{Class: "Proceedings", Where: expr.MustParse("rating >= 7 and publisher.name = 'IEEE'")},
 				{Class: "Item", Where: expr.MustParse("shopprice < 50 and contains(title, 'Workshop')")},
-				// Non-sargable only: compiled predicate over the full extent.
+				// Non-sargable only: residual predicate over the full extent.
 				{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'Springer'")},
 				{Class: "Proceedings", Where: expr.MustParse("shopprice - libprice >= 2")},
 				// != stays residual.
@@ -226,6 +226,55 @@ func TestServeDifferentialFigure1(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeDifferentialExactIntConstants pins index probes to the
+// walker's exact Int arithmetic: a constant sum past 2^53 probes the
+// value the walker computes, not its float64 rounding, and a constant
+// that overflows int64 is not probed at all, so both paths report the
+// overflow.
+func TestServeDifferentialExactIntConstants(t *testing.T) {
+	e := scaledEngine(t, 2)
+	// Ratings 2^53, 2^53+1 and 8 (columnNums indexes 8, 9 and 14).
+	insertColumnRows(t, e, []byte{2, 4, 2, 8, 2, 4, 2, 9, 2, 4, 2, 14}, "int")
+	for _, c := range []struct {
+		where   string
+		rows    int
+		errText string
+	}{
+		{"rating = 9007199254740991 + 2", 1, ""},
+		{"rating = 9007199254740991 + 1", 1, ""},
+		{"rating in {9007199254740991 + 2, 7 + 1}", 1 + countRating(e, 8), ""},
+		{"rating = 4611686018427387904 * 4", 0, "integer overflow"},
+	} {
+		q := Query{Class: "Proceedings", Where: expr.MustParse(c.where)}
+		fast, _, err := runVsReference(t, e, q)
+		if c.errText != "" {
+			if err == nil || !strings.Contains(err.Error(), c.errText) {
+				t.Errorf("%s: err = %v, want %q", c.where, err, c.errText)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.where, err)
+			continue
+		}
+		rows, _, _ := e.Run(q)
+		if fast.IndexHits != 1 || len(rows) != c.rows {
+			t.Errorf("%s: IndexHits %d, %d rows; want 1 index-served conjunct and %d rows", c.where, fast.IndexHits, len(rows), c.rows)
+		}
+	}
+}
+
+// countRating counts the Proceedings whose rating is the Int r.
+func countRating(e *Engine, r int64) int {
+	n := 0
+	for _, g := range e.res.View.Extent("Proceedings") {
+		if v, ok := g.Get("rating"); ok && v.Equal(object.Int(r)) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestServeDifferentialRandomized cross-checks the two paths on a

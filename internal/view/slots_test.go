@@ -15,10 +15,10 @@ import (
 // TestSlotsStableAcrossMembership pins the attribute dictionary's
 // stability (DESIGN §8.6) across an UnivArchive attach and detach,
 // which grow the dictionary by the archive's names and never shrink it.
-// A plan compiled before the attach, evaluated over the objects the
-// attach grafts (clones holding archive attributes at slots the plan's
-// dictionary lacks); a plan compiled after it, evaluated over the
-// objects of the snapshot before it; and a snapshot held across the
+// A plan built before the attach, evaluated over the objects the attach
+// grafts (clones holding archive attributes at slots the plan's
+// snapshot's dictionary lacks); a plan built after it, evaluated over
+// the objects of the snapshot before it; and a snapshot held across the
 // detach, served after it: each returns the reference scan's rows of
 // its own generation, and every row equals the deep copy taken when it
 // was returned.
@@ -62,19 +62,19 @@ func TestSlotsStableAcrossMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, hit, err := e.planFor(bg, s, s.class(q.Class), q.Where, e.UseConstraints)
-		if err != nil || !hit || p.prog == nil || p.served != 0 || p.pruned {
+		if err != nil || !hit || p.residual == nil || p.served != 0 || p.pruned {
 			t.Fatalf("%v: want a cached residual scan plan, got hit=%v %+v %v", q.Where, hit, p, err)
 		}
 		return p
 	}
-	// evalOver evaluates a plan's program over a snapshot's extent.
+	// evalOver evaluates a plan's residual over a snapshot's extent.
 	evalOver := func(p *plan, s *snapshot, q Query) []Row {
 		t.Helper()
 		env := s.queryEnv()
 		var rows []Row
 		for _, g := range s.class(q.Class).ext {
 			env.Self = g
-			ok, err := p.prog.EvalBool(env)
+			ok, err := env.EvalBool(p.residual)
 			if err != nil {
 				t.Fatalf("%v on g%d: %v", q.Where, g.ID, err)
 			}
@@ -130,9 +130,9 @@ func TestSlotsStableAcrossMembership(t *testing.T) {
 		t.Fatal("the attach grafted no archive attribute onto a Publication")
 	}
 
-	// A plan compiled before the attach, over the objects it grafted.
+	// A plan built before the attach, over the objects it grafted.
 	same("pre-attach plan over grafted Publications", evalOver(pubPlan, s2, pub), reference(pub))
-	// A plan compiled after it, over the objects before it.
+	// A plan built after it, over the objects before it.
 	same("post-attach plan over pre-attach Items", evalOver(planned(s2, item), s1, item), itemBefore)
 	// The served rows of the attached view, archive names included.
 	for _, q := range []Query{pub, item, record} {

@@ -190,8 +190,8 @@ type snapshot struct {
 	// declares (empty for virtual classes), captured at publication so
 	// readers never touch the live view's metadata maps.
 	decl map[string]map[string]bool
-	// dict is the view's attribute dictionary at publication: plans
-	// built against this snapshot compile their reads to its slots.
+	// dict is the view's attribute dictionary at publication: column
+	// kernels built against this snapshot address its slots.
 	dict *core.AttrDict
 	refs *refTable
 	// checker answers the planner's solver queries for plans built

@@ -7,21 +7,20 @@ import (
 	"testing"
 	"time"
 
-	"interopdb/internal/core"
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
 )
 
 // TestSteadyStateRunCost pins the plan cache's amortization claim: the
-// second identical Run performs ZERO logic.Checker queries and ZERO
-// expr.Compile calls — the constraint reasoning and compilation are
-// paid once per (class, predicate) shape (simplified-integrity-checking
-// style) and replayed from the plan cache afterwards. A cached run's
-// allocations are pinned too: none per rejected candidate, none per
-// returned row once its object's projection is memoised, and at most 4
-// per row that builds one (DESIGN §8.4). A cached residual reads
-// attributes by slot, never by name, and one the column kernels serve
-// allocates nothing per candidate (DESIGN §8.7).
+// second identical Run performs ZERO logic.Checker queries — the
+// constraint reasoning is paid once per (class, predicate) shape
+// (simplified-integrity-checking style) and replayed from the plan
+// cache afterwards. A cached run's allocations are pinned too: none per
+// rejected candidate, none per returned row once its object's
+// projection is memoised, and at most 4 per row that builds one (DESIGN
+// §8.4). A residual the column kernels leave to the row loop, reading a
+// path, and one they serve both allocate nothing per candidate (DESIGN
+// §8.7).
 func TestSteadyStateRunCost(t *testing.T) {
 	e := scaledEngine(t, 10)
 	queries := []Query{
@@ -30,7 +29,7 @@ func TestSteadyStateRunCost(t *testing.T) {
 		{Class: "Proceedings", Where: expr.MustParse("publisher.name = 'IEEE' and ref? = false")},
 		{Class: "Item", Where: expr.MustParse("shopprice < 40")},
 	}
-	// First runs: plan build (solver and compile work allowed).
+	// First runs: plan build (solver work allowed).
 	for _, q := range queries {
 		if _, st, err := e.Run(q); err != nil {
 			t.Fatal(err)
@@ -41,7 +40,6 @@ func TestSteadyStateRunCost(t *testing.T) {
 
 	checker := e.checker.CacheStats()
 	solverBefore := checker.Hits + checker.Misses
-	compileBefore := expr.CompileCount()
 	engineBefore := e.CacheStats()
 
 	for _, q := range queries {
@@ -58,16 +56,10 @@ func TestSteadyStateRunCost(t *testing.T) {
 	if got := checker.Hits + checker.Misses - solverBefore; got != 0 {
 		t.Errorf("steady-state runs issued %d checker queries, want 0", got)
 	}
-	if got := expr.CompileCount() - compileBefore; got != 0 {
-		t.Errorf("steady-state runs compiled %d predicates, want 0", got)
-	}
 	engineAfter := e.CacheStats()
 	if engineAfter.SolverQueries != engineBefore.SolverQueries {
 		t.Errorf("engine counted %d planner solver queries on cached runs",
 			engineAfter.SolverQueries-engineBefore.SolverQueries)
-	}
-	if engineAfter.Compiles != engineBefore.Compiles {
-		t.Errorf("engine counted %d compiles on cached runs", engineAfter.Compiles-engineBefore.Compiles)
 	}
 	if got := engineAfter.PlanHits - engineBefore.PlanHits; got != int64(len(queries)) {
 		t.Errorf("plan hits = %d, want %d", got, len(queries))
@@ -158,37 +150,22 @@ func TestSteadyStateRunCost(t *testing.T) {
 		t.Errorf("cold projection of %v allocates %.0f objects for %d rows, want at most %.0f", every.Where, cold, len(rows), limit)
 	}
 
-	// (e) A warm residual reads each candidate's attributes by slot, the
-	// names resolved when the plan was compiled: over every Item, the
-	// cached program makes two slot reads per candidate and no lookup by
-	// name, and answers as it does over the unwrapped object.
-	resid := Query{Class: "Item", Where: expr.MustParse("shopprice < libprice + 4")}
-	if _, _, err := e.Run(resid); err != nil {
-		t.Fatal(err)
-	}
-	s := e.snap.Load()
-	cs := s.class(resid.Class)
-	p, hit, err := e.planFor(bg, s, cs, resid.Where, e.UseConstraints)
-	if err != nil || !hit || p.prog == nil || p.served != 0 {
-		t.Fatalf("%v: want a cached residual scan plan, got hit=%v %+v %v", resid.Where, hit, p, err)
-	}
-	env := s.queryEnv()
-	env.Declared = unwrapDecl{s}
-	var byName, bySlot int
-	for _, g := range cs.ext {
-		env.Self = g
-		want, werr := p.prog.EvalBool(env)
-		w := &countingObj{GObj: g}
-		env.Self = w
-		got, err := p.prog.EvalBool(env)
-		if got != want || (err == nil) != (werr == nil) {
-			t.Fatalf("g%d: counted read %v, %v; plain read %v, %v", g.ID, got, err, want, werr)
+	// (e) A warm residual the column kernels do not serve (it reads two
+	// attributes) and that reads a path allocates the same at 23 and 103
+	// candidates: the row loop's path reads box nothing.
+	path := Query{Class: "Proceedings", Where: expr.MustParse("publisher.name = title")}
+	var pathAllocs [2]float64
+	for i, eng := range []*Engine{e, e50} {
+		n, rows, st := runAllocs(eng, path)
+		s := eng.snap.Load()
+		p, _, err := eng.planFor(bg, s, s.class(path.Class), path.Where, eng.UseConstraints)
+		if err != nil || p.residual == nil || p.cols != nil || p.served != 0 || len(rows) != 0 || st.Scanned == 0 {
+			t.Fatalf("%v: want a row-loop residual scan that rejects every row, got %d rows, %+v, %+v, %v", path.Where, len(rows), st, p, err)
 		}
-		byName += w.byName
-		bySlot += w.bySlot
+		pathAllocs[i] = n
 	}
-	if byName != 0 || bySlot != 2*len(cs.ext) {
-		t.Errorf("%v over %d candidates: %d reads by name and %d by slot, want 0 and %d", resid.Where, len(cs.ext), byName, bySlot, 2*len(cs.ext))
+	if pathAllocs[0] != pathAllocs[1] {
+		t.Errorf("%v allocates %.0f objects at scale 10 and %.0f at scale 50, want the same", path.Where, pathAllocs[0], pathAllocs[1])
 	}
 
 	// (f) A residual the column kernels serve allocates the same at 23
@@ -212,34 +189,6 @@ func TestSteadyStateRunCost(t *testing.T) {
 			t.Errorf("%v allocates %.0f objects at scale 10 and %.0f at scale 50, want the same", q.Where, counts[0], counts[1])
 		}
 	}
-}
-
-// countingObj counts how evaluation reads a global object: by name (Get)
-// or by slot (At).
-type countingObj struct {
-	*core.GObj
-	byName, bySlot int
-}
-
-func (c *countingObj) Get(attr string) (object.Value, bool) {
-	c.byName++
-	return c.GObj.Get(attr)
-}
-
-func (c *countingObj) At(slot int) (object.Value, bool) {
-	c.bySlot++
-	return c.GObj.At(slot)
-}
-
-// unwrapDecl answers the snapshot's declared-attribute question for a
-// counted object as for the object itself.
-type unwrapDecl struct{ s *snapshot }
-
-func (d unwrapDecl) Declares(self expr.Object, attr string) bool {
-	if c, ok := self.(*countingObj); ok {
-		self = c.GObj
-	}
-	return d.s.Declares(self, attr)
 }
 
 // TestRunTakesNoEngineLock proves Run serves without e.mu: it completes
@@ -270,7 +219,7 @@ func TestRunTakesNoEngineLock(t *testing.T) {
 }
 
 // runVsReference pins the planned path (snapshot, plan cache, indexes,
-// compiled residual) byte-identical to the mutex+scan reference: same
+// columns, residual) byte-identical to the mutex+scan reference: same
 // rows, same error text, same constraint decisions, and never more rows
 // evaluated. It returns both runs' stats and the planned path's error.
 func runVsReference(t *testing.T, e *Engine, q Query) (fast, ref Stats, err error) {
@@ -298,8 +247,8 @@ func runVsReference(t *testing.T, e *Engine, q Query) (fast, ref Stats, err erro
 }
 
 // TestSnapshotDifferentialReference pins the full planned path (snapshot
-// + plan cache + cost gate + indexes + compiled residuals) against the
-// locked interpreter scan over the live view, on the Figure 1 fixture at
+// + plan cache + cost gate + indexes + columns + residuals) against the
+// locked reference scan over the live view, on the Figure 1 fixture at
 // several scales. Each query runs twice so both the plan-build and the
 // plan-cache-hit paths are compared.
 func TestSnapshotDifferentialReference(t *testing.T) {

@@ -11,7 +11,7 @@
 // Queries are served lock-free from immutable snapshots through a
 // cost-gated, plan-cached optimizer (snapshot.go, planner.go,
 // plancache.go; DESIGN.md §8): Run never takes the engine lock, and a
-// repeated query performs no solver work and no compilation. With
+// repeated query performs no solver work and no planning. With
 // UseIndexes off, Run is instead the locked reference scan the planned
 // path is tested against (planner.go, runReference).
 package view
@@ -63,7 +63,7 @@ type Stats struct {
 	// extent otherwise (and 0 for pruned-empty queries).
 	CandidateRows int
 	// PlanCached is true when the query was served from a cached plan
-	// (no planning, no solver queries, no compilation).
+	// (no planning, no solver queries).
 	PlanCached bool
 	// ConstraintGated is true when the cost gate decided the constraint
 	// phase could not pay for itself and skipped it.
@@ -92,11 +92,11 @@ type Engine struct {
 	// engine behaves like the drop-all baseline.
 	UseConstraints bool
 	// UseIndexes selects the planned serving path: snapshot, plan cache,
-	// extent indexes and a residual compiled once per plan. Off, Run is
-	// the reference (runReference: engine read lock, live extent,
-	// tree-walking interpreter) and Validate answers key uniqueness by
-	// extent scan alone — the semantics the differential tests and the
-	// benchmark's oracles compare against.
+	// extent indexes, column kernels and a residual kept per plan. Off,
+	// Run is the reference (runReference: engine read lock, live extent,
+	// no plan) and Validate answers key uniqueness by extent scan alone —
+	// the semantics the differential tests and the benchmark's oracles
+	// compare against.
 	UseIndexes bool
 
 	// mu serialises the live view: Validate, CheckAll and ReadLocked
@@ -258,8 +258,8 @@ const ctxCheckRows = 256
 // from the residual predicate — when the cost gate judges the solver
 // work worthwhile (planner.go). Sargable conjuncts (equality, range
 // and finite-set restrictions on stored attributes) are answered from
-// lazily-built extent indexes and the remaining predicate is compiled
-// once per plan. All of it is planned once per (class, predicate,
+// lazily-built extent indexes and the remaining predicate is kept as
+// the plan's residual. All of it is planned once per (class, predicate,
 // UseConstraints) and replayed from the plan cache on repetition. With
 // UseIndexes off it returns the reference scan (runReference) instead.
 //
@@ -339,7 +339,7 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 	// is an answer, so the result is sized once.
 	var env *expr.Env
 	var rows []Row
-	if p.prog == nil && cand > 0 {
+	if p.residual == nil && cand > 0 {
 		rows = make([]Row, 0, cand)
 	}
 	for i := range cand {
@@ -352,12 +352,12 @@ func (e *Engine) runSnapshot(ctx context.Context, s *snapshot, q Query) ([]Row, 
 		}
 		g := cs.ext[pos]
 		stats.Scanned++
-		if p.prog != nil {
+		if p.residual != nil {
 			if env == nil {
 				env = s.queryEnv()
 			}
 			env.Self = g
-			ok, err := p.prog.EvalBool(env)
+			ok, err := env.EvalBool(p.residual)
 			if err != nil {
 				return nil, stats, fmt.Errorf("query on %s: %w", q.Class, err)
 			}
