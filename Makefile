@@ -64,8 +64,8 @@ crashtest:
 # WAL and checkpoint decoders, the binary value codec, the frame
 # decoder, the member commit check (against CheckAll), the key-holder
 # index (against a fresh count), the inherited extent indexes (against
-# fresh builds) and the column kernels (against the reference scan), as
-# in CI.
+# fresh builds), the column kernels (against the reference scan) and the
+# conformed rule conditions (against their source text), as in CI.
 # Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzKeyIndex -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzInheritedIndex -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzColumnResidual -fuzztime=20s -run='^$$' ./internal/view/
+	$(GO) test -fuzz=FuzzRuleConformance -fuzztime=20s -run='^$$' ./internal/core/
 
 # Every Go benchmark (slow). For measuring while you work: a
 # performance claim cites the repo benchmark (BENCHMARK.json,

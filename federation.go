@@ -163,15 +163,16 @@ func (f *Federation) AttachContext(ctx context.Context, spec *DatabaseSpec, st *
 		localStore, remoteStore = baseMember.Store, st
 	}
 
-	// Second member: the founding pair, integrated with the ordinary
-	// pairwise pipeline (Result byte-identical to Integrate).
+	// The pair integrates outside the engine's lock; from the third
+	// member on its solver work is scoped to the classes its spec touches.
+	res, err := f.integratePair(ctx, localSpec, remoteSpec, is, localStore, remoteStore)
+	if err != nil {
+		return fmt.Errorf("attach %s: %w", name, err)
+	}
+
+	// Second member: the founding pair's Result becomes the combined
+	// state verbatim (byte-identical to Integrate).
 	if len(f.members) == 1 {
-		before := f.memo.Stats()
-		res, err := core.IntegrateOptions(localSpec, remoteSpec, is, localStore, remoteStore, f.seed, f.opts)
-		if err != nil {
-			return fmt.Errorf("attach %s: %w", name, err)
-		}
-		f.noteAttachCost(res.Derivation.CacheStats(), before, f.opts.Memo != nil)
 		f.state = core.NewFedState(res, f.members[0].Name, f.opts, f.memo)
 		f.engine = view.New(res)
 		// The registry pointer is stable for the federation's lifetime
@@ -182,53 +183,10 @@ func (f *Federation) AttachContext(ctx context.Context, spec *DatabaseSpec, st *
 		return nil
 	}
 
-	// Third member on: integrate the new pair only (solver work scoped
-	// to the classes its integration spec touches), outside any lock…
-	pspec, err := core.Compile(localSpec, remoteSpec, is)
-	if err != nil {
-		return fmt.Errorf("attach %s: compile: %w", name, err)
-	}
-	pspec.Seed = f.seed
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("attach %s: %w", name, err)
-	}
-	conf, err := core.ConformOptions(pspec, localStore, remoteStore, f.opts)
-	if err != nil {
-		return fmt.Errorf("attach %s: conform: %w", name, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("attach %s: %w", name, err)
-	}
-	pview, err := core.Merge(conf)
-	if err != nil {
-		return fmt.Errorf("attach %s: merge: %w", name, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("attach %s: %w", name, err)
-	}
-	dopts := f.opts
-	dopts.Memo = nil
-	if ck := f.state.Res.Derivation.Checker; ck != nil && core.TypesCompatible(ck.Types, conf.Types) {
-		// The shared memo is only sound when the pair's attribute typing
-		// agrees with the federation's on every common path.
-		dopts.Memo = f.memo
-	}
-	before := f.memo.Stats()
-	pairRes := &core.Result{
-		Spec:       pspec,
-		Conformed:  conf,
-		View:       pview,
-		Derivation: core.DeriveOptions(pview, dopts),
-	}
-	f.noteAttachCost(pairRes.Derivation.CacheStats(), before, dopts.Memo != nil)
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("attach %s: %w", name, err)
-	}
-
-	// …then graft it onto the live combined state under the engine's
-	// write lock, publishing one snapshot for the whole change.
+	// Third member on: graft the pair onto the live combined state under
+	// the engine's write lock, publishing one snapshot for the change.
 	err = f.engine.Rebind(func() (changed, removed []string, err error) {
-		changed, err = f.state.AttachPair(pairRes, name, base)
+		changed, err = f.state.AttachPair(res, name, base)
 		return changed, nil, err
 	})
 	if err != nil {
@@ -284,6 +242,49 @@ func (f *Federation) DetachContext(ctx context.Context, name string) error {
 		}
 	}
 	return nil
+}
+
+// integratePair runs the pair pipeline — compile → conform → merge →
+// derive, the sequence of core.IntegrateOptions — checking ctx between
+// stages and once after the last. The derivation shares the federation
+// memo unless a combined state exists whose attribute typing disagrees
+// with the pair's (logic.Memo's contract).
+func (f *Federation) integratePair(ctx context.Context, localSpec, remoteSpec *DatabaseSpec, is *IntegrationSpec, local, remote *Store) (*core.Result, error) {
+	spec, err := core.Compile(localSpec, remoteSpec, is)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	spec.Seed = f.seed
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	conf, err := core.ConformOptions(spec, local, remote, f.opts)
+	if err != nil {
+		return nil, fmt.Errorf("conform: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	gv, err := core.Merge(conf)
+	if err != nil {
+		return nil, fmt.Errorf("merge: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	opts := f.opts
+	if f.state != nil {
+		if ck := f.state.Res.Derivation.Checker; ck == nil || !core.TypesCompatible(ck.Types, conf.Types) {
+			opts.Memo = nil
+		}
+	}
+	before := f.memo.Stats()
+	res := &core.Result{Spec: spec, Conformed: conf, View: gv, Derivation: core.DeriveOptions(gv, opts)}
+	f.noteAttachCost(res.Derivation.CacheStats(), before, opts.Memo != nil)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // noteAttachCost records one pair derivation's reasoning work. When the

@@ -2,7 +2,9 @@ package interopdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -366,4 +368,53 @@ func TestFederationDetachGuards(t *testing.T) {
 	if err := fed.Attach(Figure1Bookseller(), ArchiveStore(FixtureOptions{}), nil); err == nil {
 		t.Fatal("duplicate attach succeeded")
 	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th call on: a cancellation that lands between two checks.
+type cancelAfter struct {
+	context.Context
+	n, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestFederationAttachCancelledBetweenStages pins AttachContext's
+// contract for every pair, the founding one included: a cancellation
+// that lands after the entry check aborts the attach at the next check
+// between pipeline stages, with context.Canceled and the membership
+// unchanged; the same attach then succeeds with a live context.
+func TestFederationAttachCancelledBetweenStages(t *testing.T) {
+	local, remote := Figure1Stores(FixtureOptions{})
+	fed := NewFederation(1, PipelineOptions{})
+	if err := fed.Attach(Figure1Library(), local, nil); err != nil {
+		t.Fatal(err)
+	}
+	attach := func(spec *DatabaseSpec, st *Store, is *IntegrationSpec, want []string) {
+		t.Helper()
+		ctx := &cancelAfter{Context: context.Background(), n: 1}
+		if err := fed.AttachContext(ctx, spec, st, is); !errors.Is(err, context.Canceled) {
+			t.Fatalf("attach %s cancelled after the entry check = %v, want context.Canceled", spec.Schema.Name, err)
+		}
+		if ctx.calls != 2 {
+			t.Errorf("attach %s read Err %d times, want 2: aborted at the first check between stages", spec.Schema.Name, ctx.calls)
+		}
+		if got := fed.Members(); !slices.Equal(got, want) {
+			t.Fatalf("members after a cancelled attach of %s = %v, want %v", spec.Schema.Name, got, want)
+		}
+		if err := fed.AttachContext(context.Background(), spec, st, is); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attach(Figure1Bookseller(), remote, Figure1IntegrationRepaired(), []string{"CSLibrary"})
+	if fed.Result() == nil {
+		t.Fatal("no combined result after the founding attach")
+	}
+	attach(Figure1UnivArchive(), ArchiveStore(FixtureOptions{}), Figure1ArchiveIntegration(), []string{"CSLibrary", "Bookseller"})
 }

@@ -81,7 +81,7 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 		}
 	}
 	var r retraction
-	changed, err = v.reclassify(g, &r, v.simEnv())
+	changed, err = v.reclassify(g, &r, v.Conformed.ruleEnv())
 	v.retract(&r)
 	return old, changed, err
 }
@@ -212,29 +212,6 @@ func filterOut[T comparable](list []T, drop map[T]bool) []T {
 	return out
 }
 
-// simConds returns the conformed intraobject conjuncts of a Sim rule,
-// computed once per rule (conformation rewrites are pure functions of
-// the spec, so the cache never invalidates).
-func (v *GlobalView) simConds(r *SimRule) []expr.Node {
-	if v.simCondCache == nil {
-		v.simCondCache = map[*SimRule][]expr.Node{}
-	}
-	conds, ok := v.simCondCache[r]
-	if !ok {
-		conds = v.conformSimConds(r)
-		v.simCondCache[r] = conds
-	}
-	return conds
-}
-
-// simEnv is the environment a classification pass evaluates Sim-rule
-// conditions in: the conformed constants and references, with each
-// rule's variable bound per source object. One serves the whole pass.
-func (v *GlobalView) simEnv() *expr.Env {
-	c := v.Conformed
-	return &expr.Env{Vars: map[string]expr.Object{}, Consts: c.Consts, Deref: c.Deref}
-}
-
 // reclassify recomputes the object's predicate-dependent class
 // memberships after an attribute update. Constituent-chain classes (the
 // origin classes and their superclasses) are value-independent and kept;
@@ -242,7 +219,7 @@ func (v *GlobalView) simEnv() *expr.Env {
 // intersection subclasses are re-derived from the new attribute values.
 // It returns the classes whose extents changed. Lattice edges (ISA) are
 // integration-time artifacts and are not recomputed. env is the pass's
-// simEnv.
+// ruleEnv.
 func (v *GlobalView) reclassify(g *GObj, r *retraction, env *expr.Env) ([]string, error) {
 	c := v.Conformed
 
@@ -332,27 +309,19 @@ func (v *GlobalView) reclassify(g *GObj, r *retraction, env *expr.Env) ([]string
 // against the object's constituents on the rule's source side. The rule
 // applies when any constituent whose class falls under the source class
 // satisfies every conjunct (mirroring classifySim, which walks the
-// source class's conformed extent). env is the pass's simEnv; the rule's
-// variable is unbound again on return.
+// source class's conformed extent). env is the pass's ruleEnv; the
+// rule's variable is unbound again on return.
 func (v *GlobalView) simRuleHolds(r *SimRule, g *GObj, env *expr.Env) (bool, error) {
 	db := v.Conformed.SchemaOf(r.SrcSide)
-	conds := v.simConds(r)
 	defer delete(env.Vars, r.SrcVar)
 	for _, m := range g.Parts[r.SrcSide] {
 		if !db.IsA(m.Class, r.SrcClass) {
 			continue
 		}
 		env.Vars[r.SrcVar] = m
-		match := true
-		for _, cond := range conds {
-			ok, err := env.EvalBool(cond)
-			if err != nil {
-				return false, fmt.Errorf("rule %s on g%d: %w", r.Raw.Name, g.ID, err)
-			}
-			if !ok {
-				match = false
-				break
-			}
+		match, err := condsHold(env, r.Conds)
+		if err != nil {
+			return false, fmt.Errorf("rule %s on g%d: %w", r.Raw.Name, g.ID, err)
 		}
 		if match {
 			return true, nil

@@ -27,7 +27,7 @@ func TestReclassifyIsFixpointOnUntouchedObjects(t *testing.T) {
 		t.Run(fmt.Sprintf("scale=%d", scale), func(t *testing.T) {
 			res := integratedFigure1(t, scale)
 			v := res.View
-			env := v.simEnv() // one pass: every object reuses it
+			env := v.Conformed.ruleEnv() // one pass: every object reuses it
 			for _, g := range v.Objects {
 				before := map[string]bool{}
 				for c := range g.Classes {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -213,6 +214,13 @@ func (c *Conformed) Env(self *CObj) *expr.Env {
 	return env
 }
 
+// ruleEnv is the environment a pass evaluates rule conditions in: the
+// conformed constants and references, each rule's variables bound per
+// candidate and cleared after the rule. One serves the whole pass.
+func (c *Conformed) ruleEnv() *expr.Env {
+	return &expr.Env{Vars: map[string]expr.Object{}, Consts: c.Consts, Deref: c.Deref}
+}
+
 func (c *Conformed) extObjects(side Side, class string) []expr.Object {
 	ext := c.Extent(side, class)
 	out := make([]expr.Object, len(ext))
@@ -311,6 +319,7 @@ func ConformOptions(spec *Spec, local, remote *store.Store, opts Options) (*Conf
 	}
 	c.conformConstraints(LocalSide, desc[LocalSide], opts.workers())
 	c.conformConstraints(RemoteSide, desc[RemoteSide], opts.workers())
+	c.conformRules(desc)
 	c.collectTypes()
 	return c, nil
 }
@@ -378,6 +387,7 @@ func (c *Conformed) conformSchema(side Side, desc map[string]map[string]*DescRul
 				impl.RemoteVar, impl.RemoteClass = dr.ValueVar, vc
 			}
 			impl.Inter = splitConjuncts(cond)
+			impl.Conds = impl.Inter
 			c.ImpliedEq = append(c.ImpliedEq, impl)
 		}
 	}
@@ -661,6 +671,35 @@ func (c *Conformed) conformConstraints(side Side, desc map[string]map[string]*De
 	out := make([]CCon, len(jobs))
 	parallelFor(len(jobs), workers, func(i int) { out[i] = jobs[i]() })
 	c.Cons = append(c.Cons, out...)
+}
+
+// conformRules re-expresses every rule condition in conformed terms
+// with the constraints' conformer (§4), once, and stores it on the
+// compiled rule: a Sim rule's conjuncts on its source side, an Eq rule's
+// in two passes — the local variable's paths, then the remote
+// variable's. Literals convert into the common domain and objectified
+// attributes are read through their virtual object, as in a constraint.
+// The implied $virt rules keep the conditions conformSchema wrote.
+func (c *Conformed) conformRules(desc map[Side]map[string]map[string]*DescRule) {
+	for _, r := range c.Spec.EqRules {
+		conds := slices.Concat(r.Inter, r.IntraLocal, r.IntraRemote)
+		conds = c.conformConds(conds, LocalSide, r.LocalVar, r.LocalClass, desc[LocalSide])
+		r.Conds = c.conformConds(conds, RemoteSide, r.RemoteVar, r.RemoteClass, desc[RemoteSide])
+	}
+	for _, r := range c.Spec.SimRules {
+		r.Conds = c.conformConds(r.Intra, r.SrcSide, r.SrcVar, r.SrcClass, desc[r.SrcSide])
+	}
+}
+
+// conformConds conforms rule conjuncts in which variable v ranges over
+// class on side; a path rooted at any other variable passes unchanged.
+func (c *Conformed) conformConds(conds []expr.Node, side Side, v, class string, desc map[string]map[string]*DescRule) []expr.Node {
+	cf := &conformer{c: c, side: side, desc: desc, varClasses: map[string]string{v: class}}
+	out := make([]expr.Node, len(conds))
+	for i, n := range conds {
+		out[i] = cf.node(n)
+	}
+	return out
 }
 
 // conformClassCon rewrites one class-attached constraint.

@@ -304,7 +304,7 @@ func (d *Derivation) simRules() {
 func (d *Derivation) simRule(r *SimRule) simOut {
 	c := d.View.Conformed
 	var out simOut
-	conds := d.View.conformSimConds(r)
+	conds := r.Conds
 	// Reasoning happens in self-rooted form: R.ref? and a class
 	// constraint's ref? are the same property.
 	selfConds := selfRooted(conds, r.SrcVar)
@@ -990,11 +990,12 @@ func (d *Derivation) keyPropagates(side Side, class string, con CCon) bool {
 		}
 		classHasEq = true
 		// The rule's whole condition must be a single equality between
-		// this class's key and a key of the other class.
-		if len(r.Inter) != 1 || len(r.IntraLocal)+len(r.IntraRemote) != 0 {
+		// this class's key and a key of the other class, both read in
+		// conformed terms, as the key constraints are.
+		if len(r.Conds) != 1 {
 			return false
 		}
-		a, b, ok := equiJoinAttrs(r.Inter, myVar, otherVar)
+		a, b, ok := equiJoinAttrs(r.Conds, myVar, otherVar)
 		if !ok || a != key.Attrs[0] {
 			return false
 		}

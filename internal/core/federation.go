@@ -488,11 +488,8 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		contrib.virtualNames = append(contrib.virtualNames, nas.Name)
 	}
 
-	// --- Similarity rules (fed-side clones, conds conformed in the
-	// pair's own context — the combined conformer never runs for them) --
-	if v.simCondCache == nil {
-		v.simCondCache = map[*SimRule][]expr.Node{}
-	}
+	// --- Similarity rules (fed-side clones; each carries the conds its
+	// pair's conformation stored on it) -------------------------------
 	for _, r := range pc.Spec.SimRules {
 		clone := *r
 		clone.SrcSide = fedSideOf(r.SrcSide)
@@ -501,7 +498,6 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		if clone.Virtual != "" {
 			clone.Virtual = mapName(r.Virtual)
 		}
-		v.simCondCache[&clone] = pairRes.View.simConds(r)
 		c.Spec.SimRules = append(c.Spec.SimRules, &clone)
 		contrib.simRules = append(contrib.simRules, &clone)
 	}
@@ -642,7 +638,6 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 	isPairRule := map[*SimRule]bool{}
 	for _, r := range contrib.simRules {
 		isPairRule[r] = true
-		delete(v.simCondCache, r)
 	}
 	kept := c.Spec.SimRules[:0]
 	for _, r := range c.Spec.SimRules {
@@ -707,7 +702,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 	// rules — is collected and retracted in one pass after the loop.
 	clones := v.detachAll(touched)
 	var gone retraction
-	env := v.simEnv()
+	env := c.ruleEnv()
 	for _, orig := range touched {
 		g := clones[orig]
 		for cls := range g.Classes {

@@ -113,8 +113,6 @@ type GlobalView struct {
 	// nextID allocates global object IDs (lazily initialised past the
 	// merge-time maximum; never reused after a delete).
 	nextID int
-	// simCondCache memoizes conformSimConds per rule for reclassification.
-	simCondCache map[*SimRule][]expr.Node
 	// fedNames, when non-nil (federated views), pins the global name of
 	// every (member side, conformed class) pair. Names are assigned when
 	// a member attaches and frozen for its lifetime, so membership
@@ -342,10 +340,9 @@ func Merge(c *Conformed) (*GlobalView, error) {
 		}
 	}
 
-	rules := append([]*EqRule{}, c.Spec.EqRules...)
-	rules = append(rules, c.ImpliedEq...)
-	for _, r := range rules {
-		if err := v.resolveRule(r, union); err != nil {
+	env := c.ruleEnv()
+	for _, r := range slices.Concat(c.Spec.EqRules, c.ImpliedEq) {
+		if err := v.resolveRule(r, env, union); err != nil {
 			return nil, err
 		}
 	}
@@ -386,7 +383,7 @@ func Merge(c *Conformed) (*GlobalView, error) {
 
 	// --- Classification --------------------------------------------------
 	v.classifyConstituents()
-	if err := v.classifySim(); err != nil {
+	if err := v.classifySim(env); err != nil {
 		return nil, err
 	}
 	v.buildLattice()
@@ -411,40 +408,41 @@ func (v *GlobalView) schemaDict() *AttrDict {
 	return (*AttrDict)(nil).with(names...)
 }
 
+// condsHold reports whether every condition holds in env.
+func condsHold(env *expr.Env, conds []expr.Node) (bool, error) {
+	for _, cond := range conds {
+		if ok, err := env.EvalBool(cond); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // resolveRule finds matching (local, remote) pairs for one equality rule
-// and unions them. A hash join on the first equi-join conjunct avoids the
-// quadratic pair scan when possible.
-func (v *GlobalView) resolveRule(r *EqRule, union func(a, b *CObj)) error {
+// and unions them, evaluating the rule's conformed conditions in env. A
+// hash join on the first equi-join conjunct avoids the quadratic pair
+// scan when possible.
+func (v *GlobalView) resolveRule(r *EqRule, env *expr.Env, union func(a, b *CObj)) error {
 	c := v.Conformed
 	locals := c.Extent(LocalSide, r.LocalClass)
 	remotes := c.Extent(RemoteSide, r.RemoteClass)
 	if len(locals) == 0 || len(remotes) == 0 {
 		return nil
 	}
-	conds := v.conformRuleConds(r)
-
-	pairEnv := func(lo, ro *CObj) *expr.Env {
-		return &expr.Env{
-			Vars:   map[string]expr.Object{r.LocalVar: lo, r.RemoteVar: ro},
-			Consts: c.Consts,
-			Deref:  func(x object.Ref) (expr.Object, bool) { return c.Deref(x) },
+	defer clear(env.Vars)
+	try := func(lo, ro *CObj) error {
+		env.Vars[r.LocalVar], env.Vars[r.RemoteVar] = lo, ro
+		ok, err := condsHold(env, r.Conds)
+		if err != nil {
+			return fmt.Errorf("rule %s: %w", r.Raw.Name, err)
 		}
-	}
-	match := func(lo, ro *CObj) (bool, error) {
-		env := pairEnv(lo, ro)
-		for _, cond := range conds {
-			ok, err := env.EvalBool(cond)
-			if err != nil {
-				return false, fmt.Errorf("rule %s: %w", r.Raw.Name, err)
-			}
-			if !ok {
-				return false, nil
-			}
+		if ok {
+			union(lo, ro)
 		}
-		return true, nil
+		return nil
 	}
 
-	la, ra, hasEqui := equiJoinAttrs(conds, r.LocalVar, r.RemoteVar)
+	la, ra, hasEqui := equiJoinAttrs(r.Conds, r.LocalVar, r.RemoteVar)
 	if hasEqui && !c.Spec.DisableHashJoin {
 		idx := map[uint64][]*CObj{}
 		for _, ro := range remotes {
@@ -459,12 +457,8 @@ func (v *GlobalView) resolveRule(r *EqRule, union func(a, b *CObj)) error {
 				continue
 			}
 			for _, ro := range idx[object.Hash(val)] {
-				ok, err := match(lo, ro)
-				if err != nil {
+				if err := try(lo, ro); err != nil {
 					return err
-				}
-				if ok {
-					union(lo, ro)
 				}
 			}
 		}
@@ -472,65 +466,12 @@ func (v *GlobalView) resolveRule(r *EqRule, union func(a, b *CObj)) error {
 	}
 	for _, lo := range locals {
 		for _, ro := range remotes {
-			ok, err := match(lo, ro)
-			if err != nil {
+			if err := try(lo, ro); err != nil {
 				return err
-			}
-			if ok {
-				union(lo, ro)
 			}
 		}
 	}
 	return nil
-}
-
-// conformRuleConds rewrites the rule's conjuncts so attribute references
-// use conformed names (the rule was written against the original
-// schemas). Descriptivity-implied rules are already conformed.
-func (v *GlobalView) conformRuleConds(r *EqRule) []expr.Node {
-	c := v.Conformed
-	if strings.HasSuffix(r.Raw.Name, "$virt") {
-		return append(append([]expr.Node{}, r.Inter...), append(r.IntraLocal, r.IntraRemote...)...)
-	}
-	varSide := map[string]struct {
-		side  Side
-		class string
-	}{
-		r.LocalVar:  {LocalSide, r.LocalClass},
-		r.RemoteVar: {RemoteSide, r.RemoteClass},
-	}
-	rw := func(n expr.Node) expr.Node {
-		return expr.Rewrite(n, func(x expr.Node) expr.Node {
-			p, ok := x.(expr.Path)
-			if !ok {
-				return nil
-			}
-			root, ok := p.Recv.(expr.Ident)
-			if !ok {
-				return nil
-			}
-			vs, ok := varSide[root.Name]
-			if !ok {
-				return nil
-			}
-			name, _ := c.conformedAttrName(vs.side, vs.class, p.Attr)
-			if name != p.Attr {
-				return expr.Path{Recv: p.Recv, Attr: name}
-			}
-			return nil
-		})
-	}
-	var out []expr.Node
-	for _, n := range r.Inter {
-		out = append(out, rw(n))
-	}
-	for _, n := range r.IntraLocal {
-		out = append(out, rw(n))
-	}
-	for _, n := range r.IntraRemote {
-		out = append(out, rw(n))
-	}
-	return out
 }
 
 // equiJoinAttrs extracts the first conjunct of shape lv.a = rv.b.
@@ -671,14 +612,12 @@ func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
 }
 
 // classifySim applies the similarity rules: source-side objects whose
-// intraobject condition holds join the target class (strict) or the
-// virtual common superclass (approximate).
-func (v *GlobalView) classifySim() error {
+// conformed intraobject condition holds in env join the target class
+// (strict) or the virtual common superclass (approximate).
+func (v *GlobalView) classifySim(env *expr.Env) error {
 	c := v.Conformed
-	env := v.simEnv()
 	for _, r := range c.Spec.SimRules {
 		targetSide := r.SrcSide.Other()
-		conds := v.conformSimConds(r)
 		var approxMembers []int
 		for _, o := range c.Extent(r.SrcSide, r.SrcClass) {
 			g, ok := v.byRef[o.Src]
@@ -686,16 +625,9 @@ func (v *GlobalView) classifySim() error {
 				continue
 			}
 			env.Vars[r.SrcVar] = o
-			match := true
-			for _, cond := range conds {
-				ok, err := env.EvalBool(cond)
-				if err != nil {
-					return fmt.Errorf("rule %s: %w", r.Raw.Name, err)
-				}
-				if !ok {
-					match = false
-					break
-				}
+			match, err := condsHold(env, r.Conds)
+			if err != nil {
+				return fmt.Errorf("rule %s: %w", r.Raw.Name, err)
 			}
 			if !match {
 				continue
@@ -743,35 +675,6 @@ func (v *GlobalView) addVirtualMember(g *GObj, class string) {
 		}
 	}
 	v.classExt[class] = append(v.classExt[class], g)
-}
-
-// conformSimConds rewrites a Sim rule's intraobject conjuncts into
-// conformed terms with the full §4 machinery: attribute renames, literal
-// domain conversion (a local-scale rating threshold doubles), and
-// descriptivity rewiring (O.publisher reads O.publisher.name).
-func (v *GlobalView) conformSimConds(r *SimRule) []expr.Node {
-	c := v.Conformed
-	desc := map[string]map[string]*DescRule{}
-	for _, dr := range c.Spec.DescRules {
-		if dr.ValueSide != r.SrcSide {
-			continue
-		}
-		if desc[dr.ValueClass] == nil {
-			desc[dr.ValueClass] = map[string]*DescRule{}
-		}
-		for _, a := range dr.ValueAttrs {
-			desc[dr.ValueClass][a] = dr
-		}
-	}
-	out := make([]expr.Node, len(r.Intra))
-	for i, n := range r.Intra {
-		cf := &conformer{
-			c: c, side: r.SrcSide, class: "", desc: desc,
-			varClasses: map[string]string{r.SrcVar: r.SrcClass},
-		}
-		out[i] = cf.node(n)
-	}
-	return out
 }
 
 // extentSet is a class extension as a bitset over positions in the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -96,6 +97,9 @@ type EqRule struct {
 	IntraLocal  []expr.Node // conjuncts over the local object only
 	IntraRemote []expr.Node // conjuncts over the remote object only
 	Inter       []expr.Node // conjuncts over both
+	// Conds holds the conjuncts in conformed terms, Inter first, then
+	// IntraLocal and IntraRemote; Conform fills it (conformRules).
+	Conds []expr.Node
 }
 
 // DescRule is a compiled descriptivity rule: values of the given
@@ -130,6 +134,9 @@ type SimRule struct {
 	Target   string
 	Virtual  string
 	Intra    []expr.Node
+	// Conds holds Intra in conformed terms; Conform fills it
+	// (conformRules), and a federated clone carries it along.
+	Conds []expr.Node
 	// tgtSide pins the target member explicitly for federated rule
 	// clones, whose SrcSide indexes a member beyond the first pair (the
 	// pairwise SrcSide.Other() arithmetic only covers sides 0 and 1).
@@ -241,13 +248,8 @@ func Compile(local, remote *tm.DatabaseSpec, ispec *tm.IntegrationSpec) (*Spec, 
 	s := &Spec{Local: local, Remote: remote, Seed: 1}
 
 	merged, prefix := mergedSchema(local.Schema, remote.Schema)
-	constTypes := map[string]object.Type{}
-	for name, v := range local.Consts {
-		constTypes[name] = typeOfValue(v)
-	}
-	for name, v := range remote.Consts {
-		constTypes[name] = typeOfValue(v)
-	}
+	constTypes := local.ConstTypes()
+	maps.Copy(constTypes, remote.ConstTypes())
 
 	for i := range ispec.PropEqs {
 		pe, err := s.compilePropEq(&ispec.PropEqs[i])
@@ -659,24 +661,4 @@ func compatFamily(a, b object.Type) bool {
 		return true
 	}
 	return false
-}
-
-func typeOfValue(v object.Value) object.Type {
-	switch v := v.(type) {
-	case object.Int:
-		return object.TInt
-	case object.Real:
-		return object.TReal
-	case object.Str:
-		return object.TString
-	case object.Bool:
-		return object.TBool
-	case object.Set:
-		if v.Len() > 0 {
-			return object.SetType{Elem: typeOfValue(v.Elems()[0])}
-		}
-		return object.SetType{Elem: object.TString}
-	default:
-		return object.TString
-	}
 }

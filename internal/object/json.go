@@ -3,7 +3,6 @@ package object
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // Structural JSON codec for values, used where persisted state is
@@ -207,15 +206,4 @@ func AttrsEqual(a, b map[string]Value) bool {
 		}
 	}
 	return true
-}
-
-// SortedKeys returns the keys of an attribute map in sorted order, for
-// deterministic iteration in snapshots and diagnostics.
-func SortedKeys(attrs map[string]Value) []string {
-	out := make([]string, 0, len(attrs))
-	for k := range attrs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

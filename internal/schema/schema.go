@@ -74,15 +74,6 @@ type Class struct {
 	Virtual bool
 }
 
-// AttrNames returns the declared attribute names in order.
-func (c *Class) AttrNames() []string {
-	out := make([]string, len(c.Attrs))
-	for i, a := range c.Attrs {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // Attr returns the directly declared attribute, if present.
 func (c *Class) Attr(name string) (Attribute, bool) {
 	for _, a := range c.Attrs {

@@ -310,9 +310,6 @@ func (s *Server) Tenants() []string {
 //	srv.Close()              // stop batchers
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the background reconciler, the checkpointer, and every
 // tenant's batcher, shipping anything still enqueued; then, on a
 // durable server, it flushes each tenant's WAL and writes its final

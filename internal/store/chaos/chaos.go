@@ -92,9 +92,6 @@ func Wrap(inner store.Backend, opts Options) *Backend {
 	return &Backend{inner: inner, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
 }
 
-// Inner returns the wrapped backend.
-func (b *Backend) Inner() store.Backend { return b.inner }
-
 // Stats snapshots the injection counters.
 func (b *Backend) Stats() Stats {
 	b.mu.Lock()

@@ -113,9 +113,6 @@ type PairKey struct {
 // String renders the pair.
 func (k PairKey) String() string { return k.Local + "+" + k.Remote }
 
-// Involves reports whether the named database is one of the pair.
-func (k PairKey) Involves(name string) bool { return k.Local == name || k.Remote == name }
-
 // Other returns the pair's other member. ok is false when name is not
 // part of the pair.
 func (k PairKey) Other(name string) (other string, ok bool) {

@@ -299,10 +299,7 @@ func parseConstraintLine(line string, lineNo int, kind schema.ConstraintKind, cl
 // constraints.
 func (s *DatabaseSpec) typeCheck() error {
 	db := s.Schema
-	constTypes := map[string]object.Type{}
-	for name, v := range s.Consts {
-		constTypes[name] = typeOfValue(v)
-	}
+	constTypes := s.ConstTypes()
 	for _, c := range db.Classes() {
 		for _, a := range c.Attrs {
 			if ct, ok := a.Type.(object.ClassType); ok {
@@ -327,6 +324,16 @@ func (s *DatabaseSpec) typeCheck() error {
 		}
 	}
 	return nil
+}
+
+// ConstTypes types the named constants by their values, for checking
+// formulas that mention them.
+func (s *DatabaseSpec) ConstTypes() map[string]object.Type {
+	out := make(map[string]object.Type, len(s.Consts))
+	for name, v := range s.Consts {
+		out[name] = typeOfValue(v)
+	}
+	return out
 }
 
 func typeOfValue(v object.Value) object.Type {
