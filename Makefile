@@ -64,8 +64,10 @@ crashtest:
 # WAL and checkpoint decoders, the binary value codec, the frame
 # decoder, the member commit check (against CheckAll), the key-holder
 # index (against a fresh count), the inherited extent indexes (against
-# fresh builds), the column kernels (against the reference scan) and the
-# conformed rule conditions (against their source text), as in CI.
+# fresh builds), the column kernels (against the reference scan), the
+# conformed rule conditions (against their source text) and the fusion
+# plans (against per-object fusion: same values, same rng draws), as in
+# CI.
 # Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
@@ -79,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzInheritedIndex -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzColumnResidual -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzRuleConformance -fuzztime=20s -run='^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzFusePlan -fuzztime=20s -run='^$$' ./internal/core/
 
 # Every Go benchmark (slow). For measuring while you work: a
 # performance claim cites the repo benchmark (BENCHMARK.json,

@@ -74,9 +74,7 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 		v.setAttr(g, k, val)
 		for _, ms := range g.Parts {
 			for _, m := range ms {
-				if m.Attrs != nil {
-					m.Attrs[k] = val
-				}
+				m.set(k, val)
 			}
 		}
 	}

@@ -15,19 +15,19 @@ import (
 
 // CObj is a conformed object: a component object brought into the common
 // semantical context (attributes renamed and converted, object-value
-// conflicts settled), or a virtual object created from values.
+// conflicts settled), or a virtual object created from values. Its
+// values are slotted by its Conformed's dictionary (slots.go), so every
+// conformed object of a class holds the same slots.
 type CObj struct {
 	Src     object.Ref // provenance; for virtual objects a synthetic ref
 	Side    Side
 	Class   string
-	Attrs   map[string]object.Value
 	Virtual bool
-}
-
-// Get implements expr.Object.
-func (o *CObj) Get(attr string) (object.Value, bool) {
-	v, ok := o.Attrs[attr]
-	return v, ok
+	slotted
+	// ix numbers the objects conformation created, densely from 0 in
+	// creation order: Merge's union-find indexes by it. It means nothing
+	// for a constituent added after conformation (ApplyInsert, a graft).
+	ix int
 }
 
 // Identity implements expr.Identifiable.
@@ -35,14 +35,13 @@ func (o *CObj) Identity() object.Ref { return o.Src }
 
 // String renders the object for reports.
 func (o *CObj) String() string {
-	keys := make([]string, 0, len(o.Attrs))
-	for k := range o.Attrs {
-		keys = append(keys, k)
-	}
+	var keys []string
+	o.Range(func(k string, _ object.Value) { keys = append(keys, k) })
 	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		parts[i] = k + "=" + o.Attrs[k].String()
+		v, _ := o.Get(k)
+		parts[i] = k + "=" + v.String()
 	}
 	return fmt.Sprintf("%s[%s](%s)", o.Class, o.Src, strings.Join(parts, ","))
 }
@@ -92,6 +91,12 @@ type Conformed struct {
 	// Conformed objects by side and most-specific conformed class.
 	objs  map[Side]map[string][]*CObj
 	byRef map[object.Ref]*CObj
+	// nobj counts the objects conformation created (CObj.ix).
+	nobj int
+	// dict is the attribute dictionary conformed objects are slotted by:
+	// every name a class's attribute plan can write, both sides, fixed
+	// before the first object is conformed (slots.go).
+	dict *AttrDict
 	// Cons holds every conformed constraint of both sides.
 	Cons []CCon
 	// ImpliedEq are equality rules introduced by descriptivity
@@ -311,10 +316,13 @@ func ConformOptions(spec *Spec, local, remote *store.Store, opts Options) (*Conf
 		return nil, err
 	}
 	c.applyValueViews()
-	if err := c.conformObjects(LocalSide, local, desc[LocalSide]); err != nil {
+	localPlans := c.classPlans(LocalSide, desc[LocalSide])
+	remotePlans := c.classPlans(RemoteSide, desc[RemoteSide])
+	c.slotPlans(localPlans, remotePlans)
+	if err := c.conformObjects(LocalSide, local, localPlans); err != nil {
 		return nil, err
 	}
-	if err := c.conformObjects(RemoteSide, remote, desc[RemoteSide]); err != nil {
+	if err := c.conformObjects(RemoteSide, remote, remotePlans); err != nil {
 		return nil, err
 	}
 	c.conformConstraints(LocalSide, desc[LocalSide], opts.workers())
@@ -501,12 +509,75 @@ func (c *Conformed) attrConvs(side Side, class string, attrs []string) []attrCon
 // keeps the value (value view) or objectifies it, fields holding the
 // described attributes; a reference to a hidden class inlines as a
 // tuple of that class's fields; any other attribute is renamed and
-// converted.
+// converted. slot is where the conformed value lands in the Conformed's
+// dictionary.
 type attrPlan struct {
 	attrConv
-	desc   *DescRule
-	hidden string // hidden target class of a reference, "" otherwise
-	fields []attrConv
+	desc      *DescRule
+	virtClass string // the virtual class an objectified value joins
+	hidden    string // hidden target class of a reference, "" otherwise
+	fields    []attrConv
+	slot      int
+}
+
+// target is the conformed name the plan writes: a described or hidden
+// attribute keeps its source name.
+func (p *attrPlan) target() string {
+	if p.desc != nil || p.hidden != "" {
+		return p.src
+	}
+	return p.name
+}
+
+// classPlan is one class's attribute plans and the number of slots its
+// objects' values span.
+type classPlan struct {
+	class string
+	attrs []attrPlan
+	width int
+}
+
+// classPlans resolves the attribute plans of every class of a side whose
+// objects conform (a value-view hidden class's exist only as values).
+func (c *Conformed) classPlans(side Side, desc map[string]map[string]*DescRule) []classPlan {
+	var out []classPlan
+	for _, cls := range c.Spec.DB(side).Schema.ClassNames() {
+		if !c.Hidden[side][cls] {
+			out = append(out, classPlan{class: cls, attrs: c.attrPlans(side, cls, desc)})
+		}
+	}
+	return out
+}
+
+// slotPlans builds the Conformed's dictionary from every name the plans
+// write — a virtual object's described fields included — in side, class
+// and declaration order, and resolves each plan's target slot and each
+// class's width.
+func (c *Conformed) slotPlans(sides ...[]classPlan) {
+	var names []string
+	for _, plans := range sides {
+		for _, cp := range plans {
+			for _, p := range cp.attrs {
+				names = append(names, p.target())
+				if p.virtClass != "" {
+					for _, f := range p.fields {
+						names = append(names, f.name)
+					}
+				}
+			}
+		}
+	}
+	c.dict = c.dict.with(names...)
+	for _, plans := range sides {
+		for i := range plans {
+			cp := &plans[i]
+			for j := range cp.attrs {
+				p := &cp.attrs[j]
+				p.slot = c.dict.slot[p.target()]
+				cp.width = max(cp.width, p.slot+1)
+			}
+		}
+	}
 }
 
 func (c *Conformed) attrPlans(side Side, class string, desc map[string]map[string]*DescRule) []attrPlan {
@@ -519,6 +590,7 @@ func (c *Conformed) attrPlans(side Side, class string, desc map[string]map[strin
 		if dr, ok := desc[clsOwning(origDB, class, a.Name)][a.Name]; ok {
 			p.desc = dr
 			if !dr.ValueView {
+				p.virtClass = virtClassName(dr.ObjectClass)
 				p.fields = c.attrConvs(side, class, dr.ValueAttrs)
 			}
 			continue
@@ -537,26 +609,34 @@ func (c *Conformed) attrPlans(side Side, class string, desc map[string]map[strin
 	return plans
 }
 
+// add registers an object conformation created.
+func (c *Conformed) add(o *CObj) {
+	o.ix = c.nobj
+	c.nobj++
+	c.objs[o.Side][o.Class] = append(c.objs[o.Side][o.Class], o)
+	c.byRef[o.Src] = o
+}
+
 // conformObjects converts one side's store contents into conformed
-// objects, creating virtual objects for described values.
-func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]map[string]*DescRule) error {
+// objects, creating virtual objects for described values. A class's
+// objects and their values are allocated as one block each; an object's
+// values are capped at its class's width, so a later write past it
+// copies them rather than reach into a neighbour's.
+func (c *Conformed) conformObjects(side Side, st *store.Store, plans []classPlan) error {
 	// Virtual object dedup per virtual class: canonical key → ref.
 	virt := map[string]map[string]object.Ref{}
-
-	for _, clsName := range c.Spec.DB(side).Schema.ClassNames() {
-		if c.Hidden[side][clsName] {
-			continue // value-view: the class's objects exist only as values
-		}
-		plans := c.attrPlans(side, clsName, desc)
-		for _, o := range st.DirectExtent(clsName) {
-			co := &CObj{
-				Src:   object.Ref{DB: st.Name(), OID: o.OID()},
-				Side:  side,
-				Class: clsName,
-				Attrs: make(map[string]object.Value, len(plans)),
-			}
-			for i := range plans {
-				p := &plans[i]
+	for _, cp := range plans {
+		ext := st.DirectExtent(cp.class)
+		objs := make([]CObj, len(ext))
+		vals := make([]object.Value, len(ext)*cp.width)
+		for k, o := range ext {
+			co := &objs[k]
+			co.Src = object.Ref{DB: st.Name(), OID: o.OID()}
+			co.Side, co.Class = side, cp.class
+			co.dict = c.dict
+			co.vals = vals[k*cp.width : (k+1)*cp.width : (k+1)*cp.width]
+			for i := range cp.attrs {
+				p := &cp.attrs[i]
 				v, ok := o.Get(p.src)
 				if !ok {
 					continue
@@ -564,25 +644,24 @@ func (c *Conformed) conformObjects(side Side, st *store.Store, desc map[string]m
 				var err error
 				switch {
 				case p.desc != nil && p.desc.ValueView:
-					co.Attrs[p.src] = v // value stays a value
+					co.vals[p.slot] = v // value stays a value
 				case p.desc != nil:
 					// An objectification failure is reported bare, as
 					// virtualFor words it.
-					if co.Attrs[p.src], err = c.virtualFor(side, p.desc, p.fields, o, virt); err != nil {
+					if co.vals[p.slot], err = c.virtualFor(side, p, o, virt); err != nil {
 						return err
 					}
 				case p.hidden != "":
 					// References to hidden classes inline as tuple values.
-					co.Attrs[p.src], err = hideRef(st, p.hidden, p.fields, v)
+					co.vals[p.slot], err = hideRef(st, p.hidden, p.fields, v)
 				default:
-					co.Attrs[p.name], err = p.conv.Apply(v)
+					co.vals[p.slot], err = p.conv.Apply(v)
 				}
 				if err != nil {
-					return fmt.Errorf("conforming %s.%s of %s: %w", clsName, p.src, co.Src, err)
+					return fmt.Errorf("conforming %s.%s of %s: %w", cp.class, p.src, co.Src, err)
 				}
 			}
-			c.objs[side][clsName] = append(c.objs[side][clsName], co)
-			c.byRef[co.Src] = co
+			c.add(co)
 		}
 	}
 	return nil
@@ -618,15 +697,19 @@ func hideRef(st *store.Store, class string, fields []attrConv, v object.Value) (
 }
 
 // virtualFor returns (creating on first use) the virtual object for the
-// described value tuple of the given object.
-func (c *Conformed) virtualFor(side Side, dr *DescRule, described []attrConv, o *store.Obj, virt map[string]map[string]object.Ref) (object.Ref, error) {
-	vc := virtClassName(dr.ObjectClass)
+// value tuple an objectifying plan describes on the given object. Virtual
+// objects are deduplicated per virtual class by the hashes of their
+// conformed values.
+func (c *Conformed) virtualFor(side Side, p *attrPlan, o *store.Obj, virt map[string]map[string]object.Ref) (object.Ref, error) {
+	const hex = "0123456789abcdef"
+	vc := p.virtClass
 	if virt[vc] == nil {
 		virt[vc] = map[string]object.Ref{}
 	}
-	attrs := make(map[string]object.Value, len(described))
-	var keyParts []string
-	for _, a := range described {
+	var valBuf [4]object.Value
+	var keyBuf [4 * 17]byte
+	vals, key := valBuf[:0], keyBuf[:0]
+	for i, a := range p.fields {
 		v, ok := o.Get(a.src)
 		if !ok {
 			v = object.Null{}
@@ -635,19 +718,25 @@ func (c *Conformed) virtualFor(side Side, dr *DescRule, described []attrConv, o 
 		if err != nil {
 			return object.Ref{}, err
 		}
-		attrs[a.name] = cv
-		keyParts = append(keyParts, fmt.Sprintf("%016x", object.Hash(cv)))
+		vals = append(vals, cv)
+		if i > 0 {
+			key = append(key, '|')
+		}
+		for h, shift := object.Hash(cv), 60; shift >= 0; shift -= 4 {
+			key = append(key, hex[h>>shift&0xf])
+		}
 	}
-	key := strings.Join(keyParts, "|")
-	if ref, ok := virt[vc][key]; ok {
+	if ref, ok := virt[vc][string(key)]; ok {
 		return ref, nil
 	}
 	ref := object.Ref{DB: "virt:" + vc, OID: c.virtSeq}
 	c.virtSeq++
-	vo := &CObj{Src: ref, Side: side, Class: vc, Attrs: attrs, Virtual: true}
-	c.objs[side][vc] = append(c.objs[side][vc], vo)
-	c.byRef[ref] = vo
-	virt[vc][key] = ref
+	vo := &CObj{Src: ref, Side: side, Class: vc, Virtual: true, slotted: slotted{dict: c.dict}}
+	for i, a := range p.fields {
+		vo.set(a.name, vals[i])
+	}
+	c.add(vo)
+	virt[vc][string(key)] = ref
 	return ref, nil
 }
 

@@ -392,23 +392,23 @@ func dumpConformed(c *Conformed) string {
 	return b.String()
 }
 
-// TestConformObjectsGolden is the differential for the per-class
-// attribute plan: on the committed fixtures and the purpose-built pair,
-// conformation produces the objects, attribute sets, values, order and
-// virtual-object numbering it produced when every attribute was
-// re-resolved per object.
-func TestConformObjectsGolden(t *testing.T) {
+// goldenPair is one of the six fixture pairs the conformation and merge
+// goldens run over.
+type goldenPair struct {
+	name          string
+	local, remote *tm.DatabaseSpec
+	is            *tm.IntegrationSpec
+	ls, rs        *store.Store
+}
+
+// goldenPairs returns the committed fixtures and the purpose-built pair.
+func goldenPairs(t *testing.T) []goldenPair {
 	lib, bs := tm.Figure1Library(), tm.Figure1Bookseller()
 	shelf, trade, ss, ts := planStores(t)
 	l0, r0 := fixture.Figure1Stores(fixture.Options{})
 	l3, r3 := fixture.Figure1Stores(fixture.Options{Scale: 3})
 	d1, d2 := fixture.PersonnelStores()
-	cases := []struct {
-		name          string
-		local, remote *tm.DatabaseSpec
-		is            *tm.IntegrationSpec
-		ls, rs        *store.Store
-	}{
+	return []goldenPair{
 		{"figure1", lib, bs, tm.Figure1Integration(), l0, r0},
 		{"figure1_repaired_scale3", lib, bs, tm.Figure1IntegrationRepaired(), l3, r3},
 		{"figure1_valueview", lib, bs, valueViewSpec(t), l0, r0},
@@ -416,17 +416,31 @@ func TestConformObjectsGolden(t *testing.T) {
 		{"personnel", tm.Personnel1(), tm.Personnel2(), tm.PersonnelIntegration(), d1, d2},
 		{"plan", shelf, trade, tm.MustParseIntegration(planIntegrationSrc), ss, ts},
 	}
-	for _, tc := range cases {
+}
+
+// conform compiles and conforms the pair.
+func (p goldenPair) conform(t *testing.T) *Conformed {
+	t.Helper()
+	spec, err := Compile(p.local, p.remote, p.is)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Conform(spec, p.ls, p.rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestConformObjectsGolden is the differential for the per-class
+// attribute plan: on the committed fixtures and the purpose-built pair,
+// conformation produces the objects, attribute sets, values, order and
+// virtual-object numbering it produced when every attribute was
+// re-resolved per object.
+func TestConformObjectsGolden(t *testing.T) {
+	for _, tc := range goldenPairs(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			spec, err := Compile(tc.local, tc.remote, tc.is)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Conform(spec, tc.ls, tc.rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "conform_"+tc.name+".golden", dumpConformed(c))
+			checkGolden(t, "conform_"+tc.name+".golden", dumpConformed(tc.conform(t)))
 		})
 	}
 }

@@ -490,7 +490,9 @@ func (d *Derivation) equalityIntegration() {
 		}
 		for _, lm := range g.Parts[LocalSide] {
 			for _, rm := range g.Parts[RemoteSide] {
-				add(lm.Class, rm.Class, fmt.Sprintf("merged %s/%s objects", lm.Class, rm.Class))
+				if _, ok := seen[pair{lm.Class, rm.Class}]; !ok { // the note is built once per pair
+					add(lm.Class, rm.Class, fmt.Sprintf("merged %s/%s objects", lm.Class, rm.Class))
+				}
 			}
 		}
 	}

@@ -52,8 +52,7 @@ func (v *GlobalView) detachAll(batch []*GObj) map[*GObj]*GObj {
 		clone := &GObj{
 			ID:      g.ID,
 			Parts:   make(map[Side][]*CObj, len(g.Parts)),
-			dict:    g.dict,
-			vals:    slices.Clone(g.vals),
+			slotted: slotted{dict: g.dict, vals: slices.Clone(g.vals)},
 			Classes: maps.Clone(g.Classes),
 		}
 		for side, ms := range g.Parts {

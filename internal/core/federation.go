@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -341,11 +342,10 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 	}
 	pairToFed := map[int]*GObj{}
 	cloneCObj := func(m *CObj, side Side) *CObj {
-		attrs := make(map[string]object.Value, len(m.Attrs))
-		for k, val := range m.Attrs {
-			attrs[k] = val
+		cm := &CObj{
+			Src: m.Src, Side: side, Class: m.Class, Virtual: m.Virtual,
+			slotted: slotted{dict: m.dict, vals: slices.Clone(m.vals)},
 		}
-		cm := &CObj{Src: m.Src, Side: side, Class: m.Class, Attrs: attrs, Virtual: m.Virtual}
 		// Register the clone in the combined Conformed's deref table, so
 		// rule conditions that navigate references (simRuleHolds during
 		// reclassification) resolve the member's objects. The CLONE is
@@ -735,7 +735,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 		rederive:
 			for s := Side(0); int(s) < v.memberSlots(); s++ {
 				for _, m := range g.Parts[s] {
-					if mv, ok := m.Attrs[a]; ok && mv.Kind() != object.KindNull {
+					if mv, ok := m.Get(a); ok && mv.Kind() != object.KindNull {
 						val = mv
 						break rederive
 					}

@@ -20,12 +20,9 @@ import (
 type GObj struct {
 	ID    int
 	Parts map[Side][]*CObj
-	// vals holds the object's attribute values by slot of dict, the
-	// view dictionary the object was built on or last written through
-	// (slots.go); nil marks an absent attribute. Read them with Get, At
-	// or Range.
-	dict *AttrDict
-	vals []object.Value
+	// slotted holds the object's attribute values by slot of the view
+	// dictionary it was built on or last written through (slots.go).
+	slotted
 	// Classes holds the global class names the object belongs to.
 	Classes map[string]bool
 
@@ -128,6 +125,9 @@ type GlobalView struct {
 	// changed in place, whenever the set of origin classes changes, so a
 	// snapshot may keep the table it captured.
 	decl map[string]map[string]bool
+	// fusePlans counts the fusion plans Merge compiled: one per shape of
+	// constituents (fuse.go).
+	fusePlans int
 }
 
 // memberSlots is the number of Side values the view's members occupy:
@@ -275,10 +275,6 @@ func (v *GlobalView) ApplyInsert(class string, attrs map[string]object.Value, sr
 	if !ok {
 		return nil, fmt.Errorf("no origin class for global class %s", class)
 	}
-	mp := make(map[string]object.Value, len(attrs))
-	for k, val := range attrs {
-		mp[k] = val
-	}
 	g := &GObj{
 		ID:      v.nextObjectID(),
 		Parts:   map[Side][]*CObj{},
@@ -287,12 +283,12 @@ func (v *GlobalView) ApplyInsert(class string, attrs map[string]object.Value, sr
 	// A name the dictionary lacks extends it: a member store refuses
 	// undeclared attributes, but the view does not depend on that.
 	v.newObjectAttrs(g, attrs)
-	// The constituent gets its own attribute map: sharing attrs would
-	// let the caller, or a later in-place constituent write (ApplyUpdate
-	// fans values out to the parts), mutate it behind a frozen
-	// snapshot's back.
+	// The constituent gets its own copy of the values: sharing them would
+	// let a later in-place constituent write (ApplyUpdate fans values out
+	// to the parts) change the object behind a frozen snapshot's back.
 	g.Parts[org.Side] = append(g.Parts[org.Side], &CObj{
-		Src: src, Side: org.Side, Class: org.Class, Attrs: mp,
+		Src: src, Side: org.Side, Class: org.Class,
+		slotted: slotted{dict: g.dict, vals: slices.Clone(g.vals)},
 	})
 	for _, cn := range v.Conformed.SchemaOf(org.Side).Supers(org.Class) {
 		v.addToClass(g, org.Side, cn)
@@ -315,26 +311,24 @@ func Merge(c *Conformed) (*GlobalView, error) {
 			Side  Side
 			Class string
 		}{},
-		byRef: map[object.Ref]*GObj{},
 	}
 	v.dict = v.schemaDict()
 	rng := rand.New(rand.NewSource(c.Spec.Seed))
 
-	// --- Entity resolution ---------------------------------------------
-	parent := map[*CObj]*CObj{}
-	var find func(o *CObj) *CObj
-	find = func(o *CObj) *CObj {
-		p, ok := parent[o]
-		if !ok || p == o {
-			parent[o] = o
-			return o
+	// --- Entity resolution: union-find over the objects' dense numbers.
+	parent := make([]int, c.nobj)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
 		}
-		r := find(p)
-		parent[o] = r
-		return r
+		return i
 	}
 	union := func(a, b *CObj) {
-		ra, rb := find(a), find(b)
+		ra, rb := find(a.ix), find(b.ix)
 		if ra != rb {
 			parent[rb] = ra
 		}
@@ -348,38 +342,60 @@ func Merge(c *Conformed) (*GlobalView, error) {
 	}
 
 	// --- Global object construction ------------------------------------
-	groups := map[*CObj][]*CObj{}
-	var order []*CObj
-	collect := func(objs []*CObj) {
-		for _, o := range objs {
-			root := find(o)
-			if _, seen := groups[root]; !seen {
-				order = append(order, root)
-			}
-			groups[root] = append(groups[root], o)
+	// Groups are numbered in order of their first member, local objects
+	// before remote ones, and hold their members in that order: a
+	// group's local parts precede its remote parts in one block.
+	all := slices.Concat(c.AllObjects(LocalSide), c.AllObjects(RemoteSide))
+	groupOf := make([]int, c.nobj) // root → group number + 1
+	var start []int                // group → first member's index in members
+	for _, o := range all {
+		r := find(o.ix)
+		if groupOf[r] == 0 {
+			start = append(start, 0)
+			groupOf[r] = len(start)
 		}
+		start[groupOf[r]-1]++
 	}
-	collect(c.AllObjects(LocalSide))
-	collect(c.AllObjects(RemoteSide))
+	for i, n := 0, 0; i < len(start); i++ {
+		start[i], n = n, n+start[i]
+	}
+	start = append(start, len(all))
+	members := make([]*CObj, len(all))
+	next := slices.Clone(start)
+	for _, o := range all {
+		gi := groupOf[find(o.ix)] - 1
+		members[next[gi]] = o
+		next[gi]++
+	}
 
-	for i, root := range order {
+	v.Objects = make([]*GObj, 0, len(start)-1)
+	v.byRef = make(map[object.Ref]*GObj, len(all)+len(start)-1)
+	f := newFuser(v, rng)
+	for i := range len(start) - 1 {
+		grp := members[start[i]:start[i+1]:start[i+1]]
 		g := &GObj{
 			ID:      i + 1,
-			Parts:   map[Side][]*CObj{},
+			Parts:   make(map[Side][]*CObj, 2),
 			Classes: map[string]bool{},
 		}
-		for _, m := range groups[root] {
-			g.Parts[m.Side] = append(g.Parts[m.Side], m)
+		nLocal := 0
+		for nLocal < len(grp) && grp[nLocal].Side == LocalSide {
+			nLocal++
 		}
-		v.fuse(g, rng)
+		if nLocal > 0 {
+			g.Parts[LocalSide] = grp[:nLocal:nLocal]
+		}
+		if nLocal < len(grp) {
+			g.Parts[RemoteSide] = grp[nLocal:]
+		}
+		f.fuse(g, grp, nLocal)
 		v.Objects = append(v.Objects, g)
 		v.byRef[g.Identity()] = g
-		for _, ms := range g.Parts {
-			for _, m := range ms {
-				v.byRef[m.Src] = g
-			}
+		for _, m := range grp {
+			v.byRef[m.Src] = g
 		}
 	}
+	v.fusePlans = len(f.plans)
 
 	// --- Classification --------------------------------------------------
 	v.classifyConstituents()
@@ -444,11 +460,14 @@ func (v *GlobalView) resolveRule(r *EqRule, env *expr.Env, union func(a, b *CObj
 
 	la, ra, hasEqui := equiJoinAttrs(r.Conds, r.LocalVar, r.RemoteVar)
 	if hasEqui && !c.Spec.DisableHashJoin {
-		idx := map[uint64][]*CObj{}
-		for _, ro := range remotes {
-			if val, ok := ro.Get(ra); ok && val.Kind() != object.KindNull {
+		// Each hash heads a chain of remotes in extent order: head holds
+		// the first one's index + 1, next[i] the one after remotes[i].
+		head := make(map[uint64]int, len(remotes))
+		next := make([]int, len(remotes))
+		for i := len(remotes) - 1; i >= 0; i-- {
+			if val, ok := remotes[i].Get(ra); ok && val.Kind() != object.KindNull {
 				h := object.Hash(val)
-				idx[h] = append(idx[h], ro)
+				next[i], head[h] = head[h], i+1
 			}
 		}
 		for _, lo := range locals {
@@ -456,8 +475,8 @@ func (v *GlobalView) resolveRule(r *EqRule, env *expr.Env, union func(a, b *CObj
 			if !ok || val.Kind() == object.KindNull {
 				continue
 			}
-			for _, ro := range idx[object.Hash(val)] {
-				if err := try(lo, ro); err != nil {
+			for i := head[object.Hash(val)]; i != 0; i = next[i-1] {
+				if err := try(lo, remotes[i-1]); err != nil {
 					return err
 				}
 			}
@@ -501,99 +520,56 @@ func equiJoinAttrs(conds []expr.Node, lv, rv string) (string, string, bool) {
 	return "", "", false
 }
 
-// fuse computes the global attribute values of a group through the
-// decision functions (§2.3: "the value of global properties is determined
-// from the conformed local and remote ones, using a decision function
-// where applicable").
-func (v *GlobalView) fuse(g *GObj, rng *rand.Rand) {
-	names := map[string]bool{}
-	for _, ms := range g.Parts {
-		for _, m := range ms {
-			for a := range m.Attrs {
-				names[a] = true
-			}
-		}
-	}
-	ordered := make([]string, 0, len(names))
-	for a := range names {
-		ordered = append(ordered, a)
-	}
-	sort.Strings(ordered)
-
-	firstVal := func(side Side, attr string) (object.Value, *CObj) {
-		for _, m := range g.Parts[side] {
-			if val, ok := m.Attrs[attr]; ok && val.Kind() != object.KindNull {
-				return val, m
-			}
-		}
-		return nil, nil
-	}
-	v.dict = v.dict.with(ordered...)
-	top := -1
-	for _, a := range ordered {
-		top = max(top, v.dict.slot[a])
-	}
-	g.dict = v.dict
-	g.vals = make([]object.Value, top+1)
-	for _, a := range ordered {
-		var val object.Value
-		lv, lm := firstVal(LocalSide, a)
-		rv, _ := firstVal(RemoteSide, a)
-		switch {
-		case lv != nil && rv != nil:
-			if pe := v.propEqByConformed(a, lm); pe != nil {
-				val = pe.DF.Combine(lv, rv, rng)
-			} else {
-				// No declared equivalence: same-named attributes without a
-				// propeq behave like conflict-ignoring (documented).
-				val = anyFunc{}.Combine(lv, rv, rng)
-			}
-		case lv != nil:
-			val = lv
-		case rv != nil:
-			val = rv
-		}
-		g.vals[v.dict.slot[a]] = val
-	}
-}
-
-// propEqByConformed finds the property equivalence whose conformed name
-// matches and whose local class covers the given constituent.
-func (v *GlobalView) propEqByConformed(name string, localPart *CObj) *PropEq {
-	for _, pe := range v.Conformed.Spec.PropEqs {
-		if pe.Conformed != name {
-			continue
-		}
-		if localPart == nil {
-			return pe
-		}
-		db := v.Conformed.Spec.Local.Schema
-		if localPart.Virtual || db.IsA(localPart.Class, pe.Raw.LocalClass) || db.IsA(pe.Raw.LocalClass, localPart.Class) {
-			return pe
-		}
-	}
-	return nil
-}
-
 // classifyConstituents adds each global object to the global classes of
-// its constituents' conformed class chains.
+// its constituents' conformed class chains. A chain, and the global name
+// of each of its classes, is resolved once per (side, class).
 func (v *GlobalView) classifyConstituents() {
+	type sideClass struct {
+		side  Side
+		class string
+	}
+	chains := map[sideClass][]classLink{}
 	for _, g := range v.Objects {
 		// Fixed side order keeps class registration (and therefore the
 		// derived lattice's edge order) deterministic.
 		for _, side := range []Side{LocalSide, RemoteSide} {
-			db := v.Conformed.SchemaOf(side)
 			for _, m := range g.Parts[side] {
-				for _, cn := range db.Supers(m.Class) {
-					v.addToClass(g, side, cn)
+				k := sideClass{side, m.Class}
+				chain, ok := chains[k]
+				if !ok {
+					chain = v.chain(side, m.Class)
+					chains[k] = chain
+				}
+				for _, l := range chain {
+					v.addNamed(g, l.name, side, l.class)
 				}
 			}
 		}
 	}
 }
 
+// classLink is one class of a conformed class chain with its global
+// name.
+type classLink struct{ class, name string }
+
+// chain returns a conformed class's chain — the class and its
+// superclasses — with their global names.
+func (v *GlobalView) chain(side Side, class string) []classLink {
+	supers := v.Conformed.SchemaOf(side).Supers(class)
+	out := make([]classLink, len(supers))
+	for i, cn := range supers {
+		out[i] = classLink{class: cn, name: v.GlobalName(side, cn)}
+	}
+	return out
+}
+
 func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
-	name := v.GlobalName(side, class)
+	v.addNamed(g, v.GlobalName(side, class), side, class)
+}
+
+// addNamed adds the object to the global class name of a conformed
+// class, registering the class on its first member.
+func (v *GlobalView) addNamed(g *GObj, name string, side Side, class string) {
 	if g.Classes[name] {
 		return
 	}
@@ -619,6 +595,10 @@ func (v *GlobalView) classifySim(env *expr.Env) error {
 	for _, r := range c.Spec.SimRules {
 		targetSide := r.SrcSide.Other()
 		var approxMembers []int
+		var chain []classLink
+		if !r.Approximate() {
+			chain = v.chain(targetSide, r.Target)
+		}
 		for _, o := range c.Extent(r.SrcSide, r.SrcClass) {
 			g, ok := v.byRef[o.Src]
 			if !ok {
@@ -636,8 +616,8 @@ func (v *GlobalView) classifySim(env *expr.Env) error {
 				approxMembers = append(approxMembers, g.ID)
 				v.addVirtualMember(g, r.Virtual)
 			} else {
-				for _, cn := range c.SchemaOf(targetSide).Supers(r.Target) {
-					v.addToClass(g, targetSide, cn)
+				for _, l := range chain {
+					v.addNamed(g, l.name, targetSide, l.class)
 				}
 			}
 		}
@@ -706,8 +686,13 @@ func (v *GlobalView) extentSets(names []string) map[string]extentSet {
 	return out
 }
 
-// position returns g's index in the ID-ordered v.Objects.
+// position returns g's index in the ID-ordered v.Objects. Until a
+// delete burns an ID the object with ID i sits at index i-1, so that
+// slot is tried before the search.
 func (v *GlobalView) position(g *GObj) (int, bool) {
+	if i := g.ID - 1; i >= 0 && i < len(v.Objects) && v.Objects[i] == g {
+		return i, true
+	}
 	i, ok := slices.BinarySearchFunc(v.Objects, g.ID, func(o *GObj, id int) int { return cmp.Compare(o.ID, id) })
 	return i, ok && v.Objects[i] == g
 }

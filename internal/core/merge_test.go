@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"interopdb/internal/fixture"
 	"interopdb/internal/object"
+	"interopdb/internal/store"
 	"interopdb/internal/tm"
 )
 
@@ -284,5 +288,108 @@ func TestMergeDeterminism(t *testing.T) {
 	}
 	if render(1) != render(1) {
 		t.Error("same seed must give identical merges")
+	}
+}
+
+// dumpMerged renders every global object in ID order — its classes and
+// fused values (GObj.String) and its constituents by side — then the
+// class names in registration order and the derived lattice.
+func dumpMerged(v *GlobalView) string {
+	var b strings.Builder
+	for _, g := range v.Objects {
+		b.WriteString(g.String())
+		for side := Side(0); int(side) < v.memberSlots(); side++ {
+			for _, m := range g.Parts[side] {
+				b.WriteString(" " + side.String() + ":" + m.Src.String())
+			}
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("classes " + strings.Join(v.ClassNames, ",") + "\n")
+	for _, e := range v.ISA {
+		b.WriteString("isa " + e.Sub + " < " + e.Super + "\n")
+	}
+	for _, vs := range v.VirtualSubclasses {
+		fmt.Fprintf(&b, "virtual %s = %s & %s %v\n", vs.Name, vs.LocalClass, vs.RemoteClass, vs.MemberIDs)
+	}
+	for _, as := range v.ApproxSupers {
+		fmt.Fprintf(&b, "approx %s > %s, %s %v\n", as.Name, as.LocalClass, as.RemoteClass, as.MemberIDs)
+	}
+	return b.String()
+}
+
+// TestMergeObjectsGolden pins what Merge builds on the six fixture pairs
+// of TestConformObjectsGolden: every global object with its classes,
+// fused values and constituents, in ID order, and the class lattice. The
+// goldens were written by the per-object fusion that compiled fusion
+// plans replaced.
+func TestMergeObjectsGolden(t *testing.T) {
+	for _, tc := range goldenPairs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := Merge(tc.conform(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "merge_"+tc.name+".golden", dumpMerged(v))
+		})
+	}
+}
+
+// TestEqRuleJoinSignedZero: an Eq rule joining on a numeric attribute
+// merges a local −0.0 with a remote 0, as `=` says it should, whether
+// entity resolution runs the hash join or the nested loop.
+func TestEqRuleJoinSignedZero(t *testing.T) {
+	const (
+		localSrc = `
+Database Ledger
+
+Class Entry
+  attributes
+    k : real
+    memo : string
+end Entry
+`
+		remoteSrc = `
+Database Journal
+
+Class Line
+  attributes
+    k : int
+    note : string
+end Line
+`
+		integSrc = `
+integration Ledger imports Journal
+
+rule z: Eq(E:Entry, L:Line) <= E.k = L.k
+`
+	)
+	merge := func(disable bool) string {
+		ls, rs := tm.MustParseDatabase(localSrc), tm.MustParseDatabase(remoteSrc)
+		lst, rst := store.New(ls.Schema, ls.Consts), store.New(rs.Schema, rs.Consts)
+		lst.MustInsert("Entry", map[string]object.Value{"k": object.Real(math.Copysign(0, -1)), "memo": object.Str("neg")})
+		lst.MustInsert("Entry", map[string]object.Value{"k": object.Real(2), "memo": object.Str("two")})
+		rst.MustInsert("Line", map[string]object.Value{"k": object.Int(0), "note": object.Str("zero")})
+		rst.MustInsert("Line", map[string]object.Value{"k": object.Int(2), "note": object.Str("two")})
+		spec, err := Compile(ls, rs, tm.MustParseIntegration(integSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.DisableHashJoin = disable
+		c, err := Conform(spec, lst, rst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := Merge(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v.Objects) != 2 {
+			t.Errorf("DisableHashJoin=%v: %d global objects, want 2 (both pairs merged)", disable, len(v.Objects))
+		}
+		return dumpMerged(v)
+	}
+	if hash, loop := merge(false), merge(true); hash != loop {
+		t.Errorf("hash join and nested loop merge differently:\nhash join:\n%s\nnested loop:\n%s", hash, loop)
 	}
 }

@@ -89,64 +89,86 @@ func (d *AttrDict) withSorted(attrs map[string]object.Value) *AttrDict {
 // slots against the copy it captured).
 func (v *GlobalView) Dict() *AttrDict { return v.dict }
 
+// slotted holds an object's attribute values by slot of dict, the
+// dictionary the object was built on or last written through; nil marks
+// an absent attribute. Global objects slot by their view's dictionary,
+// conformed objects by their Conformed's. Read the values with Get, At
+// or Range.
+type slotted struct {
+	dict *AttrDict
+	vals []object.Value
+}
+
 // Get implements expr.Object: one dictionary lookup, then an index.
-func (g *GObj) Get(attr string) (object.Value, bool) {
-	s, ok := g.dict.Slot(attr)
+func (o *slotted) Get(attr string) (object.Value, bool) {
+	s, ok := o.dict.Slot(attr)
 	if !ok {
 		return nil, false
 	}
-	return g.At(s)
+	return o.At(s)
 }
 
-// At returns the value in a slot of the view's dictionary. A slot past
+// At returns the value in a slot of the object's dictionary. A slot past
 // the object's values, like an empty one, is an absent attribute.
-func (g *GObj) At(slot int) (object.Value, bool) {
-	if slot >= len(g.vals) {
+func (o *slotted) At(slot int) (object.Value, bool) {
+	if slot >= len(o.vals) {
 		return nil, false
 	}
-	v := g.vals[slot]
+	v := o.vals[slot]
 	return v, v != nil
 }
 
 // Range calls fn for every attribute the object holds, in slot order.
-func (g *GObj) Range(fn func(name string, v object.Value)) {
-	for s, v := range g.vals {
+func (o *slotted) Range(fn func(name string, v object.Value)) {
+	for s, v := range o.vals {
 		if v != nil {
-			fn(g.dict.names[s], v)
+			fn(o.dict.names[s], v)
 		}
 	}
 }
 
 // Attrs returns a fresh map of the attributes the object holds.
-func (g *GObj) Attrs() map[string]object.Value {
+func (o *slotted) Attrs() map[string]object.Value {
 	n := 0
-	for _, v := range g.vals {
+	for _, v := range o.vals {
 		if v != nil {
 			n++
 		}
 	}
 	out := make(map[string]object.Value, n)
-	for s, v := range g.vals {
-		if v != nil {
-			out[g.dict.names[s]] = v
-		}
-	}
+	o.Range(func(name string, v object.Value) { out[name] = v })
 	return out
 }
 
-// put stores a value (nil removes the attribute) in a slot of d, the
-// view's current dictionary, which the object adopts: d extends the
-// dictionary the object was built on, so its other slots keep their
-// meaning. Only an object no snapshot can reach may be written.
-func (g *GObj) put(d *AttrDict, slot int, val object.Value) {
-	g.dict = d
-	if slot >= len(g.vals) {
+// put stores a value (nil removes the attribute) in a slot of d, which
+// the object adopts: d extends the dictionary the object was built on,
+// so its other slots keep their meaning. Only an object no snapshot can
+// reach may be written.
+func (o *slotted) put(d *AttrDict, slot int, val object.Value) {
+	o.dict = d
+	if slot >= len(o.vals) {
 		if val == nil {
 			return
 		}
-		g.vals = append(g.vals, make([]object.Value, slot+1-len(g.vals))...)
+		o.vals = append(o.vals, make([]object.Value, slot+1-len(o.vals))...)
 	}
-	g.vals[slot] = val
+	o.vals[slot] = val
+}
+
+// set stores a value under a name. A name the object's dictionary lacks
+// extends it by one copy that the object adopts, so Get reads the value
+// back whatever dictionary the object was built on.
+func (o *slotted) set(name string, val object.Value) {
+	d := o.dict
+	s, ok := d.Slot(name)
+	if !ok {
+		if val == nil {
+			return
+		}
+		d = d.with(name)
+		s = d.slot[name]
+	}
+	o.put(d, s, val)
 }
 
 // setAttr stores a value under a name the view's dictionary holds.

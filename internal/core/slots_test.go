@@ -126,6 +126,64 @@ func TestApplyUnknownAttrExtendsDict(t *testing.T) {
 	}
 }
 
+// TestConformedSlots pins DESIGN §8.6's rules for conformed objects:
+// every object conformation creates is slotted by its Conformed's one
+// dictionary, which holds every name a class's plan writes; an
+// ApplyUpdate fanned out to the constituents writes through their slots,
+// and a name their dictionary lacks extends a copy the constituent
+// adopts — the shared dictionary, and every other object, stay as they
+// were, and no slot moves.
+func TestConformedSlots(t *testing.T) {
+	local, remote := fixture.Figure1Stores(fixture.Options{})
+	res, err := Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, v := res.Conformed, res.View
+	d, n := c.dict, c.dict.Len()
+	for _, side := range []Side{LocalSide, RemoteSide} {
+		for _, o := range c.AllObjects(side) {
+			if o.dict != d {
+				t.Errorf("%s: not slotted by the Conformed's dictionary", o)
+			}
+		}
+	}
+	g := globalByTitle(t, v, "Proceedings of the 22nd VLDB Conference")
+	var parts []*CObj
+	for _, ms := range g.Parts {
+		parts = append(parts, ms...)
+	}
+	if len(parts) != 2 {
+		t.Fatalf("vldb96 has %d constituents, want 2", len(parts))
+	}
+	other := c.AllObjects(LocalSide)[0]
+	was := other.String()
+	if _, _, err := v.ApplyUpdate(g, map[string]object.Value{"title": object.Str("VLDB 96"), "shelfmark": object.Str("QA76")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range parts {
+		if x, _ := m.Get("title"); !x.Equal(object.Str("VLDB 96")) {
+			t.Errorf("%s: title = %v after the update", m.Src, x)
+		}
+		if x, ok := m.Get("shelfmark"); !ok || !x.Equal(object.Str("QA76")) {
+			t.Errorf("%s: shelfmark = %v, %v after the update", m.Src, x, ok)
+		}
+		if m.dict == d {
+			t.Errorf("%s: holds a name its dictionary lacks", m.Src)
+		}
+		sameSlots(t, "constituent write", d, m.dict)
+	}
+	if c.dict != d || d.Len() != n {
+		t.Errorf("the shared dictionary changed: %d -> %d slots", n, c.dict.Len())
+	}
+	if other == parts[0] || other == parts[1] {
+		t.Fatal("the bystander is a constituent")
+	}
+	if now := other.String(); now != was || other.dict != d {
+		t.Errorf("another conformed object changed:\n  was %s\n  now %s", was, now)
+	}
+}
+
 // BenchmarkDetachAll clones every host an UnivArchive graft touches at
 // Scale 1000, as AttachPair's detachAll does: ns and allocations per
 // cloned object (the batch is re-cloned each iteration).

@@ -10,6 +10,7 @@ package object
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -216,7 +217,15 @@ func NewSet(elems ...Value) Set {
 			out = append(out, e)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return totalLess(out[i], out[j]) })
+	slices.SortStableFunc(out, func(a, b Value) int {
+		switch {
+		case totalLess(a, b):
+			return -1
+		case totalLess(b, a):
+			return 1
+		}
+		return 0
+	})
 	return Set{elems: out}
 }
 
@@ -473,7 +482,8 @@ func Compare(a, b Value) (int, bool) {
 
 // Hash returns a stable 64-bit hash of the value, suitable for hash-join
 // entity resolution. Equal values hash equally (numeric cross-kind
-// equality included: Int(2) and Real(2.0) share a hash).
+// equality included: Int(2) and Real(2.0) share a hash; so do −0.0 and 0,
+// which Compare orders equal).
 func Hash(v Value) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -499,7 +509,11 @@ func Hash(v Value) uint64 {
 		mixU64(math.Float64bits(float64(v)))
 	case Real:
 		mix(1)
-		mixU64(math.Float64bits(float64(v)))
+		f := float64(v)
+		if f == 0 {
+			f = 0 // −0.0 hashes as 0
+		}
+		mixU64(math.Float64bits(f))
 	case Str:
 		mix(2)
 		mix([]byte(v)...)

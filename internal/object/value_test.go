@@ -247,3 +247,28 @@ func TestAsFloat(t *testing.T) {
 		t.Error("sanity")
 	}
 }
+
+// TestCompareZeroImpliesHashEqual: every Int/Real pair that Compare
+// orders equal hashes equal, signed zeros included — the hash joins,
+// equality indexes and key strings built on Hash find exactly the
+// matches `=` finds. NaN, which Compare orders equal to every number,
+// is not covered.
+func TestCompareZeroImpliesHashEqual(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nums := []Value{
+		Int(0), Int(1), Int(-1), Int(7), Int(-7),
+		Real(0), Real(negZero), Real(1), Real(-1), Real(7), Real(-7), Real(0.5), Real(-0.5),
+		NewSet(Real(negZero)), NewSet(Int(0)),
+		NewTuple(map[string]Value{"a": Real(negZero)}), NewTuple(map[string]Value{"a": Int(0)}),
+	}
+	for _, a := range nums {
+		for _, b := range nums {
+			if c, ok := Compare(a, b); ok && c == 0 && Hash(a) != Hash(b) {
+				t.Errorf("Compare(%v, %v) = 0 but their hashes differ", a, b)
+			}
+			if a.Equal(b) && Hash(a) != Hash(b) {
+				t.Errorf("%v equals %v but their hashes differ", a, b)
+			}
+		}
+	}
+}

@@ -1,11 +1,16 @@
 package view
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"interopdb/internal/core"
+	"interopdb/internal/expr"
+	"interopdb/internal/fixture"
 	"interopdb/internal/object"
+	"interopdb/internal/tm"
 )
 
 // TestSortOrdMatchesStableSort: buildOrd appends entries in position
@@ -36,6 +41,40 @@ func TestSortOrdMatchesStableSort(t *testing.T) {
 						distinct, n, i, entries[i].val, entries[i].pos, want[i].val, want[i].pos)
 				}
 			}
+		}
+	}
+}
+
+// TestEqIndexSignedZero: `shopprice = 0` over an Item holding −0.0
+// returns that row on the indexed path, as the reference scan's `=`
+// does: the equality index files and probes values by object.Hash.
+func TestEqIndexSignedZero(t *testing.T) {
+	local, remote := fixture.Figure1Stores(fixture.Options{Scale: 1})
+	negZero := object.Real(math.Copysign(0, -1))
+	remote.MustInsert("Item", map[string]object.Value{
+		"title": object.Str("Signed Zero"), "isbn": object.Str("negzero"),
+		"shopprice": negZero, "libprice": negZero,
+	})
+	res, err := core.Integrate(tm.Figure1Library(), tm.Figure1Bookseller(), tm.Figure1IntegrationRepaired(), local, remote, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(res)
+	for _, where := range []string{"shopprice = 0", "shopprice = 0.0", "shopprice = -0.0"} {
+		q := Query{Class: "Item", Where: expr.MustParse(where)}
+		fast, _, err := runVsReference(t, e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.IndexHits == 0 {
+			t.Errorf("%s: not served by the equality index: %+v", where, fast)
+		}
+		rows, _, err := e.Run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Errorf("%s: %d rows, want the −0.0 row", where, len(rows))
 		}
 	}
 }
