@@ -65,9 +65,10 @@ crashtest:
 # decoder, the member commit check (against CheckAll), the key-holder
 # index (against a fresh count), the inherited extent indexes (against
 # fresh builds), the column kernels (against the reference scan), the
-# conformed rule conditions (against their source text) and the fusion
-# plans (against per-object fusion: same values, same rng draws), as in
-# CI.
+# conformed rule conditions (against their source text), the fusion
+# plans (against per-object fusion: same values, same rng draws) and
+# the copy-on-write global objects (clones against a map-based model,
+# replaced objects unchanged), as in CI.
 # Finds are written to testdata/fuzz — commit them.
 fuzz:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=20s -run='^$$' ./internal/view/
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzColumnResidual -fuzztime=20s -run='^$$' ./internal/view/
 	$(GO) test -fuzz=FuzzRuleConformance -fuzztime=20s -run='^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzFusePlan -fuzztime=20s -run='^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzGObjCopyOnWrite -fuzztime=20s -run='^$$' ./internal/core/
 
 # Every Go benchmark (slow). For measuring while you work: a
 # performance claim cites the repo benchmark (BENCHMARK.json,

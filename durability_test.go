@@ -92,7 +92,7 @@ func shipWorkload(t *testing.T, fed *Federation) {
 func findVLDB(t *testing.T, fed *Federation) int {
 	t.Helper()
 	for _, g := range fed.Result().View.Objects {
-		if isbn, ok := g.Get("isbn"); ok && isbn.String() == "'vldb96'" && g.Classes["Record"] && g.Classes["Item"] {
+		if isbn, ok := g.Get("isbn"); ok && isbn.String() == "'vldb96'" && g.InClass("Record") && g.InClass("Item") {
 			return g.ID
 		}
 	}

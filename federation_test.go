@@ -107,7 +107,7 @@ func TestFederationThirdMember(t *testing.T) {
 	var vldb *GlobalObject
 	for _, g := range res.View.Objects {
 		if v, ok := g.Get("isbn"); ok && v.String() == "'vldb96'" {
-			if g.Classes["Record"] {
+			if g.InClass("Record") {
 				vldb = g
 				break
 			}
@@ -116,16 +116,14 @@ func TestFederationThirdMember(t *testing.T) {
 	if vldb == nil {
 		t.Fatal("no merged vldb96 object holding class Record")
 	}
-	sides := 0
-	for _, ms := range vldb.Parts {
-		if len(ms) > 0 {
-			sides++
-		}
+	sides := map[int]bool{}
+	for _, m := range vldb.Parts {
+		sides[int(m.Side)] = true
 	}
-	if sides != 3 {
-		t.Fatalf("vldb96 object spans %d members, want 3 (parts: %v)", sides, vldb.Parts)
+	if len(sides) != 3 {
+		t.Fatalf("vldb96 object spans %d members, want 3 (parts: %v)", len(sides), vldb.Parts)
 	}
-	if !vldb.Classes["Proceedings"] || !vldb.Classes["Publication"] {
+	if !vldb.InClass("Proceedings") || !vldb.InClass("Publication") {
 		t.Fatalf("vldb96 lost pair-1 classes: %v", vldb.Classes)
 	}
 
@@ -253,7 +251,7 @@ func TestFederationShipRouted(t *testing.T) {
 		}
 		switch isbn.String() {
 		case "'vldb96'":
-			if g.Classes["Record"] && g.Classes["Item"] {
+			if g.InClass("Record") && g.InClass("Item") {
 				vldb = g
 			}
 		case "'thesis1'":
@@ -295,20 +293,18 @@ func TestFederationShipRouted(t *testing.T) {
 	// The title update reached every member holding a constituent.
 	for _, st := range []StoreBackend{lib, bs, arch} {
 		found := false
-		for _, ms := range vldb.Parts {
-			for _, m := range ms {
-				if m.Src.DB != st.Name() {
-					continue
-				}
-				obj, ok := st.Get(m.Src.OID)
-				if !ok {
-					t.Fatalf("constituent %v gone from %s", m.Src, st.Name())
-				}
-				if v, _ := obj.Get("title"); v.String() != "'Proceedings of the 22nd VLDB Conference (2nd printing)'" {
-					t.Fatalf("%s constituent title not updated: %s", st.Name(), v)
-				}
-				found = true
+		for _, m := range vldb.Parts {
+			if m.Src.DB != st.Name() {
+				continue
 			}
+			obj, ok := st.Get(m.Src.OID)
+			if !ok {
+				t.Fatalf("constituent %v gone from %s", m.Src, st.Name())
+			}
+			if v, _ := obj.Get("title"); v.String() != "'Proceedings of the 22nd VLDB Conference (2nd printing)'" {
+				t.Fatalf("%s constituent title not updated: %s", st.Name(), v)
+			}
+			found = true
 		}
 		if !found {
 			t.Fatalf("no constituent of the merged object in %s", st.Name())

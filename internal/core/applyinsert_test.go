@@ -42,7 +42,7 @@ func TestApplyInsert(t *testing.T) {
 	if len(v.Extent("Item")) != beforeItem+1 {
 		t.Errorf("Item extent = %d, want %d", len(v.Extent("Item")), beforeItem+1)
 	}
-	if !g.Classes["Proceedings"] || !g.Classes["Item"] {
+	if !g.InClass("Proceedings") || !g.InClass("Item") {
 		t.Errorf("classes = %v, want Proceedings+Item", g.Classes)
 	}
 	// Both the global identity and the component ref resolve to it.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
@@ -72,10 +73,8 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 	for k, val := range attrs {
 		old[k], _ = g.Get(k) // nil when previously absent
 		v.setAttr(g, k, val)
-		for _, ms := range g.Parts {
-			for _, m := range ms {
-				m.set(k, val)
-			}
+		for _, m := range g.Parts {
+			m.set(k, val)
 		}
 	}
 	var r retraction
@@ -89,7 +88,7 @@ func (v *GlobalView) ApplyUpdate(g *GObj, attrs map[string]object.Value) (old ma
 // reports and the reference table (both its global identity and its
 // constituents' source refs). It returns the names of the classes whose
 // extents shrank. The removed object itself is left untouched — its
-// Classes map still names the extents it belonged to — so readers of a
+// Classes still name the extents it belonged to — so readers of a
 // frozen snapshot that still holds it can keep serving its pre-delete
 // state.
 func (v *GlobalView) ApplyDelete(g *GObj) ([]string, error) {
@@ -99,11 +98,7 @@ func (v *GlobalView) ApplyDelete(g *GObj) ([]string, error) {
 	var r retraction
 	r.doom(g)
 	v.retract(&r)
-	classes := make([]string, 0, len(g.Classes))
-	for cls := range g.Classes {
-		classes = append(classes, cls)
-	}
-	return classes, nil
+	return slices.Clone(g.Classes), nil
 }
 
 // retraction collects what a batch of changes takes out of the view —
@@ -119,8 +114,8 @@ type retraction struct {
 }
 
 // lose records that the object leaves one class extent. The caller owns
-// the object's Classes map (reclassification drops the membership from
-// its fresh clone; a doomed object keeps its map, see ApplyDelete).
+// the object's Classes (reclassification drops the membership from its
+// fresh clone; a doomed object keeps its classes, see ApplyDelete).
 func (r *retraction) lose(g *GObj, class string) {
 	if r.lost == nil {
 		r.lost = map[string]map[*GObj]bool{}
@@ -137,7 +132,7 @@ func (r *retraction) doom(g *GObj) {
 		r.doomed = map[*GObj]bool{}
 	}
 	r.doomed[g] = true
-	for cls := range g.Classes {
+	for _, cls := range g.Classes {
 		r.lose(g, cls)
 	}
 }
@@ -171,11 +166,9 @@ func (v *GlobalView) retract(r *retraction) {
 	v.Objects = filterOut(v.Objects, r.doomed)
 	for g := range r.doomed {
 		delete(v.byRef, g.Identity())
-		for _, ms := range g.Parts {
-			for _, m := range ms {
-				if cur, ok := v.byRef[m.Src]; ok && cur == g {
-					delete(v.byRef, m.Src)
-				}
+		for _, m := range g.Parts {
+			if cur, ok := v.byRef[m.Src]; ok && cur == g {
+				delete(v.byRef, m.Src)
 			}
 		}
 	}
@@ -225,12 +218,9 @@ func (v *GlobalView) reclassify(g *GObj, r *retraction, env *expr.Env) ([]string
 	// chains (classifyConstituents's rule, per object), over every
 	// member side of the view.
 	desired := map[string]bool{}
-	for side := Side(0); int(side) < v.memberSlots(); side++ {
-		db := c.SchemaOf(side)
-		for _, m := range g.Parts[side] {
-			for _, cn := range db.Supers(m.Class) {
-				desired[v.GlobalName(side, cn)] = true
-			}
+	for _, m := range g.Parts {
+		for _, cn := range c.SchemaOf(m.Side).Supers(m.Class) {
+			desired[v.GlobalName(m.Side, cn)] = true
 		}
 	}
 
@@ -277,15 +267,15 @@ func (v *GlobalView) reclassify(g *GObj, r *retraction, env *expr.Env) ([]string
 	// member reports) at once; losses leave the object now and its
 	// extents and member reports when the caller retracts r.
 	var changed []string
-	for cls := range g.Classes {
+	for _, cls := range g.Classes {
 		if !desired[cls] {
-			delete(g.Classes, cls)
 			r.lose(g, cls)
 			changed = append(changed, cls)
 		}
 	}
+	g.dropClasses(changed...)
 	for cls := range desired {
-		if g.Classes[cls] {
+		if g.InClass(cls) {
 			continue
 		}
 		changed = append(changed, cls)
@@ -312,7 +302,7 @@ func (v *GlobalView) reclassify(g *GObj, r *retraction, env *expr.Env) ([]string
 func (v *GlobalView) simRuleHolds(r *SimRule, g *GObj, env *expr.Env) (bool, error) {
 	db := v.Conformed.SchemaOf(r.SrcSide)
 	defer delete(env.Vars, r.SrcVar)
-	for _, m := range g.Parts[r.SrcSide] {
+	for _, m := range g.PartsOf(r.SrcSide) {
 		if !db.IsA(m.Class, r.SrcClass) {
 			continue
 		}

@@ -30,7 +30,7 @@ func TestReclassifyIsFixpointOnUntouchedObjects(t *testing.T) {
 			env := v.Conformed.ruleEnv() // one pass: every object reuses it
 			for _, g := range v.Objects {
 				before := map[string]bool{}
-				for c := range g.Classes {
+				for _, c := range g.Classes {
 					before[c] = true
 				}
 				changed, err := v.reclassify(g, &retraction{}, env)
@@ -59,7 +59,7 @@ func TestApplyUpdateMovesAcrossSimMembership(t *testing.T) {
 	// constituent, which is value-independent).
 	var target *GObj
 	for _, g := range v.Extent("RefereedPubl") {
-		if len(g.Parts[LocalSide]) == 0 && len(g.Parts[RemoteSide]) > 0 && g.Classes["Proceedings"] {
+		if len(g.PartsOf(LocalSide)) == 0 && len(g.PartsOf(RemoteSide)) > 0 && g.InClass("Proceedings") {
 			target = g
 			break
 		}
@@ -86,7 +86,7 @@ func TestApplyUpdateMovesAcrossSimMembership(t *testing.T) {
 	if !old["ref?"].Equal(object.Bool(true)) {
 		t.Errorf("old ref? = %v, want true", old["ref?"])
 	}
-	if target.Classes["RefereedPubl"] || inExt("RefereedPubl", target) {
+	if target.InClass("RefereedPubl") || inExt("RefereedPubl", target) {
 		t.Error("object still member of RefereedPubl after ref? := false")
 	}
 	found := false
@@ -103,7 +103,7 @@ func TestApplyUpdateMovesAcrossSimMembership(t *testing.T) {
 	if _, _, err := v.ApplyUpdate(target, map[string]object.Value{"ref?": object.Bool(true)}); err != nil {
 		t.Fatalf("ApplyUpdate back: %v", err)
 	}
-	if !target.Classes["RefereedPubl"] || !inExt("RefereedPubl", target) {
+	if !target.InClass("RefereedPubl") || !inExt("RefereedPubl", target) {
 		t.Error("membership not restored after ref? := true")
 	}
 }
@@ -116,15 +116,10 @@ func TestApplyDeleteRemovesEverywhere(t *testing.T) {
 	v := res.View
 	g := v.Extent("Proceedings")[0]
 	id := g.ID
-	classes := make([]string, 0, len(g.Classes))
-	for c := range g.Classes {
-		classes = append(classes, c)
-	}
+	classes := g.Classes
 	var srcs []object.Ref
-	for _, ms := range g.Parts {
-		for _, m := range ms {
-			srcs = append(srcs, m.Src)
-		}
+	for _, m := range g.Parts {
+		srcs = append(srcs, m.Src)
 	}
 
 	if _, err := v.ApplyDelete(g); err != nil {

@@ -488,8 +488,8 @@ func (d *Derivation) equalityIntegration() {
 		if !g.Merged() {
 			continue
 		}
-		for _, lm := range g.Parts[LocalSide] {
-			for _, rm := range g.Parts[RemoteSide] {
+		for _, lm := range g.PartsOf(LocalSide) {
+			for _, rm := range g.PartsOf(RemoteSide) {
 				if _, ok := seen[pair{lm.Class, rm.Class}]; !ok { // the note is built once per pair
 					add(lm.Class, rm.Class, fmt.Sprintf("merged %s/%s objects", lm.Class, rm.Class))
 				}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 
 	"interopdb/internal/object"
@@ -35,8 +34,11 @@ func (v *GlobalView) DetachForUpdate(g *GObj) *GObj {
 // extent, and the reference table (global identity and constituent
 // sources) — and returns the original → clone map; objects not (or no
 // longer) part of the view have no entry. A clone gets its own copy of
-// the attribute values (a slice copy) and of the class map, and shares
-// the constituent pointers, which no snapshot reader ever dereferences.
+// the attribute values (one slice copy) and shares the original's Parts
+// and Classes, clipped: both are copy-on-write (gobj.go), so the
+// clone's first write to either builds its own slice and the original
+// never changes. The constituent pointers are shared too; no snapshot
+// reader ever dereferences them. The clones are allocated as one block.
 // The batch costs what it touches: a binary search of the ID-ordered
 // object list per object, and ONE pass over each extent holding any of
 // them, which keeps its order and stops once the extent's share of the
@@ -44,33 +46,28 @@ func (v *GlobalView) DetachForUpdate(g *GObj) *GObj {
 func (v *GlobalView) detachAll(batch []*GObj) map[*GObj]*GObj {
 	clones := make(map[*GObj]*GObj, len(batch))
 	share := map[string]int{} // class → how many of the batch its extent holds
-	for _, g := range batch {
+	block := make([]GObj, len(batch))
+	for i, g := range batch {
 		// Also skips a repeat: its identity already resolves to the clone.
 		if cur, ok := v.byRef[g.Identity()]; !ok || cur != g {
 			continue
 		}
-		clone := &GObj{
-			ID:      g.ID,
-			Parts:   make(map[Side][]*CObj, len(g.Parts)),
-			slotted: slotted{dict: g.dict, vals: slices.Clone(g.vals)},
-			Classes: maps.Clone(g.Classes),
-		}
-		for side, ms := range g.Parts {
-			clone.Parts[side] = slices.Clone(ms)
-		}
-		for c := range g.Classes {
+		clone := &block[i]
+		clone.ID = g.ID
+		clone.Parts = slices.Clip(g.Parts)
+		clone.slotted = slotted{dict: g.dict, vals: slices.Clone(g.vals)}
+		clone.Classes = slices.Clip(g.Classes)
+		for _, c := range g.Classes {
 			share[c]++
 		}
 		clones[g] = clone
-		if i, ok := v.position(g); ok {
-			v.Objects[i] = clone
+		if p, ok := v.position(g); ok {
+			v.Objects[p] = clone
 		}
 		v.byRef[g.Identity()] = clone
-		for _, ms := range g.Parts {
-			for _, m := range ms {
-				if cur, ok := v.byRef[m.Src]; ok && cur == g {
-					v.byRef[m.Src] = clone
-				}
+		for _, m := range g.Parts {
+			if cur, ok := v.byRef[m.Src]; ok && cur == g {
+				v.byRef[m.Src] = clone
 			}
 		}
 	}
@@ -103,11 +100,9 @@ func (v *GlobalView) RefsCopy() map[object.Ref]*GObj {
 // forking it.
 func (v *GlobalView) RefsOf(g *GObj) []object.Ref {
 	out := []object.Ref{g.Identity()}
-	for _, ms := range g.Parts {
-		for _, m := range ms {
-			if cur, ok := v.byRef[m.Src]; ok && cur == g {
-				out = append(out, m.Src)
-			}
+	for _, m := range g.Parts {
+		if cur, ok := v.byRef[m.Src]; ok && cur == g {
+			out = append(out, m.Src)
 		}
 	}
 	return out

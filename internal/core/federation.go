@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -314,19 +313,22 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 	// does it write, and only to clones and to objects it creates.
 	hosts := make([]*GObj, len(pairRes.View.Objects))
 	var batch []*GObj
+	fresh, cloned := 0, 0 // pair objects no host holds; parts no object holds (what cloneCObj copies)
 	for i, pg := range pairRes.View.Objects {
-		for _, ps := range []Side{LocalSide, RemoteSide} {
-			for _, m := range pg.Parts[ps] {
-				if m.Virtual {
-					continue
-				}
-				if g, ok := v.byRef[m.Src]; ok && (hosts[i] == nil || g.ID < hosts[i].ID) {
-					hosts[i] = g
-				}
+		for _, m := range pg.Parts {
+			g, known := v.byRef[m.Src]
+			if m.Virtual || !known {
+				cloned++
+				continue
+			}
+			if hosts[i] == nil || g.ID < hosts[i].ID {
+				hosts[i] = g
 			}
 		}
 		if hosts[i] != nil {
 			batch = append(batch, hosts[i])
+		} else {
+			fresh++
 		}
 	}
 	clones := v.detachAll(batch)
@@ -340,12 +342,30 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		owned[g] = true
 		touched = append(touched, g)
 	}
-	pairToFed := map[int]*GObj{}
+	// pairToFed maps a pair object's ID — dense, ascending from 1 — to
+	// the combined object it grafted onto or became.
+	maxPairID := 0
+	if n := len(pairRes.View.Objects); n > 0 {
+		maxPairID = pairRes.View.Objects[n-1].ID
+	}
+	pairToFed := make([]*GObj, maxPairID+1)
+	// The objects the graft creates and the constituents it clones are
+	// allocated as one block each, and their Parts, Classes and values
+	// are carved from blocks.
+	newObjs := make([]GObj, fresh)
+	cobjs := make([]CObj, 0, cloned)
+	var (
+		parts    block[*CObj]
+		names    block[string]
+		vals     block[object.Value]
+		newAttrs []string
+	)
 	cloneCObj := func(m *CObj, side Side) *CObj {
-		cm := &CObj{
+		cobjs = append(cobjs, CObj{
 			Src: m.Src, Side: side, Class: m.Class, Virtual: m.Virtual,
-			slotted: slotted{dict: m.dict, vals: slices.Clone(m.vals)},
-		}
+			slotted: slotted{dict: m.dict, vals: append(vals.take(len(m.vals)), m.vals...)},
+		})
+		cm := &cobjs[len(cobjs)-1]
 		// Register the clone in the combined Conformed's deref table, so
 		// rule conditions that navigate references (simRuleHolds during
 		// reclassification) resolve the member's objects. The CLONE is
@@ -362,27 +382,27 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 	}
 	for i, pg := range pairRes.View.Objects {
 		if hosts[i] == nil {
-			g := &GObj{
-				ID:      v.nextObjectID(),
-				Parts:   map[Side][]*CObj{},
-				Classes: map[string]bool{},
-			}
+			g := &newObjs[0]
+			newObjs = newObjs[1:]
+			g.ID = v.nextObjectID()
+			g.Parts = parts.take(len(pg.Parts))
+			// The pair's classes map one to one onto combined names; one
+			// more for an approximate superclass the combined view adds.
+			g.Classes = names.take(len(pg.Classes) + 1)
 			v.copyAttrs(g, pg)
-			for _, ps := range []Side{LocalSide, RemoteSide} {
-				fs := fedSideOf(ps)
-				for _, m := range pg.Parts[ps] {
-					cm := cloneCObj(m, fs)
-					g.Parts[fs] = append(g.Parts[fs], cm)
-					if !cm.Virtual {
-						v.byRef[cm.Src] = g
-					}
-					if fs == baseSide {
-						// A base store object the combined view had not
-						// seen before this pair surfaced it; recorded so
-						// detach returns the view to its pre-attach
-						// object set exactly.
-						contrib.addedParts[g.ID] = append(contrib.addedParts[g.ID], m.Src)
-					}
+			for _, m := range pg.Parts {
+				fs := fedSideOf(m.Side)
+				cm := cloneCObj(m, fs)
+				g.addPart(cm)
+				if !cm.Virtual {
+					v.byRef[cm.Src] = g
+				}
+				if fs == baseSide {
+					// A base store object the combined view had not
+					// seen before this pair surfaced it; recorded so
+					// detach returns the view to its pre-attach
+					// object set exactly.
+					contrib.addedParts[g.ID] = append(contrib.addedParts[g.ID], m.Src)
 				}
 			}
 			v.Objects = append(v.Objects, g)
@@ -393,14 +413,14 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		}
 		g := clones[hosts[i]]
 		pairToFed[pg.ID] = g
-		for _, m := range pg.Parts[pairNewSide] {
+		for _, m := range pg.PartsOf(pairNewSide) {
 			cm := cloneCObj(m, newSide)
-			g.Parts[newSide] = append(g.Parts[newSide], cm)
+			g.addPart(cm)
 			if !cm.Virtual {
 				v.byRef[cm.Src] = g
 			}
 		}
-		for _, m := range pg.Parts[pairBaseSide] {
+		for _, m := range pg.PartsOf(pairBaseSide) {
 			if m.Virtual {
 				continue
 			}
@@ -408,22 +428,28 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 				continue
 			}
 			cm := cloneCObj(m, baseSide)
-			g.Parts[baseSide] = append(g.Parts[baseSide], cm)
+			g.addPart(cm)
 			v.byRef[m.Src] = g
 			contrib.addedParts[g.ID] = append(contrib.addedParts[g.ID], m.Src)
 		}
-		var attrNames []string
+		// The host's new names gather in one reused buffer and are
+		// recorded with one copy. Two pair objects may share a host: the
+		// second one's names follow the first one's.
+		newAttrs = newAttrs[:0]
 		pg.Range(func(a string, _ object.Value) {
 			if _, have := g.Get(a); !have {
-				attrNames = append(attrNames, a)
+				newAttrs = append(newAttrs, a)
 			}
 		})
-		sort.Strings(attrNames)
-		for _, a := range attrNames {
+		if len(newAttrs) == 0 {
+			continue
+		}
+		sort.Strings(newAttrs)
+		for _, a := range newAttrs {
 			val, _ := pg.Get(a)
 			v.setAttr(g, a, val)
-			contrib.addedAttrs[g.ID] = append(contrib.addedAttrs[g.ID], a)
 		}
+		contrib.addedAttrs[g.ID] = append(contrib.addedAttrs[g.ID], newAttrs...)
 	}
 
 	// --- Class membership union --------------------------------------
@@ -443,10 +469,9 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		}
 		for _, pm := range pairRes.View.Extent(pcn) {
 			g := pairToFed[pm.ID]
-			if g == nil || g.Classes[fedN] {
+			if g == nil || !g.addClass(fedN) {
 				continue
 			}
-			g.Classes[fedN] = true
 			if _, seen := v.classExt[fedN]; !seen && v.Origin[fedN].Class == "" {
 				// Virtual class not yet registered.
 				v.ClassNames = append(v.ClassNames, fedN)
@@ -515,7 +540,7 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		tgt := v.GlobalName(r.TargetSide(), r.Target)
 		var published []*GObj
 		for _, g := range v.classExt[tgt] {
-			if !g.Classes[r.Virtual] && !owned[g] {
+			if !g.InClass(r.Virtual) && !owned[g] {
 				published = append(published, g)
 			}
 		}
@@ -525,10 +550,9 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		}
 		var extra []int
 		for _, g := range v.classExt[tgt] {
-			if g.Classes[r.Virtual] {
+			if !g.addClass(r.Virtual) {
 				continue
 			}
-			g.Classes[r.Virtual] = true
 			v.classExt[r.Virtual] = append(v.classExt[r.Virtual], g)
 			extra = append(extra, g.ID)
 		}
@@ -588,7 +612,7 @@ func (f *FedState) AttachPair(pairRes *Result, newMember, base string) (changed 
 		affected[n] = true
 	}
 	for _, g := range touched {
-		for cls := range g.Classes {
+		for _, cls := range g.Classes {
 			affected[cls] = true
 		}
 	}
@@ -683,10 +707,10 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 	affected := map[string]bool{}
 	var touched []*GObj
 	for _, g := range v.Objects {
-		hit := len(g.Parts[side]) > 0 ||
+		hit := len(g.PartsOf(side)) > 0 ||
 			len(contrib.addedParts[g.ID]) > 0 || len(contrib.addedAttrs[g.ID]) > 0
 		if !hit {
-			for cls := range g.Classes {
+			for _, cls := range g.Classes {
 				if doomedClass[cls] {
 					hit = true
 					break
@@ -705,26 +729,20 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 	env := c.ruleEnv()
 	for _, orig := range touched {
 		g := clones[orig]
-		for cls := range g.Classes {
+		for _, cls := range g.Classes {
 			affected[cls] = true
 		}
-		for _, m := range g.Parts[side] {
+		for _, m := range g.dropSide(side) {
 			if cur, ok := v.byRef[m.Src]; ok && cur == g {
 				delete(v.byRef, m.Src)
 			}
 		}
-		delete(g.Parts, side)
 		for _, src := range contrib.addedParts[g.ID] {
-			for s, ms := range g.Parts {
-				for i, m := range ms {
-					if m.Src == src {
-						g.Parts[s] = append(ms[:i], ms[i+1:]...)
-						if cur, ok := v.byRef[src]; ok && cur == g {
-							delete(v.byRef, src)
-						}
-						break
-					}
-				}
+			if !g.dropPart(src) {
+				continue
+			}
+			if cur, ok := v.byRef[src]; ok && cur == g {
+				delete(v.byRef, src)
 			}
 		}
 		for _, a := range contrib.addedAttrs[g.ID] {
@@ -732,22 +750,15 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			// ascending side, declaration order), in case another member
 			// also carries the attribute. The name keeps its slot.
 			var val object.Value
-		rederive:
-			for s := Side(0); int(s) < v.memberSlots(); s++ {
-				for _, m := range g.Parts[s] {
-					if mv, ok := m.Get(a); ok && mv.Kind() != object.KindNull {
-						val = mv
-						break rederive
-					}
+			for _, m := range g.Parts {
+				if mv, ok := m.Get(a); ok && mv.Kind() != object.KindNull {
+					val = mv
+					break
 				}
 			}
 			v.setAttr(g, a, val)
 		}
-		parts := 0
-		for _, ms := range g.Parts {
-			parts += len(ms)
-		}
-		if parts == 0 {
+		if len(g.Parts) == 0 {
 			gone.doom(g)
 			continue
 		}
@@ -755,7 +766,7 @@ func (f *FedState) DetachMember(name string) (changed, removed []string, err err
 			v.retract(&gone)
 			return nil, nil, fmt.Errorf("detach %s: reclassifying g%d: %w", name, g.ID, err)
 		}
-		for cls := range g.Classes {
+		for _, cls := range g.Classes {
 			affected[cls] = true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -138,14 +139,14 @@ func TestFederationReclassifyDerefsGraftedMembers(t *testing.T) {
 	if gadget == nil {
 		t.Fatal("gadget not grafted")
 	}
-	if gadget.Classes["Premium"] {
+	if gadget.InClass("Premium") {
 		t.Fatal("grade-3 gadget already Premium")
 	}
 	clone := v.DetachForUpdate(gadget)
 	if _, _, err := v.ApplyUpdate(clone, map[string]object.Value{"grade": object.Int(7)}); err != nil {
 		t.Fatalf("reclassify could not evaluate the ref-navigating Sim condition: %v", err)
 	}
-	if !clone.Classes["Premium"] {
+	if !clone.InClass("Premium") {
 		t.Fatal("grade-7 Acme gadget did not join Premium")
 	}
 	// And back out again.
@@ -153,7 +154,7 @@ func TestFederationReclassifyDerefsGraftedMembers(t *testing.T) {
 	if _, _, err := v.ApplyUpdate(clone2, map[string]object.Value{"grade": object.Int(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if clone2.Classes["Premium"] {
+	if clone2.InClass("Premium") {
 		t.Fatal("grade-2 gadget kept Premium")
 	}
 	// Detach cleans the registered conformed refs.
@@ -306,12 +307,15 @@ func (f *fig1Fed) detach(t testing.TB) (changed, removed []string) {
 // constituents.
 func objectLine(g *GObj) string {
 	var parts []string
-	for side, ms := range g.Parts {
+	for i := 0; i < len(g.Parts); {
+		side := g.Parts[i].Side
+		ms := g.PartsOf(side)
 		srcs := make([]string, len(ms))
-		for i, m := range ms {
-			srcs[i] = m.Src.String()
+		for j, m := range ms {
+			srcs[j] = m.Src.String()
 		}
 		parts = append(parts, fmt.Sprintf("%d:%s", side, strings.Join(srcs, ",")))
+		i += len(ms)
 	}
 	sort.Strings(parts)
 	return g.String() + " parts[" + strings.Join(parts, " ") + "]"
@@ -410,14 +414,12 @@ func checkViewInvariants(t *testing.T, v *GlobalView, when string) {
 		if live, ok := v.ByID(g.ID); !ok || live != g {
 			t.Errorf("%s: identity of g%d does not resolve to the live object", when, g.ID)
 		}
-		for _, ms := range g.Parts {
-			for _, m := range ms {
-				if cur, ok := v.byRef[m.Src]; !m.Virtual && (!ok || cur != g) {
-					t.Errorf("%s: constituent %s of g%d does not resolve to it", when, m.Src, g.ID)
-				}
+		for _, m := range g.Parts {
+			if cur, ok := v.byRef[m.Src]; !m.Virtual && (!ok || cur != g) {
+				t.Errorf("%s: constituent %s of g%d does not resolve to it", when, m.Src, g.ID)
 			}
 		}
-		for cls := range g.Classes {
+		for _, cls := range g.Classes {
 			if _, ok := v.classExt[cls]; !ok {
 				t.Errorf("%s: g%d claims unregistered class %s", when, g.ID, cls)
 			}
@@ -431,7 +433,7 @@ func checkViewInvariants(t *testing.T, v *GlobalView, when string) {
 	for cls, ext := range v.classExt {
 		members := 0
 		for _, g := range v.Objects {
-			if g.Classes[cls] {
+			if g.InClass(cls) {
 				members++
 			}
 		}
@@ -439,7 +441,7 @@ func checkViewInvariants(t *testing.T, v *GlobalView, when string) {
 			t.Errorf("%s: extent %s holds %d objects, %d live objects claim it", when, cls, len(ext), members)
 		}
 		for _, g := range ext {
-			if live, ok := v.ByID(g.ID); !ok || live != g || !g.Classes[cls] {
+			if live, ok := v.ByID(g.ID); !ok || live != g || !g.InClass(cls) {
 				t.Errorf("%s: extent %s holds g%d, which is stale or does not claim it", when, cls, g.ID)
 			}
 		}
@@ -539,13 +541,16 @@ func TestFederationMiniGraftGolden(t *testing.T) {
 
 // TestMembershipCycleAllocBound is the deterministic half of the
 // membership-change cost guard: one full cycle at Scale 200 — founding
-// pair, archive pair, graft, retraction — made 142 434 allocations at
-// the commit before hierarchy walks stopped allocating, conformation
-// resolved its attributes once per class and the retraction stopped
-// splicing per object (64 220 after); it must stay at or under 60 % of
-// the former.
+// pair, archive pair, graft, retraction — made 35 173 allocations at
+// the commit before global objects kept their constituents and classes
+// in copy-on-write slices (15 720 after); it must stay at or under 51 %
+// of the former. Under the race detector the same cycle allocates about
+// 15 % more (18 011), so the bound is not checked there.
 func TestMembershipCycleAllocBound(t *testing.T) {
-	const parentAllocs = 142_434
+	if raceEnabled {
+		t.Skip("allocation count")
+	}
+	const parentAllocs = 35_173
 	lib, bs := fixture.Figure1Stores(fixture.Options{Scale: 200})
 	arch := fixture.ArchiveStore(fixture.Options{Scale: 200})
 	got := testing.AllocsPerRun(3, func() {
@@ -553,40 +558,51 @@ func TestMembershipCycleAllocBound(t *testing.T) {
 		f.attach(t)
 		f.detach(t)
 	})
-	if limit := 0.6 * parentAllocs; got > limit {
-		t.Errorf("a membership cycle at Scale 200 makes %.0f allocations, limit %.0f (60%% of %d)", got, limit, parentAllocs)
+	if limit := 0.51 * parentAllocs; got > limit {
+		t.Errorf("a membership cycle at Scale 200 makes %.0f allocations, limit %.0f (51%% of %d)", got, limit, parentAllocs)
 	}
 }
 
 // TestMembershipChangeScalesLinearly is the other half: the graft plus
-// the retraction, best of five, may cost at most 8x as much at Scale
-// 1000 as at Scale 250. Linear work is about 4x (4.7x measured); one
-// scan of the view per touched object, which this guards against, tends
-// to 16x (7.4x measured at these scales, where the scans were half the
-// cost). Timing, so not under -short or the race detector.
+// the retraction, best of five, may cost at most 8x as much time and
+// 4.5x as many allocations at Scale 1000 as at Scale 250. Linear work
+// is about 4x (4.7x measured in time); one scan of the view per touched
+// object, which this guards against, tends to 16x (7.4x measured at
+// these scales, where the scans were half the cost). The allocation
+// ratio reads no clock. Timing, so not under -short or the race
+// detector.
 func TestMembershipChangeScalesLinearly(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test")
 	}
-	best := func(scale int) time.Duration {
+	best := func(scale int) (time.Duration, uint64) {
 		lib, bs := fixture.Figure1Stores(fixture.Options{Scale: scale})
 		arch := fixture.ArchiveStore(fixture.Options{Scale: scale})
-		best := time.Duration(math.MaxInt64)
+		best, fewest := time.Duration(math.MaxInt64), uint64(math.MaxUint64)
+		var ms runtime.MemStats
 		for i := 0; i < 5; i++ {
 			f := foundFig1Fed(t, lib, bs, arch)
 			pair := f.pair(t)
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
 			start := time.Now()
 			if _, err := f.fs.AttachPair(pair, "UnivArchive", "CSLibrary"); err != nil {
 				t.Fatal(err)
 			}
 			f.detach(t)
-			if d := time.Since(start); d < best {
-				best = d
-			}
+			d := time.Since(start)
+			runtime.ReadMemStats(&ms)
+			best, fewest = min(best, d), min(fewest, ms.Mallocs-mallocs)
 		}
-		return best
+		return best, fewest
 	}
-	small, large := best(250), best(1000)
+	small, smallAllocs := best(250)
+	large, largeAllocs := best(1000)
+	if ratio := float64(largeAllocs) / float64(smallAllocs); ratio > 4.5 {
+		t.Errorf("graft+retraction: %d allocations at Scale 250, %d at Scale 1000: %.2fx for 4x the objects, limit 4.5x", smallAllocs, largeAllocs, ratio)
+	} else {
+		t.Logf("graft+retraction: %d allocations at Scale 250, %d at Scale 1000: %.2fx", smallAllocs, largeAllocs, ratio)
+	}
 	if ratio := float64(large) / float64(small); ratio > 8 {
 		t.Errorf("graft+retraction: %v at Scale 250, %v at Scale 1000: %.1fx for 4x the objects, limit 8x", small, large, ratio)
 	} else {

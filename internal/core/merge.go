@@ -8,64 +8,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"interopdb/internal/expr"
 	"interopdb/internal/object"
 )
-
-// GObj is a global (integrated) object: the merge of an equivalence class
-// of conformed objects, with property values determined by the decision
-// functions.
-type GObj struct {
-	ID    int
-	Parts map[Side][]*CObj
-	// slotted holds the object's attribute values by slot of the view
-	// dictionary it was built on or last written through (slots.go).
-	slotted
-	// Classes holds the global class names the object belongs to.
-	Classes map[string]bool
-
-	// proj memoises the object's projections onto recent select lists
-	// (project.go). A clone or a new object starts without one.
-	proj atomic.Pointer[projMemo]
-}
-
-// Identity implements expr.Identifiable.
-func (g *GObj) Identity() object.Ref {
-	return object.Ref{DB: "global", OID: object.OID(g.ID)}
-}
-
-// Merged reports whether the object has constituents in at least two
-// member databases (the two sides of a pairwise integration, any pair of
-// members in a federated view).
-func (g *GObj) Merged() bool {
-	sides := 0
-	for _, ms := range g.Parts {
-		if len(ms) > 0 {
-			sides++
-		}
-	}
-	return sides >= 2
-}
-
-// String renders the object.
-func (g *GObj) String() string {
-	var classes []string
-	for c := range g.Classes {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	var keys []string
-	g.Range(func(k string, _ object.Value) { keys = append(keys, k) })
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		v, _ := g.Get(k)
-		parts[i] = k + "=" + v.String()
-	}
-	return fmt.Sprintf("g%d{%s}(%s)", g.ID, strings.Join(classes, ","), strings.Join(parts, ","))
-}
 
 // ISAEdge is a derived subclass relationship in the global lattice.
 type ISAEdge struct{ Sub, Super string }
@@ -128,17 +74,6 @@ type GlobalView struct {
 	// fusePlans counts the fusion plans Merge compiled: one per shape of
 	// constituents (fuse.go).
 	fusePlans int
-}
-
-// memberSlots is the number of Side values the view's members occupy:
-// the attach-ordered member slots of a federated view (detached slots
-// included — their Parts are empty, so visiting them is a no-op), the
-// fixed local/remote pair otherwise.
-func (v *GlobalView) memberSlots() int {
-	if f := v.Conformed.Fed; f != nil {
-		return len(f.Schemas)
-	}
-	return 2
 }
 
 // Extent returns the members of a global class.
@@ -232,7 +167,7 @@ func (v *GlobalView) DeclaresAttr(g *GObj, attr string) bool {
 // DeclaredIn answers DeclaresAttr from a declared-attribute table
 // (DeclTable), for callers holding a table the view has since replaced.
 func DeclaredIn(decl map[string]map[string]bool, g *GObj, attr string) bool {
-	for cls := range g.Classes {
+	for _, cls := range g.Classes {
 		if decl[cls][attr] {
 			return true
 		}
@@ -275,21 +210,17 @@ func (v *GlobalView) ApplyInsert(class string, attrs map[string]object.Value, sr
 	if !ok {
 		return nil, fmt.Errorf("no origin class for global class %s", class)
 	}
-	g := &GObj{
-		ID:      v.nextObjectID(),
-		Parts:   map[Side][]*CObj{},
-		Classes: map[string]bool{},
-	}
+	g := &GObj{ID: v.nextObjectID()}
 	// A name the dictionary lacks extends it: a member store refuses
 	// undeclared attributes, but the view does not depend on that.
 	v.newObjectAttrs(g, attrs)
 	// The constituent gets its own copy of the values: sharing them would
 	// let a later in-place constituent write (ApplyUpdate fans values out
 	// to the parts) change the object behind a frozen snapshot's back.
-	g.Parts[org.Side] = append(g.Parts[org.Side], &CObj{
+	g.Parts = []*CObj{{
 		Src: src, Side: org.Side, Class: org.Class,
 		slotted: slotted{dict: g.dict, vals: slices.Clone(g.vals)},
-	})
+	}}
 	for _, cn := range v.Conformed.SchemaOf(org.Side).Supers(org.Class) {
 		v.addToClass(g, org.Side, cn)
 	}
@@ -368,25 +299,20 @@ func Merge(c *Conformed) (*GlobalView, error) {
 		next[gi]++
 	}
 
-	v.Objects = make([]*GObj, 0, len(start)-1)
-	v.byRef = make(map[object.Ref]*GObj, len(all)+len(start)-1)
+	// The objects are allocated as one block, and each holds its group,
+	// already side-ordered, as its Parts: clipped, so a later addPart
+	// reallocates instead of writing into the next group.
+	objs := make([]GObj, len(start)-1)
+	v.Objects = make([]*GObj, 0, len(objs))
+	v.byRef = make(map[object.Ref]*GObj, len(all)+len(objs))
 	f := newFuser(v, rng)
-	for i := range len(start) - 1 {
+	for i := range objs {
 		grp := members[start[i]:start[i+1]:start[i+1]]
-		g := &GObj{
-			ID:      i + 1,
-			Parts:   make(map[Side][]*CObj, 2),
-			Classes: map[string]bool{},
-		}
+		g := &objs[i]
+		g.ID, g.Parts = i+1, grp
 		nLocal := 0
 		for nLocal < len(grp) && grp[nLocal].Side == LocalSide {
 			nLocal++
-		}
-		if nLocal > 0 {
-			g.Parts[LocalSide] = grp[:nLocal:nLocal]
-		}
-		if nLocal < len(grp) {
-			g.Parts[RemoteSide] = grp[nLocal:]
 		}
 		f.fuse(g, grp, nLocal)
 		v.Objects = append(v.Objects, g)
@@ -408,12 +334,12 @@ func Merge(c *Conformed) (*GlobalView, error) {
 }
 
 // schemaDict builds the dictionary Merge starts from: the attribute
-// names of every class of the member schemas, in member, class and
+// names of every class of the pair's schemas, in side, class and
 // declaration order, so an object's slots cluster by its classes. Merge
 // adds any other name a constituent carries as fusion meets it.
 func (v *GlobalView) schemaDict() *AttrDict {
 	var names []string
-	for side := Side(0); int(side) < v.memberSlots(); side++ {
+	for _, side := range []Side{LocalSide, RemoteSide} {
 		db := v.Conformed.SchemaOf(side)
 		for _, cls := range db.Classes() {
 			for _, a := range db.AllAttrs(cls.Name) {
@@ -529,20 +455,30 @@ func (v *GlobalView) classifyConstituents() {
 		class string
 	}
 	chains := map[sideClass][]classLink{}
+	chainOf := func(m *CObj) []classLink {
+		k := sideClass{m.Side, m.Class}
+		chain, ok := chains[k]
+		if !ok {
+			chain = v.chain(m.Side, m.Class)
+			chains[k] = chain
+		}
+		return chain
+	}
+	var names block[string]
 	for _, g := range v.Objects {
-		// Fixed side order keeps class registration (and therefore the
-		// derived lattice's edge order) deterministic.
-		for _, side := range []Side{LocalSide, RemoteSide} {
-			for _, m := range g.Parts[side] {
-				k := sideClass{side, m.Class}
-				chain, ok := chains[k]
-				if !ok {
-					chain = v.chain(side, m.Class)
-					chains[k] = chain
-				}
-				for _, l := range chain {
-					v.addNamed(g, l.name, side, l.class)
-				}
+		// Each object's classes come from one shared block, sized for its
+		// constituents' chains plus two classes a Sim rule or an
+		// intersection subclass may add.
+		n := 2
+		for _, m := range g.Parts {
+			n += len(chainOf(m))
+		}
+		g.Classes = names.take(n)
+		// Parts are side-ordered, which keeps class registration (and
+		// therefore the derived lattice's edge order) deterministic.
+		for _, m := range g.Parts {
+			for _, l := range chainOf(m) {
+				v.addNamed(g, l.name, m.Side, l.class)
 			}
 		}
 	}
@@ -570,10 +506,9 @@ func (v *GlobalView) addToClass(g *GObj, side Side, class string) {
 // addNamed adds the object to the global class name of a conformed
 // class, registering the class on its first member.
 func (v *GlobalView) addNamed(g *GObj, name string, side Side, class string) {
-	if g.Classes[name] {
+	if !g.addClass(name) {
 		return
 	}
-	g.Classes[name] = true
 	if _, seen := v.Origin[name]; !seen {
 		v.Origin[name] = struct {
 			Side  Side
@@ -640,10 +575,9 @@ func (v *GlobalView) classifySim(env *expr.Env) error {
 }
 
 func (v *GlobalView) addVirtualMember(g *GObj, class string) {
-	if g.Classes[class] {
+	if !g.addClass(class) {
 		return
 	}
-	g.Classes[class] = true
 	// Register the class name on its FIRST member only (keyed on the
 	// extent map: virtual classes never get an Origin entry, so keying
 	// on Origin — as this once did — appended the name again for every

@@ -41,8 +41,8 @@ func TestMergeEntityResolution(t *testing.T) {
 	if !g.Merged() {
 		t.Fatal("vldb96 should be merged")
 	}
-	if len(g.Parts[LocalSide]) != 1 || len(g.Parts[RemoteSide]) != 1 {
-		t.Errorf("parts: %d local, %d remote", len(g.Parts[LocalSide]), len(g.Parts[RemoteSide]))
+	if len(g.PartsOf(LocalSide)) != 1 || len(g.PartsOf(RemoteSide)) != 1 {
+		t.Errorf("parts: %d local, %d remote", len(g.PartsOf(LocalSide)), len(g.PartsOf(RemoteSide)))
 	}
 	// Unmatched objects stay single-source.
 	if globalByTitle(t, v, "Proceedings of CAiSE").Merged() {
@@ -130,27 +130,27 @@ func TestMergeSimClassification(t *testing.T) {
 	v := fig1View(t, fixture.Options{})
 	caise := globalByTitle(t, v, "Proceedings of CAiSE")
 	for _, want := range []string{"Proceedings", "Item", "RefereedPubl", "ScientificPubl", "Publication"} {
-		if !caise.Classes[want] {
+		if !caise.InClass(want) {
 			t.Errorf("caise96 should be in %s; has %v", want, caise.Classes)
 		}
 	}
 	wkshp := globalByTitle(t, v, "Workshop Notes on Interoperation")
-	if !wkshp.Classes["NonRefereedPubl"] || wkshp.Classes["RefereedPubl"] {
+	if !wkshp.InClass("NonRefereedPubl") || wkshp.InClass("RefereedPubl") {
 		t.Errorf("workshop classes: %v", wkshp.Classes)
 	}
 	// sigmod96 is local-only but titled "Proceedings of SIGMOD" → r5.
 	sigmod := globalByTitle(t, v, "Proceedings of SIGMOD")
-	if !sigmod.Classes["Proceedings"] || !sigmod.Classes["Item"] {
+	if !sigmod.InClass("Proceedings") || !sigmod.InClass("Item") {
 		t.Errorf("sigmod classes: %v", sigmod.Classes)
 	}
 	// The refereed journal is not similar to any bookseller class.
 	jacm := globalByTitle(t, v, "Journal of the ACM")
-	if jacm.Classes["Proceedings"] {
+	if jacm.InClass("Proceedings") {
 		t.Errorf("jacm must not be a Proceedings: %v", jacm.Classes)
 	}
 	// The monograph stays out of the library's classification.
 	tp := globalByTitle(t, v, "Transaction Processing")
-	if tp.Classes["Publication"] || !tp.Classes["Monograph"] {
+	if tp.InClass("Publication") || !tp.InClass("Monograph") {
 		t.Errorf("monograph classes: %v", tp.Classes)
 	}
 }
@@ -298,10 +298,8 @@ func dumpMerged(v *GlobalView) string {
 	var b strings.Builder
 	for _, g := range v.Objects {
 		b.WriteString(g.String())
-		for side := Side(0); int(side) < v.memberSlots(); side++ {
-			for _, m := range g.Parts[side] {
-				b.WriteString(" " + side.String() + ":" + m.Src.String())
-			}
+		for _, m := range g.Parts {
+			b.WriteString(" " + m.Side.String() + ":" + m.Src.String())
 		}
 		b.WriteByte('\n')
 	}

@@ -2,5 +2,6 @@
 
 package core
 
-// raceEnabled reports that the race detector is on: timing tests skip.
+// raceEnabled reports that the race detector is on: timing tests and
+// the membership-cycle allocation bound skip.
 const raceEnabled = true

@@ -149,10 +149,7 @@ func TestConformedSlots(t *testing.T) {
 		}
 	}
 	g := globalByTitle(t, v, "Proceedings of the 22nd VLDB Conference")
-	var parts []*CObj
-	for _, ms := range g.Parts {
-		parts = append(parts, ms...)
-	}
+	parts := g.Parts
 	if len(parts) != 2 {
 		t.Fatalf("vldb96 has %d constituents, want 2", len(parts))
 	}
@@ -184,22 +181,20 @@ func TestConformedSlots(t *testing.T) {
 	}
 }
 
-// BenchmarkDetachAll clones every host an UnivArchive graft touches at
-// Scale 1000, as AttachPair's detachAll does: ns and allocations per
-// cloned object (the batch is re-cloned each iteration).
-func BenchmarkDetachAll(b *testing.B) {
-	f := newFig1Fed(b, 1000)
-	pair := f.pair(b)
+// graftHosts returns the objects of the combined view an UnivArchive
+// graft at the scale touches, as AttachPair's detachAll batch does.
+func graftHosts(t testing.TB, scale int) (*GlobalView, []*GObj) {
+	t.Helper()
+	f := newFig1Fed(t, scale)
+	pair := f.pair(t)
 	v := f.fs.Res.View
 	seen := map[*GObj]bool{}
 	var batch []*GObj
 	for _, pg := range pair.View.Objects {
 		var host *GObj
-		for _, ms := range pg.Parts {
-			for _, m := range ms {
-				if g, ok := v.byRef[m.Src]; ok && !m.Virtual && (host == nil || g.ID < host.ID) {
-					host = g
-				}
+		for _, m := range pg.Parts {
+			if g, ok := v.byRef[m.Src]; ok && !m.Virtual && (host == nil || g.ID < host.ID) {
+				host = g
 			}
 		}
 		if host != nil && !seen[host] {
@@ -208,8 +203,34 @@ func BenchmarkDetachAll(b *testing.B) {
 		}
 	}
 	if len(batch) == 0 {
-		b.Fatal("the graft touches no host")
+		t.Fatal("the graft touches no host")
 	}
+	return v, batch
+}
+
+// TestDetachAllAllocsPerObject is the count half of BenchmarkDetachAll,
+// reading no clock: cloning the hosts of a Scale 1000 graft makes at
+// most 2 allocations per cloned object. A clone copies its value slice
+// and takes its struct from one block per batch; it shares Parts and
+// Classes instead of copying them (as maps, 7.5 allocations per object).
+func TestDetachAllAllocsPerObject(t *testing.T) {
+	v, batch := graftHosts(t, 1000)
+	allocs := testing.AllocsPerRun(3, func() {
+		clones := v.detachAll(batch)
+		for j, g := range batch {
+			batch[j] = clones[g]
+		}
+	})
+	if per := allocs / float64(len(batch)); per > 2 {
+		t.Errorf("detachAll makes %.2f allocations per cloned object (%d objects), bound 2", per, len(batch))
+	}
+}
+
+// BenchmarkDetachAll clones every host an UnivArchive graft touches at
+// Scale 1000, as AttachPair's detachAll does: ns and allocations per
+// cloned object (the batch is re-cloned each iteration).
+func BenchmarkDetachAll(b *testing.B) {
+	v, batch := graftHosts(b, 1000)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs

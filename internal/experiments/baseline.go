@@ -68,23 +68,23 @@ func (q classificationQuality) recall() float64 {
 // the instance-based view, counting misses only in localClasses.
 func compareClassification(res *core.Result, classBased map[object.Ref][]string, localClasses []string) classificationQuality {
 	var q classificationQuality
-	truth := map[object.Ref]map[string]bool{}
+	truth := map[object.Ref]*core.GObj{}
 	for _, o := range res.Conformed.AllObjects(core.RemoteSide) {
 		if g, ok := res.View.Deref(o.Src); ok {
-			truth[o.Src] = g.(*core.GObj).Classes
+			truth[o.Src] = g.(*core.GObj)
 		}
 	}
 	for ref, classes := range classBased {
 		for _, c := range classes {
 			q.assignments++
-			if truth[ref][c] {
+			if g := truth[ref]; g != nil && g.InClass(c) {
 				q.correct++
 			}
 		}
 	}
-	for ref, classes := range truth {
+	for ref, g := range truth {
 		for _, c := range localClasses {
-			if classes[c] && !contains(classBased[ref], c) {
+			if g.InClass(c) && !contains(classBased[ref], c) {
 				q.missed++
 			}
 		}

@@ -468,13 +468,17 @@ func (env *Env) evalIn(n In) (any, error) {
 }
 
 func (env *Env) evalCall(n Call) (any, error) {
-	args := make([]object.Value, len(n.Args))
-	for i, a := range n.Args {
+	// No builtin takes more than two arguments, so they are evaluated
+	// into a buffer on the stack; a third spills to the heap, and
+	// callBuiltin refuses the call.
+	var buf [2]object.Value
+	args := buf[:0]
+	for _, a := range n.Args {
 		v, err := env.Eval(a)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	return callBuiltin(n.Fn, args)
 }

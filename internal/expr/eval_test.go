@@ -622,6 +622,30 @@ func TestEvalPathReadAllocs(t *testing.T) {
 	}
 }
 
+// TestEvalCallAllocs: a builtin call evaluates its arguments into a
+// buffer on the stack, so a contains(...) condition over a bound object
+// — the shape of a rule condition in entity resolution — allocates
+// nothing.
+func TestEvalCallAllocs(t *testing.T) {
+	env := bookEnv()
+	env.Vars = map[string]Object{"o": env.Self}
+	for _, src := range []string{"contains(o.title, 'VLDB')", "contains(o.title, 'SIGMOD')", "length(o.isbn) = 6"} {
+		n := MustParse(src)
+		if ok, err := env.EvalBool(n); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		} else if ok == strings.Contains(src, "SIGMOD") {
+			t.Errorf("%s = %v", src, ok)
+		}
+		if got := testing.AllocsPerRun(100, func() { env.EvalBool(n) }); got != 0 {
+			t.Errorf("%q allocates %.1f objects per evaluation, want 0", src, got)
+		}
+	}
+	// Past the buffer the arguments spill, and the call is refused.
+	if _, err := env.Eval(MustParse("contains(o.title, 'a', 'b')")); err == nil || !strings.Contains(err.Error(), "takes 2 arguments") {
+		t.Errorf("contains with 3 arguments: %v, want an arity error", err)
+	}
+}
+
 // kindDecl is a per-object Declarer: each row names its class in a
 // "kind" attribute, and the class's declarations answer for it — the
 // shape of the snapshot's rule, where the declaring classes are the

@@ -107,7 +107,7 @@ func oracleKeyHolder(s *txState, class string, attrs []string, obj expr.Object, 
 	}
 	for gid := range s.post {
 		g, ok := e.res.View.ByID(gid)
-		if !ok || !g.Classes[class] {
+		if !ok || !g.InClass(class) {
 			continue
 		}
 		if k, ok := expr.KeyString(g, attrs); ok && k == key {

@@ -113,14 +113,7 @@ func viewFingerprint(e *Engine) string {
 	for _, g := range e.res.View.Objects {
 		var b strings.Builder
 		fmt.Fprintf(&b, "g%d", g.ID)
-		classes := make([]string, 0, len(g.Classes))
-		for c, in := range g.Classes {
-			if in {
-				classes = append(classes, c)
-			}
-		}
-		sort.Strings(classes)
-		fmt.Fprintf(&b, " [%s]", strings.Join(classes, ","))
+		fmt.Fprintf(&b, " [%s]", strings.Join(g.Classes, ","))
 		attrs := g.Attrs()
 		keys := make([]string, 0, len(attrs))
 		for k := range attrs {
@@ -131,10 +124,8 @@ func viewFingerprint(e *Engine) string {
 			fmt.Fprintf(&b, " %s=%s", k, attrs[k].String())
 		}
 		var parts []string
-		for _, ms := range g.Parts {
-			for _, m := range ms {
-				parts = append(parts, fmt.Sprintf("%s/#%d/v=%v", m.Src.DB, m.Src.OID, m.Virtual))
-			}
+		for _, m := range g.Parts {
+			parts = append(parts, fmt.Sprintf("%s/#%d/v=%v", m.Src.DB, m.Src.OID, m.Virtual))
 		}
 		sort.Strings(parts)
 		fmt.Fprintf(&b, " {%s}", strings.Join(parts, ";"))

@@ -441,7 +441,7 @@ func (e *Engine) targetOf(op Mutation, deleted map[int]bool) (*core.GObj, error)
 	if !ok || deleted[op.ID] {
 		return nil, fmt.Errorf("%s: no object g%d in the integrated view: %w", op.Kind, op.ID, ErrUnknownObject)
 	}
-	if !g.Classes[op.Class] {
+	if !g.InClass(op.Class) {
 		return nil, fmt.Errorf("%s: object g%d is not a member of class %s: %w", op.Kind, op.ID, op.Class, ErrUnknownClass)
 	}
 	return g, nil
@@ -658,7 +658,7 @@ func (s *txState) stagedFor(kc keyCheck) *stagedKeys {
 	}
 	sk.nInserts = len(ins)
 	for _, id := range s.updated[sk.nUpdated:] {
-		if g, ok := s.e.res.View.ByID(id); ok && g.Classes[class] {
+		if g, ok := s.e.res.View.ByID(id); ok && g.InClass(class) {
 			sk.refile(s, g, attrs)
 		}
 	}
@@ -822,7 +822,7 @@ func (e *Engine) keyIndex(kc keyCheck) *keyIndex {
 // index of a class it belongs to. Caller holds e.mu (write).
 func (e *Engine) fileKeys(g *core.GObj, add bool) {
 	for _, ix := range e.keys {
-		if !g.Classes[ix.class] {
+		if !g.InClass(ix.class) {
 			continue
 		}
 		if add {
@@ -1001,10 +1001,6 @@ func (e *Engine) applyShipped(applies []shippedOp) error {
 	return nil
 }
 
-func classNames(g *core.GObj) []string {
-	out := make([]string, 0, len(g.Classes))
-	for c := range g.Classes {
-		out = append(out, c)
-	}
-	return out
-}
+// classNames returns a copy of the object's classes, which the caller
+// may sort or extend.
+func classNames(g *core.GObj) []string { return slices.Clone(g.Classes) }

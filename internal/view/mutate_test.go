@@ -483,7 +483,7 @@ func checkViewInvariants(t *testing.T, e *Engine) {
 	v := e.res.View
 	for _, cls := range v.ClassNames {
 		for _, g := range v.Extent(cls) {
-			if !g.Classes[cls] {
+			if !g.InClass(cls) {
 				t.Fatalf("g%d in extent of %s but Classes disagrees", g.ID, cls)
 			}
 			if _, ok := v.ByID(g.ID); !ok {
@@ -492,7 +492,7 @@ func checkViewInvariants(t *testing.T, e *Engine) {
 		}
 	}
 	for _, g := range v.Objects {
-		for cls := range g.Classes {
+		for _, cls := range g.Classes {
 			found := false
 			for _, o := range v.Extent(cls) {
 				if o == g {
@@ -710,7 +710,7 @@ func TestValidateVerdictIndependentOfNamedClass(t *testing.T) {
 	e, _, _ := scaledEngineStores(t, 1)
 	g := findByISBN(t, e, "vldb96") // IEEE-published: ref? = false violates oc1
 	for _, class := range []string{"Proceedings", "Item", "Publication", "RefereedPubl"} {
-		if !g.Classes[class] {
+		if !g.InClass(class) {
 			t.Fatalf("fixture drift: vldb96 not in %s", class)
 		}
 		rejs, _, err := e.Validate(bg, updateOf(class, g.ID, map[string]object.Value{"ref?": object.Bool(false)}))

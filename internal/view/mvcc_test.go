@@ -44,7 +44,7 @@ import (
 func stampedClasses(t *testing.T, e *Engine, g *core.GObj) []string {
 	t.Helper()
 	var out []string
-	for cls := range g.Classes {
+	for _, cls := range g.Classes {
 		for _, m := range e.res.View.Extent(cls) {
 			if m.ID == g.ID {
 				out = append(out, cls)

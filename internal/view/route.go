@@ -3,9 +3,7 @@ package view
 import (
 	"context"
 	"fmt"
-	"slices"
 
-	"interopdb/internal/core"
 	"interopdb/internal/store"
 )
 
@@ -154,25 +152,26 @@ func (e *Engine) Ship(ctx context.Context, ops []Mutation) error {
 				return abort(fmt.Errorf("op %d: %w", i, err))
 			}
 			staged := false
-			for _, side := range sortedSides(g) {
-				for _, m := range g.Parts[side] {
-					if m.Virtual {
-						continue
-					}
-					tx, err := txFor(m.Src.DB)
-					if err != nil {
-						return abort(fmt.Errorf("op %d: %w", i, err))
-					}
-					ef := store.Effect{Kind: store.OpUpdate, OID: m.Src.OID, Attrs: op.Attrs}
-					if op.Kind == MutDelete {
-						ef = store.Effect{Kind: store.OpDelete, OID: m.Src.OID}
-					}
-					if err := store.Stage(tx, ef); err != nil {
-						return abort(fmt.Errorf("op %d: %w", i, err))
-					}
-					record(m.Src.DB, ef)
-					staged = true
+			// Parts are side-ordered (attach order), so an update reaches
+			// its members, and so commits and logs them, in the same
+			// order on every run.
+			for _, m := range g.Parts {
+				if m.Virtual {
+					continue
 				}
+				tx, err := txFor(m.Src.DB)
+				if err != nil {
+					return abort(fmt.Errorf("op %d: %w", i, err))
+				}
+				ef := store.Effect{Kind: store.OpUpdate, OID: m.Src.OID, Attrs: op.Attrs}
+				if op.Kind == MutDelete {
+					ef = store.Effect{Kind: store.OpDelete, OID: m.Src.OID}
+				}
+				if err := store.Stage(tx, ef); err != nil {
+					return abort(fmt.Errorf("op %d: %w", i, err))
+				}
+				record(m.Src.DB, ef)
+				staged = true
 			}
 			if !staged && op.Kind == MutUpdate {
 				return abort(fmt.Errorf("op %d: object g%d has no component constituents to update", i, op.ID))
@@ -278,16 +277,4 @@ func (e *Engine) commitBatch(ctx context.Context, ent *journalEntry) error {
 	}
 	e.journal.resolve(ent, store.ResolveCommitted)
 	return nil
-}
-
-// sortedSides lists an object's constituent sides in ascending order —
-// attach order — so an update reaches its members, and so commits and
-// logs them, in the same order on every run.
-func sortedSides(g *core.GObj) []core.Side {
-	sides := make([]core.Side, 0, len(g.Parts))
-	for side := range g.Parts {
-		sides = append(sides, side)
-	}
-	slices.Sort(sides)
-	return sides
 }

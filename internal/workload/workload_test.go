@@ -51,8 +51,8 @@ func TestBibliographicOverlapDrivesMerges(t *testing.T) {
 	}
 	merged = 0
 	for _, g := range res.View.Objects {
-		if g.Merged() && len(g.Parts[core.LocalSide]) > 0 {
-			for _, m := range g.Parts[core.LocalSide] {
+		if g.Merged() && len(g.PartsOf(core.LocalSide)) > 0 {
+			for _, m := range g.PartsOf(core.LocalSide) {
 				if !m.Virtual {
 					merged++
 				}

@@ -180,7 +180,10 @@ type GlobalView = core.GlobalView
 // GlobalObject is one object of the integrated view. It holds its
 // attribute values by slot of the view's attribute dictionary
 // (GlobalView.Dict), not in a map: read them with Get (by name), At (by
-// slot) or Range (every attribute, in slot order).
+// slot) or Range (every attribute, in slot order). Its constituents
+// (Parts, in member order; PartsOf for one member) and its classes
+// (Classes, sorted; InClass) are slices shared with the snapshots that
+// hold the object: read them, never write them.
 type GlobalObject = core.GObj
 
 // Derivation carries the global constraint set and detected conflicts
